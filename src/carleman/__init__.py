@@ -14,14 +14,13 @@ from .liouville import (OperatorCoefficients, b_coefficients, gauge_beta,
                         gauged_coefficients, operator_apply_check, tau_table)
 from .scattering import (EigenfunctionField, PotentialSpec, RootSet,
                          eigenvalue_multiplicity_bound, free_resolvent_kernel,
-                         ode_cross_check, r_functions, scattering_matrix,
-                         scattering_scan, solve_lippmann_schwinger,
-                         square_well_reflection, zeta_roots)
+                         ode_cross_check, scattering_matrix,
+                         solve_lippmann_schwinger, square_well_reflection,
+                         zeta_roots)
 from .longrange import residual_symbol, sigma_iterate, theta_phase
 from .hankelphase import (HankelEigenfunction, PhaseModel, ThetaEvaluator,
-                          hankel_kernel, mellin_F, phase_gamma,
-                          quadratic_form_check, theta_asymptotic,
-                          theta_integral, theta_profile, varrho,
+                          hankel_kernel, mellin_F, quadratic_form_check,
+                          theta_asymptotic, theta_profile, varrho,
                           zeta_amplitude)
 from .statphase import (BoundConstants, bound_constants, evaluate_J,
                         leading_term, verify_remainder)

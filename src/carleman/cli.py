@@ -330,7 +330,6 @@ def build_parser():
 
     p = sub.add_parser("scatter", help="scattering matrices over a lambda grid")
     add_common(p)
-    p.add_argument("--n", type=int, help="(ignored; degree from the polynomial)")
     p.add_argument("--lambda-min", type=float, required=True)
     p.add_argument("--lambda-max", type=float, required=True)
     p.add_argument("--points", type=int, default=5)
@@ -351,7 +350,6 @@ def build_parser():
                        description="CSV columns: N (= ln t), re_theta, "
                                    "im_theta, re_asym, im_asym, residual")
     add_common(p)
-    p.add_argument("--n", type=int, help="(ignored; degree from the polynomial)")
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--N-grid", default="-30:30:5")
     p.add_argument("--truncation", type=float, default=1.0e4)

@@ -33,7 +33,7 @@ from scipy.special import digamma
 
 from ._jets import Jet
 from .coeffmap import RealPolynomial
-from .errors import ConfigurationError, DomainError, ResolutionError
+from .errors import DomainError, ResolutionError
 from .oscquad import equidistribute_edges, ibp_boundary, integrate_panels
 from .profile import ChangeOfVariables
 from .specfun import eta_phase
@@ -139,10 +139,6 @@ class PhaseModel:
         if np.any(t <= 0):
             raise DomainError("omega needs t > 0")
         return self.gamma(np.log(t), k)
-
-
-def phase_gamma(N, k, model: PhaseModel):
-    return model.gamma(N, k)
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +264,6 @@ class ThetaEvaluator:
     def theta_scaled(self, N):
         """sqrt(t) * theta(t, k) = (2 pi)^{-1/2} I(ln t, k)."""
         return self.I(N) / np.sqrt(2.0 * np.pi)
-
-
-def theta_integral(N, k, field, Q, cov, **kw):
-    """One-shot evaluation; for N-sweeps build a ThetaEvaluator once."""
-    if abs(N) > 35.0:
-        raise DomainError("|ln t| > 35 not supported (t overflows the float range)")
-    ev = ThetaEvaluator(field, Q, cov, **kw)
-    if field.k != k:
-        raise ConfigurationError("field was solved at a different k")
-    return ev.theta_scaled(N)
 
 
 # ---------------------------------------------------------------------------

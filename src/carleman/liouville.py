@@ -43,16 +43,6 @@ class TauTable:
     def entry(self, j, l):
         return self.table[j][l]
 
-    def evaluate(self, j, l, phi_derivs):
-        """Evaluate tau_{j,l} given phi_derivs[k] = phi^(k)(xi) (arrays ok)."""
-        out = 0.0
-        for mono, coef in self.table[j][l].items():
-            term = coef * np.ones_like(phi_derivs[0])
-            for k in mono:
-                term = term * phi_derivs[k]
-            out = out + term
-        return out
-
     def evaluate_jet(self, j, l, phi_jet_derivs):
         """Same, but with jets so x-derivatives can be chained later."""
         out = None

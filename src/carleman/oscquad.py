@@ -3,12 +3,13 @@
 Three tools shared by the scattering solver, the stationary-phase engine and
 the Hankel eigenfunction integrals:
 
-* exact moments of exp(mu u) against monomials / Lagrange bases on intervals,
-  anchored so no exponential ever exceeds unit modulus (Filon-type product
-  integration with geometric panels stays legitimate for any frequency);
+* exact moments of exp(mu u) against monomials on intervals, batched over
+  arrays of frequencies and intervals and anchored so no exponential ever
+  exceeds unit modulus (Filon-type product integration with geometric panels
+  stays legitimate for any frequency);
 * phase-equidistributed Gauss panels for integrands written as
   amplitude * exp(i phase) with an explicitly known phase;
-* a two-term integration-by-parts closure for truncated tails
+* a two-term integration-by-parts boundary series for truncated tails
   int_X^inf exp(i phi) A dx, with jets supplying the derivatives.
 """
 
@@ -36,32 +37,41 @@ def lagrange_coeff_matrix(nodes):
 def exp_monomial_moments(mu, anchor, lo, hi, count):
     """m_l = int_lo^hi u^l exp(mu (u - anchor)) du for l = 0..count-1.
 
+    Broadcasts over mu, anchor, lo and hi and returns shape (..., count).
     The caller must pick `anchor` so Re(mu (u - anchor)) <= 0 on [lo, hi];
     every intermediate then has modulus <= |hi - lo| and the upward recursion
-    is safe for |mu (hi-lo)| >= ~12, with Gauss quadrature below that.
+    is safe once |mu| max(|lo|, |hi|, 1) >= 14.  Elements below that switch
+    use 32-point Gauss quadrature instead.
     """
-    mu = complex(mu)
-    width = hi - lo
-    if abs(mu) * max(abs(hi), abs(lo), 1.0) < 14.0:
+    mu, anchor, lo, hi = np.broadcast_arrays(np.asarray(mu, dtype=complex),
+                                             np.asarray(anchor, dtype=float),
+                                             np.asarray(lo, dtype=float),
+                                             np.asarray(hi, dtype=float))
+    out = np.empty(mu.shape + (count,), dtype=complex)
+    gauss = np.abs(mu) * np.maximum(np.maximum(np.abs(hi), np.abs(lo)), 1.0) < 14.0
+    if np.any(gauss):
         x, w = gauss_rule(32)
-        c, s = 0.5 * (lo + hi), 0.5 * width
+        g_lo, g_hi = lo[gauss][:, None], hi[gauss][:, None]
+        c, s = 0.5 * (g_lo + g_hi), 0.5 * (g_hi - g_lo)
         u = c + s * x
-        e = np.exp(mu * (u - anchor)) * (s * w)
-        pows = u[None, :] ** np.arange(count)[:, None]
-        return pows @ e
-    out = np.empty(count, dtype=complex)
-    elo = np.exp(mu * (lo - anchor))
-    ehi = np.exp(mu * (hi - anchor))
-    out[0] = (ehi - elo) / mu
-    for l in range(1, count):
-        out[l] = (hi ** l * ehi - lo ** l * elo) / mu - (l / mu) * out[l - 1]
+        e = np.exp(mu[gauss][:, None] * (u - anchor[gauss][:, None])) * (s * w)
+        moments = []
+        for _ in range(count):
+            moments.append(e.sum(axis=-1))
+            e = e * u
+        out[gauss] = np.stack(moments, axis=-1)
+    rec = ~gauss
+    if np.any(rec):
+        r_mu, r_lo, r_hi, r_anchor = mu[rec], lo[rec], hi[rec], anchor[rec]
+        elo = np.exp(r_mu * (r_lo - r_anchor))
+        ehi = np.exp(r_mu * (r_hi - r_anchor))
+        m = (ehi - elo) / r_mu
+        moments = [m]
+        for l in range(1, count):
+            m = (r_hi ** l * ehi - r_lo ** l * elo) / r_mu - (l / r_mu) * m
+            moments.append(m)
+        out[rec] = np.stack(moments, axis=-1)
     return out
-
-
-def exp_lagrange_moments(mu, anchor, lo, hi, coeff_matrix):
-    """int_lo^hi exp(mu (u - anchor)) l_r(u) du for the Lagrange basis."""
-    m = exp_monomial_moments(mu, anchor, lo, hi, coeff_matrix.shape[0])
-    return coeff_matrix.T @ m
 
 
 def equidistribute_edges(x_samples, phase_samples, max_dphase):
@@ -89,27 +99,6 @@ def integrate_panels(f, edges, p=12):
     return np.sum((vals @ w) * s)
 
 
-def integrate_oscillatory(amplitude, phase, a, b, phase_samples=None,
-                          max_dphase=np.pi, p=12, min_samples=257):
-    """int_a^b amplitude(x) exp(i phase(x)) dx with phase-aware panels.
-
-    `phase` is evaluated exactly inside the quadrature, so no phase error
-    accumulates; panels only need the amplitude to be smooth, which the
-    equidistribution guarantees for any frequency profile.
-    """
-    if b <= a:
-        return 0.0 + 0.0j
-    if phase_samples is None:
-        xs = np.linspace(a, b, min_samples)
-        phase_samples = (xs, phase(xs))
-    edges = equidistribute_edges(phase_samples[0], phase_samples[1], max_dphase)
-
-    def f(x):
-        return amplitude(x) * np.exp(1j * phase(x))
-
-    return integrate_panels(f, edges, p=p)
-
-
 def ibp_boundary(amp_jet: Jet, phase_jet: Jet, order: int = 2):
     """Antiderivative boundary series S(y) of int exp(i phi) A dx by parts.
 
@@ -130,9 +119,3 @@ def ibp_boundary(amp_jet: Jet, phase_jet: Jet, order: int = 2):
         if term.order >= 0:
             last = float(np.max(np.abs(term.value / phip.truncated(term.order).value)))
     return total, last
-
-
-def ibp_tail(amp_jet: Jet, phase_jet: Jet, order: int = 2):
-    """int_X^inf exp(i phi) A dx = -S(X) when A and its derivatives vanish at inf."""
-    S, last = ibp_boundary(amp_jet, phase_jet, order)
-    return -S, last

@@ -8,20 +8,39 @@ We solve the second-kind equation for w = V psi,
 
     (I + V R0) w = V psi0,
 
-whose dense part stays the size of a core mesh [-X0, X0]: the free resolvent
-kernel is a two-sided sum of exponentials exp(i zeta_j (x-y)), so V R0
-assembles from per-panel moments of exponentials against the local Lagrange
-basis (product integration), every exponential anchored so its modulus never
-exceeds one.  Gauss panels are capped at ~4 radians of the fastest frequency,
-which keeps the mesh at a couple of thousand nodes.
+whose dense part stays the size of a core mesh [-X0, X0].  The free resolvent
+kernel is a sum of exponentials a_j exp(i zeta_j (x-y)), each on one side of
+the diagonal: x >= y for the "upper" roots, x <= y for the "lower" ones.  So
+V R0 assembles from per-panel moments of exponentials against the local
+Lagrange basis (Filon-type product integration).  The moment primitive
+`exp_monomial_moments` is array-valued: per branch, one call gives the
+full-panel moments of every panel and one the partial-panel moments of every
+node, and the assembly writes them into the matrix one row panel at a time.
+Every exponential is anchored so its modulus never exceeds one.  Gauss panels
+are capped at ~4 radians of the fastest frequency, which keeps the mesh at a
+couple of thousand nodes.
 
 Beyond X0 (where sum|b~_m| ~ 1e-5) the solution is carried as frequency
-components E(y) exp(i mu y) with real mu (incident wave and the real roots;
-complex-root pieces there are O(|b~(X0)|^2) and are dropped).  Two Born
+components E(y) exp(i mu y) with real mu (incident wave and the real roots).
+Complex-root pieces there are dropped; the `dropped_tail` diagnostic records
+the largest term this drops from the core kernel at the core edge.  Born
 passes refresh the components and feed back into the core solve as pure
 right-hand-side updates, so the LU factorization is reused; in particular the
 X and 2X truncations needed for the extrapolated scattering matrix cost no
 extra factorization.  The physical truncation error keeps its 1/X law.
+
+Every integral of the solution against an exponential e^{i nu y}, on the core
+or on an outer side, comes from one anchored prefix table per (mesh, nu) and
+sweep direction.  Upward, with edge_q the right edge of panel q, it holds
+
+    T_q = int_{panel q} e^{i nu (y - edge_q)} f dy,
+    S_q = e^{i nu (edge_{q-1} - edge_q)} S_{q-1} + T_q,
+
+and the partial-panel moments at the query points, located by one
+searchsorted; downward is the mirror image, anchored at left edges.  The
+running sum only multiplies by factors of modulus <= 1, so the same table
+serves the complex roots of the kernel.  Full integrals over the core use the
+Nystrom Gauss rule itself.
 
 Scattering entries use the stationary representations: with
 I_-(k) = int e^{-iky} w dy and I_+(k) = int e^{+iky} w dy over the line,
@@ -97,30 +116,27 @@ def zeta_roots(z, n, side="+") -> RootSet:
 
 
 def _branch_data(rs: RootSet):
-    """[(zeta, coefficient)] for each branch; coefficient of e^{i zeta (x-y)}."""
+    """[(zeta, a, upper)]: the kernel term a e^{i zeta (x-y)} on x >= y (upper)
+    or on x <= y, upper branches first."""
     n = rs.n
-    ups = [(complex(rs.roots[j]), 1j / n * complex(rs.roots[j]) ** (1 - n))
-           for j in rs.group("upper")]
-    downs = [(complex(rs.roots[j]), -1j / n * complex(rs.roots[j]) ** (1 - n))
-             for j in rs.group("lower")]
-    return ups, downs
+    return [(complex(rs.roots[j]),
+             (1j if upper else -1j) / n * complex(rs.roots[j]) ** (1 - n), upper)
+            for upper in (True, False)
+            for j in rs.group("upper" if upper else "lower")]
 
 
 def free_resolvent_kernel(x, y, z, n, side="+", deriv=0):
     """Kernel of d^deriv/dx^deriv of (D^n - z)^{-1}; two-branch formula."""
     rs = zeta_roots(z, n, side=side)
-    ups, downs = _branch_data(rs)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     d = x - y
     out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
     ge = d >= 0
-    for zeta, a in ups:
-        term = a * (1j * zeta) ** deriv * np.exp(1j * zeta * np.where(ge, d, 0.0))
-        out = out + np.where(ge, term, 0.0)
-    for zeta, a in downs:
-        term = a * (1j * zeta) ** deriv * np.exp(1j * zeta * np.where(ge, 0.0, d))
-        out = out + np.where(ge, 0.0, term)
+    for zeta, a, upper in _branch_data(rs):
+        on = ge if upper else ~ge
+        term = a * (1j * zeta) ** deriv * np.exp(1j * zeta * np.where(on, d, 0.0))
+        out = out + np.where(on, term, 0.0)
     if out.ndim == 0:
         return complex(out)
     return out
@@ -199,12 +215,26 @@ class _Mesh:
     def n_panels(self):
         return self.edges.size - 1
 
-    def panel_slice(self, q):
-        return slice(q * self.p, (q + 1) * self.p)
-
     def ref_coord(self, q, x):
         lo, hi = self.edges[q], self.edges[q + 1]
         return (2.0 * x - (lo + hi)) / (hi - lo)
+
+    def locate(self, x):
+        """Panel index and reference coordinate of each point (end panels
+        extend past the mesh)."""
+        q = np.clip(np.searchsorted(self.edges, x, side="right") - 1,
+                    0, self.n_panels - 1)
+        return q, self.ref_coord(q, x)
+
+    def moments(self, nu, q, t_lo, t_hi, t_anchor):
+        """int_{y(t_lo)}^{y(t_hi)} e^{i nu (y - y(t_anchor))} l_j(y) dy on panel q.
+
+        Broadcasts over every argument and returns shape (..., p).  nu may be
+        complex; t_anchor must keep the exponential bounded on [t_lo, t_hi].
+        """
+        s = 0.5 * (self.edges[q + 1] - self.edges[q])
+        m = exp_monomial_moments(1j * nu * s, t_anchor, t_lo, t_hi, self.p)
+        return s[..., None] * (m @ self.cmat)
 
 
 def _panelize(edges, p):
@@ -252,18 +282,82 @@ def _outer_mesh(side, x0, x_out, k, p=8, grow=1.35):
     return _panelize(edges, p)
 
 
-def _seg_basis_moments(mesh: _Mesh, q, nu, t_lo=-1.0, t_hi=1.0, anchor=None):
-    """int_{y(t_lo)}^{y(t_hi)} e^{i nu (y - y_anchor)} l_j(y) dy over panel q.
+class _Density:
+    """sum_c f_c(y) e^{i mu_c y} on one mesh, with its anchored prefix tables.
 
-    nu may be complex; `anchor` (a reference coordinate) must be chosen so the
-    exponential stays bounded on [t_lo, t_hi].  Default anchors at the panel
-    center, fine for real nu.
+    The core solution w is one component with mu = 0; an outer side carries
+    the real-frequency Born components.  For a frequency nu and a sweep
+    direction the prefix table gives the anchored integral
+
+        G(x) = int e^{i nu (y - x)} f(y) dy   over y < x (upper) or y > x,
+
+    where f is the whole density.  Complex nu is allowed when the
+    exponential decays along the sweep: Im nu <= 0 upward, >= 0 downward.
     """
-    lo, hi = mesh.edges[q], mesh.edges[q + 1]
-    c, s = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    t_anchor = 0.0 if anchor is None else anchor
-    m = exp_monomial_moments(1j * nu * s, t_anchor, t_lo, t_hi, mesh.p)
-    return s * (mesh.cmat.T @ m)
+
+    def __init__(self, mesh: _Mesh, mus, fs):
+        self.mesh = mesh
+        self.mus = np.asarray(mus, dtype=float)
+        self.fs = np.asarray(fs, dtype=complex).reshape(
+            self.mus.size, mesh.n_panels, mesh.p)
+        self._prefix = {}
+
+    def prefix(self, nu, upper):
+        """Running sums S[c, q] of component c, anchored at panel q's right
+        edge (upper) or left edge."""
+        key = (complex(nu), upper)
+        if key not in self._prefix:
+            mesh = self.mesh
+            nus = (self.mus + nu)[:, None]
+            moments = mesh.moments(nus, np.arange(mesh.n_panels), -1.0, 1.0,
+                                   1.0 if upper else -1.0)
+            S = np.einsum("cqj,cqj->cq", moments, self.fs)
+            # re-anchor across the next panel of the sweep (modulus <= 1)
+            step = np.exp((-1j if upper else 1j) * nus * np.diff(mesh.edges))
+            order = range(1, mesh.n_panels) if upper else \
+                range(mesh.n_panels - 2, -1, -1)
+            prev = -1 if upper else 1
+            for q in order:
+                S[:, q] += step[:, q] * S[:, q + prev]
+            self._prefix[key] = S
+        return self._prefix[key]
+
+    def anchored(self, nu, x, upper):
+        """G(x) at points x of the mesh."""
+        mesh = self.mesh
+        q, t = mesh.locate(x)
+        nus = (self.mus + nu)[:, None]
+        S = np.pad(self.prefix(nu, upper), ((0, 0), (1, 1)))  # zero past the ends
+        if upper:
+            carried = np.exp(1j * nus * (mesh.edges[q] - x)) * S[:, q]
+            part = mesh.moments(nus, q, -1.0, t, t)
+        else:
+            carried = np.exp(1j * nus * (mesh.edges[q + 1] - x)) * S[:, q + 2]
+            part = mesh.moments(nus, q, t, 1.0, t)
+        F = carried + np.einsum("cij,cij->ci", part, self.fs[:, q])
+        return np.sum(np.exp(1j * self.mus[:, None] * x) * F, axis=0)
+
+    def end(self, nu, upper):
+        """G at the end of the sweep: the right end upward, the left downward."""
+        S = self.prefix(nu, upper)
+        b, j = (self.mesh.edges[-1], -1) if upper else (self.mesh.edges[0], 0)
+        return np.exp(1j * self.mus * b) @ S[:, j]
+
+    def cumulative(self, nu, x, upper):
+        """int e^{i nu y} f(y) dy over y < x (upper) or y > x; real nu."""
+        x = np.clip(x, self.mesh.edges[0], self.mesh.edges[-1])
+        return np.exp(1j * nu * x) * self.anchored(nu, x, upper)
+
+    def total(self, nu):
+        """int e^{i nu y} f(y) dy over the whole mesh; real nu."""
+        return np.exp(1j * nu * self.mesh.edges[-1]) * self.end(nu, True)
+
+    def values(self, x):
+        """The density at points of the mesh (panelwise Lagrange interpolation)."""
+        q, t = self.mesh.locate(x)
+        basis = np.polynomial.polynomial.polyval(t, self.mesh.cmat)
+        comps = np.einsum("jn,cnj->cn", basis, self.fs[:, q])
+        return np.sum(np.exp(1j * self.mus[:, None] * x) * comps, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -271,146 +365,51 @@ def _seg_basis_moments(mesh: _Mesh, q, nu, t_lo=-1.0, t_hi=1.0, anchor=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Component:
-    """Outer contribution E(y) * exp(i mu y) sampled on an outer mesh."""
-
-    mu: float
-    E: np.ndarray
-
-
 class EigenfunctionField:
     """Solved continuum eigenfunction at one (lambda, k); see module docstring.
 
-    Heavy data lives in the private solver; the public surface is evaluation
-    (psi_at / dpsi_at / w_at), the r-functions and their limits, the raw
-    scattering integrals, and solve diagnostics.
+    The field owns its core and outer densities and the prefix tables built
+    from them, so later solves on the same solver leave it unchanged.  The
+    public surface is evaluation (psi_at / w_at), the r-functions and their
+    limits, the raw scattering integrals, and solve diagnostics.
     """
 
-    def __init__(self, solver, k, w, comps_r, comps_l, diagnostics):
-        self._s = solver
-        self.k = float(k)
+    def __init__(self, solver, w, outer, X, diagnostics=None):
+        self.k = solver.k
         self.lam = solver.lam
         self.n = solver.n
+        self._branches = solver._branches
         self.w = w
-        self._comps = {+1: comps_r, -1: comps_l}
-        self.diagnostics = diagnostics
         self.x = solver.mesh.nodes
         self.X0 = solver.x0
-        self.X = solver.x_out
+        self.X = X
+        self._core = _Density(solver.mesh, [0.0], w)
+        self._outer = {side: outer.get(side) for side in (+1, -1)}
+        self.diagnostics = diagnostics or {}
         self._rlim_cache = None
 
-    # -- low-level cumulative machinery --------------------------------------
-
-    def _core_full_integral(self, nu):
-        """int_core e^{i nu y} w dy by the global Gauss rule (real nu)."""
-        mesh = self._s.mesh
-        return np.sum(mesh.weights * np.exp(1j * nu * mesh.nodes) * self.w)
-
-    def _outer_full_integral(self, side, nu_shift):
-        """sum over components of int_side E e^{i (mu+shift) y} dy."""
-        mesh = self._s.outer[side]
-        comps = self._comps[side]
-        if mesh is None or not comps:
-            return 0.0 + 0.0j
-        total = 0.0 + 0.0j
-        for comp in comps:
-            nu = comp.mu + nu_shift
-            for q in range(mesh.n_panels):
-                c = 0.5 * (mesh.edges[q] + mesh.edges[q + 1])
-                row = _seg_basis_moments(mesh, q, nu)
-                total += np.exp(1j * nu * c) * (row @ comp.E[mesh.panel_slice(q)])
-        return total
-
-    def _core_cum_integral(self, xq, nu, from_left=True):
-        """int over core of e^{i nu y} w dy, from -X0 (or to +X0) up to each xq."""
-        mesh = self._s.mesh
-        xq = np.atleast_1d(np.asarray(xq, dtype=float))
-        # panel prefix totals
-        totals = np.empty(mesh.n_panels, dtype=complex)
-        for q in range(mesh.n_panels):
-            c = 0.5 * (mesh.edges[q] + mesh.edges[q + 1])
-            row = _seg_basis_moments(mesh, q, nu)
-            totals[q] = np.exp(1j * nu * c) * (row @ self.w[mesh.panel_slice(q)])
-        prefix = np.concatenate(([0.0], np.cumsum(totals)))
-        out = np.empty(xq.size, dtype=complex)
-        for i, xi in enumerate(xq):
-            if xi <= mesh.edges[0]:
-                out[i] = 0.0 if from_left else prefix[-1]
-                continue
-            if xi >= mesh.edges[-1]:
-                out[i] = prefix[-1] if from_left else 0.0
-                continue
-            q = min(int(np.searchsorted(mesh.edges, xi, side="right")) - 1,
-                    mesh.n_panels - 1)
-            t = mesh.ref_coord(q, xi)
-            c = 0.5 * (mesh.edges[q] + mesh.edges[q + 1])
-            row = _seg_basis_moments(mesh, q, nu, t_lo=-1.0, t_hi=t)
-            part = np.exp(1j * nu * c) * (row @ self.w[mesh.panel_slice(q)])
-            left = prefix[q] + part
-            out[i] = left if from_left else prefix[-1] - left
-        return out
-
-    def _outer_cum_integral(self, side, xq, nu, from_left):
-        """Cumulative int of w e^{i nu y} over one outer side.
-
-        from_left=True:  int from the side's left end to each xq;
-        from_left=False: int from each xq to the side's right end.
-        Queries outside the side count the full side or nothing accordingly.
-        """
-        mesh = self._s.outer[side]
-        comps = self._comps[side]
-        xq = np.atleast_1d(np.asarray(xq, dtype=float))
-        out = np.zeros(xq.size, dtype=complex)
-        if mesh is None or not comps:
-            return out
-        for comp in comps:
-            nu_c = comp.mu + nu
-            totals = np.empty(mesh.n_panels, dtype=complex)
-            for q in range(mesh.n_panels):
-                c = 0.5 * (mesh.edges[q] + mesh.edges[q + 1])
-                row = _seg_basis_moments(mesh, q, nu_c)
-                totals[q] = np.exp(1j * nu_c * c) * (row @ comp.E[mesh.panel_slice(q)])
-            prefix = np.concatenate(([0.0], np.cumsum(totals)))
-            for i, xi in enumerate(xq):
-                if xi <= mesh.edges[0]:
-                    left = 0.0
-                elif xi >= mesh.edges[-1]:
-                    left = prefix[-1]
-                else:
-                    q = min(int(np.searchsorted(mesh.edges, xi, side="right")) - 1,
-                            mesh.n_panels - 1)
-                    t = mesh.ref_coord(q, xi)
-                    c = 0.5 * (mesh.edges[q] + mesh.edges[q + 1])
-                    row = _seg_basis_moments(mesh, q, nu_c, t_lo=-1.0, t_hi=t)
-                    left = prefix[q] + np.exp(1j * nu_c * c) * \
-                        (row @ comp.E[mesh.panel_slice(q)])
-                out[i] += left if from_left else prefix[-1] - left
-        return out
+    def _full(self, region, nu):
+        """int e^{i nu y} w dy over the left outer side (-1), the core (0) or
+        the right outer side (+1), for real nu; the core uses the Gauss rule."""
+        if region == 0:
+            mesh = self._core.mesh
+            return np.sum(mesh.weights * np.exp(1j * nu * mesh.nodes) * self.w)
+        dens = self._outer[region]
+        return 0.0 + 0.0j if dens is None else dens.total(nu)
 
     def half_line_integral(self, xq, nu, up_to=True):
         """int_{-inf}^{xq} e^{i nu y} w(y) dy (or the complement), vectorized."""
         xq = np.atleast_1d(np.asarray(xq, dtype=float))
-        left_full = self._outer_full_integral(-1, nu)
-        core_full = self._core_full_integral(nu)
-        right_full = self._outer_full_integral(+1, nu)
-        total = left_full + core_full + right_full
         out = np.empty(xq.size, dtype=complex)
-        out[:] = left_full
-        core_part = self._core_cum_integral(xq, nu, from_left=True)
-        in_left = xq < -self.X0
-        in_right = xq > self.X0
-        mid = ~(in_left | in_right)
-        out[mid] += core_part[mid]
-        if np.any(in_left):
-            out[in_left] = self._outer_cum_integral(-1, xq[in_left], nu,
-                                                    from_left=True)
-        if np.any(in_right):
-            out[in_right] = left_full + core_full + \
-                self._outer_cum_integral(+1, xq[in_right], nu, from_left=True)
-        if up_to:
-            return out
-        return total - out
+        below = 0.0 + 0.0j  # the regions wholly below the current one
+        for region, sel in ((-1, xq < -self.X0), (0, np.abs(xq) <= self.X0),
+                            (+1, xq > self.X0)):
+            dens = self._core if region == 0 else self._outer[region]
+            if np.any(sel):
+                out[sel] = below if dens is None else \
+                    below + dens.cumulative(nu, xq[sel], True)
+            below = below + self._full(region, nu)
+        return out if up_to else below - out
 
     # -- r functions and limits ----------------------------------------------
 
@@ -422,10 +421,8 @@ class EigenfunctionField:
         if self._rlim_cache is not None:
             return self._rlim_cache
         n, k = self.n, self.k
-        Im = (self._outer_full_integral(-1, -k) + self._core_full_integral(-k)
-              + self._outer_full_integral(+1, -k))
-        Ip = (self._outer_full_integral(-1, +k) + self._core_full_integral(+k)
-              + self._outer_full_integral(+1, +k))
+        Im = self._full(-1, -k) + self._full(0, -k) + self._full(+1, -k)
+        Ip = self._full(-1, +k) + self._full(0, +k) + self._full(+1, +k)
         c = self._rcoef()
         if n % 2 == 1:
             lims = {"r-inf": 1.0 + 0.0j, "r+inf": 1.0 - c * Im,
@@ -465,153 +462,46 @@ class EigenfunctionField:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty(x.size, dtype=complex)
         k = self.k
-        ups, downs = self._s.branches
         inside = np.abs(x) <= self.X0
         if np.any(inside):
             xi = x[inside]
             acc = k ** deriv * np.exp(1j * k * xi)
-            for zeta, a in ups:
-                cum = self._cum_kernel(xi, zeta, upper=True)
-                acc = acc - a * zeta ** deriv * cum
-            for zeta, a in downs:
-                cum = self._cum_kernel(xi, zeta, upper=False)
-                acc = acc - a * zeta ** deriv * cum
+            for zeta, a, upper in self._branches:
+                acc = acc - a * zeta ** deriv * self._kernel(xi, zeta, upper)
             out[inside] = acc
         if np.any(~inside):
             xo = x[~inside]
-            rp = self.r_plus(xo)
-            rm = self.r_minus(xo)
-            acc = k ** deriv * np.exp(1j * k * xo) * rp \
-                + (-k) ** deriv * np.exp(-1j * k * xo) * rm
-            acc = acc + self._psi_dec_outer(xo, deriv)
+            acc = k ** deriv * np.exp(1j * k * xo) * self.r_plus(xo) \
+                + (-k) ** deriv * np.exp(-1j * k * xo) * self.r_minus(xo)
+            # complex-root remnants just beyond X0 (they die within a few units)
+            for zeta, a, upper in self._branches:
+                if abs(zeta.imag) < 1e-12:
+                    continue
+                sel = xo > 0 if upper else xo < 0
+                edge = self.X0 if upper else -self.X0
+                acc[sel] -= a * zeta ** deriv * \
+                    np.exp(1j * zeta * (xo[sel] - edge)) * self._core.end(-zeta, upper)
             out[~inside] = acc
         return out
 
-    def _cum_kernel(self, xq, zeta, upper):
-        """int e^{i zeta (x-y)} w(y) dy over y < x (upper) or y > x (lower),
-        including the outer components, stably anchored at x."""
-        xq = np.atleast_1d(np.asarray(xq, dtype=float))
-        out = np.zeros(xq.size, dtype=complex)
-        mesh = self._s.mesh
-        # core part, panel-anchored
-        totals = np.empty(mesh.n_panels, dtype=complex)
-        anchors = mesh.edges[1:] if upper else mesh.edges[:-1]
-        for q in range(mesh.n_panels):
-            lo, hi = mesh.edges[q], mesh.edges[q + 1]
-            c, s = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            t_anchor = 1.0 if upper else -1.0
-            row = _seg_basis_moments(mesh, q, -zeta, anchor=t_anchor)
-            totals[q] = row @ self.w[mesh.panel_slice(q)]
-        for i, xi in enumerate(xq):
-            acc = 0.0 + 0.0j
-            if upper:
-                for q in range(mesh.n_panels):
-                    if mesh.edges[q + 1] <= xi:
-                        acc += np.exp(1j * zeta * (xi - anchors[q])) * totals[q]
-                    elif mesh.edges[q] < xi:
-                        t = mesh.ref_coord(q, xi)
-                        lo, hi = mesh.edges[q], mesh.edges[q + 1]
-                        s = 0.5 * (hi - lo)
-                        row = _seg_basis_moments(mesh, q, -zeta, t_lo=-1.0,
-                                                 t_hi=t, anchor=t)
-                        acc += row @ self.w[mesh.panel_slice(q)]
-            else:
-                for q in range(mesh.n_panels):
-                    if mesh.edges[q] >= xi:
-                        acc += np.exp(1j * zeta * (xi - anchors[q])) * totals[q]
-                    elif mesh.edges[q + 1] > xi:
-                        t = mesh.ref_coord(q, xi)
-                        row = _seg_basis_moments(mesh, q, -zeta, t_lo=t,
-                                                 t_hi=1.0, anchor=t)
-                        acc += row @ self.w[mesh.panel_slice(q)]
-            out[i] = acc
-        # outer parts (real zeta only contributes at meaningful size;
-        # complex-root tails over the outer region are below 1e-9)
-        if abs(complex(zeta).imag) < 1e-12:
-            zr = complex(zeta).real
-            if upper:
-                out += np.exp(1j * zr * xq) * (
-                    self._outer_cum_partial(-1, xq, -zr, count_below=True)
-                    + self._outer_cum_partial(+1, xq, -zr, count_below=True))
-            else:
-                out += np.exp(1j * zr * xq) * (
-                    self._outer_cum_partial(-1, xq, -zr, count_below=False)
-                    + self._outer_cum_partial(+1, xq, -zr, count_below=False))
+    def _kernel(self, x, zeta, upper):
+        """int e^{i zeta (x-y)} w(y) dy over y < x (upper) or y > x at core
+        points; outer sides count for real zeta only (see `dropped_tail`)."""
+        out = self._core.anchored(-zeta, x, upper)
+        if abs(zeta.imag) < 1e-12:
+            zr = zeta.real
+            out = out + np.exp(1j * zr * x) * self._full(-1 if upper else +1, -zr)
         return out
-
-    def _outer_cum_partial(self, side, xq, nu, count_below):
-        """int over the part of one outer side below/above each query point."""
-        mesh = self._s.outer[side]
-        xq = np.atleast_1d(np.asarray(xq, dtype=float))
-        if mesh is None or not self._comps[side]:
-            return np.zeros(xq.size, dtype=complex)
-        full = self._outer_full_integral(side, nu)
-        below = self._outer_cum_integral(side, xq, nu, from_left=True)
-        return below if count_below else full - below
-
-    def _psi_dec_outer(self, xo, deriv):
-        """Complex-root remnants just beyond X0 (they die within a few units)."""
-        out = np.zeros(xo.size, dtype=complex)
-        ups, downs = self._s.branches
-        for zeta, a in ups:
-            if abs(zeta.imag) < 1e-12:
-                continue
-            right = xo > 0
-            if np.any(right):
-                cum = self._core_cum_anchor_edge(zeta, upper=True)
-                out[right] -= a * zeta ** deriv * \
-                    np.exp(1j * zeta * (xo[right] - self.X0)) * cum
-        for zeta, a in downs:
-            if abs(zeta.imag) < 1e-12:
-                continue
-            left = xo < 0
-            if np.any(left):
-                cum = self._core_cum_anchor_edge(zeta, upper=False)
-                out[left] -= a * zeta ** deriv * \
-                    np.exp(1j * zeta * (xo[left] + self.X0)) * cum
-        return out
-
-    def _core_cum_anchor_edge(self, zeta, upper):
-        mesh = self._s.mesh
-        edge = self.X0 if upper else -self.X0
-        acc = 0.0 + 0.0j
-        for q in range(mesh.n_panels):
-            anchor_val = mesh.edges[q + 1] if upper else mesh.edges[q]
-            t_anchor = 1.0 if upper else -1.0
-            row = _seg_basis_moments(mesh, q, -zeta, anchor=t_anchor)
-            acc += np.exp(-1j * zeta * (anchor_val - edge)) * \
-                (row @ self.w[mesh.panel_slice(q)])
-        return acc
 
     def w_at(self, x):
         """V psi at arbitrary points (core: Lagrange interp; outer: components)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros(x.size, dtype=complex)
-        mesh = self._s.mesh
-        inside = np.abs(x) <= self.X0
-        for i in np.where(inside)[0]:
-            xi = x[i]
-            q = min(int(np.searchsorted(mesh.edges, xi, side="right")) - 1,
-                    mesh.n_panels - 1)
-            q = max(q, 0)
-            t = mesh.ref_coord(q, xi)
-            basis = np.polynomial.polynomial.polyval(t, mesh.cmat)
-            out[i] = basis @ self.w[mesh.panel_slice(q)]
-        for side in (+1, -1):
-            mesh_o = self._s.outer[side]
-            if mesh_o is None:
-                continue
-            sel = (x * side > self.X0) & (np.abs(x) <= self.X)
-            for i in np.where(sel)[0]:
-                xi = x[i]
-                q = min(int(np.searchsorted(mesh_o.edges, xi, side="right")) - 1,
-                        mesh_o.n_panels - 1)
-                q = max(q, 0)
-                t = mesh_o.ref_coord(q, xi)
-                basis = np.polynomial.polynomial.polyval(t, mesh_o.cmat)
-                for comp in self._comps[side]:
-                    out[i] += (basis @ comp.E[mesh_o.panel_slice(q)]) * \
-                        np.exp(1j * comp.mu * xi)
+        for dens, sel in ((self._core, np.abs(x) <= self.X0),
+                          (self._outer[+1], (x > self.X0) & (x <= self.X)),
+                          (self._outer[-1], (x < -self.X0) & (x >= -self.X))):
+            if dens is not None and np.any(sel):
+                out[sel] = dens.values(x[sel])
         return out
 
 
@@ -627,127 +517,94 @@ class _CoreSolver:
         self.lam = float(k) ** pot.n
         if pot.n % 2 == 0 and self.lam <= 0:
             raise DomainError("even n has no propagating solutions for lambda <= 0")
-        self.rs = zeta_roots(self.lam, self.n, side="+")
-        self.branches = _branch_data(self.rs)
+        self._branches = _branch_data(zeta_roots(self.lam, self.n, side="+"))
         self.x0 = float(x0)
-        self.x_out = self.x0
         self.mesh = _core_mesh(self.x0, self.k, p=p, breaks=pot.breakpoints)
-        self.outer = {+1: None, -1: None}
         self._assemble(rcond_floor)
 
-    # real roots reaching each infinity
-    def _real_root(self, side):
-        ups, downs = self.branches
-        group = ups if side == "upper" else downs
-        for zeta, a in group:
-            if abs(zeta.imag) < 1e-12:
-                return zeta.real, a
-        return None
+    def _real_root(self, upper):
+        """(zeta, a) of the real root reaching +inf (upper) or -inf, if any."""
+        return next(((zeta.real, a) for zeta, a, up in self._branches
+                     if up == upper and abs(zeta.imag) < 1e-12), None)
 
     def _assemble(self, rcond_floor):
         mesh, pot = self.mesh, self.pot
-        x = mesh.nodes
+        x, p = mesh.nodes, mesh.p
         m = x.size
-        if self.n == 1:
-            self.lu = None
-            self.anorm = 1.0
-            self.rcond = 1.0
-            self.residual = 0.0
+        if self.n == 1:  # no potential: A = I
+            self.lu, self.rcond = None, 1.0
             return
         A = np.eye(m, dtype=complex)
-        ups, downs = self.branches
-        for zeta, a in ups:
+        qs = np.arange(mesh.n_panels)
+        t_nodes = mesh.ref_coord(mesh.panel_of, x).reshape(-1, p)
+        for zeta, a, upper in self._branches:
             pcoef = a * pot.symbol(x, zeta)
-            K = np.zeros((m, m), dtype=complex)
-            for q in range(mesh.n_panels):
-                hi = mesh.edges[q + 1]
-                row = _seg_basis_moments(mesh, q, -zeta, anchor=1.0)
-                after = x > hi - 1e-14
-                # strictly later panels use the panel-edge anchored moments
-                after &= mesh.panel_of > q
-                if np.any(after):
-                    K[np.ix_(np.where(after)[0], range(*mesh.panel_slice(q).indices(m)))] += \
-                        np.exp(1j * zeta * (x[after] - hi))[:, None] * row[None, :]
-                # self-panel partials
-                for r in range(mesh.p):
-                    i = q * mesh.p + r
-                    t = mesh.ref_coord(q, x[i])
-                    prow = _seg_basis_moments(mesh, q, -zeta, t_lo=-1.0, t_hi=t,
-                                              anchor=t)
-                    K[i, mesh.panel_slice(q)] += prow
-            A += pcoef[:, None] * K
-        for zeta, a in downs:
-            pcoef = a * pot.symbol(x, zeta)
-            K = np.zeros((m, m), dtype=complex)
-            for q in range(mesh.n_panels):
-                lo = mesh.edges[q]
-                row = _seg_basis_moments(mesh, q, -zeta, anchor=-1.0)
-                before = mesh.panel_of < q
-                if np.any(before):
-                    K[np.ix_(np.where(before)[0], range(*mesh.panel_slice(q).indices(m)))] += \
-                        np.exp(1j * zeta * (x[before] - lo))[:, None] * row[None, :]
-                for r in range(mesh.p):
-                    i = q * mesh.p + r
-                    t = mesh.ref_coord(q, x[i])
-                    prow = _seg_basis_moments(mesh, q, -zeta, t_lo=t, t_hi=1.0,
-                                              anchor=t)
-                    K[i, mesh.panel_slice(q)] += prow
-            A += pcoef[:, None] * K
-        self.anorm = np.linalg.norm(A, 1)
+            # panels on the branch's side of a node enter through their
+            # moments anchored at the edge facing it; the node's own panel
+            # through partial moments anchored at the node
+            if upper:
+                edge = mesh.edges[1:]
+                full = mesh.moments(-zeta, qs, -1.0, 1.0, 1.0)
+                own = mesh.moments(-zeta, qs[:, None], -1.0, t_nodes, t_nodes)
+            else:
+                edge = mesh.edges[:-1]
+                full = mesh.moments(-zeta, qs, -1.0, 1.0, -1.0)
+                own = mesh.moments(-zeta, qs[:, None], t_nodes, 1.0, t_nodes)
+            for P in qs:
+                rows = slice(P * p, (P + 1) * p)
+                A[rows, rows] += pcoef[rows, None] * own[P]
+                far = qs[:P] if upper else qs[P + 1:]
+                if not far.size:
+                    continue
+                block = np.exp(1j * zeta * (x[rows, None] - edge[far]))[:, :, None] \
+                    * full[far]
+                block *= pcoef[rows, None, None]
+                A[rows, far[0] * p:(far[-1] + 1) * p] += block.reshape(p, -1)
         self.lu = lu_factor(A)
         self._A = A
-        gecon = lapack.zgecon
-        self.rcond = float(gecon(self.lu[0], self.anorm)[0])
+        self.rcond = float(lapack.zgecon(self.lu[0], np.linalg.norm(A, 1))[0])
         if self.rcond < rcond_floor:
             raise NearExceptionalPointError(self.lam, self.rcond)
 
     # -- outer iteration ------------------------------------------------------
 
     def solve(self, X, born_passes=3) -> EigenfunctionField:
-        pot, mesh, k = self.pot, self.mesh, self.k
-        x = mesh.nodes
+        pot, k = self.pot, self.k
+        x = self.mesh.nodes
+        X = float(max(X, self.x0))
         if self.n == 1:
-            self.x_out = float(max(X, self.x0))
-            return EigenfunctionField(self, k, np.zeros(x.size, dtype=complex),
-                                      [], [],
+            return EigenfunctionField(self, np.zeros(x.size, dtype=complex), {}, X,
                                       {"residual": 0.0, "rcond": 1.0,
-                                       "X0": self.x0, "X": self.x_out,
+                                       "X0": self.x0, "X": X,
                                        "mesh_size": int(x.size)})
-        self.x_out = float(max(X, self.x0))
         if pot.support is not None:
-            self.x_out = self.x0
-        self.outer = {+1: _outer_mesh(+1, self.x0, self.x_out, k),
-                      -1: _outer_mesh(-1, self.x0, self.x_out, k)}
+            X = self.x0
+        meshes = {side: _outer_mesh(side, self.x0, X, k) for side in (+1, -1)}
         rhs0 = pot.symbol(x, k) * np.exp(1j * k * x)
-        w = lu_solve(self.lu, rhs0)
-        comps = {+1: [], -1: []}
-        field = EigenfunctionField(self, k, w, comps[+1], comps[-1], {})
-        ru = self._real_root("upper")
-        rd = self._real_root("lower")
+        ru, rd = self._real_root(True), self._real_root(False)
+        field = EigenfunctionField(self, lu_solve(self.lu, rhs0), {}, X)
+        increment = 0.0
         for _ in range(born_passes):
-            comps = self._refresh_outer(field, ru, rd)
-            field._comps = comps
-            feed = self._core_feedback(field, ru, rd)
-            w = lu_solve(self.lu, rhs0 + feed)
-            field.w = w
-        comps = self._refresh_outer(field, ru, rd)
-        field._comps = comps
-        resid = float(np.max(np.abs(self._A @ field.w - (rhs0 + self._core_feedback(field, ru, rd)))))
+            field = EigenfunctionField(
+                self, field.w, self._refresh_outer(field, meshes, ru, rd), X)
+            w = lu_solve(self.lu, rhs0 + self._core_feedback(field, ru, rd))
+            increment = float(np.max(np.abs(w - field.w)))
+            field = EigenfunctionField(self, w, field._outer, X)
+        field = EigenfunctionField(
+            self, field.w, self._refresh_outer(field, meshes, ru, rd), X)
+        resid = self._A @ field.w - (rhs0 + self._core_feedback(field, ru, rd))
         field.diagnostics = {
-            "residual": resid,
-            "rcond": self.rcond,
-            "X0": self.x0,
-            "X": self.x_out,
-            "mesh_size": int(x.size),
+            "residual": float(np.max(np.abs(resid))), "rcond": self.rcond,
+            "X0": self.x0, "X": X, "mesh_size": int(x.size),
             "abs_sum_at_X0": float(self.pot.abs_sum(np.array([self.x0]))[0]),
-        }
+            "born_increment": increment, "dropped_tail": self._dropped_tail(field)}
         return field
 
-    def _refresh_outer(self, field, ru, rd):
-        """Born update of the outer components from the current state."""
-        comps_new = {+1: [], -1: []}
+    def _refresh_outer(self, field, meshes, ru, rd):
+        """Born update of the outer densities from the current state."""
+        outer = {}
         for side in (+1, -1):
-            mesh_o = self.outer[side]
+            mesh_o = meshes[side]
             if mesh_o is None:
                 continue
             y = mesh_o.nodes
@@ -756,41 +613,43 @@ class _CoreSolver:
             root = ru if side > 0 else rd
             if root is not None:
                 zeta, a = root
-                cum = field._core_full_integral(-zeta) \
-                    + field._outer_full_integral(-side, -zeta)
+                cum = field._full(0, -zeta) + field._full(-side, -zeta)
                 incident.append((zeta, -a * cum * np.ones(y.size, dtype=complex)))
             # within-side Born term from the previous components: the up-root
             # kernel integrates from the side's left end, the down-root kernel
             # from its right end
-            if field._comps[side]:
-                if ru is not None:
-                    zeta, a = ru
-                    cum = field._outer_cum_integral(side, y, -zeta, from_left=True)
-                    incident.append((zeta, -a * cum))
-                if rd is not None:
-                    zeta, a = rd
-                    cum = field._outer_cum_integral(side, y, -zeta, from_left=False)
-                    incident.append((zeta, -a * cum))
-            for mu, amp in incident:
-                comps_new[side].append(
-                    _Component(mu=float(np.real(mu)),
-                               E=self.pot.symbol(y, mu) * amp))
-        return comps_new
+            own = field._outer[side]
+            if own is not None:
+                for root, upper in ((ru, True), (rd, False)):
+                    if root is not None:
+                        zeta, a = root
+                        incident.append((zeta, -a * own.cumulative(-zeta, y, upper)))
+            outer[side] = _Density(mesh_o, [float(np.real(mu)) for mu, _ in incident],
+                                   [self.pot.symbol(y, mu) * amp for mu, amp in incident])
+        return outer
 
     def _core_feedback(self, field, ru, rd):
         """-V R0 w_outer evaluated on the core nodes (right-hand-side update)."""
         x = self.mesh.nodes
         feed = np.zeros(x.size, dtype=complex)
-        # right outer reaches the core through the lower branch (real root)
-        if rd is not None:
-            zeta, a = rd
-            tot = field._outer_full_integral(+1, -zeta)
-            feed -= a * self.pot.symbol(x, zeta) * np.exp(1j * zeta * x) * tot
-        if ru is not None:
-            zeta, a = ru
-            tot = field._outer_full_integral(-1, -zeta)
-            feed -= a * self.pot.symbol(x, zeta) * np.exp(1j * zeta * x) * tot
+        # the right outer side reaches the core through the lower branch (real
+        # root), the left one through the upper branch
+        for root, side in ((rd, +1), (ru, -1)):
+            if root is not None:
+                zeta, a = root
+                feed -= a * self.pot.symbol(x, zeta) * np.exp(1j * zeta * x) * \
+                    field._full(side, -zeta)
         return feed
+
+    def _dropped_tail(self, field):
+        """Largest |a int_outer e^{i zeta (+-X0 - y)} w dy| over the complex
+        roots: the outer terms the core kernel drops, at the core edge."""
+        tail = 0.0
+        for zeta, a, upper in self._branches:
+            dens = field._outer[-1 if upper else +1]
+            if abs(zeta.imag) >= 1e-12 and dens is not None:
+                tail = max(tail, abs(a * dens.end(-zeta, upper)))
+        return float(tail)
 
 
 def default_core_radius(pot: PotentialSpec, X, threshold=1e-4):
@@ -832,8 +691,11 @@ class SMatrixEntry:
 
     @property
     def extrapolated_defect(self):
-        s = self.S
-        return float(np.linalg.norm(s.conj().T @ s - np.eye(s.shape[0]), 2))
+        return _unitarity_defect(self.S)
+
+
+def _unitarity_defect(S):
+    return float(np.linalg.norm(S.conj().T @ S - np.eye(S.shape[0]), 2))
 
 
 def _entries_from_field(field: EigenfunctionField):
@@ -845,6 +707,18 @@ def _entries_from_field(field: EigenfunctionField):
     return {"s22": lims["r+-inf"], "s12": lims["r-+inf"]}
 
 
+_SLOT = {"s": (0, 0), "s11": (0, 0), "s21": (1, 0), "s22": (1, 1), "s12": (0, 1)}
+
+
+def _truncation_pair(pot, k, x0, X, p):
+    """Entries at truncations X and 2X from one solver, with its (rcond,
+    mesh size, core radius); the solver's matrix and LU die on return."""
+    solver = _CoreSolver(pot, k, x0, p=p)
+    fX = solver.solve(X)
+    return (_entries_from_field(fX), _entries_from_field(solver.solve(2 * X)),
+            (solver.rcond, fX.diagnostics["mesh_size"], solver.x0))
+
+
 def scattering_matrix(pot: PotentialSpec, lam, X=1.0e4, x_core=None,
                       p=10) -> SMatrixEntry:
     """Assemble s(lambda) or S(lambda) with the X / 2X truncation pair."""
@@ -853,57 +727,27 @@ def scattering_matrix(pot: PotentialSpec, lam, X=1.0e4, x_core=None,
         raise DomainError("lambda = 0 is the degenerate spectral point")
     n = pot.n
     if n % 2 == 1:
-        k = np.sign(lam) * abs(lam) ** (1.0 / n)
-        solver = _CoreSolver(pot, k, default_core_radius(pot, X) if x_core is None
-                             else min(x_core, X), p=p)
-        fX = solver.solve(X)
-        e1 = _entries_from_field(fX)
-        f2 = solver.solve(2 * X)
-        e2 = _entries_from_field(f2)
-        S_X = np.array([[e1["s"]]])
-        S_2X = np.array([[e2["s"]]])
-        meta = (solver.rcond, fX.diagnostics["mesh_size"], solver.x0)
+        ks = [np.sign(lam) * abs(lam) ** (1.0 / n)]
+    elif lam <= 0:
+        raise DomainError("even n: lambda must be positive")
     else:
-        if lam <= 0:
-            raise DomainError("even n: lambda must be positive")
         k = lam ** (1.0 / n)
-        S_X = np.zeros((2, 2), dtype=complex)
-        S_2X = np.zeros((2, 2), dtype=complex)
-        meta = None
-        for kk in (k, -k):
-            solver = _CoreSolver(pot, kk, default_core_radius(pot, X) if x_core
-                                 is None else min(x_core, X), p=p)
-            fX = solver.solve(X)
-            e1 = _entries_from_field(fX)
-            f2 = solver.solve(2 * X)
-            e2 = _entries_from_field(f2)
-            if kk > 0:
-                S_X[0, 0], S_X[1, 0] = e1["s11"], e1["s21"]
-                S_2X[0, 0], S_2X[1, 0] = e2["s11"], e2["s21"]
-            else:
-                S_X[1, 1], S_X[0, 1] = e1["s22"], e1["s12"]
-                S_2X[1, 1], S_2X[0, 1] = e2["s22"], e2["s12"]
-            if meta is None:
-                meta = (solver.rcond, fX.diagnostics["mesh_size"], solver.x0)
-    S_ext = 2.0 * S_2X - S_X
-
-    def defect(S):
-        return float(np.linalg.norm(S.conj().T @ S - np.eye(S.shape[0]), 2))
-
-    return SMatrixEntry(lam=lam, n=n, S=S_ext, S_X=S_X, S_2X=S_2X,
-                        unitarity_defect=defect(S_X),
-                        unitarity_defect_2X=defect(S_2X),
+        ks = [k, -k]
+    x0 = default_core_radius(pot, X) if x_core is None else min(x_core, X)
+    S_X = np.zeros((len(ks), len(ks)), dtype=complex)
+    S_2X = np.zeros((len(ks), len(ks)), dtype=complex)
+    meta = None
+    for kk in ks:
+        e1, e2, kk_meta = _truncation_pair(pot, kk, x0, X, p)
+        for key in e1:
+            S_X[_SLOT[key]], S_2X[_SLOT[key]] = e1[key], e2[key]
+        if meta is None:
+            meta = kk_meta
+    return SMatrixEntry(lam=lam, n=n, S=2.0 * S_2X - S_X, S_X=S_X, S_2X=S_2X,
+                        unitarity_defect=_unitarity_defect(S_X),
+                        unitarity_defect_2X=_unitarity_defect(S_2X),
                         truncation_X=X, core_radius=meta[2], rcond=meta[0],
                         mesh_size=meta[1])
-
-
-def scattering_scan(pot: PotentialSpec, lams, X=1.0e4, x_core=None, p=10):
-    return [scattering_matrix(pot, lam, X=X, x_core=x_core, p=p) for lam in lams]
-
-
-def r_functions(field: EigenfunctionField):
-    """The r / r_+- limits at both infinities (plus the raw integrals)."""
-    return field.r_limits()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from carleman.cli import main
 
@@ -155,3 +156,13 @@ def test_scatter_json_small(tmp_path):
     S = np.array([[complex(*rec["entries"][i][j]) for j in range(2)]
                   for i in range(2)])
     assert np.linalg.norm(S.conj().T @ S - np.eye(2), 2) < 1e-3
+
+
+def test_degree_flag_rejected_where_the_polynomial_sets_it():
+    # scatter and hankel-theta take the degree from --p/--q; --n is a usage
+    # error there (exit 1), not a silently ignored flag
+    for cmd in (["scatter", "--lambda-min", "1", "--lambda-max", "1"],
+                ["hankel-theta", "--k", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(cmd + ["--n", "2"])
+        assert exc.value.code == 1

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from carleman.errors import ConfigurationError, DomainError
-from carleman.scattering import (PotentialSpec, eigenvalue_multiplicity_bound,
+from carleman.scattering import (PotentialSpec, _core_mesh, _CoreSolver, _Density,
+                                 eigenvalue_multiplicity_bound,
                                  free_resolvent_kernel, ode_cross_check,
                                  scattering_matrix, solve_lippmann_schwinger,
                                  square_well_reflection, zeta_roots)
@@ -178,6 +179,52 @@ def test_decomposition_identity(field3):
     # the decaying part dies toward the grid ends
     assert np.abs(dec[0]) < 2e-2 and np.abs(dec[-1]) < 2e-2
     assert np.max(np.abs(dec)) > 1e-2  # but is genuinely present near 0
+
+
+def test_field_survives_a_later_solve(pot2):
+    # a field owns its outer densities: solving the same core at 2X leaves
+    # the X field's limits and its values beyond X0 unchanged
+    fresh = _CoreSolver(pot2, 1.0, 60.0).solve(2000.0)
+    solver = _CoreSolver(pot2, 1.0, 60.0)
+    fX = solver.solve(2000.0)
+    solver.solve(4000.0)
+    xs = np.array([-3000.0, -1500.0, -75.0, 30.0, 75.0, 1500.0, 3000.0])
+    assert fX.r_limits() == fresh.r_limits()
+    assert np.array_equal(fX.r_plus(xs), fresh.r_plus(xs))
+    assert np.array_equal(fX.psi_at(xs), fresh.psi_at(xs))
+
+
+def test_born_and_tail_diagnostics(field2, field3):
+    for f in (field2, field3):
+        assert np.isfinite(f.diagnostics["born_increment"])
+        assert np.isfinite(f.diagnostics["dropped_tail"])
+    # n = 2 at lambda > 0 has no complex roots, so nothing is dropped
+    assert field2.diagnostics["dropped_tail"] == 0.0
+    assert field3.diagnostics["dropped_tail"] > 0.0
+
+
+def test_prefix_table_matches_panel_sums(rng):
+    # the anchored running sum against a direct sum over panels of the
+    # edge-anchored totals, for a complex root in both sweep directions
+    mesh = _core_mesh(12.0, 1.0)
+    dens = _Density(mesh, [0.0], rng.normal(size=mesh.nodes.size)
+                    + 1j * rng.normal(size=mesh.nodes.size))
+    w = dens.fs[0]
+    xs = rng.uniform(-12.0, 12.0, 17)
+    zeta = 0.5 + 0.866j
+    for upper, nu in ((True, -zeta), (False, -np.conj(zeta))):
+        got = dens.anchored(nu, xs, upper)
+        for x, g in zip(xs, got):
+            q0, t = mesh.locate(np.array([x]))
+            q0, t = int(q0[0]), float(t[0])
+            side = range(q0) if upper else range(q0 + 1, mesh.n_panels)
+            t_end = 1.0 if upper else -1.0
+            ref = sum(np.exp(1j * nu * (mesh.edges[q + (1 if upper else 0)] - x))
+                      * (mesh.moments(nu, np.array(q), -1.0, 1.0, t_end) @ w[q])
+                      for q in side)
+            lo, hi = (-1.0, t) if upper else (t, 1.0)
+            ref += mesh.moments(nu, np.array(q0), lo, hi, t) @ w[q0]
+            assert abs(g - ref) <= 1e-13 * np.max(np.abs(w))
 
 
 def test_derivative_fields_bounded_n3(field3):

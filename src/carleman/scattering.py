@@ -312,13 +312,12 @@ class _Density:
             moments = mesh.moments(nus, np.arange(mesh.n_panels), -1.0, 1.0,
                                    1.0 if upper else -1.0)
             S = np.einsum("cqj,cqj->cq", moments, self.fs)
-            # re-anchor across the next panel of the sweep (modulus <= 1)
+            # re-anchor across the next panel of the sweep (modulus <= 1); the
+            # downward sweep runs on reversed views
             step = np.exp((-1j if upper else 1j) * nus * np.diff(mesh.edges))
-            order = range(1, mesh.n_panels) if upper else \
-                range(mesh.n_panels - 2, -1, -1)
-            prev = -1 if upper else 1
-            for q in order:
-                S[:, q] += step[:, q] * S[:, q + prev]
+            run, fac = (S, step) if upper else (S[:, ::-1], step[:, ::-1])
+            for q in range(1, mesh.n_panels):
+                run[:, q] += fac[:, q] * run[:, q - 1]
             self._prefix[key] = S
         return self._prefix[key]
 
@@ -560,9 +559,10 @@ class _CoreSolver:
                     * full[far]
                 block *= pcoef[rows, None, None]
                 A[rows, far[0] * p:(far[-1] + 1) * p] += block.reshape(p, -1)
+        anorm = np.linalg.norm(A, 1)  # before the LU copy exists: lower peak memory
         self.lu = lu_factor(A)
         self._A = A
-        self.rcond = float(lapack.zgecon(self.lu[0], np.linalg.norm(A, 1))[0])
+        self.rcond = float(lapack.zgecon(self.lu[0], anorm)[0])
         if self.rcond < rcond_floor:
             raise NearExceptionalPointError(self.lam, self.rcond)
 

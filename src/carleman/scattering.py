@@ -541,14 +541,10 @@ class _CoreSolver:
             # panels on the branch's side of a node enter through their
             # moments anchored at the edge facing it; the node's own panel
             # through partial moments anchored at the node
-            if upper:
-                edge = mesh.edges[1:]
-                full = mesh.moments(-zeta, qs, -1.0, 1.0, 1.0)
-                own = mesh.moments(-zeta, qs[:, None], -1.0, t_nodes, t_nodes)
-            else:
-                edge = mesh.edges[:-1]
-                full = mesh.moments(-zeta, qs, -1.0, 1.0, -1.0)
-                own = mesh.moments(-zeta, qs[:, None], t_nodes, 1.0, t_nodes)
+            edge = mesh.edges[1:] if upper else mesh.edges[:-1]
+            full = mesh.moments(-zeta, qs, -1.0, 1.0, 1.0 if upper else -1.0)
+            lo, hi = (-1.0, t_nodes) if upper else (t_nodes, 1.0)
+            own = mesh.moments(-zeta, qs[:, None], lo, hi, t_nodes)
             for P in qs:
                 rows = slice(P * p, (P + 1) * p)
                 A[rows, rows] += pcoef[rows, None] * own[P]

@@ -164,31 +164,21 @@ class Jet:
     def sqrt(self):
         return self.pow(0.5)
 
-    def _circular(self, f0, g0, sign):
-        # joint recurrence for (sin,cos) [sign=-1] or (sinh,cosh) [sign=+1]
-        K = self.order
+    def cosh(self):
+        # joint recurrence sinh' = cosh u', cosh' = sinh u'
         u = self.c
         s = np.zeros_like(u, dtype=np.result_type(u.dtype, float))
         c = np.zeros_like(s)
-        s[0], c[0] = f0(u[0]), g0(u[0])
-        for k in range(1, K + 1):
+        s[0], c[0] = np.sinh(u[0]), np.cosh(u[0])
+        for k in range(1, self.order + 1):
             sa = np.zeros(s.shape[1:], dtype=s.dtype)
             ca = np.zeros(s.shape[1:], dtype=s.dtype)
             for j in range(1, k + 1):
                 sa = sa + j * u[j] * c[k - j]
                 ca = ca + j * u[j] * s[k - j]
             s[k] = sa / k
-            c[k] = sign * ca / k
-        return Jet(s), Jet(c)
-
-    def sincos(self):
-        return self._circular(np.sin, np.cos, -1.0)
-
-    def sinhcosh(self):
-        return self._circular(np.sinh, np.cosh, +1.0)
-
-    def cosh(self):
-        return self.sinhcosh()[1]
+            c[k] = ca / k
+        return Jet(c)
 
     def compose(self, outer_coeffs):
         """Evaluate sum_j outer_coeffs[j] * (self - self[0])**j as a jet.

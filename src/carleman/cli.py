@@ -210,7 +210,7 @@ def _cmd_hankel_theta(args):
 
     from .liouville import OperatorCoefficients
     from .profile import ChangeOfVariables
-    from .scattering import PotentialSpec, scattering_matrix, solve_lippmann_schwinger
+    from .scattering import PotentialSpec, scattering_matrix
     from .hankelphase import theta_profile
 
     P, Q = _poly_pair(args)
@@ -224,7 +224,7 @@ def _cmd_hankel_theta(args):
     else:
         entries = {"s11": e.S[0, 0], "s12": e.S[0, 1],
                    "s21": e.S[1, 0], "s22": e.S[1, 1]}
-    field = solve_lippmann_schwinger(pot, args.k, X=args.truncation)
+    field = next(f for f in e.fields if np.sign(f.k) == np.sign(args.k))
     Ns = np.asarray(_parse_grid(args.N_grid))
     Ns = Ns[Ns != 0.0]
     prof_res = theta_profile(Ns, field, Q, cov, entries=entries)

@@ -1,38 +1,84 @@
 """Large-time evolution profiles: stationary points, phases, and the Y map.
 
-For T -> +/-inf the evolved state localizes near t ~ e^{+/- pi |T|}; in the
-variables (N = ln t, T) the stationary points y(t, T) solve
+For T -> +/-inf the evolved state localizes near t ~ e^{+/- pi |T|}.  With
+N = ln t and xi' even, both branches of stationary points solve one equation
 
-    xi'(n T y) ln t = |y|^{1/(n-1)} sgn y          (even n, and odd n branch 2)
-    xi'(n T y) ln t = -y^{1/(n-1)},   y > 0        (odd n branch 1, t < 1)
+    xi'(n |T| u) |N| = u^{1/(n-1)},     u ~ |N / (pi T)|^{(n-1)/n},
 
-with y ~ sgn(ln t) |ln t / (pi T)|^{(n-1)/n}.  The phases are
+once over the whole N grid; y = u on odd n's branch 1 (exactly t < 1) and
+y = sgn(N) u on branch 2 (even n, and odd n for t > 1).  The phases are
 
-    Phi   = -xi(nTy) ln t + (n-1) |y|^{n/(n-1)} T + rho(nTy),
-    Phi_1 = -xi(nTy_1) ln t - (n-1) y_1^{n/(n-1)} T + rho(nTy_1),
+    Phi   = -xi(nTy) N + (n-1) |y|^{n/(n-1)} T + rho(nTy),
+    Phi_1 = -xi(nTy_1) N - (n-1) y_1^{n/(n-1)} T + rho(nTy_1),
 
 and the profile prediction carries the unitary rescaling map
 
     (Y f)(x) = (n-1)^{-1/2} |x|^{-(n-2)/(2(n-1))} fhat(sgn x |x|^{1/(n-1)}).
 
 The spectral amplitudes f_+/- are caller-supplied (computing them would need
-the wave operators); predictions are per-point in N = ln t so no floating t
-beyond the double range ever materializes.
+the wave operators); everything is per-point in N, so no floating t beyond
+the double range ever materializes.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .coeffmap import RealPolynomial
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, NumericalError
 from .hankelphase import varrho
 from .profile import ChangeOfVariables
 
 
-def _xi_prime(cov: ChangeOfVariables, x):
-    return np.exp(2.0 / cov.n * cov.profile.log_v(cov.xi_of_x(x)))
+def _stationary_grid(N, T, cov: ChangeOfVariables):
+    """y and branch at every N (both 0 at N = 0): Newton with the exact xi''
+    from the seed, inside a bracket [seed/4, 4 seed] widened where g keeps its
+    sign; a step that leaves the bracket is replaced by bisection."""
+    n = cov.n
+    if n < 2:
+        raise ConfigurationError("the stationary-point equation needs n >= 2")
+    if T == 0:
+        raise DomainError("need T != 0")
+    p, c = 1.0 / (n - 1.0), n * abs(T)
+    N = np.asarray(N, dtype=float)
+    a = np.abs(N[N != 0])
+
+    def g(v, a):
+        xi = cov.xi_jet_of_x(c * v, 2).c
+        return xi[1] * a - v ** p, 2.0 * c * a * xi[2] - p * v ** (p - 1.0)
+
+    u = (a / (np.pi * abs(T))) ** ((n - 1.0) / n)
+    lo, hi = 0.25 * u, 4.0 * u
+    glo, ghi = g(lo, a)[0], g(hi, a)[0]
+    for _ in range(60):
+        grow = glo * ghi > 0
+        if not grow.any():
+            break
+        lo[grow], hi[grow] = 0.5 * lo[grow], 2.0 * hi[grow]
+        glo[grow], ghi[grow] = g(lo[grow], a[grow])[0], g(hi[grow], a[grow])[0]
+    grow = glo * ghi > 0
+    if grow.any():
+        raise NumericalError(f"no stationary point at |ln t| = {a[grow][0]:g}")
+    for _ in range(100):
+        gu, dgu = g(u, a)
+        left = np.sign(gu) == np.sign(glo)
+        lo, hi = np.where(left, u, lo), np.where(left, hi, u)
+        new = u - gu / dgu
+        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+        u, done = new, np.all(np.abs(new - u) <= 1e-14 * u)
+        if done:
+            break
+    branch = np.where(N == 0, 0, np.where((n % 2 == 1) & (N < 0), 1, 2))
+    y = np.zeros_like(N)
+    y[N != 0] = u
+    return np.where(branch == 1, y, np.sign(N) * y), branch
+
+
+def _phase(N, T, y, branch, Q: RealPolynomial, cov: ChangeOfVariables):
+    n = cov.n
+    x = n * T * y
+    return (-cov.xi_of_x(x) * N + np.where(branch == 1, -1.0, 1.0) * (n - 1.0)
+            * np.abs(y) ** (n / (n - 1.0)) * T + varrho(x, Q, cov))
 
 
 def stationary_point_y(N, T, cov: ChangeOfVariables, branch: int = 2):
@@ -41,62 +87,30 @@ def stationary_point_y(N, T, cov: ChangeOfVariables, branch: int = 2):
     branch=2 is the principal branch (unique for even n); branch=1 is the odd-n
     companion, which exists only for t < 1 (N < 0).
     """
-    n = cov.n
-    N = float(N)
-    T = float(T)
     if N == 0 or T == 0:
         raise DomainError("need ln t != 0 and T != 0")
-    seed = abs(N / (np.pi * T)) ** ((n - 1.0) / n)
-    if branch == 1:
-        if n % 2 == 0:
-            raise ConfigurationError("branch 1 exists for odd n only")
-        if N > 0:
-            return None
-        def eq(y):
-            return _xi_prime(cov, n * T * y) * N + y ** (1.0 / (n - 1))
-    else:
-        def eq(y):
-            s = np.sign(N)
-            return _xi_prime(cov, n * T * s * y) * N * s - y ** (1.0 / (n - 1))
-        if n % 2 == 1 and N < 0:
-            # odd n: the principal branch mirrors to t > 1 only
-            return None
-    lo, hi = 0.25 * seed, 4.0 * seed
-    flo, fhi = eq(lo), eq(hi)
-    grow = 0
-    while flo * fhi > 0 and grow < 60:
-        lo *= 0.5
-        hi *= 2.0
-        flo, fhi = eq(lo), eq(hi)
-        grow += 1
-    if flo * fhi > 0:
-        return None
-    y = brentq(eq, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    if branch == 1:
-        return float(y)
-    return float(np.sign(N) * y)
+    if branch == 1 and cov.n % 2 == 0:
+        raise ConfigurationError("branch 1 exists for odd n only")
+    y, which = _stationary_grid([N], float(T), cov)
+    return float(y[0]) if (branch == 1) == (which[0] == 1) else None
 
 
 def stationary_residual(N, T, cov, y, branch: int = 2):
+    """|xi'(nTy) ln t - rhs(y)| of the branch equation, with xi' taken from
+    log v, independently of the solver's jets."""
     n = cov.n
-    if branch == 1:
-        return abs(_xi_prime(cov, n * T * y) * N + y ** (1.0 / (n - 1)))
-    return abs(_xi_prime(cov, n * T * y) * N
-               - np.abs(y) ** (1.0 / (n - 1)) * np.sign(y))
+    xi_p = np.exp(2.0 / n * cov.profile.log_v(cov.xi_of_x(n * T * y)))
+    sgn = -1.0 if branch == 1 else np.sign(y)
+    return abs(xi_p * N - sgn * np.abs(y) ** (1.0 / (n - 1)))
 
 
 def evolution_phase(N, T, Q: RealPolynomial, cov: ChangeOfVariables,
                     branch: int = 2):
     """Phi (branch 2) or Phi_1 (branch 1) at ln t = N; None when no point exists."""
-    n = cov.n
     y = stationary_point_y(N, T, cov, branch=branch)
     if y is None:
         return None
-    x = n * T * y
-    sgn = -1.0 if branch == 1 else 1.0
-    return float(-cov.xi_of_x(x) * N
-                 + sgn * (n - 1.0) * np.abs(y) ** (n / (n - 1.0)) * T
-                 + varrho(np.array([x]), Q, cov)[0])
+    return float(_phase(float(N), float(T), y, branch, Q, cov))
 
 
 def y_map(f_hat, x, n):
@@ -113,38 +127,23 @@ def evolution_profile(f_hat, N_grid, T, Q: RealPolynomial,
                       cov: ChangeOfVariables):
     """Predicted (exp(-iHT)u)(t) on a grid of N = ln t.
 
-    f_hat plays the role of the scattering profile f_+/- (synthetic in tests).
-    Even n: single branch; odd n: branch 1 lives on t < 1, branch 2 on t > 1.
-    Returns the complex prediction and the branch bookkeeping.
+    f_hat plays the role of the scattering profile f_+/- (synthetic in tests)
+    and is called once, on an array.  Returns the complex prediction and the
+    branch bookkeeping: 1 for odd n's t < 1, 0 at N = 0, else 2.
     """
     n = cov.n
     N_grid = np.asarray(N_grid, dtype=float)
+    y, branch = _stationary_grid(N_grid, float(T), cov)
+    live = branch > 0
+    N = N_grid[live]
+    # the 1/sqrt(t) factor is carried by the caller through N if needed;
+    # predictions here are sqrt(t)-scaled like the eigenfunction profiles
+    s = np.abs(N / (np.pi * T))
+    amp0 = np.sqrt((n - 1.0) / (np.pi * n * abs(T))) * s ** (-1.0 / (2.0 * n))
     pred = np.zeros(N_grid.size, dtype=complex)
-    used_branch = np.zeros(N_grid.size, dtype=int)
-    for i, N in enumerate(N_grid):
-        if N == 0.0:
-            continue
-        amp0 = np.sqrt((n - 1.0) / (np.pi * n * abs(T))) \
-            * np.abs(N / (np.pi * T)) ** (-1.0 / (2.0 * n))
-        # the 1/sqrt(t) factor is carried by the caller through N if needed;
-        # predictions here are sqrt(t)-scaled like the eigenfunction profiles
-        arg = np.sign(N) * np.abs(N / (np.pi * T)) ** ((n - 1.0) / n)
-        if n % 2 == 0:
-            Phi = evolution_phase(N, T, Q, cov, branch=2)
-            pred[i] = np.exp(1j * Phi) * amp0 * f_hat(arg)
-            used_branch[i] = 2
-        else:
-            if N < 0:
-                Phi = evolution_phase(N, T, Q, cov, branch=1)
-                if Phi is not None:
-                    pred[i] = np.exp(1j * Phi) * amp0 * f_hat(-abs(arg))
-                    used_branch[i] = 1
-            else:
-                Phi = evolution_phase(N, T, Q, cov, branch=2)
-                if Phi is not None:
-                    pred[i] = np.exp(1j * Phi) * amp0 * f_hat(abs(arg))
-                    used_branch[i] = 2
-    return {"N": N_grid, "prediction": pred, "branch": used_branch, "T": T}
+    pred[live] = np.exp(1j * _phase(N, T, y[live], branch[live], Q, cov)) \
+        * amp0 * np.asarray(f_hat(np.sign(N) * s ** ((n - 1.0) / n)))
+    return {"N": N_grid, "prediction": pred, "branch": branch, "T": T}
 
 
 def profile_mass(result):

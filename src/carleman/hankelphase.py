@@ -29,14 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import digamma
 
 from ._jets import Jet
 from .coeffmap import RealPolynomial
 from .errors import DomainError, ResolutionError
 from .oscquad import equidistribute_edges, ibp_boundary, integrate_panels
 from .profile import ChangeOfVariables
-from .specfun import eta_phase
+from .specfun import _LANCZOS_C, _LANCZOS_G, eta_phase
 
 # ---------------------------------------------------------------------------
 # kernel, rho, zeta
@@ -65,17 +64,15 @@ def zeta_amplitude(x, Q: RealPolynomial, cov: ChangeOfVariables):
     return np.exp(1j * varrho(x, Q, cov)) * np.sqrt(xi_p)
 
 
-def _eta_jet(xi0, order=3, h=1e-4):
-    """Jet of eta at xi0: eta' = Re psi(1/2 - i xi), higher orders by FD of eta'."""
-    def etap(v):
-        return np.real(digamma(0.5 - 1j * np.asarray(v, dtype=float)))
-
-    c = [eta_phase(xi0), etap(xi0)]
-    if order >= 2:
-        c.append((etap(xi0 + h) - etap(xi0 - h)) / (2 * h) / 2.0)
-    if order >= 3:
-        c.append((etap(xi0 + h) - 2 * etap(xi0) + etap(xi0 - h)) / h ** 2 / 6.0)
-    return Jet(np.array(c[: order + 1]))
+def _eta_jet(xi0, order=3):
+    """Jet of eta = -Im log Gamma(1/2 - i xi) at xi0 from the Lanczos series
+    of specfun in jet arithmetic; the value is eta_phase(xi0)."""
+    zp = Jet.variable(float(xi0), order) * -1j - 0.5       # z - 1
+    t = zp + (_LANCZOS_G + 0.5)
+    a = sum(c / (zp + i) for i, c in enumerate(_LANCZOS_C[1:], 1)) + _LANCZOS_C[0]
+    c = -((zp + 0.5) * t.log() - t + a.log()).c.imag
+    c[0] = eta_phase(xi0)
+    return Jet(c)
 
 
 def _zeta_phase_jets(x0, N, k_sign_term, Q, cov, order=3):

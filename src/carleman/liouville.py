@@ -264,21 +264,6 @@ class OperatorCoefficients:
         return fns
 
 
-def b_coefficients(Q: RealPolynomial, cov: ChangeOfVariables, x):
-    """Convenience wrapper: b_0(x)..b_n(x)."""
-    return OperatorCoefficients(Q, cov).b_values(x)
-
-
-def gauge_beta(cov: ChangeOfVariables, Q: RealPolynomial, x):
-    """beta(x) = -q_{n-1} xi(x)/n."""
-    return OperatorCoefficients(Q, cov).beta(x)
-
-
-def gauged_coefficients(Q: RealPolynomial, cov: ChangeOfVariables, x):
-    """Coefficients of the gauged operator; the (n-1)-st vanishes identically."""
-    return OperatorCoefficients(Q, cov).gauged_values(x)
-
-
 # -- checks ---------------------------------------------------------------
 
 

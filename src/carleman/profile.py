@@ -168,17 +168,12 @@ class ChangeOfVariables:
         c0, c1 = self._cum[idx], self._cum[idx + 1]
         g0, g1 = self._grid[idx], self._grid[idx + 1]
         xi = g0 + (ax - c0) * (g1 - g0) / np.maximum(c1 - c0, 1e-300)
-        if self.profile.family == "cosh":
-            big = ax > 1e3
-            if np.any(big):
-                a0, a1c = self.a0, self.a1
-                xi_b = (self.n / np.pi) * (np.log(a0 * ax[big]) - a1c / ax[big])
-                xi[big] = np.clip(xi_b, 0.0, self.guard)
         for _ in range(60):
             f = self._cum_at(xi) - ax
             step = f / self._integrand(xi)
             xi = np.clip(xi - step, 0.0, self.guard)
-            if np.max(np.abs(step)) < 1e-13 * max(1.0, np.max(xi)):
+            if np.max(np.abs(step), initial=0.0) \
+                    < 1e-13 * max(1.0, np.max(xi, initial=0.0)):
                 break
         out = np.sign(np.atleast_1d(x)) * xi
         return out[0] if scalar else out

@@ -684,6 +684,7 @@ class SMatrixEntry:
     core_radius: float
     rcond: float
     mesh_size: int
+    fields: list               # truncation-X EigenfunctionField of each k
 
     @property
     def extrapolated_defect(self):
@@ -707,12 +708,11 @@ _SLOT = {"s": (0, 0), "s11": (0, 0), "s21": (1, 0), "s22": (1, 1), "s12": (0, 1)
 
 
 def _truncation_pair(pot, k, x0, X, p):
-    """Entries at truncations X and 2X from one solver, with its (rcond,
-    mesh size, core radius); the solver's matrix and LU die on return."""
+    """The truncation-X field and the entries at X and 2X, from one solver
+    whose matrix and LU die on return."""
     solver = _CoreSolver(pot, k, x0, p=p)
     fX = solver.solve(X)
-    return (_entries_from_field(fX), _entries_from_field(solver.solve(2 * X)),
-            (solver.rcond, fX.diagnostics["mesh_size"], solver.x0))
+    return fX, _entries_from_field(fX), _entries_from_field(solver.solve(2 * X))
 
 
 def scattering_matrix(pot: PotentialSpec, lam, X=1.0e4, x_core=None,
@@ -732,18 +732,18 @@ def scattering_matrix(pot: PotentialSpec, lam, X=1.0e4, x_core=None,
     x0 = default_core_radius(pot, X) if x_core is None else min(x_core, X)
     S_X = np.zeros((len(ks), len(ks)), dtype=complex)
     S_2X = np.zeros((len(ks), len(ks)), dtype=complex)
-    meta = None
+    fields = []
     for kk in ks:
-        e1, e2, kk_meta = _truncation_pair(pot, kk, x0, X, p)
+        fX, e1, e2 = _truncation_pair(pot, kk, x0, X, p)
         for key in e1:
             S_X[_SLOT[key]], S_2X[_SLOT[key]] = e1[key], e2[key]
-        if meta is None:
-            meta = kk_meta
+        fields.append(fX)
+    d = fields[0].diagnostics
     return SMatrixEntry(lam=lam, n=n, S=2.0 * S_2X - S_X, S_X=S_X, S_2X=S_2X,
                         unitarity_defect=_unitarity_defect(S_X),
                         unitarity_defect_2X=_unitarity_defect(S_2X),
-                        truncation_X=X, core_radius=meta[2], rcond=meta[0],
-                        mesh_size=meta[1])
+                        truncation_X=X, core_radius=d["X0"], rcond=d["rcond"],
+                        mesh_size=d["mesh_size"], fields=fields)
 
 
 # ---------------------------------------------------------------------------

@@ -164,11 +164,3 @@ def eta_phase(xi):
     # eta computed for |xi|, then odd-extended
     out = np.where(np.atleast_1d(xi) == 0.0, 0.0, out)
     return out[0] if scalar else out
-
-
-def eta_phase_derivative(xi):
-    """eta'(xi) = Re psi(1/2 - i xi), via the digamma Lanczos derivative."""
-    from scipy.special import digamma
-
-    z = 0.5 - 1j * np.asarray(xi, dtype=float)
-    return np.real(digamma(z))

@@ -111,22 +111,19 @@ def evaluate_J(omega, g, N, a, ibp_order: int = 3):
     return complex(val)
 
 
-def leading_term(omega, g, N, a=None, omega0=None, omega2_0=None, g_0=None,
-                 full_line: bool = False):
+def leading_term(omega, g, N, a=None, full_line: bool = False):
     """The displayed stationary-phase main term.
 
-    omega(0), omega''(0) and g(0) are taken from the callables unless supplied;
-    `full_line` doubles the value (integral over R instead of a half-line).
+    omega(0) and g(0) come from the callables, omega''(0) from the Chebyshev
+    interpolant of omega on [0, a] (a = 1 if not given); `full_line` doubles
+    the value (integral over R instead of a half-line).
     """
     N = float(N)
-    w0 = omega(0.0) if omega0 is None else omega0
-    if omega2_0 is None:
-        h = 1e-4 * (a if a else 1.0)
-        omega2_0 = (2 * omega(0.0) - 5 * omega(h) + 4 * omega(2 * h) - omega(3 * h)) / h ** 2
-    g0 = g(0.0) if g_0 is None else g_0
+    w0 = omega(0.0)
+    omega2_0 = _cheb(omega, 0.0, a if a else 1.0).deriv(2)(0.0)
     tau = np.sign(omega2_0 * N)
     val = 0.5 * np.exp(1j * tau * np.pi / 4 + 1j * N * w0) * np.sqrt(2 * np.pi) \
-        * abs(omega2_0 * N) ** -0.5 * g0
+        * abs(omega2_0 * N) ** -0.5 * g(0.0)
     return complex(2.0 * val if full_line else val)
 
 

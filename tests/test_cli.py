@@ -104,6 +104,12 @@ def test_evolve_csv(tmp_path):
     assert len(lines) > 5
 
 
+def test_evolve_rejects_first_order():
+    # the stationary-point equation has the exponent 1/(n-1)
+    rc, _ = run_cli(["evolve", "--n", "1", "--T", "50", "--N-grid", "0.5:1:0.5"])
+    assert rc == 2
+
+
 def test_longrange_csv(tmp_path):
     out_file = tmp_path / "sigma.csv"
     rc, _ = run_cli(["longrange", "--family", "power_law", "--alpha", "1",
@@ -166,3 +172,27 @@ def test_degree_flag_rejected_where_the_polynomial_sets_it():
         with pytest.raises(SystemExit) as exc:
             main(cmd + ["--n", "2"])
         assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("p, grid, solvers", [("-1,0,1", "-20,20", 2),
+                                              ("0,0,0,1", "5,10", 1)])
+def test_hankel_theta_reuses_the_scattering_field(p, grid, solvers, tmp_path,
+                                                  monkeypatch):
+    # one core solver per k of S; theta reuses the field of the k given
+    import carleman.scattering as sc
+
+    built = []
+
+    class Counting(sc._CoreSolver):
+        def __init__(self, *args, **kw):
+            built.append(args[1])
+            super().__init__(*args, **kw)
+
+    monkeypatch.setattr(sc, "_CoreSolver", Counting)
+    out_file = tmp_path / "theta.csv"
+    rc, _ = run_cli(["hankel-theta", "--p", p, "--family", "cosh", "--k", "1.0",
+                     "--N-grid", grid, "--truncation", "2000",
+                     "--emit", str(out_file)])
+    assert rc == 0
+    assert len(built) == solvers
+    assert len(out_file.read_text().strip().splitlines()) == 3

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from carleman.errors import ConfigurationError
-from carleman.evolution import (evolution_phase, evolution_profile, profile_mass,
-                                stationary_point_y, stationary_residual, y_map)
+from carleman.coeffmap import RealPolynomial, p_to_q
+from carleman.errors import ConfigurationError, DomainError
+from carleman.evolution import (_stationary_grid, evolution_phase, evolution_profile,
+                                profile_mass, stationary_point_y, stationary_residual,
+                                y_map)
 from carleman.hankelphase import varrho
+from carleman.profile import ChangeOfVariables
 
 
 def test_stationary_point_leading_order(cov2):
@@ -152,3 +155,68 @@ def test_odd_branch_vanishing(q_x3, cov3):
     f_right = lambda u: np.exp(-(np.asarray(u) - 1.0) ** 2 / 0.1)
     res2 = evolution_profile(f_right, -N, T, q_x3, cov3)
     assert np.all(res2["branch"][res2["N"] < 0] == 1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_grid_matches_scalar(n, request):
+    cov = request.getfixturevalue(f"cov{n}")
+    T = 1e3
+    N = np.array([-9e3, -2e3, -40.0, 25.0, 0.7 * np.pi * T, 1.1e4])
+    y, branch = _stationary_grid(N, T, cov)
+    for Ni, yi, bi in zip(N, y, branch):
+        ys = stationary_point_y(Ni, T, cov, branch=bi)
+        assert abs(ys - yi) <= 1e-14 * abs(yi)
+        if n == 3:  # the other branch does not exist at this N
+            assert stationary_point_y(Ni, T, cov, branch=3 - bi) is None
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("T", [1e3, -1e3])
+def test_stationary_residual_on_grid(n, T, request):
+    cov = request.getfixturevalue(f"cov{n}")
+    for N in (0.3 * T, -0.3 * T, 2.5 * np.pi * T, -2.5 * np.pi * T):
+        branch = 1 if n % 2 and N < 0 else 2
+        y = stationary_point_y(N, T, cov, branch=branch)
+        assert stationary_residual(N, T, cov, y, branch=branch) <= 1e-10
+    half = np.geomspace(1.0, 3.5 * np.pi * abs(T), 40)
+    N = np.concatenate((-half[::-1], [0.0], half))
+    y, branch = _stationary_grid(N, T, cov)
+    assert branch[40] == 0 and y[40] == 0.0
+    assert set(branch[N > 0]) == {2}
+    assert set(branch[N < 0]) == ({1} if n % 2 else {2})
+    for b in (1, 2):
+        sel = branch == b
+        if sel.any():
+            res = stationary_residual(N[sel], T, cov, y[sel], branch=b)
+            assert np.max(res) <= 1e-10
+
+
+def test_profile_calls_f_hat_once(q_x3, cov3):
+    calls = []
+
+    def f_hat(u):
+        calls.append(np.shape(u))
+        return np.exp(-(np.asarray(u) - 1.0) ** 2 / 0.1)
+
+    N = np.array([-2e3, -5.0, 0.0, 5.0, 2e3])
+    res = evolution_profile(f_hat, N, 1e3, q_x3, cov3)
+    assert calls == [(4,)]
+    assert list(res["branch"]) == [1, 1, 0, 2, 2]
+    assert res["prediction"][2] == 0.0
+    res = evolution_profile(f_hat, np.zeros(2), 1e3, q_x3, cov3)
+    assert list(res["branch"]) == [0, 0] and not res["prediction"].any()
+
+
+def test_grid_solver_errors(q_x2, cov2, cosh_profile):
+    with pytest.raises(DomainError):
+        evolution_profile(lambda u: u, np.array([1.0]), 0.0, q_x2, cov2)
+    with pytest.raises(DomainError):
+        stationary_point_y(0.0, 1e3, cov2)
+    cov1 = ChangeOfVariables(cosh_profile, 1)
+    q1 = p_to_q(RealPolynomial([0.0, 1.0]))
+    with pytest.raises(ConfigurationError):
+        evolution_profile(lambda u: u, np.array([1.0]), 1e3, q1, cov1)
+    with pytest.raises(ConfigurationError):
+        stationary_point_y(-1.0, 1e3, cov1)
+    with pytest.raises(ConfigurationError):
+        stationary_point_y(-1.0, 1e3, cov2, branch=1)

@@ -1,10 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
 
 from carleman.coeffmap import RealPolynomial
 from carleman.errors import DomainError, ResolutionError
-from carleman.hankelphase import (PhaseModel, ThetaEvaluator, hankel_kernel,
-                                  hankel_quadratic_form, mellin_F,
+from carleman.hankelphase import (PhaseModel, ThetaEvaluator, _eta_jet,
+                                  hankel_kernel, hankel_quadratic_form, mellin_F,
                                   quadratic_form_check, theta_asymptotic,
                                   varrho, zeta_amplitude)
 
@@ -24,6 +25,17 @@ def test_hankel_kernel_examples():
 def test_hankel_kernel_domain():
     with pytest.raises(DomainError):
         hankel_kernel(0.0, RealPolynomial([1.0]))
+
+
+@pytest.mark.parametrize("xi", [0.3, 2.0, 7.5, 25.0, 60.0])
+def test_eta_jet_against_mpmath(xi):
+    # eta^(k)(xi) = -Im((-i)^k psi^(k-1)(1/2 - i xi)), k >= 1
+    d = _eta_jet(xi, 3).derivative_values()
+    with mpmath.workdps(30):
+        z = mpmath.mpc(0.5, -xi)
+        for k in (1, 2, 3):
+            ref = float(-mpmath.im((-1j) ** k * mpmath.polygamma(k - 1, z)))
+            assert abs(d[k] - ref) <= 1e-11 * abs(ref), f"eta^({k})"
 
 
 def test_varrho_odd(q_x2, cov2):

@@ -3,8 +3,7 @@ import pytest
 from numpy.polynomial.hermite_e import hermeval
 
 from carleman.coeffmap import RealPolynomial, p_to_q
-from carleman.liouville import (OperatorCoefficients, b_coefficients, decay_report,
-                                gauge_beta, gauged_coefficients,
+from carleman.liouville import (OperatorCoefficients, decay_report,
                                 operator_apply_check, tau_table)
 from carleman.profile import ChangeOfVariables, WeightProfile
 
@@ -55,7 +54,7 @@ def test_liouville_identities(n, cosh_profile):
 def test_b0_closed_form_n1(cov2, cosh_profile):
     Q = p_to_q(RealPolynomial([0.0, 1.0]))
     cov1 = ChangeOfVariables(cosh_profile, 1)
-    b = b_coefficients(Q, cov1, np.array([0.0]))
+    b = OperatorCoefficients(Q, cov1).b_values(np.array([0.0]))
     assert abs(b[0][0] - Q.coeffs[0] * np.pi) < 1e-12
 
 
@@ -70,7 +69,7 @@ def test_gauge_beta_and_derivative(op2):
     Q1 = p_to_q(RealPolynomial([0.0, 1.0]))
     cov1 = ChangeOfVariables(WeightProfile("cosh"), 1)
     xs1 = np.array([0.5, 3.0])
-    assert np.max(np.abs(gauge_beta(cov1, Q1, xs1)
+    assert np.max(np.abs(OperatorCoefficients(Q1, cov1).beta(xs1)
                          + Q1.coeffs[0] * cov1.xi_of_x(xs1))) < 1e-12
 
 
@@ -78,7 +77,7 @@ def test_gauge_beta_and_derivative(op2):
 def test_gauge_removes_subprincipal(n, cosh_profile):
     Q = p_to_q(RealPolynomial([0.0] * n + [1.0]))
     cov = ChangeOfVariables(cosh_profile, n)
-    bt = gauged_coefficients(Q, cov, np.array([-3.0, 0.4, 6.0]))
+    bt = OperatorCoefficients(Q, cov).gauged_values(np.array([-3.0, 0.4, 6.0]))
     assert np.max(np.abs(bt[n - 1])) < 1e-12
     assert np.max(np.abs(bt[n] - 1.0)) < 1e-12
 
@@ -87,7 +86,7 @@ def test_gauge_trivial_n1(cosh_profile):
     # B~ = D exactly: every lower coefficient vanishes
     Q = p_to_q(RealPolynomial([0.0, 1.0]))
     cov1 = ChangeOfVariables(cosh_profile, 1)
-    bt = gauged_coefficients(Q, cov1, np.array([-2.0, 0.0, 5.0]))
+    bt = OperatorCoefficients(Q, cov1).gauged_values(np.array([-2.0, 0.0, 5.0]))
     assert np.max(np.abs(bt[0])) < 1e-12
     assert np.max(np.abs(bt[1] - 1.0)) < 1e-12
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .coeffmap import RealPolynomial
 from .errors import ConfigurationError, DomainError, NumericalError
-from .hankelphase import varrho
+from .hankelphase import _rho_of_xi
 from .profile import ChangeOfVariables
 
 
@@ -76,9 +76,9 @@ def _stationary_grid(N, T, cov: ChangeOfVariables):
 
 def _phase(N, T, y, branch, Q: RealPolynomial, cov: ChangeOfVariables):
     n = cov.n
-    x = n * T * y
-    return (-cov.xi_of_x(x) * N + np.where(branch == 1, -1.0, 1.0) * (n - 1.0)
-            * np.abs(y) ** (n / (n - 1.0)) * T + varrho(x, Q, cov))
+    xi = cov.xi_of_x(n * T * y)
+    return (-xi * N + np.where(branch == 1, -1.0, 1.0) * (n - 1.0)
+            * np.abs(y) ** (n / (n - 1.0)) * T + _rho_of_xi(xi, Q))
 
 
 def stationary_point_y(N, T, cov: ChangeOfVariables, branch: int = 2):

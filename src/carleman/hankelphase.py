@@ -50,18 +50,25 @@ def hankel_kernel(t, P: RealPolynomial):
     return P(np.log(t)) / t
 
 
+def _rho_of_xi(xi, Q: RealPolynomial):
+    """rho as a function of xi = xi(x)."""
+    n = Q.degree
+    return eta_phase(xi) - Q.coeffs[n - 1] * xi / n
+
+
+def _zeta_of_xi(xi, Q: RealPolynomial, cov: ChangeOfVariables):
+    """zeta as a function of xi = xi(x): xi'(x)^{1/2} = v(xi)^{1/n}."""
+    return np.exp(1j * _rho_of_xi(xi, Q) + cov.profile.log_v(xi) / cov.n)
+
+
 def varrho(x, Q: RealPolynomial, cov: ChangeOfVariables):
     """rho(x) = eta(xi(x)) - q_{n-1} xi(x) / n (odd in x)."""
-    n = Q.degree
-    xi = cov.xi_of_x(np.asarray(x, dtype=float))
-    return eta_phase(xi) - Q.coeffs[n - 1] * xi / n
+    return _rho_of_xi(cov.xi_of_x(np.asarray(x, dtype=float)), Q)
 
 
 def zeta_amplitude(x, Q: RealPolynomial, cov: ChangeOfVariables):
     """zeta(x) = e^{i rho(x)} xi'(x)^{1/2}; modulus^2 equals xi'(x)."""
-    x = np.asarray(x, dtype=float)
-    xi_p = np.exp(2.0 / cov.n * cov.profile.log_v(cov.xi_of_x(x)))
-    return np.exp(1j * varrho(x, Q, cov)) * np.sqrt(xi_p)
+    return _zeta_of_xi(cov.xi_of_x(np.asarray(x, dtype=float)), Q, cov)
 
 
 def _eta_jet(xi0, order=3):
@@ -186,7 +193,10 @@ class ThetaEvaluator:
             self._lim_m = {+1: lims["r-+inf"], -1: lims["r--inf"]}
         # tail envelope deviations from the limits, on log grids per side
         u = np.geomspace(self.x_split, self.x_tail, 400)
-        self._tail_u = u
+        self._tail_u, self._tail_xi = u, cov.xi_of_x(u)
+        # the grid on which each N's core phase panels are equidistributed
+        self._arc_x = np.linspace(-self.x_split, self.x_split, 4097)
+        self._arc_xi = cov.xi_of_x(self._arc_x)
         self._dev_p = {s: CubicSpline(u, field.r_plus(s * u) - self._lim_p[s])
                        for s in (+1, -1)}
         self._dev_m = {s: CubicSpline(u, field.r_minus(s * u) - self._lim_m[s])
@@ -194,19 +204,16 @@ class ThetaEvaluator:
 
     # -- pieces ---------------------------------------------------------------
 
-    def _zeta(self, x):
-        return zeta_amplitude(x, self.Q, self.cov)
-
     def _core(self, N):
-        k, Xs = self.k, self.x_split
-        xs = np.linspace(-Xs, Xs, 4097)
-        arc = np.abs(N) * self.cov.xi_of_x(xs) + abs(k) * xs
+        k, xs = self.k, self._arc_x
+        arc = np.abs(N) * self._arc_xi + abs(k) * xs
         edges = equidistribute_edges(xs, arc, np.pi / 2)
 
         def f(x):
+            xi = self.cov.xi_of_x(x)
             psi = (np.exp(1j * k * x) * self._rp(x)
                    + np.exp(-1j * k * x) * self._rm(x) + self._dec(x))
-            return self._zeta(x) * psi * np.exp(-1j * self.cov.xi_of_x(x) * N)
+            return _zeta_of_xi(xi, self.Q, self.cov) * psi * np.exp(-1j * xi * N)
 
         return integrate_panels(f, edges, p=12)
 
@@ -215,16 +222,16 @@ class ThetaEvaluator:
         k = self.k
         lim = self._lim_p[side] if wave_sign > 0 else self._lim_m[side]
         dev = self._dev_p[side] if wave_sign > 0 else self._dev_m[side]
-        u = self._tail_u
-        xs = side * u
-        # phase along the tail (signed coordinate)
-        phase = -self.cov.xi_of_x(xs) * N + wave_sign * k * xs
+        xs = side * self._tail_u
+        # phase along the tail (signed coordinate; xi is odd)
+        phase = -side * self._tail_xi * N + wave_sign * k * xs
         order = np.argsort(xs)
         edges = equidistribute_edges(xs[order], phase[order], np.pi / 2)
 
         def f(x):
-            amp = self._zeta(x) * (lim + dev(np.abs(x)))
-            return amp * np.exp(1j * (-self.cov.xi_of_x(x) * N + wave_sign * k * x))
+            xi = self.cov.xi_of_x(x)
+            amp = _zeta_of_xi(xi, self.Q, self.cov) * (lim + dev(np.abs(x)))
+            return amp * np.exp(1j * (-xi * N + wave_sign * k * x))
 
         val = integrate_panels(f, edges, p=12)
         # IBP closure beyond x_tail with the constant limit amplitude:

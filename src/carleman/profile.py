@@ -15,6 +15,7 @@ differences.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,7 +207,7 @@ class ChangeOfVariables:
             raise DomainError("a0 is defined for the cosh family only")
         return np.pi * (2.0 * np.pi) ** (1.0 / self.n) / self.n
 
-    @property
+    @functools.cached_property
     def a1(self):
         if self.profile.family != "cosh":
             raise DomainError("a1 is defined for the cosh family only")

@@ -4,43 +4,39 @@ The eigenfunctions of B~ = D^n + sum b~_m D^m (psi_minus convention) solve
 
     psi = e^{ikx} - R0(k^n + i0) V psi,      V = sum_{m<=n-2} b~_m D^m.
 
-We solve the second-kind equation for w = V psi,
+We solve the second-kind equation (I + V R0) w = V psi0 for w = V psi on a
+core mesh [-X0, X0] of Gauss panels (at most ~4 radians of the fastest
+frequency each).  The free kernel is a sum of exponentials
+a_b e^{i zeta_b (x-y)}, each on one side of the diagonal: x >= y for the
+"upper" roots, x <= y for the "lower" ones.  So the system is never formed.
+The edge state s_b(P) is the integral of e^{i zeta_b (e_P - y)} w(y) over the
+panels on branch b's far side of panel P, anchored at P's left edge e_P
+(upper) or its right edge (lower).  With Filon-type product integration
+(moments of exponentials against each panel's Lagrange basis) panel P obeys
 
-    (I + V R0) w = V psi0,
+    C_P w_P = rhs_P - sum_b a_b sigma_b e^{i zeta_b (x - e_P)} s_b(P),
+    C_P     = I + sum_b diag(a_b sigma_b) own_b,P,
 
-whose dense part stays the size of a core mesh [-X0, X0].  The free resolvent
-kernel is a sum of exponentials a_j exp(i zeta_j (x-y)), each on one side of
-the diagonal: x >= y for the "upper" roots, x <= y for the "lower" ones.  So
-V R0 assembles from per-panel moments of exponentials against the local
-Lagrange basis (Filon-type product integration).  The moment primitive
-`exp_monomial_moments` is array-valued: per branch, one call gives the
-full-panel moments of every panel and one the partial-panel moments of every
-node, and the assembly writes them into the matrix one row panel at a time.
-Every exponential is anchored so its modulus never exceeds one.  Gauss panels
-are capped at ~4 radians of the fastest frequency, which keeps the mesh at a
-couple of thousand nodes.
+with sigma_b = sum_m b~_m zeta_b^m and own_b,P the partial-panel moments
+anchored at the nodes.  A state steps to the next panel as
+s_b(P +- 1) = e^{+-i zeta_b h_P} s_b(P) + (full-panel moments) . w_P, by
+factors of modulus <= 1.  The blocks C_P are inverted in one batched call;
+substituting w_P leaves a (branches x panels)-square system in the states,
+factored once by LU, whose rcond (or the worst block's, if smaller) must stay
+above RCOND_FLOOR.  The outer sides enter it only as its first upper and last
+lower states, for real and complex roots alike.
 
-Beyond X0 (where sum|b~_m| ~ 1e-5) the solution is carried as frequency
-components E(y) exp(i mu y) with real mu (incident wave and the real roots).
-Complex-root pieces there are dropped; the `dropped_tail` diagnostic records
-the largest term this drops from the core kernel at the core edge.  Born
-passes refresh the components and feed back into the core solve as pure
-right-hand-side updates, so the LU factorization is reused; in particular the
-X and 2X truncations needed for the extrapolated scattering matrix cost no
-extra factorization.  The physical truncation error keeps its 1/X law.
+Beyond X0 (where sum|b~_m| ~ 1e-5) w is carried as components E(y) e^{i mu y}
+with real mu (incident wave and real roots); the complex-root waves the core
+launches past +-X0 die within a few units and enter psi there (`psi_at`), not
+the outer Born sources.  Born passes refresh the outer components and
+re-solve the core as a new right-hand side until the increment of w is at most
+BORN_TOL max(|w|, 1); the X and 2X truncations reuse the one factorization.
 
-Every integral of the solution against an exponential e^{i nu y}, on the core
-or on an outer side, comes from one anchored prefix table per (mesh, nu) and
-sweep direction.  Upward, with edge_q the right edge of panel q, it holds
-
-    T_q = int_{panel q} e^{i nu (y - edge_q)} f dy,
-    S_q = e^{i nu (edge_{q-1} - edge_q)} S_{q-1} + T_q,
-
-and the partial-panel moments at the query points, located by one
-searchsorted; downward is the mirror image, anchored at left edges.  The
-running sum only multiplies by factors of modulus <= 1, so the same table
-serves the complex roots of the kernel.  Full integrals over the core use the
-Nystrom Gauss rule itself.
+Integrals of the solution against e^{i nu y} come from one anchored prefix
+table per (mesh, nu) and sweep direction (`_Density`), whose running sums
+also only multiply by factors of modulus <= 1; full integrals over the core
+use the Nystrom Gauss rule itself.
 
 Scattering entries use the stationary representations: with
 I_-(k) = int e^{-iky} w dy and I_+(k) = int e^{+iky} w dy over the line,
@@ -58,8 +54,12 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve, lapack
 
 from .errors import (ConfigurationError, DomainError, NearExceptionalPointError,
-                     StiffIntegrationError)
+                     NumericalError, StiffIntegrationError)
 from .oscquad import exp_monomial_moments, gauss_rule, lagrange_coeff_matrix
+
+RCOND_FLOOR = 1e-10    # below this the solve is taken as near-exceptional
+BORN_TOL = 1e-12       # Born passes stop at increment <= BORN_TOL max(|w|, 1)
+BORN_MAX_PASSES = 12
 
 # ---------------------------------------------------------------------------
 # roots and free kernels
@@ -184,17 +184,11 @@ class PotentialSpec:
 
     def symbol(self, x, zeta):
         """sum_m b~_m(x) zeta^m: the V-symbol collapsed on one exponential."""
-        vals = self.values(x)
-        out = np.zeros(np.asarray(x, dtype=float).shape, dtype=complex)
-        for m in range(vals.shape[0]):
-            out = out + vals[m] * zeta ** m
-        return out
+        return sum((v * zeta ** m for m, v in enumerate(self.values(x))),
+                   np.zeros(np.shape(x), dtype=complex))
 
     def abs_sum(self, x):
-        vals = self.values(np.asarray(x, dtype=float))
-        if not vals.size:
-            return np.zeros_like(np.asarray(x, dtype=float))
-        return np.sum(np.abs(vals), axis=0)
+        return np.sum(np.abs(self.values(x)), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +341,6 @@ class _Density:
         x = np.clip(x, self.mesh.edges[0], self.mesh.edges[-1])
         return np.exp(1j * nu * x) * self.anchored(nu, x, upper)
 
-    def total(self, nu):
-        """int e^{i nu y} f(y) dy over the whole mesh; real nu."""
-        return np.exp(1j * nu * self.mesh.edges[-1]) * self.end(nu, True)
-
     def values(self, x):
         """The density at points of the mesh (panelwise Lagrange interpolation)."""
         q, t = self.mesh.locate(x)
@@ -394,7 +384,9 @@ class EigenfunctionField:
             mesh = self._core.mesh
             return np.sum(mesh.weights * np.exp(1j * nu * mesh.nodes) * self.w)
         dens = self._outer[region]
-        return 0.0 + 0.0j if dens is None else dens.total(nu)
+        if dens is None:
+            return 0.0 + 0.0j
+        return np.exp(1j * nu * dens.mesh.edges[-1]) * dens.end(nu, True)
 
     def half_line_integral(self, xq, nu, up_to=True):
         """int_{-inf}^{xq} e^{i nu y} w(y) dy (or the complement), vectorized."""
@@ -474,7 +466,7 @@ class EigenfunctionField:
                 + (-k) ** deriv * np.exp(-1j * k * xo) * self.r_minus(xo)
             # complex-root remnants just beyond X0 (they die within a few units)
             for zeta, a, upper in self._branches:
-                if abs(zeta.imag) < 1e-12:
+                if not zeta.imag:
                     continue
                 sel = xo > 0 if upper else xo < 0
                 edge = self.X0 if upper else -self.X0
@@ -485,11 +477,12 @@ class EigenfunctionField:
 
     def _kernel(self, x, zeta, upper):
         """int e^{i zeta (x-y)} w(y) dy over y < x (upper) or y > x at core
-        points; outer sides count for real zeta only (see `dropped_tail`)."""
+        points; the far outer side enters through its end value."""
         out = self._core.anchored(-zeta, x, upper)
-        if abs(zeta.imag) < 1e-12:
-            zr = zeta.real
-            out = out + np.exp(1j * zr * x) * self._full(-1 if upper else +1, -zr)
+        dens = self._outer[-1 if upper else +1]
+        if dens is not None:
+            edge = -self.X0 if upper else self.X0
+            out = out + np.exp(1j * zeta * (x - edge)) * dens.end(-zeta, upper)
         return out
 
     def w_at(self, x):
@@ -505,9 +498,10 @@ class EigenfunctionField:
 
 
 class _CoreSolver:
-    """Mesh, assembled matrix and LU for one (lambda, k); reusable across X."""
+    """Panel-block inverses and the factored edge-state system for one
+    (lambda, k); reusable across X."""
 
-    def __init__(self, pot: PotentialSpec, k, x0, p=10, rcond_floor=1e-10):
+    def __init__(self, pot: PotentialSpec, k, x0):
         if k == 0:
             raise DomainError("k = 0: degenerate spectral point")
         self.pot = pot
@@ -517,87 +511,107 @@ class _CoreSolver:
         if pot.n % 2 == 0 and self.lam <= 0:
             raise DomainError("even n has no propagating solutions for lambda <= 0")
         self._branches = _branch_data(zeta_roots(self.lam, self.n, side="+"))
+        self._n_up = sum(upper for _, _, upper in self._branches)
         self.x0 = float(x0)
-        self.mesh = _core_mesh(self.x0, self.k, p=p, breaks=pot.breakpoints)
-        self._assemble(rcond_floor)
+        self.mesh = _core_mesh(self.x0, self.k, breaks=pot.breakpoints)
+        self._factor()
 
     def _real_root(self, upper):
         """(zeta, a) of the real root reaching +inf (upper) or -inf, if any."""
         return next(((zeta.real, a) for zeta, a, up in self._branches
-                     if up == upper and abs(zeta.imag) < 1e-12), None)
+                     if up == upper and not zeta.imag), None)
 
-    def _assemble(self, rcond_floor):
-        mesh, pot = self.mesh, self.pot
-        x, p = mesh.nodes, mesh.p
-        m = x.size
-        if self.n == 1:  # no potential: A = I
-            self.lu, self.rcond = None, 1.0
-            return
-        A = np.eye(m, dtype=complex)
+    def _factor(self):
+        """Eliminate w panel by panel; see the module docstring."""
+        mesh, p = self.mesh, self.mesh.p
         qs = np.arange(mesh.n_panels)
-        t_nodes = mesh.ref_coord(mesh.panel_of, x).reshape(-1, p)
+        x = mesh.nodes.reshape(-1, p)
+        t = mesh.ref_coord(qs[:, None], x)
+        C = np.tile(np.eye(p, dtype=complex), (mesh.n_panels, 1, 1))
+        G, F, step, self._pcoef = [], [], [], []
         for zeta, a, upper in self._branches:
-            pcoef = a * pot.symbol(x, zeta)
-            # panels on the branch's side of a node enter through their
-            # moments anchored at the edge facing it; the node's own panel
-            # through partial moments anchored at the node
-            edge = mesh.edges[1:] if upper else mesh.edges[:-1]
-            full = mesh.moments(-zeta, qs, -1.0, 1.0, 1.0 if upper else -1.0)
-            lo, hi = (-1.0, t_nodes) if upper else (t_nodes, 1.0)
-            own = mesh.moments(-zeta, qs[:, None], lo, hi, t_nodes)
-            for P in qs:
-                rows = slice(P * p, (P + 1) * p)
-                A[rows, rows] += pcoef[rows, None] * own[P]
-                far = qs[:P] if upper else qs[P + 1:]
-                if not far.size:
-                    continue
-                block = np.exp(1j * zeta * (x[rows, None] - edge[far]))[:, :, None] \
-                    * full[far]
-                block *= pcoef[rows, None, None]
-                A[rows, far[0] * p:(far[-1] + 1) * p] += block.reshape(p, -1)
-        anorm = np.linalg.norm(A, 1)  # before the LU copy exists: lower peak memory
-        self.lu = lu_factor(A)
-        self._A = A
-        self.rcond = float(lapack.zgecon(self.lu[0], anorm)[0])
-        if self.rcond < rcond_floor:
+            pcoef = a * self.pot.symbol(x, zeta)
+            lo, hi = (-1.0, t) if upper else (t, 1.0)
+            C += pcoef[..., None] * mesh.moments(-zeta, qs[:, None], lo, hi, t)
+            anchor = (mesh.edges[:-1] if upper else mesh.edges[1:])[:, None]
+            G.append(pcoef * np.exp(1j * zeta * (x - anchor)))
+            F.append(mesh.moments(-zeta, qs, -1.0, 1.0, 1.0 if upper else -1.0))
+            step.append(np.exp((1j if upper else -1j) * zeta * np.diff(mesh.edges)))
+            self._pcoef.append(pcoef.ravel())
+        try:
+            self._Cinv = np.linalg.inv(C)
+        except np.linalg.LinAlgError:
+            raise NearExceptionalPointError(self.lam, 0.0) from None
+        self._H = self._Cinv @ np.stack(G, axis=-1)      # (panels, p, branches)
+        self._F = np.stack(F, axis=1)                     # (panels, branches, p)
+        # D_P = F_P H_P - diag(step_P) couples the states of neighbouring panels:
+        # upper states at P + 1 and lower states at P - 1 read those at P
+        D = self._F @ self._H
+        nb, up = len(self._branches), self._n_up
+        D[:, np.arange(nb), np.arange(nb)] -= np.stack(step, axis=1)
+        P = qs[:-1]
+        M = np.eye(qs.size * nb, dtype=complex).reshape(qs.size, nb, qs.size, nb)
+        M[P + 1, :up, P, :] = D[:-1, :up]
+        M[P, up:, P + 1, :] = D[1:, up:]
+        M = M.reshape(qs.size * nb, -1)
+        anorm = np.linalg.norm(M, 1)
+        self._lu = lu_factor(M)
+        self.rcond = min(float(lapack.zgecon(self._lu[0], anorm)[0]),
+                         float(np.min(1.0 / np.linalg.cond(C, 1))))
+        if not self.rcond >= RCOND_FLOOR:
             raise NearExceptionalPointError(self.lam, self.rcond)
+
+    def _core_solve(self, rhs0, outer):
+        """w on the core nodes with the outer densities as the first upper and
+        the last lower edge states."""
+        u = np.einsum("qij,qj->qi", self._Cinv, rhs0.reshape(self._Cinv.shape[:2]))
+        Fu = np.einsum("qbj,qj->qb", self._F, u)
+        up = self._n_up
+        r = np.zeros_like(Fu)
+        r[1:, :up], r[:-1, up:] = Fu[:-1, :up], Fu[1:, up:]
+        for b, (zeta, _, upper) in enumerate(self._branches):
+            dens = outer.get(-1 if upper else +1)
+            if dens is not None:
+                r[0 if upper else -1, b] = dens.end(-zeta, upper)
+        s = lu_solve(self._lu, r.ravel()).reshape(r.shape)
+        return (u - np.einsum("qib,qb->qi", self._H, s)).ravel()
 
     # -- outer iteration ------------------------------------------------------
 
-    def solve(self, X, born_passes=3) -> EigenfunctionField:
-        pot, k = self.pot, self.k
+    def solve(self, X) -> EigenfunctionField:
+        """Born passes to convergence with the outer sides out to X.  The
+        `residual` diagnostic is the core equation evaluated through the
+        field's own prefix tables and outer densities."""
         x = self.mesh.nodes
-        X = float(max(X, self.x0))
-        if self.n == 1:
-            return EigenfunctionField(self, np.zeros(x.size, dtype=complex), {}, X,
-                                      {"residual": 0.0, "rcond": 1.0,
-                                       "X0": self.x0, "X": X,
-                                       "mesh_size": int(x.size)})
-        if pot.support is not None:
-            X = self.x0
-        meshes = {side: _outer_mesh(side, self.x0, X, k) for side in (+1, -1)}
-        rhs0 = pot.symbol(x, k) * np.exp(1j * k * x)
-        ru, rd = self._real_root(True), self._real_root(False)
-        field = EigenfunctionField(self, lu_solve(self.lu, rhs0), {}, X)
-        increment = 0.0
-        for _ in range(born_passes):
-            field = EigenfunctionField(
-                self, field.w, self._refresh_outer(field, meshes, ru, rd), X)
-            w = lu_solve(self.lu, rhs0 + self._core_feedback(field, ru, rd))
+        X = self.x0 if self.pot.support is not None else float(max(X, self.x0))
+        meshes = {side: _outer_mesh(side, self.x0, X, self.k) for side in (+1, -1)}
+        rhs0 = self.pot.symbol(x, self.k) * np.exp(1j * self.k * x)
+        field = EigenfunctionField(self, self._core_solve(rhs0, {}), {}, X)
+        for passes in range(1, BORN_MAX_PASSES + 1):
+            outer = self._refresh_outer(field, meshes)
+            w = self._core_solve(rhs0, outer)
             increment = float(np.max(np.abs(w - field.w)))
-            field = EigenfunctionField(self, w, field._outer, X)
-        field = EigenfunctionField(
-            self, field.w, self._refresh_outer(field, meshes, ru, rd), X)
-        resid = self._A @ field.w - (rhs0 + self._core_feedback(field, ru, rd))
+            field = EigenfunctionField(self, w, outer, X)
+            if increment <= BORN_TOL * max(float(np.max(np.abs(w))), 1.0):
+                break
+        else:
+            raise NumericalError(
+                f"Born passes not converged at lambda={self.lam!r}: increment "
+                f"{increment:.3e} after {BORN_MAX_PASSES} passes")
+        field = EigenfunctionField(self, w, self._refresh_outer(field, meshes), X)
+        resid = w - rhs0
+        for (zeta, _, upper), pcoef in zip(self._branches, self._pcoef):
+            resid = resid + pcoef * field._kernel(x, zeta, upper)
         field.diagnostics = {
             "residual": float(np.max(np.abs(resid))), "rcond": self.rcond,
             "X0": self.x0, "X": X, "mesh_size": int(x.size),
             "abs_sum_at_X0": float(self.pot.abs_sum(np.array([self.x0]))[0]),
-            "born_increment": increment, "dropped_tail": self._dropped_tail(field)}
+            "born_increment": increment, "born_passes": passes}
         return field
 
-    def _refresh_outer(self, field, meshes, ru, rd):
+    def _refresh_outer(self, field, meshes):
         """Born update of the outer densities from the current state."""
+        ru, rd = self._real_root(True), self._real_root(False)
         outer = {}
         for side in (+1, -1):
             mesh_o = meshes[side]
@@ -624,29 +638,6 @@ class _CoreSolver:
                                    [self.pot.symbol(y, mu) * amp for mu, amp in incident])
         return outer
 
-    def _core_feedback(self, field, ru, rd):
-        """-V R0 w_outer evaluated on the core nodes (right-hand-side update)."""
-        x = self.mesh.nodes
-        feed = np.zeros(x.size, dtype=complex)
-        # the right outer side reaches the core through the lower branch (real
-        # root), the left one through the upper branch
-        for root, side in ((rd, +1), (ru, -1)):
-            if root is not None:
-                zeta, a = root
-                feed -= a * self.pot.symbol(x, zeta) * np.exp(1j * zeta * x) * \
-                    field._full(side, -zeta)
-        return feed
-
-    def _dropped_tail(self, field):
-        """Largest |a int_outer e^{i zeta (+-X0 - y)} w dy| over the complex
-        roots: the outer terms the core kernel drops, at the core edge."""
-        tail = 0.0
-        for zeta, a, upper in self._branches:
-            dens = field._outer[-1 if upper else +1]
-            if abs(zeta.imag) >= 1e-12 and dens is not None:
-                tail = max(tail, abs(a * dens.end(-zeta, upper)))
-        return float(tail)
-
 
 def default_core_radius(pot: PotentialSpec, X, threshold=1e-4):
     if pot.support is not None:
@@ -658,12 +649,11 @@ def default_core_radius(pot: PotentialSpec, X, threshold=1e-4):
     return float(min(max(x0, 40.0), 120.0, X))
 
 
-def solve_lippmann_schwinger(pot: PotentialSpec, k, X=1.0e4, x_core=None,
-                             p=10, born_passes=3) -> EigenfunctionField:
+def solve_lippmann_schwinger(pot: PotentialSpec, k, X=1.0e4,
+                             x_core=None) -> EigenfunctionField:
     """Solve for the continuum eigenfunction at wavenumber k (lambda = k^n)."""
     x0 = default_core_radius(pot, X) if x_core is None else min(x_core, X)
-    solver = _CoreSolver(pot, k, x0, p=p)
-    return solver.solve(X, born_passes=born_passes)
+    return _CoreSolver(pot, k, x0).solve(X)
 
 
 # ---------------------------------------------------------------------------
@@ -707,16 +697,8 @@ def _entries_from_field(field: EigenfunctionField):
 _SLOT = {"s": (0, 0), "s11": (0, 0), "s21": (1, 0), "s22": (1, 1), "s12": (0, 1)}
 
 
-def _truncation_pair(pot, k, x0, X, p):
-    """The truncation-X field and the entries at X and 2X, from one solver
-    whose matrix and LU die on return."""
-    solver = _CoreSolver(pot, k, x0, p=p)
-    fX = solver.solve(X)
-    return fX, _entries_from_field(fX), _entries_from_field(solver.solve(2 * X))
-
-
-def scattering_matrix(pot: PotentialSpec, lam, X=1.0e4, x_core=None,
-                      p=10) -> SMatrixEntry:
+def scattering_matrix(pot: PotentialSpec, lam, X=1.0e4,
+                      x_core=None) -> SMatrixEntry:
     """Assemble s(lambda) or S(lambda) with the X / 2X truncation pair."""
     lam = float(lam)
     if lam == 0:
@@ -734,7 +716,9 @@ def scattering_matrix(pot: PotentialSpec, lam, X=1.0e4, x_core=None,
     S_2X = np.zeros((len(ks), len(ks)), dtype=complex)
     fields = []
     for kk in ks:
-        fX, e1, e2 = _truncation_pair(pot, kk, x0, X, p)
+        solver = _CoreSolver(pot, kk, x0)
+        fX = solver.solve(X)
+        e1, e2 = _entries_from_field(fX), _entries_from_field(solver.solve(2 * X))
         for key in e1:
             S_X[_SLOT[key]], S_2X[_SLOT[key]] = e1[key], e2[key]
         fields.append(fX)

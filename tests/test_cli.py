@@ -148,6 +148,24 @@ def test_config_override(tmp_path):
     assert len(payload["q"]) == 2  # the config overrode the degree-2 flag
 
 
+def test_near_exceptional_guard(tmp_path, monkeypatch):
+    # with the rcond floor at 1 every solve is near-exceptional: the library
+    # raises, and the CLI exits 3
+    import carleman.scattering as sc
+    from carleman.errors import NearExceptionalPointError
+
+    pot = sc.PotentialSpec(2, [lambda x: -0.6 * np.exp(-np.asarray(x) ** 2)],
+                           support=4.0)
+    monkeypatch.setattr(sc, "RCOND_FLOOR", 1.0)
+    with pytest.raises(NearExceptionalPointError):
+        sc.scattering_matrix(pot, 1.0, X=10.0)
+    rc, out = run_cli(["scatter", "--p", "0,0,1", "--family", "cosh",
+                       "--lambda-min", "1.0", "--lambda-max", "1.0",
+                       "--points", "1", "--truncation", "500",
+                       "--emit", str(tmp_path / "smatrix.json")])
+    assert rc == 3 and out == ""
+
+
 def test_scatter_json_small(tmp_path):
     out_file = tmp_path / "smatrix.json"
     rc, _ = run_cli(["scatter", "--p", "0,0,1", "--family", "cosh",

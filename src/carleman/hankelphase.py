@@ -9,11 +9,12 @@ in log coordinates N = ln t,
     rho(x)      = eta(xi(x)) - q_{n-1} xi(x) / n,
 
 with psi the gauged short-range eigenfunction.  The integral converges only
-conditionally; it is evaluated as a phase-resolved core (where psi comes from
-the Nystrom field via splined envelopes) plus oscillating tails where psi is
-replaced by its r_+/- envelope representation, closed by integration by
-parts.  Stationary points sit at |x| ~ n|N|/(pi |k|), so the core radius
-bounds the reachable |N|.
+conditionally: a core (psi from the Nystrom field via splined envelopes)
+plus oscillating tails (psi from its r_+/- envelopes), closed by integration
+by parts.  Stationary points sit at |x| ~ n|N|/(pi |k|), so the core radius
+bounds the reachable |N|.  Only e^{-i xi(x) N} depends on N, so the Gauss
+nodes resolve the phase at that largest |N| once, and I(N) is one fixed
+exponential sum over them plus the closures.
 
 The large-|N| model uses the explicit phase
 
@@ -33,7 +34,7 @@ from scipy.interpolate import CubicSpline
 from ._jets import Jet
 from .coeffmap import RealPolynomial
 from .errors import DomainError, ResolutionError
-from .oscquad import equidistribute_edges, ibp_boundary, integrate_panels
+from .oscquad import equidistribute_edges, gauss_rule, ibp_boundary
 from .profile import ChangeOfVariables
 from .specfun import _LANCZOS_C, _LANCZOS_G, eta_phase
 
@@ -82,17 +83,15 @@ def _eta_jet(xi0, order=3):
     return Jet(c)
 
 
-def _zeta_phase_jets(x0, N, k_sign_term, Q, cov, order=3):
-    """Jets at x0 of the tail amplitude zeta(x) and phase -xi(x) N + s k x."""
+def _xi_zeta_jets(x0, Q, cov, order=3):
+    """Jets at x0 of xi(x) and of the tail amplitude zeta(x)."""
     n = Q.degree
     xi_jet = cov.xi_jet_of_x(np.asarray([x0]), order)
     xi_jet = Jet(xi_jet.c[:, 0])
     eta_j = xi_jet.compose(_eta_jet(float(xi_jet.value), order).c)
     rho_j = eta_j - xi_jet * (Q.coeffs[n - 1] / n)
     zeta_j = (rho_j * 1j).exp() * xi_jet.shift().truncated(order - 1).pow(0.5)
-    xvar = Jet.variable(float(x0), order)
-    phase_j = xi_jet * (-N) + xvar * k_sign_term
-    return zeta_j, phase_j
+    return xi_jet, zeta_j
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +149,21 @@ class PhaseModel:
 # ---------------------------------------------------------------------------
 
 
+def _panel_nodes(x_samples, arc, p=12):
+    """Gauss-p nodes and weights on panels spanning <= pi/2 of `arc` each."""
+    edges = equidistribute_edges(x_samples, arc, np.pi / 2)
+    x, w = gauss_rule(p)
+    c, s = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    return (c[:, None] + s[:, None] * x).ravel(), (s[:, None] * w).ravel()
+
+
 class ThetaEvaluator:
     """Shared machinery to evaluate I(N, k) for many N at one field.
 
-    Splines of the slow envelopes r_+(x), r_-(x) and of psi_dec are built once
-    on a phase-resolving grid; each theta evaluation then costs one
-    phase-panel sweep (core) plus four oscillating tails.
+    Splines of the slow envelopes r_+(x), r_-(x) and of psi_dec, and Gauss
+    panels resolving the phase at the largest |N| the core admits, are built
+    once; each theta evaluation is then one fixed sum of e^{-i xi_j N} amp_j
+    over core and tail nodes plus the closures beyond +-x_tail.
     """
 
     def __init__(self, field, Q: RealPolynomial, cov: ChangeOfVariables,
@@ -164,7 +172,7 @@ class ThetaEvaluator:
         self.Q = Q
         self.cov = cov
         self.n = Q.degree
-        self.k = field.k
+        self.k = k = field.k
         self.x_split = float(x_split if x_split is not None else field.X0)
         self.x_tail = float(min(x_tail, field.X))
         if grid_h is None:
@@ -176,77 +184,70 @@ class ThetaEvaluator:
         coarse_r = np.arange(fine[-1] + grid_h, self.x_split + grid_h, grid_h)
         xs_core = np.concatenate((-coarse_r[::-1], fine, coarse_r))
         xs_core = xs_core[np.abs(xs_core) <= self.x_split + 2 * grid_h]
-        rp = field.r_plus(xs_core)
-        rm = field.r_minus(xs_core)
-        psi = field.psi_at(xs_core)
-        dec = psi - (np.exp(1j * self.k * xs_core) * rp
-                     + np.exp(-1j * self.k * xs_core) * rm)
+        rp, rm = field.r_plus(xs_core), field.r_minus(xs_core)
+        dec = field.psi_at(xs_core) - (np.exp(1j * k * xs_core) * rp
+                                       + np.exp(-1j * k * xs_core) * rm)
         self._rp = CubicSpline(xs_core, rp)
         self._rm = CubicSpline(xs_core, rm)
         self._dec = CubicSpline(xs_core, dec)
+        # tail envelopes: limits per (side, wave sign) and the deviations
+        # from them on a log grid; odd n keeps the outgoing wave only
         lims = field.r_limits()
         if self.n % 2 == 1:
-            self._lim_p = {+1: lims["r+inf"], -1: lims["r-inf"]}
-            self._lim_m = {+1: 0.0 + 0.0j, -1: 0.0 + 0.0j}
+            self._lim = {(+1, +1): lims["r+inf"], (-1, +1): lims["r-inf"]}
         else:
-            self._lim_p = {+1: lims["r++inf"], -1: lims["r+-inf"]}
-            self._lim_m = {+1: lims["r-+inf"], -1: lims["r--inf"]}
-        # tail envelope deviations from the limits, on log grids per side
+            self._lim = {(+1, +1): lims["r++inf"], (-1, +1): lims["r+-inf"],
+                         (+1, -1): lims["r-+inf"], (-1, -1): lims["r--inf"]}
         u = np.geomspace(self.x_split, self.x_tail, 400)
-        self._tail_u, self._tail_xi = u, cov.xi_of_x(u)
-        # the grid on which each N's core phase panels are equidistributed
-        self._arc_x = np.linspace(-self.x_split, self.x_split, 4097)
-        self._arc_xi = cov.xi_of_x(self._arc_x)
-        self._dev_p = {s: CubicSpline(u, field.r_plus(s * u) - self._lim_p[s])
-                       for s in (+1, -1)}
-        self._dev_m = {s: CubicSpline(u, field.r_minus(s * u) - self._lim_m[s])
-                       for s in (+1, -1)}
+        self._dev = {(s, w): CubicSpline(u, (field.r_plus if w > 0 else
+                                             field.r_minus)(s * u) - lim)
+                     for (s, w), lim in self._lim.items()}
+        # one node set for every admissible N: the core on [-x_split, x_split]
+        # and the tails x = +-u, u in [x_split, x_tail], where xi is odd
+        self._shift = cov.a1 if cov.profile.family == "cosh" else 0.0
+        n_lim = max(self.x_split / 1.35 - self._shift, 0.0) * np.pi * abs(k) / self.n
+        arc_x = np.linspace(-self.x_split, self.x_split, 4097)
+        xc, wc = _panel_nodes(arc_x, n_lim * cov.xi_of_x(arc_x) + abs(k) * arc_x)
+        xt, wt = _panel_nodes(u, n_lim * cov.xi_of_x(u) + abs(k) * u)
+        xi_t = cov.xi_of_x(xt)
+        self._xi = np.concatenate((cov.xi_of_x(xc), xi_t, -xi_t))
+        psi = np.concatenate((self._psi(xc), self._tail_psi(xt, +1),
+                              self._tail_psi(xt, -1)))
+        self._amp = (np.concatenate((wc, wt, wt)) * psi
+                     * _zeta_of_xi(self._xi, Q, cov))
+        self._end_jets = {s: _xi_zeta_jets(s * self.x_tail, Q, cov) for s in (+1, -1)}
 
     # -- pieces ---------------------------------------------------------------
 
-    def _core(self, N):
-        k, xs = self.k, self._arc_x
-        arc = np.abs(N) * self._arc_xi + abs(k) * xs
-        edges = equidistribute_edges(xs, arc, np.pi / 2)
-
-        def f(x):
-            xi = self.cov.xi_of_x(x)
-            psi = (np.exp(1j * k * x) * self._rp(x)
-                   + np.exp(-1j * k * x) * self._rm(x) + self._dec(x))
-            return _zeta_of_xi(xi, self.Q, self.cov) * psi * np.exp(-1j * xi * N)
-
-        return integrate_panels(f, edges, p=12)
-
-    def _tail(self, N, side, wave_sign):
-        """int over side*[x_split, x_tail] of e^{-i xi N + i wave_sign k x} zeta r."""
+    def _psi(self, x):
+        """psi on the core from the spline envelopes."""
         k = self.k
-        lim = self._lim_p[side] if wave_sign > 0 else self._lim_m[side]
-        dev = self._dev_p[side] if wave_sign > 0 else self._dev_m[side]
-        xs = side * self._tail_u
-        # phase along the tail (signed coordinate; xi is odd)
-        phase = -side * self._tail_xi * N + wave_sign * k * xs
-        order = np.argsort(xs)
-        edges = equidistribute_edges(xs[order], phase[order], np.pi / 2)
+        return (np.exp(1j * k * x) * self._rp(x)
+                + np.exp(-1j * k * x) * self._rm(x) + self._dec(x))
 
-        def f(x):
-            xi = self.cov.xi_of_x(x)
-            amp = _zeta_of_xi(xi, self.Q, self.cov) * (lim + dev(np.abs(x)))
-            return amp * np.exp(1j * (-xi * N + wave_sign * k * x))
+    def _tail_psi(self, u, side):
+        """psi at x = side * u from the r_+/- envelopes, u >= x_split."""
+        return sum((self._lim[side, w] + self._dev[side, w](u))
+                   * np.exp(1j * w * self.k * side * u)
+                   for w in (+1, -1) if (side, w) in self._lim)
 
-        val = integrate_panels(f, edges, p=12)
-        # IBP closure beyond x_tail with the constant limit amplitude:
-        # int_{x_end}^{+inf} = -S(x_end), int_{-inf}^{x_end} = +S(x_end)
-        if abs(lim) > 0:
-            x_end = side * self.x_tail
-            zeta_j, phase_j = _zeta_phase_jets(x_end, N, wave_sign * k,
-                                               self.Q, self.cov)
-            S, _ = ibp_boundary(zeta_j * lim, phase_j, order=2)
-            val += -S if side > 0 else S
-        return val
+    def _closure(self, N):
+        """IBP closures beyond +-x_tail with the constant limit amplitudes:
+        int_{x_tail}^{+inf} = -S(x_tail), int_{-inf}^{-x_tail} = +S(-x_tail)."""
+        total = 0.0 + 0.0j
+        for (side, w), lim in self._lim.items():
+            if abs(lim) > 0:
+                xi_j, zeta_j = self._end_jets[side]
+                x_j = Jet.variable(side * self.x_tail, 3)
+                phase_j = xi_j * (-N) + x_j * (w * self.k)
+                S, _ = ibp_boundary(zeta_j * lim, phase_j, order=2)
+                total -= side * S
+        return total
 
     def _check_resolution(self, N):
-        x_stat = self.n * abs(N) / (np.pi * abs(self.k)) + \
-            (self.cov.a1 if self.cov.profile.family == "cosh" else 0.0)
+        """Raise at the largest |N| whose stationary point leaves the core."""
+        x_stat = self.n * np.max(np.abs(N), initial=0.0) / (np.pi * abs(self.k)) \
+            + self._shift
         if 1.35 * x_stat > self.x_split:
             raise ResolutionError(
                 f"stationary point at |x| ~ {x_stat:.1f} too close to the "
@@ -254,16 +255,15 @@ class ThetaEvaluator:
                 suggested_x_core=1.6 * x_stat)
 
     def I(self, N):
-        """The conditionally convergent integral I(N, k)."""
-        N = float(N)
+        """The conditionally convergent integral I(N, k) for a scalar or an
+        array of N, one row e^{-i xi N} at a time: a value does not depend
+        on its batch."""
+        N = np.asarray(N, dtype=float)
         self._check_resolution(N)
-        total = self._core(N)
-        for side in (+1, -1):
-            for wave_sign in (+1, -1):
-                if self.n % 2 == 1 and wave_sign < 0:
-                    continue
-                total += self._tail(N, side, wave_sign)
-        return total
+        out = np.empty(N.shape, dtype=complex)
+        for i, Ni in np.ndenumerate(N):
+            out[i] = np.exp(-1j * Ni * self._xi) @ self._amp + self._closure(Ni)
+        return out[()]
 
     def theta_scaled(self, N):
         """sqrt(t) * theta(t, k) = (2 pi)^{-1/2} I(ln t, k)."""
@@ -316,7 +316,7 @@ def theta_profile(N_grid, field, Q, cov, entries=None, **kw) -> HankelEigenfunct
     """Evaluate sqrt(t) theta over an N-grid plus the asymptotic comparison."""
     ev = ThetaEvaluator(field, Q, cov, **kw)
     model = PhaseModel.from_problem(Q, cov)
-    vals = np.array([ev.theta_scaled(N) for N in N_grid])
+    vals = ev.theta_scaled(np.asarray(N_grid, dtype=float))
     if entries is None:
         asym = np.full(len(N_grid), np.nan, dtype=complex)
         rel = np.full(len(N_grid), np.nan)

@@ -96,6 +96,7 @@ class ChangeOfVariables:
     """Cached monotone map x(xi) = int_0^xi v^(-2/n), its inverse and jets."""
 
     CELL = 0.125
+    MAX_CELLS = 2 ** 20   # cosh needs ~510 cells, stretched_exp ~4800 (n = 2)
 
     def __init__(self, profile: WeightProfile, n: int, xi_max: float = 64.0):
         if n < 1:
@@ -121,6 +122,10 @@ class ChangeOfVariables:
                 f"xi = {xi_max:g} beyond overflow guard {self.guard:g} "
                 f"for family {self.profile.family!r}")
         n_new = int(np.ceil((xi_max - self._grid[-1]) / self.CELL)) + 1
+        if self._grid.size - 1 + n_new > self.MAX_CELLS:
+            raise DomainError(
+                f"xi = {xi_max:g} needs more than {self.MAX_CELLS} cache cells "
+                f"of x(xi) for family {self.profile.family!r}")
         edges = self._grid[-1] + self.CELL * np.arange(n_new + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * self.CELL

@@ -60,6 +60,7 @@ from .oscquad import exp_monomial_moments, gauss_rule, lagrange_coeff_matrix
 RCOND_FLOOR = 1e-10    # below this the solve is taken as near-exceptional
 BORN_TOL = 1e-12       # Born passes stop at increment <= BORN_TOL max(|w|, 1)
 BORN_MAX_PASSES = 12
+SHORT_RANGE_TOL = 1e-4  # sum |b~_m| at +-X0 at or above this is long-range
 
 # ---------------------------------------------------------------------------
 # roots and free kernels
@@ -595,9 +596,14 @@ class _CoreSolver:
             if increment <= BORN_TOL * max(float(np.max(np.abs(w))), 1.0):
                 break
         else:
+            edge = float(np.sum(self.pot.abs_sum(np.array([self.x0, -self.x0]))))
+            cause = "" if edge < SHORT_RANGE_TOL else (
+                f"; sum|b~_m| at +-X0 = {edge:.3e} >= {SHORT_RANGE_TOL:g}, so the "
+                "coefficients are long-range, and the long-range modifier "
+                "(longrange.py) is not wired into the solver")
             raise NumericalError(
                 f"Born passes not converged at lambda={self.lam!r}: increment "
-                f"{increment:.3e} after {BORN_MAX_PASSES} passes")
+                f"{increment:.3e} after {BORN_MAX_PASSES} passes{cause}")
         field = EigenfunctionField(self, w, self._refresh_outer(field, meshes), X)
         resid = w - rhs0
         for (zeta, _, upper), pcoef in zip(self._branches, self._pcoef):
@@ -639,7 +645,7 @@ class _CoreSolver:
         return outer
 
 
-def default_core_radius(pot: PotentialSpec, X, threshold=1e-4):
+def default_core_radius(pot: PotentialSpec, X, threshold=SHORT_RANGE_TOL):
     if pot.support is not None:
         return min(pot.support + 2.0, X)
     xs = np.linspace(30.0, 200.0, 343)

@@ -166,6 +166,16 @@ def test_near_exceptional_guard(tmp_path, monkeypatch):
     assert rc == 3 and out == ""
 
 
+def test_long_range_weight_names_its_cause(tmp_path, capsys):
+    # power_law weights give b~ ~ x^{-1/2}: the Born passes cannot converge,
+    # and the failure says the coefficients are long-range
+    rc, out = run_cli(["scatter", "--p", "0,0,1", "--family", "power_law",
+                       "--lambda-min", "1", "--lambda-max", "1", "--points", "1",
+                       "--emit", str(tmp_path / "smatrix.json")])
+    assert rc == 3 and out == ""
+    assert "long-range" in capsys.readouterr().err
+
+
 def test_scatter_json_small(tmp_path):
     out_file = tmp_path / "smatrix.json"
     rc, _ = run_cli(["scatter", "--p", "0,0,1", "--family", "cosh",

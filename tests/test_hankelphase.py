@@ -5,9 +5,11 @@ import pytest
 from carleman.coeffmap import RealPolynomial
 from carleman.errors import DomainError, ResolutionError
 from carleman.hankelphase import (PhaseModel, ThetaEvaluator, _eta_jet,
-                                  hankel_kernel, hankel_quadratic_form, mellin_F,
+                                  _zeta_of_xi, hankel_kernel,
+                                  hankel_quadratic_form, mellin_F,
                                   quadratic_form_check, theta_asymptotic,
                                   varrho, zeta_amplitude)
+from carleman.oscquad import equidistribute_edges, integrate_panels
 
 
 def test_hankel_kernel_examples():
@@ -172,3 +174,58 @@ def test_theta_asymptotic_agreement_quick(field2m1, q_x2m1, cov2, entries2m1):
         v = ev.theta_scaled(N)
         a = theta_asymptotic(N, 1.0, model, entries2m1)
         assert abs(v - a) / max(1.0, abs(a)) < 0.05
+
+
+@pytest.fixture(scope="module")
+def ev2(field2m1, q_x2m1, cov2):
+    return ThetaEvaluator(field2m1, q_x2m1, cov2)
+
+
+def test_theta_batch_matches_scalar_calls(ev2):
+    grid = np.array([-30.0, -17.3, -2.0, 0.5, 12.5, 30.0])
+    batch = ev2.theta_scaled(grid)
+    assert batch.shape == grid.shape
+    assert np.array_equal(batch, [ev2.theta_scaled(N) for N in grid])
+    assert np.array_equal(ev2.theta_scaled(grid[::-1]), batch[::-1])
+
+
+def test_theta_scalar_returns_complex_scalar(ev2):
+    v = ev2.theta_scaled(12.5)
+    assert np.ndim(v) == 0 and isinstance(v, complex)
+
+
+def _theta_reference(ev, N, dphase=np.pi / 8):
+    """sqrt(t) theta from per-N panels of `dphase` phase on the same envelopes
+    and the same closures beyond +-x_tail."""
+    cov, k = ev.cov, abs(ev.k)
+
+    def phase_zeta(x):
+        xi = cov.xi_of_x(x)
+        return _zeta_of_xi(xi, ev.Q, cov) * np.exp(-1j * xi * N)
+
+    xs = np.linspace(-ev.x_split, ev.x_split, 4097)
+    edges = equidistribute_edges(xs, abs(N) * cov.xi_of_x(xs) + k * xs, dphase)
+    total = integrate_panels(lambda x: phase_zeta(x) * ev._psi(x), edges)
+    u = np.geomspace(ev.x_split, ev.x_tail, 400)
+    edges = equidistribute_edges(u, abs(N) * cov.xi_of_x(u) + k * u, dphase)
+    for side in (+1, -1):
+        total += integrate_panels(
+            lambda v: phase_zeta(side * v) * ev._tail_psi(v, side), edges)
+    return (total + ev._closure(N)) / np.sqrt(2.0 * np.pi)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_theta_matches_refined_per_N_panels(n, ev2, field3, q_x3, cov3):
+    ev = ev2 if n == 2 else ThetaEvaluator(field3, q_x3, cov3)
+    Ns = np.array([-30.0, -7.5, 12.5, 25.0])
+    ref = np.array([_theta_reference(ev, N) for N in Ns])
+    assert np.max(np.abs(ev.theta_scaled(Ns) - ref)) < 1e-9
+
+
+def test_theta_grid_resolution_guard_matches_scalar(ev2):
+    with pytest.raises(ResolutionError) as scalar:
+        ev2.theta_scaled(200.0)
+    with pytest.raises(ResolutionError) as batch:
+        ev2.theta_scaled(np.array([-30.0, 200.0, 10.0]))
+    assert batch.value.suggested_x_core == scalar.value.suggested_x_core
+    assert str(batch.value) == str(scalar.value)

@@ -125,3 +125,12 @@ def test_xi_jets_match_asymptotics(cov2):
     j = cov2.xi_jet_of_x(np.array([1e4]), 3).derivative_values()
     assert abs(j[1][0] * 1e4 * np.pi / 2 - 1.0) < 1e-3
     assert abs(j[2][0] * 1e8 * np.pi / 2 + 1.0) < 1e-3
+
+
+def test_x_of_xi_cache_is_bounded():
+    # power_law x(xi) grows like a power of xi, so a large x needs a huge
+    # xi; the cache refuses instead of allocating millions of cells
+    cov = ChangeOfVariables(WeightProfile("power_law", alpha=1.0), 4)
+    with pytest.raises(DomainError, match="power_law"):
+        cov.xi_of_x(1e12)
+    assert cov._grid.size - 1 <= ChangeOfVariables.MAX_CELLS

@@ -161,9 +161,6 @@ class Jet:
             out[k] = acc / (k * u[0])
         return Jet(out)
 
-    def sqrt(self):
-        return self.pow(0.5)
-
     def cosh(self):
         # joint recurrence sinh' = cosh u', cosh' = sinh u'
         u = self.c

@@ -37,25 +37,21 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
-def _emit_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
+def _emit(path, text):
     if path:
         with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_csv(path, header, rows):
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    _emit(path, "\n".join(lines) + "\n")
 
 
 def _emit_json(path, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_list(text):
@@ -133,22 +129,12 @@ def _cmd_transform(args):
     cov = ChangeOfVariables(prof, Q.degree)
     op = OperatorCoefficients(Q, cov)
     xs = np.asarray(_parse_grid(args.x_grid))
-    b = op.b_values(xs)
-    bt = op.gauged_values(xs)
-    header = ["x"]
-    for m in range(Q.degree + 1):
-        header += [f"re_b{m}", f"im_b{m}"]
-    for m in range(Q.degree + 1):
-        header += [f"re_bt{m}", f"im_bt{m}"]
-    rows = []
-    for i, x in enumerate(xs):
-        row = [x]
-        for m in range(Q.degree + 1):
-            row += [b[m, i].real, b[m, i].imag]
-        for m in range(Q.degree + 1):
-            row += [bt[m, i].real, bt[m, i].imag]
-        rows.append(row)
-    _emit_csv(args.emit, header, rows)
+    coeffs = {"b": op.b_values(xs), "bt": op.gauged_values(xs)}
+    header = ["x"] + [f"{part}_{name}{m}" for name in coeffs
+                      for m in range(Q.degree + 1) for part in ("re", "im")]
+    cols = [xs] + [f(c[m]) for c in coeffs.values()
+                   for m in range(Q.degree + 1) for f in (np.real, np.imag)]
+    _emit_csv(args.emit, header, np.column_stack(cols))
     return 0
 
 
@@ -219,20 +205,14 @@ def _cmd_hankel_theta(args):
     cov = ChangeOfVariables(prof, n)
     pot = PotentialSpec.from_operator(OperatorCoefficients(Q, cov))
     e = scattering_matrix(pot, args.k ** n, X=args.truncation)
-    if n % 2 == 1:
-        entries = {"s": e.S[0, 0]}
-    else:
-        entries = {"s11": e.S[0, 0], "s12": e.S[0, 1],
-                   "s21": e.S[1, 0], "s22": e.S[1, 1]}
+    entries = {"s": e.S[0, 0]} if n % 2 == 1 else \
+        {f"s{i + 1}{j + 1}": e.S[i, j] for i in range(2) for j in range(2)}
     field = next(f for f in e.fields if np.sign(f.k) == np.sign(args.k))
     Ns = np.asarray(_parse_grid(args.N_grid))
     Ns = Ns[Ns != 0.0]
     prof_res = theta_profile(Ns, field, Q, cov, entries=entries)
-    rows = []
-    for i, N in enumerate(prof_res.N):
-        v, a = prof_res.values[i], prof_res.asymptotic[i]
-        rows.append((N, v.real, v.imag, a.real, a.imag,
-                     prof_res.relative_residual[i]))
+    v, a = prof_res.values, prof_res.asymptotic
+    rows = zip(prof_res.N, v.real, v.imag, a.real, a.imag, prof_res.relative_residual)
     _emit_csv(args.emit, ["N", "re_theta", "im_theta", "re_asym", "im_asym",
                           "residual"], rows)
     return 0

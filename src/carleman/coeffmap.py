@@ -35,10 +35,6 @@ class RealPolynomial:
     def degree(self):
         return self.coeffs.size - 1
 
-    @property
-    def is_monic(self):
-        return abs(self.coeffs[-1] - 1.0) < 1e-14
-
     def __call__(self, x):
         x = np.asarray(x)
         out = np.zeros_like(x, dtype=np.result_type(x.dtype, float))

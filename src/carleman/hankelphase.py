@@ -34,7 +34,7 @@ from scipy.interpolate import CubicSpline
 from ._jets import Jet
 from .coeffmap import RealPolynomial
 from .errors import DomainError, ResolutionError
-from .oscquad import equidistribute_edges, gauss_rule, ibp_boundary
+from .oscquad import equidistribute_edges, gauss_panels, ibp_boundary
 from .profile import ChangeOfVariables
 from .specfun import _LANCZOS_C, _LANCZOS_G, eta_phase
 
@@ -151,10 +151,8 @@ class PhaseModel:
 
 def _panel_nodes(x_samples, arc, p=12):
     """Gauss-p nodes and weights on panels spanning <= pi/2 of `arc` each."""
-    edges = equidistribute_edges(x_samples, arc, np.pi / 2)
-    x, w = gauss_rule(p)
-    c, s = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-    return (c[:, None] + s[:, None] * x).ravel(), (s[:, None] * w).ravel()
+    nodes, weights = gauss_panels(equidistribute_edges(x_samples, arc, np.pi / 2), p)
+    return nodes.ravel(), weights.ravel()
 
 
 class ThetaEvaluator:

@@ -104,7 +104,6 @@ class _DiffOp:
             for q, b in enumerate(other.coeffs):
                 if b is None:
                     continue
-                bder = b
                 for j in range(p + 1):
                     # D^j b = (-i)^j b^(j); jet shift gives b^(j)/j! scaling handled
                     term = a * float(comb(p, j)) * ((-1j) ** j) * _jet_derivative(b, j)

@@ -28,6 +28,14 @@ def gauss_rule(p):
     return _GL_CACHE[p]
 
 
+def gauss_panels(edges, p):
+    """Gauss-p nodes and weights, each of shape (panels, p), on the panels
+    between consecutive edges."""
+    x, w = gauss_rule(p)
+    c, s = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    return c[:, None] + s[:, None] * x, s[:, None] * w
+
+
 def lagrange_coeff_matrix(nodes):
     """C with l_r(u) = sum_l C[l, r] u^l for the Lagrange basis on `nodes`."""
     V = np.vander(nodes, increasing=True)

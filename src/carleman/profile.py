@@ -22,6 +22,7 @@ import numpy as np
 
 from ._jets import Jet, solve_autonomous_ode
 from .errors import ConfigurationError, DomainError
+from .oscquad import gauss_panels
 
 _FAMILIES = ("cosh", "power_law", "stretched_exp")
 
@@ -97,6 +98,7 @@ class ChangeOfVariables:
 
     CELL = 0.125
     MAX_CELLS = 2 ** 20   # cosh needs ~510 cells, stretched_exp ~4800 (n = 2)
+    CHUNK = 4096          # cells per batch of Gauss nodes in _extend (~0.5 MB)
 
     def __init__(self, profile: WeightProfile, n: int, xi_max: float = 64.0):
         if n < 1:
@@ -129,8 +131,9 @@ class ChangeOfVariables:
         edges = self._grid[-1] + self.CELL * np.arange(n_new + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * self.CELL
-        nodes = mid[:, None] + half * _GL_NODES[None, :]
-        cells = half * (self._integrand(nodes) @ _GL_WEIGHTS)
+        cells = half * np.concatenate([
+            self._integrand(m[:, None] + half * _GL_NODES) @ _GL_WEIGHTS
+            for m in np.split(mid, np.arange(self.CHUNK, mid.size, self.CHUNK))])
         self._grid = np.concatenate((self._grid, edges[1:]))
         self._cum = np.concatenate((self._cum, self._cum[-1] + np.cumsum(cells)))
 
@@ -230,14 +233,10 @@ class ChangeOfVariables:
         xi = float(xi)
         if xi < 0:
             raise DomainError("xi must be >= 0")
-        edges = np.linspace(0.0, xi, max(2, int(np.ceil(xi / 0.25)) + 1))
-        nodes, weights = np.polynomial.legendre.leggauss(16)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        xs = mid[:, None] + half[:, None] * nodes[None, :]
+        xs, wts = gauss_panels(
+            np.linspace(0.0, xi, max(2, int(np.ceil(xi / 0.25)) + 1)), 16)
         pref = (2.0 * np.pi) ** (-1.0 / self.n)
-        integral = float(np.sum(half[:, None] * weights[None, :]
-                                * _a1_integrand(xs, self.n)))
+        integral = float(np.sum(wts * _a1_integrand(xs, self.n)))
         return pref * integral - 1.0 / self.a0
 
 
@@ -279,13 +278,8 @@ def a1_constant(n: int, rule: str = "gauss") -> float:
     L = 16.0
     if rule == "gauss":
         # composite 20-point Gauss-Legendre on [0, L] in 32 cells
-        edges = np.linspace(0.0, L, 33)
-        nodes, weights = np.polynomial.legendre.leggauss(20)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        xs = mid[:, None] + half[:, None] * nodes[None, :]
-        integral = float(np.sum(half[:, None] * weights[None, :]
-                                * _a1_integrand(xs, n)))
+        xs, wts = gauss_panels(np.linspace(0.0, L, 33), 20)
+        integral = float(np.sum(wts * _a1_integrand(xs, n)))
     elif rule == "simpson":
         integral = _adaptive_simpson(lambda x: _a1_integrand(x, n), 0.0, L, 1e-13)
     else:

@@ -22,21 +22,25 @@ anchored at the nodes.  A state steps to the next panel as
 s_b(P +- 1) = e^{+-i zeta_b h_P} s_b(P) + (full-panel moments) . w_P, by
 factors of modulus <= 1.  The blocks C_P are inverted in one batched call;
 substituting w_P leaves a (branches x panels)-square system in the states,
-factored once by LU, whose rcond (or the worst block's, if smaller) must stay
-above RCOND_FLOOR.  The outer sides enter it only as its first upper and last
-lower states, for real and complex roots alike.
+factored by LU once per lambda, shared by +-k, whose rcond (or the worst
+block's, if smaller) must stay above RCOND_FLOOR.  The outer sides enter it
+only as its first upper and last lower states, for real and complex roots
+alike.
 
 Beyond X0 (where sum|b~_m| ~ 1e-5) w is carried as components E(y) e^{i mu y}
 with real mu (incident wave and real roots); the complex-root waves the core
 launches past +-X0 die within a few units and enter psi there (`psi_at`), not
 the outer Born sources.  Born passes refresh the outer components and
 re-solve the core as a new right-hand side until the increment of w is at most
-BORN_TOL max(|w|, 1); the X and 2X truncations reuse the one factorization.
+BORN_TOL max(|w|, 1); both waves +-k and the X and 2X truncations reuse the
+one factorization.
 
-Integrals of the solution against e^{i nu y} come from one anchored prefix
-table per (mesh, nu) and sweep direction (`_Density`), whose running sums
-also only multiply by factors of modulus <= 1; full integrals over the core
-use the Nystrom Gauss rule itself.
+Panel moments depend only on (mesh, nu, sweep direction); the solver keeps
+them in one `_MomentTable` that the block factorization, the Born passes and
+the residual all read.  Integrals of the solution against e^{i nu y} come
+from one anchored prefix table per (mesh, nu) and sweep direction
+(`_Density`), whose running sums also only multiply by factors of modulus
+<= 1; full integrals over the core use the Nystrom Gauss rule itself.
 
 Scattering entries use the stationary representations: with
 I_-(k) = int e^{-iky} w dy and I_+(k) = int e^{+iky} w dy over the line,
@@ -55,7 +59,8 @@ from scipy.linalg import lu_factor, lu_solve, lapack
 
 from .errors import (ConfigurationError, DomainError, NearExceptionalPointError,
                      NumericalError, StiffIntegrationError)
-from .oscquad import exp_monomial_moments, gauss_rule, lagrange_coeff_matrix
+from .oscquad import (exp_monomial_moments, gauss_panels, gauss_rule,
+                      lagrange_coeff_matrix)
 
 RCOND_FLOOR = 1e-10    # below this the solve is taken as near-exceptional
 BORN_TOL = 1e-12       # Born passes stop at increment <= BORN_TOL max(|w|, 1)
@@ -197,7 +202,7 @@ class PotentialSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class _Mesh:
     edges: np.ndarray
     nodes: np.ndarray
@@ -232,15 +237,35 @@ class _Mesh:
         return s[..., None] * (m @ self.cmat)
 
 
+class _MomentTable:
+    """Panel moments of a solver's meshes, memoised per (mesh, nu, upper):
+    over whole panels anchored at the far edge of the sweep, shape (panels, p)
+    per nu, or (own) from the near edge to each node, anchored at that node,
+    shape (nodes, p) per nu.  Moments at other points are never stored."""
+
+    def __init__(self):
+        self._memo = {}
+
+    def get(self, mesh, nus, upper, own=False):
+        """Stacked moments for each of nus; the new ones in one batched call."""
+        keys = [(mesh, complex(nu), upper, own) for nu in np.ravel(nus)]
+        new = list(dict.fromkeys(key for key in keys if key not in self._memo))
+        if new:
+            if own:
+                q, t = mesh.panel_of, mesh.ref_coord(mesh.panel_of, mesh.nodes)
+            else:
+                q, t = np.arange(mesh.n_panels), 1.0 if upper else -1.0
+            lo, hi = (-1.0, t) if upper else (t, 1.0)
+            nu = np.array([key[1] for key in new])[:, None]
+            self._memo.update(zip(new, mesh.moments(nu, q, lo, hi, t)))
+        return np.stack([self._memo[key] for key in keys])
+
+
 def _panelize(edges, p):
-    gx, gw = gauss_rule(p)
-    lo, hi = edges[:-1], edges[1:]
-    c, s = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    nodes = (c[:, None] + s[:, None] * gx[None, :]).ravel()
-    weights = (s[:, None] * gw[None, :]).ravel()
-    panel_of = np.repeat(np.arange(edges.size - 1), p)
-    return _Mesh(edges=edges, nodes=nodes, weights=weights, panel_of=panel_of,
-                 p=p, cmat=lagrange_coeff_matrix(gx))
+    nodes, weights = gauss_panels(edges, p)
+    return _Mesh(edges=edges, nodes=nodes.ravel(), weights=weights.ravel(),
+                 panel_of=np.repeat(np.arange(edges.size - 1), p), p=p,
+                 cmat=lagrange_coeff_matrix(gauss_rule(p)[0]))
 
 
 def _core_mesh(x0, k, p=10, h_first=0.35, grow=1.3, breaks=()):
@@ -288,13 +313,15 @@ class _Density:
 
     where f is the whole density.  Complex nu is allowed when the
     exponential decays along the sweep: Im nu <= 0 upward, >= 0 downward.
+    Panel moments come from `table`, a solver's `_MomentTable`, if given.
     """
 
-    def __init__(self, mesh: _Mesh, mus, fs):
+    def __init__(self, mesh: _Mesh, mus, fs, table=None):
         self.mesh = mesh
         self.mus = np.asarray(mus, dtype=float)
         self.fs = np.asarray(fs, dtype=complex).reshape(
             self.mus.size, mesh.n_panels, mesh.p)
+        self.table = table
         self._prefix = {}
 
     def prefix(self, nu, upper):
@@ -304,8 +331,7 @@ class _Density:
         if key not in self._prefix:
             mesh = self.mesh
             nus = (self.mus + nu)[:, None]
-            moments = mesh.moments(nus, np.arange(mesh.n_panels), -1.0, 1.0,
-                                   1.0 if upper else -1.0)
+            moments = (self.table or _MomentTable()).get(mesh, nus, upper)
             S = np.einsum("cqj,cqj->cq", moments, self.fs)
             # re-anchor across the next panel of the sweep (modulus <= 1); the
             # downward sweep runs on reversed views
@@ -316,18 +342,19 @@ class _Density:
             self._prefix[key] = S
         return self._prefix[key]
 
-    def anchored(self, nu, x, upper):
-        """G(x) at points x of the mesh."""
+    def anchored(self, nu, x, upper, at_nodes=False):
+        """G(x) at points x of the mesh; `at_nodes` says x is the mesh's own
+        nodes, whose partial moments the table keeps."""
         mesh = self.mesh
         q, t = mesh.locate(x)
         nus = (self.mus + nu)[:, None]
         S = np.pad(self.prefix(nu, upper), ((0, 0), (1, 1)))  # zero past the ends
+        part = self.table.get(mesh, nus, upper, own=True) if at_nodes else \
+            mesh.moments(nus, q, *((-1.0, t) if upper else (t, 1.0)), t)
         if upper:
             carried = np.exp(1j * nus * (mesh.edges[q] - x)) * S[:, q]
-            part = mesh.moments(nus, q, -1.0, t, t)
         else:
             carried = np.exp(1j * nus * (mesh.edges[q + 1] - x)) * S[:, q + 2]
-            part = mesh.moments(nus, q, t, 1.0, t)
         F = carried + np.einsum("cij,cij->ci", part, self.fs[:, q])
         return np.sum(np.exp(1j * self.mus[:, None] * x) * F, axis=0)
 
@@ -337,10 +364,10 @@ class _Density:
         b, j = (self.mesh.edges[-1], -1) if upper else (self.mesh.edges[0], 0)
         return np.exp(1j * self.mus * b) @ S[:, j]
 
-    def cumulative(self, nu, x, upper):
+    def cumulative(self, nu, x, upper, at_nodes=False):
         """int e^{i nu y} f(y) dy over y < x (upper) or y > x; real nu."""
         x = np.clip(x, self.mesh.edges[0], self.mesh.edges[-1])
-        return np.exp(1j * nu * x) * self.anchored(nu, x, upper)
+        return np.exp(1j * nu * x) * self.anchored(nu, x, upper, at_nodes)
 
     def values(self, x):
         """The density at points of the mesh (panelwise Lagrange interpolation)."""
@@ -364,18 +391,17 @@ class EigenfunctionField:
     limits, the raw scattering integrals, and solve diagnostics.
     """
 
-    def __init__(self, solver, w, outer, X, diagnostics=None):
-        self.k = solver.k
+    def __init__(self, solver, k, w, outer, X):
+        self.k = k
         self.lam = solver.lam
         self.n = solver.n
         self._branches = solver._branches
         self.w = w
-        self.x = solver.mesh.nodes
         self.X0 = solver.x0
         self.X = X
-        self._core = _Density(solver.mesh, [0.0], w)
+        self._core = _Density(solver.mesh, [0.0], w, solver._table)
         self._outer = {side: outer.get(side) for side in (+1, -1)}
-        self.diagnostics = diagnostics or {}
+        self.diagnostics = {}
         self._rlim_cache = None
 
     def _full(self, region, nu):
@@ -417,18 +443,15 @@ class EigenfunctionField:
         Ip = self._full(-1, +k) + self._full(0, +k) + self._full(+1, +k)
         c = self._rcoef()
         if n % 2 == 1:
-            lims = {"r-inf": 1.0 + 0.0j, "r+inf": 1.0 - c * Im,
-                    "I-": Im, "I+": Ip}
+            lims = {"r-inf": 1.0 + 0.0j, "r+inf": 1.0 - c * Im}
         elif k > 0:
             lims = {"r+-inf": 1.0 + 0.0j, "r++inf": 1.0 - c * Im,
-                    "r-+inf": 0.0 + 0.0j, "r--inf": -c * Ip,
-                    "I-": Im, "I+": Ip}
+                    "r-+inf": 0.0 + 0.0j, "r--inf": -c * Ip}
         else:
             lims = {"r++inf": 1.0 + 0.0j, "r+-inf": 1.0 + c * Im,
-                    "r--inf": 0.0 + 0.0j, "r-+inf": c * Ip,
-                    "I-": Im, "I+": Ip}
-        self._rlim_cache = lims
-        return lims
+                    "r--inf": 0.0 + 0.0j, "r-+inf": c * Ip}
+        self._rlim_cache = {**lims, "I-": Im, "I+": Ip}
+        return self._rlim_cache
 
     def r_plus(self, x):
         """r(x) for odd n; r_+(x) for even n (the e^{+ikx} envelope)."""
@@ -476,10 +499,10 @@ class EigenfunctionField:
             out[~inside] = acc
         return out
 
-    def _kernel(self, x, zeta, upper):
+    def _kernel(self, x, zeta, upper, at_nodes=False):
         """int e^{i zeta (x-y)} w(y) dy over y < x (upper) or y > x at core
         points; the far outer side enters through its end value."""
-        out = self._core.anchored(-zeta, x, upper)
+        out = self._core.anchored(-zeta, x, upper, at_nodes)
         dens = self._outer[-1 if upper else +1]
         if dens is not None:
             edge = -self.X0 if upper else self.X0
@@ -499,8 +522,8 @@ class EigenfunctionField:
 
 
 class _CoreSolver:
-    """Panel-block inverses and the factored edge-state system for one
-    (lambda, k); reusable across X."""
+    """Panel-block inverses, the factored edge-state system and the panel
+    moment table for lambda = k^n; shared by +-k and reusable across X."""
 
     def __init__(self, pot: PotentialSpec, k, x0):
         if k == 0:
@@ -515,6 +538,8 @@ class _CoreSolver:
         self._n_up = sum(upper for _, _, upper in self._branches)
         self.x0 = float(x0)
         self.mesh = _core_mesh(self.x0, self.k, breaks=pot.breakpoints)
+        self._table = _MomentTable()
+        self._outer_meshes = {}
         self._factor()
 
     def _real_root(self, upper):
@@ -527,16 +552,15 @@ class _CoreSolver:
         mesh, p = self.mesh, self.mesh.p
         qs = np.arange(mesh.n_panels)
         x = mesh.nodes.reshape(-1, p)
-        t = mesh.ref_coord(qs[:, None], x)
         C = np.tile(np.eye(p, dtype=complex), (mesh.n_panels, 1, 1))
         G, F, step, self._pcoef = [], [], [], []
         for zeta, a, upper in self._branches:
             pcoef = a * self.pot.symbol(x, zeta)
-            lo, hi = (-1.0, t) if upper else (t, 1.0)
-            C += pcoef[..., None] * mesh.moments(-zeta, qs[:, None], lo, hi, t)
+            C += pcoef[..., None] * self._table.get(
+                mesh, -zeta, upper, own=True)[0].reshape(C.shape)
             anchor = (mesh.edges[:-1] if upper else mesh.edges[1:])[:, None]
             G.append(pcoef * np.exp(1j * zeta * (x - anchor)))
-            F.append(mesh.moments(-zeta, qs, -1.0, 1.0, 1.0 if upper else -1.0))
+            F.append(self._table.get(mesh, -zeta, upper)[0])
             step.append(np.exp((1j if upper else -1j) * zeta * np.diff(mesh.edges)))
             self._pcoef.append(pcoef.ravel())
         try:
@@ -579,20 +603,26 @@ class _CoreSolver:
 
     # -- outer iteration ------------------------------------------------------
 
-    def solve(self, X) -> EigenfunctionField:
-        """Born passes to convergence with the outer sides out to X.  The
-        `residual` diagnostic is the core equation evaluated through the
-        field's own prefix tables and outer densities."""
+    def solve(self, X, k=None) -> EigenfunctionField:
+        """Born passes to convergence for the wave e^{ikx} (the solver's k by
+        default, or -k for even n) with the outer sides out to X.  `residual`
+        is the core equation evaluated through the field's own densities."""
+        k = self.k if k is None else float(k)
+        if k ** self.n != self.lam:
+            raise ConfigurationError(f"k = {k!r} is not a root of lambda = {self.lam}")
         x = self.mesh.nodes
         X = self.x0 if self.pot.support is not None else float(max(X, self.x0))
-        meshes = {side: _outer_mesh(side, self.x0, X, self.k) for side in (+1, -1)}
-        rhs0 = self.pot.symbol(x, self.k) * np.exp(1j * self.k * x)
-        field = EigenfunctionField(self, self._core_solve(rhs0, {}), {}, X)
+        if X not in self._outer_meshes:
+            self._outer_meshes[X] = {side: _outer_mesh(side, self.x0, X, self.k)
+                                     for side in (+1, -1)}
+        meshes = self._outer_meshes[X]
+        rhs0 = self.pot.symbol(x, k) * np.exp(1j * k * x)
+        field = EigenfunctionField(self, k, self._core_solve(rhs0, {}), {}, X)
         for passes in range(1, BORN_MAX_PASSES + 1):
             outer = self._refresh_outer(field, meshes)
             w = self._core_solve(rhs0, outer)
             increment = float(np.max(np.abs(w - field.w)))
-            field = EigenfunctionField(self, w, outer, X)
+            field = EigenfunctionField(self, k, w, outer, X)
             if increment <= BORN_TOL * max(float(np.max(np.abs(w))), 1.0):
                 break
         else:
@@ -604,10 +634,12 @@ class _CoreSolver:
             raise NumericalError(
                 f"Born passes not converged at lambda={self.lam!r}: increment "
                 f"{increment:.3e} after {BORN_MAX_PASSES} passes{cause}")
-        field = EigenfunctionField(self, w, self._refresh_outer(field, meshes), X)
+        field = EigenfunctionField(self, k, w, self._refresh_outer(field, meshes), X)
         resid = w - rhs0
         for (zeta, _, upper), pcoef in zip(self._branches, self._pcoef):
-            resid = resid + pcoef * field._kernel(x, zeta, upper)
+            resid = resid + pcoef * field._kernel(x, zeta, upper, at_nodes=True)
+        for dens in filter(None, (field._core, *field._outer.values())):
+            dens.table = None  # the field keeps its prefix tables, not the moments
         field.diagnostics = {
             "residual": float(np.max(np.abs(resid))), "rcond": self.rcond,
             "X0": self.x0, "X": X, "mesh_size": int(x.size),
@@ -624,7 +656,7 @@ class _CoreSolver:
             if mesh_o is None:
                 continue
             y = mesh_o.nodes
-            incident = [(self.k, np.ones(y.size, dtype=complex))]
+            incident = [(field.k, np.ones(y.size, dtype=complex))]
             # real-root wave launched toward this side by core + far side
             root = ru if side > 0 else rd
             if root is not None:
@@ -639,9 +671,11 @@ class _CoreSolver:
                 for root, upper in ((ru, True), (rd, False)):
                     if root is not None:
                         zeta, a = root
-                        incident.append((zeta, -a * own.cumulative(-zeta, y, upper)))
+                        incident.append((zeta, -a * own.cumulative(-zeta, y, upper,
+                                                                   at_nodes=True)))
             outer[side] = _Density(mesh_o, [float(np.real(mu)) for mu, _ in incident],
-                                   [self.pot.symbol(y, mu) * amp for mu, amp in incident])
+                                   [self.pot.symbol(y, mu) * amp for mu, amp in incident],
+                                   self._table)
         return outer
 
 
@@ -691,16 +725,15 @@ def _unitarity_defect(S):
     return float(np.linalg.norm(S.conj().T @ S - np.eye(S.shape[0]), 2))
 
 
-def _entries_from_field(field: EigenfunctionField):
+def _column(field: EigenfunctionField):
+    """The column of S read off one field: s (odd n), s11 and s21 (k > 0) or
+    s12 and s22 (k < 0)."""
     lims = field.r_limits()
     if field.n % 2 == 1:
-        return {"s": lims["r+inf"]}
+        return [lims["r+inf"]]
     if field.k > 0:
-        return {"s11": lims["r++inf"], "s21": lims["r--inf"]}
-    return {"s22": lims["r+-inf"], "s12": lims["r-+inf"]}
-
-
-_SLOT = {"s": (0, 0), "s11": (0, 0), "s21": (1, 0), "s22": (1, 1), "s12": (0, 1)}
+        return [lims["r++inf"], lims["r--inf"]]
+    return [lims["r-+inf"], lims["r+-inf"]]
 
 
 def scattering_matrix(pot: PotentialSpec, lam, X=1.0e4,
@@ -710,24 +743,17 @@ def scattering_matrix(pot: PotentialSpec, lam, X=1.0e4,
     if lam == 0:
         raise DomainError("lambda = 0 is the degenerate spectral point")
     n = pot.n
-    if n % 2 == 1:
-        ks = [np.sign(lam) * abs(lam) ** (1.0 / n)]
-    elif lam <= 0:
+    if n % 2 == 0 and lam < 0:
         raise DomainError("even n: lambda must be positive")
-    else:
-        k = lam ** (1.0 / n)
-        ks = [k, -k]
+    k = np.sign(lam) * abs(lam) ** (1.0 / n)
+    ks = [k] if n % 2 == 1 else [k, -k]
     x0 = default_core_radius(pot, X) if x_core is None else min(x_core, X)
-    S_X = np.zeros((len(ks), len(ks)), dtype=complex)
-    S_2X = np.zeros((len(ks), len(ks)), dtype=complex)
+    S_X, S_2X = (np.zeros((len(ks), len(ks)), dtype=complex) for _ in range(2))
     fields = []
-    for kk in ks:
-        solver = _CoreSolver(pot, kk, x0)
-        fX = solver.solve(X)
-        e1, e2 = _entries_from_field(fX), _entries_from_field(solver.solve(2 * X))
-        for key in e1:
-            S_X[_SLOT[key]], S_2X[_SLOT[key]] = e1[key], e2[key]
-        fields.append(fX)
+    solver = _CoreSolver(pot, ks[0], x0)  # one factorization for every k
+    for j, kk in enumerate(ks):
+        fields.append(solver.solve(X, kk))
+        S_X[:, j], S_2X[:, j] = _column(fields[-1]), _column(solver.solve(2 * X, kk))
     d = fields[0].diagnostics
     return SMatrixEntry(lam=lam, n=n, S=2.0 * S_2X - S_X, S_X=S_X, S_2X=S_2X,
                         unitarity_defect=_unitarity_defect(S_X),

@@ -167,7 +167,7 @@ def test_near_exceptional_guard(tmp_path, monkeypatch):
 
 
 def test_long_range_weight_names_its_cause(tmp_path, capsys):
-    # power_law weights give b~ ~ x^{-1/2}: the Born passes cannot converge,
+    # power_law weights give b~ ~ x^{-1}: the Born passes cannot converge,
     # and the failure says the coefficients are long-range
     rc, out = run_cli(["scatter", "--p", "0,0,1", "--family", "power_law",
                        "--lambda-min", "1", "--lambda-max", "1", "--points", "1",
@@ -202,11 +202,12 @@ def test_degree_flag_rejected_where_the_polynomial_sets_it():
         assert exc.value.code == 1
 
 
-@pytest.mark.parametrize("p, grid, solvers", [("-1,0,1", "-20,20", 2),
+@pytest.mark.parametrize("p, grid, solvers", [("-1,0,1", "-20,20", 1),
                                               ("0,0,0,1", "5,10", 1)])
 def test_hankel_theta_reuses_the_scattering_field(p, grid, solvers, tmp_path,
                                                   monkeypatch):
-    # one core solver per k of S; theta reuses the field of the k given
+    # one core solver per lambda of S, shared by +-k; theta reuses the field
+    # of the k given
     import carleman.scattering as sc
 
     built = []

@@ -134,3 +134,19 @@ def test_x_of_xi_cache_is_bounded():
     with pytest.raises(DomainError, match="power_law"):
         cov.xi_of_x(1e12)
     assert cov._grid.size - 1 <= ChangeOfVariables.MAX_CELLS
+
+
+def test_refused_cache_growth_stays_small():
+    # the cache cells are evaluated in chunks, so a refused power_law request
+    # never holds the Gauss nodes of all its new cells at once
+    import tracemalloc
+
+    cov = ChangeOfVariables(WeightProfile("power_law", alpha=1.0), 4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError):
+            cov.xi_of_x(1e12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6

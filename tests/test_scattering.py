@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from carleman.errors import ConfigurationError, DomainError, NearExceptionalPointError
+import carleman.scattering as sc
 from carleman.scattering import (PotentialSpec, _core_mesh, _CoreSolver, _Density,
-                                 eigenvalue_multiplicity_bound,
+                                 _MomentTable, eigenvalue_multiplicity_bound,
                                  free_resolvent_kernel, ode_cross_check,
                                  scattering_matrix, solve_lippmann_schwinger,
                                  square_well_reflection, zeta_roots)
@@ -252,6 +253,59 @@ def test_prefix_table_matches_panel_sums(rng):
             lo, hi = (-1.0, t) if upper else (t, 1.0)
             ref += mesh.moments(nu, np.array(q0), lo, hi, t) @ w[q0]
             assert abs(g - ref) <= 1e-13 * np.max(np.abs(w))
+
+
+def test_moment_table_matches_direct_moments(monkeypatch):
+    # the memoised full-panel and node-anchored moments are the direct
+    # _Mesh.moments values, for real and complex nu in both directions (one
+    # nu in both), and a second lookup computes nothing
+    mesh = _core_mesh(12.0, 1.0)
+    table = _MomentTable()
+    t = mesh.ref_coord(mesh.panel_of, mesh.nodes)
+    zeta = 0.5 + 0.866j
+    cases = ((True, [-1.0, -zeta]), (False, [-1.0, 1.0, -np.conj(zeta)]))
+    got = [(table.get(mesh, nus, upper), table.get(mesh, nus, upper, own=True))
+           for upper, nus in cases]
+    for (upper, nus), (full, own) in zip(cases, got):
+        lo, hi = (-1.0, t) if upper else (t, 1.0)
+        for nu, f, o in zip(nus, full, own):
+            assert np.array_equal(f, mesh.moments(nu, np.arange(mesh.n_panels),
+                                                  -1.0, 1.0, 1.0 if upper else -1.0))
+            assert np.array_equal(o, mesh.moments(nu, mesh.panel_of, lo, hi, t))
+    monkeypatch.setattr(sc, "exp_monomial_moments",
+                        lambda *a: pytest.fail("moments recomputed"))
+    for (upper, nus), (full, own) in zip(cases, got):
+        assert np.array_equal(table.get(mesh, nus[::-1], upper), full[::-1])
+        assert np.array_equal(table.get(mesh, nus, upper, own=True), own)
+
+
+def test_one_factorization_per_lambda(pot2, monkeypatch):
+    # even n: +k and -k share the solver, so S costs one LU per lambda; the
+    # returned fields hold no reference to the solver's moment table
+    factored = []
+    lu = sc.lu_factor
+    monkeypatch.setattr(sc, "lu_factor", lambda M: factored.append(M.shape) or lu(M))
+    for lam in (0.5, 2.0):
+        e = scattering_matrix(pot2, lam, X=2000.0)
+        assert [f.k for f in e.fields] == [lam ** 0.5, -lam ** 0.5]
+        assert all(d.table is None for f in e.fields
+                   for d in (f._core, *f._outer.values()) if d is not None)
+    assert len(factored) == 2
+
+
+def test_shared_solver_field_matches_a_fresh_solve(pot2, smatrix2):
+    # the -k field of S, solved on the +k solver's factorization and moment
+    # table, is bitwise the field of a solver built for -k alone
+    fresh = solve_lippmann_schwinger(pot2, -1.0, X=1.0e4)
+    assert smatrix2.fields[1].r_limits() == fresh.r_limits()
+    assert smatrix2.fields[1].diagnostics == fresh.diagnostics
+
+
+def test_solve_rejects_a_foreign_k(pot2, pot3):
+    with pytest.raises(ConfigurationError):
+        _CoreSolver(pot2, 1.0, 30.0).solve(100.0, 2.0)
+    with pytest.raises(ConfigurationError):
+        _CoreSolver(pot3, 1.0, 30.0).solve(100.0, -1.0)
 
 
 def test_derivative_fields_bounded_n3(field3):

@@ -9,9 +9,10 @@ in log coordinates N = ln t,
     rho(x)      = eta(xi(x)) - q_{n-1} xi(x) / n,
 
 with psi the gauged short-range eigenfunction.  The integral converges only
-conditionally: a core (psi from the Nystrom field via splined envelopes)
-plus oscillating tails (psi from its r_+/- envelopes), closed by integration
-by parts.  Stationary points sit at |x| ~ n|N|/(pi |k|), so the core radius
+conditionally: a core (psi from the Nystrom field via envelopes splined by
+scipy's CubicSpline, imported when a ThetaEvaluator is built) plus
+oscillating tails (psi from its r_+/- envelopes), closed by integration by
+parts.  Stationary points sit at |x| ~ n|N|/(pi |k|), so the core radius
 bounds the reachable |N|.  Only e^{-i xi(x) N} depends on N, so the Gauss
 nodes resolve the phase at that largest |N| once, and I(N) is one fixed
 exponential sum over them plus the closures.
@@ -29,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._jets import Jet
 from .coeffmap import RealPolynomial
@@ -166,6 +166,8 @@ class ThetaEvaluator:
 
     def __init__(self, field, Q: RealPolynomial, cov: ChangeOfVariables,
                  x_split=None, x_tail=2000.0, grid_h=None):
+        from scipy.interpolate import CubicSpline
+
         self.field = field
         self.Q = Q
         self.cov = cov

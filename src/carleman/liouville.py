@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._jets import Jet
 from .coeffmap import RealPolynomial
@@ -246,10 +245,13 @@ class OperatorCoefficients:
     # -- fast spline evaluators (for the scattering solver) ------------------
 
     def btilde_splines(self, x_max: float, pts: int = 3000):
-        """Cubic splines of b~_m (m = 0..n-2) on |x| <= x_max, asinh-spaced."""
+        """Cubic splines of b~_m (m = 0..n-2) on |x| <= x_max, asinh-spaced
+        (the module's only use of scipy)."""
         key = (round(float(x_max), 6), pts)
         if key in self._spline_cache:
             return self._spline_cache[key]
+        from scipy.interpolate import CubicSpline
+
         u = np.linspace(-np.arcsinh(x_max), np.arcsinh(x_max), pts)
         x = np.sinh(u)
         vals = self.gauged_values(x)

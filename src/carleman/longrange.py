@@ -91,7 +91,7 @@ def theta_phase(coeffs: OperatorCoefficients, j: int, x, k: float,
             edges.append(min(edges[-1] + h, abs(xi)))
             h *= 1.6
         edges = np.asarray(edges) * np.sign(xi)
-        lo, hi = (edges[:-1], edges[1:]) if xi > 0 else (edges[1:], edges[:-1])
+        lo, hi = edges[:-1], edges[1:]
         c, s = 0.5 * (lo + hi), 0.5 * (hi - lo)
         nodes = (c[:, None] + s[:, None] * gx[None, :]).ravel()
         vals = sigma_iterate(coeffs, j, nodes, k, gauged=gauged).reshape(c.size, -1)

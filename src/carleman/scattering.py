@@ -48,6 +48,9 @@ I_-(k) = int e^{-iky} w dy and I_+(k) = int e^{+iky} w dy over the line,
     odd n:         s   = 1 - (i/n) k^{1-n} I_-
     even n, k>0:   s11 = 1 - (i/n) k^{1-n} I_-,   s21 = -(i/n) k^{1-n} I_+
     even n, k<0:   s22 = 1 + (i/n) k^{1-n} I_-,   s12 = +(i/n) k^{1-n} I_+
+
+scipy loads only where it is used: scipy.linalg at the first LU
+factorization, scipy.integrate in the DOP853 oracle `ode_cross_check`.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, lapack
 
 from .errors import (ConfigurationError, DomainError, NearExceptionalPointError,
                      NumericalError, StiffIntegrationError)
@@ -66,6 +68,20 @@ RCOND_FLOOR = 1e-10    # below this the solve is taken as near-exceptional
 BORN_TOL = 1e-12       # Born passes stop at increment <= BORN_TOL max(|w|, 1)
 BORN_MAX_PASSES = 12
 SHORT_RANGE_TOL = 1e-4  # sum |b~_m| at +-X0 at or above this is long-range
+
+
+# scipy.linalg loads at the first factorization, not with the package
+def lu_factor(a):
+    import scipy.linalg
+
+    return scipy.linalg.lu_factor(a)
+
+
+def lu_solve(lu_and_piv, b):
+    import scipy.linalg
+
+    return scipy.linalg.lu_solve(lu_and_piv, b)
+
 
 # ---------------------------------------------------------------------------
 # roots and free kernels
@@ -549,6 +565,8 @@ class _CoreSolver:
 
     def _factor(self):
         """Eliminate w panel by panel; see the module docstring."""
+        from scipy.linalg import lapack
+
         mesh, p = self.mesh, self.mesh.p
         qs = np.arange(mesh.n_panels)
         x = mesh.nodes.reshape(-1, p)

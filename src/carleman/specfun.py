@@ -5,6 +5,8 @@ eta is the continuous branch of -arg Gamma(1/2 - i xi) with eta(0) = 0; it is
 odd and grows like xi ln xi - xi.  The gamma evaluation is a fixed Lanczos
 rational approximation (g = 7, 9 terms) with the reflection formula below the
 critical line, which keeps full accuracy on Re z = 1/2 where eta lives.
+The reciprocal-gamma series needs only zeta(2), ..., zeta(30), kept as a table
+of correctly rounded values, so this module runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta as _zeta
 
 from .errors import DomainError
 
@@ -31,6 +32,18 @@ _LANCZOS_C = np.array([
 ])
 
 _EULER_GAMMA = 0.5772156649015329
+
+# zeta(2), ..., zeta(30), each the double nearest the exact value
+_ZETA = (1.6449340668482264, 1.2020569031595942, 1.0823232337111381,
+         1.03692775514337, 1.0173430619844492, 1.008349277381923,
+         1.0040773561979444, 1.0020083928260821, 1.000994575127818,
+         1.0004941886041194, 1.000246086553308, 1.0001227133475785,
+         1.0000612481350588, 1.000030588236307, 1.0000152822594086,
+         1.0000076371976379, 1.000003817293265, 1.0000019082127165,
+         1.0000009539620338, 1.0000004769329869, 1.0000002384505027,
+         1.000000119219926, 1.000000059608189, 1.0000000298035034,
+         1.0000000149015549, 1.0000000074507118, 1.000000003725334,
+         1.0000000018626598, 1.0000000009313275)
 
 
 def _gamma_right(z):
@@ -73,11 +86,13 @@ def _arg_gamma_half_line(xi):
 
 def recip_gamma_log_series(order):
     """Taylor coefficients of log(1/Gamma(1-z)) = -gamma_E z - sum zeta(k) z^k/k."""
+    if order > len(_ZETA) + 1:
+        raise DomainError("order > 30 not supported in double precision")
     c = np.zeros(order + 1)
     if order >= 1:
         c[1] = -_EULER_GAMMA
     for k in range(2, order + 1):
-        c[k] = -float(_zeta(k)) / k
+        c[k] = -_ZETA[k - 2] / k
     return c
 
 
@@ -105,8 +120,6 @@ def recip_gamma_taylor(order):
     """Series of 1/Gamma(1-z); c_0 = 1 exactly, c_1 = -gamma_E."""
     if order < 0:
         raise DomainError("order must be >= 0")
-    if order > 30:
-        raise DomainError("order > 30 not supported in double precision")
     logc = recip_gamma_log_series(order)
     c = np.zeros(order + 1)
     c[0] = 1.0

@@ -15,6 +15,8 @@ with kappa = min|w''|, w_j = max|w^(j)|, g_j = max|g^(j)| on [0, a] and an
 absolute constant C.  `verify_remainder` measures the implied constant; the
 integral itself is evaluated by phase-equidistributed panels plus an
 integration-by-parts closure, which keeps the cost bounded up to |N| ~ 1e6.
+The bounded scipy minimiser that refines the extrema of w^(j) and g^(j) is
+imported only when `bound_constants` runs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
-from scipy.optimize import minimize_scalar
 
 from ._jets import Jet
 from .errors import DomainError
@@ -128,6 +129,8 @@ def leading_term(omega, g, N, a=None, full_line: bool = False):
 
 
 def _refine_extremum(fun, y0, a, maximize):
+    from scipy.optimize import minimize_scalar
+
     lo, hi = max(0.0, y0 - a / 200.0), min(a, y0 + a / 200.0)
     sgn = -1.0 if maximize else 1.0
     res = minimize_scalar(lambda t: sgn * fun(t), bounds=(lo, hi), method="bounded",

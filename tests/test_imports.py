@@ -1,0 +1,35 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import carleman
+
+# map-coeffs and evolve need only numpy; scipy loads where a stage uses it
+SCRIPT = """
+import sys
+
+def no_scipy(step):
+    loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+    assert not loaded, f"{step} loaded {loaded[:5]}"
+
+import carleman
+from carleman import (coeffmap, errors, evolution, hankelphase, liouville,
+                      profile, scattering)
+no_scipy("import carleman")
+Q = carleman.p_to_q(carleman.RealPolynomial([0.0, 0.0, 1.0]))
+no_scipy("p_to_q")
+cov = carleman.ChangeOfVariables(carleman.WeightProfile("cosh"), 2)
+no_scipy("ChangeOfVariables")
+carleman.evolution_profile(lambda u: u * 0 + 1.0, [-3.0, -1.0, 0.0, 1.0, 3.0],
+                           100.0, Q, cov)
+no_scipy("evolution_profile")
+"""
+
+
+def test_package_import_and_evolve_load_no_scipy():
+    src = str(Path(carleman.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -92,6 +92,21 @@ def test_theta_zero_at_origin(op_power):
     assert theta_phase(op_power, 2, 0.0, 1.0) == 0.0
 
 
+def test_theta_integrates_from_the_origin_on_both_sides(cov2):
+    # theta(x) = int_0^x sigma dy, so theta(-3) runs over [-3, 0] downward
+    integrate = pytest.importorskip("scipy.integrate")
+    op = OperatorCoefficients(p_to_q(RealPolynomial([0.0, 0.3, 1.0])), cov2)
+
+    def sigma(y, part):
+        return part(sigma_iterate(op, 2, np.array([y]), 1.0)[0])
+
+    for x in (3.0, -3.0):
+        ref = complex(*(integrate.quad(sigma, 0.0, x, args=(part,),
+                                       epsabs=1e-13, epsrel=1e-13)[0]
+                        for part in (np.real, np.imag)))
+        assert abs(theta_phase(op, 2, x, 1.0) - ref) < 1e-9, x
+
+
 def test_theta_sublinear(op_power):
     th = theta_phase(op_power, 3, 1e5, 1.0)
     assert abs(th) / 1e5 < 0.01

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from carleman.errors import DomainError
-from carleman.specfun import complex_gamma, eta_phase, recip_gamma_taylor
+from carleman.specfun import (_ZETA, complex_gamma, eta_phase,
+                              recip_gamma_log_series, recip_gamma_taylor)
 
 
 def fd_recip_gamma_derivative(j, h=0.02):
@@ -124,6 +125,33 @@ def test_recip_gamma_order_bounds():
         recip_gamma_taylor(31)
     with pytest.raises(DomainError):
         recip_gamma_taylor(-1)
+
+
+def test_zeta_table_is_correctly_rounded():
+    special = pytest.importorskip("scipy.special")
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        exact = [float(mp.zeta(k)) for k in range(2, 31)]
+    assert list(_ZETA) == exact
+    assert list(_ZETA) == [float(special.zeta(k)) for k in range(2, 31)]
+
+
+def test_recip_gamma_series_as_built_from_scipy_zeta():
+    # the order-30 series of the same recurrence on scipy.special.zeta, bitwise
+    special = pytest.importorskip("scipy.special")
+    logc = np.zeros(31)
+    logc[1] = -0.5772156649015329
+    for k in range(2, 31):
+        logc[k] = -float(special.zeta(k)) / k
+    c = np.zeros(31)
+    c[0] = 1.0
+    for k in range(1, 31):
+        acc = 0.0
+        for j in range(1, k + 1):
+            acc += j * logc[j] * c[k - j]
+        c[k] = acc / k
+    assert np.array_equal(recip_gamma_log_series(30), logc)
+    assert np.array_equal(recip_gamma_taylor(30).coeffs, c)
 
 
 def test_eta_basics():

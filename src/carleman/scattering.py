@@ -21,8 +21,11 @@ with sigma_b = sum_m b~_m zeta_b^m and own_b,P the partial-panel moments
 anchored at the nodes.  A state steps to the next panel as
 s_b(P +- 1) = e^{+-i zeta_b h_P} s_b(P) + (full-panel moments) . w_P, by
 factors of modulus <= 1.  The blocks C_P are inverted in one batched call;
-substituting w_P leaves a (branches x panels)-square system in the states,
-factored by LU once per lambda, shared by +-k, whose rcond (or the worst
+substituting w_P leaves a (branches x panels)-square system in the states.
+Ordered panel by panel, with nb branches of which `up` are upper, it is
+banded with kl = nb + up - 1 sub- and ku = 2 nb - up - 1 superdiagonals; it
+is written straight into LAPACK band storage and factored by a banded LU
+(zgbtrf) once per lambda, shared by +-k.  Its zgbcon rcond (or the worst
 block's, if smaller) must stay above RCOND_FLOOR.  The outer sides enter it
 only as its first upper and last lower states, for real and complex roots
 alike.
@@ -40,7 +43,8 @@ them in one `_MomentTable` that the block factorization, the Born passes and
 the residual all read.  Integrals of the solution against e^{i nu y} come
 from one anchored prefix table per (mesh, nu) and sweep direction
 (`_Density`), whose running sums also only multiply by factors of modulus
-<= 1; full integrals over the core use the Nystrom Gauss rule itself.
+<= 1; full integrals over the core use the Nystrom Gauss rule itself.  The
+coefficients b~_m are evaluated once per mesh and solver.
 
 Scattering entries use the stationary representations: with
 I_-(k) = int e^{-iky} w dy and I_+(k) = int e^{+iky} w dy over the line,
@@ -49,7 +53,7 @@ I_-(k) = int e^{-iky} w dy and I_+(k) = int e^{+iky} w dy over the line,
     even n, k>0:   s11 = 1 - (i/n) k^{1-n} I_-,   s21 = -(i/n) k^{1-n} I_+
     even n, k<0:   s22 = 1 + (i/n) k^{1-n} I_-,   s12 = +(i/n) k^{1-n} I_+
 
-scipy loads only where it is used: scipy.linalg at the first LU
+scipy loads only where it is used: scipy.linalg.lapack at the first LU
 factorization, scipy.integrate in the DOP853 oracle `ode_cross_check`.
 """
 
@@ -71,16 +75,22 @@ SHORT_RANGE_TOL = 1e-4  # sum |b~_m| at +-X0 at or above this is long-range
 
 
 # scipy.linalg loads at the first factorization, not with the package
-def lu_factor(a):
-    import scipy.linalg
+def lu_factor(ab, kl, ku):
+    """Banded LU (zgbtrf) of the matrix in LAPACK band storage ab: entry
+    (i, j) at ab[kl + ku + i - j, j], with kl rows of fill-in space on top."""
+    from scipy.linalg import lapack
 
-    return scipy.linalg.lu_factor(a)
+    lu, piv, info = lapack.zgbtrf(ab, kl, ku)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"zero pivot U[{info - 1}]")
+    return lu, piv, kl, ku
 
 
-def lu_solve(lu_and_piv, b):
-    import scipy.linalg
+def lu_solve(factors, b):
+    from scipy.linalg import lapack
 
-    return scipy.linalg.lu_solve(lu_and_piv, b)
+    lu, piv, kl, ku = factors
+    return lapack.zgbtrs(lu, kl, ku, b, piv)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +213,6 @@ class PotentialSpec:
         if not self.funcs:
             return np.zeros((0,) + x.shape, dtype=complex)
         return np.stack([np.asarray(f(x), dtype=complex) for f in self.funcs])
-
-    def symbol(self, x, zeta):
-        """sum_m b~_m(x) zeta^m: the V-symbol collapsed on one exponential."""
-        return sum((v * zeta ** m for m, v in enumerate(self.values(x))),
-                   np.zeros(np.shape(x), dtype=complex))
 
     def abs_sum(self, x):
         return np.sum(np.abs(self.values(x)), axis=0)
@@ -341,20 +346,24 @@ class _Density:
         self._prefix = {}
 
     def prefix(self, nu, upper):
-        """Running sums S[c, q] of component c, anchored at panel q's right
-        edge (upper) or left edge."""
+        """Running sums S[c, q + 1] of component c, anchored at panel q's
+        right edge (upper) or left edge; S[c, 0] and S[c, -1] are zero."""
         key = (complex(nu), upper)
         if key not in self._prefix:
             mesh = self.mesh
             nus = (self.mus + nu)[:, None]
             moments = (self.table or _MomentTable()).get(mesh, nus, upper)
-            S = np.einsum("cqj,cqj->cq", moments, self.fs)
-            # re-anchor across the next panel of the sweep (modulus <= 1); the
-            # downward sweep runs on reversed views
+            sums = np.einsum("cqj,cqj->cq", moments, self.fs)
+            # re-anchor across the next panel of the sweep (modulus <= 1), in
+            # Python scalars; the downward sweep runs on reversed rows
             step = np.exp((-1j if upper else 1j) * nus * np.diff(mesh.edges))
-            run, fac = (S, step) if upper else (S[:, ::-1], step[:, ::-1])
-            for q in range(1, mesh.n_panels):
-                run[:, q] += fac[:, q] * run[:, q - 1]
+            d = 1 if upper else -1
+            S = np.zeros((self.mus.size, mesh.n_panels + 2), dtype=complex)
+            for c, (row, fac) in enumerate(zip(sums[:, ::d].tolist(),
+                                               step[:, ::d].tolist())):
+                for q in range(1, len(row)):
+                    row[q] += fac[q] * row[q - 1]
+                S[c, 1:-1][::d] = row
             self._prefix[key] = S
         return self._prefix[key]
 
@@ -364,7 +373,7 @@ class _Density:
         mesh = self.mesh
         q, t = mesh.locate(x)
         nus = (self.mus + nu)[:, None]
-        S = np.pad(self.prefix(nu, upper), ((0, 0), (1, 1)))  # zero past the ends
+        S = self.prefix(nu, upper)
         part = self.table.get(mesh, nus, upper, own=True) if at_nodes else \
             mesh.moments(nus, q, *((-1.0, t) if upper else (t, 1.0)), t)
         if upper:
@@ -377,7 +386,7 @@ class _Density:
     def end(self, nu, upper):
         """G at the end of the sweep: the right end upward, the left downward."""
         S = self.prefix(nu, upper)
-        b, j = (self.mesh.edges[-1], -1) if upper else (self.mesh.edges[0], 0)
+        b, j = (self.mesh.edges[-1], -2) if upper else (self.mesh.edges[0], 1)
         return np.exp(1j * self.mus * b) @ S[:, j]
 
     def cumulative(self, nu, x, upper, at_nodes=False):
@@ -556,6 +565,7 @@ class _CoreSolver:
         self.mesh = _core_mesh(self.x0, self.k, breaks=pot.breakpoints)
         self._table = _MomentTable()
         self._outer_meshes = {}
+        self._values = {}
         self._factor()
 
     def _real_root(self, upper):
@@ -563,17 +573,24 @@ class _CoreSolver:
         return next(((zeta.real, a) for zeta, a, up in self._branches
                      if up == upper and not zeta.imag), None)
 
+    def _symbol(self, mesh, zeta):
+        """sum_m b~_m zeta^m, the V-symbol collapsed on one exponential, at
+        the nodes of one of the solver's meshes; b~ is evaluated once per mesh."""
+        if mesh not in self._values:
+            self._values[mesh] = self.pot.values(mesh.nodes)
+        return sum((v * zeta ** m for m, v in enumerate(self._values[mesh])),
+                   np.zeros(mesh.nodes.shape, dtype=complex))
+
     def _factor(self):
         """Eliminate w panel by panel; see the module docstring."""
         from scipy.linalg import lapack
 
         mesh, p = self.mesh, self.mesh.p
-        qs = np.arange(mesh.n_panels)
         x = mesh.nodes.reshape(-1, p)
         C = np.tile(np.eye(p, dtype=complex), (mesh.n_panels, 1, 1))
         G, F, step, self._pcoef = [], [], [], []
         for zeta, a, upper in self._branches:
-            pcoef = a * self.pot.symbol(x, zeta)
+            pcoef = a * self._symbol(mesh, zeta).reshape(x.shape)
             C += pcoef[..., None] * self._table.get(
                 mesh, -zeta, upper, own=True)[0].reshape(C.shape)
             anchor = (mesh.edges[:-1] if upper else mesh.edges[1:])[:, None]
@@ -588,19 +605,28 @@ class _CoreSolver:
         self._H = self._Cinv @ np.stack(G, axis=-1)      # (panels, p, branches)
         self._F = np.stack(F, axis=1)                     # (panels, branches, p)
         # D_P = F_P H_P - diag(step_P) couples the states of neighbouring panels:
-        # upper states at P + 1 and lower states at P - 1 read those at P
+        # upper states at P + 1 and lower states at P - 1 read those at P, so
+        # I + couplings is banded with kl = nb + up - 1 and ku = 2 nb - up - 1
         D = self._F @ self._H
         nb, up = len(self._branches), self._n_up
         D[:, np.arange(nb), np.arange(nb)] -= np.stack(step, axis=1)
-        P = qs[:-1]
-        M = np.eye(qs.size * nb, dtype=complex).reshape(qs.size, nb, qs.size, nb)
-        M[P + 1, :up, P, :] = D[:-1, :up]
-        M[P, up:, P + 1, :] = D[1:, up:]
-        M = M.reshape(qs.size * nb, -1)
-        anorm = np.linalg.norm(M, 1)
-        self._lu = lu_factor(M)
-        self.rcond = min(float(lapack.zgecon(self._lu[0], anorm)[0]),
-                         float(np.min(1.0 / np.linalg.cond(C, 1))))
+        kl, ku = nb + up - 1, 2 * nb - up - 1
+        ab = np.zeros((2 * kl + ku + 1, mesh.n_panels, nb), dtype=complex)
+        ab[kl + ku] = 1.0
+        b, c = np.arange(nb)[:, None], np.arange(nb)
+        ab[kl + ku + nb + b[:up] - c, :-1, c] = D[:-1, :up].transpose(1, 2, 0)
+        ab[kl + ku - nb + b[up:] - c, 1:, c] = D[1:, up:].transpose(1, 2, 0)
+        ab = ab.reshape(ab.shape[0], -1)
+        anorm = np.max(np.sum(np.abs(ab), axis=0))
+        try:
+            self._lu = lu_factor(ab, kl, ku)
+        except np.linalg.LinAlgError:
+            raise NearExceptionalPointError(self.lam, 0.0) from None
+        # the blocks' 1-norm condition numbers, from the inverses at hand
+        cond = np.linalg.norm(C, 1, axis=(-2, -1)) \
+            * np.linalg.norm(self._Cinv, 1, axis=(-2, -1))
+        self.rcond = min(float(lapack.zgbcon(kl, ku, *self._lu[:2], anorm)[0]),
+                         float(np.min(1.0 / cond)))
         if not self.rcond >= RCOND_FLOOR:
             raise NearExceptionalPointError(self.lam, self.rcond)
 
@@ -634,7 +660,7 @@ class _CoreSolver:
             self._outer_meshes[X] = {side: _outer_mesh(side, self.x0, X, self.k)
                                      for side in (+1, -1)}
         meshes = self._outer_meshes[X]
-        rhs0 = self.pot.symbol(x, k) * np.exp(1j * k * x)
+        rhs0 = self._symbol(self.mesh, k) * np.exp(1j * k * x)
         field = EigenfunctionField(self, k, self._core_solve(rhs0, {}), {}, X)
         for passes in range(1, BORN_MAX_PASSES + 1):
             outer = self._refresh_outer(field, meshes)
@@ -692,7 +718,7 @@ class _CoreSolver:
                         incident.append((zeta, -a * own.cumulative(-zeta, y, upper,
                                                                    at_nodes=True)))
             outer[side] = _Density(mesh_o, [float(np.real(mu)) for mu, _ in incident],
-                                   [self.pot.symbol(y, mu) * amp for mu, amp in incident],
+                                   [self._symbol(mesh_o, mu) * amp for mu, amp in incident],
                                    self._table)
         return outer
 

@@ -229,6 +229,14 @@ def test_singular_panel_block_is_near_exceptional(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", singular)
     with pytest.raises(NearExceptionalPointError):
         scattering_matrix(pot(1.0), 1.0, X=10.0)
+    monkeypatch.undo()
+    # an exactly singular edge-state system: zgbtrf reports a zero pivot
+    with pytest.raises(np.linalg.LinAlgError):
+        sc.lu_factor(np.zeros((4, 3), dtype=complex), 1, 1)
+    lu = sc.lu_factor
+    monkeypatch.setattr(sc, "lu_factor", lambda ab, *a: lu(0.0 * ab, *a))
+    with pytest.raises(NearExceptionalPointError):
+        scattering_matrix(pot(1.0), 1.0, X=10.0)
 
 
 def test_prefix_table_matches_panel_sums(rng):
@@ -253,6 +261,31 @@ def test_prefix_table_matches_panel_sums(rng):
             lo, hi = (-1.0, t) if upper else (t, 1.0)
             ref += mesh.moments(nu, np.array(q0), lo, hi, t) @ w[q0]
             assert abs(g - ref) <= 1e-13 * np.max(np.abs(w))
+
+
+def test_outer_prefix_tables_match_panel_sums(rng):
+    # the prefix table of a three-component outer density against direct
+    # sums of edge-anchored panel totals, for real and complex nu in both
+    # sweep directions; the columns past the ends are zero
+    mesh = sc._outer_mesh(+1, 12.0, 300.0, 1.0)
+    mus = np.array([1.0, -1.0, 0.4])
+    dens = _Density(mesh, mus, rng.normal(size=(3, mesh.nodes.size))
+                    + 1j * rng.normal(size=(3, mesh.nodes.size)))
+    zeta = 0.5 + 0.866j
+    for upper, nu in ((True, 0.7), (False, 0.7), (True, -zeta),
+                      (False, -np.conj(zeta))):
+        got = dens.prefix(nu, upper)
+        assert not np.any(got[:, [0, -1]])
+        q = np.arange(mesh.n_panels)
+        end = mesh.edges[q + 1] if upper else mesh.edges[q]  # far edge of the sweep
+        for c, mu in enumerate(mus):
+            nu_c, f = mu + nu, dens.fs[c]
+            totals = np.einsum("qj,qj->q", mesh.moments(
+                nu_c, q, -1.0, 1.0, 1.0 if upper else -1.0), f)
+            for q0 in q:
+                side = q <= q0 if upper else q >= q0
+                ref = np.sum(np.exp(1j * nu_c * (end[side] - end[q0])) * totals[side])
+                assert abs(got[c, q0 + 1] - ref) <= 1e-13 * np.max(np.abs(f))
 
 
 def test_moment_table_matches_direct_moments(monkeypatch):
@@ -284,13 +317,46 @@ def test_one_factorization_per_lambda(pot2, monkeypatch):
     # returned fields hold no reference to the solver's moment table
     factored = []
     lu = sc.lu_factor
-    monkeypatch.setattr(sc, "lu_factor", lambda M: factored.append(M.shape) or lu(M))
+    monkeypatch.setattr(sc, "lu_factor",
+                        lambda ab, *a: factored.append(ab.shape) or lu(ab, *a))
     for lam in (0.5, 2.0):
         e = scattering_matrix(pot2, lam, X=2000.0)
         assert [f.k for f in e.fields] == [lam ** 0.5, -lam ** 0.5]
         assert all(d.table is None for f in e.fields
                    for d in (f._core, *f._outer.values()) if d is not None)
     assert len(factored) == 2
+
+
+@pytest.mark.parametrize("which,k", [("pot2", 1.0), ("pot3", 1.0), ("pot3", -1.0)])
+def test_banded_state_system_matches_the_dense_one(which, k, request, rng,
+                                                   monkeypatch):
+    # the edge-state system rebuilt as a dense matrix from the panel
+    # couplings: the banded LU solves it as np.linalg.solve does, and its
+    # rcond estimate is near the exact 1 / (|M|_1 |M^-1|_1) (the state
+    # system, not a panel block, is the worse conditioned one here)
+    solver = _CoreSolver(request.getfixturevalue(which), k, 12.0)
+    mesh, nb, up = solver.mesh, len(solver._branches), solver._n_up
+    D = solver._F @ solver._H
+    D[:, np.arange(nb), np.arange(nb)] -= np.stack(
+        [np.exp((1j if upper else -1j) * zeta * np.diff(mesh.edges))
+         for zeta, _, upper in solver._branches], axis=1)
+    P, m = np.arange(mesh.n_panels - 1), mesh.n_panels
+    M = np.eye(m * nb, dtype=complex).reshape(m, nb, m, nb)
+    M[P + 1, :up, P, :] = D[:-1, :up]
+    M[P, up:, P + 1, :] = D[1:, up:]
+    M = M.reshape(m * nb, -1)
+    exact = 1.0 / (np.linalg.norm(M, 1) * np.linalg.norm(np.linalg.inv(M), 1))
+    assert exact / 3.0 <= solver.rcond <= 3.0 * exact
+    rhs0 = rng.normal(size=mesh.nodes.size) + 1j * rng.normal(size=mesh.nodes.size)
+    outer = {}
+    for side in (+1, -1):
+        mesh_o = sc._outer_mesh(side, 12.0, 60.0, 1.0)
+        outer[side] = _Density(mesh_o, [side * 1.0], rng.normal(size=mesh_o.nodes.size)
+                               + 1j * rng.normal(size=mesh_o.nodes.size))
+    banded = solver._core_solve(rhs0, outer)
+    monkeypatch.setattr(sc, "lu_solve", lambda _, r: np.linalg.solve(M, r))
+    dense = solver._core_solve(rhs0, outer)
+    assert np.max(np.abs(banded - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 def test_shared_solver_field_matches_a_fresh_solve(pot2, smatrix2):

@@ -98,10 +98,7 @@ class _Validation(ValueError):
 
 def _cmd_map_coeffs(args):
     P, Q = _poly_pair(args)
-    if args.p is not None:
-        _emit_json(args.emit, {"p": list(P.coeffs), "q": list(Q.coeffs)})
-    else:
-        _emit_json(args.emit, {"q": list(Q.coeffs), "p": list(P.coeffs)})
+    _emit_json(args.emit, {"p": list(P.coeffs), "q": list(Q.coeffs)})
     return 0
 
 
@@ -176,9 +173,13 @@ def _cmd_longrange(args):
     from .profile import ChangeOfVariables
 
     prof = _profile_from_args(args)
-    P = RealPolynomial([0.0] * args.n + [1.0]) if args.p is None \
-        else RealPolynomial(_parse_list(args.p))
-    Q = p_to_q(P)
+    if args.p is None and args.q is None:
+        Q = p_to_q(RealPolynomial([0.0] * (2 if args.n is None else args.n) + [1.0]))
+    else:
+        Q = _poly_pair(args)[1]
+        if args.n is not None and args.n != Q.degree:
+            raise _Validation(f"--n {args.n} disagrees with the degree "
+                              f"{Q.degree} of the given polynomial")
     cov = ChangeOfVariables(prof, Q.degree, xi_max=2000.0)
     op = OperatorCoefficients(Q, cov)
     xs = np.asarray(_parse_grid(args.x_grid))
@@ -320,7 +321,9 @@ def build_parser():
                        description="CSV columns: x, re_sigma, im_sigma, "
                                    "re_resid, im_resid")
     add_common(p)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, default=None,
+                   help="degree n of P = X^n (default 2); with --p / --q it "
+                        "must equal their degree")
     p.add_argument("--j", type=int, default=3)
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--x-grid", default="100,1000,10000,100000")

@@ -190,14 +190,9 @@ class ThetaEvaluator:
         self._rp = CubicSpline(xs_core, rp)
         self._rm = CubicSpline(xs_core, rm)
         self._dec = CubicSpline(xs_core, dec)
-        # tail envelopes: limits per (side, wave sign) and the deviations
-        # from them on a log grid; odd n keeps the outgoing wave only
-        lims = field.r_limits()
-        if self.n % 2 == 1:
-            self._lim = {(+1, +1): lims["r+inf"], (-1, +1): lims["r-inf"]}
-        else:
-            self._lim = {(+1, +1): lims["r++inf"], (-1, +1): lims["r+-inf"],
-                         (+1, -1): lims["r-+inf"], (-1, -1): lims["r--inf"]}
+        # tail envelopes: the field's limits per (side, wave) and the
+        # deviations from them on a log grid
+        self._lim = field.r_limits()
         u = np.geomspace(self.x_split, self.x_tail, 400)
         self._dev = {(s, w): CubicSpline(u, (field.r_plus if w > 0 else
                                              field.r_minus)(s * u) - lim)
@@ -279,7 +274,10 @@ def theta_asymptotic(N, k, model: PhaseModel, entries):
     """Leading sqrt(t) theta(t,k) as N -> +/-inf from the scattering entries.
 
     `entries`: {"s": ...} for odd n, or {"s11","s12","s21","s22"} for even n.
-    Returns 0 for the complete-reflection sectors of odd n.
+    With d = sgn(k^{n-1}) the direction the incident wave leaves by, the
+    sector N k > 0 carries the transmitted and the incident wave,
+    amp (T e^{i d gamma} + e^{-i d gamma}), and the other the reflected one,
+    amp R e^{-i d gamma}; odd n has no reflection (R = 0).
     """
     n = model.n
     N = float(N)
@@ -287,18 +285,16 @@ def theta_asymptotic(N, k, model: PhaseModel, entries):
         raise DomainError("need N != 0 and k != 0")
     amp = np.sqrt(n / (np.pi * abs(k)))
     w = model.gamma(N, k)
+    d = 1 if k ** (n - 1) > 0 else -1
     if n % 2 == 1:
-        if N * k > 0:
-            s = entries["s"]
-            return amp * (s * np.exp(1j * w) + np.exp(-1j * w))
-        return 0.0 + 0.0j
-    if k > 0:
-        if N > 0:
-            return amp * (entries["s11"] * np.exp(1j * w) + np.exp(-1j * w))
-        return amp * entries["s21"] * np.exp(-1j * w)
-    if N > 0:
-        return amp * entries["s12"] * np.exp(1j * w)
-    return amp * (np.exp(1j * w) + entries["s22"] * np.exp(-1j * w))
+        T, R = entries["s"], 0.0
+    else:
+        T, R = (entries["s11"], entries["s21"]) if d > 0 else \
+            (entries["s22"], entries["s12"])
+    if N * k > 0:
+        return amp * (T * np.exp(1j * d * w) + np.exp(-1j * d * w))
+    # + 0.0 turns the signed zeros of R = 0 into +0
+    return amp * R * np.exp(-1j * d * w) + 0.0
 
 
 @dataclass

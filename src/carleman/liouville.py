@@ -334,7 +334,7 @@ def decay_report(Q: RealPolynomial, cov: ChangeOfVariables, p_max: int = 1,
     (gamma, delta) fitted from the profile.  Entries whose coefficient is
     numerically zero are reported as None.
     """
-    from .profile import decay_parameters
+    from .profile import _fit_slope, decay_parameters
 
     n = Q.degree
     gamma, delta = decay_parameters(cov.profile, n)
@@ -346,11 +346,7 @@ def decay_report(Q: RealPolynomial, cov: ChangeOfVariables, p_max: int = 1,
         dv = jets[m].derivative_values()
         for p in range(p_max + 1):
             y = np.abs(dv[p])
-            if np.max(y) < 1e-13:
-                slope = None
-            else:
-                A = np.vstack([logx, np.ones_like(logx)]).T
-                slope = float(np.linalg.lstsq(A, np.log(y), rcond=None)[0][0])
+            slope = None if np.max(y) < 1e-13 else float(_fit_slope(logx, np.log(y)))
             rows.append({
                 "m": m, "p": p, "slope": slope,
                 "predicted": -(n - m) * gamma - p * gamma * (1.0 + delta * n / 2.0)

@@ -46,12 +46,13 @@ from one anchored prefix table per (mesh, nu) and sweep direction
 <= 1; full integrals over the core use the Nystrom Gauss rule itself.  The
 coefficients b~_m are evaluated once per mesh and solver.
 
-Scattering entries use the stationary representations: with
-I_-(k) = int e^{-iky} w dy and I_+(k) = int e^{+iky} w dy over the line,
-
-    odd n:         s   = 1 - (i/n) k^{1-n} I_-
-    even n, k>0:   s11 = 1 - (i/n) k^{1-n} I_-,   s21 = -(i/n) k^{1-n} I_+
-    even n, k<0:   s22 = 1 + (i/n) k^{1-n} I_-,   s12 = +(i/n) k^{1-n} I_+
+Beyond the core psi = sum_w e^{iwkx} r_w(x) over the waves w = +1 (odd n)
+or w = +-1 (even n, which adds the reflected e^{-ikx}).  The incident wave
+has group velocity n k^{n-1}, so it leaves toward d inf with
+d = sgn(k^{n-1}), and wave w leaves toward w d inf.  With
+I_w = int e^{-iwky} w(y) dy over the line and c = (i/n) k^{1-n}, the envelope
+r_w tends to [w = 1] - d c I_w on the side it leaves by and to [w = 1] on the
+other.  Row s of the S column is the limit of the wave leaving toward s.
 
 scipy loads only where it is used: scipy.linalg.lapack at the first LU
 factorization, scipy.integrate in the DOP853 oracle `ode_cross_check`.
@@ -413,13 +414,16 @@ class EigenfunctionField:
     The field owns its core and outer densities and the prefix tables built
     from them, so later solves on the same solver leave it unchanged.  The
     public surface is evaluation (psi_at / w_at), the r-functions and their
-    limits, the raw scattering integrals, and solve diagnostics.
+    limits, the travel direction and wave set, and solve diagnostics.
     """
 
     def __init__(self, solver, k, w, outer, X):
         self.k = k
         self.lam = solver.lam
         self.n = solver.n
+        self.direction = 1 if k ** (self.n - 1) > 0 else -1
+        self.waves = (1,) if self.n % 2 else (1, -1)
+        self._dc = self.direction * (1j / self.n * k ** (1 - self.n))
         self._branches = solver._branches
         self.w = w
         self.X0 = solver.x0
@@ -440,60 +444,49 @@ class EigenfunctionField:
             return 0.0 + 0.0j
         return np.exp(1j * nu * dens.mesh.edges[-1]) * dens.end(nu, True)
 
-    def half_line_integral(self, xq, nu, up_to=True):
-        """int_{-inf}^{xq} e^{i nu y} w(y) dy (or the complement), vectorized."""
-        xq = np.atleast_1d(np.asarray(xq, dtype=float))
-        out = np.empty(xq.size, dtype=complex)
+    # -- r functions and limits ----------------------------------------------
+
+    def r_limits(self):
+        """The x -> +/-inf limits of each envelope r_w, keyed (side, w), wave
+        by wave: [w = 1] - d c I_w on the side the wave leaves by and [w = 1]
+        on the other (module docstring)."""
+        if self._rlim_cache is None:
+            self._rlim_cache = {}
+            for w in self.waves:
+                nu = -w * self.k
+                I = self._full(-1, nu) + self._full(0, nu) + self._full(+1, nu)
+                for side in (+1, -1):
+                    self._rlim_cache[side, w] = complex(w == 1) - (
+                        self._dc * I if side * w * self.direction > 0 else 0.0)
+        return self._rlim_cache
+
+    def _envelope(self, x, w):
+        """r_w(x) = [w = 1] - d c int e^{-iwky} w(y) dy over the y the wave
+        has passed: y < x if it leaves toward +inf, y > x if toward -inf."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if w not in self.waves:
+            return np.zeros(x.size, dtype=complex)
+        nu = -w * self.k
+        out = np.empty(x.size, dtype=complex)
         below = 0.0 + 0.0j  # the regions wholly below the current one
-        for region, sel in ((-1, xq < -self.X0), (0, np.abs(xq) <= self.X0),
-                            (+1, xq > self.X0)):
+        for region, sel in ((-1, x < -self.X0), (0, np.abs(x) <= self.X0),
+                            (+1, x > self.X0)):
             dens = self._core if region == 0 else self._outer[region]
             if np.any(sel):
                 out[sel] = below if dens is None else \
-                    below + dens.cumulative(nu, xq[sel], True)
+                    below + dens.cumulative(nu, x[sel], True)
             below = below + self._full(region, nu)
-        return out if up_to else below - out
-
-    # -- r functions and limits ----------------------------------------------
-
-    def _rcoef(self):
-        return 1j / self.n * self.k ** (1 - self.n)
-
-    def r_limits(self):
-        """The x -> +/-inf limits of r (odd n) or r_+/- (even n)."""
-        if self._rlim_cache is not None:
-            return self._rlim_cache
-        n, k = self.n, self.k
-        Im = self._full(-1, -k) + self._full(0, -k) + self._full(+1, -k)
-        Ip = self._full(-1, +k) + self._full(0, +k) + self._full(+1, +k)
-        c = self._rcoef()
-        if n % 2 == 1:
-            lims = {"r-inf": 1.0 + 0.0j, "r+inf": 1.0 - c * Im}
-        elif k > 0:
-            lims = {"r+-inf": 1.0 + 0.0j, "r++inf": 1.0 - c * Im,
-                    "r-+inf": 0.0 + 0.0j, "r--inf": -c * Ip}
-        else:
-            lims = {"r++inf": 1.0 + 0.0j, "r+-inf": 1.0 + c * Im,
-                    "r--inf": 0.0 + 0.0j, "r-+inf": c * Ip}
-        self._rlim_cache = {**lims, "I-": Im, "I+": Ip}
-        return self._rlim_cache
+        if w * self.direction < 0:
+            out = below - out
+        return float(w == 1) - self._dc * out
 
     def r_plus(self, x):
         """r(x) for odd n; r_+(x) for even n (the e^{+ikx} envelope)."""
-        n, k, c = self.n, self.k, self._rcoef()
-        if n % 2 == 1 or k > 0:
-            return 1.0 - c * self.half_line_integral(x, -k, up_to=True)
-        return 1.0 + c * self.half_line_integral(x, -k, up_to=False)
+        return self._envelope(x, +1)
 
     def r_minus(self, x):
         """r_-(x) for even n (the e^{-ikx} envelope); zero for odd n."""
-        n, k, c = self.n, self.k, self._rcoef()
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if n % 2 == 1:
-            return np.zeros(x.size, dtype=complex)
-        if k > 0:
-            return -c * self.half_line_integral(x, +k, up_to=False)
-        return c * self.half_line_integral(x, +k, up_to=True)
+        return self._envelope(x, -1)
 
     # -- field evaluation ------------------------------------------------------
 
@@ -557,8 +550,6 @@ class _CoreSolver:
         self.n = pot.n
         self.k = float(k)
         self.lam = float(k) ** pot.n
-        if pot.n % 2 == 0 and self.lam <= 0:
-            raise DomainError("even n has no propagating solutions for lambda <= 0")
         self._branches = _branch_data(zeta_roots(self.lam, self.n, side="+"))
         self._n_up = sum(upper for _, _, upper in self._branches)
         self.x0 = float(x0)
@@ -770,22 +761,16 @@ def _unitarity_defect(S):
 
 
 def _column(field: EigenfunctionField):
-    """The column of S read off one field: s (odd n), s11 and s21 (k > 0) or
-    s12 and s22 (k < 0)."""
-    lims = field.r_limits()
-    if field.n % 2 == 1:
-        return [lims["r+inf"]]
-    if field.k > 0:
-        return [lims["r++inf"], lims["r--inf"]]
-    return [lims["r-+inf"], lims["r+-inf"]]
+    """The column of S read off one field: row s is the limit of the wave
+    leaving toward s (s = +1 first; odd n has no row -1)."""
+    lims, d = field.r_limits(), field.direction
+    return [lims[s, s * d] for s in (+1, -1) if (s, s * d) in lims]
 
 
 def scattering_matrix(pot: PotentialSpec, lam, X=1.0e4,
                       x_core=None) -> SMatrixEntry:
     """Assemble s(lambda) or S(lambda) with the X / 2X truncation pair."""
     lam = float(lam)
-    if lam == 0:
-        raise DomainError("lambda = 0 is the degenerate spectral point")
     n = pot.n
     if n % 2 == 0 and lam < 0:
         raise DomainError("even n: lambda must be positive")

@@ -120,6 +120,17 @@ def test_longrange_csv(tmp_path):
     assert len(lines) == 3
 
 
+def test_longrange_honours_q_and_checks_n():
+    grid = ["--x-grid", "100,1000"]
+    rc, x2 = run_cli(["longrange", *grid])
+    assert rc == 0
+    rc, q = run_cli(["longrange", "--q", "7,3,1", *grid])
+    assert rc == 0 and q != x2
+    assert run_cli(["longrange", "--q", "7,3,1", "--n", "2", *grid]) == (0, q)
+    assert run_cli(["longrange", "--q", "7,3,1", "--n", "3", *grid])[0] == 2
+    assert run_cli(["longrange", "--p", "0,0,1", "--n", "3", *grid])[0] == 2
+
+
 def test_verify_core():
     rc, out = run_cli(["verify", "--suite", "core"])
     assert rc == 0

@@ -141,10 +141,23 @@ def test_theta_asymptotic_branches(q_x2, cov2):
     v = theta_asymptotic(-10.0, 1.0, model, entries)
     w = model.gamma(-10.0, 1.0)
     assert abs(v - amp * entries["s21"] * np.exp(-1j * w)) < 1e-14
+    # even n, k < 0: the incident wave e^{ikx} travels toward -inf
+    entries = {"s11": 0.3 + 0.9j, "s12": 0.2 - 0.1j, "s21": -0.4j, "s22": 0.8 + 0.5j}
+    v = theta_asymptotic(10.0, -1.0, model, entries)
+    w = model.gamma(10.0, -1.0)
+    assert abs(v - amp * entries["s12"] * np.exp(1j * w)) < 1e-14
+    v = theta_asymptotic(-10.0, -1.0, model, entries)
+    w = model.gamma(-10.0, -1.0)
+    assert abs(v - amp * (np.exp(1j * w) + entries["s22"] * np.exp(-1j * w))) < 1e-14
     # odd n: complete-reflection sectors return 0
     model3 = PhaseModel(n=3, q_n1=0.0, a0=1.9, a1=-0.5)
     assert theta_asymptotic(-5.0, 1.0, model3, {"s": 1.0}) == 0.0
     assert theta_asymptotic(5.0, -1.0, model3, {"s": 1.0}) == 0.0
+    # odd n, k < 0, N < 0: transmitted plus incident wave
+    s = 0.6 - 0.8j
+    v = theta_asymptotic(-5.0, -1.0, model3, {"s": s})
+    w = model3.gamma(-5.0, -1.0)
+    assert abs(v - np.sqrt(3.0 / np.pi) * (s * np.exp(1j * w) + np.exp(-1j * w))) < 1e-14
 
 
 def test_theta_evaluator_consistency(field2m1, q_x2m1, cov2):

@@ -103,8 +103,8 @@ def test_free_solution_is_plane_wave():
     xs = np.linspace(-4.0, 4.0, 9)
     assert np.max(np.abs(f.psi_at(xs) - np.exp(1j * xs))) < 1e-13
     lims = f.r_limits()
-    assert abs(lims["r++inf"] - 1.0) < 1e-14
-    assert abs(lims["r--inf"]) < 1e-14
+    assert abs(lims[+1, +1] - 1.0) < 1e-14
+    assert abs(lims[-1, -1]) < 1e-14
 
 
 def test_square_well_against_closed_form():
@@ -112,8 +112,8 @@ def test_square_well_against_closed_form():
     f = solve_lippmann_schwinger(well_potential(V0, a), k, X=30.0)
     lims = f.r_limits()
     ref = square_well_reflection(V0, a, k)
-    assert abs(lims["r++inf"] - ref["s11"]) < 1e-10
-    assert abs(lims["r--inf"] - ref["s21"]) < 1e-10
+    assert abs(lims[+1, +1] - ref["s11"]) < 1e-10
+    assert abs(lims[-1, -1] - ref["s21"]) < 1e-10
 
 
 def test_ode_route_against_closed_form():
@@ -148,11 +148,11 @@ def test_field_asymptotics_and_derivatives():
     f = solve_lippmann_schwinger(well_potential(V0, a), k, X=30.0)
     lims = f.r_limits()
     x = np.array([25.0])
-    assert abs(f.psi_at(x)[0] - lims["r++inf"] * np.exp(1j * k * 25)) < 1e-12
+    assert abs(f.psi_at(x)[0] - lims[+1, +1] * np.exp(1j * k * 25)) < 1e-12
     assert abs(f.psi_at(x, deriv=1)[0]
-               - k * lims["r++inf"] * np.exp(1j * k * 25)) < 1e-12
+               - k * lims[+1, +1] * np.exp(1j * k * 25)) < 1e-12
     xl = np.array([-25.0])
-    ref = np.exp(-1j * k * 25) + lims["r--inf"] * np.exp(1j * k * 25)
+    ref = np.exp(-1j * k * 25) + lims[-1, -1] * np.exp(1j * k * 25)
     assert abs(f.psi_at(xl)[0] - ref) < 1e-12
 
 
@@ -393,15 +393,33 @@ def test_derivative_field_consistency(field2):
 
 def test_r_limit_conventions(field2):
     lims = field2.r_limits()
-    assert lims["r+-inf"] == 1.0  # exact by construction for k > 0
-    assert abs(lims["r-+inf"]) == 0.0
+    assert lims[-1, +1] == 1.0  # exact by construction for k > 0
+    assert abs(lims[+1, -1]) == 0.0
+
+
+@pytest.mark.parametrize("n, lam, j", [(2, 1.0, 1), (3, -1.0, 0)])
+def test_limits_follow_the_travel_direction(request, n, lam, j):
+    # k = -1 in both: e^{ikx} has group velocity n k^{n-1}, so it leaves
+    # toward -inf for n = 2 and toward +inf for n = 3
+    e = request.getfixturevalue("smatrix2") if n == 2 else \
+        scattering_matrix(request.getfixturevalue("pot3"), lam, X=1.0e4)
+    f = e.fields[j]
+    d = f.direction
+    assert f.k == -1.0 and d == (-1 if n == 2 else +1)
+    lims = f.r_limits()
+    assert lims[-d, +1] == 1.0       # the incident side
+    column = [lims[+1, d]]
+    if n % 2 == 0:
+        assert lims[d, -1] == 0.0    # no e^{-ikx} where the incident wave goes
+        column.append(lims[-1, -d])
+    assert np.array_equal(e.S_X[:, j], column)
 
 
 def test_even_asymptotic_matching(field2):
     # Theorem-level: |psi - s11 e^{ikx}| small at x = X0 (tail-bound scale)
     lims = field2.r_limits()
     x = np.array([field2.X0 * 0.9])
-    resid = abs(field2.psi_at(x)[0] - lims["r++inf"] * np.exp(1j * field2.k * x[0]))
+    resid = abs(field2.psi_at(x)[0] - lims[+1, +1] * np.exp(1j * field2.k * x[0]))
     assert resid < 1e-2
 
 

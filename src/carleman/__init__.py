@@ -10,7 +10,7 @@ from .errors import (CarlemanError, ConfigurationError, DomainError,
                      NearExceptionalPointError, NumericalError,
                      ResolutionError, StiffIntegrationError)
 from .profile import ChangeOfVariables, WeightProfile, a1_constant, decay_parameters
-from .liouville import OperatorCoefficients, operator_apply_check, tau_table
+from .liouville import OperatorCoefficients, operator_apply_check
 from .scattering import (EigenfunctionField, PotentialSpec, RootSet,
                          eigenvalue_multiplicity_bound, free_resolvent_kernel,
                          ode_cross_check, scattering_matrix,

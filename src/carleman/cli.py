@@ -89,6 +89,17 @@ def _poly_pair(args):
     raise _Validation("one of --p / --q is required")
 
 
+def _operator(args):
+    """Q, its change of variables and OperatorCoefficients from --p/--q and
+    the weight flags."""
+    from .liouville import OperatorCoefficients
+    from .profile import ChangeOfVariables
+
+    Q = _poly_pair(args)[1]
+    cov = ChangeOfVariables(_profile_from_args(args), Q.degree)
+    return Q, cov, OperatorCoefficients(Q, cov)
+
+
 class _Validation(ValueError):
     pass
 
@@ -118,13 +129,7 @@ def _cmd_profile(args):
 def _cmd_transform(args):
     import numpy as np
 
-    from .liouville import OperatorCoefficients
-    from .profile import ChangeOfVariables
-
-    P, Q = _poly_pair(args)
-    prof = _profile_from_args(args)
-    cov = ChangeOfVariables(prof, Q.degree)
-    op = OperatorCoefficients(Q, cov)
+    Q, _, op = _operator(args)
     xs = np.asarray(_parse_grid(args.x_grid))
     coeffs = {"b": op.b_values(xs), "bt": op.gauged_values(xs)}
     header = ["x"] + [f"{part}_{name}{m}" for name in coeffs
@@ -136,17 +141,13 @@ def _cmd_transform(args):
 
 
 def _cmd_scatter(args):
-    from .liouville import OperatorCoefficients
-    from .profile import ChangeOfVariables
-    from .scattering import PotentialSpec, scattering_matrix
-
-    P, Q = _poly_pair(args)
-    prof = _profile_from_args(args)
-    n = Q.degree
-    cov = ChangeOfVariables(prof, n)
-    pot = PotentialSpec.from_operator(OperatorCoefficients(Q, cov))
     import numpy as np
 
+    from .scattering import PotentialSpec, scattering_matrix
+
+    Q, _, op = _operator(args)
+    n = Q.degree
+    pot = PotentialSpec.from_operator(op)
     lams = list(np.linspace(args.lambda_min, args.lambda_max, args.points))
     records = []
     for lam in lams:
@@ -195,16 +196,12 @@ def _cmd_longrange(args):
 def _cmd_hankel_theta(args):
     import numpy as np
 
-    from .liouville import OperatorCoefficients
-    from .profile import ChangeOfVariables
     from .scattering import PotentialSpec, scattering_matrix
     from .hankelphase import theta_profile
 
-    P, Q = _poly_pair(args)
-    prof = _profile_from_args(args)
+    Q, cov, op = _operator(args)
     n = Q.degree
-    cov = ChangeOfVariables(prof, n)
-    pot = PotentialSpec.from_operator(OperatorCoefficients(Q, cov))
+    pot = PotentialSpec.from_operator(op)
     e = scattering_matrix(pot, args.k ** n, X=args.truncation)
     entries = {"s": e.S[0, 0]} if n % 2 == 1 else \
         {f"s{i + 1}{j + 1}": e.S[i, j] for i in range(2) for j in range(2)}
@@ -267,7 +264,7 @@ def _cmd_evolve(args):
 def _cmd_verify(args):
     from . import verify as _verify
 
-    failures = _verify.run_suite(args.suite, verbose=True)
+    failures = _verify.run_suite(args.suite)
     return 0 if failures == 0 else 3
 
 

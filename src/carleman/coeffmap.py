@@ -42,6 +42,11 @@ class RealPolynomial:
             out = out * x + c
         return out
 
+    def shifted(self, c):
+        """The polynomial X -> self(X + c)."""
+        g = [c ** k for k in range(self.coeffs.size)]
+        return RealPolynomial(_binomial_map(self.coeffs, g))
+
     def derivative(self):
         if self.degree == 0:
             return RealPolynomial(np.array([0.0]))
@@ -53,15 +58,19 @@ def _gamma_derivs(order):
     return recip_gamma_taylor(order).derivatives_at_zero()
 
 
-def p_to_q(P: RealPolynomial) -> RealPolynomial:
-    """Symbol polynomial Q from kernel polynomial P (triangular, q_n = p_n)."""
-    p = P.coeffs
-    n = P.degree
-    g = _gamma_derivs(n)
+def _binomial_map(p, g):
+    """q_m = sum_{j>=m} C(j, m) g[j-m] p_j; with g[k] = c^k this is the
+    expansion of sum_j p_j (X + c)^j."""
+    n = len(p) - 1
     q = np.zeros(n + 1)
     for m in range(n + 1):
         q[m] = sum(comb(j, m) * g[j - m] * p[j] for j in range(m, n + 1))
-    return RealPolynomial(q)
+    return q
+
+
+def p_to_q(P: RealPolynomial) -> RealPolynomial:
+    """Symbol polynomial Q from kernel polynomial P (triangular, q_n = p_n)."""
+    return RealPolynomial(_binomial_map(P.coeffs, _gamma_derivs(P.degree)))
 
 
 def q_to_p(Q: RealPolynomial) -> RealPolynomial:

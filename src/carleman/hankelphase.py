@@ -158,10 +158,11 @@ def _panel_nodes(x_samples, arc, p=12):
 class ThetaEvaluator:
     """Shared machinery to evaluate I(N, k) for many N at one field.
 
-    Splines of the slow envelopes r_+(x), r_-(x) and of psi_dec, and Gauss
-    panels resolving the phase at the largest |N| the core admits, are built
-    once; each theta evaluation is then one fixed sum of e^{-i xi_j N} amp_j
-    over core and tail nodes plus the closures beyond +-x_tail.
+    Splines of psi_dec and of the slow envelopes r_w(x), one per wave w of
+    the field, and Gauss panels resolving the phase at the largest |N| the
+    core admits, are built once; each theta evaluation is then one fixed sum
+    of e^{-i xi_j N} amp_j over core and tail nodes plus the closures beyond
+    +-x_tail.
     """
 
     def __init__(self, field, Q: RealPolynomial, cov: ChangeOfVariables,
@@ -184,11 +185,11 @@ class ThetaEvaluator:
         coarse_r = np.arange(fine[-1] + grid_h, self.x_split + grid_h, grid_h)
         xs_core = np.concatenate((-coarse_r[::-1], fine, coarse_r))
         xs_core = xs_core[np.abs(xs_core) <= self.x_split + 2 * grid_h]
-        rp, rm = field.r_plus(xs_core), field.r_minus(xs_core)
-        dec = field.psi_at(xs_core) - (np.exp(1j * k * xs_core) * rp
-                                       + np.exp(-1j * k * xs_core) * rm)
-        self._rp = CubicSpline(xs_core, rp)
-        self._rm = CubicSpline(xs_core, rm)
+        env = {w: (field.r_plus if w > 0 else field.r_minus)(xs_core)
+               for w in field.waves}
+        dec = field.psi_at(xs_core) - sum(np.exp(1j * w * k * xs_core) * r
+                                          for w, r in env.items())
+        self._env = {w: CubicSpline(xs_core, r) for w, r in env.items()}
         self._dec = CubicSpline(xs_core, dec)
         # tail envelopes: the field's limits per (side, wave) and the
         # deviations from them on a log grid
@@ -216,9 +217,8 @@ class ThetaEvaluator:
 
     def _psi(self, x):
         """psi on the core from the spline envelopes."""
-        k = self.k
-        return (np.exp(1j * k * x) * self._rp(x)
-                + np.exp(-1j * k * x) * self._rm(x) + self._dec(x))
+        return sum(np.exp(1j * w * self.k * x) * spl(x)
+                   for w, spl in self._env.items()) + self._dec(x)
 
     def _tail_psi(self, u, side):
         """psi at x = side * u from the r_+/- envelopes, u >= x_split."""

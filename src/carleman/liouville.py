@@ -1,94 +1,41 @@
 """Generalized Liouville transform: coefficients of B = L* (v Q(D) v) L.
 
-With phi = x'(xi) = v^(-2/n) and psi = v^(1-1/n), chain-rule bookkeeping gives
+With phi = x'(xi) = v^(-2/n) and psi = v^(1-1/n), the chain rule reads
+D_xi (f o x) = (phi D f) o x with D = -i d/dx, so the defining identity
 
-    i^j (d/dxi)^j f(x(xi)) = sum_{l=1..j} tau_{j,l}(xi) f^(l)(x(xi)),
+    v Q(D_xi) (psi f(x(xi))) = v^(-1/n) sum_m b_m (D^m f)(x(xi))
 
-where each tau_{j,l} is an integer-coefficient sum of products
-phi^(k1) ... phi^(kl) with k1+...+kl = j-l.  Matching the coefficients of
-f^(l) in v sum_m q_m D^m (psi f(x(xi))) = v^(-1/n) sum i^-m b_m f^(m) yields
+says that, with phi, psi and v taken as functions of x,
 
-    b_0 = v^(1+1/n) sum_m q_m i^-m psi^(m),
-    b_l = i^l v^(1+1/n) sum_{m>=l} q_m i^-m sum_{j=l..m} C(m,j) psi^(m-j) tau_{j,l}.
+    B = sum_m b_m D^m = v^(1+1/n) Q(phi D) o psi.
 
-The tau table is kept as exact formal sums; floating point enters only at
-evaluation.  A gauge e^{i beta} with beta = -q_{n-1} xi(x)/n removes the
-D^{n-1} term; the conjugated coefficients are obtained by expanding
-sum_m b_m (D + beta')^m with jet-valued operator algebra.
+The product is expanded by Horner's scheme, acc = q_m + (phi D) o acc, in
+jet-valued operator algebra, which keeps every x-derivative exact; each
+phi D consumes one jet order, so phi, psi and v^(1+1/n) are carried n orders
+beyond the derivatives asked for.
+
+A gauge e^{i beta} with beta = -q_{n-1} xi(x)/n removes the D^{n-1} term.
+Since xi'(x) = 1/phi, phi beta' = -q_{n-1}/n is a constant, so
+e^{-i beta} (phi D) e^{i beta} = phi D - q_{n-1}/n and the gauged operator is
+the same product for the shifted polynomial:
+
+    B~ = v^(1+1/n) Q(phi D - q_{n-1}/n) o psi.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from ._jets import Jet
 from .coeffmap import RealPolynomial
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 from .profile import ChangeOfVariables, WeightProfile
-
-# -- tau table -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TauTable:
-    """tau[j][l] maps sorted derivative-order tuples to integer coefficients."""
-
-    j_max: int
-    table: tuple  # table[j][l] is a dict {(k1<=...<=kl): int}; j,l from 1
-
-    def entry(self, j, l):
-        return self.table[j][l]
-
-    def evaluate_jet(self, j, l, phi_jet_derivs):
-        """Same, but with jets so x-derivatives can be chained later."""
-        out = None
-        for mono, coef in self.table[j][l].items():
-            term = None
-            for k in mono:
-                term = phi_jet_derivs[k] if term is None else term * phi_jet_derivs[k]
-            term = term * float(coef) if term is not None else None
-            out = term if out is None else out + term
-        return out
-
-
-def tau_table(j_max: int) -> TauTable:
-    """Build tau_{j,l} for 1 <= l <= j <= j_max by the derivative recursion."""
-    if j_max < 1 or j_max > 10:
-        raise DomainError("tau table supported for 1 <= j_max <= 10")
-    rows = [None, {1: {(0,): 1}}]
-    for j in range(1, j_max):
-        prev = rows[j]
-        new = {}
-        for l in range(1, j + 2):
-            acc = {}
-            if l <= j:  # derivative of tau_{j,l}
-                for mono, coef in prev[l].items():
-                    for i in range(len(mono)):
-                        bumped = tuple(sorted(mono[:i] + (mono[i] + 1,) + mono[i + 1:]))
-                        acc[bumped] = acc.get(bumped, 0) + coef
-            if l - 1 >= 1:  # tau_{j,l-1} * phi
-                for mono, coef in prev[l - 1].items():
-                    ext = tuple(sorted(mono + (0,)))
-                    acc[ext] = acc.get(ext, 0) + coef
-            new[l] = {m: c for m, c in acc.items() if c != 0}
-        rows.append(new)
-    # structural invariants: tau_{j,j} = phi^j and the degree bookkeeping
-    for j in range(1, j_max + 1):
-        for l in range(1, j + 1):
-            for mono in rows[j][l]:
-                assert sum(mono) == j - l, "tau degree bookkeeping violated"
-        assert rows[j][j] == {(0,) * j: 1}
-    return TauTable(j_max=j_max, table=tuple(rows))
-
-
-# -- operator coefficients -------------------------------------------------
 
 
 class _DiffOp:
-    """sum_p coeffs[p] D^p with jet-valued coefficients (all same jet order)."""
+    """sum_p coeffs[p] D^p with jet-valued coefficients (None for zero)."""
 
     def __init__(self, coeffs):
         self.coeffs = list(coeffs)
@@ -143,10 +90,26 @@ class OperatorCoefficients:
             raise ConfigurationError("polynomial degree and cov order disagree")
         self.cov = cov
         self.profile = cov.profile
-        self._tau = tau_table(self.n)
         self._spline_cache = {}
 
     # -- pointwise jets ------------------------------------------------------
+
+    def _product(self, coeffs, x, derivs):
+        """x-jets, to order `derivs`, of the coefficients of
+        v^(1+1/n) C(phi D) o psi for C = sum_m coeffs[m] X^m (degree n)."""
+        n = self.n
+        K = derivs + n  # each phi D consumes one jet order
+        xi_jet = self.cov.xi_jet_of_x(x, K)
+        v = self.profile.v_jet(xi_jet.value, K)
+        phi, psi, vpow = (xi_jet.compose(v.pow(a).c)
+                          for a in (-2.0 / n, 1.0 - 1.0 / n, 1.0 + 1.0 / n))
+        phi_D = _DiffOp([None, phi])
+        acc = _DiffOp([Jet.constant(float(coeffs[n]), K, xi_jet.value.shape)])
+        for q in coeffs[n - 1::-1]:
+            acc = phi_D.times(acc)
+            acc.coeffs[0] = acc.coeffs[0] + q
+        acc = acc.times(_DiffOp([psi]))
+        return [(vpow * c).truncated(derivs) for c in acc.coeffs]
 
     def b_jets(self, x, derivs: int = 0):
         """Jets (in x, to order `derivs`) of b_0..b_n at the points x."""
@@ -154,44 +117,7 @@ class OperatorCoefficients:
             xx = np.asarray(x, dtype=float)
             vj = self.profile.v_jet(xx, derivs)
             return [vj * vj * self.Q.coeffs[0]]
-        n = self.n
-        K = derivs
-        xi_jet = self.cov.xi_jet_of_x(x, max(K, 1))
-        xi0 = xi_jet.value
-        # xi-side jets to order K + n (enough derivatives for the tau/psi terms)
-        order_xi = K + n
-        phi = self.cov.phi_jet(xi0, order_xi)
-        psi = self.cov.psi_jet(xi0, order_xi)
-        v = self.profile.v_jet(xi0, order_xi)
-        vpow = v.pow(1.0 + 1.0 / n)
-        phi_d = [_jet_derivative(phi, k).truncated(K + 1) for k in range(n)]
-        psi_d = [_jet_derivative(psi, k).truncated(K + 1) for k in range(n + 1)]
-        # now compose every xi-side jet with xi(x)
-        def to_x(jet_xi):
-            return xi_jet.truncated(K).compose(jet_xi.truncated(K).c)
-
-        q = self.Q.coeffs
-        out = []
-        b0 = None
-        for m in range(n + 1):
-            term = psi_d[m] * (q[m] * (-1j) ** m)
-            b0 = term if b0 is None else b0 + term
-        out.append(to_x(vpow.truncated(K)) * to_x(b0.truncated(K)))
-        for l in range(1, n + 1):
-            acc = None
-            for m in range(l, n + 1):
-                if q[m] == 0.0:
-                    continue
-                inner = None
-                for j in range(l, m + 1):
-                    tau = self._tau.evaluate_jet(j, l, phi_d)
-                    t = tau * float(comb(m, j)) * psi_d[m - j]
-                    inner = t if inner is None else inner + t
-                inner = inner * (q[m] * (-1j) ** m)
-                acc = inner if acc is None else acc + inner
-            acc = acc * (1j) ** l
-            out.append(to_x(vpow.truncated(K)) * to_x(acc.truncated(K)))
-        return out
+        return self._product(self.Q.coeffs, x, derivs)
 
     def b_values(self, x):
         """b_0(x)..b_n(x) as a complex array of shape (n+1,) + x.shape."""
@@ -203,35 +129,18 @@ class OperatorCoefficients:
             return np.zeros_like(np.asarray(x, dtype=float))
         return -self.Q.coeffs[self.n - 1] * self.cov.xi_of_x(x) / self.n
 
-    def beta_prime_jet(self, x, order):
-        xi_jet = self.cov.xi_jet_of_x(x, order + 1)
-        return xi_jet.shift().truncated(order) * (-self.Q.coeffs[self.n - 1] / self.n)
-
     def gauged_jets(self, x, derivs: int = 0):
         """Jets of b~_0..b~_n for B~ = J* B J, with b~_{n-1} forced to 0.
 
-        The conjugation replaces D by D + beta'; expanding with jet-valued
-        operator algebra keeps every x-derivative exact.  The (n-1) entry is
-        checked to vanish to rounding before being zeroed.
+        B~ is the product for Q(X - q_{n-1}/n) (module docstring); its
+        (n-1) entry is checked to vanish to rounding before being zeroed.
         """
         n = self.n
         if n == 0:
             return self.b_jets(x, derivs)
-        K = derivs + n  # composing n first-order factors consumes n jet orders
-        b = self.b_jets(x, K)
-        bp = self.beta_prime_jet(x, K)
-        one = Jet.constant(np.ones_like(bp.value, dtype=complex), K)
-        G = _DiffOp([bp, one])  # (beta') + D
-        acc = _DiffOp([b[n]])
-        for m in range(n - 1, -1, -1):
-            acc = acc.times(G)
-            acc.coeffs[0] = (acc.coeffs[0] + b[m]) if acc.coeffs[0] is not None else b[m]
-        out = []
-        scale = max(float(np.max(np.abs(b[0].value), initial=0.0)), 1.0)
-        for m in range(n + 1):
-            j = acc.coeffs[m] if acc.coeffs[m] is not None else \
-                Jet.constant(np.zeros_like(bp.value, dtype=complex), K)
-            out.append(j.truncated(derivs))
+        out = self._product(self.Q.shifted(-self.Q.coeffs[n - 1] / n).coeffs,
+                            x, derivs)
+        scale = max(float(np.max(np.abs(out[0].value), initial=0.0)), 1.0)
         resid = float(np.max(np.abs(out[n - 1].value), initial=0.0))
         if resid > 1e-8 * scale:
             raise ConfigurationError(
@@ -300,8 +209,9 @@ def operator_apply_check(Q: RealPolynomial, cov: ChangeOfVariables, f, fderiv,
 
     Left side: v(xi) sum_m q_m D_xi^m (psi(xi) f(x(xi))) with the xi-derivatives
     taken by a 13-point Fornberg stencil of step h (the independent oracle).
-    Right side: v^(-1/n) sum_m i^-m b_m(x) f^(m)(x) with b_m from the tau-table
-    machinery and f^(m) supplied in closed form by `fderiv(x, m)`.
+    Right side: v^(-1/n) sum_m i^-m b_m(x) f^(m)(x) with b_m from the jet
+    expansion of the operator product v^(1+1/n) Q(phi D) o psi and f^(m)
+    supplied in closed form by `fderiv(x, m)`.
     """
     n = Q.degree
     xgrid = np.asarray(xgrid, dtype=float)

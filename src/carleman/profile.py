@@ -189,10 +189,6 @@ class ChangeOfVariables:
 
     # -- derivative machinery -----------------------------------------------
 
-    def phi_jet(self, xi, order):
-        """Jet of phi = x'(xi) = v^(-2/n) along xi."""
-        return self.profile.v_jet(xi, order).pow(-2.0 / self.n)
-
     def psi_jet(self, xi, order):
         """Jet of psi = v^(1 - 1/n) along xi."""
         return self.profile.v_jet(xi, order).pow(1.0 - 1.0 / self.n)

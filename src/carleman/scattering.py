@@ -504,8 +504,8 @@ class EigenfunctionField:
             out[inside] = acc
         if np.any(~inside):
             xo = x[~inside]
-            acc = k ** deriv * np.exp(1j * k * xo) * self.r_plus(xo) \
-                + (-k) ** deriv * np.exp(-1j * k * xo) * self.r_minus(xo)
+            acc = sum((w * k) ** deriv * np.exp(1j * w * k * xo)
+                      * self._envelope(xo, w) for w in self.waves)
             # complex-root remnants just beyond X0 (they die within a few units)
             for zeta, a, upper in self._branches:
                 if not zeta.imag:

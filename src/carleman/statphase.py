@@ -102,12 +102,12 @@ def evaluate_J(omega, g, N, a, ibp_order: int = 3):
     val = integrate_panels(f, edges, p=12) if edges.size > 1 else 0.0 + 0.0j
     if y_cut < a:
         # two-point IBP closure of int_{y_cut}^{a}
-        S_hi, err_hi = ibp_boundary(_jet_from_cheb(ch_g, a, ibp_order),
-                                    _jet_from_cheb(ch_w, a, ibp_order + 1) * N,
-                                    order=ibp_order)
-        S_lo, err_lo = ibp_boundary(_jet_from_cheb(ch_g, y_cut, ibp_order),
-                                    _jet_from_cheb(ch_w, y_cut, ibp_order + 1) * N,
-                                    order=ibp_order)
+        S_hi, _ = ibp_boundary(_jet_from_cheb(ch_g, a, ibp_order),
+                               _jet_from_cheb(ch_w, a, ibp_order + 1) * N,
+                               order=ibp_order)
+        S_lo, _ = ibp_boundary(_jet_from_cheb(ch_g, y_cut, ibp_order),
+                               _jet_from_cheb(ch_w, y_cut, ibp_order + 1) * N,
+                               order=ibp_order)
         val = val + (S_hi - S_lo)
     return complex(val)
 

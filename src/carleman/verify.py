@@ -13,7 +13,7 @@ def _check(name, ok, detail=""):
 
 def _suite_core():
     from .coeffmap import RealPolynomial, p_to_q, q_to_p
-    from .liouville import OperatorCoefficients, tau_table
+    from .liouville import OperatorCoefficients
     from .profile import ChangeOfVariables, WeightProfile, a1_constant
     from .specfun import complex_gamma, eta_phase, recip_gamma_taylor
 
@@ -42,9 +42,7 @@ def _suite_core():
         P = RealPolynomial(coeffs)
         ok &= bool(np.max(np.abs(q_to_p(p_to_q(P)).coeffs - P.coeffs)) < 1e-12)
     fails += _check("coefficient map round trip", ok)
-    # tau degrees and the Liouville identities
-    T = tau_table(6)
-    fails += _check("tau_32 = 3 phi phi'", T.entry(3, 2) == {(0, 1): 3})
+    # the Liouville identities
     prof = WeightProfile("cosh")
     for n in (1, 2, 3):
         Q = p_to_q(RealPolynomial([0.0] * n + [1.0]))
@@ -96,7 +94,7 @@ def _suite_scatter():
     return fails
 
 
-def run_suite(name, verbose=True):
+def run_suite(name):
     fails = _suite_core()
     if name in ("scatter", "all"):
         fails += _suite_scatter()

@@ -137,6 +137,12 @@ def test_verify_core():
     assert "all invariants pass" in out
 
 
+def test_verify_all():
+    rc, out = run_cli(["verify", "--suite", "all"])
+    assert rc == 0
+    assert "all invariants pass" in out
+
+
 def test_hankel_theta_csv(tmp_path):
     out_file = tmp_path / "theta.csv"
     rc, _ = run_cli(["hankel-theta", "--p", "-1,0,1", "--family", "cosh",

@@ -3,8 +3,8 @@ import pytest
 from numpy.polynomial.hermite_e import hermeval
 
 from carleman.coeffmap import RealPolynomial, p_to_q
-from carleman.liouville import (OperatorCoefficients, decay_report,
-                                operator_apply_check, tau_table)
+from carleman.liouville import (OperatorCoefficients, _fornberg_weights,
+                                decay_report, operator_apply_check)
 from carleman.profile import ChangeOfVariables, WeightProfile
 
 
@@ -16,25 +16,6 @@ def gaussian_deriv(x, m):
     c = np.zeros(m + 1)
     c[m] = 1.0
     return (-1.0) ** m * hermeval(x, c) * np.exp(-0.5 * np.asarray(x) ** 2)
-
-
-def test_tau_table_entries():
-    T = tau_table(6)
-    assert T.entry(1, 1) == {(0,): 1}          # tau_11 = phi
-    assert T.entry(2, 1) == {(1,): 1}          # tau_21 = phi'
-    assert T.entry(3, 2) == {(0, 1): 3}        # tau_32 = 3 phi phi'
-    for j in range(1, 7):
-        assert T.entry(j, j) == {(0,) * j: 1}  # tau_jj = phi^j
-        for l in range(1, j + 1):
-            for mono in T.entry(j, l):
-                assert sum(mono) == j - l
-
-
-def test_tau_table_bounds():
-    from carleman.errors import DomainError
-
-    with pytest.raises(DomainError):
-        tau_table(11)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -62,9 +43,13 @@ def test_gauge_beta_and_derivative(op2):
     xs = np.array([-4.0, -1.0, 0.0, 2.0, 9.0])
     beta = op2.beta(xs)
     assert abs(beta[np.where(xs == 0.0)][0]) < 1e-14
+    # beta' = -b_{n-1}/n, with beta' from a 13-point stencil (whose own
+    # error is ~2e-9 at x = 0 and ~1e-14 at |x| >= 1)
     b = op2.b_values(xs)
-    bp = op2.beta_prime_jet(xs, 0).value
-    assert np.max(np.abs(bp + b[1] / 2.0)) < 1e-10  # beta' = -b_{n-1}/n
+    offsets = 0.02 * np.arange(-6, 7)
+    bp = [op2.beta(x0 + offsets) @ _fornberg_weights(x0, x0 + offsets, 1)[:, 1]
+          for x0 in xs]
+    assert np.max(np.abs(bp + b[1] / 2.0)) < 1e-8
     # n = 1: beta = -q0 xi(x)
     Q1 = p_to_q(RealPolynomial([0.0, 1.0]))
     cov1 = ChangeOfVariables(WeightProfile("cosh"), 1)
@@ -125,28 +110,50 @@ def test_apply_check_sin(cov3, q_x3):
     assert resid < 1e-5
 
 
-def test_gauge_operator_identity(op2, cov2):
+@pytest.mark.parametrize("p,tol", [([0.0, 0.0, 1.0], 1e-6),
+                                   ([0.0, 0.0, 0.0, 1.0], 1e-5),
+                                   ([-1.0, 0.3, 0.5, 1.0], 1e-5)],
+                         ids=["X2", "X3", "X3+0.5X2+0.3X-1"])
+def test_gauge_operator_identity(p, tol, cosh_profile):
     # B f == e^{i beta} B~ (e^{-i beta} f) pointwise, with the conjugated side
     # differentiated numerically (13-point stencils) as the independent route
-    from carleman.liouville import _fornberg_weights
-
+    Q = p_to_q(RealPolynomial(p))
+    n = Q.degree
+    op = OperatorCoefficients(Q, ChangeOfVariables(cosh_profile, n))
     f = gaussian
     xs = np.linspace(-1.0, 1.0, 5)
     h = 0.02
     offsets = h * np.arange(-6, 7)
     worst = 0.0
     for x0 in xs:
-        b = op2.b_values(np.array([x0]))[:, 0]
-        lhs = sum((-1j) ** m * b[m] * gaussian_deriv(x0, m) for m in range(3))
+        b = op.b_values(np.array([x0]))[:, 0]
+        lhs = sum((-1j) ** m * b[m] * gaussian_deriv(x0, m) for m in range(n + 1))
         grid = x0 + offsets
-        inner = np.exp(-1j * op2.beta(grid)) * f(grid)
-        wts = _fornberg_weights(x0, grid, 2)
-        bt = op2.gauged_values(np.array([x0]))[:, 0]
+        inner = np.exp(-1j * op.beta(grid)) * f(grid)
+        wts = _fornberg_weights(x0, grid, n)
+        bt = op.gauged_values(np.array([x0]))[:, 0]
         conj_side = sum((-1j) ** m * bt[m] * complex(np.dot(wts[:, m], inner))
-                        for m in range(3))
-        rhs = np.exp(1j * op2.beta(np.array([x0]))[0]) * conj_side
+                        for m in range(n + 1))
+        rhs = np.exp(1j * op.beta(np.array([x0]))[0]) * conj_side
         worst = max(worst, abs(lhs - rhs))
-    assert worst < 1e-6, worst
+    assert worst < tol, worst
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_coefficient_jets_match_finite_differences(n, request):
+    # first and second x-derivatives of b and b~ from the jets against
+    # 13-point stencils of the values
+    op = request.getfixturevalue(f"op{n}")
+    offsets = 0.02 * np.arange(-6, 7)
+    for x0 in (-7.0, -0.4, 0.9, 15.0):
+        wts = _fornberg_weights(x0, x0 + offsets, 2)[:, 1:]
+        for jets, values in ((op.b_jets, op.b_values),
+                             (op.gauged_jets, op.gauged_values)):
+            d = np.stack([j.derivative_values()[1:, 0]
+                          for j in jets(np.array([x0]), 2)])
+            fd = values(x0 + offsets) @ wts
+            assert np.max(np.abs(d - fd) / np.maximum(np.abs(d), 1.0)) < 1e-8, \
+                (x0, jets.__name__)
 
 
 def test_carleman_baseline_n0(cosh_profile):

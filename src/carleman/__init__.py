@@ -8,7 +8,7 @@ scattering matrices, eigenfunction asymptotics and large-time profiles.
 from .coeffmap import RealPolynomial, p_to_q, q_to_p
 from .errors import (CarlemanError, ConfigurationError, DomainError,
                      NearExceptionalPointError, NumericalError,
-                     ResolutionError, StiffIntegrationError)
+                     ResolutionError)
 from .profile import ChangeOfVariables, WeightProfile, a1_constant, decay_parameters
 from .liouville import OperatorCoefficients, operator_apply_check
 from .scattering import (EigenfunctionField, PotentialSpec, RootSet,

@@ -1,7 +1,7 @@
 """Command-line front end: deterministic curve/matrix emission per subcommand.
 
 Exit codes: 0 success, 1 usage error, 2 validation (configuration/domain)
-error, 3 numerical failure (near-exceptional point, stiffness, resolution).
+error, 3 numerical failure (near-exceptional point, long-range, resolution).
 All numbers are printed with 17 significant digits so emitted files round-trip
 losslessly; every record carries the tolerances and truncation radii used.
 CARLEMAN_THREADS caps the BLAS thread pool (set before numpy loads).

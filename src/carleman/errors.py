@@ -35,7 +35,3 @@ class ResolutionError(NumericalError):
     def __init__(self, msg, suggested_x_core=None):
         self.suggested_x_core = suggested_x_core
         super().__init__(msg)
-
-
-class StiffIntegrationError(NumericalError):
-    """ODE integrator failed (stiffness / step-size collapse)."""

@@ -30,7 +30,8 @@ block's, if smaller) must stay above RCOND_FLOOR.  The outer sides enter it
 only as its first upper and last lower states, for real and complex roots
 alike.
 
-Beyond X0 (where sum|b~_m| ~ 1e-5) w is carried as components E(y) e^{i mu y}
+Beyond X0 = CORE_RADIUS (where sum|b~_m| is 6.3e-5 for P = X^2 on the cosh
+weight, 1.3e-3 for X^4) w is carried as components E(y) e^{i mu y}
 with real mu (incident wave and real roots); the complex-root waves the core
 launches past +-X0 die within a few units and enter psi there (`psi_at`), not
 the outer Born sources.  Born passes refresh the outer components and
@@ -55,7 +56,7 @@ r_w tends to [w = 1] - d c I_w on the side it leaves by and to [w = 1] on the
 other.  Row s of the S column is the limit of the wave leaving toward s.
 
 scipy loads only where it is used: scipy.linalg.lapack at the first LU
-factorization, scipy.integrate in the DOP853 oracle `ode_cross_check`.
+factorization.
 """
 
 from __future__ import annotations
@@ -65,14 +66,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigurationError, DomainError, NearExceptionalPointError,
-                     NumericalError, StiffIntegrationError)
+                     NumericalError)
 from .oscquad import (exp_monomial_moments, gauss_panels, gauss_rule,
                       lagrange_coeff_matrix)
 
 RCOND_FLOOR = 1e-10    # below this the solve is taken as near-exceptional
 BORN_TOL = 1e-12       # Born passes stop at increment <= BORN_TOL max(|w|, 1)
 BORN_MAX_PASSES = 12
-SHORT_RANGE_TOL = 1e-4  # sum |b~_m| at +-X0 at or above this is long-range
+CORE_RADIUS = 120.0    # X0 unless the support is compact
+SHORT_RANGE_SLOPE = -1.5  # sum |b~_m| must fall faster than x^SHORT_RANGE_SLOPE
 
 
 # scipy.linalg loads at the first factorization, not with the package
@@ -190,7 +192,8 @@ class PotentialSpec:
     """Short-range coefficients b~_0..b~_{n-2} of a gauged operator.
 
     funcs[m] must accept numpy arrays.  `support` marks compactly supported
-    potentials (the solver then uses no outer region).
+    potentials (the solver then uses no outer region).  `from_operator`
+    specs read the operator's b~ table instead, which `cover` extends.
     """
 
     def __init__(self, n, funcs, support=None, label="custom", breakpoints=()):
@@ -203,14 +206,24 @@ class PotentialSpec:
         self.support = support
         self.label = label
         self.breakpoints = tuple(sorted(abs(b) for b in breakpoints))
+        self._op = self._table = None
 
     @staticmethod
     def from_operator(op, x_max=2.6e4):
-        return PotentialSpec(op.n, op.btilde_splines(x_max), support=None,
-                             label=f"gauged n={op.n}")
+        pot = PotentialSpec(op.n, [lambda x, m=m: pot.values(x)[m]
+                                   for m in range(op.n - 1)], label=f"gauged n={op.n}")
+        pot._op, pot._table = op, op.btilde_splines(x_max)
+        return pot
+
+    def cover(self, x_max):
+        """Extend an operator's b~ table to |x| <= x_max (user funcs stay)."""
+        if self._op is not None and x_max > self._table.x_max:
+            self._table = self._op.btilde_splines(x_max)
 
     def values(self, x):
         x = np.asarray(x, dtype=float)
+        if self._table is not None:
+            return self._table(x)
         if not self.funcs:
             return np.zeros((0,) + x.shape, dtype=complex)
         return np.stack([np.asarray(f(x), dtype=complex) for f in self.funcs])
@@ -661,14 +674,9 @@ class _CoreSolver:
             if increment <= BORN_TOL * max(float(np.max(np.abs(w))), 1.0):
                 break
         else:
-            edge = float(np.sum(self.pot.abs_sum(np.array([self.x0, -self.x0]))))
-            cause = "" if edge < SHORT_RANGE_TOL else (
-                f"; sum|b~_m| at +-X0 = {edge:.3e} >= {SHORT_RANGE_TOL:g}, so the "
-                "coefficients are long-range, and the long-range modifier "
-                "(longrange.py) is not wired into the solver")
             raise NumericalError(
                 f"Born passes not converged at lambda={self.lam!r}: increment "
-                f"{increment:.3e} after {BORN_MAX_PASSES} passes{cause}")
+                f"{increment:.3e} after {BORN_MAX_PASSES} passes")
         field = EigenfunctionField(self, k, w, self._refresh_outer(field, meshes), X)
         resid = w - rhs0
         for (zeta, _, upper), pcoef in zip(self._branches, self._pcoef):
@@ -714,21 +722,31 @@ class _CoreSolver:
         return outer
 
 
-def default_core_radius(pot: PotentialSpec, X, threshold=SHORT_RANGE_TOL):
-    if pot.support is not None:
-        return min(pot.support + 2.0, X)
-    xs = np.linspace(30.0, 200.0, 343)
-    vals = pot.abs_sum(xs) + pot.abs_sum(-xs)
-    idx = np.where(vals < threshold)[0]
-    x0 = xs[idx[0]] if idx.size else 200.0
-    return float(min(max(x0, 40.0), 120.0, X))
+def _prepare(pot: PotentialSpec, X, x_core, reach):
+    """X0 of a solve out to X, before any factorization: b~ is read out to
+    |x| <= reach and sum |b~_m| must fall faster than x^SHORT_RANGE_SLOPE on
+    [X0, X] in a log-log fit (cosh, stretched_exp: -2; power_law: -1 to -0.7)."""
+    if x_core is None:
+        x_core = CORE_RADIUS if pot.support is None else pot.support + 2.0
+    x0 = min(x_core, X)
+    pot.cover(reach)
+    if pot.support is None and X > x0:
+        x = np.geomspace(x0, X, 32)
+        total = pot.abs_sum(x) + pot.abs_sum(-x)
+        slope = np.polyfit(np.log(x), np.log(total), 1)[0] if np.all(total > 0) \
+            else -np.inf  # vanishing coefficients are short-range
+        if slope > SHORT_RANGE_SLOPE:
+            raise NumericalError(
+                f"sum|b~_m| falls like x^{slope:.2f} on [{x0:g}, {X:g}]: the "
+                "coefficients are long-range, and the long-range modifier "
+                "(longrange.py) is not wired into the solver")
+    return x0
 
 
 def solve_lippmann_schwinger(pot: PotentialSpec, k, X=1.0e4,
                              x_core=None) -> EigenfunctionField:
     """Solve for the continuum eigenfunction at wavenumber k (lambda = k^n)."""
-    x0 = default_core_radius(pot, X) if x_core is None else min(x_core, X)
-    return _CoreSolver(pot, k, x0).solve(X)
+    return _CoreSolver(pot, k, _prepare(pot, X, x_core, X)).solve(X)
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +794,7 @@ def scattering_matrix(pot: PotentialSpec, lam, X=1.0e4,
         raise DomainError("even n: lambda must be positive")
     k = np.sign(lam) * abs(lam) ** (1.0 / n)
     ks = [k] if n % 2 == 1 else [k, -k]
-    x0 = default_core_radius(pot, X) if x_core is None else min(x_core, X)
+    x0 = _prepare(pot, X, x_core, 2 * X)
     S_X, S_2X = (np.zeros((len(ks), len(ks)), dtype=complex) for _ in range(2))
     fields = []
     solver = _CoreSolver(pot, ks[0], x0)  # one factorization for every k
@@ -792,46 +810,50 @@ def scattering_matrix(pot: PotentialSpec, lam, X=1.0e4,
 
 
 # ---------------------------------------------------------------------------
-# independent n = 2 route: envelope ODE shooting
+# independent n = 2 route: Magnus shooting
 # ---------------------------------------------------------------------------
 
 
-def ode_cross_check(pot: PotentialSpec, k, X=1.0e4, rtol=1e-11, atol=1e-13):
+def ode_cross_check(pot: PotentialSpec, k, X=1.0e4):
     """Transmission/reflection for n = 2 by two-sided shooting.
 
-    Integrates psi'' = (b0 - k^2) psi from +X to -X starting from the pure
-    transmitted wave and matches plane waves at -X; independent of the
-    Nystrom machinery.  Returns {"s11": ..., "s21": ...} for this k > 0.
+    Carries (psi, psi') of psi'' = (b0 - k^2) psi from the transmitted wave at
+    +X to -X, where it matches plane waves; independent of the Nystrom
+    machinery.  Per cell, the fourth-order Magnus exponent of A = [[0, 1],
+    [b0 - k^2, 0]] at two Gauss points, Omega = h/2 (A1 + A2) + sqrt(3) h^2/12
+    [A2, A1] (Iserles & Norsett 1999), is traceless, so exp(Omega) =
+    cosh s I + (sinh s / s) Omega with s^2 = -det Omega.  Cells are 0.005 wide
+    on |x| <= 120 and 0.5 beyond, with edges at the breakpoints and the
+    support; their product is taken pairwise.  Returns {"s11", "s21"}, k > 0.
     """
-    from scipy.integrate import solve_ivp
-
     if pot.n != 2:
         raise ConfigurationError("ode_cross_check is the n = 2 oracle")
     if k <= 0:
         raise ConfigurationError("use k > 0")
-    b0 = pot.funcs[0]
-
-    def rhs(x, u):
-        pr, pi, dpr, dpi = u
-        b = b0(np.array([x]))[0] if pot.support is None or abs(x) <= pot.support \
-            else 0.0
-        c = (np.real(b) - k * k) + 1j * np.imag(b)
-        psi = pr + 1j * pi
-        dd = c * psi
-        return [dpr, dpi, dd.real, dd.imag]
-
     x_hi = X if pot.support is None else min(X, pot.support)
+    pot.cover(x_hi)
+    x_in = min(x_hi, 120.0)
+    right = np.concatenate((
+        np.linspace(0.0, x_in, int(np.ceil(x_in / 0.005)) + 1),
+        np.linspace(x_in, x_hi, int(np.ceil(2.0 * (x_hi - x_in))) + 1),
+        [b for b in (*pot.breakpoints, pot.support or 0.0) if b < x_hi]))
+    edges = np.unique(np.concatenate((right, -right)))[::-1]  # +x_hi to -x_hi
+    h = np.diff(edges)
+    g = (0.5 - np.sqrt(3.0) / 6.0) * h
+    c1, c2 = pot.values(np.concatenate((edges[:-1] + g, edges[1:] - g)))[0] \
+        .reshape(2, -1) - k * k
+    d, e = (np.sqrt(3.0) / 12.0) * h * h * (c1 - c2), 0.5 * h * (c1 + c2)
+    s = np.sqrt(d * d + h * e + 0j)  # Omega = [[d, h], [e, -d]]
+    ch, sh = np.cosh(s), np.sinc(1j * s / np.pi)  # sinh(s)/s, 1 at s = 0
+    M = np.stack((ch + sh * d, sh * h, sh * e, ch - sh * d), -1).reshape(-1, 2, 2)
+    while len(M) > 1:  # ordered product, later cells on the left
+        if len(M) % 2:
+            M = np.concatenate((M, np.eye(2)[None]))
+        M = M[1::2] @ M[0::2]
     psi0 = np.exp(1j * k * x_hi)
-    y0 = [psi0.real, psi0.imag, (1j * k * psi0).real, (1j * k * psi0).imag]
-    sol = solve_ivp(rhs, (x_hi, -x_hi), y0, method="DOP853", rtol=rtol,
-                    atol=atol, dense_output=False)
-    if not sol.success:
-        raise StiffIntegrationError(sol.message)
-    pr, pi, dpr, dpi = sol.y[:, -1]
-    psi, dpsi = pr + 1j * pi, dpr + 1j * dpi
-    xm = sol.t[-1]
-    alpha = (dpsi + 1j * k * psi) * np.exp(-1j * k * xm) / (2j * k)
-    beta = -(dpsi - 1j * k * psi) * np.exp(1j * k * xm) / (2j * k)
+    psi, dpsi = M[0] @ np.array([psi0, 1j * k * psi0])
+    alpha = (dpsi + 1j * k * psi) * np.exp(1j * k * x_hi) / (2j * k)
+    beta = -(dpsi - 1j * k * psi) * np.exp(-1j * k * x_hi) / (2j * k)
     return {"s11": 1.0 / alpha, "s21": beta / alpha}
 
 

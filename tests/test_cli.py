@@ -193,6 +193,31 @@ def test_long_range_weight_names_its_cause(tmp_path, capsys):
     assert "long-range" in capsys.readouterr().err
 
 
+def test_power_law_refused_even_where_born_converges(tmp_path, capsys):
+    # at lambda = 20 the Born passes converge on b~ ~ x^-1; the short-range
+    # check refuses the coefficients before any factorization
+    rc, out = run_cli(["scatter", "--p", "0,0,1", "--family", "power_law",
+                       "--lambda-min", "20", "--lambda-max", "20", "--points", "1",
+                       "--emit", str(tmp_path / "smatrix.json")])
+    assert rc == 3 and out == ""
+    assert "longrange.py" in capsys.readouterr().err
+
+
+def test_truncation_past_the_initial_table(tmp_path):
+    # X = 5e4 reads b~ out to 1e5, beyond the 2.6e4 the operator's table
+    # starts with; the table is extended, never extrapolated
+    S = {}
+    for X in ("1e4", "5e4"):
+        out_file = tmp_path / f"smatrix{X}.json"
+        rc, _ = run_cli(["scatter", "--p", "0,0,1", "--lambda-min", "1",
+                         "--lambda-max", "1", "--points", "1", "--truncation", X,
+                         "--emit", str(out_file)])
+        assert rc == 0
+        rec = json.loads(out_file.read_text())["records"][0]
+        S[X] = np.array([[complex(*v) for v in row] for row in rec["entries"]])
+    assert np.max(np.abs(S["1e4"] - S["5e4"])) <= 1e-8
+
+
 def test_scatter_json_small(tmp_path):
     out_file = tmp_path / "smatrix.json"
     rc, _ = run_cli(["scatter", "--p", "0,0,1", "--family", "cosh",

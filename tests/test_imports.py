@@ -26,10 +26,33 @@ carleman.evolution_profile(lambda u: u * 0 + 1.0, [-3.0, -1.0, 0.0, 1.0, 3.0],
 no_scipy("evolution_profile")
 """
 
+# the b~ table and the Magnus oracle are numpy; only the LU loads scipy.linalg
+SCATTER = """
+import sys
 
-def test_package_import_and_evolve_load_no_scipy():
+import carleman
+Q = carleman.p_to_q(carleman.RealPolynomial([0.0, 0.0, 1.0]))
+cov = carleman.ChangeOfVariables(carleman.WeightProfile("cosh"), 2)
+pot = carleman.PotentialSpec.from_operator(carleman.OperatorCoefficients(Q, cov))
+carleman.scattering_matrix(pot, 1.0, X=1e3)
+carleman.ode_cross_check(pot, 1.0, X=1e3)
+loaded = sorted(m for m in sys.modules
+                if m.startswith(("scipy.interpolate", "scipy.integrate")))
+assert not loaded, f"scatter loaded {loaded[:5]}"
+"""
+
+
+def _run_fresh(script):
     src = str(Path(carleman.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_package_import_and_evolve_load_no_scipy():
+    _run_fresh(SCRIPT)
+
+
+def test_scatter_and_ode_oracle_load_no_interpolate_or_integrate():
+    _run_fresh(SCATTER)

@@ -3,6 +3,7 @@ import pytest
 from numpy.polynomial.hermite_e import hermeval
 
 from carleman.coeffmap import RealPolynomial, p_to_q
+from carleman.errors import DomainError
 from carleman.liouville import (OperatorCoefficients, _fornberg_weights,
                                 decay_report, operator_apply_check)
 from carleman.profile import ChangeOfVariables, WeightProfile
@@ -177,3 +178,33 @@ def test_decay_report_power_law():
     rep = decay_report(Q, cov, p_max=0, x_hi=1.0e4)
     slopes = {(r["m"], r["p"]): r["slope"] for r in rep["rows"]}
     assert abs(slopes[(1, 0)] + 0.5) < 0.1  # gamma = 1/2
+
+
+# the polynomials of the gauge-shift checks, n = 2..4
+TABLE_POLYS = [[0.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [0.0, 0.3, 1.0], [0.0, 0.0, 0.0, 1.0],
+               [0.2, -0.5, 1.1, 1.0], [0.0, 0.0, 0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("family,params", [
+    ("cosh", {}), ("power_law", {"alpha": 1.0}),
+    ("stretched_exp", {"alpha": 1.3, "beta": 1.0})])
+def test_btilde_table_matches_gauged_values(family, params):
+    # 40 points per table panel, uniform in asinh x over the whole range
+    u_max = np.arcsinh(2.6e4)
+    x = np.clip(np.sinh(np.linspace(-u_max, u_max, 6001)), -2.6e4, 2.6e4)
+    for p in TABLE_POLYS:
+        Q = p_to_q(RealPolynomial(p))
+        n = Q.degree
+        op = OperatorCoefficients(Q, ChangeOfVariables(WeightProfile(family, **params), n))
+        exact = op.gauged_values(x)[:n - 1]
+        err = np.max(np.abs(op.btilde_splines(2.6e4)(x) - exact), axis=1)
+        assert np.all(err <= 1e-12 * np.max(np.abs(exact), axis=1)), (p, err)
+
+
+def test_btilde_table_never_extrapolates(op2):
+    table = op2.btilde_splines(100.0)
+    assert table(np.array([-100.0, 0.0, 100.0])).shape == (1, 3)
+    with pytest.raises(DomainError, match="table covers"):
+        table(np.array([0.0, 100.5]))
+    with pytest.raises(DomainError):
+        table(np.array([-3e4]))

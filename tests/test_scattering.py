@@ -450,3 +450,35 @@ def test_gauge_trivial_n1():
 def test_ode_requires_n2():
     with pytest.raises(ConfigurationError):
         ode_cross_check(PotentialSpec(1, [], support=None), 1.0)
+
+
+# -- the b~ table behind operator potentials ----------------------------------
+
+def test_operator_table_is_extended_before_the_solve(op2):
+    pot = PotentialSpec.from_operator(op2, x_max=300.0)
+    with pytest.raises(DomainError):
+        pot.values(np.array([600.0]))
+    e = scattering_matrix(pot, 1.0, X=400.0)  # reads b~ out to 2X = 800
+    ref = scattering_matrix(PotentialSpec.from_operator(op2, x_max=800.0), 1.0, X=400.0)
+    assert np.array_equal(e.S, ref.S)
+    assert pot.values(np.array([800.0])).shape == (1, 1)
+
+
+@pytest.mark.parametrize("opname,lam", [("op2", 0.2), ("op2", 1.0), ("op2", 5.0),
+                                        ("op3", -1.0), ("op3", 1.0), ("op3", 5.0)])
+def test_smatrix_on_the_table_matches_exact_coefficients(opname, lam, request):
+    op = request.getfixturevalue(opname)
+    exact = PotentialSpec(op.n, [lambda x, m=m: op.gauged_values(x)[m]
+                                 for m in range(op.n - 1)])
+    e = scattering_matrix(PotentialSpec.from_operator(op), lam, X=1e4)
+    ref = scattering_matrix(exact, lam, X=1e4)
+    for a, b in ((e.S_X, ref.S_X), (e.S_2X, ref.S_2X)):
+        assert np.max(np.abs(a - b)) <= 1e-12, (lam, np.max(np.abs(a - b)))
+
+
+@pytest.mark.parametrize("V0,a,k", [(0.6, 1.3, 0.9), (-0.5, 0.8, 0.4), (2.0, 3.0, 1.7)])
+def test_magnus_square_well_to_rounding(V0, a, k):
+    # b0 is constant on each cell, where the Magnus step is the exact exponential
+    o = ode_cross_check(well_potential(V0, a), k, X=a)
+    ref = square_well_reflection(V0, a, k)
+    assert max(abs(o[s] - ref[s]) for s in ref) <= 1e-12

@@ -9,13 +9,12 @@ in log coordinates N = ln t,
     rho(x)      = eta(xi(x)) - q_{n-1} xi(x) / n,
 
 with psi the gauged short-range eigenfunction.  The integral converges only
-conditionally: a core (psi from the Nystrom field via envelopes splined by
-scipy's CubicSpline, imported when a ThetaEvaluator is built) plus
-oscillating tails (psi from its r_+/- envelopes), closed by integration by
-parts.  Stationary points sit at |x| ~ n|N|/(pi |k|), so the core radius
-bounds the reachable |N|.  Only e^{-i xi(x) N} depends on N, so the Gauss
-nodes resolve the phase at that largest |N| once, and I(N) is one fixed
-exponential sum over them plus the closures.
+conditionally: a core plus oscillating tails, with psi read from the Nystrom
+field into oscquad tables (the tails' basis carries the waves e^{+-ikx}),
+closed by integration by parts.  Stationary points sit at |x| ~ n|N|/(pi |k|),
+so the core radius bounds the reachable |N|.  Only e^{-i xi(x) N} depends on
+N, so the Gauss nodes resolve the phase at that largest |N| once, and I(N) is
+one fixed exponential sum over them plus the closures.
 
 The large-|N| model uses the explicit phase
 
@@ -34,7 +33,7 @@ import numpy as np
 from ._jets import Jet
 from .coeffmap import RealPolynomial
 from .errors import DomainError, ResolutionError
-from .oscquad import equidistribute_edges, gauss_panels, ibp_boundary
+from .oscquad import _ChebTable, equidistribute_edges, gauss_panels, ibp_boundary
 from .profile import ChangeOfVariables
 from .specfun import _LANCZOS_C, _LANCZOS_G, eta_phase
 
@@ -158,18 +157,14 @@ def _panel_nodes(x_samples, arc, p=12):
 class ThetaEvaluator:
     """Shared machinery to evaluate I(N, k) for many N at one field.
 
-    Splines of psi_dec and of the slow envelopes r_w(x), one per wave w of
-    the field, and Gauss panels resolving the phase at the largest |N| the
-    core admits, are built once; each theta evaluation is then one fixed sum
-    of e^{-i xi_j N} amp_j over core and tail nodes plus the closures beyond
-    +-x_tail.
+    psi is read from the field once into tables, and Gauss panels resolving
+    the phase at the largest |N| the core admits are built once; each theta
+    is then one fixed sum of e^{-i xi_j N} amp_j over core and tail nodes plus
+    the closures beyond +-x_tail.
     """
 
     def __init__(self, field, Q: RealPolynomial, cov: ChangeOfVariables,
                  x_split=None, x_tail=2000.0, grid_h=None):
-        from scipy.interpolate import CubicSpline
-
-        self.field = field
         self.Q = Q
         self.cov = cov
         self.n = Q.degree
@@ -178,53 +173,44 @@ class ThetaEvaluator:
         self.x_tail = float(min(x_tail, field.X))
         if grid_h is None:
             grid_h = 0.35 / max(1.0, abs(self.k))
-        # graded core grid: the envelopes inherit the coefficients' sharp
-        # structure near the origin, so sample at h/7 there
-        h_fine = grid_h / 7.0
-        fine = np.arange(-6.0, 6.0 + h_fine, h_fine)
-        coarse_r = np.arange(fine[-1] + grid_h, self.x_split + grid_h, grid_h)
-        xs_core = np.concatenate((-coarse_r[::-1], fine, coarse_r))
-        xs_core = xs_core[np.abs(xs_core) <= self.x_split + 2 * grid_h]
-        env = {w: (field.r_plus if w > 0 else field.r_minus)(xs_core)
-               for w in field.waves}
-        dec = field.psi_at(xs_core) - sum(np.exp(1j * w * k * xs_core) * r
-                                          for w, r in env.items())
-        self._env = {w: CubicSpline(xs_core, r) for w, r in env.items()}
-        self._dec = CubicSpline(xs_core, dec)
-        # tail envelopes: the field's limits per (side, wave) and the
-        # deviations from them on a log grid
+        # psi on the core, on panels (at the default grid_h) 0.25 wide on |x| <= 6,
+        # where psi inherits the coefficients' sharp structure, 2/max(|k|, 1) beyond
+        a, h = min(6.0, self.x_split), grid_h / 0.35
+        right = np.concatenate((np.arange(0.0, a, 0.25 * h),
+                                np.arange(a, self.x_split, 2.0 * h), [self.x_split]))
+        self._psi = _ChebTable(field.psi_at, np.unique(np.concatenate((-right, right))),
+                               points=12)
+        # tails in u = |x|: 2/|k| panels hold the complex-root remnants beyond
+        # X0, then 25 geometric panels the slow envelopes
+        x_mid = min(max(field.X0 + 30.0 / abs(k), self.x_split), self.x_tail)
+        tail = np.unique(np.concatenate((np.arange(self.x_split, x_mid, 2.0 / abs(k)),
+                                         np.geomspace(x_mid, self.x_tail, 26))))
+        self._tails = {side: _ChebTable(lambda u, s=side: field.psi_at(s * u), tail,
+                                        [w * k * side for w in field.waves], points=12)
+                       for side in (+1, -1)}
         self._lim = field.r_limits()
-        u = np.geomspace(self.x_split, self.x_tail, 400)
-        self._dev = {(s, w): CubicSpline(u, (field.r_plus if w > 0 else
-                                             field.r_minus)(s * u) - lim)
-                     for (s, w), lim in self._lim.items()}
         # one node set for every admissible N: the core on [-x_split, x_split]
         # and the tails x = +-u, u in [x_split, x_tail], where xi is odd
         self._shift = cov.a1 if cov.profile.family == "cosh" else 0.0
         n_lim = max(self.x_split / 1.35 - self._shift, 0.0) * np.pi * abs(k) / self.n
         arc_x = np.linspace(-self.x_split, self.x_split, 4097)
+        u = np.geomspace(self.x_split, self.x_tail, 400)
         xc, wc = _panel_nodes(arc_x, n_lim * cov.xi_of_x(arc_x) + abs(k) * arc_x)
         xt, wt = _panel_nodes(u, n_lim * cov.xi_of_x(u) + abs(k) * u)
         xi_t = cov.xi_of_x(xt)
+        self._x = np.concatenate((xc, xt, -xt))
         self._xi = np.concatenate((cov.xi_of_x(xc), xi_t, -xi_t))
+        self._w = np.concatenate((wc, wt, wt))
         psi = np.concatenate((self._psi(xc), self._tail_psi(xt, +1),
                               self._tail_psi(xt, -1)))
-        self._amp = (np.concatenate((wc, wt, wt)) * psi
-                     * _zeta_of_xi(self._xi, Q, cov))
+        self._amp = self._w * psi * _zeta_of_xi(self._xi, Q, cov)
         self._end_jets = {s: _xi_zeta_jets(s * self.x_tail, Q, cov) for s in (+1, -1)}
 
     # -- pieces ---------------------------------------------------------------
 
-    def _psi(self, x):
-        """psi on the core from the spline envelopes."""
-        return sum(np.exp(1j * w * self.k * x) * spl(x)
-                   for w, spl in self._env.items()) + self._dec(x)
-
     def _tail_psi(self, u, side):
-        """psi at x = side * u from the r_+/- envelopes, u >= x_split."""
-        return sum((self._lim[side, w] + self._dev[side, w](u))
-                   * np.exp(1j * w * self.k * side * u)
-                   for w in (+1, -1) if (side, w) in self._lim)
+        """psi at x = side * u from the tail table of that side, u >= x_split."""
+        return self._tails[side](u)
 
     def _closure(self, N):
         """IBP closures beyond +-x_tail with the constant limit amplitudes:

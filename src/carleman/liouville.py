@@ -30,7 +30,8 @@ import numpy as np
 
 from ._jets import Jet
 from .coeffmap import RealPolynomial
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
+from .oscquad import _ChebTable
 from .profile import ChangeOfVariables, WeightProfile
 
 
@@ -146,46 +147,12 @@ class OperatorCoefficients:
     # -- b~ table (for the scattering solver) -------------------------------
 
     def btilde_splines(self, x_max: float):
-        """The piecewise-Chebyshev table of b~_m (m = 0..n-2) on |x| <= x_max."""
-        return _ChebTable(lambda x: self.gauged_values(x)[:self.n - 1], x_max)
-
-
-class _ChebTable:
-    """Piecewise-Chebyshev interpolant of a vector function on |x| <= x_max:
-    panels uniform in u = asinh x, at most PANEL_DU wide (150 for x_max =
-    2.6e4), each holding the Chebyshev series through its values at POINTS
-    first-kind Chebyshev points.  A call locates each point once (one
-    searchsorted) for all components and sums by Clenshaw; beyond x_max it
-    raises DomainError."""
-
-    POINTS, PANEL_DU = 20, 0.145
-
-    def __init__(self, sample, x_max):
-        self.x_max = float(x_max)
-        u_max = np.arcsinh(self.x_max)
-        e = self.edges = np.linspace(-u_max, u_max,
-                                     2 * int(np.ceil(u_max / self.PANEL_DU)) + 1)
-        theta = np.pi * (np.arange(self.POINTS) + 0.5) / self.POINTS
-        u = 0.5 * ((e[1:] + e[:-1])[:, None] + np.diff(e)[:, None] * np.cos(theta))
-        vals = np.asarray(sample(np.sinh(u)))
-        # c_k = (2/p) sum_j f(t_j) cos(k theta_j), with c_0 halved
-        dct = np.cos(np.outer(np.arange(self.POINTS), theta)) * (2.0 / self.POINTS)
-        dct[0] *= 0.5
-        self.coef = np.einsum("kj,mqj->kmq", dct, vals)  # (degree, component, panel)
-
-    def __call__(self, x):
-        """The components at the points x, shape (components,) + x.shape."""
-        x = np.asarray(x, dtype=float)
-        worst = float(np.max(np.abs(x), initial=0.0))
-        if not worst <= self.x_max:
-            raise DomainError(f"b~ table covers |x| <= {self.x_max:g}, not {worst:g}")
-        u, e = np.arcsinh(x), self.edges
-        q = np.clip(np.searchsorted(e, u, side="right") - 1, 0, e.size - 2)
-        t = (2.0 * u - (e[q] + e[q + 1])) / (e[q + 1] - e[q])
-        b1 = b2 = 0.0
-        for c in self.coef[:0:-1]:
-            b1, b2 = c[:, q] + 2.0 * t * b1 - b2, b1
-        return self.coef[0][:, q] + t * b1 - b2
+        """The table of b~_m (m = 0..n-2) on |x| <= x_max: 20 points on panels
+        uniform in asinh x, at most 0.145 wide there (150 for x_max = 2.6e4)."""
+        u_max = np.arcsinh(x_max)
+        edges = np.sinh(np.linspace(-u_max, u_max, 2 * int(np.ceil(u_max / 0.145)) + 1))
+        edges[0], edges[-1] = -x_max, x_max
+        return _ChebTable(lambda x: self.gauged_values(x)[:self.n - 1], edges)
 
 
 # -- checks ---------------------------------------------------------------

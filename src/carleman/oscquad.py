@@ -1,6 +1,6 @@
 """Oscillatory quadrature building blocks.
 
-Three tools shared by the scattering solver, the stationary-phase engine and
+Four tools shared by the scattering solver, the stationary-phase engine and
 the Hankel eigenfunction integrals:
 
 * exact moments of exp(mu u) against monomials on intervals, batched over
@@ -10,7 +10,9 @@ the Hankel eigenfunction integrals:
 * phase-equidistributed Gauss panels for integrands written as
   amplitude * exp(i phase) with an explicitly known phase;
 * a two-term integration-by-parts boundary series for truncated tails
-  int_X^inf exp(i phi) A dx, with jets supplying the derivatives.
+  int_X^inf exp(i phi) A dx, with jets supplying the derivatives;
+* a piecewise-Chebyshev table whose basis carries known oscillations
+  e^{i nu x} (the solver's b~ coefficients, psi for the Hankel integrals).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._jets import Jet
+from .errors import DomainError
 
 _GL_CACHE: dict = {}
 
@@ -99,12 +102,8 @@ def equidistribute_edges(x_samples, phase_samples, max_dphase):
 
 def integrate_panels(f, edges, p=12):
     """sum of Gauss-p integrals of f over consecutive [edges[i], edges[i+1]]."""
-    x, w = gauss_rule(p)
-    lo, hi = edges[:-1], edges[1:]
-    c, s = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    nodes = c[:, None] + s[:, None] * x[None, :]
-    vals = f(nodes.ravel()).reshape(nodes.shape)
-    return np.sum((vals @ w) * s)
+    nodes, weights = gauss_panels(edges, p)
+    return np.sum(f(nodes.ravel()) * weights.ravel())
 
 
 def ibp_boundary(amp_jet: Jet, phase_jet: Jet, order: int = 2):
@@ -127,3 +126,50 @@ def ibp_boundary(amp_jet: Jet, phase_jet: Jet, order: int = 2):
         if term.order >= 0:
             last = float(np.max(np.abs(term.value / phip.truncated(term.order).value)))
     return total, last
+
+
+class _ChebTable:
+    """Piecewise-Chebyshev table of `sample` (1-D x -> (components..., x.size))
+    between `edges`: on the panel with centre c and half-width h the basis is
+    e^{i nu (x - c)} T_j((x - c) / h), j < points, nu in `nus` (m functions).
+    One nu is fitted at m first-kind Chebyshev points; several by one batched
+    QR at those and the m + 1 points, as one grid aliases the waves once nu h
+    nears a multiple of its size (Lebesgue constants up to 5e5 for m = 24) and
+    the two only near nu h = m (m + 1).  A call locates points by one
+    searchsorted, sums by Clenshaw and refuses points outside the edges.
+    """
+
+    def __init__(self, sample, edges, nus=(0.0,), points=20):
+        e = self.edges = np.asarray(edges, dtype=float)
+        self.nus = np.asarray(nus, dtype=float)
+        m = points * self.nus.size
+        sizes = (m,) if self.nus.size == 1 else (m, m + 1)
+        t = np.concatenate([np.cos(np.pi * (np.arange(n) + 0.5) / n) for n in sizes])
+        self._c, self._h = 0.5 * (e[1:] + e[:-1]), 0.5 * np.diff(e)
+        vals = np.asarray(sample((self._c[:, None] + self._h[:, None] * t).ravel()))
+        self.shape = vals.shape[:-1]
+        vals = vals.reshape(-1, e.size - 1, t.size).transpose(1, 2, 0)  # (panel, node, comp)
+        cheb = np.cos(np.outer(np.arccos(t), np.arange(points)))
+        phase = np.exp(1j * self.nus * (self._h[:, None, None] * t[:, None]))  # (panel, node, nu)
+        if self.nus.size == 1:  # divide the one wave out: one Chebyshev fit serves every panel
+            coef = np.linalg.inv(cheb) @ (vals / phase)
+        else:
+            q, r = np.linalg.qr((phase[..., None] * cheb[:, None]).reshape(-1, t.size, m))
+            coef = np.linalg.solve(r, q.conj().swapaxes(1, 2) @ vals)
+        self.coef = coef.reshape(e.size - 1, self.nus.size, points, -1).transpose(2, 1, 3, 0)
+
+    def __call__(self, x):
+        """The components at the points x, shape (components...,) + x.shape."""
+        x = np.asarray(x, dtype=float)
+        e = self.edges
+        if x.size and not (e[0] <= x.min() and x.max() <= e[-1]):
+            raise DomainError(f"table covers [{e[0]:g}, {e[-1]:g}], "
+                              f"not [{x.min():g}, {x.max():g}]")
+        q = np.clip(np.searchsorted(e, x.ravel(), side="right") - 1, 0, e.size - 2)
+        s = x.ravel() - self._c[q]
+        t, coef = s / self._h[q], self.coef[..., q]           # coef: (j, nu, comp, point)
+        b1 = b2 = 0.0
+        for c in coef[:0:-1]:
+            b1, b2 = c + 2.0 * t * b1 - b2, b1
+        out = (coef[0] + t * b1 - b2) * np.exp(1j * np.multiply.outer(self.nus, s))[:, None]
+        return out.sum(axis=0).reshape(self.shape + x.shape)

@@ -217,7 +217,7 @@ class PotentialSpec:
 
     def cover(self, x_max):
         """Extend an operator's b~ table to |x| <= x_max (user funcs stay)."""
-        if self._op is not None and x_max > self._table.x_max:
+        if self._op is not None and x_max > self._table.edges[-1]:
             self._table = self._op.btilde_splines(x_max)
 
     def values(self, x):

@@ -10,6 +10,7 @@ from carleman.hankelphase import (PhaseModel, ThetaEvaluator, _eta_jet,
                                   quadratic_form_check, theta_asymptotic,
                                   varrho, zeta_amplitude)
 from carleman.oscquad import equidistribute_edges, integrate_panels
+from carleman.scattering import solve_lippmann_schwinger
 
 
 def test_hankel_kernel_examples():
@@ -233,6 +234,21 @@ def test_theta_matches_refined_per_N_panels(n, ev2, field3, q_x3, cov3):
     Ns = np.array([-30.0, -7.5, 12.5, 25.0])
     ref = np.array([_theta_reference(ev, N) for N in Ns])
     assert np.max(np.abs(ev.theta_scaled(Ns) - ref)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("k", [1.0, -1.0])
+def test_theta_matches_direct_psi(n, k, pot2m1, q_x2m1, cov2, pot3, q_x3, cov3):
+    """theta over the evaluator's own nodes and closures, with psi read from
+    the field at every node instead of from the evaluator's tables."""
+    pot, Q, cov = (pot2m1, q_x2m1, cov2) if n == 2 else (pot3, q_x3, cov3)
+    field = solve_lippmann_schwinger(pot, k, X=1.0e4)
+    ev = ThetaEvaluator(field, Q, cov)
+    xi = cov.xi_of_x(ev._x)
+    amp = ev._w * field.psi_at(ev._x) * zeta_amplitude(ev._x, Q, cov)
+    Ns = np.arange(-30.0, 31.0, 5.0)
+    ref = np.array([np.exp(-1j * N * xi) @ amp + ev._closure(N) for N in Ns])
+    assert np.max(np.abs(ev.theta_scaled(Ns) - ref / np.sqrt(2.0 * np.pi))) <= 1e-9
 
 
 def test_theta_grid_resolution_guard_matches_scalar(ev2):

@@ -26,7 +26,8 @@ carleman.evolution_profile(lambda u: u * 0 + 1.0, [-3.0, -1.0, 0.0, 1.0, 3.0],
 no_scipy("evolution_profile")
 """
 
-# the b~ table and the Magnus oracle are numpy; only the LU loads scipy.linalg
+# the b~ and psi tables and the Magnus oracle are numpy; only the LU loads
+# scipy.linalg
 SCATTER = """
 import sys
 
@@ -36,6 +37,8 @@ cov = carleman.ChangeOfVariables(carleman.WeightProfile("cosh"), 2)
 pot = carleman.PotentialSpec.from_operator(carleman.OperatorCoefficients(Q, cov))
 carleman.scattering_matrix(pot, 1.0, X=1e3)
 carleman.ode_cross_check(pot, 1.0, X=1e3)
+field = carleman.solve_lippmann_schwinger(pot, 1.0, X=1e3)
+carleman.theta_profile([-5.0, 5.0], field, Q, cov)
 loaded = sorted(m for m in sys.modules
                 if m.startswith(("scipy.interpolate", "scipy.integrate")))
 assert not loaded, f"scatter loaded {loaded[:5]}"

@@ -1,10 +1,12 @@
-"""The array-valued moment primitive against mpmath quadrature."""
+"""The array-valued moment primitive against mpmath quadrature, and the
+piecewise-Chebyshev table against closed forms."""
 
 import mpmath
 import numpy as np
 import pytest
 
-from carleman.oscquad import exp_monomial_moments
+from carleman.errors import DomainError
+from carleman.oscquad import _ChebTable, exp_monomial_moments
 
 COUNT = 10
 # Re(mu) >= 0, on both sides of the Gauss / recursion switch at |mu| = 14
@@ -59,3 +61,35 @@ def test_broadcast_panels_by_queries():
             want = exp_monomial_moments(m, tq, -1.0, tq, COUNT)
             assert np.max(np.abs(got[i, j] - want)) <= 1e-14 * np.max(np.abs(want))
     assert_close(got[-1, 1], oracle(MU_RIGHT[-1], T_QUERIES[1], -1.0, T_QUERIES[1]))
+
+
+def test_table_carries_the_known_oscillations():
+    """e^{ikx} a(x) + e^{-ikx} b(x) with slow a, b on geometric panels: the
+    basis e^{+-ik(x - c)} T_j reproduces it, the plain Chebyshev one cannot.
+    The panels span k h = 1.2..59, across the counts where one grid of
+    Chebyshev points aliases the two waves."""
+    k = 1.3
+    edges = np.geomspace(10.0, 600.0, 26)
+
+    def f(x):
+        a = 1.0 + 3.0 / x + 0.1j * np.log(x)
+        b = (0.3 - 0.2j) * np.sqrt(5.0 / x)
+        return np.exp(1j * k * x) * a + np.exp(-1j * k * x) * b
+
+    x = np.linspace(10.0, 600.0, 20001).reshape(3, -1)
+    table = _ChebTable(lambda x: np.stack((f(x), 2j * f(x))), edges, (k, -k), points=12)
+    got = table(x)
+    assert got.shape == (2,) + x.shape
+    scale = np.max(np.abs(f(x)))
+    assert np.max(np.abs(got[0] - f(x))) <= 1e-12 * scale
+    assert np.max(np.abs(got[1] - 2j * f(x))) <= 2e-12 * scale
+    plain = _ChebTable(f, edges, points=24)
+    assert np.max(np.abs(plain(x) - f(x))) > 1e-3 * scale
+
+
+def test_table_refuses_points_outside_its_edges():
+    table = _ChebTable(np.cos, np.linspace(-1.0, 3.0, 5), points=16)
+    assert abs(table(np.array(3.0)) - np.cos(3.0)) < 1e-13
+    for bad in (-1.001, 3.5, np.nan):
+        with pytest.raises(DomainError, match="table covers"):
+            table(np.array([0.0, bad]))

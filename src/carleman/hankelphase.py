@@ -171,16 +171,20 @@ class ThetaEvaluator:
         self.k = k = field.k
         self.x_split = float(x_split if x_split is not None else field.X0)
         self.x_tail = float(min(x_tail, field.X))
-        if grid_h is None:
-            grid_h = 0.35 / max(1.0, abs(self.k))
-        # psi on the core, on panels (at the default grid_h) 0.25 wide on |x| <= 6,
-        # where psi inherits the coefficients' sharp structure, 2/max(|k|, 1) beyond
+        default_h = 0.35 / max(1.0, abs(self.k))
+        grid_h = default_h if grid_h is None else grid_h
+        # psi on the core: on |x| <= 6 the field's mesh panels (psi's derivatives
+        # jump at their edges), halved at the default grid_h; 2/max(|k|, 1) beyond
         a, h = min(6.0, self.x_split), grid_h / 0.35
-        right = np.concatenate((np.arange(0.0, a, 0.25 * h),
-                                np.arange(a, self.x_split, 2.0 * h), [self.x_split]))
+        edges = field.core_edges
+        edges = np.append(edges[(edges >= 0.0) & (edges < a)], a)
+        pieces = max(1, int(np.ceil(2.0 * default_h / grid_h)))
+        fine = edges[:-1, None] + np.diff(edges)[:, None] * np.arange(pieces) / pieces
+        right = np.concatenate((fine.ravel(), np.arange(a, self.x_split, 2.0 * h),
+                                [self.x_split]))
         self._psi = _ChebTable(field.psi_at, np.unique(np.concatenate((-right, right))),
                                points=12)
-        # tails in u = |x|: 2/|k| panels hold the complex-root remnants beyond
+        # tails in u = |x|: 2/|k| panels hold the complex-root terms beyond
         # X0, then 25 geometric panels the slow envelopes
         x_mid = min(max(field.X0 + 30.0 / abs(k), self.x_split), self.x_tail)
         tail = np.unique(np.concatenate((np.arange(self.x_split, x_mid, 2.0 / abs(k)),

@@ -30,30 +30,32 @@ block's, if smaller) must stay above RCOND_FLOOR.  The outer sides enter it
 only as its first upper and last lower states, for real and complex roots
 alike.
 
-Beyond X0 = CORE_RADIUS (where sum|b~_m| is 6.3e-5 for P = X^2 on the cosh
-weight, 1.3e-3 for X^4) w is carried as components E(y) e^{i mu y}
-with real mu (incident wave and real roots); the complex-root waves the core
-launches past +-X0 die within a few units and enter psi there (`psi_at`), not
-the outer Born sources.  Born passes refresh the outer components and
-re-solve the core as a new right-hand side until the increment of w is at most
-BORN_TOL max(|w|, 1); both waves +-k and the X and 2X truncations reuse the
-one factorization.
+Beyond X0 = CORE_RADIUS (sum|b~_m| is 6.3e-5 there for P = X^2 on the cosh
+weight, 1.3e-3 for X^4) each outer side carries V sum_w e^{iwky} r_w(y), one
+component per wave; the complex-root terms, which die within a few units of
++-X0, enter psi but are not Born sources.  Born passes refresh the outer
+components and re-solve the core until the increment of w is at most
+BORN_TOL max(|w|, 1); +-k and the X and 2X truncations share the factorization.
 
 Panel moments depend only on (mesh, nu, sweep direction); the solver keeps
 them in one `_MomentTable` that the block factorization, the Born passes and
 the residual all read.  Integrals of the solution against e^{i nu y} come
 from one anchored prefix table per (mesh, nu) and sweep direction
 (`_Density`), whose running sums also only multiply by factors of modulus
-<= 1; full integrals over the core use the Nystrom Gauss rule itself.  The
-coefficients b~_m are evaluated once per mesh and solver.
+<= 1.  The coefficients b~_m are evaluated once per mesh and solver.
 
-Beyond the core psi = sum_w e^{iwkx} r_w(x) over the waves w = +1 (odd n)
-or w = +-1 (even n, which adds the reflected e^{-ikx}).  The incident wave
-has group velocity n k^{n-1}, so it leaves toward d inf with
-d = sgn(k^{n-1}), and wave w leaves toward w d inf.  With
-I_w = int e^{-iwky} w(y) dy over the line and c = (i/n) k^{1-n}, the envelope
-r_w tends to [w = 1] - d c I_w on the side it leaves by and to [w = 1] on the
-other.  Row s of the S column is the limit of the wave leaving toward s.
+A field evaluates one kernel integral per branch on the whole line,
+K_b(x) = int e^{i zeta_b (x-y)} w(y) dy over the branch side of x: x's own
+region (left outer, core, right outer) through its prefix table, the regions
+wholly passed through their totals carried to x (real totals over the core by
+the Gauss rule).  Then psi = e^{ikx} - sum_b a_b K_b, and far out
+psi = sum_w e^{iwkx} r_w over the waves w = +1 (odd n) or +-1 (even n), with
+r_w = [w = 1] - a e^{-iwkx} K for the real root zeta = wk.  The incident wave
+has group velocity n k^{n-1}, so it leaves toward d inf with d = sgn(k^{n-1});
+wave w leaves toward w d inf, its root is upper iff w d > 0, and
+a = d (i/n) k^{1-n}.  With I_w = int e^{-iwky} w dy over the line, r_w tends
+to [w = 1] - a I_w on the side it leaves by and to [w = 1] on the other; row
+s of the S column is the limit of the wave leaving toward s.
 
 scipy loads only where it is used: scipy.linalg.lapack at the first LU
 factorization.
@@ -341,8 +343,8 @@ class _Density:
     """sum_c f_c(y) e^{i mu_c y} on one mesh, with its anchored prefix tables.
 
     The core solution w is one component with mu = 0; an outer side carries
-    the real-frequency Born components.  For a frequency nu and a sweep
-    direction the prefix table gives the anchored integral
+    one component per wave, mu = wk (module docstring).  For a frequency nu
+    and a sweep direction the prefix table gives the anchored integral
 
         G(x) = int e^{i nu (y - x)} f(y) dy   over y < x (upper) or y > x,
 
@@ -403,11 +405,6 @@ class _Density:
         b, j = (self.mesh.edges[-1], -2) if upper else (self.mesh.edges[0], 1)
         return np.exp(1j * self.mus * b) @ S[:, j]
 
-    def cumulative(self, nu, x, upper, at_nodes=False):
-        """int e^{i nu y} f(y) dy over y < x (upper) or y > x; real nu."""
-        x = np.clip(x, self.mesh.edges[0], self.mesh.edges[-1])
-        return np.exp(1j * nu * x) * self.anchored(nu, x, upper, at_nodes)
-
     def values(self, x):
         """The density at points of the mesh (panelwise Lagrange interpolation)."""
         q, t = self.mesh.locate(x)
@@ -427,7 +424,8 @@ class EigenfunctionField:
     The field owns its core and outer densities and the prefix tables built
     from them, so later solves on the same solver leave it unchanged.  The
     public surface is evaluation (psi_at / w_at), the r-functions and their
-    limits, the travel direction and wave set, and solve diagnostics.
+    limits, the travel direction and wave set, the core mesh edges and solve
+    diagnostics.
     """
 
     def __init__(self, solver, k, w, outer, X):
@@ -436,62 +434,106 @@ class EigenfunctionField:
         self.n = solver.n
         self.direction = 1 if k ** (self.n - 1) > 0 else -1
         self.waves = (1,) if self.n % 2 else (1, -1)
-        self._dc = self.direction * (1j / self.n * k ** (1 - self.n))
         self._branches = solver._branches
+        # wave w travels with the real root zeta = wk
+        self._wave_branch = {int(np.sign(zeta.real * k)): (zeta, a, upper)
+                             for zeta, a, upper in self._branches if not zeta.imag}
         self.w = w
         self.X0 = solver.x0
         self.X = X
         self._core = _Density(solver.mesh, [0.0], w, solver._table)
         self._outer = {side: outer.get(side) for side in (+1, -1)}
+        self._dens = {0: self._core, **self._outer}
+        # region r = -1, 0, +1 (left outer, core, right outer) spans
+        # edges[r + 1 : r + 3]; r = -2 and +2 lie beyond -X and X
+        self._edges = (-X, -self.X0, self.X0, X)
         self.diagnostics = {}
+        self._sweeps = {}
         self._rlim_cache = None
 
-    def _full(self, region, nu):
-        """int e^{i nu y} w dy over the left outer side (-1), the core (0) or
-        the right outer side (+1), for real nu; the core uses the Gauss rule."""
-        if region == 0:
-            mesh = self._core.mesh
-            return np.sum(mesh.weights * np.exp(1j * nu * mesh.nodes) * self.w)
-        dens = self._outer[region]
-        if dens is None:
-            return 0.0 + 0.0j
-        return np.exp(1j * nu * dens.mesh.edges[-1]) * dens.end(nu, True)
+    @property
+    def core_edges(self):
+        """Panel edges of the core mesh on [-X0, X0] (read-only)."""
+        edges = self._core.mesh.edges.view()
+        edges.flags.writeable = False
+        return edges
+
+    # -- the kernel integral ---------------------------------------------------
+
+    def _region_of(self, x):
+        X0, X = self.X0, self.X
+        return np.where(x < -X0, np.where(x < -X, -2, -1),
+                        np.where(x > X0, np.where(x > X, 2, 1), 0))
+
+    def _sweep(self, zeta, upper):
+        """Cached per branch: total[r] = int_r e^{i zeta (e - y)} w dy, anchored
+        at region r's far edge e along the sweep, and carried[r], the regions
+        passed before r anchored at its near edge (r = +-2: past +-X)."""
+        if (zeta, upper) not in self._sweeps:
+            d, e = (1 if upper else -1), self._edges
+            total, carried, acc = {}, {}, 0j
+            for r in (-d, 0, d):
+                near, far = (e[r + 1], e[r + 2])[::d]
+                dens = self._dens.get(r)
+                if dens is None:
+                    total[r] = 0j
+                elif r == 0 and not zeta.imag:
+                    mesh = dens.mesh
+                    total[r] = np.exp(1j * zeta * far) * np.sum(
+                        mesh.weights * np.exp(-1j * zeta * mesh.nodes) * self.w)
+                else:
+                    total[r] = complex(dens.end(-zeta, upper))
+                carried[r] = acc
+                acc = np.exp(1j * zeta * (far - near)) * acc + total[r]
+            carried[2 * d] = acc
+            self._sweeps[zeta, upper] = total, carried
+        return self._sweeps[zeta, upper]
+
+    def _kernel(self, x, zeta, upper, at_nodes=False):
+        """K(x) = int e^{i zeta (x - y)} w(y) dy over y < x (upper) or y > x,
+        at any x (module docstring); `at_nodes`: x are one density's nodes."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        _, carried = self._sweep(zeta, upper)
+        region = self._region_of(x)
+        out = np.zeros(x.size, dtype=complex)
+        for r, total in carried.items():
+            sel = region == r
+            if np.any(sel):
+                near = self._edges[r + (1 if upper else 2)]
+                out[sel] = np.exp(1j * zeta * (x[sel] - near)) * total
+                dens = self._dens.get(r)
+                if dens is not None:
+                    out[sel] += dens.anchored(-zeta, x[sel], upper, at_nodes)
+        return out
 
     # -- r functions and limits ----------------------------------------------
 
     def r_limits(self):
         """The x -> +/-inf limits of each envelope r_w, keyed (side, w), wave
-        by wave: [w = 1] - d c I_w on the side the wave leaves by and [w = 1]
-        on the other (module docstring)."""
+        by wave: [w = 1] - a int e^{-iwky} w dy on the side the wave leaves
+        by and [w = 1] on the other (module docstring)."""
         if self._rlim_cache is None:
             self._rlim_cache = {}
             for w in self.waves:
-                nu = -w * self.k
-                I = self._full(-1, nu) + self._full(0, nu) + self._full(+1, nu)
+                zeta, a, upper = self._wave_branch[w]
+                total, _ = self._sweep(zeta, upper)
+                I = sum(np.exp(-1j * zeta * self._edges[r + (2 if upper else 1)])
+                        * total[r] for r in (-1, 0, 1))
                 for side in (+1, -1):
                     self._rlim_cache[side, w] = complex(w == 1) - (
-                        self._dc * I if side * w * self.direction > 0 else 0.0)
+                        a * I if (side > 0) == upper else 0.0)
         return self._rlim_cache
 
-    def _envelope(self, x, w):
-        """r_w(x) = [w = 1] - d c int e^{-iwky} w(y) dy over the y the wave
-        has passed: y < x if it leaves toward +inf, y > x if toward -inf."""
+    def _envelope(self, x, w, at_nodes=False):
+        """r_w(x) = [w = 1] - a e^{-iwkx} K(x) with the real root zeta = wk:
+        the wave's integral over the y it has passed; zero for a wave not in
+        the set."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if w not in self.waves:
             return np.zeros(x.size, dtype=complex)
-        nu = -w * self.k
-        out = np.empty(x.size, dtype=complex)
-        below = 0.0 + 0.0j  # the regions wholly below the current one
-        for region, sel in ((-1, x < -self.X0), (0, np.abs(x) <= self.X0),
-                            (+1, x > self.X0)):
-            dens = self._core if region == 0 else self._outer[region]
-            if np.any(sel):
-                out[sel] = below if dens is None else \
-                    below + dens.cumulative(nu, x[sel], True)
-            below = below + self._full(region, nu)
-        if w * self.direction < 0:
-            out = below - out
-        return float(w == 1) - self._dc * out
+        zeta, a, upper = self._wave_branch[w]
+        return float(w == 1) - a * np.exp(-1j * w * self.k * x) \
+            * self._kernel(x, zeta, upper, at_nodes)
 
     def r_plus(self, x):
         """r(x) for odd n; r_+(x) for even n (the e^{+ikx} envelope)."""
@@ -504,49 +546,19 @@ class EigenfunctionField:
     # -- field evaluation ------------------------------------------------------
 
     def psi_at(self, x, deriv=0):
-        """D^deriv psi at arbitrary points (core: full kernel; outer: osc+dec)."""
+        """D^deriv psi at any x: k^deriv e^{ikx} - sum_b a_b zeta_b^deriv K_b(x)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty(x.size, dtype=complex)
-        k = self.k
-        inside = np.abs(x) <= self.X0
-        if np.any(inside):
-            xi = x[inside]
-            acc = k ** deriv * np.exp(1j * k * xi)
-            for zeta, a, upper in self._branches:
-                acc = acc - a * zeta ** deriv * self._kernel(xi, zeta, upper)
-            out[inside] = acc
-        if np.any(~inside):
-            xo = x[~inside]
-            acc = sum((w * k) ** deriv * np.exp(1j * w * k * xo)
-                      * self._envelope(xo, w) for w in self.waves)
-            # complex-root remnants just beyond X0 (they die within a few units)
-            for zeta, a, upper in self._branches:
-                if not zeta.imag:
-                    continue
-                sel = xo > 0 if upper else xo < 0
-                edge = self.X0 if upper else -self.X0
-                acc[sel] -= a * zeta ** deriv * \
-                    np.exp(1j * zeta * (xo[sel] - edge)) * self._core.end(-zeta, upper)
-            out[~inside] = acc
-        return out
-
-    def _kernel(self, x, zeta, upper, at_nodes=False):
-        """int e^{i zeta (x-y)} w(y) dy over y < x (upper) or y > x at core
-        points; the far outer side enters through its end value."""
-        out = self._core.anchored(-zeta, x, upper, at_nodes)
-        dens = self._outer[-1 if upper else +1]
-        if dens is not None:
-            edge = -self.X0 if upper else self.X0
-            out = out + np.exp(1j * zeta * (x - edge)) * dens.end(-zeta, upper)
+        out = self.k ** deriv * np.exp(1j * self.k * x)
+        for zeta, a, upper in self._branches:
+            out = out - a * zeta ** deriv * self._kernel(x, zeta, upper)
         return out
 
     def w_at(self, x):
-        """V psi at arbitrary points (core: Lagrange interp; outer: components)."""
+        """V psi at arbitrary points (Lagrange interpolation in each region)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros(x.size, dtype=complex)
-        for dens, sel in ((self._core, np.abs(x) <= self.X0),
-                          (self._outer[+1], (x > self.X0) & (x <= self.X)),
-                          (self._outer[-1], (x < -self.X0) & (x >= -self.X))):
+        region, out = self._region_of(x), np.zeros(x.size, dtype=complex)
+        for r in (-1, 0, 1):
+            sel, dens = region == r, self._dens.get(r)
             if dens is not None and np.any(sel):
                 out[sel] = dens.values(x[sel])
         return out
@@ -571,11 +583,6 @@ class _CoreSolver:
         self._outer_meshes = {}
         self._values = {}
         self._factor()
-
-    def _real_root(self, upper):
-        """(zeta, a) of the real root reaching +inf (upper) or -inf, if any."""
-        return next(((zeta.real, a) for zeta, a, up in self._branches
-                     if up == upper and not zeta.imag), None)
 
     def _symbol(self, mesh, zeta):
         """sum_m b~_m zeta^m, the V-symbol collapsed on one exponential, at
@@ -691,34 +698,17 @@ class _CoreSolver:
         return field
 
     def _refresh_outer(self, field, meshes):
-        """Born update of the outer densities from the current state."""
-        ru, rd = self._real_root(True), self._real_root(False)
+        """Born update of the outer densities: on each side V applied to
+        sum_w e^{iwky} r_w(y), the waves wk with amplitudes sigma(wk) r_w at
+        the side's own nodes."""
+        mus = [w * field.k for w in field.waves]
         outer = {}
-        for side in (+1, -1):
-            mesh_o = meshes[side]
-            if mesh_o is None:
-                continue
-            y = mesh_o.nodes
-            incident = [(field.k, np.ones(y.size, dtype=complex))]
-            # real-root wave launched toward this side by core + far side
-            root = ru if side > 0 else rd
-            if root is not None:
-                zeta, a = root
-                cum = field._full(0, -zeta) + field._full(-side, -zeta)
-                incident.append((zeta, -a * cum * np.ones(y.size, dtype=complex)))
-            # within-side Born term from the previous components: the up-root
-            # kernel integrates from the side's left end, the down-root kernel
-            # from its right end
-            own = field._outer[side]
-            if own is not None:
-                for root, upper in ((ru, True), (rd, False)):
-                    if root is not None:
-                        zeta, a = root
-                        incident.append((zeta, -a * own.cumulative(-zeta, y, upper,
-                                                                   at_nodes=True)))
-            outer[side] = _Density(mesh_o, [float(np.real(mu)) for mu, _ in incident],
-                                   [self._symbol(mesh_o, mu) * amp for mu, amp in incident],
-                                   self._table)
+        for side, mesh_o in meshes.items():
+            if mesh_o is not None:
+                outer[side] = _Density(
+                    mesh_o, mus, [self._symbol(mesh_o, mu)
+                                  * field._envelope(mesh_o.nodes, w, at_nodes=True)
+                                  for w, mu in zip(field.waves, mus)], self._table)
         return outer
 
 

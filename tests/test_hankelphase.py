@@ -258,3 +258,16 @@ def test_theta_grid_resolution_guard_matches_scalar(ev2):
         ev2.theta_scaled(np.array([-30.0, 200.0, 10.0]))
     assert batch.value.suggested_x_core == scalar.value.suggested_x_core
     assert str(batch.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("k", [1.0, -1.0])
+def test_core_table_matches_psi(n, k, pot2m1, q_x2m1, cov2, pot3, q_x3, cov3):
+    # the core table's panels follow the field's core mesh, where the
+    # derivatives of psi jump, on |x| <= 6
+    pot, Q, cov = (pot2m1, q_x2m1, cov2) if n == 2 else (pot3, q_x3, cov3)
+    field = solve_lippmann_schwinger(pot, k, X=1.0e4)
+    ev = ThetaEvaluator(field, Q, cov)
+    x = np.linspace(-6.0, 6.0, 6001)
+    assert np.max(np.abs(ev._psi(x) - field.psi_at(x))) <= 1e-11
+    assert not field.core_edges.flags.writeable

@@ -482,3 +482,55 @@ def test_magnus_square_well_to_rounding(V0, a, k):
     o = ode_cross_check(well_potential(V0, a), k, X=a)
     ref = square_well_reflection(V0, a, k)
     assert max(abs(o[s] - ref[s]) for s in ref) <= 1e-12
+
+
+# -- one kernel integral on the whole line -------------------------------------
+
+@pytest.fixture(scope="module")
+def pot4(cosh_profile):
+    from carleman.coeffmap import RealPolynomial, p_to_q
+    from carleman.liouville import OperatorCoefficients
+    from carleman.profile import ChangeOfVariables
+
+    op = OperatorCoefficients(p_to_q(RealPolynomial([0.0, 0.0, 0.0, 0.0, 1.0])),
+                              ChangeOfVariables(cosh_profile, 4))
+    return PotentialSpec.from_operator(op)
+
+
+@pytest.mark.parametrize("which", ["pot3", "pot4"])
+@pytest.mark.parametrize("k", [1.0, -1.0])
+def test_psi_is_continuous_at_the_core_edges(which, k, request):
+    # the complex-root terms cross +-X0 with the rest of the kernel integral
+    f = solve_lippmann_schwinger(request.getfixturevalue(which), k, X=1.0e4)
+    for edge in (f.X0, -f.X0):
+        x = np.array([edge, edge + np.sign(edge) * 1e-12])
+        for deriv in (0, 1):
+            psi = f.psi_at(x, deriv=deriv)
+            assert abs(psi[0] - psi[1]) <= 1e-10, (edge, deriv)
+
+
+@pytest.mark.parametrize("which", ["pot2", "pot3", "pot4"])
+def test_psi_beyond_X_is_its_limit_waves(which, request):
+    # past +-X only the sweeps toward x carry anything; the complex roots have
+    # died there, so psi is the limit waves, and nothing blows up at 100 X
+    k = 1.0  # lambda = 1: the real roots are exactly +-k
+    f = solve_lippmann_schwinger(request.getfixturevalue(which), k, X=1.0e3)
+    lims = f.r_limits()
+    for x in np.array([1.5, -1.5, 100.0, -100.0]) * f.X:
+        ref = sum(np.exp(1j * w * k * x) * lims[np.sign(x), w] for w in f.waves)
+        assert abs(f.psi_at(x)[0] - ref) <= 1e-12, x
+
+
+@pytest.mark.parametrize("which", ["field2", "field3"])
+def test_outer_density_solves_the_outer_equation(which, request, pot2, pot3):
+    # each outer side holds V applied to sum_w e^{iwky} r_w(y), with the
+    # field's own envelopes, at its nodes
+    f = request.getfixturevalue(which)
+    pot = pot2 if f.n == 2 else pot3
+    for side in (+1, -1):
+        y = f._outer[side].mesh.nodes
+        b = pot.values(y)
+        ref = sum(sum(b[m] * (w * f.k) ** m for m in range(f.n - 1))
+                  * np.exp(1j * w * f.k * y) * f._envelope(y, w) for w in f.waves)
+        assert np.max(np.abs(f._outer[side].values(y) - ref)) \
+            <= 1e-12 * np.max(np.abs(f.w))

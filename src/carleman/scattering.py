@@ -33,16 +33,28 @@ alike.
 Beyond X0 = CORE_RADIUS (sum|b~_m| is 6.3e-5 there for P = X^2 on the cosh
 weight, 1.3e-3 for X^4) each outer side carries V sum_w e^{iwky} r_w(y), one
 component per wave; the complex-root terms, which die within a few units of
-+-X0, enter psi but are not Born sources.  Born passes refresh the outer
-components and re-solve the core until the increment of w is at most
-BORN_TOL max(|w|, 1); +-k and the X and 2X truncations share the factorization.
++-X0, enter psi but are not sources there.  Component w is
+f_w = sigma(wk) ([w = 1] - a e^{-iwky} K_wk), under its own real root only,
+so a side has the core's product-integration form: `_Blocks` eliminates its
+panel blocks over (p x components), and its state system (one state per real
+root per panel) is solved densely.  A side sees the rest of the line only
+through the constant value each envelope enters with at its near edge:
+[w = 1] on the side wave w comes from, and on the side it leaves by an
+inflow that carries the total of the core (Gauss rule) and of the far side.
+So each side is a superposition of its solutions for unit inflow; the core
+sees the sides only through its end states, and w is linear in those through
+the core's responses to unit end states (one LU solve per solver).  What is
+left is a matching system with one unknown inflow per real root, at most 2;
+its 1-norm rcond must stay above RCOND_FLOOR.  The sides, the responses and
+the matching matrix are shared by +-k, and the X and 2X truncations share the
+factorization.
 
 Panel moments depend only on (mesh, nu, sweep direction); the solver keeps
-them in one `_MomentTable` that the block factorization, the Born passes and
-the residual all read.  Integrals of the solution against e^{i nu y} come
-from one anchored prefix table per (mesh, nu) and sweep direction
-(`_Density`), whose running sums also only multiply by factors of modulus
-<= 1.  The coefficients b~_m are evaluated once per mesh and solver.
+them in one `_MomentTable` that the eliminations of the core and the sides,
+the end states and the residual all read.  Integrals of the solution against
+e^{i nu y} come from one anchored prefix table per (mesh, nu) and sweep
+direction (`_Density`), whose running sums also only multiply by factors of
+modulus <= 1.  The coefficients b~_m are evaluated once per mesh and solver.
 
 A field evaluates one kernel integral per branch on the whole line,
 K_b(x) = int e^{i zeta_b (x-y)} w(y) dy over the branch side of x: x's own
@@ -73,8 +85,6 @@ from .oscquad import (exp_monomial_moments, gauss_panels, gauss_rule,
                       lagrange_coeff_matrix)
 
 RCOND_FLOOR = 1e-10    # below this the solve is taken as near-exceptional
-BORN_TOL = 1e-12       # Born passes stop at increment <= BORN_TOL max(|w|, 1)
-BORN_MAX_PASSES = 12
 CORE_RADIUS = 120.0    # X0 unless the support is compact
 SHORT_RANGE_SLOPE = -1.5  # sum |b~_m| must fall faster than x^SHORT_RANGE_SLOPE
 
@@ -138,8 +148,7 @@ def zeta_roots(z, n, side="+") -> RootSet:
     scale = abs(z) ** (1.0 / n)
     tol = 1e-12 * scale
     real_idx = np.where(np.abs(roots.imag) <= tol)[0]
-    roots = roots.copy()
-    roots[real_idx] = roots[real_idx].real
+    roots[real_idx] = np.sign(roots[real_idx].real) * scale  # exactly +-|z|^(1/n)
     upper = np.array([j for j in range(n) if roots[j].imag > tol], dtype=int)
     lower = np.array([j for j in range(n) if roots[j].imag < -tol], dtype=int)
     real_side = {}
@@ -524,7 +533,7 @@ class EigenfunctionField:
                         a * I if (side > 0) == upper else 0.0)
         return self._rlim_cache
 
-    def _envelope(self, x, w, at_nodes=False):
+    def _envelope(self, x, w):
         """r_w(x) = [w = 1] - a e^{-iwkx} K(x) with the real root zeta = wk:
         the wave's integral over the y it has passed; zero for a wave not in
         the set."""
@@ -533,7 +542,7 @@ class EigenfunctionField:
             return np.zeros(x.size, dtype=complex)
         zeta, a, upper = self._wave_branch[w]
         return float(w == 1) - a * np.exp(-1j * w * self.k * x) \
-            * self._kernel(x, zeta, upper, at_nodes)
+            * self._kernel(x, zeta, upper)
 
     def r_plus(self, x):
         """r(x) for odd n; r_+(x) for even n (the e^{+ikx} envelope)."""
@@ -564,9 +573,85 @@ class EigenfunctionField:
         return out
 
 
-class _CoreSolver:
-    """Panel-block inverses, the factored edge-state system and the panel
-    moment table for lambda = k^n; shared by +-k and reusable across X."""
+class _Blocks:
+    """Panel-block elimination of f_c + sum_b g_cb e^{-i mu_c y} K_b = rhs_c on
+    a mesh, K_b being branch b's integral of the density sum_c e^{i mu_c y} f_c
+    over the branch side of y: the core is one component (mu = 0) under every
+    branch, an outer side one component per real root under its own branch.
+    A panel's unknowns are its f_c at the nodes, component-major; `band` holds
+    the state system in LAPACK band storage (module docstring)."""
+
+    def __init__(self, lam, table, mesh, mus, branches, coef):
+        n_p, p, nc, nb = mesh.n_panels, mesh.p, len(mus), len(branches)
+        x, mus = mesh.nodes.reshape(-1, p), np.asarray(mus, dtype=float)
+        ph = np.exp(1j * mus[:, None, None] * x)
+        C = np.tile(np.eye(nc * p, dtype=complex), (n_p, 1, 1)) \
+            .reshape(n_p, nc, p, nc, p)
+        G = np.zeros((n_p, nc, p, nb), dtype=complex)
+        F = np.empty((n_p, nb, nc, p), dtype=complex)
+        step = np.empty((n_p, nb), dtype=complex)
+        for b, (zeta, _, upper) in enumerate(branches):
+            near, far = (mesh.edges[:-1], mesh.edges[1:])[::1 if upper else -1]
+            F[:, b] = (np.exp(1j * mus[:, None] * far)[..., None]
+                       * table.get(mesh, mus - zeta, upper)).transpose(1, 0, 2)
+            step[:, b] = np.exp((1j if upper else -1j) * zeta * np.diff(mesh.edges))
+            own = table.get(mesh, mus - zeta, upper, own=True).reshape(nc, n_p, p, p)
+            for c in range(nc):
+                g = np.asarray(coef[c][b]).reshape(x.shape) * ph[c].conj()
+                if g.any():
+                    C[:, c] += np.moveaxis(g[..., None] * ph[..., None] * own, 0, 2)
+                    G[:, c, :, b] = g * np.exp(1j * zeta * (x - near[:, None]))
+            del own  # free before the next branch's moments, the peak of a solve
+        C = C.reshape(n_p, nc * p, nc * p)
+        try:
+            self._Cinv = np.linalg.inv(C)
+        except np.linalg.LinAlgError:
+            raise NearExceptionalPointError(lam, 0.0) from None
+        self._H = self._Cinv @ G.reshape(n_p, nc * p, nb)
+        self._F = F.reshape(n_p, nb, nc * p)
+        self._n_up = up = sum(upper for _, _, upper in branches)
+        # the blocks' 1-norm condition numbers, from the inverses at hand
+        cond = np.linalg.norm(C, 1, axis=(-2, -1)) \
+            * np.linalg.norm(self._Cinv, 1, axis=(-2, -1))
+        self.block_rcond = float(np.min(1.0 / cond))
+        # D_P = F_P H_P - diag(step_P) couples the states of neighbouring panels:
+        # upper states at P + 1 and lower states at P - 1 read those at P, so
+        # I + couplings is banded with kl = nb + up - 1 and ku = 2 nb - up - 1
+        D = self._F @ self._H
+        D[:, np.arange(nb), np.arange(nb)] -= step
+        kl, ku = nb + up - 1, 2 * nb - up - 1
+        ab = np.zeros((2 * kl + ku + 1, n_p, nb), dtype=complex)
+        ab[kl + ku] = 1.0
+        i, j = np.arange(nb)[:, None], np.arange(nb)
+        ab[kl + ku + nb + i[:up] - j, :-1, j] = D[:-1, :up].transpose(1, 2, 0)
+        ab[kl + ku - nb + i[up:] - j, 1:, j] = D[1:, up:].transpose(1, 2, 0)
+        self.band = ab.reshape(ab.shape[0], -1), kl, ku
+
+    def dense_states(self, r):
+        """Solve the state system as a dense matrix."""
+        ab, kl, ku = self.band
+        i, j = np.indices((ab.shape[1],) * 2)
+        on = (-ku <= i - j) & (i - j <= kl)
+        dense = np.where(on, ab[np.where(on, kl + ku + i - j, 0), j], 0)
+        return np.linalg.solve(dense, r)
+
+    def substitute(self, rhs, ends, states):
+        """f for right-hand sides rhs, shape (panels, components p, columns),
+        and incoming states `ends` (branches, columns), the first upper and
+        the last lower ones; `states` solves the state system."""
+        u = self._Cinv @ rhs
+        Fu = self._F @ u
+        up = self._n_up
+        r = np.zeros_like(Fu)
+        r[1:, :up], r[:-1, up:] = Fu[:-1, :up], Fu[1:, up:]
+        r[0, :up], r[-1, up:] = ends[:up], ends[up:]
+        return u - self._H @ states(r.reshape(-1, r.shape[-1])).reshape(r.shape)
+
+
+class _CoreSolver(_Blocks):
+    """Panel-block inverses, the factored edge-state system, the core's
+    responses to unit edge states and the panel moment table for
+    lambda = k^n; shared by +-k and reusable across X."""
 
     def __init__(self, pot: PotentialSpec, k, x0):
         if k == 0:
@@ -576,13 +661,25 @@ class _CoreSolver:
         self.k = float(k)
         self.lam = float(k) ** pot.n
         self._branches = _branch_data(zeta_roots(self.lam, self.n, side="+"))
-        self._n_up = sum(upper for _, _, upper in self._branches)
+        # the real roots: one outer component each, its frequency and the
+        # side its wave comes from
+        self._real = [b for b in self._branches if not b[0].imag]
+        self._mus = [zeta.real for zeta, _, _ in self._real]
+        self._upstream = np.array([-1 if upper else 1 for _, _, upper in self._real])
         self.x0 = float(x0)
         self.mesh = _core_mesh(self.x0, self.k, breaks=pot.breakpoints)
         self._table = _MomentTable()
-        self._outer_meshes = {}
+        self._interfaces = {}
         self._values = {}
+        self._pcoef = [a * self._symbol(self.mesh, zeta)
+                       for zeta, a, _ in self._branches]
+        super().__init__(self.lam, self._table, self.mesh, [0.0], self._branches,
+                         [self._pcoef])
         self._factor()
+        nb = len(self._branches)
+        self._responses = self.substitute(
+            np.zeros((self.mesh.n_panels, self.mesh.p, nb)), np.eye(nb),
+            self._states).reshape(-1, nb)
 
     def _symbol(self, mesh, zeta):
         """sum_m b~_m zeta^m, the V-symbol collapsed on one exponential, at
@@ -593,98 +690,109 @@ class _CoreSolver:
                    np.zeros(mesh.nodes.shape, dtype=complex))
 
     def _factor(self):
-        """Eliminate w panel by panel; see the module docstring."""
+        """Banded LU of the core's state system; see the module docstring."""
         from scipy.linalg import lapack
 
-        mesh, p = self.mesh, self.mesh.p
-        x = mesh.nodes.reshape(-1, p)
-        C = np.tile(np.eye(p, dtype=complex), (mesh.n_panels, 1, 1))
-        G, F, step, self._pcoef = [], [], [], []
-        for zeta, a, upper in self._branches:
-            pcoef = a * self._symbol(mesh, zeta).reshape(x.shape)
-            C += pcoef[..., None] * self._table.get(
-                mesh, -zeta, upper, own=True)[0].reshape(C.shape)
-            anchor = (mesh.edges[:-1] if upper else mesh.edges[1:])[:, None]
-            G.append(pcoef * np.exp(1j * zeta * (x - anchor)))
-            F.append(self._table.get(mesh, -zeta, upper)[0])
-            step.append(np.exp((1j if upper else -1j) * zeta * np.diff(mesh.edges)))
-            self._pcoef.append(pcoef.ravel())
-        try:
-            self._Cinv = np.linalg.inv(C)
-        except np.linalg.LinAlgError:
-            raise NearExceptionalPointError(self.lam, 0.0) from None
-        self._H = self._Cinv @ np.stack(G, axis=-1)      # (panels, p, branches)
-        self._F = np.stack(F, axis=1)                     # (panels, branches, p)
-        # D_P = F_P H_P - diag(step_P) couples the states of neighbouring panels:
-        # upper states at P + 1 and lower states at P - 1 read those at P, so
-        # I + couplings is banded with kl = nb + up - 1 and ku = 2 nb - up - 1
-        D = self._F @ self._H
-        nb, up = len(self._branches), self._n_up
-        D[:, np.arange(nb), np.arange(nb)] -= np.stack(step, axis=1)
-        kl, ku = nb + up - 1, 2 * nb - up - 1
-        ab = np.zeros((2 * kl + ku + 1, mesh.n_panels, nb), dtype=complex)
-        ab[kl + ku] = 1.0
-        b, c = np.arange(nb)[:, None], np.arange(nb)
-        ab[kl + ku + nb + b[:up] - c, :-1, c] = D[:-1, :up].transpose(1, 2, 0)
-        ab[kl + ku - nb + b[up:] - c, 1:, c] = D[1:, up:].transpose(1, 2, 0)
-        ab = ab.reshape(ab.shape[0], -1)
+        ab, kl, ku = self.band
         anorm = np.max(np.sum(np.abs(ab), axis=0))
         try:
             self._lu = lu_factor(ab, kl, ku)
         except np.linalg.LinAlgError:
             raise NearExceptionalPointError(self.lam, 0.0) from None
-        # the blocks' 1-norm condition numbers, from the inverses at hand
-        cond = np.linalg.norm(C, 1, axis=(-2, -1)) \
-            * np.linalg.norm(self._Cinv, 1, axis=(-2, -1))
         self.rcond = min(float(lapack.zgbcon(kl, ku, *self._lu[:2], anorm)[0]),
-                         float(np.min(1.0 / cond)))
+                         self.block_rcond)
         if not self.rcond >= RCOND_FLOOR:
             raise NearExceptionalPointError(self.lam, self.rcond)
+
+    def _states(self, r):
+        """Solve the core's state system by its banded LU."""
+        return lu_solve(self._lu, r)
 
     def _core_solve(self, rhs0, outer):
         """w on the core nodes with the outer densities as the first upper and
         the last lower edge states."""
-        u = np.einsum("qij,qj->qi", self._Cinv, rhs0.reshape(self._Cinv.shape[:2]))
-        Fu = np.einsum("qbj,qj->qb", self._F, u)
-        up = self._n_up
-        r = np.zeros_like(Fu)
-        r[1:, :up], r[:-1, up:] = Fu[:-1, :up], Fu[1:, up:]
+        ends = np.zeros((len(self._branches), 1), dtype=complex)
         for b, (zeta, _, upper) in enumerate(self._branches):
             dens = outer.get(-1 if upper else +1)
             if dens is not None:
-                r[0 if upper else -1, b] = dens.end(-zeta, upper)
-        s = lu_solve(self._lu, r.ravel()).reshape(r.shape)
-        return (u - np.einsum("qib,qb->qi", self._H, s)).ravel()
+                ends[b] = dens.end(-zeta, upper)
+        return self.substitute(rhs0.reshape(-1, self.mesh.p, 1), ends,
+                               self._states).ravel()
 
-    # -- outer iteration ------------------------------------------------------
+    def _interface(self, X):
+        """Shared by +-k per truncation X, None without outer sides: per side
+        its mesh and its solutions for unit inflow of each component; then
+        the terms of the matching system (module docstring), the matrix's
+        inverse and its 1-norm rcond."""
+        if X in self._interfaces:
+            return self._interfaces[X]
+        real, mus, nb, sides, ends = self._real, self._mus, len(self._branches), {}, {}
+        nc, eye = len(real), np.eye(len(real))
+        for side in (+1, -1):
+            mesh = _outer_mesh(side, self.x0, X, self.k)
+            if mesh is None:
+                self._interfaces[X] = None
+                return None
+            sigma = np.array([self._symbol(mesh, zeta) for zeta, _, _ in real])
+            coef = eye[..., None] * (np.array([a for _, a, _ in real])[:, None] * sigma)
+            blocks = _Blocks(self.lam, self._table, mesh, mus, real, coef)
+            rhs = (eye[:, :, None] * sigma).reshape(nc, nc, mesh.n_panels, mesh.p)
+            rhs = rhs.transpose(2, 1, 3, 0).reshape(mesh.n_panels, -1, nc)
+            f = blocks.substitute(rhs, np.zeros((nc, nc)), blocks.dense_states)
+            basis = f.reshape(mesh.n_panels, nc, mesh.p, nc).transpose(3, 1, 0, 2)
+            sides[side], ends[side] = (mesh, basis), np.zeros((nb, nc), dtype=complex)
+            for c, fs in enumerate(basis):  # the end states handed to the core
+                dens = _Density(mesh, mus, fs, self._table)
+                for b, (zeta, _, upper) in enumerate(self._branches):
+                    if upper == (side < 0):
+                        ends[side][b, c] = dens.end(-zeta, upper)
+        # On component c's downstream side the inflow is [w = 1] minus
+        # a e^{-i zeta far} times the total carried there, R_c . E + gauss_c . w0:
+        # E = E_up [w = 1] + E_down inflow are the core's end states, and w0 + W E
+        # is the core solution, W its responses to unit end states.  So
+        # (I + R E_down) inflow = [w = 1] - R E_up [w = 1] - gauss w0.
+        x = self.mesh.nodes
+        gauss = np.array([a * self.mesh.weights * np.exp(-1j * zeta * x)
+                          for zeta, a, _ in real])
+        R = gauss @ self._responses
+        for c, (zeta, a, upper) in enumerate(real):
+            R[c, self._branches.index(real[c])] += a * np.exp(1j * zeta * (
+                self.x0 if upper else -self.x0))
+        E_up = np.where(self._upstream < 0, ends[-1], ends[+1])
+        E_down = np.where(self._upstream < 0, ends[+1], ends[-1])
+        A = eye + R @ E_down
+        A_inv = np.linalg.inv(A)
+        rcond = float(1.0 / (np.linalg.norm(A, 1) * np.linalg.norm(A_inv, 1)))
+        if not rcond >= RCOND_FLOOR:
+            raise NearExceptionalPointError(self.lam, rcond)
+        self._interfaces[X] = sides, R @ E_up, gauss, A_inv, rcond
+        return self._interfaces[X]
 
     def solve(self, X, k=None) -> EigenfunctionField:
-        """Born passes to convergence for the wave e^{ikx} (the solver's k by
-        default, or -k for even n) with the outer sides out to X.  `residual`
-        is the core equation evaluated through the field's own densities."""
+        """The field of the wave e^{ikx} (the solver's k by default, or -k for
+        even n) with the outer sides out to X, by one direct solve: the sides
+        are superpositions of their unit-inflow solutions, and the unknown
+        inflows, one per real root on the side its wave leaves by, solve the
+        matching system.  `residual` is the core equation evaluated through
+        the field's own densities."""
         k = self.k if k is None else float(k)
         if k ** self.n != self.lam:
             raise ConfigurationError(f"k = {k!r} is not a root of lambda = {self.lam}")
         x = self.mesh.nodes
         X = self.x0 if self.pot.support is not None else float(max(X, self.x0))
-        if X not in self._outer_meshes:
-            self._outer_meshes[X] = {side: _outer_mesh(side, self.x0, X, self.k)
-                                     for side in (+1, -1)}
-        meshes = self._outer_meshes[X]
         rhs0 = self._symbol(self.mesh, k) * np.exp(1j * k * x)
-        field = EigenfunctionField(self, k, self._core_solve(rhs0, {}), {}, X)
-        for passes in range(1, BORN_MAX_PASSES + 1):
-            outer = self._refresh_outer(field, meshes)
-            w = self._core_solve(rhs0, outer)
-            increment = float(np.max(np.abs(w - field.w)))
-            field = EigenfunctionField(self, k, w, outer, X)
-            if increment <= BORN_TOL * max(float(np.max(np.abs(w))), 1.0):
-                break
-        else:
-            raise NumericalError(
-                f"Born passes not converged at lambda={self.lam!r}: increment "
-                f"{increment:.3e} after {BORN_MAX_PASSES} passes")
-        field = EigenfunctionField(self, k, w, self._refresh_outer(field, meshes), X)
+        iface, outer, interface_rcond = self._interface(X), {}, 1.0
+        if iface is not None:
+            sides, R_up, gauss, A_inv, interface_rcond = iface
+            incident = np.array([float(zeta.real * k > 0) for zeta, _, _ in self._real])
+            alpha = A_inv @ (incident - R_up @ incident
+                             - gauss @ self._core_solve(rhs0, {}))
+            for side, (mesh, basis) in sides.items():
+                inflow = np.where(self._upstream == side, incident, alpha)
+                outer[side] = _Density(mesh, self._mus, np.tensordot(inflow, basis, 1),
+                                       self._table)
+        w = self._core_solve(rhs0, outer)
+        field = EigenfunctionField(self, k, w, outer, X)
         resid = w - rhs0
         for (zeta, _, upper), pcoef in zip(self._branches, self._pcoef):
             resid = resid + pcoef * field._kernel(x, zeta, upper, at_nodes=True)
@@ -694,22 +802,8 @@ class _CoreSolver:
             "residual": float(np.max(np.abs(resid))), "rcond": self.rcond,
             "X0": self.x0, "X": X, "mesh_size": int(x.size),
             "abs_sum_at_X0": float(self.pot.abs_sum(np.array([self.x0]))[0]),
-            "born_increment": increment, "born_passes": passes}
+            "interface_rcond": interface_rcond}
         return field
-
-    def _refresh_outer(self, field, meshes):
-        """Born update of the outer densities: on each side V applied to
-        sum_w e^{iwky} r_w(y), the waves wk with amplitudes sigma(wk) r_w at
-        the side's own nodes."""
-        mus = [w * field.k for w in field.waves]
-        outer = {}
-        for side, mesh_o in meshes.items():
-            if mesh_o is not None:
-                outer[side] = _Density(
-                    mesh_o, mus, [self._symbol(mesh_o, mu)
-                                  * field._envelope(mesh_o.nodes, w, at_nodes=True)
-                                  for w, mu in zip(field.waves, mus)], self._table)
-        return outer
 
 
 def _prepare(pot: PotentialSpec, X, x_core, reach):

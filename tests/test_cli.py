@@ -184,8 +184,8 @@ def test_near_exceptional_guard(tmp_path, monkeypatch):
 
 
 def test_long_range_weight_names_its_cause(tmp_path, capsys):
-    # power_law weights give b~ ~ x^{-1}: the Born passes cannot converge,
-    # and the failure says the coefficients are long-range
+    # power_law weights give b~ ~ x^{-1}: a solve goes through, but S drifts
+    # with X, and the failure says the coefficients are long-range
     rc, out = run_cli(["scatter", "--p", "0,0,1", "--family", "power_law",
                        "--lambda-min", "1", "--lambda-max", "1", "--points", "1",
                        "--emit", str(tmp_path / "smatrix.json")])
@@ -194,8 +194,8 @@ def test_long_range_weight_names_its_cause(tmp_path, capsys):
 
 
 def test_power_law_refused_even_where_born_converges(tmp_path, capsys):
-    # at lambda = 20 the Born passes converge on b~ ~ x^-1; the short-range
-    # check refuses the coefficients before any factorization
+    # at lambda = 20 too a solve on b~ ~ x^-1 would go through; the
+    # short-range check refuses the coefficients before any factorization
     rc, out = run_cli(["scatter", "--p", "0,0,1", "--family", "power_law",
                        "--lambda-min", "20", "--lambda-max", "20", "--points", "1",
                        "--emit", str(tmp_path / "smatrix.json")])

@@ -196,13 +196,24 @@ def test_field_survives_a_later_solve(pot2):
 
 
 def test_born_and_tail_diagnostics(field2, field3):
-    # the Born passes run to convergence, and the field then solves its own
-    # equation, outer sides included, to rounding
+    # the matching system of the inflows is well conditioned, and the field
+    # then solves its own equation, outer sides included, to rounding
     for f in (field2, field3):
         d = f.diagnostics
-        assert d["born_increment"] <= 1e-12 * max(np.max(np.abs(f.w)), 1.0)
         assert d["residual"] <= 1e-12
-        assert 1 <= d["born_passes"] <= 12
+        assert d["interface_rcond"] >= sc.RCOND_FLOOR
+
+
+def test_ill_conditioned_matching_is_near_exceptional(pot2, monkeypatch):
+    # the matching system's rcond is held to RCOND_FLOOR at solve time, and a
+    # refused truncation is not remembered as one without outer sides
+    solver = _CoreSolver(pot2, 1.0, 60.0)
+    monkeypatch.setattr(sc, "RCOND_FLOOR", 1.0)
+    with pytest.raises(NearExceptionalPointError):
+        solver.solve(2000.0)
+    monkeypatch.undo()
+    f = solver.solve(2000.0)
+    assert f._outer[+1] is not None and f.diagnostics["interface_rcond"] < 1.0
 
 
 def test_singular_panel_block_is_near_exceptional(monkeypatch):
@@ -513,20 +524,26 @@ def test_psi_is_continuous_at_the_core_edges(which, k, request):
 def test_psi_beyond_X_is_its_limit_waves(which, request):
     # past +-X only the sweeps toward x carry anything; the complex roots have
     # died there, so psi is the limit waves, and nothing blows up at 100 X
-    k = 1.0  # lambda = 1: the real roots are exactly +-k
-    f = solve_lippmann_schwinger(request.getfixturevalue(which), k, X=1.0e3)
-    lims = f.r_limits()
-    for x in np.array([1.5, -1.5, 100.0, -100.0]) * f.X:
-        ref = sum(np.exp(1j * w * k * x) * lims[np.sign(x), w] for w in f.waves)
-        assert abs(f.psi_at(x)[0] - ref) <= 1e-12, x
+    for k in (1.0, -1.0):
+        f = solve_lippmann_schwinger(request.getfixturevalue(which), k, X=1.0e3)
+        lims = f.r_limits()
+        for x in np.array([1.5, -1.5, 100.0, -100.0]) * f.X:
+            ref = sum(np.exp(1j * w * k * x) * lims[np.sign(x), w] for w in f.waves)
+            assert abs(f.psi_at(x)[0] - ref) <= 1e-12, (k, x)
 
 
-@pytest.mark.parametrize("which", ["field2", "field3"])
-def test_outer_density_solves_the_outer_equation(which, request, pot2, pot3):
+@pytest.fixture(scope="module")
+def field4(pot4):
+    return solve_lippmann_schwinger(pot4, 1.0, X=1.0e4)
+
+
+@pytest.mark.parametrize("which", ["field2", "field3", "field4"])
+def test_outer_density_solves_the_outer_equation(which, request):
     # each outer side holds V applied to sum_w e^{iwky} r_w(y), with the
-    # field's own envelopes, at its nodes
+    # field's own envelopes, at its nodes; n = 4 has two waves per side and
+    # complex-root end states
     f = request.getfixturevalue(which)
-    pot = pot2 if f.n == 2 else pot3
+    pot = request.getfixturevalue(f"pot{f.n}")
     for side in (+1, -1):
         y = f._outer[side].mesh.nodes
         b = pot.values(y)
@@ -534,3 +551,5 @@ def test_outer_density_solves_the_outer_equation(which, request, pot2, pot3):
                   * np.exp(1j * w * f.k * y) * f._envelope(y, w) for w in f.waves)
         assert np.max(np.abs(f._outer[side].values(y) - ref)) \
             <= 1e-12 * np.max(np.abs(f.w))
+    if f.n == 4:
+        assert f.diagnostics["residual"] <= 1e-12 * np.max(np.abs(f.w))

@@ -14,6 +14,8 @@ import json
 import os
 import sys
 
+from .errors import ConfigurationError, DomainError, NumericalError
+
 
 def _cap_threads():
     cap = os.environ.get("CARLEMAN_THREADS")
@@ -54,18 +56,25 @@ def _emit_json(path, payload):
     _emit(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _parse_list(text):
-    return [float(v) for v in text.split(",") if v.strip() != ""]
+def _parse_list(text, sep=","):
+    try:
+        return [float(v) for v in text.split(sep) if v.strip() != ""]
+    except ValueError:
+        raise ConfigurationError(f"not a list of numbers: {text!r}") from None
 
 
 def _parse_grid(text):
-    """'a:b:step' or comma list."""
-    if ":" in text:
-        import numpy as np
+    """'a:b:step' (finite, nonzero step) or comma list."""
+    if ":" not in text:
+        return _parse_list(text)
+    import numpy as np
 
-        a, b, s = (float(v) for v in text.split(":"))
-        return list(np.arange(a, b + 0.5 * s, s))
-    return _parse_list(text)
+    grid = _parse_list(text, ":")
+    if len(grid) != 3 or not np.all(np.isfinite(grid)) or grid[2] == 0.0:
+        raise ConfigurationError(f"grid {text!r} is not a:b:step with a finite, "
+                                 "nonzero step")
+    a, b, step = grid
+    return list(np.arange(a, b + 0.5 * step, step))
 
 
 def _profile_from_args(args):
@@ -404,8 +413,6 @@ def main(argv=None):
         sys.stderr.write(f"validation error: {exc}\n")
         return 2
     except Exception as exc:  # mapped below
-        from .errors import ConfigurationError, DomainError, NumericalError
-
         if isinstance(exc, (ConfigurationError, DomainError)):
             sys.stderr.write(f"validation error: {exc}\n")
             return 2

@@ -4,65 +4,56 @@ The eigenfunctions of B~ = D^n + sum b~_m D^m (psi_minus convention) solve
 
     psi = e^{ikx} - R0(k^n + i0) V psi,      V = sum_{m<=n-2} b~_m D^m.
 
-We solve the second-kind equation (I + V R0) w = V psi0 for w = V psi on a
-core mesh [-X0, X0] of Gauss panels (at most ~4 radians of the fastest
-frequency each).  The free kernel is a sum of exponentials
-a_b e^{i zeta_b (x-y)}, each on one side of the diagonal: x >= y for the
-"upper" roots, x <= y for the "lower" ones.  So the system is never formed.
-The edge state s_b(P) is the integral of e^{i zeta_b (e_P - y)} w(y) over the
-panels on branch b's far side of panel P, anchored at P's left edge e_P
-(upper) or its right edge (lower).  With Filon-type product integration
-(moments of exponentials against each panel's Lagrange basis) panel P obeys
+We solve the second-kind equation (I + V R0) w = V psi0 for w = V psi on
+[-X, X]: a core [-X0, X0] and two outer sides, each a mesh of Gauss panels
+(on the core at most ~4 radians of the fastest frequency each).  The free
+kernel is a sum of exponentials a_b e^{i zeta_b (x-y)}, each on one side of
+the diagonal: x >= y for the "upper" roots, x <= y for the "lower" ones.  So
+the system is never formed.  The edge state s_b(P) is the integral of
+e^{i zeta_b (e_P - y)} w(y) over the panels of the whole line on branch b's
+far side of panel P, anchored at P's left edge e_P (upper) or its right edge
+(lower).  With Filon-type product integration (moments of exponentials
+against each panel's Lagrange basis) panel P obeys
 
-    C_P w_P = rhs_P - sum_b a_b sigma_b e^{i zeta_b (x - e_P)} s_b(P),
-    C_P     = I + sum_b diag(a_b sigma_b) own_b,P,
+    C_P f_P = rhs_P - sum_b g_b e^{i zeta_b (x - e_P)} s_b(P),
+    C_P     = I + sum_b diag(g_b) own_b,P,
 
-with sigma_b = sum_m b~_m zeta_b^m and own_b,P the partial-panel moments
-anchored at the nodes.  A state steps to the next panel as
-s_b(P +- 1) = e^{+-i zeta_b h_P} s_b(P) + (full-panel moments) . w_P, by
-factors of modulus <= 1.  The blocks C_P are inverted in one batched call;
-substituting w_P leaves a (branches x panels)-square system in the states.
-Ordered panel by panel, with nb branches of which `up` are upper, it is
-banded with kl = nb + up - 1 sub- and ku = 2 nb - up - 1 superdiagonals; it
-is written straight into LAPACK band storage and factored by a banded LU
-(zgbtrf) once per lambda, shared by +-k.  Its zgbcon rcond (or the worst
-block's, if smaller) must stay above RCOND_FLOOR.  The outer sides enter it
-only as its first upper and last lower states, for real and complex roots
-alike.
-
-Beyond X0 = CORE_RADIUS (sum|b~_m| is 6.3e-5 there for P = X^2 on the cosh
-weight, 1.3e-3 for X^4) each outer side carries V sum_w e^{iwky} r_w(y), one
-component per wave; the complex-root terms, which die within a few units of
-+-X0, enter psi but are not sources there.  Component w is
-f_w = sigma(wk) ([w = 1] - a e^{-iwky} K_wk), under its own real root only,
-so a side has the core's product-integration form: `_Blocks` eliminates its
-panel blocks over (p x components), and its state system (one state per real
-root per panel) is solved densely.  A side sees the rest of the line only
-through the constant value each envelope enters with at its near edge:
-[w = 1] on the side wave w comes from, and on the side it leaves by an
-inflow that carries the total of the core (Gauss rule) and of the far side.
-So each side is a superposition of its solutions for unit inflow; the core
-sees the sides only through its end states, and w is linear in those through
-the core's responses to unit end states (one LU solve per solver).  What is
-left is a matching system with one unknown inflow per real root, at most 2;
-its 1-norm rcond must stay above RCOND_FLOOR.  The sides, the responses and
-the matching matrix are shared by +-k, and the X and 2X truncations share the
-factorization.
+with own_b,P the partial-panel moments anchored at the nodes.  On the core
+f = w is one component, g_b = a_b sigma_b with sigma_b = sum_m b~_m zeta_b^m,
+and rhs = sigma(k) e^{ikx}.  Beyond X0 = CORE_RADIUS (sum|b~_m| is 6.3e-5
+there for P = X^2 on the cosh weight, 1.3e-3 for X^4) w = sum_w e^{iwky} f_w
+has one component per wave; the complex-root terms, which die within a few
+units of +-X0, enter psi but are not sources there.  f_w = sigma(wk) ([w = 1]
+- a e^{-iwky} K_wk), so rhs_w = sigma(wk) [w = 1], g = a sigma e^{-iwky} on
+the wave's own real root, and no other root has a coefficient there.  Every
+state steps to the next panel as
+s_b(P +- 1) = e^{+-i zeta_b h_P} s_b(P) + F_b,P . f_P (full-panel moments),
+by factors of modulus <= 1, and crosses +-X0 as it crosses any panel edge.
+The blocks C_P are inverted in one batched call per region; substituting
+f_P = C_P^-1 (rhs_P - G_P s(P)), G_P the state terms above, leaves the
+couplings D_P = F_P C_P^-1 G_P - diag(step_P) between the states of
+neighbouring panels.  Stacked in x order (left side, core, right side),
+with nb branches of which `up` are upper, they form one band with
+kl = nb + up - 1 sub- and ku = 2 nb - up - 1 superdiagonals; the states
+entering at -X and X are zero.  It is written straight into LAPACK band
+storage and factored by a banded LU (zgbtrf) once per lambda and truncation,
+shared by +-k.  Its zgbcon rcond (or the worst block's, if smaller) must stay
+above RCOND_FLOOR.
 
 Panel moments depend only on (mesh, nu, sweep direction); the solver keeps
-them in one `_MomentTable` that the eliminations of the core and the sides,
-the end states and the residual all read.  Integrals of the solution against
-e^{i nu y} come from one anchored prefix table per (mesh, nu) and sweep
-direction (`_Density`), whose running sums also only multiply by factors of
-modulus <= 1.  The coefficients b~_m are evaluated once per mesh and solver.
+them in one `_MomentTable` that the eliminations, the field's prefix tables
+and the residual all read.  Integrals of the solution against e^{i nu y} come
+from one anchored prefix table per (mesh, nu) and sweep direction
+(`_Density`), whose running sums also only multiply by factors of modulus
+<= 1.  The coefficients b~_m are evaluated once per mesh and solver.
 
 A field evaluates one kernel integral per branch on the whole line,
 K_b(x) = int e^{i zeta_b (x-y)} w(y) dy over the branch side of x: x's own
 region (left outer, core, right outer) through its prefix table, the regions
-wholly passed through their totals carried to x (real totals over the core by
-the Gauss rule).  Then psi = e^{ikx} - sum_b a_b K_b, and far out
-psi = sum_w e^{iwkx} r_w over the waves w = +1 (odd n) or +-1 (even n), with
-r_w = [w = 1] - a e^{-iwkx} K for the real root zeta = wk.  The incident wave
+wholly passed through their prefix-table totals carried to x.  Then
+psi = e^{ikx} - sum_b a_b K_b, and far out psi = sum_w e^{iwkx} r_w over the
+waves w = +1 (odd n) or +-1 (even n), with r_w = [w = 1] - a e^{-iwkx} K for
+the real root zeta = wk.  The incident wave
 has group velocity n k^{n-1}, so it leaves toward d inf with d = sgn(k^{n-1});
 wave w leaves toward w d inf, its root is upper iff w d > 0, and
 a = d (i/n) k^{1-n}.  With I_w = int e^{-iwky} w dy over the line, r_w tends
@@ -252,7 +243,6 @@ class PotentialSpec:
 class _Mesh:
     edges: np.ndarray
     nodes: np.ndarray
-    weights: np.ndarray
     panel_of: np.ndarray
     p: int
     cmat: np.ndarray  # Lagrange coefficient matrix on the reference nodes
@@ -308,8 +298,7 @@ class _MomentTable:
 
 
 def _panelize(edges, p):
-    nodes, weights = gauss_panels(edges, p)
-    return _Mesh(edges=edges, nodes=nodes.ravel(), weights=weights.ravel(),
+    return _Mesh(edges=edges, nodes=gauss_panels(edges, p)[0].ravel(),
                  panel_of=np.repeat(np.arange(edges.size - 1), p), p=p,
                  cmat=lagrange_coeff_matrix(gauss_rule(p)[0]))
 
@@ -437,7 +426,7 @@ class EigenfunctionField:
     diagnostics.
     """
 
-    def __init__(self, solver, k, w, outer, X):
+    def __init__(self, solver, k, dens, X):
         self.k = k
         self.lam = solver.lam
         self.n = solver.n
@@ -447,12 +436,12 @@ class EigenfunctionField:
         # wave w travels with the real root zeta = wk
         self._wave_branch = {int(np.sign(zeta.real * k)): (zeta, a, upper)
                              for zeta, a, upper in self._branches if not zeta.imag}
-        self.w = w
+        self._dens = dens
+        self._core = dens[0]
+        self._outer = {side: dens.get(side) for side in (+1, -1)}
+        self.w = self._core.fs[0].ravel()
         self.X0 = solver.x0
         self.X = X
-        self._core = _Density(solver.mesh, [0.0], w, solver._table)
-        self._outer = {side: outer.get(side) for side in (+1, -1)}
-        self._dens = {0: self._core, **self._outer}
         # region r = -1, 0, +1 (left outer, core, right outer) spans
         # edges[r + 1 : r + 3]; r = -2 and +2 lie beyond -X and X
         self._edges = (-X, -self.X0, self.X0, X)
@@ -484,14 +473,7 @@ class EigenfunctionField:
             for r in (-d, 0, d):
                 near, far = (e[r + 1], e[r + 2])[::d]
                 dens = self._dens.get(r)
-                if dens is None:
-                    total[r] = 0j
-                elif r == 0 and not zeta.imag:
-                    mesh = dens.mesh
-                    total[r] = np.exp(1j * zeta * far) * np.sum(
-                        mesh.weights * np.exp(-1j * zeta * mesh.nodes) * self.w)
-                else:
-                    total[r] = complex(dens.end(-zeta, upper))
+                total[r] = 0j if dens is None else complex(dens.end(-zeta, upper))
                 carried[r] = acc
                 acc = np.exp(1j * zeta * (far - near)) * acc + total[r]
             carried[2 * d] = acc
@@ -575,15 +557,17 @@ class EigenfunctionField:
 
 class _Blocks:
     """Panel-block elimination of f_c + sum_b g_cb e^{-i mu_c y} K_b = rhs_c on
-    a mesh, K_b being branch b's integral of the density sum_c e^{i mu_c y} f_c
-    over the branch side of y: the core is one component (mu = 0) under every
-    branch, an outer side one component per real root under its own branch.
-    A panel's unknowns are its f_c at the nodes, component-major; `band` holds
-    the state system in LAPACK band storage (module docstring)."""
+    one region's mesh, K_b being branch b's integral of the whole line's
+    density over the branch side of y: the core is one component (mu = 0)
+    under every branch, an outer side one component per real root under its
+    own root only.  A panel's unknowns are its f_c at the nodes,
+    component-major.  Every branch steps its state across every panel; D
+    holds the couplings D_P = F_P H_P - diag(step_P) (module docstring)."""
 
     def __init__(self, lam, table, mesh, mus, branches, coef):
         n_p, p, nc, nb = mesh.n_panels, mesh.p, len(mus), len(branches)
-        x, mus = mesh.nodes.reshape(-1, p), np.asarray(mus, dtype=float)
+        self.mesh, self.mus = mesh, np.asarray(mus, dtype=float)
+        x, mus, coef = mesh.nodes.reshape(-1, p), self.mus, np.asarray(coef)
         ph = np.exp(1j * mus[:, None, None] * x)
         C = np.tile(np.eye(nc * p, dtype=complex), (n_p, 1, 1)) \
             .reshape(n_p, nc, p, nc, p)
@@ -595,91 +579,98 @@ class _Blocks:
             F[:, b] = (np.exp(1j * mus[:, None] * far)[..., None]
                        * table.get(mesh, mus - zeta, upper)).transpose(1, 0, 2)
             step[:, b] = np.exp((1j if upper else -1j) * zeta * np.diff(mesh.edges))
+            g = coef[:, b].reshape(nc, *x.shape) * ph.conj()
+            if not g.any():
+                continue  # a branch without coefficient needs no own-node moments
             own = table.get(mesh, mus - zeta, upper, own=True).reshape(nc, n_p, p, p)
-            for c in range(nc):
-                g = np.asarray(coef[c][b]).reshape(x.shape) * ph[c].conj()
-                if g.any():
-                    C[:, c] += np.moveaxis(g[..., None] * ph[..., None] * own, 0, 2)
-                    G[:, c, :, b] = g * np.exp(1j * zeta * (x - near[:, None]))
+            for c in np.flatnonzero(g.any(axis=(1, 2))):
+                C[:, c] += np.moveaxis(g[c][..., None] * ph[..., None] * own, 0, 2)
+                G[:, c, :, b] = g[c] * np.exp(1j * zeta * (x - near[:, None]))
             del own  # free before the next branch's moments, the peak of a solve
         C = C.reshape(n_p, nc * p, nc * p)
         try:
-            self._Cinv = np.linalg.inv(C)
+            self.Cinv = np.linalg.inv(C)
         except np.linalg.LinAlgError:
             raise NearExceptionalPointError(lam, 0.0) from None
-        self._H = self._Cinv @ G.reshape(n_p, nc * p, nb)
-        self._F = F.reshape(n_p, nb, nc * p)
-        self._n_up = up = sum(upper for _, _, upper in branches)
+        self.H = self.Cinv @ G.reshape(n_p, nc * p, nb)
+        self.F = F.reshape(n_p, nb, nc * p)
+        self.up = sum(upper for _, _, upper in branches)
         # the blocks' 1-norm condition numbers, from the inverses at hand
         cond = np.linalg.norm(C, 1, axis=(-2, -1)) \
-            * np.linalg.norm(self._Cinv, 1, axis=(-2, -1))
+            * np.linalg.norm(self.Cinv, 1, axis=(-2, -1))
         self.block_rcond = float(np.min(1.0 / cond))
-        # D_P = F_P H_P - diag(step_P) couples the states of neighbouring panels:
+        self.D = self.F @ self.H
+        self.D[:, np.arange(nb), np.arange(nb)] -= step
+
+
+class _Line:
+    """The state system of the whole line out to one truncation: the regions'
+    eliminations keyed -1, 0, +1 in x order (the core alone without outer
+    sides), their couplings D stacked panel by panel, its banded LU and its
+    rcond, the worst of zgbcon's and every block's (module docstring)."""
+
+    def __init__(self, lam, regions):
+        from scipy.linalg import lapack
+
+        self.regions = regions
+        self.D = D = np.concatenate([blocks.D for blocks in regions.values()])
+        n_p, nb, up = D.shape[0], D.shape[1], regions[0].up
         # upper states at P + 1 and lower states at P - 1 read those at P, so
         # I + couplings is banded with kl = nb + up - 1 and ku = 2 nb - up - 1
-        D = self._F @ self._H
-        D[:, np.arange(nb), np.arange(nb)] -= step
         kl, ku = nb + up - 1, 2 * nb - up - 1
         ab = np.zeros((2 * kl + ku + 1, n_p, nb), dtype=complex)
         ab[kl + ku] = 1.0
         i, j = np.arange(nb)[:, None], np.arange(nb)
         ab[kl + ku + nb + i[:up] - j, :-1, j] = D[:-1, :up].transpose(1, 2, 0)
         ab[kl + ku - nb + i[up:] - j, 1:, j] = D[1:, up:].transpose(1, 2, 0)
-        self.band = ab.reshape(ab.shape[0], -1), kl, ku
+        ab = ab.reshape(ab.shape[0], -1)
+        anorm = np.max(np.sum(np.abs(ab), axis=0))
+        try:
+            self._lu = lu_factor(ab, kl, ku)
+        except np.linalg.LinAlgError:
+            raise NearExceptionalPointError(lam, 0.0) from None
+        self.rcond = min(float(lapack.zgbcon(kl, ku, *self._lu[:2], anorm)[0]),
+                         *(blocks.block_rcond for blocks in regions.values()))
+        if not self.rcond >= RCOND_FLOOR:
+            raise NearExceptionalPointError(lam, self.rcond)
 
-    def dense_states(self, r):
-        """Solve the state system as a dense matrix."""
-        ab, kl, ku = self.band
-        i, j = np.indices((ab.shape[1],) * 2)
-        on = (-ku <= i - j) & (i - j <= kl)
-        dense = np.where(on, ab[np.where(on, kl + ku + i - j, 0), j], 0)
-        return np.linalg.solve(dense, r)
-
-    def substitute(self, rhs, ends, states):
-        """f for right-hand sides rhs, shape (panels, components p, columns),
-        and incoming states `ends` (branches, columns), the first upper and
-        the last lower ones; `states` solves the state system."""
-        u = self._Cinv @ rhs
-        Fu = self._F @ u
-        up = self._n_up
-        r = np.zeros_like(Fu)
+    def solve(self, rhs):
+        """Every region's components f_c, shape (components, panels, p), for
+        right-hand sides of shape (components, nodes), one per region; the
+        states entering at the ends of the line are zero."""
+        regions = self.regions.values()
+        u = [b.Cinv @ r.reshape(b.mus.size, b.mesh.n_panels, -1, 1).swapaxes(0, 1)
+             .reshape(b.mesh.n_panels, -1, 1) for b, r in zip(regions, rhs)]
+        Fu = np.concatenate([b.F @ v for b, v in zip(regions, u)])
+        up, r = self.regions[0].up, np.zeros_like(Fu)
         r[1:, :up], r[:-1, up:] = Fu[:-1, :up], Fu[1:, up:]
-        r[0, :up], r[-1, up:] = ends[:up], ends[up:]
-        return u - self._H @ states(r.reshape(-1, r.shape[-1])).reshape(r.shape)
+        s = lu_solve(self._lu, r.reshape(-1, 1)).reshape(r.shape)
+        s = np.split(s, np.cumsum([v.shape[0] for v in u])[:-1])
+        return [(v - b.H @ sb).reshape(b.mesh.n_panels, b.mus.size, -1).swapaxes(0, 1)
+                for b, v, sb in zip(regions, u, s)]
 
 
-class _CoreSolver(_Blocks):
-    """Panel-block inverses, the factored edge-state system, the core's
-    responses to unit edge states and the panel moment table for
-    lambda = k^n; shared by +-k and reusable across X."""
+class _CoreSolver:
+    """The core's panel-block elimination, the panel moment table and the
+    whole-line system of each truncation X for lambda = k^n; shared by +-k."""
 
     def __init__(self, pot: PotentialSpec, k, x0):
-        if k == 0:
-            raise DomainError("k = 0: degenerate spectral point")
         self.pot = pot
         self.n = pot.n
         self.k = float(k)
         self.lam = float(k) ** pot.n
         self._branches = _branch_data(zeta_roots(self.lam, self.n, side="+"))
-        # the real roots: one outer component each, its frequency and the
-        # side its wave comes from
+        # the real roots: one outer component each, at its frequency
         self._real = [b for b in self._branches if not b[0].imag]
         self._mus = [zeta.real for zeta, _, _ in self._real]
-        self._upstream = np.array([-1 if upper else 1 for _, _, upper in self._real])
         self.x0 = float(x0)
         self.mesh = _core_mesh(self.x0, self.k, breaks=pot.breakpoints)
         self._table = _MomentTable()
-        self._interfaces = {}
+        self._lines = {}
         self._values = {}
-        self._pcoef = [a * self._symbol(self.mesh, zeta)
-                       for zeta, a, _ in self._branches]
-        super().__init__(self.lam, self._table, self.mesh, [0.0], self._branches,
-                         [self._pcoef])
-        self._factor()
-        nb = len(self._branches)
-        self._responses = self.substitute(
-            np.zeros((self.mesh.n_panels, self.mesh.p, nb)), np.eye(nb),
-            self._states).reshape(-1, nb)
+        self._pcoef = self._coef(self.mesh)
+        self.blocks = _Blocks(self.lam, self._table, self.mesh, [0.0],
+                              self._branches, [self._pcoef])
 
     def _symbol(self, mesh, zeta):
         """sum_m b~_m zeta^m, the V-symbol collapsed on one exponential, at
@@ -689,132 +680,76 @@ class _CoreSolver(_Blocks):
         return sum((v * zeta ** m for m, v in enumerate(self._values[mesh])),
                    np.zeros(mesh.nodes.shape, dtype=complex))
 
-    def _factor(self):
-        """Banded LU of the core's state system; see the module docstring."""
-        from scipy.linalg import lapack
+    def _coef(self, mesh):
+        """a_b sigma_b at the nodes of a mesh, per branch."""
+        return [a * self._symbol(mesh, zeta) for zeta, a, _ in self._branches]
 
-        ab, kl, ku = self.band
-        anorm = np.max(np.sum(np.abs(ab), axis=0))
-        try:
-            self._lu = lu_factor(ab, kl, ku)
-        except np.linalg.LinAlgError:
-            raise NearExceptionalPointError(self.lam, 0.0) from None
-        self.rcond = min(float(lapack.zgbcon(kl, ku, *self._lu[:2], anorm)[0]),
-                         self.block_rcond)
-        if not self.rcond >= RCOND_FLOOR:
-            raise NearExceptionalPointError(self.lam, self.rcond)
-
-    def _states(self, r):
-        """Solve the core's state system by its banded LU."""
-        return lu_solve(self._lu, r)
-
-    def _core_solve(self, rhs0, outer):
-        """w on the core nodes with the outer densities as the first upper and
-        the last lower edge states."""
-        ends = np.zeros((len(self._branches), 1), dtype=complex)
-        for b, (zeta, _, upper) in enumerate(self._branches):
-            dens = outer.get(-1 if upper else +1)
-            if dens is not None:
-                ends[b] = dens.end(-zeta, upper)
-        return self.substitute(rhs0.reshape(-1, self.mesh.p, 1), ends,
-                               self._states).ravel()
-
-    def _interface(self, X):
-        """Shared by +-k per truncation X, None without outer sides: per side
-        its mesh and its solutions for unit inflow of each component; then
-        the terms of the matching system (module docstring), the matrix's
-        inverse and its 1-norm rcond."""
-        if X in self._interfaces:
-            return self._interfaces[X]
-        real, mus, nb, sides, ends = self._real, self._mus, len(self._branches), {}, {}
-        nc, eye = len(real), np.eye(len(real))
-        for side in (+1, -1):
-            mesh = _outer_mesh(side, self.x0, X, self.k)
-            if mesh is None:
-                self._interfaces[X] = None
-                return None
-            sigma = np.array([self._symbol(mesh, zeta) for zeta, _, _ in real])
-            coef = eye[..., None] * (np.array([a for _, a, _ in real])[:, None] * sigma)
-            blocks = _Blocks(self.lam, self._table, mesh, mus, real, coef)
-            rhs = (eye[:, :, None] * sigma).reshape(nc, nc, mesh.n_panels, mesh.p)
-            rhs = rhs.transpose(2, 1, 3, 0).reshape(mesh.n_panels, -1, nc)
-            f = blocks.substitute(rhs, np.zeros((nc, nc)), blocks.dense_states)
-            basis = f.reshape(mesh.n_panels, nc, mesh.p, nc).transpose(3, 1, 0, 2)
-            sides[side], ends[side] = (mesh, basis), np.zeros((nb, nc), dtype=complex)
-            for c, fs in enumerate(basis):  # the end states handed to the core
-                dens = _Density(mesh, mus, fs, self._table)
-                for b, (zeta, _, upper) in enumerate(self._branches):
-                    if upper == (side < 0):
-                        ends[side][b, c] = dens.end(-zeta, upper)
-        # On component c's downstream side the inflow is [w = 1] minus
-        # a e^{-i zeta far} times the total carried there, R_c . E + gauss_c . w0:
-        # E = E_up [w = 1] + E_down inflow are the core's end states, and w0 + W E
-        # is the core solution, W its responses to unit end states.  So
-        # (I + R E_down) inflow = [w = 1] - R E_up [w = 1] - gauss w0.
-        x = self.mesh.nodes
-        gauss = np.array([a * self.mesh.weights * np.exp(-1j * zeta * x)
-                          for zeta, a, _ in real])
-        R = gauss @ self._responses
-        for c, (zeta, a, upper) in enumerate(real):
-            R[c, self._branches.index(real[c])] += a * np.exp(1j * zeta * (
-                self.x0 if upper else -self.x0))
-        E_up = np.where(self._upstream < 0, ends[-1], ends[+1])
-        E_down = np.where(self._upstream < 0, ends[+1], ends[-1])
-        A = eye + R @ E_down
-        A_inv = np.linalg.inv(A)
-        rcond = float(1.0 / (np.linalg.norm(A, 1) * np.linalg.norm(A_inv, 1)))
-        if not rcond >= RCOND_FLOOR:
-            raise NearExceptionalPointError(self.lam, rcond)
-        self._interfaces[X] = sides, R @ E_up, gauss, A_inv, rcond
-        return self._interfaces[X]
+    def _line(self, X):
+        """The whole-line system out to X, cached per X; a refused X is not
+        cached.  Root zeta's a sigma sits on the outer component mu = zeta
+        only."""
+        if X not in self._lines:
+            regions = {0: self.blocks}
+            for side in (-1, +1):
+                mesh = _outer_mesh(side, self.x0, X, self.k)
+                if mesh is not None:
+                    coef = [[g * (zeta == mu) for g, (zeta, _, _) in
+                             zip(self._coef(mesh), self._branches)] for mu in self._mus]
+                    regions[side] = _Blocks(self.lam, self._table, mesh, self._mus,
+                                            self._branches, coef)
+            self._lines[X] = _Line(self.lam, dict(sorted(regions.items())))
+        return self._lines[X]
 
     def solve(self, X, k=None) -> EigenfunctionField:
         """The field of the wave e^{ikx} (the solver's k by default, or -k for
-        even n) with the outer sides out to X, by one direct solve: the sides
-        are superpositions of their unit-inflow solutions, and the unknown
-        inflows, one per real root on the side its wave leaves by, solve the
-        matching system.  `residual` is the core equation evaluated through
-        the field's own densities."""
+        even n) with the outer sides out to X, by one solve of the whole-line
+        system.  `residual` is the core equation evaluated through the
+        field's own densities."""
         k = self.k if k is None else float(k)
         if k ** self.n != self.lam:
             raise ConfigurationError(f"k = {k!r} is not a root of lambda = {self.lam}")
-        x = self.mesh.nodes
         X = self.x0 if self.pot.support is not None else float(max(X, self.x0))
-        rhs0 = self._symbol(self.mesh, k) * np.exp(1j * k * x)
-        iface, outer, interface_rcond = self._interface(X), {}, 1.0
-        if iface is not None:
-            sides, R_up, gauss, A_inv, interface_rcond = iface
-            incident = np.array([float(zeta.real * k > 0) for zeta, _, _ in self._real])
-            alpha = A_inv @ (incident - R_up @ incident
-                             - gauss @ self._core_solve(rhs0, {}))
-            for side, (mesh, basis) in sides.items():
-                inflow = np.where(self._upstream == side, incident, alpha)
-                outer[side] = _Density(mesh, self._mus, np.tensordot(inflow, basis, 1),
-                                       self._table)
-        w = self._core_solve(rhs0, outer)
-        field = EigenfunctionField(self, k, w, outer, X)
-        resid = w - rhs0
+        line = self._line(X)
+        # the incident source sigma(k) e^{iky}: all of it on the core's one
+        # component (mu = 0), sigma(k) [w = 1] on an outer wave w (mu = wk)
+        rhs = [self._symbol(b.mesh, k) * np.where(b.mus[:, None] == 0.0, np.exp(
+            1j * k * b.mesh.nodes), b.mus[:, None] * k > 0) for b in line.regions.values()]
+        dens = {r: _Density(b.mesh, b.mus, f, self._table)
+                for (r, b), f in zip(line.regions.items(), line.solve(rhs))}
+        field = EigenfunctionField(self, k, dens, X)
+        x = self.mesh.nodes
+        resid = field.w - self._symbol(self.mesh, k) * np.exp(1j * k * x)
         for (zeta, _, upper), pcoef in zip(self._branches, self._pcoef):
             resid = resid + pcoef * field._kernel(x, zeta, upper, at_nodes=True)
-        for dens in filter(None, (field._core, *field._outer.values())):
-            dens.table = None  # the field keeps its prefix tables, not the moments
+        for d in dens.values():
+            d.table = None  # the field keeps its prefix tables, not the moments
         field.diagnostics = {
-            "residual": float(np.max(np.abs(resid))), "rcond": self.rcond,
+            "residual": float(np.max(np.abs(resid))), "rcond": line.rcond,
             "X0": self.x0, "X": X, "mesh_size": int(x.size),
-            "abs_sum_at_X0": float(self.pot.abs_sum(np.array([self.x0]))[0]),
-            "interface_rcond": interface_rcond}
+            "abs_sum_at_X0": float(self.pot.abs_sum(np.array([self.x0]))[0])}
         return field
 
 
-def _prepare(pot: PotentialSpec, X, x_core, reach):
-    """X0 of a solve out to X, before any factorization: b~ is read out to
-    |x| <= reach and sum |b~_m| must fall faster than x^SHORT_RANGE_SLOPE on
-    [X0, X] in a log-log fit (cosh, stretched_exp: -2; power_law: -1 to -0.7)."""
+def _prepare(pot: PotentialSpec, k, X, x_core, reach):
+    """X0 of a solve at k out to X, before any factorization: b~ is read out
+    to |x| <= reach and sum |b~_m| must fall faster than x^SHORT_RANGE_SLOPE
+    on [X0, X] in a log-log fit (cosh, stretched_exp: -2; power_law: -1 to
+    -0.7).  k must be finite and nonzero, and X finite and past X0, or past a
+    compact support."""
+    if not np.isfinite(k) or k == 0:
+        raise DomainError(f"k = {float(k)!r} must be finite and nonzero "
+                          "(k = 0 is the degenerate spectral point)")
+    if not 0.0 < X < np.inf:
+        raise DomainError(f"the truncation X = {X!r} must be finite and positive")
     if x_core is None:
         x_core = CORE_RADIUS if pot.support is None else pot.support + 2.0
     x0 = min(x_core, X)
+    if (X <= x0) if pot.support is None else (X < pot.support):
+        raise DomainError(f"the truncation X = {X:g} " + (
+            f"leaves no outer side past X0 = {x_core:g}" if pot.support is None
+            else f"cuts the support {pot.support:g}"))
     pot.cover(reach)
-    if pot.support is None and X > x0:
+    if pot.support is None:
         x = np.geomspace(x0, X, 32)
         total = pot.abs_sum(x) + pot.abs_sum(-x)
         slope = np.polyfit(np.log(x), np.log(total), 1)[0] if np.all(total > 0) \
@@ -830,7 +765,7 @@ def _prepare(pot: PotentialSpec, X, x_core, reach):
 def solve_lippmann_schwinger(pot: PotentialSpec, k, X=1.0e4,
                              x_core=None) -> EigenfunctionField:
     """Solve for the continuum eigenfunction at wavenumber k (lambda = k^n)."""
-    return _CoreSolver(pot, k, _prepare(pot, X, x_core, X)).solve(X)
+    return _CoreSolver(pot, k, _prepare(pot, k, X, x_core, X)).solve(X)
 
 
 # ---------------------------------------------------------------------------
@@ -878,7 +813,7 @@ def scattering_matrix(pot: PotentialSpec, lam, X=1.0e4,
         raise DomainError("even n: lambda must be positive")
     k = np.sign(lam) * abs(lam) ** (1.0 / n)
     ks = [k] if n % 2 == 1 else [k, -k]
-    x0 = _prepare(pot, X, x_core, 2 * X)
+    x0 = _prepare(pot, k, X, x_core, 2 * X)
     S_X, S_2X = (np.zeros((len(ks), len(ks)), dtype=complex) for _ in range(2))
     fields = []
     solver = _CoreSolver(pot, ks[0], x0)  # one factorization for every k

@@ -203,6 +203,34 @@ def test_power_law_refused_even_where_born_converges(tmp_path, capsys):
     assert "longrange.py" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["scatter", "--truncation", "1e-3"],
+    ["scatter", "--family", "power_law", "--truncation", "100"],
+    *(["scatter", "--truncation", X] for X in ("0", "-5", "nan", "inf")),
+    ["scatter", "--lambda-min", "nan"],
+    ["hankel-theta", "--k", "nan"]])
+def test_inputs_the_solve_cannot_honour_exit_2(argv, capsys):
+    # a truncation inside the core (or not a finite positive number) leaves no
+    # outer side to scatter into, and nan is no spectral point
+    base = {"scatter": ["--lambda-min", "1", "--lambda-max", "1", "--points", "1"],
+            "hankel-theta": ["--N-grid", "5"]}[argv[0]]
+    rc, out = run_cli([argv[0], "--p", "0,0,1", *base, *argv[1:]])
+    assert rc == 2 and out == ""
+    assert "validation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--n", "2", "--xi-grid=0:1:0"],
+    ["transform", "--p", "0,0,1", "--x-grid=0:1:0"],
+    ["longrange", "--x-grid=1:2:0"],
+    ["map-coeffs", "--p", "1,x"],
+    ["profile", "--n", "2", "--xi-grid=0:x:1"]])
+def test_malformed_grids_and_lists_exit_2(argv, capsys):
+    rc, out = run_cli(argv)
+    assert rc == 2 and out == ""
+    assert "validation error" in capsys.readouterr().err
+
+
 def test_truncation_past_the_initial_table(tmp_path):
     # X = 5e4 reads b~ out to 1e5, beyond the 2.6e4 the operator's table
     # starts with; the table is extended, never extrapolated

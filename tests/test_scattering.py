@@ -196,24 +196,24 @@ def test_field_survives_a_later_solve(pot2):
 
 
 def test_born_and_tail_diagnostics(field2, field3):
-    # the matching system of the inflows is well conditioned, and the field
-    # then solves its own equation, outer sides included, to rounding
+    # the whole-line state system is well conditioned, and the field then
+    # solves its own equation, outer sides included, to rounding
     for f in (field2, field3):
         d = f.diagnostics
         assert d["residual"] <= 1e-12
-        assert d["interface_rcond"] >= sc.RCOND_FLOOR
+        assert d["rcond"] >= sc.RCOND_FLOOR
 
 
 def test_ill_conditioned_matching_is_near_exceptional(pot2, monkeypatch):
-    # the matching system's rcond is held to RCOND_FLOOR at solve time, and a
-    # refused truncation is not remembered as one without outer sides
+    # the whole-line system's rcond is held to RCOND_FLOOR at solve time, and
+    # a refused truncation is not remembered as one without outer sides
     solver = _CoreSolver(pot2, 1.0, 60.0)
     monkeypatch.setattr(sc, "RCOND_FLOOR", 1.0)
     with pytest.raises(NearExceptionalPointError):
         solver.solve(2000.0)
     monkeypatch.undo()
     f = solver.solve(2000.0)
-    assert f._outer[+1] is not None and f.diagnostics["interface_rcond"] < 1.0
+    assert f._outer[+1] is not None and f.diagnostics["rcond"] < 1.0
 
 
 def test_singular_panel_block_is_near_exceptional(monkeypatch):
@@ -224,7 +224,7 @@ def test_singular_panel_block_is_near_exceptional(monkeypatch):
 
     probe = _CoreSolver(pot(1.0), 1.0, 2.35)
     P = int(np.searchsorted(probe.mesh.edges, 0.0))
-    K = np.linalg.inv(probe._Cinv[P]) - np.eye(probe.mesh.p)
+    K = np.linalg.inv(probe.blocks.Cinv[P]) - np.eye(probe.mesh.p)
     mu = np.linalg.eigvals(K)
     c = -1.0 / mu[np.argmax(np.abs(mu))]
     with pytest.raises(NearExceptionalPointError):
@@ -324,8 +324,9 @@ def test_moment_table_matches_direct_moments(monkeypatch):
 
 
 def test_one_factorization_per_lambda(pot2, monkeypatch):
-    # even n: +k and -k share the solver, so S costs one LU per lambda; the
-    # returned fields hold no reference to the solver's moment table
+    # even n: +k and -k share the solver, so S costs one LU per lambda and
+    # truncation (X and 2X); the returned fields hold no reference to the
+    # solver's moment table
     factored = []
     lu = sc.lu_factor
     monkeypatch.setattr(sc, "lu_factor",
@@ -335,38 +336,34 @@ def test_one_factorization_per_lambda(pot2, monkeypatch):
         assert [f.k for f in e.fields] == [lam ** 0.5, -lam ** 0.5]
         assert all(d.table is None for f in e.fields
                    for d in (f._core, *f._outer.values()) if d is not None)
-    assert len(factored) == 2
+    assert len(factored) == 4
 
 
 @pytest.mark.parametrize("which,k", [("pot2", 1.0), ("pot3", 1.0), ("pot3", -1.0)])
 def test_banded_state_system_matches_the_dense_one(which, k, request, rng,
                                                    monkeypatch):
-    # the edge-state system rebuilt as a dense matrix from the panel
-    # couplings: the banded LU solves it as np.linalg.solve does, and its
-    # rcond estimate is near the exact 1 / (|M|_1 |M^-1|_1) (the state
+    # the whole-line state system (outer sides on 12 < |x| < 60) rebuilt as a
+    # dense matrix from the stacked panel couplings: the banded LU solves it
+    # as np.linalg.solve does, for random right-hand sides in every region,
+    # and its rcond estimate is near the exact 1 / (|M|_1 |M^-1|_1) (the state
     # system, not a panel block, is the worse conditioned one here)
-    solver = _CoreSolver(request.getfixturevalue(which), k, 12.0)
-    mesh, nb, up = solver.mesh, len(solver._branches), solver._n_up
-    D = solver._F @ solver._H
-    D[:, np.arange(nb), np.arange(nb)] -= np.stack(
-        [np.exp((1j if upper else -1j) * zeta * np.diff(mesh.edges))
-         for zeta, _, upper in solver._branches], axis=1)
-    P, m = np.arange(mesh.n_panels - 1), mesh.n_panels
+    line = _CoreSolver(request.getfixturevalue(which), k, 12.0)._line(60.0)
+    assert list(line.regions) == [-1, 0, 1]
+    D, up = line.D, line.regions[0].up
+    m, nb = D.shape[:2]
+    P = np.arange(m - 1)
     M = np.eye(m * nb, dtype=complex).reshape(m, nb, m, nb)
     M[P + 1, :up, P, :] = D[:-1, :up]
     M[P, up:, P + 1, :] = D[1:, up:]
     M = M.reshape(m * nb, -1)
     exact = 1.0 / (np.linalg.norm(M, 1) * np.linalg.norm(np.linalg.inv(M), 1))
-    assert exact / 3.0 <= solver.rcond <= 3.0 * exact
-    rhs0 = rng.normal(size=mesh.nodes.size) + 1j * rng.normal(size=mesh.nodes.size)
-    outer = {}
-    for side in (+1, -1):
-        mesh_o = sc._outer_mesh(side, 12.0, 60.0, 1.0)
-        outer[side] = _Density(mesh_o, [side * 1.0], rng.normal(size=mesh_o.nodes.size)
-                               + 1j * rng.normal(size=mesh_o.nodes.size))
-    banded = solver._core_solve(rhs0, outer)
+    assert exact / 3.0 <= line.rcond <= 3.0 * exact
+    rhs = [rng.normal(size=(b.mus.size, b.mesh.nodes.size))
+           + 1j * rng.normal(size=(b.mus.size, b.mesh.nodes.size))
+           for b in line.regions.values()]
+    banded = np.concatenate([f.ravel() for f in line.solve(rhs)])
     monkeypatch.setattr(sc, "lu_solve", lambda _, r: np.linalg.solve(M, r))
-    dense = solver._core_solve(rhs0, outer)
+    dense = np.concatenate([f.ravel() for f in line.solve(rhs)])
     assert np.max(np.abs(banded - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
@@ -442,6 +439,23 @@ def test_scattering_entry_invariants(smatrix2):
     tau = np.linalg.norm(e.S_X - e.S_2X, 2)
     assert tau > 1e-6  # the 1/X truncation law is visible in the S values
     assert e.extrapolated_defect < 1e-4
+
+
+def test_truncation_inside_the_core_rejected(pot2):
+    # X = 100 < X0 = 120 leaves no outer side, and the short-range check
+    # would see no [X0, X] to fit on
+    with pytest.raises(DomainError):
+        scattering_matrix(pot2, 1.0, X=100.0)
+    for bad in (0.0, -5.0, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            solve_lippmann_schwinger(pot2, 1.0, X=bad)
+    with pytest.raises(DomainError):
+        scattering_matrix(zero_potential(support=6.0), 1.0, X=5.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            scattering_matrix(pot2, bad)
+        with pytest.raises(DomainError):
+            solve_lippmann_schwinger(pot2, bad)
 
 
 def test_even_n_negative_lambda_rejected(pot2):

@@ -4,28 +4,15 @@ Exit codes: 0 success, 1 usage error, 2 validation (configuration/domain)
 error, 3 numerical failure (near-exceptional point, long-range, resolution).
 All numbers are printed with 17 significant digits so emitted files round-trip
 losslessly; every record carries the tolerances and truncation radii used.
-CARLEMAN_THREADS caps the BLAS thread pool (set before numpy loads).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import ConfigurationError, DomainError, NumericalError
-
-
-def _cap_threads():
-    cap = os.environ.get("CARLEMAN_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
-_cap_threads()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -210,13 +197,13 @@ def _cmd_hankel_theta(args):
 
     Q, cov, op = _operator(args)
     n = Q.degree
+    Ns = np.asarray(_parse_grid(args.N_grid))
+    Ns = Ns[Ns != 0.0]
     pot = PotentialSpec.from_operator(op)
     e = scattering_matrix(pot, args.k ** n, X=args.truncation)
     entries = {"s": e.S[0, 0]} if n % 2 == 1 else \
         {f"s{i + 1}{j + 1}": e.S[i, j] for i in range(2) for j in range(2)}
     field = next(f for f in e.fields if np.sign(f.k) == np.sign(args.k))
-    Ns = np.asarray(_parse_grid(args.N_grid))
-    Ns = Ns[Ns != 0.0]
     prof_res = theta_profile(Ns, field, Q, cov, entries=entries)
     v, a = prof_res.values, prof_res.asymptotic
     rows = zip(prof_res.N, v.real, v.imag, a.real, a.imag, prof_res.relative_residual)

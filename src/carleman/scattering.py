@@ -40,9 +40,10 @@ storage and factored by a banded LU (zgbtrf) once per lambda and truncation,
 shared by +-k.  Its zgbcon rcond (or the worst block's, if smaller) must stay
 above RCOND_FLOOR.
 
-Panel moments depend only on (mesh, nu, sweep direction); the solver keeps
-them in one `_MomentTable` that the eliminations, the field's prefix tables
-and the residual all read.  Integrals of the solution against e^{i nu y} come
+Panel moments depend only on (half-width, nu, sweep direction), so every
+panel of a width shares them, on the core, on both outer sides and on both
+truncations; the solver keeps them in one `_MomentTable` that the
+eliminations, the field's prefix tables and the residual all read.  Integrals of the solution against e^{i nu y} come
 from one anchored prefix table per (mesh, nu) and sweep direction
 (`_Density`), whose running sums also only multiply by factors of modulus
 <= 1.  The coefficients b~_m are evaluated once per mesh and solver.
@@ -245,7 +246,9 @@ class _Mesh:
     nodes: np.ndarray
     panel_of: np.ndarray
     p: int
-    cmat: np.ndarray  # Lagrange coefficient matrix on the reference nodes
+    cmat: np.ndarray      # Lagrange coefficient matrix on the reference nodes
+    widths: np.ndarray    # the distinct panel half-widths
+    width_of: np.ndarray  # each panel's index into widths
 
     @property
     def n_panels(self):
@@ -274,33 +277,40 @@ class _Mesh:
 
 
 class _MomentTable:
-    """Panel moments of a solver's meshes, memoised per (mesh, nu, upper):
-    over whole panels anchored at the far edge of the sweep, shape (panels, p)
-    per nu, or (own) from the near edge to each node, anchored at that node,
-    shape (nodes, p) per nu.  Moments at other points are never stored."""
+    """Panel moments, memoised per (order p, half-width, nu, upper, own): over
+    a whole panel anchored at the far edge of the sweep, shape (p,), or (own)
+    from the near edge to each reference Gauss node, anchored at that node,
+    shape (p, p).  They depend on nothing else, so every panel of a width
+    shares them, on the core, on both outer sides and on both truncations.
+    Moments at other points are never stored."""
 
     def __init__(self):
         self._memo = {}
 
     def get(self, mesh, nus, upper, own=False):
-        """Stacked moments for each of nus; the new ones in one batched call."""
-        keys = [(mesh, complex(nu), upper, own) for nu in np.ravel(nus)]
-        new = list(dict.fromkeys(key for key in keys if key not in self._memo))
+        """Moments of each of nus, shape (nus, panels, p), or (nus, nodes, p)
+        for own; the missing widths in one batched call, gathered by panel."""
+        keys = [[(mesh.p, s, complex(nu), upper, own) for s in mesh.widths.tolist()]
+                for nu in np.ravel(nus)]
+        new = list(dict.fromkeys(key for row in keys for key in row
+                                 if key not in self._memo))
         if new:
-            if own:
-                q, t = mesh.panel_of, mesh.ref_coord(mesh.panel_of, mesh.nodes)
-            else:
-                q, t = np.arange(mesh.n_panels), 1.0 if upper else -1.0
+            _, s, nu, _, _ = map(np.array, zip(*new))
+            t = gauss_rule(mesh.p)[0] if own else np.array(1.0 if upper else -1.0)
             lo, hi = (-1.0, t) if upper else (t, 1.0)
-            nu = np.array([key[1] for key in new])[:, None]
-            self._memo.update(zip(new, mesh.moments(nu, q, lo, hi, t)))
-        return np.stack([self._memo[key] for key in keys])
+            s = s.reshape((-1,) + (1,) * t.ndim)
+            m = exp_monomial_moments(1j * nu.reshape(s.shape) * s, t, lo, hi, mesh.p)
+            self._memo.update(zip(new, s[..., None] * (m @ mesh.cmat)))
+        return np.stack([np.stack([self._memo[key] for key in row])[mesh.width_of]
+                         for row in keys]).reshape(len(keys), -1, mesh.p)
 
 
 def _panelize(edges, p):
+    widths, width_of = np.unique(0.5 * np.diff(edges), return_inverse=True)
     return _Mesh(edges=edges, nodes=gauss_panels(edges, p)[0].ravel(),
                  panel_of=np.repeat(np.arange(edges.size - 1), p), p=p,
-                 cmat=lagrange_coeff_matrix(gauss_rule(p)[0]))
+                 cmat=lagrange_coeff_matrix(gauss_rule(p)[0]),
+                 widths=widths, width_of=width_of)
 
 
 def _core_mesh(x0, k, p=10, h_first=0.35, grow=1.3, breaks=()):

@@ -224,8 +224,12 @@ def test_inputs_the_solve_cannot_honour_exit_2(argv, capsys):
     ["transform", "--p", "0,0,1", "--x-grid=0:1:0"],
     ["longrange", "--x-grid=1:2:0"],
     ["map-coeffs", "--p", "1,x"],
-    ["profile", "--n", "2", "--xi-grid=0:x:1"]])
-def test_malformed_grids_and_lists_exit_2(argv, capsys):
+    ["profile", "--n", "2", "--xi-grid=0:x:1"],
+    ["hankel-theta", "--p", "0,0,1", "--k", "1", "--N-grid=0:1:0"]])
+def test_malformed_grids_and_lists_exit_2(argv, capsys, monkeypatch):
+    # refused before any solve starts
+    monkeypatch.setattr("carleman.scattering.scattering_matrix",
+                        lambda *a, **kw: pytest.fail("solved before parsing"))
     rc, out = run_cli(argv)
     assert rc == 2 and out == ""
     assert "validation error" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from carleman.errors import ConfigurationError, DomainError, NearExceptionalPointError
+from carleman.oscquad import gauss_rule
 import carleman.scattering as sc
 from carleman.scattering import (PotentialSpec, _core_mesh, _CoreSolver, _Density,
                                  _MomentTable, eigenvalue_multiplicity_bound,
@@ -301,11 +302,12 @@ def test_outer_prefix_tables_match_panel_sums(rng):
 
 def test_moment_table_matches_direct_moments(monkeypatch):
     # the memoised full-panel and node-anchored moments are the direct
-    # _Mesh.moments values, for real and complex nu in both directions (one
-    # nu in both), and a second lookup computes nothing
+    # _Mesh.moments values at the reference Gauss nodes, for real and complex
+    # nu in both directions (one nu in both), and a second lookup computes
+    # nothing
     mesh = _core_mesh(12.0, 1.0)
     table = _MomentTable()
-    t = mesh.ref_coord(mesh.panel_of, mesh.nodes)
+    t = np.tile(gauss_rule(mesh.p)[0], mesh.n_panels)
     zeta = 0.5 + 0.866j
     cases = ((True, [-1.0, -zeta]), (False, [-1.0, 1.0, -np.conj(zeta)]))
     got = [(table.get(mesh, nus, upper), table.get(mesh, nus, upper, own=True))
@@ -321,6 +323,59 @@ def test_moment_table_matches_direct_moments(monkeypatch):
     for (upper, nus), (full, own) in zip(cases, got):
         assert np.array_equal(table.get(mesh, nus[::-1], upper), full[::-1])
         assert np.array_equal(table.get(mesh, nus, upper, own=True), own)
+
+
+def count_moments(monkeypatch):
+    """The (width, nu) pairs each exp_monomial_moments call computes."""
+    counted, moments = [], sc.exp_monomial_moments
+    monkeypatch.setattr(sc, "exp_monomial_moments",
+                        lambda mu, *a: counted.append(np.size(mu)) or moments(mu, *a))
+    return counted
+
+
+def test_moment_table_computes_only_new_widths(monkeypatch):
+    # the left outer side mirrors the right, and the 2X mesh repeats the X
+    # mesh but for its last panels: each computes only the widths not yet in
+    # the table, and the shared rows are the mesh's own direct moments.  The
+    # core's half-width 0.25 at k = 4 is the outer sides' first, at another
+    # order p, so it is not shared
+    counted, table, nus = count_moments(monkeypatch), _MomentTable(), [0.0, 2.0, -2.0]
+
+    def lookup(mesh):
+        counted.clear()
+        got = [table.get(mesh, nus, upper, own) for upper in (True, False)
+               for own in (False, True)]
+        return sum(counted), got
+
+    right, left = (sc._outer_mesh(side, 120.0, 1e4, 1.0) for side in (+1, -1))
+    wide = sc._outer_mesh(+1, 120.0, 2e4, 1.0)
+    fresh = np.setdiff1d(wide.widths, right.widths).size
+    assert 0 < fresh < right.widths.size
+    core = _core_mesh(120.0, 4.0)
+    assert np.isin(right.widths, core.widths).any()
+    assert lookup(core)[0] == 4 * len(nus) * core.widths.size
+    assert lookup(right)[0] == 4 * len(nus) * right.widths.size
+    computed, got = lookup(left)
+    assert computed == 0
+    q = np.arange(left.n_panels)
+    for upper, full in zip((True, False), got[::2]):
+        for nu, f in zip(nus, full):
+            assert np.array_equal(f, left.moments(nu, q, -1.0, 1.0,
+                                                  1.0 if upper else -1.0))
+    assert lookup(wide)[0] == 4 * len(nus) * fresh
+
+
+@pytest.mark.parametrize("potential, k", [("pot2", 1.0), ("pot3", 0.8)])
+def test_each_moment_computed_once_per_solver(potential, k, request, monkeypatch):
+    # the core, both outer sides, +-k and both truncations: every (width, nu,
+    # sweep, own) a solver reads is computed by exp_monomial_moments once
+    pot = request.getfixturevalue(potential)
+    counted = count_moments(monkeypatch)
+    solver = _CoreSolver(pot, k, 120.0)
+    for X in (1e4, 2e4):
+        for kk in (k, -k)[:2 - pot.n % 2]:
+            solver.solve(X, kk).r_limits()
+    assert sum(counted) == len(solver._table._memo)
 
 
 def test_one_factorization_per_lambda(pot2, monkeypatch):

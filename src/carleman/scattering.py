@@ -43,10 +43,11 @@ above RCOND_FLOOR.
 Panel moments depend only on (half-width, nu, sweep direction), so every
 panel of a width shares them, on the core, on both outer sides and on both
 truncations; the solver keeps them in one `_MomentTable` that the
-eliminations, the field's prefix tables and the residual all read.  Integrals of the solution against e^{i nu y} come
-from one anchored prefix table per (mesh, nu) and sweep direction
-(`_Density`), whose running sums also only multiply by factors of modulus
-<= 1.  The coefficients b~_m are evaluated once per mesh and solver.
+eliminations, the field's prefix tables and the residual all read.
+Integrals of the solution against e^{i nu y} come from one anchored prefix
+table per (mesh, nu) and sweep direction (`_Density`), whose running sums
+also only multiply by factors of modulus <= 1.  The coefficients b~_m are
+evaluated once per mesh and solver.
 
 A field evaluates one kernel integral per branch on the whole line,
 K_b(x) = int e^{i zeta_b (x-y)} w(y) dy over the branch side of x: x's own
@@ -301,8 +302,8 @@ class _MomentTable:
             s = s.reshape((-1,) + (1,) * t.ndim)
             m = exp_monomial_moments(1j * nu.reshape(s.shape) * s, t, lo, hi, mesh.p)
             self._memo.update(zip(new, s[..., None] * (m @ mesh.cmat)))
-        return np.stack([np.stack([self._memo[key] for key in row])[mesh.width_of]
-                         for row in keys]).reshape(len(keys), -1, mesh.p)
+        rows = np.array([[self._memo[key] for key in row] for row in keys])
+        return rows[:, mesh.width_of].reshape(len(keys), -1, mesh.p)
 
 
 def _panelize(edges, p):

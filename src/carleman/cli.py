@@ -75,14 +75,14 @@ def _poly_pair(args):
     from .coeffmap import RealPolynomial, p_to_q, q_to_p
 
     if getattr(args, "p", None) is not None and getattr(args, "q", None) is not None:
-        raise _Validation("give exactly one of --p / --q")
+        raise ConfigurationError("give exactly one of --p / --q")
     if getattr(args, "p", None) is not None:
         P = RealPolynomial(_parse_list(args.p))
         return P, p_to_q(P)
     if getattr(args, "q", None) is not None:
         Q = RealPolynomial(_parse_list(args.q))
         return q_to_p(Q), Q
-    raise _Validation("one of --p / --q is required")
+    raise ConfigurationError("one of --p / --q is required")
 
 
 def _operator(args):
@@ -94,10 +94,6 @@ def _operator(args):
     Q = _poly_pair(args)[1]
     cov = ChangeOfVariables(_profile_from_args(args), Q.degree)
     return Q, cov, OperatorCoefficients(Q, cov)
-
-
-class _Validation(ValueError):
-    pass
 
 
 # -- subcommands -------------------------------------------------------------
@@ -175,8 +171,8 @@ def _cmd_longrange(args):
     else:
         Q = _poly_pair(args)[1]
         if args.n is not None and args.n != Q.degree:
-            raise _Validation(f"--n {args.n} disagrees with the degree "
-                              f"{Q.degree} of the given polynomial")
+            raise ConfigurationError(f"--n {args.n} disagrees with the degree "
+                                     f"{Q.degree} of the given polynomial")
     cov = ChangeOfVariables(prof, Q.degree, xi_max=2000.0)
     op = OperatorCoefficients(Q, cov)
     xs = np.asarray(_parse_grid(args.x_grid))
@@ -218,7 +214,7 @@ def _cmd_statphase(args):
     from .statphase import verify_remainder
 
     if args.case != "fresnel":
-        raise _Validation("only the fresnel case is built in")
+        raise ConfigurationError("only the fresnel case is built in")
     omega = lambda y: np.asarray(y) ** 2
     g = lambda y: (1.0 + 1.5 * np.asarray(y)) * np.exp(-2.0 * np.asarray(y) ** 2)
     Ns = _parse_list(args.N)
@@ -243,7 +239,7 @@ def _cmd_evolve(args):
     from .profile import ChangeOfVariables
 
     if args.profile != "gaussian":
-        raise _Validation("only the gaussian spectral profile is built in")
+        raise ConfigurationError("only the gaussian spectral profile is built in")
     prof = _profile_from_args(args)
     P = RealPolynomial([0.0] * args.n + [1.0])
     Q = p_to_q(P)
@@ -396,17 +392,12 @@ def main(argv=None):
     try:
         _apply_config(args)
         rc = args.fn(args)
-    except _Validation as exc:
+    except (ConfigurationError, DomainError) as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return 2
-    except Exception as exc:  # mapped below
-        if isinstance(exc, (ConfigurationError, DomainError)):
-            sys.stderr.write(f"validation error: {exc}\n")
-            return 2
-        if isinstance(exc, NumericalError):
-            sys.stderr.write(f"numerical failure: {exc}\n")
-            return 3
-        raise
+    except NumericalError as exc:
+        sys.stderr.write(f"numerical failure: {exc}\n")
+        return 3
     return rc
 
 

@@ -35,7 +35,7 @@ from .coeffmap import RealPolynomial
 from .errors import DomainError, ResolutionError
 from .oscquad import _ChebTable, equidistribute_edges, gauss_panels, ibp_boundary
 from .profile import ChangeOfVariables
-from .specfun import _LANCZOS_C, _LANCZOS_G, eta_phase
+from .specfun import eta_phase
 
 # ---------------------------------------------------------------------------
 # kernel, rho, zeta
@@ -71,25 +71,11 @@ def zeta_amplitude(x, Q: RealPolynomial, cov: ChangeOfVariables):
     return _zeta_of_xi(cov.xi_of_x(np.asarray(x, dtype=float)), Q, cov)
 
 
-def _eta_jet(xi0, order=3):
-    """Jet of eta = -Im log Gamma(1/2 - i xi) at xi0 from the Lanczos series
-    of specfun in jet arithmetic; the value is eta_phase(xi0)."""
-    zp = Jet.variable(float(xi0), order) * -1j - 0.5       # z - 1
-    t = zp + (_LANCZOS_G + 0.5)
-    a = sum(c / (zp + i) for i, c in enumerate(_LANCZOS_C[1:], 1)) + _LANCZOS_C[0]
-    c = -((zp + 0.5) * t.log() - t + a.log()).c.imag
-    c[0] = eta_phase(xi0)
-    return Jet(c)
-
-
 def _xi_zeta_jets(x0, Q, cov, order=3):
     """Jets at x0 of xi(x) and of the tail amplitude zeta(x)."""
-    n = Q.degree
-    xi_jet = cov.xi_jet_of_x(np.asarray([x0]), order)
-    xi_jet = Jet(xi_jet.c[:, 0])
-    eta_j = xi_jet.compose(_eta_jet(float(xi_jet.value), order).c)
-    rho_j = eta_j - xi_jet * (Q.coeffs[n - 1] / n)
-    zeta_j = (rho_j * 1j).exp() * xi_jet.shift().truncated(order - 1).pow(0.5)
+    xi_jet = Jet(cov.xi_jet_of_x(np.asarray([x0]), order).c[:, 0])
+    zeta_j = ((_rho_of_xi(xi_jet, Q) * 1j).exp()
+              * xi_jet.shift().truncated(order - 1).pow(0.5))
     return xi_jet, zeta_j
 
 

@@ -25,13 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .liouville import OperatorCoefficients
-
-
-def _b_values(coeffs, x, gauged):
-    x = np.asarray(x, dtype=float)
-    if gauged:
-        return coeffs.gauged_values(x)
-    return coeffs.b_values(x)
+from .oscquad import gauss_panels
 
 
 def sigma_iterate(coeffs: OperatorCoefficients, j: int, x, k: float,
@@ -47,7 +41,8 @@ def sigma_iterate(coeffs: OperatorCoefficients, j: int, x, k: float,
         raise DomainError("iteration index j must be in 0..8")
     n = coeffs.n
     x = np.asarray(x, dtype=float)
-    b = _b_values(coeffs, x, gauged)[:n]  # b_0 .. b_{n-1}
+    # b_0 .. b_{n-1}
+    b = (coeffs.gauged_values(x) if gauged else coeffs.b_values(x))[:n]
     den = n * k ** (n - 1)
     sig = np.zeros(x.shape, dtype=complex)
     for _ in range(j):
@@ -75,13 +70,10 @@ def theta_phase(coeffs: OperatorCoefficients, j: int, x, k: float,
     sigma is smooth and non-oscillatory; geometric panels away from the origin
     track its |y|^-rho decay.
     """
-    from .oscquad import gauss_rule
-
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     xs = np.atleast_1d(x)
     out = np.zeros(xs.shape, dtype=complex)
-    gx, gw = gauss_rule(16)
     for i, xi in enumerate(xs):
         if xi == 0.0:
             continue
@@ -90,10 +82,7 @@ def theta_phase(coeffs: OperatorCoefficients, j: int, x, k: float,
         while edges[-1] < abs(xi):
             edges.append(min(edges[-1] + h, abs(xi)))
             h *= 1.6
-        edges = np.asarray(edges) * np.sign(xi)
-        lo, hi = edges[:-1], edges[1:]
-        c, s = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes = (c[:, None] + s[:, None] * gx[None, :]).ravel()
-        vals = sigma_iterate(coeffs, j, nodes, k, gauged=gauged).reshape(c.size, -1)
-        out[i] = np.sum((vals @ gw) * s)
+        nodes, weights = gauss_panels(np.asarray(edges) * np.sign(xi), 16)
+        sigma = sigma_iterate(coeffs, j, nodes.ravel(), k, gauged=gauged)
+        out[i] = sigma @ weights.ravel()
     return complex(out[0]) if scalar else out

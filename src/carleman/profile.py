@@ -22,12 +22,12 @@ import numpy as np
 
 from ._jets import Jet, solve_autonomous_ode
 from .errors import ConfigurationError, DomainError
-from .oscquad import gauss_panels
+from .oscquad import gauss_panels, gauss_rule
 
 _FAMILIES = ("cosh", "power_law", "stretched_exp")
 
 # reference Gauss-Legendre rule used for the cumulative cache cells
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GL_NODES, _GL_WEIGHTS = gauss_rule(16)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
-"""Complex gamma function, reciprocal-gamma Taylor coefficients, and the
+"""log Gamma, complex Gamma, reciprocal-gamma Taylor coefficients, and the
 continuous Mellin-side phase eta(xi).
 
-eta is the continuous branch of -arg Gamma(1/2 - i xi) with eta(0) = 0; it is
-odd and grows like xi ln xi - xi.  The gamma evaluation is a fixed Lanczos
-rational approximation (g = 7, 9 terms) with the reflection formula below the
-critical line, which keeps full accuracy on Re z = 1/2 where eta lives.
+One Lanczos log Gamma (g = 7, 9 terms) for Re z >= 1/2 serves everything: it
+takes numpy arrays or Jets, Gamma is its exponential (with the reflection
+formula below the critical line), and eta(xi) = -Im log Gamma(1/2 - i xi) is
+its imaginary part on the critical line, derivatives included when xi is a
+Jet.  eta is odd with eta(0) = 0 and grows like xi ln xi - xi; it is never
+read off Gamma, which underflows there past |xi| ~ 450.
 The reciprocal-gamma series needs only zeta(2), ..., zeta(30), kept as a table
 of correctly rounded values, so this module runs on numpy alone.
 """
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._jets import Jet
 from .errors import DomainError
 
 # Godfrey/Pugh Lanczos coefficients, g = 7.
@@ -46,14 +49,24 @@ _ZETA = (1.6449340668482264, 1.2020569031595942, 1.0823232337111381,
          1.0000000018626598, 1.0000000009313275)
 
 
-def _gamma_right(z):
-    """Lanczos core, valid for Re z >= 0.5 (vectorized, complex)."""
+def _log(u):
+    return u.log() if isinstance(u, Jet) else np.log(u)
+
+
+def _log_gamma(z):
+    """log Gamma(z) for Re z >= 1/2 from the Lanczos series; z an array or a Jet.
+
+    It sums the principal logs of t = z + 6.5 and of the Lanczos sum.  On
+    z = 1/2 - i xi, Re t = 7 and the sum's argument stays in [0, 2.8] for
+    xi in [0, 1e4], so the imaginary part is continuous in xi with no
+    unwrapping.
+    """
     zp = z - 1.0
-    a = np.full_like(zp, _LANCZOS_C[0])
-    for i in range(1, len(_LANCZOS_C)):
-        a = a + _LANCZOS_C[i] / (zp + i)
-    t = zp + _LANCZOS_G + 0.5
-    return np.sqrt(2.0 * np.pi) * np.exp((zp + 0.5) * np.log(t) - t) * a
+    a = _LANCZOS_C[0]
+    for i, c in enumerate(_LANCZOS_C[1:], 1):
+        a = a + c / (zp + i)
+    t = zp + (_LANCZOS_G + 0.5)
+    return 0.5 * np.log(2.0 * np.pi) + (zp + 0.5) * _log(t) - t + _log(a)
 
 
 def complex_gamma(z):
@@ -70,18 +83,12 @@ def complex_gamma(z):
     out = np.empty_like(z)
     right = z.real >= 0.5
     if np.any(right):
-        out[right] = _gamma_right(z[right])
+        out[right] = np.exp(_log_gamma(z[right]))
     if np.any(~right):
         zl = z[~right]
         # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        out[~right] = np.pi / (np.sin(np.pi * zl) * _gamma_right(1.0 - zl))
+        out[~right] = np.pi / (np.sin(np.pi * zl) * np.exp(_log_gamma(1.0 - zl)))
     return out[0] if scalar else out
-
-
-def _arg_gamma_half_line(xi):
-    """Principal arg of Gamma(1/2 - i xi), vectorized over real xi."""
-    g = _gamma_right(np.asarray(0.5 - 1j * np.asarray(xi, dtype=float)))
-    return np.angle(g)
 
 
 def recip_gamma_log_series(order):
@@ -131,49 +138,9 @@ def recip_gamma_taylor(order):
     return RecipGammaSeries(order=order, coeffs=c)
 
 
-class _EtaTable:
-    """Unwrapped arg-Gamma values on a monotone xi sweep, grown on demand.
-
-    Step 1/32 keeps every increment of eta well below pi (|eta'| ~ ln xi), so
-    unwrapping against the nearest table node is unambiguous.
-    """
-
-    STEP = 1.0 / 32.0
-
-    def __init__(self):
-        self.xi = np.array([0.0])
-        self.eta = np.array([0.0])
-        self.arg = np.array([_arg_gamma_half_line(0.0)])
-
-    def extend(self, xi_max):
-        if self.xi[-1] >= xi_max:
-            return
-        n_new = int(np.ceil((xi_max - self.xi[-1]) / self.STEP)) + 2
-        xs = self.xi[-1] + self.STEP * np.arange(1, n_new + 1)
-        args = _arg_gamma_half_line(xs)
-        d = np.diff(np.concatenate(([self.arg[-1]], args)))
-        d = (d + np.pi) % (2.0 * np.pi) - np.pi
-        etas = self.eta[-1] + np.cumsum(-d)
-        self.xi = np.concatenate((self.xi, xs))
-        self.eta = np.concatenate((self.eta, etas))
-        self.arg = np.concatenate((self.arg, args))
-
-
-_ETA_TABLE = _EtaTable()
-
-
 def eta_phase(xi):
-    """Continuous odd phase with exp(-i eta(xi)) = Gamma(1/2-i xi)/|Gamma(1/2-i xi)|."""
-    xi = np.asarray(xi, dtype=float)
-    scalar = xi.ndim == 0
-    x = np.abs(np.atleast_1d(xi))
-    _ETA_TABLE.extend(float(np.max(x, initial=0.0)))
-    idx = np.searchsorted(_ETA_TABLE.xi, x, side="right") - 1
-    base_eta = _ETA_TABLE.eta[idx]
-    base_arg = _ETA_TABLE.arg[idx]
-    darg = _arg_gamma_half_line(x) - base_arg
-    darg = (darg + np.pi) % (2.0 * np.pi) - np.pi
-    out = (base_eta - darg) * np.sign(np.where(xi == 0.0, 1.0, xi))
-    # eta computed for |xi|, then odd-extended
-    out = np.where(np.atleast_1d(xi) == 0.0, 0.0, out)
-    return out[0] if scalar else out
+    """eta(xi) = -Im log Gamma(1/2 - i xi) for real xi, an array or a Jet."""
+    if isinstance(xi, Jet):
+        return Jet(-_log_gamma(0.5 - 1j * xi).c.imag)
+    # 0.0 - Im keeps eta(0) = +0.0
+    return 0.0 - _log_gamma(0.5 - 1j * np.asarray(xi, dtype=float)).imag

@@ -15,8 +15,9 @@ with kappa = min|w''|, w_j = max|w^(j)|, g_j = max|g^(j)| on [0, a] and an
 absolute constant C.  `verify_remainder` measures the implied constant; the
 integral itself is evaluated by phase-equidistributed panels plus an
 integration-by-parts closure, which keeps the cost bounded up to |N| ~ 1e6.
-The bounded scipy minimiser that refines the extrema of w^(j) and g^(j) is
-imported only when `bound_constants` runs.
+The extrema of |w^(j)| and |g^(j)| are read from Chebyshev interpolants of w
+and g: each sits at an end of [0, a] or at a real root of the next
+derivative, so the module runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -128,14 +129,15 @@ def leading_term(omega, g, N, a=None, full_line: bool = False):
     return complex(2.0 * val if full_line else val)
 
 
-def _refine_extremum(fun, y0, a, maximize):
-    from scipy.optimize import minimize_scalar
+def _abs_at_critical_points(ch, a):
+    """|c| at 0, at a and at the real parts of the roots of c' in [0, a].
 
-    lo, hi = max(0.0, y0 - a / 200.0), min(a, y0 + a / 200.0)
-    sgn = -1.0 if maximize else 1.0
-    res = minimize_scalar(lambda t: sgn * fun(t), bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12 * max(a, 1.0)})
-    return sgn * res.fun
+    max |c| on [0, a] is attained at one of them, and so is min |c| when c
+    has no zero there (w'' after the inflection check).  Real parts of
+    complex roots only add points inside [0, a], which move neither.
+    """
+    r = ch.deriv().roots().real
+    return np.abs(ch(np.concatenate(([0.0, a], r[(r >= 0.0) & (r <= a)]))))
 
 
 @dataclass(frozen=True)
@@ -156,25 +158,17 @@ class BoundConstants:
 
 
 def bound_constants(omega, g, a) -> BoundConstants:
-    """kappa, omega_j, g_j by grid extremization with local refinement."""
+    """kappa, omega_j, g_j from the Chebyshev interpolants of omega and g."""
     ch_w = _check_no_inflection(omega, a)
     ch_g = _cheb(g, 0.0, a)
-    y = np.linspace(0.0, a, 4001)
-    d2, d3 = ch_w.deriv(2), ch_w.deriv(3)
-    g1f = ch_g.deriv(1)
-
-    def extremum(fun, maximize):
-        vals = fun(y)
-        idx = int(np.argmax(vals) if maximize else np.argmin(vals))
-        return _refine_extremum(fun, y[idx], a, maximize)
-
+    w2 = _abs_at_critical_points(ch_w.deriv(2), a)
     return BoundConstants(
-        kappa=extremum(lambda t: np.abs(d2(t)), False),
-        omega0=extremum(lambda t: np.abs(omega(t)), True),
-        omega2=extremum(lambda t: np.abs(d2(t)), True),
-        omega3=max(extremum(lambda t: np.abs(d3(t)), True), 0.0),
-        g0=extremum(lambda t: np.abs(np.asarray(g(t), dtype=float)), True),
-        g1=extremum(lambda t: np.abs(g1f(t)), True),
+        kappa=np.min(w2),
+        omega0=np.max(_abs_at_critical_points(ch_w, a)),
+        omega2=np.max(w2),
+        omega3=np.max(_abs_at_critical_points(ch_w.deriv(3), a)),
+        g0=np.max(_abs_at_critical_points(ch_g, a)),
+        g1=np.max(_abs_at_critical_points(ch_g.deriv(1), a)),
     )
 
 

@@ -6,8 +6,8 @@ from carleman.errors import ConfigurationError, DomainError
 from carleman.evolution import (_stationary_grid, evolution_phase, evolution_profile,
                                 profile_mass, stationary_point_y, stationary_residual,
                                 y_map)
-from carleman.hankelphase import varrho
-from carleman.profile import ChangeOfVariables
+from carleman.hankelphase import _rho_of_xi, varrho
+from carleman.profile import ChangeOfVariables, WeightProfile
 
 
 def test_stationary_point_leading_order(cov2):
@@ -220,3 +220,18 @@ def test_grid_solver_errors(q_x2, cov2, cosh_profile):
         stationary_point_y(-1.0, 1e3, cov1)
     with pytest.raises(ConfigurationError):
         stationary_point_y(-1.0, 1e3, cov2, branch=1)
+
+
+def test_rho_at_far_stationary_points(q_x2):
+    # power_law, T = 1e4: the stationary points of N = pi T and 4 pi T sit at
+    # xi ~ 1079 and 1713, where Gamma(1/2 - i xi) is below the double range
+    mpmath = pytest.importorskip("mpmath")
+    n, T = 2, 1e4
+    cov = ChangeOfVariables(WeightProfile("power_law"), n)
+    for N in (np.pi * T, 4.0 * np.pi * T):
+        xi = float(cov.xi_of_x(n * T * stationary_point_y(N, T, cov)))
+        with mpmath.workdps(30):
+            eta = float(-mpmath.im(mpmath.loggamma(mpmath.mpf(1) / 2
+                                                   - 1j * mpmath.mpf(xi))))
+        ref = eta - q_x2.coeffs[n - 1] * xi / n
+        assert abs(_rho_of_xi(xi, q_x2) - ref) <= 1e-13 * max(1.0, abs(ref)), N

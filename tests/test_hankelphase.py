@@ -4,13 +4,14 @@ import pytest
 
 from carleman.coeffmap import RealPolynomial
 from carleman.errors import DomainError, ResolutionError
-from carleman.hankelphase import (PhaseModel, ThetaEvaluator, _eta_jet,
-                                  _zeta_of_xi, hankel_kernel,
-                                  hankel_quadratic_form, mellin_F,
-                                  quadratic_form_check, theta_asymptotic,
-                                  varrho, zeta_amplitude)
+from carleman._jets import Jet
+from carleman.hankelphase import (PhaseModel, ThetaEvaluator, _zeta_of_xi,
+                                  hankel_kernel, hankel_quadratic_form,
+                                  mellin_F, quadratic_form_check,
+                                  theta_asymptotic, varrho, zeta_amplitude)
 from carleman.oscquad import equidistribute_edges, integrate_panels
 from carleman.scattering import solve_lippmann_schwinger
+from carleman.specfun import eta_phase
 
 
 def test_hankel_kernel_examples():
@@ -33,7 +34,7 @@ def test_hankel_kernel_domain():
 @pytest.mark.parametrize("xi", [0.3, 2.0, 7.5, 25.0, 60.0])
 def test_eta_jet_against_mpmath(xi):
     # eta^(k)(xi) = -Im((-i)^k psi^(k-1)(1/2 - i xi)), k >= 1
-    d = _eta_jet(xi, 3).derivative_values()
+    d = eta_phase(Jet.variable(xi, 3)).derivative_values()
     with mpmath.workdps(30):
         z = mpmath.mpc(0.5, -xi)
         for k in (1, 2, 3):
@@ -61,8 +62,6 @@ def test_varrho_asymptotic_form(q_x2, cov2):
                              - q_x2.coeffs[1])
     raw = np.abs(varrho(x, q_x2, cov2) - displayed)
     assert np.max(raw) < 0.02 and raw[-1] < raw[0]  # converges (1/ln x rate)
-    from carleman.specfun import eta_phase
-
     xi_lead = n / np.pi * L
     comparator = eta_phase(xi_lead) - q_x2.coeffs[1] * xi_lead / n
     resid = np.abs(varrho(x, q_x2, cov2) - comparator)

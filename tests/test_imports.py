@@ -45,6 +45,19 @@ assert not loaded, f"scatter loaded {loaded[:5]}"
 """
 
 
+# the stationary-phase constants come from numpy Chebyshev interpolants
+STATPHASE = """
+import sys
+
+import numpy as np
+from carleman.statphase import verify_remainder
+verify_remainder(lambda y: np.asarray(y) ** 2,
+                 lambda y: np.exp(-2.0 * np.asarray(y) ** 2), [1e2, 1e3], 4.0)
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, f"verify_remainder loaded {loaded[:5]}"
+"""
+
+
 def _run_fresh(script):
     src = str(Path(carleman.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -59,3 +72,7 @@ def test_package_import_and_evolve_load_no_scipy():
 
 def test_scatter_and_ode_oracle_load_no_interpolate_or_integrate():
     _run_fresh(SCATTER)
+
+
+def test_verify_remainder_loads_no_scipy():
+    _run_fresh(STATPHASE)

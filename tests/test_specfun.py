@@ -178,3 +178,13 @@ def test_eta_matches_loggamma():
     for xi in (0.3, 4.7, 23.1, 77.7):
         ref = float(-mp.im(mp.loggamma(mp.mpf(1) / 2 - 1j * mp.mpf(xi))))
         assert abs(eta_phase(xi) - ref) < 1e-11
+
+
+@pytest.mark.parametrize("xi", [300.0, 461.13, 600.0, 3419.95, 1e5])
+def test_eta_matches_loggamma_far_out(xi):
+    # Gamma(1/2 - i xi) ~ e^{-pi xi / 2} underflows past xi ~ 450; eta must not
+    mp = pytest.importorskip("mpmath")
+    for x in (xi, -xi):
+        with mp.workdps(30):
+            ref = float(-mp.im(mp.loggamma(mp.mpf(1) / 2 - 1j * mp.mpf(x))))
+        assert abs(eta_phase(x) - ref) <= 1e-13 * max(1.0, abs(ref)), x

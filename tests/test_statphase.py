@@ -102,6 +102,16 @@ def test_bound_constants_cubic_perturbation():
     assert abs(bc.omega3 - 6.0 * abs(eps)) < 1e-6
 
 
+def test_bound_constants_hit_the_ends_exactly():
+    # both extrema sit at y = a, which the interpolant's candidates include
+    bc = bound_constants(omega_fresnel, gauss_amp(0.5), 4.0)
+    assert abs(bc.omega0 - 16.0) < 1e-12
+    eps, a = -0.01, 1.5
+    om = lambda y: np.asarray(y) ** 2 + eps * np.asarray(y) ** 3
+    bc = bound_constants(om, gauss_amp(0.4), a)
+    assert abs(bc.kappa - (2.0 - 6.0 * abs(eps) * a)) < 1e-12
+
+
 def test_remainder_decay_and_constant():
     rep = verify_remainder(omega_fresnel, bump_amp(0.5),
                            [1e2, 3e2, 1e3, 3e3, 1e4, 1e5, 1e6], 4.0)

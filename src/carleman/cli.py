@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import ConfigurationError, DomainError, NumericalError
@@ -45,9 +46,12 @@ def _emit_json(path, payload):
 
 def _parse_list(text, sep=","):
     try:
-        return [float(v) for v in text.split(sep) if v.strip() != ""]
+        vals = [float(v) for v in text.split(sep) if v.strip() != ""]
+        if all(map(math.isfinite, vals)):
+            return vals
     except ValueError:
-        raise ConfigurationError(f"not a list of numbers: {text!r}") from None
+        pass
+    raise ConfigurationError(f"not a list of finite numbers: {text!r}")
 
 
 def _parse_grid(text):
@@ -57,7 +61,7 @@ def _parse_grid(text):
     import numpy as np
 
     grid = _parse_list(text, ":")
-    if len(grid) != 3 or not np.all(np.isfinite(grid)) or grid[2] == 0.0:
+    if len(grid) != 3 or grid[2] == 0.0:
         raise ConfigurationError(f"grid {text!r} is not a:b:step with a finite, "
                                  "nonzero step")
     a, b, step = grid

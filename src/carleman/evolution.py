@@ -37,10 +37,10 @@ def _stationary_grid(N, T, cov: ChangeOfVariables):
     n = cov.n
     if n < 2:
         raise ConfigurationError("the stationary-point equation needs n >= 2")
-    if T == 0:
-        raise DomainError("need T != 0")
-    p, c = 1.0 / (n - 1.0), n * abs(T)
     N = np.asarray(N, dtype=float)
+    if T == 0 or not np.isfinite(T) or not np.all(np.isfinite(N)):
+        raise DomainError("need a finite T != 0 and finite N")
+    p, c = 1.0 / (n - 1.0), n * abs(T)
     a = np.abs(N[N != 0])
 
     def g(v, a):

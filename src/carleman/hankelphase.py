@@ -230,6 +230,8 @@ class ThetaEvaluator:
         array of N, one row e^{-i xi N} at a time: a value does not depend
         on its batch."""
         N = np.asarray(N, dtype=float)
+        if not np.all(np.isfinite(N)):
+            raise DomainError("N = ln t must be finite")
         self._check_resolution(N)
         out = np.empty(N.shape, dtype=complex)
         for i, Ni in np.ndenumerate(N):

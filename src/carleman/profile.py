@@ -6,11 +6,12 @@ Built-in families (all even, positive, decaying):
     power_law(alpha):    v(xi) = (1 + xi^2)^(-alpha/2)
     stretched_exp(a,b):  v(xi) = exp(-b (1 + xi^2)^(a/2))
 
-The map x(xi) = int_0^xi v^(-2/n) is strictly increasing and odd; it is
-cached as per-cell Gauss-Legendre cumulative integrals so that both x(xi) and
-the Newton inversion xi(x) stay cheap under heavy use.  Derivatives of
-everything come from Taylor-mode jets on the closed forms, never from finite
-differences.
+The map x(xi) = int_0^xi v^(-2/n) is strictly increasing and odd.  It is cached
+at the edges of cells of width 1/8; inside a cell it adds (xi - lo) times a
+Chebyshev series of the running mean of v^(-2/n), built per call from the
+cell's 16 Gauss values, and the Newton inversion xi(x) iterates on the series
+of the root's cell.  Derivatives of everything come from Taylor-mode jets on
+the closed forms, never from finite differences.
 """
 
 from __future__ import annotations
@@ -28,6 +29,23 @@ _FAMILIES = ("cosh", "power_law", "stretched_exp")
 
 # reference Gauss-Legendre rule used for the cumulative cache cells
 _GL_NODES, _GL_WEIGHTS = gauss_rule(16)
+
+
+def _mean_matrix(g):
+    """M[k, j]: Chebyshev coefficient k of (t + 1)^-1 int_{-1}^t l_j, l_j the Lagrange
+    polynomial of node g[j]; built in long double, rounded once to double."""
+    g, m, k = g.astype(np.longdouble), g.size, np.arange(1, g.size + 1)
+    th = (np.arange(m) + np.longdouble(0.5)) * np.arccos(np.longdouble(-1)) / m
+    c, d = np.cos(th), np.cos(th)[:, None] - g
+    lag = np.prod(d, axis=1)[:, None] / d / np.prod(g[:, None] - g + np.eye(m), axis=1)
+    dct = 2 * np.cos(np.outer(np.arange(m), th)) / m   # values -> 2a_0, a_1, ...
+    a = np.vstack((dct @ lag, np.zeros((2, m))))
+    run = (np.cos(np.outer(th, k)) - (-1.0) ** k) @ ((a[:-2] - a[2:]) / (2 * k[:, None]))
+    dct[0] /= 2
+    return (dct @ (run / (c + 1)[:, None])).astype(float)
+
+
+_MEAN = _mean_matrix(_GL_NODES)
 
 
 @dataclass(frozen=True)
@@ -94,7 +112,8 @@ def v_derivatives(profile: WeightProfile, xi, order: int):
 
 
 class ChangeOfVariables:
-    """Cached monotone map x(xi) = int_0^xi v^(-2/n), its inverse and jets."""
+    """Monotone map x(xi) = int_0^xi v^(-2/n), its inverse and jets: cached at
+    cell edges, summed inside a cell from its Chebyshev series."""
 
     CELL = 0.125
     MAX_CELLS = 2 ** 20   # cosh needs ~510 cells, stretched_exp ~4800 (n = 2)
@@ -137,21 +156,35 @@ class ChangeOfVariables:
         self._grid = np.concatenate((self._grid, edges[1:]))
         self._cum = np.concatenate((self._cum, self._cum[-1] + np.cumsum(cells)))
 
+    def _series(self, idx):
+        """Series (16, points) of each point's cell: Gauss values once per cell."""
+        cells, inv = np.unique(idx, return_inverse=True)
+        half = 0.5 * self.CELL
+        vals = self._integrand(self._grid[cells, None] + half + half * _GL_NODES)
+        return np.take(_MEAN @ vals.T, inv, axis=1)   # C-contiguous rows for Clenshaw
+
+    def _x_in_cell(self, a, idx, coef):
+        """Edge value of cell idx + (a - lo) * running mean (Clenshaw on coef)."""
+        da = a - self._grid[idx]
+        t = da / (0.5 * self.CELL) - 1.0
+        t2, b1, b2 = 2.0 * t, 0.0, 0.0
+        for ck in coef[:0:-1]:
+            b1, b2 = ck + t2 * b1 - b2, b1
+        return self._cum[idx] + da * (coef[0] + t * b1 - b2)
+
     def _cum_at(self, a):
         """Cumulative integral from 0 to a >= 0 (vectorized)."""
         self._extend(float(np.max(a, initial=0.0)))
         idx = np.minimum(np.searchsorted(self._grid, a, side="right") - 1,
                          self._grid.size - 2)
-        lo = self._grid[idx]
-        half = 0.5 * (a - lo)
-        nodes = lo[..., None] + half[..., None] * (_GL_NODES[None, :] + 1.0)
-        part = half * (self._integrand(nodes) @ _GL_WEIGHTS)
-        return self._cum[idx] + part
+        return self._x_in_cell(a, idx, self._series(idx))
 
     # -- forward / inverse maps -------------------------------------------
 
     def x_of_xi(self, xi):
         xi = np.asarray(xi, dtype=float)
+        if not np.all(np.isfinite(xi)):
+            raise DomainError("xi must be finite")
         scalar = xi.ndim == 0
         a = np.atleast_1d(xi)
         out = np.sign(a) * self._cum_at(np.abs(a))
@@ -162,6 +195,8 @@ class ChangeOfVariables:
 
     def xi_of_x(self, x):
         x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            raise DomainError("x must be finite")
         scalar = x.ndim == 0
         ax = np.abs(np.atleast_1d(x))
         self._extend(min(12.0, self.guard))
@@ -177,8 +212,9 @@ class ChangeOfVariables:
         c0, c1 = self._cum[idx], self._cum[idx + 1]
         g0, g1 = self._grid[idx], self._grid[idx + 1]
         xi = g0 + (ax - c0) * (g1 - g0) / np.maximum(c1 - c0, 1e-300)
+        coef = self._series(idx)   # Newton runs on the root cell's series
         for _ in range(60):
-            f = self._cum_at(xi) - ax
+            f = self._x_in_cell(xi, idx, coef) - ax
             step = f / self._integrand(xi)
             xi = np.clip(xi - step, 0.0, self.guard)
             if np.max(np.abs(step), initial=0.0) \

@@ -225,7 +225,15 @@ def test_inputs_the_solve_cannot_honour_exit_2(argv, capsys):
     ["longrange", "--x-grid=1:2:0"],
     ["map-coeffs", "--p", "1,x"],
     ["profile", "--n", "2", "--xi-grid=0:x:1"],
-    ["hankel-theta", "--p", "0,0,1", "--k", "1", "--N-grid=0:1:0"]])
+    ["hankel-theta", "--p", "0,0,1", "--k", "1", "--N-grid=0:1:0"],
+    # non-finite entries, and a non-finite time
+    ["profile", "--n", "2", "--xi-grid=nan,1"],
+    ["transform", "--p", "0,0,1", "--x-grid=nan,1"],
+    ["hankel-theta", "--p", "0,0,1", "--k", "1", "--N-grid=nan,5"],
+    *(["evolve", "--p", "0,0,1", "--profile", "gaussian", "--N-grid=0.1:0.3:0.1",
+       "--T", T] for T in ("nan", "inf")),
+    ["evolve", "--p", "0,0,1", "--profile", "gaussian", "--T", "1000",
+     "--N-grid=nan,0.2"]])
 def test_malformed_grids_and_lists_exit_2(argv, capsys, monkeypatch):
     # refused before any solve starts
     monkeypatch.setattr("carleman.scattering.scattering_matrix",

@@ -212,6 +212,9 @@ def test_grid_solver_errors(q_x2, cov2, cosh_profile):
         evolution_profile(lambda u: u, np.array([1.0]), 0.0, q_x2, cov2)
     with pytest.raises(DomainError):
         stationary_point_y(0.0, 1e3, cov2)
+    for N, T in ((1.0, np.nan), (1.0, np.inf), (np.nan, 1e3)):
+        with pytest.raises(DomainError):
+            evolution_profile(lambda u: u, np.array([N, 0.2]), T, q_x2, cov2)
     cov1 = ChangeOfVariables(cosh_profile, 1)
     q1 = p_to_q(RealPolynomial([0.0, 1.0]))
     with pytest.raises(ConfigurationError):

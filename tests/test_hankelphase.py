@@ -194,6 +194,27 @@ def ev2(field2m1, q_x2m1, cov2):
     return ThetaEvaluator(field2m1, q_x2m1, cov2)
 
 
+def test_theta_refuses_non_finite_N(ev2):
+    for N in (np.nan, np.array([np.nan, 5.0]), -np.inf):
+        with pytest.raises(DomainError):
+            ev2.theta_scaled(N)
+
+
+def test_xi_of_x_evaluates_each_root_cell_once(ev2, monkeypatch):
+    # v^(-2/n) at the 16 Gauss nodes of each distinct cell holding a root,
+    # then once per point for each Newton derivative: no per-point quadrature
+    cov, x = ev2.cov, ev2._x
+    sizes, integrand = [], cov._integrand
+    monkeypatch.setattr(cov, "_integrand",
+                        lambda xi: sizes.append(np.size(xi)) or integrand(xi))
+    xi = cov.xi_of_x(x)
+    assert np.max(np.abs(xi - ev2._xi)) <= 1e-12
+    cells = np.unique(np.maximum(np.searchsorted(cov._cum, np.abs(x)) - 1, 0)).size
+    steps = sizes.count(x.size)
+    assert 1 <= steps <= 6
+    assert sum(sizes) <= 16 * cells + steps * x.size
+
+
 def test_theta_batch_matches_scalar_calls(ev2):
     grid = np.array([-30.0, -17.3, -2.0, 0.5, 12.5, 30.0])
     batch = ev2.theta_scaled(grid)

@@ -47,6 +47,14 @@ def test_change_of_variables_basics(cov2):
     assert np.max(np.abs(cov2.xi_of_x(cov2.x_of_xi(xs)) - xs)) < 1e-10
 
 
+def test_non_finite_points_refused(cov2):
+    for bad in (np.nan, np.inf, np.array([1.0, np.nan])):
+        with pytest.raises(DomainError):
+            cov2.x_of_xi(bad)
+        with pytest.raises(DomainError):
+            cov2.xi_of_x(bad)
+
+
 def test_round_trip_at_five(cov2):
     assert abs(cov2.xi_of_x(cov2.x_of_xi(5.0)) - 5.0) < 1e-10
 
@@ -150,3 +158,38 @@ def test_refused_cache_growth_stays_small():
     finally:
         tracemalloc.stop()
     assert peak <= 32e6
+
+
+_MP_CASES = [("cosh", 2, 12.0), ("cosh", 3, 12.0), ("cosh", 5, 12.0),
+             ("power_law", 2, 12.0), ("power_law", 3, 12.0),
+             ("stretched_exp", 2, 6.0)]
+
+
+def _mp_map(family, n, xs):
+    """x(xi) = int_0^xi v^(-2/n) at the sorted points xs, to 40 digits."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        f = {"cosh": lambda s: (mp.cosh(mp.pi * s) / mp.pi) ** (mp.mpf(1) / n),
+             "power_law": lambda s: (1 + s * s) ** (mp.mpf(1) / n),
+             "stretched_exp": lambda s: mp.exp(2 * mp.sqrt(1 + s * s) / n)}[family]
+        edges = [mp.mpf(0)] + [mp.mpf(float(x)) for x in xs]
+        return np.array([float(v) for v in np.cumsum(
+            [mp.quad(f, [a, b]) for a, b in zip(edges[:-1], edges[1:])])])
+
+
+@pytest.mark.parametrize("family, n, top", _MP_CASES)
+def test_map_and_inverse_against_mpmath(family, n, top):
+    # the per-cell Chebyshev series keep x(xi) and xi(x) at a few ulps,
+    # down to the first cell's start and across a cell edge
+    tiny = np.array([1e-8, 1e-4])
+    xs = np.sort(np.concatenate((
+        np.random.default_rng(7).uniform(0.01, top, 60), tiny,
+        [0.125 - 1e-12, 0.125 + 1e-12])))
+    ref = _mp_map(family, n, xs)
+    cov = ChangeOfVariables(WeightProfile(family), n)
+    assert np.max(np.abs(cov.x_of_xi(xs) / ref - 1.0)) <= 4e-15
+    back = np.abs(cov.xi_of_x(ref) / xs - 1.0)
+    small = np.isin(xs, tiny)
+    assert np.max(back[~small]) <= 1e-15
+    assert np.max(back[small]) <= 4e-15

@@ -59,10 +59,10 @@ class WeightProfile:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ConfigurationError(f"unknown profile family {self.family!r}")
-        if self.family != "cosh" and self.alpha <= 0:
-            raise ConfigurationError("alpha must be positive")
-        if self.family == "stretched_exp" and self.beta <= 0:
-            raise ConfigurationError("beta must be positive")
+        if self.family != "cosh" and not 0 < self.alpha < np.inf:
+            raise ConfigurationError("alpha must be positive and finite")
+        if self.family == "stretched_exp" and not 0 < self.beta < np.inf:
+            raise ConfigurationError("beta must be positive and finite")
 
     def v_jet(self, xi, order):
         """Jet of v at xi (xi may be an array)."""

@@ -233,7 +233,15 @@ def test_inputs_the_solve_cannot_honour_exit_2(argv, capsys):
     *(["evolve", "--p", "0,0,1", "--profile", "gaussian", "--N-grid=0.1:0.3:0.1",
        "--T", T] for T in ("nan", "inf")),
     ["evolve", "--p", "0,0,1", "--profile", "gaussian", "--T", "1000",
-     "--N-grid=nan,0.2"]])
+     "--N-grid=nan,0.2"],
+    # a non-finite weight parameter the family uses
+    *(["profile", "--family", "power_law", "--alpha", A, "--n", "2",
+       "--xi-grid=0:1:0.5"] for A in ("nan", "inf")),
+    ["profile", "--family", "stretched_exp", "--alpha", "1", "--beta", "nan",
+     "--n", "2", "--xi-grid=0:1:0.5"],
+    ["longrange", "--family", "power_law", "--alpha", "inf", "--n", "2", "--j", "3"],
+    ["evolve", "--n", "2", "--T", "1000", "--profile", "gaussian",
+     "--N-grid=1:2:0.5", "--family", "power_law", "--alpha", "nan"]])
 def test_malformed_grids_and_lists_exit_2(argv, capsys, monkeypatch):
     # refused before any solve starts
     monkeypatch.setattr("carleman.scattering.scattering_matrix",

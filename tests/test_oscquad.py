@@ -13,18 +13,30 @@ COUNT = 10
 MU_RIGHT = [2.0j, -13.0j, 3.0 + 8.0j, 6.0, 15.0j, -45.0j, 12.0 - 30.0j, 25.0]
 MU_LEFT = [-mu for mu in MU_RIGHT]
 T_QUERIES = [-0.7, 0.1, 0.93]
+# (mu, lo, hi): mu = 0; |z| = |mu| (hi - lo) / 2 one step either side of the
+# switch from the Taylor series to the recurrence at |z| = 4; Re(mu) > 0 just
+# inside it and |z| = 2.1 well inside; two short sub-intervals; a long one
+# at |mu| = 13.33
+BELOW = np.nextafter(4.0, 0.0)
+REGIMES = [(0.0, -1.0, 1.0), (0.0, -0.3, 0.7),
+           (BELOW * 1j, -1.0, 1.0), (4j, -1.0, 1.0),
+           (-BELOW, -1.0, 1.0), (-4.0, -1.0, 1.0),
+           *((4 * np.exp(2.2j) * (1 + e), -1.0, 1.0) for e in (-1e-15, 1e-15)),
+           (3.9, -1.0, 1.0), (3.0 + 2.5j, -1.0, 1.0), (-1.5 + 1.5j, -1.0, 1.0),
+           (20j, 0.8617, 0.8630), (-20.0 + 5j, 0.8617, 0.8630), (30j, -1.0, -1.0 + 1e-9),
+           (13.33j, -0.988, 1.0)]
 
 
-def oracle(mu, anchor, lo, hi):
+def oracle(mu, anchor, lo, hi, count=COUNT, dps=20):
     """m_l = int_lo^hi u^l exp(mu (u - anchor)) du, split every ~3 radians."""
     pieces = int(abs(mu) * (hi - lo) / 3.0) + 2
-    with mpmath.workdps(20):
+    with mpmath.workdps(dps):
         m, a = mpmath.mpc(mu), mpmath.mpf(anchor)
         nodes = mpmath.linspace(mpmath.mpf(lo), mpmath.mpf(hi), pieces)
         return np.array([complex(mpmath.quad(
             lambda u, l=l: u ** l * mpmath.exp(m * (u - a)), nodes,
             method="gauss-legendre"))
-            for l in range(COUNT)])
+            for l in range(count)])
 
 
 def assert_close(got, want):
@@ -47,6 +59,29 @@ def test_partial_panels_anchored_at_the_query(mu):
                      oracle(mu, t, -1.0, t))
         assert_close(exp_monomial_moments(-mu, t, t, 1.0, COUNT),
                      oracle(-mu, t, t, 1.0))
+
+
+@pytest.mark.parametrize("count", [8, 10])
+def test_series_and_recurrence_regimes(count):
+    """Each REGIMES case in one batched call against 30-digit quadrature and
+    bitwise equal to its own scalar call; the two sides of the switch agree."""
+    mu, lo, hi = map(np.array, zip(*REGIMES))
+    anchor = np.where(mu.real >= 0, hi, lo)
+    got = exp_monomial_moments(mu, anchor, lo, hi, count)
+    assert got.shape == (len(REGIMES), count)
+    for m, case in zip(got, zip(mu, anchor, lo, hi)):
+        want = oracle(*case, count=count, dps=30)
+        assert np.max(np.abs(m - want)) <= 1e-14 * np.max(np.abs(want)), case
+        assert np.array_equal(exp_monomial_moments(*case, count), m)
+    for below in (2, 4, 6):
+        a, b = got[below], got[below + 1]
+        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(a))
+
+
+def test_shapes_of_scalar_and_empty_inputs():
+    assert exp_monomial_moments(2.0j, 1.0, -1.0, 1.0, COUNT).shape == (COUNT,)
+    empty = np.zeros(0)
+    assert exp_monomial_moments(empty, empty, empty, empty, 8).shape == (0, 8)
 
 
 def test_broadcast_panels_by_queries():

@@ -577,16 +577,22 @@ def pot4(cosh_profile):
     return PotentialSpec.from_operator(op)
 
 
-@pytest.mark.parametrize("which", ["pot3", "pot4"])
+@pytest.mark.parametrize("which", ["pot2", "pot3", "pot4"])
 @pytest.mark.parametrize("k", [1.0, -1.0])
 def test_psi_is_continuous_at_the_core_edges(which, k, request):
-    # the complex-root terms cross +-X0 with the rest of the kernel integral
+    # psi and psi' cross every core panel edge, +-X0 (where the complex-root
+    # terms join the rest of the kernel integral) and the first 12 outer
+    # edges on each side; points a hair off an edge take partial moments
+    # out to t = +-1
     f = solve_lippmann_schwinger(request.getfixturevalue(which), k, X=1.0e4)
-    for edge in (f.X0, -f.X0):
-        x = np.array([edge, edge + np.sign(edge) * 1e-12])
-        for deriv in (0, 1):
-            psi = f.psi_at(x, deriv=deriv)
-            assert abs(psi[0] - psi[1]) <= 1e-10, (edge, deriv)
+    outer = [f._outer[side].mesh.edges[::side][1:13] for side in (+1, -1)]
+    edges = np.concatenate([f.core_edges, *outer])
+    d = 1e-12
+    psi, dpsi = (np.stack([f.psi_at(edges + h, deriv=deriv) for h in (-d, d)])
+                 for deriv in (0, 1))
+    slope = np.abs(f.psi_at(edges, deriv=1))
+    assert np.all(np.abs(psi[0] - psi[1]) <= 2 * d * slope + 1e-13)
+    assert np.all(np.abs(dpsi[0] - dpsi[1]) <= 1e-10)
 
 
 @pytest.mark.parametrize("which", ["pot2", "pot3", "pot4"])

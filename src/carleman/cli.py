@@ -55,17 +55,21 @@ def _parse_list(text, sep=","):
 
 
 def _parse_grid(text):
-    """'a:b:step' (finite, nonzero step) or comma list."""
+    """'a:b:step' (finite, nonzero step) or comma list, with at least one point."""
     if ":" not in text:
-        return _parse_list(text)
-    import numpy as np
+        grid = _parse_list(text)
+    else:
+        import numpy as np
 
-    grid = _parse_list(text, ":")
-    if len(grid) != 3 or grid[2] == 0.0:
-        raise ConfigurationError(f"grid {text!r} is not a:b:step with a finite, "
-                                 "nonzero step")
-    a, b, step = grid
-    return list(np.arange(a, b + 0.5 * step, step))
+        grid = _parse_list(text, ":")
+        if len(grid) != 3 or grid[2] == 0.0:
+            raise ConfigurationError(f"grid {text!r} is not a:b:step with a finite, "
+                                     "nonzero step")
+        a, b, step = grid
+        grid = list(np.arange(a, b + 0.5 * step, step))
+    if not grid:
+        raise ConfigurationError(f"grid {text!r} has no points")
+    return grid
 
 
 def _profile_from_args(args):
@@ -195,10 +199,12 @@ def _cmd_hankel_theta(args):
     from .scattering import PotentialSpec, scattering_matrix
     from .hankelphase import theta_profile
 
-    Q, cov, op = _operator(args)
-    n = Q.degree
     Ns = np.asarray(_parse_grid(args.N_grid))
     Ns = Ns[Ns != 0.0]
+    if Ns.size == 0:
+        raise ConfigurationError(f"--N-grid {args.N_grid!r} has no N = ln t != 0")
+    Q, cov, op = _operator(args)
+    n = Q.degree
     pot = PotentialSpec.from_operator(op)
     e = scattering_matrix(pot, args.k ** n, X=args.truncation)
     entries = {"s": e.S[0, 0]} if n % 2 == 1 else \

@@ -13,8 +13,9 @@ conditionally: a core plus oscillating tails, with psi read from the Nystrom
 field into oscquad tables (the tails' basis carries the waves e^{+-ikx}),
 closed by integration by parts.  Stationary points sit at |x| ~ n|N|/(pi |k|),
 so the core radius bounds the reachable |N|.  Only e^{-i xi(x) N} depends on
-N, so the Gauss nodes resolve the phase at that largest |N| once, and I(N) is
-one fixed exponential sum over them plus the closures.
+N, so the Gauss nodes resolve the phase at that largest |N| once: each psi
+table panel is cut into equal parts spanning <= 2 pi of it, 12 nodes each, and
+I(N) is one fixed exponential sum over them plus the closures.
 
 The large-|N| model uses the explicit phase
 
@@ -33,7 +34,7 @@ import numpy as np
 from ._jets import Jet
 from .coeffmap import RealPolynomial
 from .errors import DomainError, ResolutionError
-from .oscquad import _ChebTable, equidistribute_edges, gauss_panels, ibp_boundary
+from .oscquad import _ChebTable, gauss_panels, ibp_boundary
 from .profile import ChangeOfVariables
 from .specfun import eta_phase
 
@@ -134,19 +135,26 @@ class PhaseModel:
 # ---------------------------------------------------------------------------
 
 
-def _panel_nodes(x_samples, arc, p=12):
-    """Gauss-p nodes and weights on panels spanning <= pi/2 of `arc` each."""
-    nodes, weights = gauss_panels(equidistribute_edges(x_samples, arc, np.pi / 2), p)
+def _panel_nodes(edges, rate, p=12):
+    """Gauss-p nodes and weights on the panels between `edges`, each cut into
+    m equal parts, m = ceil(max(rate at its ends) * width / (2 pi)): with the
+    rate monotone on each panel, every part spans <= 2 pi of phase."""
+    r, width = rate(edges), np.diff(edges)
+    m = np.ceil(np.maximum(r[:-1], r[1:]) * width / (2.0 * np.pi)).astype(int)
+    i = np.repeat(np.arange(m.size), m)
+    j = np.arange(i.size) - np.repeat(np.cumsum(m) - m, m)
+    nodes, weights = gauss_panels(np.append(edges[i] + width[i] * j / m[i], edges[-1]), p)
     return nodes.ravel(), weights.ravel()
 
 
 class ThetaEvaluator:
     """Shared machinery to evaluate I(N, k) for many N at one field.
 
-    psi is read from the field once into tables, and Gauss panels resolving
-    the phase at the largest |N| the core admits are built once; each theta
-    is then one fixed sum of e^{-i xi_j N} amp_j over core and tail nodes plus
-    the closures beyond +-x_tail.
+    psi is read from the field once into tables.  The Gauss nodes are built
+    once on those tables' own panels, each cut into parts spanning <= 2 pi of
+    the phase at the largest |N| the core admits, so no Gauss panel straddles
+    a table edge; each theta is then one fixed sum of e^{-i xi_j N} amp_j over
+    core and tail nodes plus the closures beyond +-x_tail.
     """
 
     def __init__(self, field, Q: RealPolynomial, cov: ChangeOfVariables,
@@ -183,10 +191,9 @@ class ThetaEvaluator:
         # and the tails x = +-u, u in [x_split, x_tail], where xi is odd
         self._shift = cov.a1 if cov.profile.family == "cosh" else 0.0
         n_lim = max(self.x_split / 1.35 - self._shift, 0.0) * np.pi * abs(k) / self.n
-        arc_x = np.linspace(-self.x_split, self.x_split, 4097)
-        u = np.geomspace(self.x_split, self.x_tail, 400)
-        xc, wc = _panel_nodes(arc_x, n_lim * cov.xi_of_x(arc_x) + abs(k) * arc_x)
-        xt, wt = _panel_nodes(u, n_lim * cov.xi_of_x(u) + abs(k) * u)
+        rate = lambda x: n_lim / cov.x_prime(cov.xi_of_x(x)) + abs(k)
+        xc, wc = _panel_nodes(self._psi.edges, rate)
+        xt, wt = _panel_nodes(self._tails[+1].edges, rate)
         xi_t = cov.xi_of_x(xt)
         self._x = np.concatenate((xc, xt, -xt))
         self._xi = np.concatenate((cov.xi_of_x(xc), xi_t, -xi_t))
@@ -217,8 +224,9 @@ class ThetaEvaluator:
 
     def _check_resolution(self, N):
         """Raise at the largest |N| whose stationary point leaves the core."""
-        x_stat = self.n * np.max(np.abs(N), initial=0.0) / (np.pi * abs(self.k)) \
-            + self._shift
+        # in Python floats, |N| near the largest double gives inf, not a warning
+        N_max = float(np.max(np.abs(N), initial=0.0))
+        x_stat = self.n * N_max / (np.pi * abs(float(self.k))) + self._shift
         if 1.35 * x_stat > self.x_split:
             raise ResolutionError(
                 f"stationary point at |x| ~ {x_stat:.1f} too close to the "

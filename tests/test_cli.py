@@ -241,7 +241,12 @@ def test_inputs_the_solve_cannot_honour_exit_2(argv, capsys):
      "--n", "2", "--xi-grid=0:1:0.5"],
     ["longrange", "--family", "power_law", "--alpha", "inf", "--n", "2", "--j", "3"],
     ["evolve", "--n", "2", "--T", "1000", "--profile", "gaussian",
-     "--N-grid=1:2:0.5", "--family", "power_law", "--alpha", "nan"]])
+     "--N-grid=1:2:0.5", "--family", "power_law", "--alpha", "nan"],
+    # empty grids, and an N grid whose only points are N = 0, which is skipped
+    *(["hankel-theta", "--p", "0,0,1", "--k=1", f"--N-grid={g}"]
+      for g in ("5:1:1", "0", "0,0")),
+    ["profile", "--n", "2", "--xi-grid=5:1:1"],
+    ["evolve", "--n", "2", "--T", "1000", "--profile", "gaussian", "--N-grid=2:1:0.5"]])
 def test_malformed_grids_and_lists_exit_2(argv, capsys, monkeypatch):
     # refused before any solve starts
     monkeypatch.setattr("carleman.scattering.scattering_matrix",

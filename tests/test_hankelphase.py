@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from carleman.coeffmap import RealPolynomial
+from carleman.coeffmap import RealPolynomial, p_to_q
 from carleman.errors import DomainError, ResolutionError
 from carleman._jets import Jet
 from carleman.hankelphase import (PhaseModel, ThetaEvaluator, _zeta_of_xi,
@@ -10,7 +10,9 @@ from carleman.hankelphase import (PhaseModel, ThetaEvaluator, _zeta_of_xi,
                                   mellin_F, quadratic_form_check,
                                   theta_asymptotic, varrho, zeta_amplitude)
 from carleman.oscquad import equidistribute_edges, integrate_panels
-from carleman.scattering import solve_lippmann_schwinger
+from carleman.liouville import OperatorCoefficients
+from carleman.profile import ChangeOfVariables
+from carleman.scattering import PotentialSpec, solve_lippmann_schwinger
 from carleman.specfun import eta_phase
 
 
@@ -171,6 +173,10 @@ def test_theta_resolution_guard(field2m1, q_x2m1, cov2):
     ev = ThetaEvaluator(field2m1, q_x2m1, cov2)
     with pytest.raises(ResolutionError):
         ev.theta_scaled(200.0)
+    # n |N| overflows a double: the guard still raises, with no overflow warning
+    for N in (1e308, np.array([5.0, 1e308])):
+        with pytest.raises(ResolutionError):
+            ev.theta_scaled(N)
 
 
 def test_theta_boundedness(field2m1, q_x2m1, cov2):
@@ -228,32 +234,83 @@ def test_theta_scalar_returns_complex_scalar(ev2):
     assert np.ndim(v) == 0 and isinstance(v, complex)
 
 
-def _theta_reference(ev, N, dphase=np.pi / 8):
-    """sqrt(t) theta from per-N panels of `dphase` phase on the same envelopes
-    and the same closures beyond +-x_tail."""
+@pytest.fixture(scope="module")
+def theta_evaluator(cosh_profile):
+    """ThetaEvaluator(n, k) for P = X^2 - 1, X^3 or X^4, X = 1e4, built once."""
+    polys = {2: [-1.0, 0.0, 1.0], 3: [0.0, 0.0, 0.0, 1.0], 4: [0.0, 0.0, 0.0, 0.0, 1.0]}
+    built = {}
+
+    def get(n, k):
+        if (n, k) not in built:
+            Q = p_to_q(RealPolynomial(polys[n]))
+            cov = ChangeOfVariables(cosh_profile, n)
+            pot = PotentialSpec.from_operator(OperatorCoefficients(Q, cov))
+            built[n, k] = ThetaEvaluator(solve_lippmann_schwinger(pot, k, X=1.0e4), Q, cov)
+        return built[n, k]
+    return get
+
+
+def _n_lim(ev):
+    """The largest |N| the evaluator's node set is built for."""
+    return (ev.x_split / 1.35 - ev._shift) * np.pi * abs(ev.k) / ev.n
+
+
+def _theta_reference(ev, N, dphase=np.pi / 8, p=16):
+    """sqrt(t) theta on the evaluator's tables and closures, by Gauss-p on its
+    table panels cut where the phase |N| xi + |k| x passes a multiple of
+    `dphase`."""
     cov, k = ev.cov, abs(ev.k)
 
     def phase_zeta(x):
         xi = cov.xi_of_x(x)
         return _zeta_of_xi(xi, ev.Q, cov) * np.exp(-1j * xi * N)
 
-    xs = np.linspace(-ev.x_split, ev.x_split, 4097)
-    edges = equidistribute_edges(xs, abs(N) * cov.xi_of_x(xs) + k * xs, dphase)
-    total = integrate_panels(lambda x: phase_zeta(x) * ev._psi(x), edges)
-    u = np.geomspace(ev.x_split, ev.x_tail, 400)
-    edges = equidistribute_edges(u, abs(N) * cov.xi_of_x(u) + k * u, dphase)
+    def edges(table_edges, samples):
+        s = np.union1d(table_edges, samples)
+        cuts = equidistribute_edges(s, abs(N) * cov.xi_of_x(s) + k * s, dphase)
+        return np.union1d(table_edges, cuts)
+
+    core = edges(ev._psi.edges, np.linspace(-ev.x_split, ev.x_split, 4097))
+    total = integrate_panels(lambda x: phase_zeta(x) * ev._psi(x), core, p)
+    tail = edges(ev._tails[+1].edges, np.geomspace(ev.x_split, ev.x_tail, 400))
     for side in (+1, -1):
         total += integrate_panels(
-            lambda v: phase_zeta(side * v) * ev._tail_psi(v, side), edges)
+            lambda v: phase_zeta(side * v) * ev._tail_psi(v, side), tail, p)
     return (total + ev._closure(N)) / np.sqrt(2.0 * np.pi)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_theta_matches_refined_per_N_panels(n, ev2, field3, q_x3, cov3):
-    ev = ev2 if n == 2 else ThetaEvaluator(field3, q_x3, cov3)
-    Ns = np.array([-30.0, -7.5, 12.5, 25.0])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_theta_matches_refined_per_N_panels(n, theta_evaluator):
+    ev = theta_evaluator(n, 1.0)
+    Ns = np.array([-30.0, -7.5, 12.5, 25.0, -0.99 * _n_lim(ev), 0.99 * _n_lim(ev)])
     ref = np.array([_theta_reference(ev, N) for N in Ns])
-    assert np.max(np.abs(ev.theta_scaled(Ns) - ref)) < 1e-9
+    assert np.max(np.abs(ev.theta_scaled(Ns) - ref)) <= 1e-12
+
+
+# node counts of 12-point Gauss panels equidistributed at pi/2 of the same
+# phase bound along its arc over the core and the tails, table edges ignored
+_EQUIDISTRIBUTED_NODES = {(2, 1.0): 42792, (2, 2.0): 85560, (3, 1.0): 41856,
+                          (3, 2.0): 83700, (4, 1.0): 41292, (4, 2.0): 82560}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("k", [1.0, 2.0])
+def test_theta_nodes_cut_table_panels_at_2pi_of_phase(n, k, theta_evaluator):
+    # the nodes are 12-point Gauss parts that tile [-x_tail, x_tail]; every
+    # psi table edge is a part edge, and no part spans more than 2 pi of the
+    # phase bound n_lim xi + |k| x at the largest admissible |N|
+    ev = theta_evaluator(n, k)
+    x, w = ev._x.reshape(-1, 12), ev._w.reshape(-1, 12)
+    c, h = 0.5 * (x[:, 0] + x[:, -1]), 0.5 * w.sum(axis=1)
+    lo, hi = np.sort(c - h), np.sort(c + h)
+    assert np.allclose([lo[0], hi[-1]], [-ev.x_tail, ev.x_tail], rtol=0, atol=1e-9)
+    assert np.max(np.abs(lo[1:] - hi[:-1])) <= 1e-9
+    ends, tail = np.append(lo, hi[-1]), ev._tails[+1].edges
+    for e in (ev._psi.edges, tail, -tail):
+        assert np.all(np.min(np.abs(ends[:, None] - e), axis=0) <= 1e-9)
+    phase = lambda x: _n_lim(ev) * ev.cov.xi_of_x(x) + abs(k) * x
+    assert np.max(phase(hi) - phase(lo)) <= 2.0 * np.pi + 1e-9
+    assert 3 * ev._x.size < _EQUIDISTRIBUTED_NODES[n, k]
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -66,7 +66,9 @@ def _parse_grid(text):
             raise ConfigurationError(f"grid {text!r} is not a:b:step with a finite, "
                                      "nonzero step")
         a, b, step = grid
-        grid = list(np.arange(a, b + 0.5 * step, step))
+        # a + i step, so -4:4:0.1 holds an exact 0 (np.arange steps by
+        # (a + step) - a); the last point lies less than half a step past b
+        grid = list(a + step * np.arange(math.ceil((b - a) / step + 0.5)))
     if not grid:
         raise ConfigurationError(f"grid {text!r} has no points")
     return grid

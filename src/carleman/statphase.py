@@ -28,7 +28,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
 from ._jets import Jet
-from .errors import DomainError
+from .errors import ConfigurationError, DomainError
 from .oscquad import equidistribute_edges, ibp_boundary, integrate_panels
 
 _PHASE_CAP = 3.0          # max radians per Gauss panel
@@ -173,7 +173,12 @@ def bound_constants(omega, g, a) -> BoundConstants:
 
 
 def verify_remainder(omega, g, N_list, a):
-    """Measured |R(N)| against the bound shape B(N) plus the decay-exponent fit."""
+    """Measured |R(N)| against the bound shape B(N) plus the decay-exponent fit,
+    which needs N != 0 at two or more distinct |N|."""
+    absN = np.abs(np.asarray(N_list, dtype=float))
+    if absN.size == 0 or not absN.all() or np.unique(absN).size < 2:
+        raise ConfigurationError("the decay fit needs N != 0 at two or more "
+                                 "distinct |N|")
     consts = bound_constants(omega, g, a)
     rows = []
     for N in N_list:

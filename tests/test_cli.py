@@ -104,6 +104,30 @@ def test_evolve_csv(tmp_path):
     assert len(lines) > 5
 
 
+def test_evolve_default_grid_holds_an_exact_zero():
+    rc, out = run_cli(["evolve", "--n", "2", "--T", "1000", "--profile", "gaussian"])
+    assert rc == 0
+    assert "0,0,0,0" in out.splitlines()
+
+
+@pytest.mark.parametrize("argv", [["--n", "4", "--T", "1000"],
+                                  ["--n", "3", "--T", "10", "--family", "power_law"]])
+def test_evolve_readme_examples_beyond_n2_cosh(argv, tmp_path):
+    rc, _ = run_cli(["evolve", *argv, "--profile", "gaussian",
+                     "--emit", str(tmp_path / "evo.csv")])
+    assert rc == 0
+
+
+def test_step_grids_are_exact():
+    from carleman.cli import _parse_grid
+
+    grid = _parse_grid("-4:4:0.1")
+    assert len(grid) == 81 and grid[40] == 0.0
+    for text in ("-30:30:5", "-10:10:0.25", "-20:20:0.5", "-4:4:0.5"):
+        a, b, step = map(float, text.split(":"))
+        assert np.array_equal(_parse_grid(text), np.arange(a, b + 0.5 * step, step))
+
+
 def test_evolve_rejects_first_order():
     # the stationary-point equation has the exponent 1/(n-1)
     rc, _ = run_cli(["evolve", "--n", "1", "--T", "50", "--N-grid", "0.5:1:0.5"])
@@ -246,7 +270,9 @@ def test_inputs_the_solve_cannot_honour_exit_2(argv, capsys):
     *(["hankel-theta", "--p", "0,0,1", "--k=1", f"--N-grid={g}"]
       for g in ("5:1:1", "0", "0,0")),
     ["profile", "--n", "2", "--xi-grid=5:1:1"],
-    ["evolve", "--n", "2", "--T", "1000", "--profile", "gaussian", "--N-grid=2:1:0.5"]])
+    ["evolve", "--n", "2", "--T", "1000", "--profile", "gaussian", "--N-grid=2:1:0.5"],
+    # a decay fit needs N != 0 at two or more distinct |N|
+    *(["statphase", f"--N={N}"] for N in (",", "0", "-5", "5", "1e2,1e2"))])
 def test_malformed_grids_and_lists_exit_2(argv, capsys, monkeypatch):
     # refused before any solve starts
     monkeypatch.setattr("carleman.scattering.scattering_matrix",

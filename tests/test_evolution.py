@@ -162,7 +162,7 @@ def test_grid_matches_scalar(n, request):
     cov = request.getfixturevalue(f"cov{n}")
     T = 1e3
     N = np.array([-9e3, -2e3, -40.0, 25.0, 0.7 * np.pi * T, 1.1e4])
-    y, branch = _stationary_grid(N, T, cov)
+    y, _, branch = _stationary_grid(N, T, cov)
     for Ni, yi, bi in zip(N, y, branch):
         ys = stationary_point_y(Ni, T, cov, branch=bi)
         assert abs(ys - yi) <= 1e-14 * abs(yi)
@@ -180,7 +180,7 @@ def test_stationary_residual_on_grid(n, T, request):
         assert stationary_residual(N, T, cov, y, branch=branch) <= 1e-10
     half = np.geomspace(1.0, 3.5 * np.pi * abs(T), 40)
     N = np.concatenate((-half[::-1], [0.0], half))
-    y, branch = _stationary_grid(N, T, cov)
+    y, _, branch = _stationary_grid(N, T, cov)
     assert branch[40] == 0 and y[40] == 0.0
     assert set(branch[N > 0]) == {2}
     assert set(branch[N < 0]) == ({1} if n % 2 else {2})
@@ -238,3 +238,42 @@ def test_rho_at_far_stationary_points(q_x2):
                                                    - 1j * mpmath.mpf(xi))))
         ref = eta - q_x2.coeffs[n - 1] * xi / n
         assert abs(_rho_of_xi(xi, q_x2) - ref) <= 1e-13 * max(1.0, abs(ref)), N
+
+
+@pytest.mark.parametrize("family,n,T", [("cosh", 3, 10.0), ("cosh", 5, 10.0),
+                                        ("power_law", 2, 1e3), ("power_law", 3, 1e3)])
+def test_grid_inverts_the_map_once(family, n, T, monkeypatch):
+    # the iteration runs on the closed forms in xi; xi(x) only seeds it
+    cov = ChangeOfVariables(WeightProfile(family), n)
+    calls, xi_of_x = [], cov.xi_of_x
+    monkeypatch.setattr(cov, "xi_of_x", lambda x: calls.append(1) or xi_of_x(x))
+    monkeypatch.setattr(cov, "xi_jet_of_x", lambda *a: pytest.fail("xi(x) jet"))
+    _stationary_grid(np.linspace(-4.0 * T, 4.0 * T, 1001), T, cov)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("family", ["cosh", "power_law", "stretched_exp"])
+def test_small_ln_t_follows_the_leading_law(family):
+    # |N| -> 0 sends xi -> 0, so v(xi) -> v(0) and y -> (v(0)^{2/n} |N|)^{n-1}
+    N = np.array([-1e-60, 1e-60])
+    for n in range(2, 6):
+        cov = ChangeOfVariables(WeightProfile(family), n)
+        y, _, branch = _stationary_grid(N, 1e3, cov)
+        law = (cov.profile.v(0.0) ** (2.0 / n) * 1e-60) ** (n - 1)
+        law = np.where(branch == 1, law, np.sign(N) * law)
+        assert np.all(np.abs(y - law) <= 1e-12 * law[1]), n
+
+
+@pytest.mark.parametrize("family", ["power_law", "stretched_exp"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("T", [10.0, -10.0, 1e3, -1e3])
+def test_stationary_residual_on_other_families(family, n, T):
+    cov = ChangeOfVariables(WeightProfile(family), n)
+    N = np.linspace(-4.0 * abs(T), 4.0 * abs(T), 800)
+    y, xi, branch = _stationary_grid(N, T, cov)
+    assert np.all(np.abs(xi - cov.xi_of_x(n * T * y)) <= 1e-12 * np.abs(xi))
+    for b in (1, 2):
+        sel = branch == b
+        if sel.any():
+            res = stationary_residual(N[sel], T, cov, y[sel], branch=b)
+            assert np.max(res) <= 1e-10

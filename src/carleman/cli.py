@@ -147,6 +147,8 @@ def _cmd_scatter(args):
 
     from .scattering import PotentialSpec, scattering_matrix
 
+    if args.points < 1:
+        raise ConfigurationError(f"--points {args.points} must be at least 1")
     Q, _, op = _operator(args)
     n = Q.degree
     pot = PotentialSpec.from_operator(op)

@@ -62,8 +62,8 @@ class _DiffOp:
 class OperatorCoefficients:
     """Evaluators for b_m(x) of B = L* A L and the gauged b~_m(x) of B~.
 
-    For n = 0 the transform degenerates to the Carleman baseline A = q_0 v^2
-    with x = xi; only b_0 is defined there.
+    Q must be monic for n >= 1.  For n = 0 the transform degenerates to the
+    Carleman baseline A = q_0 v^2 with x = xi; only b_0 is defined there.
     """
 
     def __init__(self, Q: RealPolynomial, cov: ChangeOfVariables | None,
@@ -78,6 +78,8 @@ class OperatorCoefficients:
             self.profile = profile
             self.cov = None
             return
+        if Q.coeffs[-1] != 1.0:  # B~ = D^n + ... (p_to_q keeps q_n = p_n)
+            raise ConfigurationError(f"Q must be monic: q_{self.n} = {Q.coeffs[-1]:g}, not 1")
         if cov is None:
             raise ConfigurationError("n >= 1 needs a ChangeOfVariables")
         if cov.n != self.n:

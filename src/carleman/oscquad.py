@@ -3,11 +3,12 @@
 Four tools shared by the scattering solver, the stationary-phase engine and
 the Hankel eigenfunction integrals:
 
-* exact moments of exp(mu u) against monomials on sub-intervals of [-1, 1],
-  from a short Taylor series or a three-term recurrence, batched over arrays
-  of frequencies and intervals and anchored so no exponential ever exceeds
-  unit modulus (Filon-type product integration with geometric panels stays
-  legitimate for any frequency);
+* exact moments of exp(mu u) against monomials on the upward partial panel
+  [-1, t] (the downward one [t, 1] is its mirror image), from a short Taylor
+  series or a three-term recurrence, batched over arrays of frequencies and
+  points and anchored at t so no exponential ever exceeds unit modulus
+  (Filon-type product integration with geometric panels stays legitimate for
+  any frequency);
 * phase-equidistributed Gauss panels for integrands written as
   amplitude * exp(i phase) with an explicitly known phase;
 * a two-term integration-by-parts boundary series for truncated tails
@@ -49,28 +50,23 @@ def lagrange_coeff_matrix(nodes):
     return np.linalg.inv(V)
 
 
-def exp_monomial_moments(mu, anchor, lo, hi, count):
-    """m_l = int_lo^hi u^l exp(mu (u - anchor)) du for l = 0..count-1.
-
-    Broadcasts over mu, anchor, lo and hi and returns shape (..., count).
-    Every caller passes reference coordinates -1 <= lo <= hi <= 1 and must
-    pick `anchor` so Re(mu (u - anchor)) <= 0 on [lo, hi]: no exponential
-    then exceeds unit modulus.  With c, s the centre and half-width of
-    [lo, hi] and z = mu s, G_i = int_-1^1 x^i e^{mu (c + s x - anchor)} dx
-    comes from its Taylor series in z while |z| < 4 (one exponential per
-    element, exact at mu = 0), else from z G_i = E+ - (-1)^i E- - i G_(i-1)
-    upward, E+- = e^{mu (hi - anchor)}, e^{mu (lo - anchor)}; errors grow by
-    at most prod(i / |z|), 1.4 for count 10.  Raising the degree by c + s x
-    one step at a time turns G into m.  Each element's value is the same
-    whatever batch it comes in.
+def exp_monomial_moments(mu, t, count):
+    """m_l = int_-1^t u^l exp(mu (u - t)) du, l < count: the upward partial-panel
+    moments, a whole panel at t = 1; the downward int_t^1 ones are (-1)^l m_l at
+    (-mu, -t) (u -> -u).  Broadcasts over mu and t to shape (..., count).
+    Callers keep -1 <= t <= 1 and Re(mu) >= 0: no exponential exceeds unit
+    modulus.  With c, s the centre and half-width of [-1, t] and z = mu s,
+    G_i = int_-1^1 x^i e^{mu (c + s x - t)} dx comes from its Taylor series in
+    z while |z| < 4 (one exponential per element, exact at mu = 0), else from
+    z G_i = 1 - (-1)^i E - i G_(i-1) upward, E = e^{-mu (1 + t)}; errors grow
+    by at most prod(i / |z|), 1.4 for count 10.  Raising the degree by c + s x
+    one step at a time turns G into m.  An element's value does not depend on
+    the batch it comes in.
     """
-    mu, anchor, lo, hi = np.broadcast_arrays(np.asarray(mu, dtype=complex),
-                                             np.asarray(anchor, dtype=float),
-                                             np.asarray(lo, dtype=float),
-                                             np.asarray(hi, dtype=float))
+    mu, t = np.broadcast_arrays(np.asarray(mu, dtype=complex), np.asarray(t, dtype=float))
     shape = mu.shape
-    mu, anchor, lo, hi = (v.ravel() for v in (mu, anchor, lo, hi))
-    c, s = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    mu, t = mu.ravel(), t.ravel()
+    c, s = 0.5 * (t - 1.0), 0.5 * (t + 1.0)
     z = mu * s
     G = np.empty((count, z.size), dtype=complex)
     small = np.abs(z) < 4.0
@@ -86,12 +82,11 @@ def exp_monomial_moments(mu, anchor, lo, hi, count):
         # einsum, not BLAS, whose sums depend on the column's place in the batch
         S = np.einsum("ij,jk->ik", series, q.view(float)).view(complex)
         S[1::2] = S[1::2] * zs
-        G[:, small] = S * np.exp(mu[small] * (c[small] - anchor[small]))
+        G[:, small] = S * np.exp(mu[small] * (c[small] - t[small]))
     big = ~small
     if np.any(big):
-        rz, a = 1.0 / z[big], anchor[big]
-        e_hi, e_lo = np.exp(mu[big] * (hi[big] - a)), np.exp(mu[big] * (lo[big] - a))
-        ends = (e_hi - e_lo, e_hi + e_lo)
+        rz, e = 1.0 / z[big], np.exp(mu[big] * (-1.0 - t[big]))
+        ends = (1.0 - e, 1.0 + e)
         B = np.empty((count, rz.size), dtype=complex)
         B[0] = ends[0] * rz
         for i in range(1, count):

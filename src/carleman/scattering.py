@@ -40,10 +40,10 @@ storage and factored by a banded LU (zgbtrf) once per lambda and truncation,
 shared by +-k.  Its zgbcon rcond (or the worst block's, if smaller) must stay
 above RCOND_FLOOR.
 
-Panel moments depend only on (half-width, nu, sweep direction), so every
-panel of a width shares them, on the core, on both outer sides and on both
-truncations; the solver keeps them in one `_MomentTable` that the
-eliminations, the field's prefix tables and the residual all read.
+Panel moments depend only on (half-width, nu): a downward one is the upward
+one at -nu mirrored, so the solver keeps the upward ones of every width, core,
+outer sides and truncations, in one `_MomentTable` that the eliminations, the
+field's prefix tables and the residual all read.
 Integrals of the solution against e^{i nu y} come from one anchored prefix
 table per (mesh, nu) and sweep direction (`_Density`), whose running sums
 also only multiply by factors of modulus <= 1.  The coefficients b~_m are
@@ -266,44 +266,47 @@ class _Mesh:
                     0, self.n_panels - 1)
         return q, self.ref_coord(q, x)
 
-    def moments(self, nu, q, t_lo, t_hi, t_anchor):
-        """int_{y(t_lo)}^{y(t_hi)} e^{i nu (y - y(t_anchor))} l_j(y) dy on panel q.
+    def moments(self, nu, q, t, upper):
+        """int e^{i nu (y - y(t))} l_j(y) dy on panel q over [-1, t] (upper) or
+        [t, 1] in reference coordinates, shape (..., p); nu decays along the sweep."""
+        s, d = 0.5 * (self.edges[q + 1] - self.edges[q]), 1 if upper else -1
+        m = exp_monomial_moments(1j * (d * nu) * s, d * t, self.p)
+        return self.lagrange(m, s[..., None], upper)
 
-        Broadcasts over every argument and returns shape (..., p).  nu may be
-        complex; t_anchor must keep the exponential bounded on [t_lo, t_hi].
-        """
-        s = 0.5 * (self.edges[q + 1] - self.edges[q])
-        m = exp_monomial_moments(1j * nu * s, t_anchor, t_lo, t_hi, self.p)
-        return s[..., None] * (m @ self.cmat)
+    def lagrange(self, m, s, upper, own=False):
+        """s times the sweep's Lagrange moments from m, the upward monomial ones at d nu
+        and d t (d = +-1): downward, (-1)^l m, own moments (axis -2) node-reversed."""
+        if not upper:
+            m = (np.flip(m, -2) if own else m) * (-1.0) ** np.arange(self.p)
+        return s * (m @ self.cmat)
 
 
 class _MomentTable:
-    """Panel moments, memoised per (order p, half-width, nu, upper, own): over
-    a whole panel anchored at the far edge of the sweep, shape (p,), or (own)
-    from the near edge to each reference Gauss node, anchored at that node,
-    shape (p, p).  They depend on nothing else, so every panel of a width
-    shares them, on the core, on both outer sides and on both truncations.
-    Moments at other points are never stored."""
+    """Upward monomial panel moments, memoised per (order p, half-width, nu,
+    own): over a whole panel, t = 1, shape (p,), or (own) up to each
+    reference Gauss node, shape (p, p), shared by every panel of the width.
+    A downward lookup mirrors the entry at -nu, which for even n the upward
+    sweep also reads.  Moments at other points are never stored."""
 
     def __init__(self):
         self._memo = {}
 
     def get(self, mesh, nus, upper, own=False):
-        """Moments of each of nus, shape (nus, panels, p), or (nus, nodes, p)
-        for own; the missing widths in one batched call, gathered by panel."""
-        keys = [[(mesh.p, s, complex(nu), upper, own) for s in mesh.widths.tolist()]
+        """Lagrange moments of nus, shape (nus, panels, p) or, own, (nus, nodes, p)."""
+        d = 1 if upper else -1
+        keys = [[(mesh.p, s, complex(d * nu), own) for s in mesh.widths.tolist()]
                 for nu in np.ravel(nus)]
         new = list(dict.fromkeys(key for row in keys for key in row
                                  if key not in self._memo))
         if new:
-            _, s, nu, _, _ = map(np.array, zip(*new))
-            t = gauss_rule(mesh.p)[0] if own else np.array(1.0 if upper else -1.0)
-            lo, hi = (-1.0, t) if upper else (t, 1.0)
+            _, s, nu, _ = map(np.array, zip(*new))
+            t = gauss_rule(mesh.p)[0] if own else np.array(1.0)
             s = s.reshape((-1,) + (1,) * t.ndim)
-            m = exp_monomial_moments(1j * nu.reshape(s.shape) * s, t, lo, hi, mesh.p)
-            self._memo.update(zip(new, s[..., None] * (m @ mesh.cmat)))
-        rows = np.array([[self._memo[key] for key in row] for row in keys])
-        return rows[:, mesh.width_of].reshape(len(keys), -1, mesh.p)
+            m = exp_monomial_moments(1j * nu.reshape(s.shape) * s, t, mesh.p)
+            self._memo.update(zip(new, m))
+        m = np.array([[self._memo[key] for key in row] for row in keys])
+        m = mesh.lagrange(m, mesh.widths.reshape((-1,) + (1,) * (m.ndim - 2)), upper, own)
+        return m[:, mesh.width_of].reshape(len(keys), -1, mesh.p)
 
 
 def _panelize(edges, p):
@@ -400,11 +403,9 @@ class _Density:
         nus = (self.mus + nu)[:, None]
         S = self.prefix(nu, upper)
         part = self.table.get(mesh, nus, upper, own=True) if at_nodes else \
-            mesh.moments(nus, q, *((-1.0, t) if upper else (t, 1.0)), t)
-        if upper:
-            carried = np.exp(1j * nus * (mesh.edges[q] - x)) * S[:, q]
-        else:
-            carried = np.exp(1j * nus * (mesh.edges[q + 1] - x)) * S[:, q + 2]
+            mesh.moments(nus, q, t, upper)
+        e, j = (q, q) if upper else (q + 1, q + 2)  # near edge, and the sum anchored there
+        carried = np.exp(1j * nus * (mesh.edges[e] - x)) * S[:, j]
         F = carried + np.einsum("cij,cij->ci", part, self.fs[:, q])
         return np.sum(np.exp(1j * self.mus[:, None] * x) * F, axis=0)
 

@@ -272,7 +272,10 @@ def test_inputs_the_solve_cannot_honour_exit_2(argv, capsys):
     ["profile", "--n", "2", "--xi-grid=5:1:1"],
     ["evolve", "--n", "2", "--T", "1000", "--profile", "gaussian", "--N-grid=2:1:0.5"],
     # a decay fit needs N != 0 at two or more distinct |N|
-    *(["statphase", f"--N={N}"] for N in (",", "0", "-5", "5", "1e2,1e2"))])
+    *(["statphase", f"--N={N}"] for N in (",", "0", "-5", "5", "1e2,1e2")),
+    # a lambda grid of no points
+    *(["scatter", "--p", "0,0,1", "--lambda-min", "0.2", "--lambda-max", "5",
+       "--points", n] for n in ("0", "-2"))])
 def test_malformed_grids_and_lists_exit_2(argv, capsys, monkeypatch):
     # refused before any solve starts
     monkeypatch.setattr("carleman.scattering.scattering_matrix",
@@ -280,6 +283,26 @@ def test_malformed_grids_and_lists_exit_2(argv, capsys, monkeypatch):
     rc, out = run_cli(argv)
     assert rc == 2 and out == ""
     assert "validation error" in capsys.readouterr().err
+
+
+SCATTER_ONE = ["--lambda-min", "1", "--lambda-max", "1", "--points", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["scatter", "--q", q, *SCATTER_ONE] for q in ("0,0,2", "0,0,0.5", "0,0,0,3")] + [
+    ["scatter", "--p", p, *SCATTER_ONE] for p in ("0,0,1e-300", "0,0,2", "0,0,-1",
+                                                   "0,0,1,0")] + [
+    ["hankel-theta", "--q", "0,0,2", "--k", "1", "--N-grid=5"],
+    ["longrange", "--q", "0,0,2", "--j", "2"],
+    ["transform", "--q", "0,0,2"]])
+def test_non_monic_polynomials_exit_2(argv, capsys, monkeypatch):
+    # the solver takes the D^n coefficient of B~ to be 1, so q_n != 1 would
+    # scatter by another operator; it is refused before any solve
+    monkeypatch.setattr("carleman.scattering.scattering_matrix",
+                        lambda *a, **kw: pytest.fail("solved a non-monic operator"))
+    rc, out = run_cli(argv)
+    assert rc == 2 and out == ""
+    assert "monic" in capsys.readouterr().err
 
 
 def test_truncation_past_the_initial_table(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from numpy.polynomial.hermite_e import hermeval
 
 from carleman.coeffmap import RealPolynomial, p_to_q
-from carleman.errors import DomainError
+from carleman.errors import ConfigurationError, DomainError
 from carleman.liouville import (OperatorCoefficients, _fornberg_weights,
                                 decay_report, operator_apply_check)
 from carleman.profile import ChangeOfVariables, WeightProfile
@@ -162,6 +162,20 @@ def test_carleman_baseline_n0(cosh_profile):
     xs = np.array([0.0, 1.0])
     b = op.b_values(xs)
     assert np.max(np.abs(b[0] - cosh_profile.v(xs) ** 2)) < 1e-12
+
+
+def test_non_monic_symbols_are_refused(cosh_profile, cov2):
+    # B~ = D^n + ...: any q_n != 1 is refused by name, while p_to_q keeps
+    # p_n exactly, so a monic P passes; n = 0 keeps its constant q_0
+    for q in ([0.0, 0.0, 2.0], [1.0, 0.0, 1e-300], [0.0, 0.0, -1.0]):
+        with pytest.raises(ConfigurationError, match="monic.*q_2"):
+            OperatorCoefficients(RealPolynomial(q), cov2)
+    Q = p_to_q(RealPolynomial([0.3, -1.7, 1.0]))
+    assert Q.coeffs[-1] == 1.0
+    OperatorCoefficients(Q, cov2)
+    op = OperatorCoefficients(RealPolynomial([2.5]), None, profile=cosh_profile)
+    x = np.array([0.0, 1.0])
+    assert np.max(np.abs(op.b_values(x)[0] - 2.5 * cosh_profile.v(x) ** 2)) < 1e-12
 
 
 def test_decay_report_cosh(q_x2, cov2):

@@ -1,5 +1,9 @@
+import functools
+
+import mpmath
 import numpy as np
 import pytest
+from mpmath.calculus.quadrature import GaussLegendre
 
 from carleman.errors import ConfigurationError, DomainError, NearExceptionalPointError
 from carleman.oscquad import gauss_rule
@@ -268,10 +272,9 @@ def test_prefix_table_matches_panel_sums(rng):
             side = range(q0) if upper else range(q0 + 1, mesh.n_panels)
             t_end = 1.0 if upper else -1.0
             ref = sum(np.exp(1j * nu * (mesh.edges[q + (1 if upper else 0)] - x))
-                      * (mesh.moments(nu, np.array(q), -1.0, 1.0, t_end) @ w[q])
+                      * (mesh.moments(nu, np.array(q), t_end, upper) @ w[q])
                       for q in side)
-            lo, hi = (-1.0, t) if upper else (t, 1.0)
-            ref += mesh.moments(nu, np.array(q0), lo, hi, t) @ w[q0]
+            ref += mesh.moments(nu, np.array(q0), t, upper) @ w[q0]
             assert abs(g - ref) <= 1e-13 * np.max(np.abs(w))
 
 
@@ -293,7 +296,7 @@ def test_outer_prefix_tables_match_panel_sums(rng):
         for c, mu in enumerate(mus):
             nu_c, f = mu + nu, dens.fs[c]
             totals = np.einsum("qj,qj->q", mesh.moments(
-                nu_c, q, -1.0, 1.0, 1.0 if upper else -1.0), f)
+                nu_c, q, 1.0 if upper else -1.0, upper), f)
             for q0 in q:
                 side = q <= q0 if upper else q >= q0
                 ref = np.sum(np.exp(1j * nu_c * (end[side] - end[q0])) * totals[side])
@@ -313,16 +316,67 @@ def test_moment_table_matches_direct_moments(monkeypatch):
     got = [(table.get(mesh, nus, upper), table.get(mesh, nus, upper, own=True))
            for upper, nus in cases]
     for (upper, nus), (full, own) in zip(cases, got):
-        lo, hi = (-1.0, t) if upper else (t, 1.0)
         for nu, f, o in zip(nus, full, own):
             assert np.array_equal(f, mesh.moments(nu, np.arange(mesh.n_panels),
-                                                  -1.0, 1.0, 1.0 if upper else -1.0))
-            assert np.array_equal(o, mesh.moments(nu, mesh.panel_of, lo, hi, t))
+                                                  1.0 if upper else -1.0, upper))
+            assert np.array_equal(o, mesh.moments(nu, mesh.panel_of, t, upper))
     monkeypatch.setattr(sc, "exp_monomial_moments",
                         lambda *a: pytest.fail("moments recomputed"))
     for (upper, nus), (full, own) in zip(cases, got):
         assert np.array_equal(table.get(mesh, nus[::-1], upper), full[::-1])
         assert np.array_equal(table.get(mesh, nus, upper, own=True), own)
+
+
+# real frequencies on both sides of the series / recurrence switch, and
+# complex ones decaying downward
+NUS_DOWN = [0.0, 0.7, -3.0, 12.0, -0.5 + 0.866j, 2.0 + 5.0j]
+
+
+@functools.cache
+def gauss_legendre_24(dps):
+    with mpmath.workdps(dps):
+        return GaussLegendre(mpmath.mp).calc_nodes(4, mpmath.mp.prec)
+
+
+def lagrange_moments_down(nodes, nu, s, t, dps=30):
+    """s int_t^1 l_r(u) e^{i nu s (u - t)} du for the Lagrange basis l_r on
+    `nodes`, by 24-point Gauss-Legendre in mpmath on pieces of <= 3 radians."""
+    with mpmath.workdps(dps):
+        x = [mpmath.mpf(float(v)) for v in nodes]
+        bary = [1 / mpmath.fprod(x[r] - x[j] for j in range(len(x)) if j != r)
+                for r in range(len(x))]
+        a, t = 1j * mpmath.mpc(nu) * mpmath.mpf(s), mpmath.mpf(t)
+        cuts = mpmath.linspace(t, 1, int(abs(a) * (1 - t) / 3.0) + 2)
+        out = [0] * len(x)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            c, h = (lo + hi) / 2, (hi - lo) / 2
+            for g, gw in gauss_legendre_24(dps):
+                u = c + h * g
+                e = s * h * gw * mpmath.exp(a * (u - t)) * mpmath.fprod(u - v for v in x)
+                out = [o + e * b / (u - v) for o, b, v in zip(out, bary, x)]
+        return np.array([complex(o) for o in out])
+
+
+@pytest.mark.parametrize("p", [8, 10])
+def test_downward_moments_match_mpmath(p, rng):
+    # the downward sweep is read from the upward primitive at -nu; against
+    # 30-digit Lagrange moments on a narrow and a wide panel, for real and
+    # complex nu (Im nu >= 0 downward): whole panels, partial panels up from
+    # each node (direct and memoised) and at random points
+    edges = np.array([0.0, 0.4, 3.4])
+    mesh = sc._panelize(edges, p)
+    nodes = gauss_rule(p)[0]
+    own = _MomentTable().get(mesh, NUS_DOWN, False, own=True).reshape(
+        len(NUS_DOWN), mesh.n_panels, p, p)
+    for i, nu in enumerate(NUS_DOWN):
+        for q in range(mesh.n_panels):
+            s = 0.5 * (edges[q + 1] - edges[q])
+            ts = np.concatenate(([-1.0], nodes, rng.uniform(-1.0, 1.0, 2)))
+            got = mesh.moments(nu, np.full(ts.size, q), ts, False)
+            want = np.array([lagrange_moments_down(nodes, nu, s, t) for t in ts])
+            bound = 1e-12 * np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= bound, (nu, q)
+            assert np.max(np.abs(own[i, q] - want[1:p + 1])) <= bound, (nu, q)
 
 
 def count_moments(monkeypatch):
@@ -353,22 +407,24 @@ def test_moment_table_computes_only_new_widths(monkeypatch):
     assert 0 < fresh < right.widths.size
     core = _core_mesh(120.0, 4.0)
     assert np.isin(right.widths, core.widths).any()
-    assert lookup(core)[0] == 4 * len(nus) * core.widths.size
-    assert lookup(right)[0] == 4 * len(nus) * right.widths.size
+    # nus is closed under nu -> -nu, so the downward sweep reads the upward
+    # entries: full and own moments of each (width, nu), computed once
+    assert lookup(core)[0] == 2 * len(nus) * core.widths.size
+    assert lookup(right)[0] == 2 * len(nus) * right.widths.size
     computed, got = lookup(left)
     assert computed == 0
     q = np.arange(left.n_panels)
     for upper, full in zip((True, False), got[::2]):
         for nu, f in zip(nus, full):
-            assert np.array_equal(f, left.moments(nu, q, -1.0, 1.0,
-                                                  1.0 if upper else -1.0))
-    assert lookup(wide)[0] == 4 * len(nus) * fresh
+            assert np.array_equal(f, left.moments(nu, q, 1.0 if upper else -1.0,
+                                                  upper))
+    assert lookup(wide)[0] == 2 * len(nus) * fresh
 
 
 @pytest.mark.parametrize("potential, k", [("pot2", 1.0), ("pot3", 0.8)])
 def test_each_moment_computed_once_per_solver(potential, k, request, monkeypatch):
     # the core, both outer sides, +-k and both truncations: every (width, nu,
-    # sweep, own) a solver reads is computed by exp_monomial_moments once
+    # own) a solver reads is computed by exp_monomial_moments once
     pot = request.getfixturevalue(potential)
     counted = count_moments(monkeypatch)
     solver = _CoreSolver(pot, k, 120.0)

@@ -38,12 +38,16 @@ kl = nb + up - 1 sub- and ku = 2 nb - up - 1 superdiagonals; the states
 entering at -X and X are zero.  It is written straight into LAPACK band
 storage and factored by a banded LU (zgbtrf) once per lambda and truncation,
 shared by +-k.  Its zgbcon rcond (or the worst block's, if smaller) must stay
-above RCOND_FLOOR.
+above RCOND_FLOOR.  The outer meshes grow geometrically from X0 and clip their
+last panel at X, so the 2X mesh repeats every edge of the X mesh but X: the 2X
+side keeps the X side's blocks of those panels and eliminates only the panels
+beyond, and one elimination per outer panel serves both truncations.
 
 Panel moments depend only on (half-width, nu): a downward one is the upward
 one at -nu mirrored, so the solver keeps the upward ones of every width, core,
 outer sides and truncations, in one `_MomentTable` that the eliminations, the
-field's prefix tables and the residual all read.
+field's prefix tables and the residual all read.  It forms each request's
+Lagrange moments once; a repeated request only gathers them per panel.
 Integrals of the solution against e^{i nu y} come from one anchored prefix
 table per (mesh, nu) and sweep direction (`_Density`), whose running sums
 also only multiply by factors of modulus <= 1.  The coefficients b~_m are
@@ -286,27 +290,37 @@ class _MomentTable:
     own): over a whole panel, t = 1, shape (p,), or (own) up to each
     reference Gauss node, shape (p, p), shared by every panel of the width.
     A downward lookup mirrors the entry at -nu, which for even n the upward
-    sweep also reads.  Moments at other points are never stored."""
+    sweep also reads.  Moments at other points are never stored.
+
+    Each request (mesh, nus, sweep, own) forms its Lagrange moments once, per
+    width and at the first call's batch shape (BLAS rows need not be bitwise
+    the same in another batch); a repeated request only gathers them per
+    panel."""
 
     def __init__(self):
         self._memo = {}
+        self._lagrange = {}
 
     def get(self, mesh, nus, upper, own=False):
         """Lagrange moments of nus, shape (nus, panels, p) or, own, (nus, nodes, p)."""
-        d = 1 if upper else -1
-        keys = [[(mesh.p, s, complex(d * nu), own) for s in mesh.widths.tolist()]
-                for nu in np.ravel(nus)]
-        new = list(dict.fromkeys(key for row in keys for key in row
-                                 if key not in self._memo))
-        if new:
-            _, s, nu, _ = map(np.array, zip(*new))
-            t = gauss_rule(mesh.p)[0] if own else np.array(1.0)
-            s = s.reshape((-1,) + (1,) * t.ndim)
-            m = exp_monomial_moments(1j * nu.reshape(s.shape) * s, t, mesh.p)
-            self._memo.update(zip(new, m))
-        m = np.array([[self._memo[key] for key in row] for row in keys])
-        m = mesh.lagrange(m, mesh.widths.reshape((-1,) + (1,) * (m.ndim - 2)), upper, own)
-        return m[:, mesh.width_of].reshape(len(keys), -1, mesh.p)
+        nus = np.ravel(nus)
+        request = (mesh, tuple(map(complex, nus)), upper, own)
+        if request not in self._lagrange:
+            d = 1 if upper else -1
+            keys = [[(mesh.p, s, complex(d * nu), own) for s in mesh.widths.tolist()]
+                    for nu in nus]
+            new = list(dict.fromkeys(key for row in keys for key in row
+                                     if key not in self._memo))
+            if new:
+                _, s, nu, _ = map(np.array, zip(*new))
+                t = gauss_rule(mesh.p)[0] if own else np.array(1.0)
+                s = s.reshape((-1,) + (1,) * t.ndim)
+                m = exp_monomial_moments(1j * nu.reshape(s.shape) * s, t, mesh.p)
+                self._memo.update(zip(new, m))
+            m = np.array([[self._memo[key] for key in row] for row in keys])
+            self._lagrange[request] = mesh.lagrange(
+                m, mesh.widths.reshape((-1,) + (1,) * (m.ndim - 2)), upper, own)
+        return self._lagrange[request][:, mesh.width_of].reshape(nus.size, -1, mesh.p)
 
 
 def _panelize(edges, p):
@@ -397,13 +411,15 @@ class _Density:
 
     def anchored(self, nu, x, upper, at_nodes=False):
         """G(x) at points x of the mesh; `at_nodes` says x is the mesh's own
-        nodes, whose partial moments the table keeps."""
+        nodes, whose panels the mesh and partial moments the table keep."""
         mesh = self.mesh
-        q, t = mesh.locate(x)
         nus = (self.mus + nu)[:, None]
         S = self.prefix(nu, upper)
-        part = self.table.get(mesh, nus, upper, own=True) if at_nodes else \
-            mesh.moments(nus, q, t, upper)
+        if at_nodes:
+            q, part = mesh.panel_of, self.table.get(mesh, nus, upper, own=True)
+        else:
+            q, t = mesh.locate(x)
+            part = mesh.moments(nus, q, t, upper)
         e, j = (q, q) if upper else (q + 1, q + 2)  # near edge, and the sum anchored there
         carried = np.exp(1j * nus * (mesh.edges[e] - x)) * S[:, j]
         F = carried + np.einsum("cij,cij->ci", part, self.fs[:, q])
@@ -574,7 +590,9 @@ class _Blocks:
     under every branch, an outer side one component per real root under its
     own root only.  A panel's unknowns are its f_c at the nodes,
     component-major.  Every branch steps its state across every panel; D
-    holds the couplings D_P = F_P H_P - diag(step_P) (module docstring)."""
+    holds the couplings D_P = F_P H_P - diag(step_P) (module docstring).  All
+    but `mesh`, `mus` and `up` are per panel, so `join` can assemble a region
+    from panels eliminated before."""
 
     def __init__(self, lam, table, mesh, mus, branches, coef):
         n_p, p, nc, nb = mesh.n_panels, mesh.p, len(mus), len(branches)
@@ -607,12 +625,21 @@ class _Blocks:
         self.H = self.Cinv @ G.reshape(n_p, nc * p, nb)
         self.F = F.reshape(n_p, nb, nc * p)
         self.up = sum(upper for _, _, upper in branches)
-        # the blocks' 1-norm condition numbers, from the inverses at hand
-        cond = np.linalg.norm(C, 1, axis=(-2, -1)) \
-            * np.linalg.norm(self.Cinv, 1, axis=(-2, -1))
-        self.block_rcond = float(np.min(1.0 / cond))
+        # each block's 1-norm reciprocal condition number, from the inverse at hand
+        self.rconds = 1.0 / (np.linalg.norm(C, 1, axis=(-2, -1))
+                             * np.linalg.norm(self.Cinv, 1, axis=(-2, -1)))
         self.D = self.F @ self.H
         self.D[:, np.arange(nb), np.arange(nb)] -= step
+
+    @classmethod
+    def join(cls, mesh, parts):
+        """The region on `mesh` made of the panels q of each (blocks, q) of
+        `parts`, in x order."""
+        out = cls.__new__(cls)
+        out.mesh, out.mus, out.up = mesh, parts[0][0].mus, parts[0][0].up
+        for name in ("Cinv", "H", "F", "D", "rconds"):
+            setattr(out, name, np.concatenate([getattr(b, name)[q] for b, q in parts]))
+        return out
 
 
 class _Line:
@@ -642,7 +669,7 @@ class _Line:
         except np.linalg.LinAlgError:
             raise NearExceptionalPointError(lam, 0.0) from None
         self.rcond = min(float(lapack.zgbcon(kl, ku, *self._lu[:2], anorm)[0]),
-                         *(blocks.block_rcond for blocks in regions.values()))
+                         *(float(np.min(blocks.rconds)) for blocks in regions.values()))
         if not self.rcond >= RCOND_FLOOR:
             raise NearExceptionalPointError(lam, self.rcond)
 
@@ -663,8 +690,9 @@ class _Line:
 
 
 class _CoreSolver:
-    """The core's panel-block elimination, the panel moment table and the
-    whole-line system of each truncation X for lambda = k^n; shared by +-k."""
+    """The core's panel-block elimination, the panel moment table, the outer
+    sides built so far and the whole-line system of each truncation X for
+    lambda = k^n; shared by +-k."""
 
     def __init__(self, pot: PotentialSpec, k, x0):
         self.pot = pot
@@ -679,6 +707,7 @@ class _CoreSolver:
         self.mesh = _core_mesh(self.x0, self.k, breaks=pot.breakpoints)
         self._table = _MomentTable()
         self._lines = {}
+        self._sides = {}
         self._values = {}
         self._pcoef = self._coef(self.mesh)
         self.blocks = _Blocks(self.lam, self._table, self.mesh, [0.0],
@@ -698,25 +727,44 @@ class _CoreSolver:
 
     def _line(self, X):
         """The whole-line system out to X, cached per X; a refused X is not
-        cached.  Root zeta's a sigma sits on the outer component mu = zeta
-        only."""
+        cached."""
         if X not in self._lines:
             regions = {0: self.blocks}
             for side in (-1, +1):
                 mesh = _outer_mesh(side, self.x0, X, self.k)
                 if mesh is not None:
-                    coef = [[g * (zeta == mu) for g, (zeta, _, _) in
-                             zip(self._coef(mesh), self._branches)] for mu in self._mus]
-                    regions[side] = _Blocks(self.lam, self._table, mesh, self._mus,
-                                            self._branches, coef)
+                    regions[side] = self._side(side, mesh)
             self._lines[X] = _Line(self.lam, dict(sorted(regions.items())))
         return self._lines[X]
+
+    def _side(self, side, mesh):
+        """The outer side on `mesh`, extending the side last built there: its
+        blocks are kept on the panels the new mesh repeats (all but its
+        clipped outermost one), and only the panels beyond are eliminated, so
+        one elimination per outer panel serves both truncations.  Root zeta's
+        a sigma sits on the outer component mu = zeta only."""
+        old, out = self._sides.get(side), mesh.edges[::side]  # outward
+        kept = 0
+        if old is not None:
+            prev = old.mesh.edges[::side][:-1]
+            m = min(prev.size, out.size - 1)
+            same = prev[:m] == out[:m]
+            kept = (m if same.all() else int(np.argmin(same))) - 1  # edge 0 is X0
+        new = _panelize(out[kept:][::side], mesh.p) if kept else mesh
+        coef = [[g * (zeta == mu) for g, (zeta, _, _) in
+                 zip(self._coef(new), self._branches)] for mu in self._mus]
+        blocks = _Blocks(self.lam, self._table, new, self._mus, self._branches, coef)
+        if kept:
+            ours = slice(None, kept) if side > 0 else slice(-kept, None)
+            blocks = _Blocks.join(mesh, [(old, ours), (blocks, slice(None))][::side])
+        self._sides[side] = blocks
+        return blocks
 
     def solve(self, X, k=None) -> EigenfunctionField:
         """The field of the wave e^{ikx} (the solver's k by default, or -k for
         even n) with the outer sides out to X, by one solve of the whole-line
         system.  `residual` is the core equation evaluated through the
-        field's own densities."""
+        field's own densities, `residual_rel` the same relative to max|w|."""
         k = self.k if k is None else float(k)
         if k ** self.n != self.lam:
             raise ConfigurationError(f"k = {k!r} is not a root of lambda = {self.lam}")
@@ -735,8 +783,10 @@ class _CoreSolver:
             resid = resid + pcoef * field._kernel(x, zeta, upper, at_nodes=True)
         for d in dens.values():
             d.table = None  # the field keeps its prefix tables, not the moments
+        resid, w_max = float(np.max(np.abs(resid))), float(np.max(np.abs(field.w)))
         field.diagnostics = {
-            "residual": float(np.max(np.abs(resid))), "rcond": line.rcond,
+            "residual": resid, "residual_rel": resid / w_max if w_max else resid,
+            "rcond": line.rcond,
             "X0": self.x0, "X": X, "mesh_size": int(x.size),
             "abs_sum_at_X0": float(self.pot.abs_sum(np.array([self.x0]))[0])}
         return field

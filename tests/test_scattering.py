@@ -8,8 +8,8 @@ from mpmath.calculus.quadrature import GaussLegendre
 from carleman.errors import ConfigurationError, DomainError, NearExceptionalPointError
 from carleman.oscquad import gauss_rule
 import carleman.scattering as sc
-from carleman.scattering import (PotentialSpec, _core_mesh, _CoreSolver, _Density,
-                                 _MomentTable, eigenvalue_multiplicity_bound,
+from carleman.scattering import (CORE_RADIUS, PotentialSpec, _core_mesh, _CoreSolver,
+                                 _Density, _MomentTable, eigenvalue_multiplicity_bound,
                                  free_resolvent_kernel, ode_cross_check,
                                  scattering_matrix, solve_lippmann_schwinger,
                                  square_well_reflection, zeta_roots)
@@ -434,6 +434,59 @@ def test_each_moment_computed_once_per_solver(potential, k, request, monkeypatch
     assert sum(counted) == len(solver._table._memo)
 
 
+@pytest.mark.parametrize("potential", ["pot2", "pot3"])
+def test_each_lagrange_request_formed_once_per_solver(potential, request, monkeypatch):
+    # over a whole S(lambda) (core, both outer sides, +-k, X and 2X), each
+    # distinct (mesh, nus, sweep, own) request forms its Lagrange moments
+    # once; a repeated request only gathers them
+    requests, formed = [], []
+    get, lagrange = _MomentTable.get, sc._Mesh.lagrange
+
+    def counted_get(self, mesh, nus, upper, own=False):
+        requests.append((mesh, tuple(map(complex, np.ravel(nus))), upper, own))
+        return get(self, mesh, nus, upper, own)
+
+    monkeypatch.setattr(_MomentTable, "get", counted_get)
+    monkeypatch.setattr(sc._Mesh, "lagrange",
+                        lambda *a, **kw: formed.append(1) or lagrange(*a, **kw))
+    scattering_matrix(request.getfixturevalue(potential), 1.0)
+    assert len(formed) == len(set(requests)) < len(requests)
+
+
+@pytest.mark.parametrize("potential", ["pot2", "pot3"])
+def test_later_truncation_extends_the_earlier_sides(potential, request):
+    # solve(2X) after solve(X) reuses the X sides' panel blocks, and its
+    # field is bitwise that of a fresh solver's solve(2X)
+    pot, X = request.getfixturevalue(potential), 1.0e4
+    solver = _CoreSolver(pot, 1.0, 120.0)
+    solver.solve(X)
+    shared, fresh = solver.solve(2 * X), _CoreSolver(pot, 1.0, 120.0).solve(2 * X)
+    assert shared.r_limits() == fresh.r_limits()
+    for key in ("rcond", "residual"):
+        assert shared.diagnostics[key] == fresh.diagnostics[key]
+    xs = np.array([-1.5, 1.5]) * X
+    assert np.array_equal(shared.psi_at(xs), fresh.psi_at(xs))
+
+
+@pytest.mark.parametrize("lam", [0.2, 5.0])
+def test_each_outer_panel_eliminated_once_per_lambda(pot2, lam, monkeypatch):
+    # the 2X mesh repeats every edge of the X mesh but X, so S(lambda) hands
+    # _Blocks the core's panels, and per side the X mesh's panels and the 2X
+    # mesh's beyond them, its clipped last panel included
+    eliminated, init = [], sc._Blocks.__init__
+    monkeypatch.setattr(sc._Blocks, "__init__", lambda self, lam, table, mesh, *a:
+                        eliminated.append(mesh.n_panels)
+                        or init(self, lam, table, mesh, *a))
+    k, X = lam ** 0.5, 1.0e4
+    scattering_matrix(pot2, lam, X=X)
+    sides = [sc._outer_mesh(side, CORE_RADIUS, x, k).n_panels
+             for side in (-1, 1) for x in (X, 2 * X)]
+    assert sides[0] < sides[1]
+    want = _core_mesh(CORE_RADIUS, k).n_panels + sum(
+        m_X + (m_2X - m_X + 1) for m_X, m_2X in zip(sides[::2], sides[1::2]))
+    assert sum(eliminated) == want
+
+
 def test_one_factorization_per_lambda(pot2, monkeypatch):
     # even n: +k and -k share the solver, so S costs one LU per lambda and
     # truncation (X and 2X); the returned fields hold no reference to the
@@ -684,3 +737,13 @@ def test_outer_density_solves_the_outer_equation(which, request):
             <= 1e-12 * np.max(np.abs(f.w))
     if f.n == 4:
         assert f.diagnostics["residual"] <= 1e-12 * np.max(np.abs(f.w))
+
+
+@pytest.mark.parametrize("which", ["field2", "field3", "field4"])
+def test_relative_residual(which, request):
+    # the residual relative to max|w| stays at rounding for n = 2, 3 and 4,
+    # where n = 4's absolute residual reads a few 1e-12
+    f = request.getfixturevalue(which)
+    d = f.diagnostics
+    assert d["residual_rel"] == d["residual"] / np.max(np.abs(f.w))
+    assert d["residual_rel"] <= 1e-12

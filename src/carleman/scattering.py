@@ -39,9 +39,9 @@ entering at -X and X are zero.  It is written straight into LAPACK band
 storage and factored by a banded LU (zgbtrf) once per lambda and truncation,
 shared by +-k.  Its zgbcon rcond (or the worst block's, if smaller) must stay
 above RCOND_FLOOR.  The outer meshes grow geometrically from X0 and clip their
-last panel at X, so the 2X mesh repeats every edge of the X mesh but X: the 2X
-side keeps the X side's blocks of those panels and eliminates only the panels
-beyond, and one elimination per outer panel serves both truncations.
+last panel at X, so the 2X mesh repeats every edge of the X mesh but X.  The
+distinct panels of both sides and truncations are eliminated in one batch, and
+each side takes its blocks from it: one elimination per outer panel.
 
 Panel moments depend only on (half-width, nu): a downward one is the upward
 one at -nu mirrored, so the solver keeps the upward ones of every width, core,
@@ -78,8 +78,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, DomainError, NearExceptionalPointError,
                      NumericalError)
-from .oscquad import (exp_monomial_moments, gauss_panels, gauss_rule,
-                      lagrange_coeff_matrix)
+from .oscquad import exp_monomial_moments, gauss_rule, lagrange_coeff_matrix
 
 RCOND_FLOOR = 1e-10    # below this the solve is taken as near-exceptional
 CORE_RADIUS = 120.0    # X0 unless the support is compact
@@ -247,7 +246,9 @@ class PotentialSpec:
 
 @dataclass(eq=False)
 class _Mesh:
-    edges: np.ndarray
+    edges: np.ndarray     # the panel edges, or None if the panels need not abut
+    lo: np.ndarray        # each panel's left and right end
+    hi: np.ndarray
     nodes: np.ndarray
     panel_of: np.ndarray
     p: int
@@ -257,7 +258,7 @@ class _Mesh:
 
     @property
     def n_panels(self):
-        return self.edges.size - 1
+        return self.lo.size
 
     def ref_coord(self, q, x):
         lo, hi = self.edges[q], self.edges[q + 1]
@@ -324,11 +325,17 @@ class _MomentTable:
 
 
 def _panelize(edges, p):
-    widths, width_of = np.unique(0.5 * np.diff(edges), return_inverse=True)
-    return _Mesh(edges=edges, nodes=gauss_panels(edges, p)[0].ravel(),
-                 panel_of=np.repeat(np.arange(edges.size - 1), p), p=p,
-                 cmat=lagrange_coeff_matrix(gauss_rule(p)[0]),
-                 widths=widths, width_of=width_of)
+    return _panels(edges[:-1], edges[1:], p, edges)
+
+
+def _panels(lo, hi, p, edges=None):
+    """The Gauss-p mesh of the panels [lo, hi], with their `edges` if they abut."""
+    x, s = gauss_rule(p)[0], 0.5 * (hi - lo)
+    widths, width_of = np.unique(s, return_inverse=True)
+    return _Mesh(edges=edges, lo=lo, hi=hi,
+                 nodes=(0.5 * (lo + hi)[:, None] + s[:, None] * x).ravel(),
+                 panel_of=np.repeat(np.arange(lo.size), p), p=p,
+                 cmat=lagrange_coeff_matrix(x), widths=widths, width_of=width_of)
 
 
 def _core_mesh(x0, k, p=10, h_first=0.35, grow=1.3, breaks=()):
@@ -590,9 +597,10 @@ class _Blocks:
     under every branch, an outer side one component per real root under its
     own root only.  A panel's unknowns are its f_c at the nodes,
     component-major.  Every branch steps its state across every panel; D
-    holds the couplings D_P = F_P H_P - diag(step_P) (module docstring).  All
-    but `mesh`, `mus` and `up` are per panel, so `join` can assemble a region
-    from panels eliminated before."""
+    holds the couplings D_P = F_P H_P - diag(step_P) (module docstring).  It
+    reads each panel's own ends, so the panels need not abut, and all but
+    `mesh`, `mus` and `up` are per panel, so `join` can give a region its
+    panels out of one elimination of many regions' panels."""
 
     def __init__(self, lam, table, mesh, mus, branches, coef):
         n_p, p, nc, nb = mesh.n_panels, mesh.p, len(mus), len(branches)
@@ -605,10 +613,10 @@ class _Blocks:
         F = np.empty((n_p, nb, nc, p), dtype=complex)
         step = np.empty((n_p, nb), dtype=complex)
         for b, (zeta, _, upper) in enumerate(branches):
-            near, far = (mesh.edges[:-1], mesh.edges[1:])[::1 if upper else -1]
+            near, far = (mesh.lo, mesh.hi)[::1 if upper else -1]
             F[:, b] = (np.exp(1j * mus[:, None] * far)[..., None]
                        * table.get(mesh, mus - zeta, upper)).transpose(1, 0, 2)
-            step[:, b] = np.exp((1j if upper else -1j) * zeta * np.diff(mesh.edges))
+            step[:, b] = np.exp((1j if upper else -1j) * zeta * (mesh.hi - mesh.lo))
             g = coef[:, b].reshape(nc, *x.shape) * ph.conj()
             if not g.any():
                 continue  # a branch without coefficient needs no own-node moments
@@ -631,14 +639,13 @@ class _Blocks:
         self.D = self.F @ self.H
         self.D[:, np.arange(nb), np.arange(nb)] -= step
 
-    @classmethod
-    def join(cls, mesh, parts):
-        """The region on `mesh` made of the panels q of each (blocks, q) of
-        `parts`, in x order."""
-        out = cls.__new__(cls)
-        out.mesh, out.mus, out.up = mesh, parts[0][0].mus, parts[0][0].up
+    def join(self, mesh, q):
+        """The region on `mesh` joined from this elimination's panels q, in x
+        order."""
+        out = _Blocks.__new__(_Blocks)
+        out.mesh, out.mus, out.up = mesh, self.mus, self.up
         for name in ("Cinv", "H", "F", "D", "rconds"):
-            setattr(out, name, np.concatenate([getattr(b, name)[q] for b, q in parts]))
+            setattr(out, name, getattr(self, name)[q])
         return out
 
 
@@ -691,10 +698,11 @@ class _Line:
 
 class _CoreSolver:
     """The core's panel-block elimination, the panel moment table, the outer
-    sides built so far and the whole-line system of each truncation X for
-    lambda = k^n; shared by +-k."""
+    sides of each truncation X and its whole-line system for lambda = k^n;
+    shared by +-k.  The outer panels of every truncation declared up front are
+    eliminated together when the solver is built; a later X gets its own."""
 
-    def __init__(self, pot: PotentialSpec, k, x0):
+    def __init__(self, pot: PotentialSpec, k, x0, truncations=()):
         self.pot = pot
         self.n = pot.n
         self.k = float(k)
@@ -707,11 +715,12 @@ class _CoreSolver:
         self.mesh = _core_mesh(self.x0, self.k, breaks=pot.breakpoints)
         self._table = _MomentTable()
         self._lines = {}
-        self._sides = {}
         self._values = {}
         self._pcoef = self._coef(self.mesh)
         self.blocks = _Blocks(self.lam, self._table, self.mesh, [0.0],
                               self._branches, [self._pcoef])
+        self._abs_sum_x0 = float(pot.abs_sum(np.array([self.x0]))[0])
+        self._sides = self._outer(truncations if pot.support is None else ())
 
     def _symbol(self, mesh, zeta):
         """sum_m b~_m zeta^m, the V-symbol collapsed on one exponential, at
@@ -729,36 +738,34 @@ class _CoreSolver:
         """The whole-line system out to X, cached per X; a refused X is not
         cached."""
         if X not in self._lines:
-            regions = {0: self.blocks}
-            for side in (-1, +1):
-                mesh = _outer_mesh(side, self.x0, X, self.k)
-                if mesh is not None:
-                    regions[side] = self._side(side, mesh)
+            if X not in self._sides:
+                self._sides.update(self._outer((X,)))
+            regions = {0: self.blocks, **self._sides[X]}
             self._lines[X] = _Line(self.lam, dict(sorted(regions.items())))
         return self._lines[X]
 
-    def _side(self, side, mesh):
-        """The outer side on `mesh`, extending the side last built there: its
-        blocks are kept on the panels the new mesh repeats (all but its
-        clipped outermost one), and only the panels beyond are eliminated, so
-        one elimination per outer panel serves both truncations.  Root zeta's
-        a sigma sits on the outer component mu = zeta only."""
-        old, out = self._sides.get(side), mesh.edges[::side]  # outward
-        kept = 0
-        if old is not None:
-            prev = old.mesh.edges[::side][:-1]
-            m = min(prev.size, out.size - 1)
-            same = prev[:m] == out[:m]
-            kept = (m if same.all() else int(np.argmin(same))) - 1  # edge 0 is X0
-        new = _panelize(out[kept:][::side], mesh.p) if kept else mesh
-        coef = [[g * (zeta == mu) for g, (zeta, _, _) in
-                 zip(self._coef(new), self._branches)] for mu in self._mus]
-        blocks = _Blocks(self.lam, self._table, new, self._mus, self._branches, coef)
-        if kept:
-            ours = slice(None, kept) if side > 0 else slice(-kept, None)
-            blocks = _Blocks.join(mesh, [(old, ours), (blocks, slice(None))][::side])
-        self._sides[side] = blocks
-        return blocks
+    def _outer(self, truncations):
+        """The outer sides out to each truncation, {X: {side: blocks}}: one
+        `_Blocks` eliminates the distinct (lo, hi) panels of all their meshes,
+        and each side, on its own mesh, joins its panels and gathers its nodes'
+        b~ values from it.  Root zeta's a sigma sits on the outer component
+        mu = zeta only."""
+        meshes = {(X, side): mesh for X in map(float, truncations) for side in (-1, +1)
+                  if (mesh := _outer_mesh(side, self.x0, X, self.k)) is not None}
+        out = {X: {} for X in map(float, truncations)}
+        if meshes:
+            ends = np.concatenate([np.stack((m.lo, m.hi), 1) for m in meshes.values()])
+            ends, which = np.unique(ends, axis=0, return_inverse=True)
+            union = _panels(*ends.T, 8)  # the outer meshes' order
+            coef = [[g * (zeta == mu) for g, (zeta, _, _) in
+                     zip(self._coef(union), self._branches)] for mu in self._mus]
+            blocks = _Blocks(self.lam, self._table, union, self._mus, self._branches, coef)
+            which = np.split(which.ravel(), np.cumsum([m.n_panels for m in meshes.values()]))
+            for ((X, side), mesh), q in zip(meshes.items(), which):
+                nodes = (q[:, None] * union.p + np.arange(union.p)).ravel()
+                self._values[mesh] = self._values[union][:, nodes]
+                out[X][side] = blocks.join(mesh, q)
+        return out
 
     def solve(self, X, k=None) -> EigenfunctionField:
         """The field of the wave e^{ikx} (the solver's k by default, or -k for
@@ -788,7 +795,7 @@ class _CoreSolver:
             "residual": resid, "residual_rel": resid / w_max if w_max else resid,
             "rcond": line.rcond,
             "X0": self.x0, "X": X, "mesh_size": int(x.size),
-            "abs_sum_at_X0": float(self.pot.abs_sum(np.array([self.x0]))[0])}
+            "abs_sum_at_X0": self._abs_sum_x0}
         return field
 
 
@@ -827,7 +834,7 @@ def _prepare(pot: PotentialSpec, k, X, x_core, reach):
 def solve_lippmann_schwinger(pot: PotentialSpec, k, X=1.0e4,
                              x_core=None) -> EigenfunctionField:
     """Solve for the continuum eigenfunction at wavenumber k (lambda = k^n)."""
-    return _CoreSolver(pot, k, _prepare(pot, k, X, x_core, X)).solve(X)
+    return _CoreSolver(pot, k, _prepare(pot, k, X, x_core, X), (X,)).solve(X)
 
 
 # ---------------------------------------------------------------------------
@@ -878,7 +885,7 @@ def scattering_matrix(pot: PotentialSpec, lam, X=1.0e4,
     x0 = _prepare(pot, k, X, x_core, 2 * X)
     S_X, S_2X = (np.zeros((len(ks), len(ks)), dtype=complex) for _ in range(2))
     fields = []
-    solver = _CoreSolver(pot, ks[0], x0)  # one factorization for every k
+    solver = _CoreSolver(pot, ks[0], x0, (X, 2 * X))  # one factorization for every k
     for j, kk in enumerate(ks):
         fields.append(solver.solve(X, kk))
         S_X[:, j], S_2X[:, j] = _column(fields[-1]), _column(solver.solve(2 * X, kk))

@@ -455,24 +455,26 @@ def test_each_lagrange_request_formed_once_per_solver(potential, request, monkey
 
 @pytest.mark.parametrize("potential", ["pot2", "pot3"])
 def test_later_truncation_extends_the_earlier_sides(potential, request):
-    # solve(2X) after solve(X) reuses the X sides' panel blocks, and its
-    # field is bitwise that of a fresh solver's solve(2X)
+    # a solver declared for (X, 2X) eliminates both truncations' outer panels
+    # together, and at each truncation its field is bitwise that of a solver
+    # declared for that truncation alone
     pot, X = request.getfixturevalue(potential), 1.0e4
-    solver = _CoreSolver(pot, 1.0, 120.0)
-    solver.solve(X)
-    shared, fresh = solver.solve(2 * X), _CoreSolver(pot, 1.0, 120.0).solve(2 * X)
-    assert shared.r_limits() == fresh.r_limits()
-    for key in ("rcond", "residual"):
-        assert shared.diagnostics[key] == fresh.diagnostics[key]
-    xs = np.array([-1.5, 1.5]) * X
-    assert np.array_equal(shared.psi_at(xs), fresh.psi_at(xs))
+    both = _CoreSolver(pot, 1.0, 120.0, (X, 2 * X))
+    for x in (X, 2 * X):
+        shared, alone = both.solve(x), _CoreSolver(pot, 1.0, 120.0, (x,)).solve(x)
+        assert shared.r_limits() == alone.r_limits()
+        for key in ("rcond", "residual"):
+            assert shared.diagnostics[key] == alone.diagnostics[key]
+        xs = np.array([-1.5, 1.5]) * X
+        assert np.array_equal(shared.psi_at(xs), alone.psi_at(xs))
 
 
 @pytest.mark.parametrize("lam", [0.2, 5.0])
 def test_each_outer_panel_eliminated_once_per_lambda(pot2, lam, monkeypatch):
     # the 2X mesh repeats every edge of the X mesh but X, so S(lambda) hands
-    # _Blocks the core's panels, and per side the X mesh's panels and the 2X
-    # mesh's beyond them, its clipped last panel included
+    # _Blocks the core's panels, then in one call every outer panel: per side
+    # the X mesh's panels and the 2X mesh's beyond them, its clipped last
+    # panel included
     eliminated, init = [], sc._Blocks.__init__
     monkeypatch.setattr(sc._Blocks, "__init__", lambda self, lam, table, mesh, *a:
                         eliminated.append(mesh.n_panels)
@@ -482,9 +484,24 @@ def test_each_outer_panel_eliminated_once_per_lambda(pot2, lam, monkeypatch):
     sides = [sc._outer_mesh(side, CORE_RADIUS, x, k).n_panels
              for side in (-1, 1) for x in (X, 2 * X)]
     assert sides[0] < sides[1]
-    want = _core_mesh(CORE_RADIUS, k).n_panels + sum(
-        m_X + (m_2X - m_X + 1) for m_X, m_2X in zip(sides[::2], sides[1::2]))
-    assert sum(eliminated) == want
+    assert eliminated == [_core_mesh(CORE_RADIUS, k).n_panels, sum(
+        m_X + (m_2X - m_X + 1) for m_X, m_2X in zip(sides[::2], sides[1::2]))]
+
+
+@pytest.mark.parametrize("potential", ["pot2", "pot3"])
+def test_one_outer_elimination_and_five_btilde_reads_per_s(potential, request,
+                                                           monkeypatch):
+    # one S(lambda) builds _Blocks twice (the core, then every outer panel of
+    # X and 2X) and reads b~ five times: the short-range fit's two, the core's
+    # nodes, the outer panels' nodes and sum |b~_m| at X0
+    built, read = [], []
+    init, values = sc._Blocks.__init__, PotentialSpec.values
+    monkeypatch.setattr(sc._Blocks, "__init__",
+                        lambda self, *a: built.append(1) or init(self, *a))
+    monkeypatch.setattr(PotentialSpec, "values",
+                        lambda self, x: read.append(1) or values(self, x))
+    scattering_matrix(request.getfixturevalue(potential), 1.0)
+    assert (len(built), len(read)) == (2, 5)
 
 
 def test_one_factorization_per_lambda(pot2, monkeypatch):

@@ -46,12 +46,14 @@ each side takes its blocks from it: one elimination per outer panel.
 Panel moments depend only on (half-width, nu): a downward one is the upward
 one at -nu mirrored, so the solver keeps the upward ones of every width, core,
 outer sides and truncations, in one `_MomentTable` that the eliminations, the
-field's prefix tables and the residual all read.  It forms each request's
-Lagrange moments once; a repeated request only gathers them per panel.
+field's prefix tables and the residual all read.  It forms each Lagrange row
+once per (width, nu, sweep), and keeps the prefix tables' panel steps.
 Integrals of the solution against e^{i nu y} come from one anchored prefix
 table per (mesh, nu) and sweep direction (`_Density`), whose running sums
 also only multiply by factors of modulus <= 1.  The coefficients b~_m are
-evaluated once per mesh and solver.
+evaluated once per mesh and solver, the incident source once per mesh and k,
+and the residual's node phases once per branch, so a later solve does only the
+solution's work: the line solve, its prefix sums and the residual's contractions.
 
 A field evaluates one kernel integral per branch on the whole line,
 K_b(x) = int e^{i zeta_b (x-y)} w(y) dy over the branch side of x: x's own
@@ -179,9 +181,7 @@ def free_resolvent_kernel(x, y, z, n, side="+", deriv=0):
         on = ge if upper else ~ge
         term = a * (1j * zeta) ** deriv * np.exp(1j * zeta * np.where(on, d, 0.0))
         out = out + np.where(on, term, 0.0)
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    return complex(out) if out.ndim == 0 else out
 
 
 def eigenvalue_multiplicity_bound(n, sign_lambda=1):
@@ -260,16 +260,13 @@ class _Mesh:
     def n_panels(self):
         return self.lo.size
 
-    def ref_coord(self, q, x):
-        lo, hi = self.edges[q], self.edges[q + 1]
-        return (2.0 * x - (lo + hi)) / (hi - lo)
-
     def locate(self, x):
         """Panel index and reference coordinate of each point (end panels
         extend past the mesh)."""
         q = np.clip(np.searchsorted(self.edges, x, side="right") - 1,
                     0, self.n_panels - 1)
-        return q, self.ref_coord(q, x)
+        lo, hi = self.edges[q], self.edges[q + 1]
+        return q, (2.0 * x - (lo + hi)) / (hi - lo)
 
     def moments(self, nu, q, t, upper):
         """int e^{i nu (y - y(t))} l_j(y) dy on panel q over [-1, t] (upper) or
@@ -293,14 +290,14 @@ class _MomentTable:
     A downward lookup mirrors the entry at -nu, which for even n the upward
     sweep also reads.  Moments at other points are never stored.
 
-    Each request (mesh, nus, sweep, own) forms its Lagrange moments once, per
-    width and at the first call's batch shape (BLAS rows need not be bitwise
-    the same in another batch); a repeated request only gathers them per
-    panel."""
+    Each Lagrange row, per (p, half-width, nu, sweep, own), is kept from the
+    first request that forms it, in that request's batch (BLAS rows need not
+    be bitwise the same in another batch); a request (mesh, nus, sweep, own)
+    stacks its rows once, and a repeated one only gathers them per panel.  The
+    prefix tables' steps are kept per (mesh, nus, sweep)."""
 
     def __init__(self):
-        self._memo = {}
-        self._lagrange = {}
+        self._memo, self._rows, self._lagrange, self._steps = {}, {}, {}, {}
 
     def get(self, mesh, nus, upper, own=False):
         """Lagrange moments of nus, shape (nus, panels, p) or, own, (nus, nodes, p)."""
@@ -308,20 +305,38 @@ class _MomentTable:
         request = (mesh, tuple(map(complex, nus)), upper, own)
         if request not in self._lagrange:
             d = 1 if upper else -1
-            keys = [[(mesh.p, s, complex(d * nu), own) for s in mesh.widths.tolist()]
+            keys = [[(mesh.p, s, complex(d * nu), own, upper) for s in mesh.widths.tolist()]
                     for nu in nus]
-            new = list(dict.fromkeys(key for row in keys for key in row
-                                     if key not in self._memo))
-            if new:
-                _, s, nu, _ = map(np.array, zip(*new))
-                t = gauss_rule(mesh.p)[0] if own else np.array(1.0)
-                s = s.reshape((-1,) + (1,) * t.ndim)
-                m = exp_monomial_moments(1j * nu.reshape(s.shape) * s, t, mesh.p)
-                self._memo.update(zip(new, m))
-            m = np.array([[self._memo[key] for key in row] for row in keys])
-            self._lagrange[request] = mesh.lagrange(
-                m, mesh.widths.reshape((-1,) + (1,) * (m.ndim - 2)), upper, own)
+            if any(key not in self._rows for row in keys for key in row):
+                new = list(dict.fromkeys(key[:-1] for row in keys for key in row
+                                         if key[:-1] not in self._memo))
+                if new:
+                    _, s, nu, _ = map(np.array, zip(*new))
+                    t = gauss_rule(mesh.p)[0] if own else np.array(1.0)
+                    s = s.reshape((-1,) + (1,) * t.ndim)
+                    m = exp_monomial_moments(1j * nu.reshape(s.shape) * s, t, mesh.p)
+                    self._memo.update(zip(new, m))
+                m = np.array([[self._memo[key[:-1]] for key in row] for row in keys])
+                formed = mesh.lagrange(m, mesh.widths.reshape(
+                    (-1,) + (1,) * (m.ndim - 2)), upper, own)
+                for key, row in zip(sum(keys, []), formed.reshape(-1, *m.shape[2:])):
+                    self._rows.setdefault(key, row)
+            self._lagrange[request] = np.array([[self._rows[key] for key in row]
+                                                for row in keys])
         return self._lagrange[request][:, mesh.width_of].reshape(nus.size, -1, mesh.p)
+
+    def steps(self, mesh, nus, upper):
+        """The prefix steps e^{-+i nu h_P} across each panel P of the sweep."""
+        return _once(self._steps, (mesh, tuple(map(complex, np.ravel(nus))), upper),
+                     lambda: np.exp((-1j if upper else 1j) * nus * np.diff(mesh.edges)))
+
+
+def _once(memo, key, make):
+    """memo[key], made read-only by make() at the first call."""
+    if key not in memo:
+        memo[key] = make()
+        memo[key].flags.writeable = False
+    return memo[key]
 
 
 def _panelize(edges, p):
@@ -352,8 +367,7 @@ def _core_mesh(x0, k, p=10, h_first=0.35, grow=1.3, breaks=()):
     ins = [b for b in breaks if 0.0 < b < x0]
     if ins:
         right = np.unique(np.concatenate((right, np.asarray(ins))))
-        keep = np.concatenate(([True], np.diff(right) > 1e-9))
-        right = right[keep]
+        right = right[np.concatenate(([True], np.diff(right) > 1e-9))]
     return _panelize(np.concatenate((-right[:0:-1], right)), p)
 
 
@@ -383,7 +397,8 @@ class _Density:
 
     where f is the whole density.  Complex nu is allowed when the
     exponential decays along the sweep: Im nu <= 0 upward, >= 0 downward.
-    Panel moments come from `table`, a solver's `_MomentTable`, if given.
+    Panel moments and steps come from `table`, a solver's `_MomentTable`, if
+    given; without it (a field's tables built after its solve) they are formed.
     """
 
     def __init__(self, mesh: _Mesh, mus, fs, table=None):
@@ -391,22 +406,18 @@ class _Density:
         self.mus = np.asarray(mus, dtype=float)
         self.fs = np.asarray(fs, dtype=complex).reshape(
             self.mus.size, mesh.n_panels, mesh.p)
-        self.table = table
-        self._prefix = {}
+        self.table, self._prefix = table, {}
 
     def prefix(self, nu, upper):
         """Running sums S[c, q + 1] of component c, anchored at panel q's
         right edge (upper) or left edge; S[c, 0] and S[c, -1] are zero."""
         key = (complex(nu), upper)
         if key not in self._prefix:
-            mesh = self.mesh
-            nus = (self.mus + nu)[:, None]
-            moments = (self.table or _MomentTable()).get(mesh, nus, upper)
-            sums = np.einsum("cqj,cqj->cq", moments, self.fs)
+            mesh, nus, table = self.mesh, (self.mus + nu)[:, None], self.table or _MomentTable()
+            sums = np.einsum("cqj,cqj->cq", table.get(mesh, nus, upper), self.fs)
             # re-anchor across the next panel of the sweep (modulus <= 1), in
             # Python scalars; the downward sweep runs on reversed rows
-            step = np.exp((-1j if upper else 1j) * nus * np.diff(mesh.edges))
-            d = 1 if upper else -1
+            step, d = table.steps(mesh, nus, upper), 1 if upper else -1
             S = np.zeros((self.mus.size, mesh.n_panels + 2), dtype=complex)
             for c, (row, fac) in enumerate(zip(sums[:, ::d].tolist(),
                                                step[:, ::d].tolist())):
@@ -416,20 +427,13 @@ class _Density:
             self._prefix[key] = S
         return self._prefix[key]
 
-    def anchored(self, nu, x, upper, at_nodes=False):
-        """G(x) at points x of the mesh; `at_nodes` says x is the mesh's own
-        nodes, whose panels the mesh and partial moments the table keep."""
-        mesh = self.mesh
-        nus = (self.mus + nu)[:, None]
-        S = self.prefix(nu, upper)
-        if at_nodes:
-            q, part = mesh.panel_of, self.table.get(mesh, nus, upper, own=True)
-        else:
-            q, t = mesh.locate(x)
-            part = mesh.moments(nus, q, t, upper)
+    def anchored(self, nu, x, upper):
+        """G(x) at points x of the mesh."""
+        mesh, nus, S = self.mesh, (self.mus + nu)[:, None], self.prefix(nu, upper)
+        q, t = mesh.locate(x)
         e, j = (q, q) if upper else (q + 1, q + 2)  # near edge, and the sum anchored there
         carried = np.exp(1j * nus * (mesh.edges[e] - x)) * S[:, j]
-        F = carried + np.einsum("cij,cij->ci", part, self.fs[:, q])
+        F = carried + np.einsum("cij,cij->ci", mesh.moments(nus, q, t, upper), self.fs[:, q])
         return np.sum(np.exp(1j * self.mus[:, None] * x) * F, axis=0)
 
     def end(self, nu, upper):
@@ -462,9 +466,7 @@ class EigenfunctionField:
     """
 
     def __init__(self, solver, k, dens, X):
-        self.k = k
-        self.lam = solver.lam
-        self.n = solver.n
+        self.k, self.lam, self.n = k, solver.lam, solver.n
         self.direction = 1 if k ** (self.n - 1) > 0 else -1
         self.waves = (1,) if self.n % 2 else (1, -1)
         self._branches = solver._branches
@@ -475,14 +477,11 @@ class EigenfunctionField:
         self._core = dens[0]
         self._outer = {side: dens.get(side) for side in (+1, -1)}
         self.w = self._core.fs[0].ravel()
-        self.X0 = solver.x0
-        self.X = X
+        self.X0, self.X = solver.x0, X
         # region r = -1, 0, +1 (left outer, core, right outer) spans
         # edges[r + 1 : r + 3]; r = -2 and +2 lie beyond -X and X
         self._edges = (-X, -self.X0, self.X0, X)
-        self.diagnostics = {}
-        self._sweeps = {}
-        self._rlim_cache = None
+        self.diagnostics, self._sweeps, self._rlim_cache = {}, {}, None
 
     @property
     def core_edges(self):
@@ -515,13 +514,12 @@ class EigenfunctionField:
             self._sweeps[zeta, upper] = total, carried
         return self._sweeps[zeta, upper]
 
-    def _kernel(self, x, zeta, upper, at_nodes=False):
+    def _kernel(self, x, zeta, upper):
         """K(x) = int e^{i zeta (x - y)} w(y) dy over y < x (upper) or y > x,
-        at any x (module docstring); `at_nodes`: x are one density's nodes."""
+        at any x (module docstring)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         _, carried = self._sweep(zeta, upper)
-        region = self._region_of(x)
-        out = np.zeros(x.size, dtype=complex)
+        region, out = self._region_of(x), np.zeros(x.size, dtype=complex)
         for r, total in carried.items():
             sel = region == r
             if np.any(sel):
@@ -529,7 +527,7 @@ class EigenfunctionField:
                 out[sel] = np.exp(1j * zeta * (x[sel] - near)) * total
                 dens = self._dens.get(r)
                 if dens is not None:
-                    out[sel] += dens.anchored(-zeta, x[sel], upper, at_nodes)
+                    out[sel] += dens.anchored(-zeta, x[sel], upper)
         return out
 
     # -- r functions and limits ----------------------------------------------
@@ -572,7 +570,10 @@ class EigenfunctionField:
     # -- field evaluation ------------------------------------------------------
 
     def psi_at(self, x, deriv=0):
-        """D^deriv psi at any x: k^deriv e^{ikx} - sum_b a_b zeta_b^deriv K_b(x)."""
+        """D^deriv psi at any x: k^deriv e^{ikx} - sum_b a_b zeta_b^deriv K_b(x),
+        for deriv < n only (D^n R0 w = w + lambda R0 w)."""
+        if deriv not in range(self.n):
+            raise DomainError(f"deriv = {deriv!r}: psi_at gives D^0..D^{self.n - 1} psi")
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = self.k ** deriv * np.exp(1j * self.k * x)
         for zeta, a, upper in self._branches:
@@ -703,9 +704,7 @@ class _CoreSolver:
     eliminated together when the solver is built; a later X gets its own."""
 
     def __init__(self, pot: PotentialSpec, k, x0, truncations=()):
-        self.pot = pot
-        self.n = pot.n
-        self.k = float(k)
+        self.pot, self.n, self.k = pot, pot.n, float(k)
         self.lam = float(k) ** pot.n
         self._branches = _branch_data(zeta_roots(self.lam, self.n, side="+"))
         # the real roots: one outer component each, at its frequency
@@ -714,8 +713,8 @@ class _CoreSolver:
         self.x0 = float(x0)
         self.mesh = _core_mesh(self.x0, self.k, breaks=pot.breakpoints)
         self._table = _MomentTable()
-        self._lines = {}
-        self._values = {}
+        # whole-line systems per X, b~ per mesh, and the read-only arrays of a solve
+        self._lines, self._values, self._memo = {}, {}, {}
         self._pcoef = self._coef(self.mesh)
         self.blocks = _Blocks(self.lam, self._table, self.mesh, [0.0],
                               self._branches, [self._pcoef])
@@ -770,33 +769,45 @@ class _CoreSolver:
     def solve(self, X, k=None) -> EigenfunctionField:
         """The field of the wave e^{ikx} (the solver's k by default, or -k for
         even n) with the outer sides out to X, by one solve of the whole-line
-        system.  `residual` is the core equation evaluated through the
-        field's own densities, `residual_rel` the same relative to max|w|."""
+        system.  `residual` is the core equation at the core nodes, read from
+        the field's own densities, the memoised source and node phases;
+        `residual_rel` is the same relative to max|w|."""
         k = self.k if k is None else float(k)
         if k ** self.n != self.lam:
             raise ConfigurationError(f"k = {k!r} is not a root of lambda = {self.lam}")
         X = self.x0 if self.pot.support is not None else float(max(X, self.x0))
         line = self._line(X)
-        # the incident source sigma(k) e^{iky}: all of it on the core's one
-        # component (mu = 0), sigma(k) [w = 1] on an outer wave w (mu = wk)
-        rhs = [self._symbol(b.mesh, k) * np.where(b.mus[:, None] == 0.0, np.exp(
-            1j * k * b.mesh.nodes), b.mus[:, None] * k > 0) for b in line.regions.values()]
+        # the incident source sigma(k) e^{iky}, once per (mesh, k): all of it on the
+        # core's one component (mu = 0), sigma(k) [w = 1] on an outer wave w (mu = wk)
+        rhs = {r: _once(self._memo, (b.mesh, k), lambda: self._symbol(b.mesh, k) * np.where(
+            b.mus[:, None] == 0.0, np.exp(1j * k * b.mesh.nodes), b.mus[:, None] * k > 0))
+            for r, b in line.regions.items()}
         dens = {r: _Density(b.mesh, b.mus, f, self._table)
-                for (r, b), f in zip(line.regions.items(), line.solve(rhs))}
+                for (r, b), f in zip(line.regions.items(), line.solve(rhs.values()))}
         field = EigenfunctionField(self, k, dens, X)
-        x = self.mesh.nodes
-        resid = field.w - self._symbol(self.mesh, k) * np.exp(1j * k * x)
+        resid = field.w - rhs[0][0]
         for (zeta, _, upper), pcoef in zip(self._branches, self._pcoef):
-            resid = resid + pcoef * field._kernel(x, zeta, upper, at_nodes=True)
+            resid = resid + pcoef * self._node_kernel(field, zeta, upper)
         for d in dens.values():
             d.table = None  # the field keeps its prefix tables, not the moments
         resid, w_max = float(np.max(np.abs(resid))), float(np.max(np.abs(field.w)))
-        field.diagnostics = {
-            "residual": resid, "residual_rel": resid / w_max if w_max else resid,
-            "rcond": line.rcond,
-            "X0": self.x0, "X": X, "mesh_size": int(x.size),
-            "abs_sum_at_X0": self._abs_sum_x0}
+        field.diagnostics = {"residual": resid, "residual_rel": resid / w_max if w_max else resid,
+                             "rcond": line.rcond, "X0": self.x0, "X": X,
+                             "mesh_size": self.mesh.nodes.size, "abs_sum_at_X0": self._abs_sum_x0}
         return field
+
+    def _node_kernel(self, field, zeta, upper):
+        """K_b at the core nodes of one of this solver's fields: the total carried
+        in from beyond -+X0, the prefix sum re-anchored from each node's panel
+        edge and the own moments; the two phases are formed once per branch."""
+        mesh, x, core = self.mesh, self.mesh.nodes, field._core
+        into, back = _once(self._memo, (zeta, upper), lambda: np.exp(np.stack((
+            1j * zeta * (x - (-self.x0 if upper else self.x0)),
+            -1j * zeta * (mesh.edges[mesh.panel_of + (0 if upper else 1)] - x)))))
+        S = core.prefix(-zeta, upper)[0, (0 if upper else 2):][mesh.panel_of]
+        own = self._table.get(mesh, core.mus - zeta, upper, own=True)
+        part = np.einsum("qij,qj->qi", own.reshape(mesh.n_panels, mesh.p, -1), core.fs[0])
+        return into * field._sweep(zeta, upper)[1][0] + (back * S + part.ravel())
 
 
 def _prepare(pot: PotentialSpec, k, X, x_core, reach):
@@ -876,8 +887,7 @@ def _column(field: EigenfunctionField):
 def scattering_matrix(pot: PotentialSpec, lam, X=1.0e4,
                       x_core=None) -> SMatrixEntry:
     """Assemble s(lambda) or S(lambda) with the X / 2X truncation pair."""
-    lam = float(lam)
-    n = pot.n
+    lam, n = float(lam), pot.n
     if n % 2 == 0 and lam < 0:
         raise DomainError("even n: lambda must be positive")
     k = np.sign(lam) * abs(lam) ** (1.0 / n)

@@ -435,22 +435,73 @@ def test_each_moment_computed_once_per_solver(potential, k, request, monkeypatch
 
 
 @pytest.mark.parametrize("potential", ["pot2", "pot3"])
-def test_each_lagrange_request_formed_once_per_solver(potential, request, monkeypatch):
+def test_each_lagrange_row_formed_once_per_solver(potential, request, monkeypatch):
     # over a whole S(lambda) (core, both outer sides, +-k, X and 2X), each
-    # distinct (mesh, nus, sweep, own) request forms its Lagrange moments
-    # once; a repeated request only gathers them
-    requests, formed = [], []
-    get, lagrange = _MomentTable.get, sc._Mesh.lagrange
-
-    def counted_get(self, mesh, nus, upper, own=False):
-        requests.append((mesh, tuple(map(complex, np.ravel(nus))), upper, own))
-        return get(self, mesh, nus, upper, own)
-
-    monkeypatch.setattr(_MomentTable, "get", counted_get)
-    monkeypatch.setattr(sc._Mesh, "lagrange",
-                        lambda *a, **kw: formed.append(1) or lagrange(*a, **kw))
+    # Lagrange row (p, half-width, nu, sweep, own) is formed once, by the
+    # core's or the outer union's elimination; the side meshes' prefix tables
+    # only gather the union's rows
+    solvers, formed = [], []
+    init, lagrange = _CoreSolver.__init__, sc._Mesh.lagrange
+    monkeypatch.setattr(_CoreSolver, "__init__",
+                        lambda self, *a: solvers.append(self) or init(self, *a))
+    monkeypatch.setattr(sc._Mesh, "lagrange", lambda mesh, m, *a: formed.append(
+        (mesh, m.shape[0] * m.shape[1])) or lagrange(mesh, m, *a))
     scattering_matrix(request.getfixturevalue(potential), 1.0)
-    assert len(formed) == len(set(requests)) < len(requests)
+    (solver,) = solvers
+    sides = {b.mesh for blocks in solver._sides.values() for b in blocks.values()}
+    assert len(sides) == 4
+    assert not [mesh for mesh, _ in formed if mesh in sides]
+    assert sum(rows for _, rows in formed) == len(solver._table._rows)
+
+
+@pytest.mark.parametrize("potential", ["pot2", "pot3", "pot4"])
+@pytest.mark.parametrize("k", [1.0, -1.0])
+def test_node_kernel_matches_the_general_path(potential, k, request):
+    # K_b at the core nodes, read from the sweep totals, the prefix sums at
+    # each node's panel edge and the own moments, against the general path,
+    # which locates each point and takes its partial moments; both sweeps
+    pot = request.getfixturevalue(potential)
+    solver = _CoreSolver(pot, k, 120.0, (1.0e4,))
+    field = solver.solve(1.0e4)
+    nodes = solver.mesh.nodes
+    assert {upper for _, _, upper in solver._branches} == {True, False}
+    for zeta, _, upper in solver._branches:
+        got = solver._node_kernel(field, zeta, upper)
+        want = field._kernel(nodes + 0.0, zeta, upper)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (zeta, upper)
+
+
+@pytest.mark.parametrize("potential", ["pot2", "pot3"])
+def test_a_second_solve_forms_nothing_new(potential, request):
+    # the sources, steps and node phases of a solve are formed once per
+    # solver: a second solve adds no memo entry, leaves them read-only, and
+    # returns a field bitwise equal to the first
+    solver, X = _CoreSolver(request.getfixturevalue(potential), 1.0, 120.0, (1.0e4,)), 1.0e4
+    first = solver.solve(X)
+    memos = (solver._memo, solver._table._memo, solver._table._rows,
+             solver._table._lagrange, solver._table._steps)
+    sizes = [len(m) for m in memos]
+    second = solver.solve(X)
+    assert [len(m) for m in memos] == sizes
+    assert not any(a.flags.writeable for m in (solver._memo, solver._table._steps)
+                   for a in m.values())
+    assert second.r_limits() == first.r_limits()
+    assert second.diagnostics == first.diagnostics
+    xs = np.concatenate(([-1.5, 1.5] * np.array(X), np.linspace(-100.0, 100.0, 41)))
+    assert np.array_equal(second.psi_at(xs), first.psi_at(xs))
+
+
+@pytest.mark.parametrize("potential", ["pot2", "pot3"])
+def test_psi_at_refuses_derivatives_past_n_minus_one(potential, request):
+    # k^d e^{ikx} - sum a_b zeta_b^d K_b is D^d psi only for d < n
+    # (D^n R0 w = w + lambda R0 w); d = n - 1 is still D of d = n - 2
+    f = solve_lippmann_schwinger(request.getfixturevalue(potential), 1.0, X=1.0e3)
+    n, x, h = f.n, np.array([0.123, 7.5]), 1e-5
+    for deriv in (n, -1, 1.5):
+        with pytest.raises(DomainError, match="deriv"):
+            f.psi_at(x, deriv)
+    fd = (f.psi_at(x + h, n - 2) - f.psi_at(x - h, n - 2)) / (2 * h)
+    assert np.max(np.abs(f.psi_at(x, n - 1) - (-1j) * fd)) < 1e-7  # D = -i d/dx
 
 
 @pytest.mark.parametrize("potential", ["pot2", "pot3"])

@@ -46,25 +46,26 @@ each side takes its blocks from it: one elimination per outer panel.
 Panel moments depend only on (half-width, nu): a downward one is the upward
 one at -nu mirrored, so the solver keeps the upward ones of every width, core,
 outer sides and truncations, in one `_MomentTable` that the eliminations, the
-field's prefix tables and the residual all read.  It forms each Lagrange row
-once per (width, nu, sweep), and keeps the prefix tables' panel steps.
-Integrals of the solution against e^{i nu y} come from one anchored prefix
-table per (mesh, nu) and sweep direction (`_Density`), whose running sums
-also only multiply by factors of modulus <= 1.  The coefficients b~_m are
-evaluated once per mesh and solver, the incident source once per mesh and k,
-and the residual's node phases once per branch, so a later solve does only the
-solution's work: the line solve, its prefix sums and the residual's contractions.
+field and the residual all read.  It forms one Lagrange array per request
+(mesh, nus, sweep, own).  The line solve returns its states at every panel
+edge, with one recursion step past each end of the line, and each panel's own
+integral F_P f_P anchored at its far edge; a field reads every kernel integral
+from them.  The coefficients b~_m are evaluated once per mesh and solver, the
+incident source once per mesh and k, and the residual's node phases once per
+branch, so a later solve does only the solution's work: the line solve and
+the residual's contractions.
 
 A field evaluates one kernel integral per branch on the whole line,
-K_b(x) = int e^{i zeta_b (x-y)} w(y) dy over the branch side of x: x's own
-region (left outer, core, right outer) through its prefix table, the regions
-wholly passed through their prefix-table totals carried to x.  Then
+K_b(x) = int e^{i zeta_b (x-y)} w(y) dy over the branch side of x: the state
+at the near edge of x's panel carried to x, plus x's partial-panel moments
+(past +-X, the state leaving the line carried out).  Then
 psi = e^{ikx} - sum_b a_b K_b, and far out psi = sum_w e^{iwkx} r_w over the
 waves w = +1 (odd n) or +-1 (even n), with r_w = [w = 1] - a e^{-iwkx} K for
 the real root zeta = wk.  The incident wave
 has group velocity n k^{n-1}, so it leaves toward d inf with d = sgn(k^{n-1});
 wave w leaves toward w d inf, its root is upper iff w d > 0, and
-a = d (i/n) k^{1-n}.  With I_w = int e^{-iwky} w dy over the line, r_w tends
+a = d (i/n) k^{1-n}.  With I_w = int e^{-iwky} w dy over the line, the sum of
+the panels' own integrals each carried back by e^{-iwk far_P}, r_w tends
 to [w = 1] - a I_w on the side it leaves by and to [w = 1] on the other; row
 s of the S column is the limit of the wave leaving toward s.
 
@@ -290,14 +291,13 @@ class _MomentTable:
     A downward lookup mirrors the entry at -nu, which for even n the upward
     sweep also reads.  Moments at other points are never stored.
 
-    Each Lagrange row, per (p, half-width, nu, sweep, own), is kept from the
-    first request that forms it, in that request's batch (BLAS rows need not
-    be bitwise the same in another batch); a request (mesh, nus, sweep, own)
-    stacks its rows once, and a repeated one only gathers them per panel.  The
-    prefix tables' steps are kept per (mesh, nus, sweep)."""
+    Each request (mesh, nus, sweep, own) forms its Lagrange moments of every
+    width once, in one batch, and keeps that batch (BLAS rows need not be
+    bitwise the same in another); a repeated request only gathers them per
+    panel."""
 
     def __init__(self):
-        self._memo, self._rows, self._lagrange, self._steps = {}, {}, {}, {}
+        self._memo, self._lagrange = {}, {}
 
     def get(self, mesh, nus, upper, own=False):
         """Lagrange moments of nus, shape (nus, panels, p) or, own, (nus, nodes, p)."""
@@ -305,30 +305,20 @@ class _MomentTable:
         request = (mesh, tuple(map(complex, nus)), upper, own)
         if request not in self._lagrange:
             d = 1 if upper else -1
-            keys = [[(mesh.p, s, complex(d * nu), own, upper) for s in mesh.widths.tolist()]
+            keys = [[(mesh.p, s, complex(d * nu), own) for s in mesh.widths.tolist()]
                     for nu in nus]
-            if any(key not in self._rows for row in keys for key in row):
-                new = list(dict.fromkeys(key[:-1] for row in keys for key in row
-                                         if key[:-1] not in self._memo))
-                if new:
-                    _, s, nu, _ = map(np.array, zip(*new))
-                    t = gauss_rule(mesh.p)[0] if own else np.array(1.0)
-                    s = s.reshape((-1,) + (1,) * t.ndim)
-                    m = exp_monomial_moments(1j * nu.reshape(s.shape) * s, t, mesh.p)
-                    self._memo.update(zip(new, m))
-                m = np.array([[self._memo[key[:-1]] for key in row] for row in keys])
-                formed = mesh.lagrange(m, mesh.widths.reshape(
-                    (-1,) + (1,) * (m.ndim - 2)), upper, own)
-                for key, row in zip(sum(keys, []), formed.reshape(-1, *m.shape[2:])):
-                    self._rows.setdefault(key, row)
-            self._lagrange[request] = np.array([[self._rows[key] for key in row]
-                                                for row in keys])
+            new = list(dict.fromkeys(key for row in keys for key in row
+                                     if key not in self._memo))
+            if new:
+                _, s, nu, _ = map(np.array, zip(*new))
+                t = gauss_rule(mesh.p)[0] if own else np.array(1.0)
+                s = s.reshape((-1,) + (1,) * t.ndim)
+                m = exp_monomial_moments(1j * nu.reshape(s.shape) * s, t, mesh.p)
+                self._memo.update(zip(new, m))
+            m = np.array([[self._memo[key] for key in row] for row in keys])
+            self._lagrange[request] = mesh.lagrange(m, mesh.widths.reshape(
+                (-1,) + (1,) * (m.ndim - 2)), upper, own)
         return self._lagrange[request][:, mesh.width_of].reshape(nus.size, -1, mesh.p)
-
-    def steps(self, mesh, nus, upper):
-        """The prefix steps e^{-+i nu h_P} across each panel P of the sweep."""
-        return _once(self._steps, (mesh, tuple(map(complex, np.ravel(nus))), upper),
-                     lambda: np.exp((-1j if upper else 1j) * nus * np.diff(mesh.edges)))
 
 
 def _once(memo, key, make):
@@ -387,60 +377,33 @@ def _outer_mesh(side, x0, x_out, k, p=8, grow=1.35):
 
 
 class _Density:
-    """sum_c f_c(y) e^{i mu_c y} on one mesh, with its anchored prefix tables.
+    """sum_c f_c(y) e^{i mu_c y} on one region's mesh, with the line solve's
+    states there (module docstring).
 
     The core solution w is one component with mu = 0; an outer side carries
-    one component per wave, mu = wk (module docstring).  For a frequency nu
-    and a sweep direction the prefix table gives the anchored integral
-
-        G(x) = int e^{i nu (y - x)} f(y) dy   over y < x (upper) or y > x,
-
-    where f is the whole density.  Complex nu is allowed when the
-    exponential decays along the sweep: Im nu <= 0 upward, >= 0 downward.
-    Panel moments and steps come from `table`, a solver's `_MomentTable`, if
-    given; without it (a field's tables built after its solve) they are formed.
+    one component per wave, mu = wk.  states[q, b] is branch b's integral of
+    the line's density over its far side of edge q, anchored at the edge:
+    s_b(q) for an upper branch, s_b(q - 1) for a lower one.  totals[q, b] =
+    (F_q f_q)_b is panel q's own integral, anchored at its far edge.
     """
 
-    def __init__(self, mesh: _Mesh, mus, fs, table=None):
+    def __init__(self, mesh: _Mesh, mus, fs, states, totals):
         self.mesh = mesh
         self.mus = np.asarray(mus, dtype=float)
         self.fs = np.asarray(fs, dtype=complex).reshape(
             self.mus.size, mesh.n_panels, mesh.p)
-        self.table, self._prefix = table, {}
+        self.states, self.totals = states, totals
 
-    def prefix(self, nu, upper):
-        """Running sums S[c, q + 1] of component c, anchored at panel q's
-        right edge (upper) or left edge; S[c, 0] and S[c, -1] are zero."""
-        key = (complex(nu), upper)
-        if key not in self._prefix:
-            mesh, nus, table = self.mesh, (self.mus + nu)[:, None], self.table or _MomentTable()
-            sums = np.einsum("cqj,cqj->cq", table.get(mesh, nus, upper), self.fs)
-            # re-anchor across the next panel of the sweep (modulus <= 1), in
-            # Python scalars; the downward sweep runs on reversed rows
-            step, d = table.steps(mesh, nus, upper), 1 if upper else -1
-            S = np.zeros((self.mus.size, mesh.n_panels + 2), dtype=complex)
-            for c, (row, fac) in enumerate(zip(sums[:, ::d].tolist(),
-                                               step[:, ::d].tolist())):
-                for q in range(1, len(row)):
-                    row[q] += fac[q] * row[q - 1]
-                S[c, 1:-1][::d] = row
-            self._prefix[key] = S
-        return self._prefix[key]
-
-    def anchored(self, nu, x, upper):
-        """G(x) at points x of the mesh."""
-        mesh, nus, S = self.mesh, (self.mus + nu)[:, None], self.prefix(nu, upper)
+    def kernel(self, b, zeta, x, upper):
+        """K_b at points x of the mesh: the state at the near edge of x's panel
+        carried to x, plus x's partial-panel moments."""
+        mesh = self.mesh
         q, t = mesh.locate(x)
-        e, j = (q, q) if upper else (q + 1, q + 2)  # near edge, and the sum anchored there
-        carried = np.exp(1j * nus * (mesh.edges[e] - x)) * S[:, j]
-        F = carried + np.einsum("cij,cij->ci", mesh.moments(nus, q, t, upper), self.fs[:, q])
-        return np.sum(np.exp(1j * self.mus[:, None] * x) * F, axis=0)
-
-    def end(self, nu, upper):
-        """G at the end of the sweep: the right end upward, the left downward."""
-        S = self.prefix(nu, upper)
-        b, j = (self.mesh.edges[-1], -2) if upper else (self.mesh.edges[0], 1)
-        return np.exp(1j * self.mus * b) @ S[:, j]
+        e = q if upper else q + 1
+        part = np.einsum("cij,cij->ci", mesh.moments((self.mus - zeta)[:, None], q, t, upper),
+                         self.fs[:, q])
+        return np.exp(1j * zeta * (x - mesh.edges[e])) * self.states[e, b] \
+            + np.sum(np.exp(1j * self.mus[:, None] * x) * part, axis=0)
 
     def values(self, x):
         """The density at points of the mesh (panelwise Lagrange interpolation)."""
@@ -458,8 +421,8 @@ class _Density:
 class EigenfunctionField:
     """Solved continuum eigenfunction at one (lambda, k); see module docstring.
 
-    The field owns its core and outer densities and the prefix tables built
-    from them, so later solves on the same solver leave it unchanged.  The
+    The field owns its core and outer densities and the line solve's states
+    on them, so later solves on the same solver leave it unchanged.  The
     public surface is evaluation (psi_at / w_at), the r-functions and their
     limits, the travel direction and wave set, the core mesh edges and solve
     diagnostics.
@@ -470,18 +433,15 @@ class EigenfunctionField:
         self.direction = 1 if k ** (self.n - 1) > 0 else -1
         self.waves = (1,) if self.n % 2 else (1, -1)
         self._branches = solver._branches
-        # wave w travels with the real root zeta = wk
-        self._wave_branch = {int(np.sign(zeta.real * k)): (zeta, a, upper)
-                             for zeta, a, upper in self._branches if not zeta.imag}
+        # wave w travels with the real root zeta = wk, branch b
+        self._wave_branch = {int(np.sign(zeta.real * k)): b
+                             for b, (zeta, _, _) in enumerate(self._branches) if not zeta.imag}
         self._dens = dens
         self._core = dens[0]
         self._outer = {side: dens.get(side) for side in (+1, -1)}
         self.w = self._core.fs[0].ravel()
         self.X0, self.X = solver.x0, X
-        # region r = -1, 0, +1 (left outer, core, right outer) spans
-        # edges[r + 1 : r + 3]; r = -2 and +2 lie beyond -X and X
-        self._edges = (-X, -self.X0, self.X0, X)
-        self.diagnostics, self._sweeps, self._rlim_cache = {}, {}, None
+        self.diagnostics, self._rlim_cache = {}, None
 
     @property
     def core_edges(self):
@@ -497,37 +457,22 @@ class EigenfunctionField:
         return np.where(x < -X0, np.where(x < -X, -2, -1),
                         np.where(x > X0, np.where(x > X, 2, 1), 0))
 
-    def _sweep(self, zeta, upper):
-        """Cached per branch: total[r] = int_r e^{i zeta (e - y)} w dy, anchored
-        at region r's far edge e along the sweep, and carried[r], the regions
-        passed before r anchored at its near edge (r = +-2: past +-X)."""
-        if (zeta, upper) not in self._sweeps:
-            d, e = (1 if upper else -1), self._edges
-            total, carried, acc = {}, {}, 0j
-            for r in (-d, 0, d):
-                near, far = (e[r + 1], e[r + 2])[::d]
-                dens = self._dens.get(r)
-                total[r] = 0j if dens is None else complex(dens.end(-zeta, upper))
-                carried[r] = acc
-                acc = np.exp(1j * zeta * (far - near)) * acc + total[r]
-            carried[2 * d] = acc
-            self._sweeps[zeta, upper] = total, carried
-        return self._sweeps[zeta, upper]
-
-    def _kernel(self, x, zeta, upper):
-        """K(x) = int e^{i zeta (x - y)} w(y) dy over y < x (upper) or y > x,
-        at any x (module docstring)."""
+    def _kernel(self, x, b):
+        """K_b(x) = int e^{i zeta_b (x - y)} w(y) dy over y < x (upper) or
+        y > x, at any x: from the states of x's region, or past the end of
+        the line the sweep leaves by, from the state leaving it."""
+        zeta, _, upper = self._branches[b]
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        _, carried = self._sweep(zeta, upper)
         region, out = self._region_of(x), np.zeros(x.size, dtype=complex)
-        for r, total in carried.items():
+        for r, dens in self._dens.items():
             sel = region == r
             if np.any(sel):
-                near = self._edges[r + (1 if upper else 2)]
-                out[sel] = np.exp(1j * zeta * (x[sel] - near)) * total
-                dens = self._dens.get(r)
-                if dens is not None:
-                    out[sel] += dens.anchored(-zeta, x[sel], upper)
+                out[sel] = dens.kernel(b, zeta, x[sel], upper)
+        sel = region == (2 if upper else -2)
+        if np.any(sel):
+            end = self._dens[max(self._dens) if upper else min(self._dens)]
+            e = -1 if upper else 0
+            out[sel] = np.exp(1j * zeta * (x[sel] - end.mesh.edges[e])) * end.states[e, b]
         return out
 
     # -- r functions and limits ----------------------------------------------
@@ -539,10 +484,10 @@ class EigenfunctionField:
         if self._rlim_cache is None:
             self._rlim_cache = {}
             for w in self.waves:
-                zeta, a, upper = self._wave_branch[w]
-                total, _ = self._sweep(zeta, upper)
-                I = sum(np.exp(-1j * zeta * self._edges[r + (2 if upper else 1)])
-                        * total[r] for r in (-1, 0, 1))
+                b = self._wave_branch[w]
+                zeta, a, upper = self._branches[b]
+                I = sum(np.exp(-1j * zeta * (d.mesh.hi if upper else d.mesh.lo))
+                        @ d.totals[:, b] for d in self._dens.values())
                 for side in (+1, -1):
                     self._rlim_cache[side, w] = complex(w == 1) - (
                         a * I if (side > 0) == upper else 0.0)
@@ -555,9 +500,9 @@ class EigenfunctionField:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if w not in self.waves:
             return np.zeros(x.size, dtype=complex)
-        zeta, a, upper = self._wave_branch[w]
-        return float(w == 1) - a * np.exp(-1j * w * self.k * x) \
-            * self._kernel(x, zeta, upper)
+        b = self._wave_branch[w]
+        _, a, _ = self._branches[b]
+        return float(w == 1) - a * np.exp(-1j * w * self.k * x) * self._kernel(x, b)
 
     def r_plus(self, x):
         """r(x) for odd n; r_+(x) for even n (the e^{+ikx} envelope)."""
@@ -576,8 +521,8 @@ class EigenfunctionField:
             raise DomainError(f"deriv = {deriv!r}: psi_at gives D^0..D^{self.n - 1} psi")
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = self.k ** deriv * np.exp(1j * self.k * x)
-        for zeta, a, upper in self._branches:
-            out = out - a * zeta ** deriv * self._kernel(x, zeta, upper)
+        for b, (zeta, a, _) in enumerate(self._branches):
+            out = out - a * zeta ** deriv * self._kernel(x, b)
         return out
 
     def w_at(self, x):
@@ -682,19 +627,36 @@ class _Line:
             raise NearExceptionalPointError(lam, self.rcond)
 
     def solve(self, rhs):
-        """Every region's components f_c, shape (components, panels, p), for
-        right-hand sides of shape (components, nodes), one per region; the
-        states entering at the ends of the line are zero."""
+        """Each region's `_Density`, keyed as the regions, for right-hand sides
+        of shape (components, nodes), one per region, and the state residual:
+        the largest row defect |s(P +- 1) + D_P s(P) - F_P u_P| of the state
+        system relative to max|s|.  The states entering at the ends of the
+        line are zero; the recursion s(P +- 1) = F_P u_P - D_P s(P) gives
+        those leaving it."""
         regions = self.regions.values()
         u = [b.Cinv @ r.reshape(b.mus.size, b.mesh.n_panels, -1, 1).swapaxes(0, 1)
              .reshape(b.mesh.n_panels, -1, 1) for b, r in zip(regions, rhs)]
-        Fu = np.concatenate([b.F @ v for b, v in zip(regions, u)])
+        Fu = np.concatenate([b.F @ v for b, v in zip(regions, u)])[..., 0]
         up, r = self.regions[0].up, np.zeros_like(Fu)
         r[1:, :up], r[:-1, up:] = Fu[:-1, :up], Fu[1:, up:]
         s = lu_solve(self._lu, r.reshape(-1, 1)).reshape(r.shape)
-        s = np.split(s, np.cumsum([v.shape[0] for v in u])[:-1])
-        return [(v - b.H @ sb).reshape(b.mesh.n_panels, b.mus.size, -1).swapaxes(0, 1)
-                for b, v, sb in zip(regions, u, s)]
+        # the states at the line's edges, upper ones at a panel's left edge and
+        # lower ones at its right: recursed from their neighbours, and solved
+        # (but for the two recursed past the ends)
+        onward = Fu - (self.D @ s[..., None])[..., 0]
+        recursed = np.zeros((s.shape[0] + 1, s.shape[1]), dtype=complex)
+        recursed[1:, :up], recursed[:-1, up:] = onward[:, :up], onward[:, up:]
+        states = recursed.copy()
+        states[:-1, :up], states[1:, up:] = s[:, :up], s[:, up:]
+        defect, s_max = (float(np.max(np.abs(a))) for a in (states - recursed, states))
+        dens, P = {}, 0
+        for (key, b), v in zip(self.regions.items(), u):
+            m = b.mesh.n_panels
+            f = v - b.H @ s[P:P + m, :, None]
+            dens[key] = _Density(b.mesh, b.mus, f.reshape(m, b.mus.size, -1).swapaxes(0, 1),
+                                 states[P:P + m + 1], (b.F @ f)[..., 0])
+            P += m
+        return dens, defect / s_max if s_max else defect
 
 
 class _CoreSolver:
@@ -769,9 +731,10 @@ class _CoreSolver:
     def solve(self, X, k=None) -> EigenfunctionField:
         """The field of the wave e^{ikx} (the solver's k by default, or -k for
         even n) with the outer sides out to X, by one solve of the whole-line
-        system.  `residual` is the core equation at the core nodes, read from
-        the field's own densities, the memoised source and node phases;
-        `residual_rel` is the same relative to max|w|."""
+        system.  `residual` is the core equation at the core nodes, with K_b
+        read from the field's states, the memoised source and node phases;
+        `residual_rel` is the same relative to max|w|, and `state_residual`
+        the state system's own (`_Line.solve`)."""
         k = self.k if k is None else float(k)
         if k ** self.n != self.lam:
             raise ConfigurationError(f"k = {k!r} is not a root of lambda = {self.lam}")
@@ -782,32 +745,28 @@ class _CoreSolver:
         rhs = {r: _once(self._memo, (b.mesh, k), lambda: self._symbol(b.mesh, k) * np.where(
             b.mus[:, None] == 0.0, np.exp(1j * k * b.mesh.nodes), b.mus[:, None] * k > 0))
             for r, b in line.regions.items()}
-        dens = {r: _Density(b.mesh, b.mus, f, self._table)
-                for (r, b), f in zip(line.regions.items(), line.solve(rhs.values()))}
+        dens, state_residual = line.solve(rhs.values())
         field = EigenfunctionField(self, k, dens, X)
         resid = field.w - rhs[0][0]
-        for (zeta, _, upper), pcoef in zip(self._branches, self._pcoef):
-            resid = resid + pcoef * self._node_kernel(field, zeta, upper)
-        for d in dens.values():
-            d.table = None  # the field keeps its prefix tables, not the moments
+        for b, pcoef in enumerate(self._pcoef):
+            resid = resid + pcoef * self._node_kernel(field, b)
         resid, w_max = float(np.max(np.abs(resid))), float(np.max(np.abs(field.w)))
         field.diagnostics = {"residual": resid, "residual_rel": resid / w_max if w_max else resid,
+                             "state_residual": state_residual,
                              "rcond": line.rcond, "X0": self.x0, "X": X,
                              "mesh_size": self.mesh.nodes.size, "abs_sum_at_X0": self._abs_sum_x0}
         return field
 
-    def _node_kernel(self, field, zeta, upper):
-        """K_b at the core nodes of one of this solver's fields: the total carried
-        in from beyond -+X0, the prefix sum re-anchored from each node's panel
-        edge and the own moments; the two phases are formed once per branch."""
-        mesh, x, core = self.mesh, self.mesh.nodes, field._core
-        into, back = _once(self._memo, (zeta, upper), lambda: np.exp(np.stack((
-            1j * zeta * (x - (-self.x0 if upper else self.x0)),
-            -1j * zeta * (mesh.edges[mesh.panel_of + (0 if upper else 1)] - x)))))
-        S = core.prefix(-zeta, upper)[0, (0 if upper else 2):][mesh.panel_of]
+    def _node_kernel(self, field, b):
+        """K_b at the core nodes of one of this solver's fields: the state at
+        each node's near panel edge carried to it (the phase formed once per
+        branch), plus the own moments."""
+        zeta, _, upper = self._branches[b]
+        mesh, core, e = self.mesh, field._core, self.mesh.panel_of + (0 if upper else 1)
+        phase = _once(self._memo, b, lambda: np.exp(1j * zeta * (mesh.nodes - mesh.edges[e])))
         own = self._table.get(mesh, core.mus - zeta, upper, own=True)
         part = np.einsum("qij,qj->qi", own.reshape(mesh.n_panels, mesh.p, -1), core.fs[0])
-        return into * field._sweep(zeta, upper)[1][0] + (back * S + part.ravel())
+        return phase * core.states[e, b] + part.ravel()
 
 
 def _prepare(pot: PotentialSpec, k, X, x_core, reach):

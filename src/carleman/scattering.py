@@ -44,16 +44,16 @@ distinct panels of both sides and truncations are eliminated in one batch, and
 each side takes its blocks from it: one elimination per outer panel.
 
 Panel moments depend only on (half-width, nu): a downward one is the upward
-one at -nu mirrored, so the solver keeps the upward ones of every width, core,
-outer sides and truncations, in one `_MomentTable` that the eliminations, the
-field and the residual all read.  It forms one Lagrange array per request
-(mesh, nus, sweep, own).  The line solve returns its states at every panel
-edge, with one recursion step past each end of the line, and each panel's own
-integral F_P f_P anchored at its far edge; a field reads every kernel integral
-from them.  The coefficients b~_m are evaluated once per mesh and solver, the
-incident source once per mesh and k, and the residual's node phases once per
-branch, so a later solve does only the solution's work: the line solve and
-the residual's contractions.
+one at -nu mirrored, so each elimination computes the upward ones of each
+distinct pair once, whole-panel and own-node, and forms each branch's
+Lagrange moments from them; nothing else reads them.  The line solve returns
+its states at every panel edge, with one recursion step past each end of the
+line, and each panel's own integral F_P f_P anchored at its far edge; a field
+reads every kernel integral from them.  The residual is the defect of the
+core's block equation, C_P f_P + G_P s(P) - rhs_P: the core equation at the
+core nodes.  The coefficients b~_m are evaluated once per mesh and solver and
+the incident source once per mesh and k, so a later solve does only the
+solution's work: the line solve and the residual's products.
 
 A field evaluates one kernel integral per branch on the whole line,
 K_b(x) = int e^{i zeta_b (x-y)} w(y) dy over the branch side of x: the state
@@ -284,41 +284,25 @@ class _Mesh:
         return s * (m @ self.cmat)
 
 
-class _MomentTable:
-    """Upward monomial panel moments, memoised per (order p, half-width, nu,
-    own): over a whole panel, t = 1, shape (p,), or (own) up to each
-    reference Gauss node, shape (p, p), shared by every panel of the width.
-    A downward lookup mirrors the entry at -nu, which for even n the upward
-    sweep also reads.  Moments at other points are never stored.
-
-    Each request (mesh, nus, sweep, own) forms its Lagrange moments of every
-    width once, in one batch, and keeps that batch (BLAS rows need not be
-    bitwise the same in another); a repeated request only gathers them per
-    panel."""
-
-    def __init__(self):
-        self._memo, self._lagrange = {}, {}
-
-    def get(self, mesh, nus, upper, own=False):
-        """Lagrange moments of nus, shape (nus, panels, p) or, own, (nus, nodes, p)."""
-        nus = np.ravel(nus)
-        request = (mesh, tuple(map(complex, nus)), upper, own)
-        if request not in self._lagrange:
-            d = 1 if upper else -1
-            keys = [[(mesh.p, s, complex(d * nu), own) for s in mesh.widths.tolist()]
-                    for nu in nus]
-            new = list(dict.fromkeys(key for row in keys for key in row
-                                     if key not in self._memo))
-            if new:
-                _, s, nu, _ = map(np.array, zip(*new))
-                t = gauss_rule(mesh.p)[0] if own else np.array(1.0)
-                s = s.reshape((-1,) + (1,) * t.ndim)
-                m = exp_monomial_moments(1j * nu.reshape(s.shape) * s, t, mesh.p)
-                self._memo.update(zip(new, m))
-            m = np.array([[self._memo[key] for key in row] for row in keys])
-            self._lagrange[request] = mesh.lagrange(m, mesh.widths.reshape(
-                (-1,) + (1,) * (m.ndim - 2)), upper, own)
-        return self._lagrange[request][:, mesh.width_of].reshape(nus.size, -1, mesh.p)
+def _panel_moments(mesh, branches, mus, own=False):
+    """Each branch's Lagrange moments of e^{i (mu - zeta) y} per distinct
+    panel half-width: over the whole panel, shape (mus, widths, p), or (own)
+    up to each reference Gauss node, shape (mus, widths, p, p); panel q takes
+    those of width_of[q].  They depend only on (half-width, d nu), the sweep's
+    downward moments being the upward ones at -nu mirrored, so the upward
+    monomial moments of each distinct pair are computed once, in one batch
+    (for even n both sweeps share them).  Each branch's Lagrange product runs
+    on its own (mus, widths) batch, as BLAS rows need not be bitwise the
+    same in another."""
+    t = gauss_rule(mesh.p)[0] if own else np.array(1.0)
+    keys = [[[(s, complex((1 if upper else -1) * nu)) for s in mesh.widths.tolist()]
+             for nu in np.asarray(mus) - zeta] for zeta, _, upper in branches]
+    new = list(dict.fromkeys(key for rows in keys for row in rows for key in row))
+    s, nu = (np.array([key[i] for key in new]).reshape((-1,) + (1,) * t.ndim) for i in (0, 1))
+    m = dict(zip(new, exp_monomial_moments(1j * nu * s, t, mesh.p)))
+    widths = mesh.widths.reshape((-1,) + (1,) * (1 + t.ndim))
+    return [mesh.lagrange(np.array([[m[key] for key in row] for row in rows]), widths,
+                          upper, own) for rows, (_, _, upper) in zip(keys, branches)]
 
 
 def _once(memo, key, make):
@@ -438,7 +422,6 @@ class EigenfunctionField:
                              for b, (zeta, _, _) in enumerate(self._branches) if not zeta.imag}
         self._dens = dens
         self._core = dens[0]
-        self._outer = {side: dens.get(side) for side in (+1, -1)}
         self.w = self._core.fs[0].ravel()
         self.X0, self.X = solver.x0, X
         self.diagnostics, self._rlim_cache = {}, None
@@ -544,11 +527,14 @@ class _Blocks:
     own root only.  A panel's unknowns are its f_c at the nodes,
     component-major.  Every branch steps its state across every panel; D
     holds the couplings D_P = F_P H_P - diag(step_P) (module docstring).  It
-    reads each panel's own ends, so the panels need not abut, and all but
-    `mesh`, `mus` and `up` are per panel, so `join` can give a region its
-    panels out of one elimination of many regions' panels."""
+    forms its own panel moments, and keeps the blocks C and state terms G
+    of the equation C_P f_P + G_P s(P) = rhs_P for the residual.  It reads
+    each panel's own ends, so the panels need not abut, and all but `mesh`,
+    `mus` and `up` are per panel, so `join` can give a region its panels out
+    of one elimination of many regions' panels (but not C and G: the sides
+    need neither)."""
 
-    def __init__(self, lam, table, mesh, mus, branches, coef):
+    def __init__(self, lam, mesh, mus, branches, coef):
         n_p, p, nc, nb = mesh.n_panels, mesh.p, len(mus), len(branches)
         self.mesh, self.mus = mesh, np.asarray(mus, dtype=float)
         x, mus, coef = mesh.nodes.reshape(-1, p), self.mus, np.asarray(coef)
@@ -558,29 +544,32 @@ class _Blocks:
         G = np.zeros((n_p, nc, p, nb), dtype=complex)
         F = np.empty((n_p, nb, nc, p), dtype=complex)
         step = np.empty((n_p, nb), dtype=complex)
-        for b, (zeta, _, upper) in enumerate(branches):
+        # a branch without coefficient needs no own-node moments
+        active = [b for b in range(nb) if coef[:, b].any()]
+        own = dict(zip(active, _panel_moments(mesh, [branches[b] for b in active], mus, True)))
+        # each panel gathers its width's moments at use: one branch's copy at a
+        # time, the peak of a solve
+        for b, ((zeta, _, upper), full) in enumerate(
+                zip(branches, _panel_moments(mesh, branches, mus))):
             near, far = (mesh.lo, mesh.hi)[::1 if upper else -1]
             F[:, b] = (np.exp(1j * mus[:, None] * far)[..., None]
-                       * table.get(mesh, mus - zeta, upper)).transpose(1, 0, 2)
+                       * full[:, mesh.width_of]).transpose(1, 0, 2)
             step[:, b] = np.exp((1j if upper else -1j) * zeta * (mesh.hi - mesh.lo))
             g = coef[:, b].reshape(nc, *x.shape) * ph.conj()
-            if not g.any():
-                continue  # a branch without coefficient needs no own-node moments
-            own = table.get(mesh, mus - zeta, upper, own=True).reshape(nc, n_p, p, p)
             for c in np.flatnonzero(g.any(axis=(1, 2))):
-                C[:, c] += np.moveaxis(g[c][..., None] * ph[..., None] * own, 0, 2)
+                C[:, c] += np.moveaxis(g[c][..., None] * ph[..., None]
+                                       * own[b][:, mesh.width_of], 0, 2)
                 G[:, c, :, b] = g[c] * np.exp(1j * zeta * (x - near[:, None]))
-            del own  # free before the next branch's moments, the peak of a solve
-        C = C.reshape(n_p, nc * p, nc * p)
+        self.C, self.G = C.reshape(n_p, nc * p, nc * p), G.reshape(n_p, nc * p, nb)
         try:
-            self.Cinv = np.linalg.inv(C)
+            self.Cinv = np.linalg.inv(self.C)
         except np.linalg.LinAlgError:
             raise NearExceptionalPointError(lam, 0.0) from None
-        self.H = self.Cinv @ G.reshape(n_p, nc * p, nb)
+        self.H = self.Cinv @ self.G
         self.F = F.reshape(n_p, nb, nc * p)
         self.up = sum(upper for _, _, upper in branches)
         # each block's 1-norm reciprocal condition number, from the inverse at hand
-        self.rconds = 1.0 / (np.linalg.norm(C, 1, axis=(-2, -1))
+        self.rconds = 1.0 / (np.linalg.norm(self.C, 1, axis=(-2, -1))
                              * np.linalg.norm(self.Cinv, 1, axis=(-2, -1)))
         self.D = self.F @ self.H
         self.D[:, np.arange(nb), np.arange(nb)] -= step
@@ -628,14 +617,16 @@ class _Line:
 
     def solve(self, rhs):
         """Each region's `_Density`, keyed as the regions, for right-hand sides
-        of shape (components, nodes), one per region, and the state residual:
-        the largest row defect |s(P +- 1) + D_P s(P) - F_P u_P| of the state
-        system relative to max|s|.  The states entering at the ends of the
-        line are zero; the recursion s(P +- 1) = F_P u_P - D_P s(P) gives
-        those leaving it."""
+        of shape (components, nodes), one per region; the residual, the
+        largest defect |C_P f_P + G_P s(P) - rhs_P| of the core's block
+        equation; and the state residual, the largest row defect
+        |s(P +- 1) + D_P s(P) - F_P u_P| of the state system relative to
+        max|s|.  The states entering at the ends of the line are zero; the
+        recursion s(P +- 1) = F_P u_P - D_P s(P) gives those leaving it."""
         regions = self.regions.values()
-        u = [b.Cinv @ r.reshape(b.mus.size, b.mesh.n_panels, -1, 1).swapaxes(0, 1)
-             .reshape(b.mesh.n_panels, -1, 1) for b, r in zip(regions, rhs)]
+        rhs = [r.reshape(b.mus.size, b.mesh.n_panels, -1, 1).swapaxes(0, 1)
+               .reshape(b.mesh.n_panels, -1, 1) for b, r in zip(regions, rhs)]
+        u = [b.Cinv @ r for b, r in zip(regions, rhs)]
         Fu = np.concatenate([b.F @ v for b, v in zip(regions, u)])[..., 0]
         up, r = self.regions[0].up, np.zeros_like(Fu)
         r[1:, :up], r[:-1, up:] = Fu[:-1, :up], Fu[1:, up:]
@@ -650,20 +641,22 @@ class _Line:
         states[:-1, :up], states[1:, up:] = s[:, :up], s[:, up:]
         defect, s_max = (float(np.max(np.abs(a))) for a in (states - recursed, states))
         dens, P = {}, 0
-        for (key, b), v in zip(self.regions.items(), u):
+        for (key, b), v, r in zip(self.regions.items(), u, rhs):
             m = b.mesh.n_panels
             f = v - b.H @ s[P:P + m, :, None]
+            if key == 0:
+                residual = float(np.max(np.abs(b.C @ f + b.G @ s[P:P + m, :, None] - r)))
             dens[key] = _Density(b.mesh, b.mus, f.reshape(m, b.mus.size, -1).swapaxes(0, 1),
                                  states[P:P + m + 1], (b.F @ f)[..., 0])
             P += m
-        return dens, defect / s_max if s_max else defect
+        return dens, residual, defect / s_max if s_max else defect
 
 
 class _CoreSolver:
-    """The core's panel-block elimination, the panel moment table, the outer
-    sides of each truncation X and its whole-line system for lambda = k^n;
-    shared by +-k.  The outer panels of every truncation declared up front are
-    eliminated together when the solver is built; a later X gets its own."""
+    """The core's panel-block elimination, the outer sides of each truncation
+    X and its whole-line system for lambda = k^n; shared by +-k.  The outer
+    panels of every truncation declared up front are eliminated together
+    when the solver is built; a later X gets its own."""
 
     def __init__(self, pot: PotentialSpec, k, x0, truncations=()):
         self.pot, self.n, self.k = pot, pot.n, float(k)
@@ -674,12 +667,10 @@ class _CoreSolver:
         self._mus = [zeta.real for zeta, _, _ in self._real]
         self.x0 = float(x0)
         self.mesh = _core_mesh(self.x0, self.k, breaks=pot.breakpoints)
-        self._table = _MomentTable()
-        # whole-line systems per X, b~ per mesh, and the read-only arrays of a solve
+        # whole-line systems per X, b~ per mesh, and the read-only sources of a solve
         self._lines, self._values, self._memo = {}, {}, {}
-        self._pcoef = self._coef(self.mesh)
-        self.blocks = _Blocks(self.lam, self._table, self.mesh, [0.0],
-                              self._branches, [self._pcoef])
+        self.blocks = _Blocks(self.lam, self.mesh, [0.0], self._branches,
+                              [self._coef(self.mesh)])
         self._abs_sum_x0 = float(pot.abs_sum(np.array([self.x0]))[0])
         self._sides = self._outer(truncations if pot.support is None else ())
 
@@ -720,7 +711,7 @@ class _CoreSolver:
             union = _panels(*ends.T, 8)  # the outer meshes' order
             coef = [[g * (zeta == mu) for g, (zeta, _, _) in
                      zip(self._coef(union), self._branches)] for mu in self._mus]
-            blocks = _Blocks(self.lam, self._table, union, self._mus, self._branches, coef)
+            blocks = _Blocks(self.lam, union, self._mus, self._branches, coef)
             which = np.split(which.ravel(), np.cumsum([m.n_panels for m in meshes.values()]))
             for ((X, side), mesh), q in zip(meshes.items(), which):
                 nodes = (q[:, None] * union.p + np.arange(union.p)).ravel()
@@ -731,10 +722,9 @@ class _CoreSolver:
     def solve(self, X, k=None) -> EigenfunctionField:
         """The field of the wave e^{ikx} (the solver's k by default, or -k for
         even n) with the outer sides out to X, by one solve of the whole-line
-        system.  `residual` is the core equation at the core nodes, with K_b
-        read from the field's states, the memoised source and node phases;
-        `residual_rel` is the same relative to max|w|, and `state_residual`
-        the state system's own (`_Line.solve`)."""
+        system.  `residual` is the defect of the core's block equation, the
+        core equation at the core nodes, `residual_rel` the same relative to
+        max|w|, and `state_residual` the state system's own (`_Line.solve`)."""
         k = self.k if k is None else float(k)
         if k ** self.n != self.lam:
             raise ConfigurationError(f"k = {k!r} is not a root of lambda = {self.lam}")
@@ -742,31 +732,17 @@ class _CoreSolver:
         line = self._line(X)
         # the incident source sigma(k) e^{iky}, once per (mesh, k): all of it on the
         # core's one component (mu = 0), sigma(k) [w = 1] on an outer wave w (mu = wk)
-        rhs = {r: _once(self._memo, (b.mesh, k), lambda: self._symbol(b.mesh, k) * np.where(
-            b.mus[:, None] == 0.0, np.exp(1j * k * b.mesh.nodes), b.mus[:, None] * k > 0))
-            for r, b in line.regions.items()}
-        dens, state_residual = line.solve(rhs.values())
+        dens, resid, state_residual = line.solve([_once(
+            self._memo, (b.mesh, k), lambda: self._symbol(b.mesh, k) * np.where(
+                b.mus[:, None] == 0.0, np.exp(1j * k * b.mesh.nodes), b.mus[:, None] * k > 0))
+            for b in line.regions.values()])
         field = EigenfunctionField(self, k, dens, X)
-        resid = field.w - rhs[0][0]
-        for b, pcoef in enumerate(self._pcoef):
-            resid = resid + pcoef * self._node_kernel(field, b)
-        resid, w_max = float(np.max(np.abs(resid))), float(np.max(np.abs(field.w)))
+        w_max = float(np.max(np.abs(field.w)))
         field.diagnostics = {"residual": resid, "residual_rel": resid / w_max if w_max else resid,
                              "state_residual": state_residual,
                              "rcond": line.rcond, "X0": self.x0, "X": X,
                              "mesh_size": self.mesh.nodes.size, "abs_sum_at_X0": self._abs_sum_x0}
         return field
-
-    def _node_kernel(self, field, b):
-        """K_b at the core nodes of one of this solver's fields: the state at
-        each node's near panel edge carried to it (the phase formed once per
-        branch), plus the own moments."""
-        zeta, _, upper = self._branches[b]
-        mesh, core, e = self.mesh, field._core, self.mesh.panel_of + (0 if upper else 1)
-        phase = _once(self._memo, b, lambda: np.exp(1j * zeta * (mesh.nodes - mesh.edges[e])))
-        own = self._table.get(mesh, core.mus - zeta, upper, own=True)
-        part = np.einsum("qij,qj->qi", own.reshape(mesh.n_panels, mesh.p, -1), core.fs[0])
-        return phase * core.states[e, b] + part.ravel()
 
 
 def _prepare(pot: PotentialSpec, k, X, x_core, reach):

@@ -9,7 +9,7 @@ from carleman.errors import ConfigurationError, DomainError, NearExceptionalPoin
 from carleman.oscquad import gauss_rule
 import carleman.scattering as sc
 from carleman.scattering import (CORE_RADIUS, PotentialSpec, _core_mesh, _CoreSolver,
-                                 _MomentTable, eigenvalue_multiplicity_bound,
+                                 _panel_moments, eigenvalue_multiplicity_bound,
                                  free_resolvent_kernel, ode_cross_check,
                                  scattering_matrix, solve_lippmann_schwinger,
                                  square_well_reflection, zeta_roots)
@@ -218,7 +218,7 @@ def test_ill_conditioned_matching_is_near_exceptional(pot2, monkeypatch):
         solver.solve(2000.0)
     monkeypatch.undo()
     f = solver.solve(2000.0)
-    assert f._outer[+1] is not None and f.diagnostics["rcond"] < 1.0
+    assert +1 in f._dens and f.diagnostics["rcond"] < 1.0
 
 
 def test_singular_panel_block_is_near_exceptional(monkeypatch):
@@ -305,28 +305,23 @@ def test_state_residual(which, k, request, monkeypatch):
     assert solve_lippmann_schwinger(pot, k).diagnostics["state_residual"] >= 1e-9
 
 
-def test_moment_table_matches_direct_moments(monkeypatch):
-    # the memoised full-panel and node-anchored moments are the direct
-    # _Mesh.moments values at the reference Gauss nodes, for real and complex
-    # nu in both directions (one nu in both), and a second lookup computes
-    # nothing
+def test_panel_moments_match_direct_moments():
+    # each branch's whole-panel and node-anchored moments, read per panel
+    # from its half-width, are the direct _Mesh.moments values at the
+    # reference Gauss nodes, for real and complex nu in both sweeps (nu = +-1
+    # in both)
     mesh = _core_mesh(12.0, 1.0)
-    table = _MomentTable()
-    t = np.tile(gauss_rule(mesh.p)[0], mesh.n_panels)
-    zeta = 0.5 + 0.866j
-    cases = ((True, [-1.0, -zeta]), (False, [-1.0, 1.0, -np.conj(zeta)]))
-    got = [(table.get(mesh, nus, upper), table.get(mesh, nus, upper, own=True))
-           for upper, nus in cases]
-    for (upper, nus), (full, own) in zip(cases, got):
-        for nu, f, o in zip(nus, full, own):
-            assert np.array_equal(f, mesh.moments(nu, np.arange(mesh.n_panels),
-                                                  1.0 if upper else -1.0, upper))
-            assert np.array_equal(o, mesh.moments(nu, mesh.panel_of, t, upper))
-    monkeypatch.setattr(sc, "exp_monomial_moments",
-                        lambda *a: pytest.fail("moments recomputed"))
-    for (upper, nus), (full, own) in zip(cases, got):
-        assert np.array_equal(table.get(mesh, nus[::-1], upper), full[::-1])
-        assert np.array_equal(table.get(mesh, nus, upper, own=True), own)
+    t, q = np.tile(gauss_rule(mesh.p)[0], mesh.n_panels), np.arange(mesh.n_panels)
+    zeta, mus = 0.5 + 0.866j, np.array([0.0, 2.0])
+    branches = [(1.0, None, True), (zeta, None, True), (1.0, None, False),
+                (-1.0, None, False), (np.conj(zeta), None, False)]
+    for own in (False, True):
+        for (z, _, upper), got in zip(branches, _panel_moments(mesh, branches, mus, own)):
+            for nu, m in zip(mus - z, got):
+                want = mesh.moments(nu, mesh.panel_of, t, upper) if own else \
+                    mesh.moments(nu, q, 1.0 if upper else -1.0, upper)
+                assert np.array_equal(m[mesh.width_of].reshape(want.shape), want), \
+                    (z, upper, own)
 
 
 # real frequencies on both sides of the series / recurrence switch, and
@@ -364,12 +359,12 @@ def test_downward_moments_match_mpmath(p, rng):
     # the downward sweep is read from the upward primitive at -nu; against
     # 30-digit Lagrange moments on a narrow and a wide panel, for real and
     # complex nu (Im nu >= 0 downward): whole panels, partial panels up from
-    # each node (direct and memoised) and at random points
+    # each node (direct and as the solver's eliminations take them) and at
+    # random points
     edges = np.array([0.0, 0.4, 3.4])
     mesh = sc._panelize(edges, p)
     nodes = gauss_rule(p)[0]
-    own = _MomentTable().get(mesh, NUS_DOWN, False, own=True).reshape(
-        len(NUS_DOWN), mesh.n_panels, p, p)
+    own = _panel_moments(mesh, [(0.0, None, False)], NUS_DOWN, own=True)[0]
     for i, nu in enumerate(NUS_DOWN):
         for q in range(mesh.n_panels):
             s = 0.5 * (edges[q + 1] - edges[q])
@@ -378,7 +373,7 @@ def test_downward_moments_match_mpmath(p, rng):
             want = np.array([lagrange_moments_down(nodes, nu, s, t) for t in ts])
             bound = 1e-12 * np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= bound, (nu, q)
-            assert np.max(np.abs(own[i, q] - want[1:p + 1])) <= bound, (nu, q)
+            assert np.max(np.abs(own[i, mesh.width_of[q]] - want[1:p + 1])) <= bound, (nu, q)
 
 
 def count_moments(monkeypatch):
@@ -389,102 +384,109 @@ def count_moments(monkeypatch):
     return counted
 
 
-def test_moment_table_computes_only_new_widths(monkeypatch):
-    # the left outer side mirrors the right, and the 2X mesh repeats the X
-    # mesh but for its last panels: each computes only the widths not yet in
-    # the table, and the shared rows are the mesh's own direct moments.  The
-    # core's half-width 0.25 at k = 4 is the outer sides' first, at another
-    # order p, so it is not shared
-    counted, table, nus = count_moments(monkeypatch), _MomentTable(), [0.0, 2.0, -2.0]
-
-    def lookup(mesh):
-        counted.clear()
-        got = [table.get(mesh, nus, upper, own) for upper in (True, False)
-               for own in (False, True)]
-        return sum(counted), got
-
-    right, left = (sc._outer_mesh(side, 120.0, 1e4, 1.0) for side in (+1, -1))
-    wide = sc._outer_mesh(+1, 120.0, 2e4, 1.0)
-    fresh = np.setdiff1d(wide.widths, right.widths).size
-    assert 0 < fresh < right.widths.size
-    core = _core_mesh(120.0, 4.0)
-    assert np.isin(right.widths, core.widths).any()
-    # nus is closed under nu -> -nu, so the downward sweep reads the upward
-    # entries: full and own moments of each (width, nu), computed once
-    assert lookup(core)[0] == 2 * len(nus) * core.widths.size
-    assert lookup(right)[0] == 2 * len(nus) * right.widths.size
-    computed, got = lookup(left)
-    assert computed == 0
-    q = np.arange(left.n_panels)
-    for upper, full in zip((True, False), got[::2]):
-        for nu, f in zip(nus, full):
-            assert np.array_equal(f, left.moments(nu, q, 1.0 if upper else -1.0,
-                                                  upper))
-    assert lookup(wide)[0] == 2 * len(nus) * fresh
+def test_even_n_blocks_compute_each_moment_once(pot2, monkeypatch):
+    # the roots +-1 of X^2 at k = 1 are the upper and the lower branch, and
+    # the downward sweep at nu = 1 reads the upward moments at -1: the core's
+    # _Blocks computes the whole-panel and the own-node moments of each
+    # half-width once, in one exp_monomial_moments call each
+    solver = _CoreSolver(pot2, 1.0, 120.0)
+    mesh, calls, moments = solver.mesh, [], sc.exp_monomial_moments
+    monkeypatch.setattr(sc, "exp_monomial_moments", lambda mu, t, p: calls.append(
+        (np.ndim(t), np.ravel(mu))) or moments(mu, t, p))
+    sc._Blocks(solver.lam, mesh, [0.0], solver._branches, [solver._coef(mesh)])
+    assert sorted(ndim for ndim, _ in calls) == [0, 1]
+    for _, mu in calls:
+        assert np.array_equal(mu, -1j * mesh.widths)
 
 
 @pytest.mark.parametrize("potential, k", [("pot2", 1.0), ("pot3", 0.8)])
 def test_each_moment_computed_once_per_solver(potential, k, request, monkeypatch):
-    # the core, both outer sides, +-k and both truncations: every (width, nu,
-    # own) a solver reads is computed by exp_monomial_moments once
+    # the core, both outer sides, +-k and both truncations: every (width,
+    # d nu, own) a solver reads is computed once, by two calls per
+    # elimination (the core's and the declared truncations' outer panels)
     pot = request.getfixturevalue(potential)
     counted = count_moments(monkeypatch)
-    solver = _CoreSolver(pot, k, 120.0)
+    solver = _CoreSolver(pot, k, 120.0, (1e4, 2e4))
     for X in (1e4, 2e4):
         for kk in (k, -k)[:2 - pot.n % 2]:
             solver.solve(X, kk).r_limits()
-    assert sum(counted) == len(solver._table._memo)
+    outer = np.unique(np.concatenate([b.mesh.widths for sides in solver._sides.values()
+                                      for b in sides.values()]))
+
+    def distinct(widths, mus, branches):
+        return widths.size * len({complex((1 if upper else -1) * (mu - zeta))
+                                  for zeta, _, upper in branches for mu in mus})
+
+    branches, real = solver._branches, solver._real
+    assert len(counted) == 4
+    assert sum(counted) == 2 * distinct(solver.mesh.widths, [0.0], branches) \
+        + distinct(outer, solver._mus, branches) + distinct(outer, solver._mus, real)
 
 
 @pytest.mark.parametrize("potential", ["pot2", "pot3"])
 def test_each_lagrange_row_formed_once_per_solver(potential, request, monkeypatch):
     # over a whole S(lambda) (core, both outer sides, +-k, X and 2X), each
-    # Lagrange row (p, half-width, nu, sweep, own) is formed once, by the
-    # core's or the outer union's elimination, and kept; the side meshes form
-    # nothing
+    # elimination, the core's and the outer union's, forms its Lagrange
+    # moments once per branch, whole-panel and own-node (on the outer panels
+    # only the real roots have own-node moments); the side meshes form nothing
     solvers, formed = [], []
     init, lagrange = _CoreSolver.__init__, sc._Mesh.lagrange
     monkeypatch.setattr(_CoreSolver, "__init__",
                         lambda self, *a: solvers.append(self) or init(self, *a))
-    monkeypatch.setattr(sc._Mesh, "lagrange", lambda mesh, m, *a: formed.append(
-        (mesh, m.shape[0] * m.shape[1])) or lagrange(mesh, m, *a))
+    monkeypatch.setattr(sc._Mesh, "lagrange", lambda mesh, m, s, upper, own=False:
+                        formed.append((mesh, own)) or lagrange(mesh, m, s, upper, own))
     scattering_matrix(request.getfixturevalue(potential), 1.0)
     (solver,) = solvers
     sides = {b.mesh for blocks in solver._sides.values() for b in blocks.values()}
     assert len(sides) == 4
-    assert not [mesh for mesh, _ in formed if mesh in sides]
-    assert sum(rows for _, rows in formed) == sum(
-        m.shape[0] * m.shape[1] for m in solver._table._lagrange.values())
+    (union,) = {mesh for mesh, _ in formed} - {solver.mesh}
+    assert union not in sides
+    nb, nr = len(solver._branches), len(solver._real)
+    assert [formed.count((mesh, own)) for mesh in (solver.mesh, union)
+            for own in (False, True)] == [nb, nb, nb, nr]
 
 
 @pytest.mark.parametrize("potential", ["pot2", "pot3", "pot4"])
 @pytest.mark.parametrize("k", [1.0, -1.0])
-def test_node_kernel_matches_the_general_path(potential, k, request):
-    # K_b at the core nodes, read from the state at each node's panel edge
-    # and the own moments, against the general path, which locates each
-    # point and takes its partial moments; both sweeps
+def test_residual_matches_the_general_path(potential, k, request):
+    # the residual, read from the core's block equation, against the core
+    # equation w - sigma(k) e^{ikx} + sum_b a_b sigma_b K_b at the core nodes
+    # with K_b from the general path, which locates each point and takes its
+    # partial moments; both sweeps
     pot = request.getfixturevalue(potential)
     solver = _CoreSolver(pot, k, 120.0, (1.0e4,))
-    field = solver.solve(1.0e4)
-    nodes = solver.mesh.nodes
+    field, mesh = solver.solve(1.0e4), solver.mesh
     assert {upper for _, _, upper in solver._branches} == {True, False}
-    for b, (zeta, _, upper) in enumerate(solver._branches):
-        got = solver._node_kernel(field, b)
-        want = field._kernel(nodes + 0.0, b)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (zeta, upper)
+    resid = field.w - solver._symbol(mesh, k) * np.exp(1j * k * mesh.nodes)
+    for b, g in enumerate(solver._coef(mesh)):
+        resid = resid + g * field._kernel(mesh.nodes + 0.0, b)
+    w_max = np.max(np.abs(field.w))
+    assert np.max(np.abs(resid)) <= 1e-12 * w_max
+    assert field.diagnostics["residual"] <= 1e-12 * w_max
+
+
+@pytest.mark.parametrize("which, k", [("pot2m1", 1.0), ("pot3", -1.0), ("pot4", 1.0)])
+def test_residual_sees_a_perturbed_block_inverse(which, k, request, monkeypatch):
+    # block inverses off by a relative 1e-8 leave the state system consistent,
+    # its own defect at rounding, but show in the residual, the defect of the
+    # block equation
+    pot, inv = request.getfixturevalue(which), np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inv(a) * (1.0 + 1e-8))
+    d = solve_lippmann_schwinger(pot, k).diagnostics
+    assert d["residual_rel"] >= 1e-9
+    assert d["state_residual"] <= 1e-14
 
 
 @pytest.mark.parametrize("potential", ["pot2", "pot3"])
 def test_a_second_solve_forms_nothing_new(potential, request):
-    # the sources and node phases of a solve are formed once per solver: a
-    # second solve adds no memo entry, leaves them read-only, and returns a
-    # field bitwise equal to the first
+    # the sources of a solve are formed once per solver: a second solve adds
+    # no memo entry, leaves them read-only, and returns a field bitwise equal
+    # to the first
     solver, X = _CoreSolver(request.getfixturevalue(potential), 1.0, 120.0, (1.0e4,)), 1.0e4
     first = solver.solve(X)
-    memos = (solver._memo, solver._table._memo, solver._table._lagrange)
-    sizes = [len(m) for m in memos]
+    size = len(solver._memo)
     second = solver.solve(X)
-    assert [len(m) for m in memos] == sizes
+    assert len(solver._memo) == size
     assert not any(a.flags.writeable for a in solver._memo.values())
     assert second.r_limits() == first.r_limits()
     assert second.diagnostics == first.diagnostics
@@ -528,9 +530,8 @@ def test_each_outer_panel_eliminated_once_per_lambda(pot2, lam, monkeypatch):
     # the X mesh's panels and the 2X mesh's beyond them, its clipped last
     # panel included
     eliminated, init = [], sc._Blocks.__init__
-    monkeypatch.setattr(sc._Blocks, "__init__", lambda self, lam, table, mesh, *a:
-                        eliminated.append(mesh.n_panels)
-                        or init(self, lam, table, mesh, *a))
+    monkeypatch.setattr(sc._Blocks, "__init__", lambda self, lam, mesh, *a:
+                        eliminated.append(mesh.n_panels) or init(self, lam, mesh, *a))
     k, X = lam ** 0.5, 1.0e4
     scattering_matrix(pot2, lam, X=X)
     sides = [sc._outer_mesh(side, CORE_RADIUS, x, k).n_panels
@@ -558,8 +559,8 @@ def test_one_outer_elimination_and_five_btilde_reads_per_s(potential, request,
 
 def test_one_factorization_per_lambda(pot2, monkeypatch):
     # even n: +k and -k share the solver, so S costs one LU per lambda and
-    # truncation (X and 2X); the returned fields hold no reference to the
-    # solver's moment table
+    # truncation (X and 2X); the returned fields hold no panel-block
+    # elimination
     factored = []
     lu = sc.lu_factor
     monkeypatch.setattr(sc, "lu_factor",
@@ -567,8 +568,8 @@ def test_one_factorization_per_lambda(pot2, monkeypatch):
     for lam in (0.5, 2.0):
         e = scattering_matrix(pot2, lam, X=2000.0)
         assert [f.k for f in e.fields] == [lam ** 0.5, -lam ** 0.5]
-        assert not any(isinstance(v, _MomentTable) for f in e.fields
-                       for d in f._dens.values() for v in vars(d).values())
+        assert not any(isinstance(v, sc._Blocks) for f in e.fields
+                       for o in (f, *f._dens.values()) for v in vars(o).values())
     assert len(factored) == 4
 
 
@@ -601,8 +602,8 @@ def test_banded_state_system_matches_the_dense_one(which, k, request, rng,
 
 
 def test_shared_solver_field_matches_a_fresh_solve(pot2, smatrix2):
-    # the -k field of S, solved on the +k solver's factorization and moment
-    # table, is bitwise the field of a solver built for -k alone
+    # the -k field of S, solved on the +k solver's factorization, is bitwise
+    # the field of a solver built for -k alone
     fresh = solve_lippmann_schwinger(pot2, -1.0, X=1.0e4)
     assert smatrix2.fields[1].r_limits() == fresh.r_limits()
     assert smatrix2.fields[1].diagnostics == fresh.diagnostics
@@ -763,7 +764,7 @@ def test_psi_is_continuous_at_the_core_edges(which, k, request):
     # edges on each side; points a hair off an edge take partial moments
     # out to t = +-1
     f = solve_lippmann_schwinger(request.getfixturevalue(which), k, X=1.0e4)
-    outer = [f._outer[side].mesh.edges[::side][1:13] for side in (+1, -1)]
+    outer = [f._dens[side].mesh.edges[::side][1:13] for side in (+1, -1)]
     edges = np.concatenate([f.core_edges, *outer])
     d = 1e-12
     psi, dpsi = (np.stack([f.psi_at(edges + h, deriv=deriv) for h in (-d, d)])
@@ -798,11 +799,11 @@ def test_outer_density_solves_the_outer_equation(which, request):
     f = request.getfixturevalue(which)
     pot = request.getfixturevalue(f"pot{f.n}")
     for side in (+1, -1):
-        y = f._outer[side].mesh.nodes
+        y = f._dens[side].mesh.nodes
         b = pot.values(y)
         ref = sum(sum(b[m] * (w * f.k) ** m for m in range(f.n - 1))
                   * np.exp(1j * w * f.k * y) * f._envelope(y, w) for w in f.waves)
-        assert np.max(np.abs(f._outer[side].values(y) - ref)) \
+        assert np.max(np.abs(f._dens[side].values(y) - ref)) \
             <= 1e-12 * np.max(np.abs(f.w))
     if f.n == 4:
         assert f.diagnostics["residual"] <= 1e-12 * np.max(np.abs(f.w))

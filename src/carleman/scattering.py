@@ -641,11 +641,11 @@ class _Line:
         states[:-1, :up], states[1:, up:] = s[:, :up], s[:, up:]
         defect, s_max = (float(np.max(np.abs(a))) for a in (states - recursed, states))
         dens, P = {}, 0
-        for (key, b), v, r in zip(self.regions.items(), u, rhs):
+        for (key, b), v, rb in zip(self.regions.items(), u, rhs):
             m = b.mesh.n_panels
             f = v - b.H @ s[P:P + m, :, None]
             if key == 0:
-                residual = float(np.max(np.abs(b.C @ f + b.G @ s[P:P + m, :, None] - r)))
+                residual = float(np.max(np.abs(b.C @ f + b.G @ s[P:P + m, :, None] - rb)))
             dens[key] = _Density(b.mesh, b.mus, f.reshape(m, b.mus.size, -1).swapaxes(0, 1),
                                  states[P:P + m + 1], (b.F @ f)[..., 0])
             P += m

@@ -56,10 +56,9 @@ class Jet:
     def value(self):
         return self.c[0]
 
-    def derivative_values(self, up_to=None):
+    def derivative_values(self):
         """Return [f, f', f'', ...] (plain derivatives, not Taylor coeffs)."""
-        m = self.order if up_to is None else up_to
-        return np.stack([self.c[j] * _FACTORIALS[j] for j in range(m + 1)])
+        return np.stack([self.c[j] * _FACTORIALS[j] for j in range(self.order + 1)])
 
     def truncated(self, order):
         return Jet(self.c[: order + 1])

@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 usage error, 2 validation (configuration/domain)
 error, 3 numerical failure (near-exceptional point, long-range, resolution).
 All numbers are printed with 17 significant digits so emitted files round-trip
 losslessly; every record carries the tolerances and truncation radii used.
+
+One parser owns every input.  Each entry of the JSON object a `--config` file
+holds is a flag ({"lambda_min": 0.2} reads as --lambda-min=0.2), read after
+the command line's so that it overrides them, and validated the same way.
 """
 
 from __future__ import annotations
@@ -13,7 +17,17 @@ import json
 import math
 import sys
 
+import numpy as np
+
+from .coeffmap import RealPolynomial, p_to_q, q_to_p
 from .errors import ConfigurationError, DomainError, NumericalError
+from .evolution import evolution_profile
+from .hankelphase import theta_profile
+from .liouville import OperatorCoefficients
+from .longrange import residual_symbol, sigma_iterate
+from .profile import _FAMILIES, ChangeOfVariables, WeightProfile
+from .scattering import PotentialSpec, scattering_matrix
+from .statphase import verify_remainder
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,8 +73,6 @@ def _parse_grid(text):
     if ":" not in text:
         grid = _parse_list(text)
     else:
-        import numpy as np
-
         grid = _parse_list(text, ":")
         if len(grid) != 3 or grid[2] == 0.0:
             raise ConfigurationError(f"grid {text!r} is not a:b:step with a finite, "
@@ -75,21 +87,16 @@ def _parse_grid(text):
 
 
 def _profile_from_args(args):
-    from .profile import WeightProfile
-
-    return WeightProfile(args.family, alpha=getattr(args, "alpha", 1.0),
-                         beta=getattr(args, "beta", 1.0))
+    return WeightProfile(args.family, alpha=args.alpha, beta=args.beta)
 
 
 def _poly_pair(args):
-    from .coeffmap import RealPolynomial, p_to_q, q_to_p
-
-    if getattr(args, "p", None) is not None and getattr(args, "q", None) is not None:
+    if args.p is not None and args.q is not None:
         raise ConfigurationError("give exactly one of --p / --q")
-    if getattr(args, "p", None) is not None:
+    if args.p is not None:
         P = RealPolynomial(_parse_list(args.p))
         return P, p_to_q(P)
-    if getattr(args, "q", None) is not None:
+    if args.q is not None:
         Q = RealPolynomial(_parse_list(args.q))
         return q_to_p(Q), Q
     raise ConfigurationError("one of --p / --q is required")
@@ -98,9 +105,6 @@ def _poly_pair(args):
 def _operator(args):
     """Q, its change of variables and OperatorCoefficients from --p/--q and
     the weight flags."""
-    from .liouville import OperatorCoefficients
-    from .profile import ChangeOfVariables
-
     Q = _poly_pair(args)[1]
     cov = ChangeOfVariables(_profile_from_args(args), Q.degree)
     return Q, cov, OperatorCoefficients(Q, cov)
@@ -116,10 +120,6 @@ def _cmd_map_coeffs(args):
 
 
 def _cmd_profile(args):
-    import numpy as np
-
-    from .profile import ChangeOfVariables
-
     prof = _profile_from_args(args)
     cov = ChangeOfVariables(prof, args.n)
     xi = np.asarray(_parse_grid(args.xi_grid))
@@ -129,8 +129,6 @@ def _cmd_profile(args):
 
 
 def _cmd_transform(args):
-    import numpy as np
-
     Q, _, op = _operator(args)
     xs = np.asarray(_parse_grid(args.x_grid))
     coeffs = {"b": op.b_values(xs), "bt": op.gauged_values(xs)}
@@ -143,10 +141,6 @@ def _cmd_transform(args):
 
 
 def _cmd_scatter(args):
-    import numpy as np
-
-    from .scattering import PotentialSpec, scattering_matrix
-
     if args.points < 1:
         raise ConfigurationError(f"--points {args.points} must be at least 1")
     Q, _, op = _operator(args)
@@ -170,13 +164,6 @@ def _cmd_scatter(args):
 
 
 def _cmd_longrange(args):
-    import numpy as np
-
-    from .coeffmap import RealPolynomial, p_to_q
-    from .liouville import OperatorCoefficients
-    from .longrange import residual_symbol, sigma_iterate
-    from .profile import ChangeOfVariables
-
     prof = _profile_from_args(args)
     if args.p is None and args.q is None:
         Q = p_to_q(RealPolynomial([0.0] * (2 if args.n is None else args.n) + [1.0]))
@@ -198,11 +185,6 @@ def _cmd_longrange(args):
 
 
 def _cmd_hankel_theta(args):
-    import numpy as np
-
-    from .scattering import PotentialSpec, scattering_matrix
-    from .hankelphase import theta_profile
-
     Ns = np.asarray(_parse_grid(args.N_grid))
     Ns = Ns[Ns != 0.0]
     if Ns.size == 0:
@@ -223,10 +205,6 @@ def _cmd_hankel_theta(args):
 
 
 def _cmd_statphase(args):
-    import numpy as np
-
-    from .statphase import verify_remainder
-
     if args.case != "fresnel":
         raise ConfigurationError("only the fresnel case is built in")
     omega = lambda y: np.asarray(y) ** 2
@@ -246,12 +224,6 @@ def _cmd_statphase(args):
 
 
 def _cmd_evolve(args):
-    import numpy as np
-
-    from .coeffmap import RealPolynomial, p_to_q
-    from .evolution import evolution_profile
-    from .profile import ChangeOfVariables
-
     if args.profile != "gaussian":
         raise ConfigurationError("only the gaussian spectral profile is built in")
     prof = _profile_from_args(args)
@@ -279,15 +251,17 @@ def build_parser():
                  description="generalized Carleman / Hankel operator laboratory")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
+    def add_family(p):
+        p.add_argument("--family", default="cosh", choices=_FAMILIES)
+        p.add_argument("--alpha", type=float, default=1.0)
+        p.add_argument("--beta", type=float, default=1.0)
+
     def add_common(p, poly=True, family=True):
         if poly:
             p.add_argument("--p", help="kernel polynomial coefficients, low->high")
             p.add_argument("--q", help="symbol polynomial coefficients, low->high")
         if family:
-            p.add_argument("--family", default="cosh",
-                           choices=["cosh", "power_law", "stretched_exp"])
-            p.add_argument("--alpha", type=float, default=1.0)
-            p.add_argument("--beta", type=float, default=1.0)
+            add_family(p)
         p.add_argument("--emit", default=None, help="output path (stdout if omitted)")
         p.add_argument("--config", default=None,
                        help="JSON file whose entries override the flags")
@@ -351,10 +325,7 @@ def build_parser():
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--T", type=float, default=1000.0)
     p.add_argument("--profile", default="gaussian")
-    p.add_argument("--family", default="cosh",
-                   choices=["cosh", "power_law", "stretched_exp"])
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
+    add_family(p)
     p.add_argument("--N-grid", default="-4:4:0.1",
                    help="grid of ln t in units of |T|")
     p.add_argument("--emit", default=None)
@@ -366,29 +337,30 @@ def build_parser():
     return ap
 
 
-def _apply_config(args):
-    path = getattr(args, "config", None)
-    if not path:
-        return
-    with open(path) as fh:
-        overrides = json.load(fh)
-    for key, value in overrides.items():
-        setattr(args, key.replace("-", "_"), value)
-
-
-_VALUE_FLAGS = {"--p", "--q", "--xi-grid", "--x-grid", "--N-grid", "--N",
-                "--lambda-min", "--lambda-max", "--k", "--T", "--alpha",
-                "--beta", "--truncation", "--j"}
+def _config_flags(path):
+    """The entries of the JSON object in the file at path, as --key=value flags
+    (underscores in a key read as dashes; a value that is no string as JSON)."""
+    try:
+        with open(path) as fh:
+            entries = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read --config {path!r}: {exc}") from None
+    if not isinstance(entries, dict):
+        raise ConfigurationError(f"--config {path!r} does not hold a JSON object")
+    return [f"--{key.replace('_', '-')}="
+            f"{value if isinstance(value, str) else json.dumps(value)}"
+            for key, value in entries.items()]
 
 
 def _merge_negative_values(argv):
-    """Join value flags with arguments that start with '-' (grids like
-    -30:30:1 would otherwise be mistaken for options)."""
+    """Join each long option with a following argument that starts with a
+    single '-' (grids like -30:30:1 would otherwise be mistaken for options):
+    every long option takes one value, and --help refuses one."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv) and \
+        if tok.startswith("--") and "=" not in tok and i + 1 < len(argv) and \
                 argv[i + 1].startswith("-") and not argv[i + 1].startswith("--"):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
@@ -400,11 +372,13 @@ def _merge_negative_values(argv):
 
 def main(argv=None):
     ap = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = ap.parse_args(_merge_negative_values(list(argv)))
+    argv = _merge_negative_values(sys.argv[1:] if argv is None else list(argv))
+    args = ap.parse_args(argv)
     try:
-        _apply_config(args)
+        if getattr(args, "config", None):
+            # the subcommand's parser reads the config's flags after the
+            # command line's, so they override them and are refused alike
+            args = ap.parse_args(argv + _config_flags(args.config))
         rc = args.fn(args)
     except (ConfigurationError, DomainError) as exc:
         sys.stderr.write(f"validation error: {exc}\n")

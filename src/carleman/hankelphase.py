@@ -32,11 +32,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._jets import Jet
-from .coeffmap import RealPolynomial
+from .coeffmap import RealPolynomial, p_to_q
 from .errors import DomainError, ResolutionError
 from .oscquad import _ChebTable, gauss_panels, ibp_boundary
 from .profile import ChangeOfVariables
 from .specfun import eta_phase
+
+# theta at N resolves while its stationary point |x| ~ n|N|/(pi |k|) lies
+# within x_split / _STATIONARY_MARGIN
+_STATIONARY_MARGIN = 1.35
 
 # ---------------------------------------------------------------------------
 # kernel, rho, zeta
@@ -190,7 +194,8 @@ class ThetaEvaluator:
         # one node set for every admissible N: the core on [-x_split, x_split]
         # and the tails x = +-u, u in [x_split, x_tail], where xi is odd
         self._shift = cov.a1 if cov.profile.family == "cosh" else 0.0
-        n_lim = max(self.x_split / 1.35 - self._shift, 0.0) * np.pi * abs(k) / self.n
+        n_lim = max(self.x_split / _STATIONARY_MARGIN - self._shift, 0.0) \
+            * np.pi * abs(k) / self.n
         rate = lambda x: n_lim / cov.x_prime(cov.xi_of_x(x)) + abs(k)
         xc, wc = _panel_nodes(self._psi.edges, rate)
         xt, wt = _panel_nodes(self._tails[+1].edges, rate)
@@ -198,16 +203,11 @@ class ThetaEvaluator:
         self._x = np.concatenate((xc, xt, -xt))
         self._xi = np.concatenate((cov.xi_of_x(xc), xi_t, -xi_t))
         self._w = np.concatenate((wc, wt, wt))
-        psi = np.concatenate((self._psi(xc), self._tail_psi(xt, +1),
-                              self._tail_psi(xt, -1)))
+        psi = np.concatenate((self._psi(xc), self._tails[+1](xt), self._tails[-1](xt)))
         self._amp = self._w * psi * _zeta_of_xi(self._xi, Q, cov)
         self._end_jets = {s: _xi_zeta_jets(s * self.x_tail, Q, cov) for s in (+1, -1)}
 
     # -- pieces ---------------------------------------------------------------
-
-    def _tail_psi(self, u, side):
-        """psi at x = side * u from the tail table of that side, u >= x_split."""
-        return self._tails[side](u)
 
     def _closure(self, N):
         """IBP closures beyond +-x_tail with the constant limit amplitudes:
@@ -227,7 +227,7 @@ class ThetaEvaluator:
         # in Python floats, |N| near the largest double gives inf, not a warning
         N_max = float(np.max(np.abs(N), initial=0.0))
         x_stat = self.n * N_max / (np.pi * abs(float(self.k))) + self._shift
-        if 1.35 * x_stat > self.x_split:
+        if _STATIONARY_MARGIN * x_stat > self.x_split:
             raise ResolutionError(
                 f"stationary point at |x| ~ {x_stat:.1f} too close to the "
                 f"resolved core |x| <= {self.x_split:.1f}",
@@ -294,9 +294,9 @@ class HankelEigenfunction:
     relative_residual: np.ndarray
 
 
-def theta_profile(N_grid, field, Q, cov, entries=None, **kw) -> HankelEigenfunction:
+def theta_profile(N_grid, field, Q, cov, entries=None) -> HankelEigenfunction:
     """Evaluate sqrt(t) theta over an N-grid plus the asymptotic comparison."""
-    ev = ThetaEvaluator(field, Q, cov, **kw)
+    ev = ThetaEvaluator(field, Q, cov)
     model = PhaseModel.from_problem(Q, cov)
     vals = ev.theta_scaled(np.asarray(N_grid, dtype=float))
     if entries is None:
@@ -363,19 +363,19 @@ def operator_quadratic_form(xi, Fu, Q: RealPolynomial, profile):
     return total
 
 
-def quadratic_form_check(P: RealPolynomial, profile, sigma=1.2, xi0=0.4,
-                         n_tau=2049, L_tau=16.0, n_xi=4096, L_xi=40.0):
+def quadratic_form_check(P: RealPolynomial, profile):
     """Relative residual |(Hu,u) - (A Fu, Fu)| / |(A Fu, Fu)|.
 
-    The test function is u(t) = t^{-1/2 + i xi0} exp(-(ln t)^2 / (2 sigma^2)),
-    i.e. a gaussian in ln t, so every integral converges rapidly.
+    The test function is u(t) = t^{-1/2 + i xi0} exp(-(ln t)^2 / (2 sigma^2))
+    with sigma = 1.2 and xi0 = 0.4, i.e. a gaussian in ln t, so every integral
+    converges rapidly: on 2049 points of ln t in [-16, 16], and F u on 4096
+    points of xi in [-40, 40).
     """
-    from .coeffmap import p_to_q
-
-    tau = np.linspace(-L_tau, L_tau, n_tau)
+    sigma, xi0 = 1.2, 0.4
+    tau = np.linspace(-16.0, 16.0, 2049)
     g = np.exp(1j * xi0 * tau - tau ** 2 / (2 * sigma ** 2))
     H_form = hankel_quadratic_form(tau, g, P)
-    xi = np.linspace(-L_xi, L_xi, n_xi, endpoint=False)
+    xi = np.linspace(-40.0, 40.0, 4096, endpoint=False)
     Fu = mellin_F(tau, g, xi)
     Q = p_to_q(P)
     A_form = operator_quadratic_form(xi, Fu, Q, profile)

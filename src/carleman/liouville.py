@@ -32,7 +32,7 @@ from ._jets import Jet
 from .coeffmap import RealPolynomial
 from .errors import ConfigurationError
 from .oscquad import _ChebTable
-from .profile import ChangeOfVariables, WeightProfile
+from .profile import ChangeOfVariables, WeightProfile, _fit_slope, decay_parameters
 
 
 class _DiffOp:
@@ -220,18 +220,17 @@ def operator_apply_check(Q: RealPolynomial, cov: ChangeOfVariables, f, fderiv,
 
 
 def decay_report(Q: RealPolynomial, cov: ChangeOfVariables, p_max: int = 1,
-                 x_lo: float = 10.0, x_hi: float = 1.0e4, npts: int = 40):
-    """Fitted decay slopes of |b_m^(p)| on [x_lo, x_hi] vs the predicted ones.
+                 x_hi: float = 1.0e4):
+    """Fitted decay slopes of |b_m^(p)| at 40 geometric points of [10, x_hi]
+    vs the predicted ones.
 
     Prediction: slope(m, p) = -(n - m) gamma - p gamma (1 + delta n / 2) with
     (gamma, delta) fitted from the profile.  Entries whose coefficient is
     numerically zero are reported as None.
     """
-    from .profile import _fit_slope, decay_parameters
-
     n = Q.degree
     gamma, delta = decay_parameters(cov.profile, n)
-    x = np.geomspace(x_lo, x_hi, npts)
+    x = np.geomspace(10.0, x_hi, 40)
     jets = OperatorCoefficients(Q, cov).b_jets(x, p_max)
     rows = []
     logx = np.log(x)

@@ -146,6 +146,14 @@ def ibp_boundary(amp_jet: Jet, phase_jet: Jet, order: int = 2):
     return total, last
 
 
+def _clenshaw(coef, t):
+    """sum_j coef[j] T_j(t) by Clenshaw's recurrence, 2t formed once."""
+    t2, b1, b2 = 2.0 * t, 0.0, 0.0
+    for c in coef[:0:-1]:
+        b1, b2 = c + t2 * b1 - b2, b1
+    return coef[0] + t * b1 - b2
+
+
 class _ChebTable:
     """Piecewise-Chebyshev table of `sample` (1-D x -> (components..., x.size))
     between `edges`: on the panel with centre c and half-width h the basis is
@@ -185,9 +193,7 @@ class _ChebTable:
                               f"not [{x.min():g}, {x.max():g}]")
         q = np.clip(np.searchsorted(e, x.ravel(), side="right") - 1, 0, e.size - 2)
         s = x.ravel() - self._c[q]
-        t, coef = s / self._h[q], self.coef[..., q]           # coef: (j, nu, comp, point)
-        b1 = b2 = 0.0
-        for c in coef[:0:-1]:
-            b1, b2 = c + 2.0 * t * b1 - b2, b1
-        out = (coef[0] + t * b1 - b2) * np.exp(1j * np.multiply.outer(self.nus, s))[:, None]
+        # coef: (j, nu, comp, point)
+        out = _clenshaw(self.coef[..., q], s / self._h[q]) \
+            * np.exp(1j * np.multiply.outer(self.nus, s))[:, None]
         return out.sum(axis=0).reshape(self.shape + x.shape)

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._jets import Jet, solve_autonomous_ode
 from .errors import ConfigurationError, DomainError
-from .oscquad import gauss_panels, gauss_rule
+from .oscquad import _clenshaw, gauss_panels, gauss_rule
 
 _FAMILIES = ("cosh", "power_law", "stretched_exp")
 
@@ -166,11 +166,7 @@ class ChangeOfVariables:
     def _x_in_cell(self, a, idx, coef):
         """Edge value of cell idx + (a - lo) * running mean (Clenshaw on coef)."""
         da = a - self._grid[idx]
-        t = da / (0.5 * self.CELL) - 1.0
-        t2, b1, b2 = 2.0 * t, 0.0, 0.0
-        for ck in coef[:0:-1]:
-            b1, b2 = ck + t2 * b1 - b2, b1
-        return self._cum[idx] + da * (coef[0] + t * b1 - b2)
+        return self._cum[idx] + da * _clenshaw(coef, da / (0.5 * self.CELL) - 1.0)
 
     def _cum_at(self, a):
         """Cumulative integral from 0 to a >= 0 (vectorized)."""

@@ -204,7 +204,7 @@ class PotentialSpec:
     specs read the operator's b~ table instead, which `cover` extends.
     """
 
-    def __init__(self, n, funcs, support=None, label="custom", breakpoints=()):
+    def __init__(self, n, funcs, support=None, breakpoints=()):
         if n < 1:
             raise ConfigurationError("n must be >= 1")
         if len(funcs) != max(n - 1, 0):
@@ -212,14 +212,12 @@ class PotentialSpec:
         self.n = int(n)
         self.funcs = list(funcs)
         self.support = support
-        self.label = label
         self.breakpoints = tuple(sorted(abs(b) for b in breakpoints))
         self._op = self._table = None
 
     @staticmethod
     def from_operator(op, x_max=2.6e4):
-        pot = PotentialSpec(op.n, [lambda x, m=m: pot.values(x)[m]
-                                   for m in range(op.n - 1)], label=f"gauged n={op.n}")
+        pot = PotentialSpec(op.n, [lambda x, m=m: pot.values(x)[m] for m in range(op.n - 1)])
         pot._op, pot._table = op, op.btilde_splines(x_max)
         return pot
 
@@ -251,7 +249,6 @@ class _Mesh:
     lo: np.ndarray        # each panel's left and right end
     hi: np.ndarray
     nodes: np.ndarray
-    panel_of: np.ndarray
     p: int
     cmat: np.ndarray      # Lagrange coefficient matrix on the reference nodes
     widths: np.ndarray    # the distinct panel half-widths
@@ -322,8 +319,7 @@ def _panels(lo, hi, p, edges=None):
     x, s = gauss_rule(p)[0], 0.5 * (hi - lo)
     widths, width_of = np.unique(s, return_inverse=True)
     return _Mesh(edges=edges, lo=lo, hi=hi,
-                 nodes=(0.5 * (lo + hi)[:, None] + s[:, None] * x).ravel(),
-                 panel_of=np.repeat(np.arange(lo.size), p), p=p,
+                 nodes=(0.5 * (lo + hi)[:, None] + s[:, None] * x).ravel(), p=p,
                  cmat=lagrange_coeff_matrix(x), widths=widths, width_of=width_of)
 
 
@@ -424,7 +420,7 @@ class EigenfunctionField:
         self._core = dens[0]
         self.w = self._core.fs[0].ravel()
         self.X0, self.X = solver.x0, X
-        self.diagnostics, self._rlim_cache = {}, None
+        self.diagnostics = {}
 
     @property
     def core_edges(self):
@@ -464,17 +460,15 @@ class EigenfunctionField:
         """The x -> +/-inf limits of each envelope r_w, keyed (side, w), wave
         by wave: [w = 1] - a int e^{-iwky} w dy on the side the wave leaves
         by and [w = 1] on the other (module docstring)."""
-        if self._rlim_cache is None:
-            self._rlim_cache = {}
-            for w in self.waves:
-                b = self._wave_branch[w]
-                zeta, a, upper = self._branches[b]
-                I = sum(np.exp(-1j * zeta * (d.mesh.hi if upper else d.mesh.lo))
-                        @ d.totals[:, b] for d in self._dens.values())
-                for side in (+1, -1):
-                    self._rlim_cache[side, w] = complex(w == 1) - (
-                        a * I if (side > 0) == upper else 0.0)
-        return self._rlim_cache
+        lims = {}
+        for w in self.waves:
+            b = self._wave_branch[w]
+            zeta, a, upper = self._branches[b]
+            I = sum(np.exp(-1j * zeta * (d.mesh.hi if upper else d.mesh.lo))
+                    @ d.totals[:, b] for d in self._dens.values())
+            for side in (+1, -1):
+                lims[side, w] = complex(w == 1) - (a * I if (side > 0) == upper else 0.0)
+        return lims
 
     def _envelope(self, x, w):
         """r_w(x) = [w = 1] - a e^{-iwkx} K(x) with the real root zeta = wk:
@@ -708,7 +702,8 @@ class _CoreSolver:
         if meshes:
             ends = np.concatenate([np.stack((m.lo, m.hi), 1) for m in meshes.values()])
             ends, which = np.unique(ends, axis=0, return_inverse=True)
-            union = _panels(*ends.T, 8)  # the outer meshes' order
+            p, = {m.p for m in meshes.values()}  # the side meshes' one order
+            union = _panels(*ends.T, p)
             coef = [[g * (zeta == mu) for g, (zeta, _, _) in
                      zip(self._coef(union), self._branches)] for mu in self._mus]
             blocks = _Blocks(self.lam, union, self._mus, self._branches, coef)

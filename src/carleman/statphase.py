@@ -73,12 +73,12 @@ def _check_no_inflection(omega, a):
     return ch
 
 
-def evaluate_J(omega, g, N, a, ibp_order: int = 3):
+def evaluate_J(omega, g, N, a):
     """High-accuracy J(N) = int_0^a exp(i N omega(y)) g(y) dy.
 
     Panels are sized by the exact phase N*omega; if the total phase exceeds
     the panel budget, the outer piece (where the phase derivative is large)
-    is closed with an integration-by-parts series instead.
+    is closed with a third-order integration-by-parts series instead.
     """
     N = float(N)
     ch_w = _check_no_inflection(omega, a)
@@ -103,12 +103,10 @@ def evaluate_J(omega, g, N, a, ibp_order: int = 3):
     val = integrate_panels(f, edges, p=12) if edges.size > 1 else 0.0 + 0.0j
     if y_cut < a:
         # two-point IBP closure of int_{y_cut}^{a}
-        S_hi, _ = ibp_boundary(_jet_from_cheb(ch_g, a, ibp_order),
-                               _jet_from_cheb(ch_w, a, ibp_order + 1) * N,
-                               order=ibp_order)
-        S_lo, _ = ibp_boundary(_jet_from_cheb(ch_g, y_cut, ibp_order),
-                               _jet_from_cheb(ch_w, y_cut, ibp_order + 1) * N,
-                               order=ibp_order)
+        S_hi, _ = ibp_boundary(_jet_from_cheb(ch_g, a, 3),
+                               _jet_from_cheb(ch_w, a, 4) * N, order=3)
+        S_lo, _ = ibp_boundary(_jet_from_cheb(ch_g, y_cut, 3),
+                               _jet_from_cheb(ch_w, y_cut, 4) * N, order=3)
         val = val + (S_hi - S_lo)
     return complex(val)
 

@@ -278,7 +278,7 @@ def test_inputs_the_solve_cannot_honour_exit_2(argv, capsys):
        "--points", n] for n in ("0", "-2"))])
 def test_malformed_grids_and_lists_exit_2(argv, capsys, monkeypatch):
     # refused before any solve starts
-    monkeypatch.setattr("carleman.scattering.scattering_matrix",
+    monkeypatch.setattr("carleman.cli.scattering_matrix",
                         lambda *a, **kw: pytest.fail("solved before parsing"))
     rc, out = run_cli(argv)
     assert rc == 2 and out == ""
@@ -298,11 +298,43 @@ SCATTER_ONE = ["--lambda-min", "1", "--lambda-max", "1", "--points", "1"]
 def test_non_monic_polynomials_exit_2(argv, capsys, monkeypatch):
     # the solver takes the D^n coefficient of B~ to be 1, so q_n != 1 would
     # scatter by another operator; it is refused before any solve
-    monkeypatch.setattr("carleman.scattering.scattering_matrix",
+    monkeypatch.setattr("carleman.cli.scattering_matrix",
                         lambda *a, **kw: pytest.fail("solved a non-monic operator"))
     rc, out = run_cli(argv)
     assert rc == 2 and out == ""
     assert "monic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, cmd, rc", [
+    ('{"fn": 1}', "map-coeffs", 1),
+    ('{"nonsense": 3}', "map-coeffs", 1),
+    ('{"p": [0, 1]}', "map-coeffs", 2),
+    ('{"lambda_min": "a"}', "scatter", 1),
+    ("[1, 2]", "map-coeffs", 2),
+    ('{"p": ', "map-coeffs", 2),
+    (None, "map-coeffs", 2)])
+def test_config_entries_are_refused_as_flags(text, cmd, rc, tmp_path):
+    # each config entry is a flag: an unknown or ill-typed one is a usage
+    # error, a value the command refuses is a validation error, and so is a
+    # missing file, malformed JSON or JSON that is no object; no traceback
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    base = {"map-coeffs": ["--p", "0,1"], "scatter": ["--p", "0,0,1", *SCATTER_ONE]}[cmd]
+    proc = subprocess.run([sys.executable, "-m", "carleman.cli", cmd, *base,
+                           "--config", str(cfg)], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (rc, "")
+    assert "Traceback" not in proc.stderr
+
+
+def test_config_entry_is_the_flag(tmp_path):
+    # {"N-grid": "-5:5:5"} reads as --N-grid=-5:5:5
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N-grid": "-5:5:5"}))
+    argv = ["hankel-theta", "--p", "0,0,1", "--k", "1", "--truncation", "2000"]
+    got, want = (run_cli(argv + extra) for extra in (["--config", str(cfg)],
+                                                     ["--N-grid=-5:5:5"]))
+    assert got == want and want[0] == 0
 
 
 def test_truncation_past_the_initial_table(tmp_path):

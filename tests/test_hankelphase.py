@@ -5,8 +5,8 @@ import pytest
 from carleman.coeffmap import RealPolynomial, p_to_q
 from carleman.errors import DomainError, ResolutionError
 from carleman._jets import Jet
-from carleman.hankelphase import (PhaseModel, ThetaEvaluator, _zeta_of_xi,
-                                  hankel_kernel, hankel_quadratic_form,
+from carleman.hankelphase import (_STATIONARY_MARGIN, PhaseModel, ThetaEvaluator,
+                                  _zeta_of_xi, hankel_kernel, hankel_quadratic_form,
                                   mellin_F, quadratic_form_check,
                                   theta_asymptotic, varrho, zeta_amplitude)
 from carleman.oscquad import equidistribute_edges, integrate_panels
@@ -252,7 +252,7 @@ def theta_evaluator(cosh_profile):
 
 def _n_lim(ev):
     """The largest |N| the evaluator's node set is built for."""
-    return (ev.x_split / 1.35 - ev._shift) * np.pi * abs(ev.k) / ev.n
+    return (ev.x_split / _STATIONARY_MARGIN - ev._shift) * np.pi * abs(ev.k) / ev.n
 
 
 def _theta_reference(ev, N, dphase=np.pi / 8, p=16):
@@ -275,7 +275,7 @@ def _theta_reference(ev, N, dphase=np.pi / 8, p=16):
     tail = edges(ev._tails[+1].edges, np.geomspace(ev.x_split, ev.x_tail, 400))
     for side in (+1, -1):
         total += integrate_panels(
-            lambda v: phase_zeta(side * v) * ev._tail_psi(v, side), tail, p)
+            lambda v: phase_zeta(side * v) * ev._tails[side](v), tail, p)
     return (total + ev._closure(N)) / np.sqrt(2.0 * np.pi)
 
 

@@ -318,7 +318,7 @@ def test_panel_moments_match_direct_moments():
     for own in (False, True):
         for (z, _, upper), got in zip(branches, _panel_moments(mesh, branches, mus, own)):
             for nu, m in zip(mus - z, got):
-                want = mesh.moments(nu, mesh.panel_of, t, upper) if own else \
+                want = mesh.moments(nu, np.repeat(q, mesh.p), t, upper) if own else \
                     mesh.moments(nu, q, 1.0 if upper else -1.0, upper)
                 assert np.array_equal(m[mesh.width_of].reshape(want.shape), want), \
                     (z, upper, own)
@@ -555,6 +555,28 @@ def test_one_outer_elimination_and_five_btilde_reads_per_s(potential, request,
                         lambda self, x: read.append(1) or values(self, x))
     scattering_matrix(request.getfixturevalue(potential), 1.0)
     assert (len(built), len(read)) == (2, 5)
+
+
+def test_outer_union_takes_the_side_meshes_order(pot2m1, monkeypatch):
+    # the union of the outer panels is eliminated at the side meshes' Gauss
+    # order: sides of p = 10 give every side density p = 10 and move S_X by
+    # the discretization error only
+    default = scattering_matrix(pot2m1, 1.0, X=2000.0)
+    fields, outer = [], sc._outer_mesh
+
+    class Recording(sc.EigenfunctionField):
+        def __init__(self, *args):
+            super().__init__(*args)
+            fields.append(self)
+
+    monkeypatch.setattr(sc, "_outer_mesh", lambda *a: outer(*a, p=10))
+    monkeypatch.setattr(sc, "EigenfunctionField", Recording)
+    e = scattering_matrix(pot2m1, 1.0, X=2000.0)
+    assert len(fields) == 4  # +-k, each at X and 2X
+    for f in fields:
+        assert {d.mesh.p for side, d in f._dens.items() if side} == {10}
+        assert f.diagnostics["state_residual"] <= 1e-14
+    assert np.max(np.abs(e.S_X - default.S_X)) <= 1e-6
 
 
 def test_one_factorization_per_lambda(pot2, monkeypatch):

@@ -11,7 +11,7 @@ from .errors import (CarlemanError, ConfigurationError, DomainError,
                      ResolutionError)
 from .profile import ChangeOfVariables, WeightProfile, a1_constant, decay_parameters
 from .liouville import OperatorCoefficients, operator_apply_check
-from .scattering import (EigenfunctionField, PotentialSpec, RootSet,
+from .scattering import (EigenfunctionField, PotentialSpec,
                          eigenvalue_multiplicity_bound, free_resolvent_kernel,
                          ode_cross_check, scattering_matrix,
                          solve_lippmann_schwinger, square_well_reflection,

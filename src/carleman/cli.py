@@ -6,8 +6,9 @@ All numbers are printed with 17 significant digits so emitted files round-trip
 losslessly; every record carries the tolerances and truncation radii used.
 
 One parser owns every input.  Each entry of the JSON object a `--config` file
-holds is a flag ({"lambda_min": 0.2} reads as --lambda-min=0.2), read after
-the command line's so that it overrides them, and validated the same way.
+holds is a flag ({"lambda_min": 0.2} reads as --lambda-min=0.2), parsed once
+with the command line's and after them, so that it may supply a required flag
+and overrides the others, and validated the same way.
 """
 
 from __future__ import annotations
@@ -347,6 +348,11 @@ def _config_flags(path):
         raise ConfigurationError(f"cannot read --config {path!r}: {exc}") from None
     if not isinstance(entries, dict):
         raise ConfigurationError(f"--config {path!r} does not hold a JSON object")
+    # a key that reads as --config would name a file nothing reads
+    nested = [key for key in entries if key and "config".startswith(key.replace("_", "-"))]
+    if nested:
+        raise ConfigurationError(f"--config {path!r} holds the key {nested[0]!r}: "
+                                 "a config cannot name another")
     return [f"--{key.replace('_', '-')}="
             f"{value if isinstance(value, str) else json.dumps(value)}"
             for key, value in entries.items()]
@@ -371,14 +377,22 @@ def _merge_negative_values(argv):
 
 
 def main(argv=None):
-    ap = build_parser()
     argv = _merge_negative_values(sys.argv[1:] if argv is None else list(argv))
-    args = ap.parse_args(argv)
+    # the config's flags follow the command line's into the one parse, so
+    # they may supply required flags, override the others and are refused
+    # alike; a subcommand without --config refuses it as a usage error, so an
+    # unreadable file is reported only after the parse
+    pre = _Parser(prog="carleman", add_help=False)
+    pre.add_argument("--config", nargs="?")  # a missing value is the parse's error
+    path, flags, unread = pre.parse_known_args(argv)[0].config, [], None
     try:
-        if getattr(args, "config", None):
-            # the subcommand's parser reads the config's flags after the
-            # command line's, so they override them and are refused alike
-            args = ap.parse_args(argv + _config_flags(args.config))
+        flags = _config_flags(path) if path else []
+    except ConfigurationError as exc:
+        unread = exc
+    args = build_parser().parse_args(argv + flags)
+    try:
+        if unread:
+            raise unread
         rc = args.fn(args)
     except (ConfigurationError, DomainError) as exc:
         sys.stderr.write(f"validation error: {exc}\n")

@@ -10,12 +10,13 @@ in log coordinates N = ln t,
 
 with psi the gauged short-range eigenfunction.  The integral converges only
 conditionally: a core plus oscillating tails, with psi read from the Nystrom
-field into oscquad tables (the tails' basis carries the waves e^{+-ikx}),
-closed by integration by parts.  Stationary points sit at |x| ~ n|N|/(pi |k|),
-so the core radius bounds the reachable |N|.  Only e^{-i xi(x) N} depends on
-N, so the Gauss nodes resolve the phase at that largest |N| once: each psi
-table panel is cut into equal parts spanning <= 2 pi of it, 12 nodes each, and
-I(N) is one fixed exponential sum over them plus the closures.
+field into oscquad tables on the field's own panels (the outer sides' basis
+carries the waves e^{+-ikx}), closed by integration by parts.  Stationary
+points sit at |x| ~ n|N|/(pi |k|), so x_split bounds the reachable |N|.  Only
+e^{-i xi(x) N} depends on N, so the Gauss nodes resolve the phase at that
+largest |N| once: each psi table panel is cut into equal parts spanning
+<= 2 pi of it, 12 nodes each, and I(N) is one fixed exponential sum over them
+plus the closures.
 
 The large-|N| model uses the explicit phase
 
@@ -154,45 +155,41 @@ def _panel_nodes(edges, rate, p=12):
 class ThetaEvaluator:
     """Shared machinery to evaluate I(N, k) for many N at one field.
 
-    psi is read from the field once into tables.  The Gauss nodes are built
-    once on those tables' own panels, each cut into parts spanning <= 2 pi of
-    the phase at the largest |N| the core admits, so no Gauss panel straddles
-    a table edge; each theta is then one fixed sum of e^{-i xi_j N} amp_j over
+    psi is read from the field once into tables on its panels (`field.edges`):
+    the core's, each cut into `pieces` equal parts on |x| <= 6, and the outer
+    sides' out to +-x_tail.  The Gauss nodes are built once on the tables'
+    panels, each cut into parts spanning <= 2 pi of the phase at the largest
+    |N| that x_split (X0 by default) admits, so no Gauss panel straddles a
+    table edge; each theta is then one fixed sum of e^{-i xi_j N} amp_j over
     core and tail nodes plus the closures beyond +-x_tail.
     """
 
     def __init__(self, field, Q: RealPolynomial, cov: ChangeOfVariables,
-                 x_split=None, x_tail=2000.0, grid_h=None):
+                 x_split=None, x_tail=2000.0, pieces=2):
         self.Q = Q
         self.cov = cov
         self.n = Q.degree
         self.k = k = field.k
         self.x_split = float(x_split if x_split is not None else field.X0)
         self.x_tail = float(min(x_tail, field.X))
-        default_h = 0.35 / max(1.0, abs(self.k))
-        grid_h = default_h if grid_h is None else grid_h
-        # psi on the core: on |x| <= 6 the field's mesh panels (psi's derivatives
-        # jump at their edges), halved at the default grid_h; 2/max(|k|, 1) beyond
-        a, h = min(6.0, self.x_split), grid_h / 0.35
-        edges = field.core_edges
-        edges = np.append(edges[(edges >= 0.0) & (edges < a)], a)
-        pieces = max(1, int(np.ceil(2.0 * default_h / grid_h)))
-        fine = edges[:-1, None] + np.diff(edges)[:, None] * np.arange(pieces) / pieces
-        right = np.concatenate((fine.ravel(), np.arange(a, self.x_split, 2.0 * h),
-                                [self.x_split]))
+        # psi's derivatives jump at the field's panel edges, so every table
+        # panel is one of the field's, or a part of one
+        edges, a = field.edges, min(6.0, field.X0)
+        right = np.union1d(edges[(edges >= 0.0) & (edges <= field.X0)], a)
+        inner = right[right <= a]
+        fine = inner[:-1, None] + np.diff(inner)[:, None] * np.arange(pieces) / pieces
+        right = np.union1d(fine, right)
         self._psi = _ChebTable(field.psi_at, np.unique(np.concatenate((-right, right))),
                                points=12)
-        # tails in u = |x|: 2/|k| panels hold the complex-root terms beyond
-        # X0, then 25 geometric panels the slow envelopes
-        x_mid = min(max(field.X0 + 30.0 / abs(k), self.x_split), self.x_tail)
-        tail = np.unique(np.concatenate((np.arange(self.x_split, x_mid, 2.0 / abs(k)),
-                                         np.geomspace(x_mid, self.x_tail, 26))))
+        # the tails in u = |x|, where the basis carries the waves
+        u = np.abs(edges)
+        tail = np.append(np.unique(u[(u >= field.X0) & (u < self.x_tail)]), self.x_tail)
         self._tails = {side: _ChebTable(lambda u, s=side: field.psi_at(s * u), tail,
                                         [w * k * side for w in field.waves], points=12)
                        for side in (+1, -1)}
         self._lim = field.r_limits()
-        # one node set for every admissible N: the core on [-x_split, x_split]
-        # and the tails x = +-u, u in [x_split, x_tail], where xi is odd
+        # one node set for every admissible N: the core on [-X0, X0] and the
+        # tails x = +-u, u in [X0, x_tail], where xi is odd
         self._shift = cov.a1 if cov.profile.family == "cosh" else 0.0
         n_lim = max(self.x_split / _STATIONARY_MARGIN - self._shift, 0.0) \
             * np.pi * abs(k) / self.n

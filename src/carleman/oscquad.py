@@ -173,8 +173,8 @@ class _ChebTable:
         t = np.concatenate([np.cos(np.pi * (np.arange(n) + 0.5) / n) for n in sizes])
         self._c, self._h = 0.5 * (e[1:] + e[:-1]), 0.5 * np.diff(e)
         vals = np.asarray(sample((self._c[:, None] + self._h[:, None] * t).ravel()))
-        self.shape = vals.shape[:-1]
-        vals = vals.reshape(-1, e.size - 1, t.size).transpose(1, 2, 0)  # (panel, node, comp)
+        self.shape, comps = vals.shape[:-1], int(np.prod(vals.shape[:-1]))
+        vals = vals.reshape(comps, e.size - 1, t.size).transpose(1, 2, 0)  # (panel, node, comp)
         cheb = np.cos(np.outer(np.arccos(t), np.arange(points)))
         phase = np.exp(1j * self.nus * (self._h[:, None, None] * t[:, None]))  # (panel, node, nu)
         if self.nus.size == 1:  # divide the one wave out: one Chebyshev fit serves every panel
@@ -182,7 +182,7 @@ class _ChebTable:
         else:
             q, r = np.linalg.qr((phase[..., None] * cheb[:, None]).reshape(-1, t.size, m))
             coef = np.linalg.solve(r, q.conj().swapaxes(1, 2) @ vals)
-        self.coef = coef.reshape(e.size - 1, self.nus.size, points, -1).transpose(2, 1, 3, 0)
+        self.coef = coef.reshape(e.size - 1, self.nus.size, points, comps).transpose(2, 1, 3, 0)
 
     def __call__(self, x):
         """The components at the points x, shape (components...,) + x.shape."""

@@ -112,73 +112,37 @@ def lu_solve(factors, b):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootSet:
-    """Roots of zeta^n = z with the lambda +/- i0 limit resolved."""
-
-    z: complex
-    n: int
-    roots: np.ndarray          # counterclockwise from the principal root
-    upper: np.ndarray          # indices with Im > 0 strictly
-    lower: np.ndarray
-    real: np.ndarray           # indices of (numerically) real roots
-    real_side: dict            # index -> "upper"/"lower" at the chosen limit
-
-    def group(self, side):
-        """Root indices feeding the x>=y ("upper") or x<=y ("lower") branch."""
-        strict = self.upper if side == "upper" else self.lower
-        tagged = [j for j in self.real if self.real_side[int(j)] == side]
-        return np.concatenate((strict, np.asarray(tagged, dtype=int))).astype(int)
-
-
-def zeta_roots(z, n, side="+") -> RootSet:
-    """The n-th roots of z; for real z, `side` picks the +i0 or -i0 limit.
-
-    A real root kr moves into the upper half plane under z -> z + i*eps iff
-    kr and z share their sign (d zeta / dz = zeta / (n z)).
+def zeta_roots(z, n, side="+"):
+    """The branches [(zeta, a, upper)] of the free kernel at z: the terms
+    a e^{i zeta (x-y)}, zeta over the n-th roots of z counterclockwise from
+    the principal one, on x >= y (upper) or x <= y.  A root above the real
+    axis is upper; for real z, `side` picks the +i0 or -i0 limit, and a real
+    root kr is upper under +i0 iff kr and z share their sign (it moves up
+    under z -> z + i eps, as d zeta / dz = zeta / (n z)).  Upper branches
+    come first, and in each sweep the strict roots before the real ones.
     """
     z = complex(z)
     if z == 0:
         raise DomainError("z = 0 is the degenerate spectral point")
     if n < 1:
         raise DomainError("n must be >= 1")
-    base = np.exp(2j * np.pi * np.arange(n) / n)
-    roots = (z ** (1.0 / n)) * base
+    roots = (z ** (1.0 / n)) * np.exp(2j * np.pi * np.arange(n) / n)
     scale = abs(z) ** (1.0 / n)
-    tol = 1e-12 * scale
-    real_idx = np.where(np.abs(roots.imag) <= tol)[0]
-    roots[real_idx] = np.sign(roots[real_idx].real) * scale  # exactly +-|z|^(1/n)
-    upper = np.array([j for j in range(n) if roots[j].imag > tol], dtype=int)
-    lower = np.array([j for j in range(n) if roots[j].imag < -tol], dtype=int)
-    real_side = {}
-    for j in real_idx:
-        up = roots[j].real * z.real > 0
-        if side == "-":
-            up = not up
-        real_side[int(j)] = "upper" if up else "lower"
-    return RootSet(z=z, n=n, roots=roots, upper=upper, lower=lower,
-                   real=real_idx, real_side=real_side)
-
-
-def _branch_data(rs: RootSet):
-    """[(zeta, a, upper)]: the kernel term a e^{i zeta (x-y)} on x >= y (upper)
-    or on x <= y, upper branches first."""
-    n = rs.n
-    return [(complex(rs.roots[j]),
-             (1j if upper else -1j) / n * complex(rs.roots[j]) ** (1 - n), upper)
-            for upper in (True, False)
-            for j in rs.group("upper" if upper else "lower")]
+    real = np.abs(roots.imag) <= 1e-12 * scale
+    roots[real] = np.sign(roots[real].real) * scale  # exactly +-|z|^(1/n)
+    upper = np.where(real, (roots.real * z.real > 0) == (side != "-"), roots.imag > 0)
+    return [(complex(roots[j]), (1j if upper[j] else -1j) / n * complex(roots[j]) ** (1 - n),
+             bool(upper[j])) for j in sorted(range(n), key=lambda j: (not upper[j], real[j]))]
 
 
 def free_resolvent_kernel(x, y, z, n, side="+", deriv=0):
     """Kernel of d^deriv/dx^deriv of (D^n - z)^{-1}; two-branch formula."""
-    rs = zeta_roots(z, n, side=side)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     d = x - y
     out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
     ge = d >= 0
-    for zeta, a, upper in _branch_data(rs):
+    for zeta, a, upper in zeta_roots(z, n, side=side):
         on = ge if upper else ~ge
         term = a * (1j * zeta) ** deriv * np.exp(1j * zeta * np.where(on, d, 0.0))
         out = out + np.where(on, term, 0.0)
@@ -187,8 +151,8 @@ def free_resolvent_kernel(x, y, z, n, side="+", deriv=0):
 
 def eigenvalue_multiplicity_bound(n, sign_lambda=1):
     """Count of decay directions = roots strictly above the real axis."""
-    rs = zeta_roots(1.0 if sign_lambda > 0 else -1.0, n)
-    return int(len(rs.upper))
+    return sum(upper and zeta.imag > 0
+               for zeta, _, upper in zeta_roots(1.0 if sign_lambda > 0 else -1.0, n))
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +368,8 @@ class EigenfunctionField:
     The field owns its core and outer densities and the line solve's states
     on them, so later solves on the same solver leave it unchanged.  The
     public surface is evaluation (psi_at / w_at), the r-functions and their
-    limits, the travel direction and wave set, the core mesh edges and solve
-    diagnostics.
+    limits, the travel direction and wave set, the line's panel edges and
+    solve diagnostics.
     """
 
     def __init__(self, solver, k, dens, X):
@@ -423,9 +387,10 @@ class EigenfunctionField:
         self.diagnostics = {}
 
     @property
-    def core_edges(self):
-        """Panel edges of the core mesh on [-X0, X0] (read-only)."""
-        edges = self._core.mesh.edges.view()
+    def edges(self):
+        """Every panel edge of the line, left side through right side
+        (read-only): psi's derivatives jump there."""
+        edges = np.unique(np.concatenate([d.mesh.edges for d in self._dens.values()]))
         edges.flags.writeable = False
         return edges
 
@@ -655,7 +620,7 @@ class _CoreSolver:
     def __init__(self, pot: PotentialSpec, k, x0, truncations=()):
         self.pot, self.n, self.k = pot, pot.n, float(k)
         self.lam = float(k) ** pot.n
-        self._branches = _branch_data(zeta_roots(self.lam, self.n, side="+"))
+        self._branches = zeta_roots(self.lam, self.n, side="+")
         # the real roots: one outer component each, at its frequency
         self._real = [b for b in self._branches if not b[0].imag]
         self._mus = [zeta.real for zeta, _, _ in self._real]

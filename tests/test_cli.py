@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,6 +312,7 @@ def test_non_monic_polynomials_exit_2(argv, capsys, monkeypatch):
     ('{"p": [0, 1]}', "map-coeffs", 2),
     ('{"lambda_min": "a"}', "scatter", 1),
     ("[1, 2]", "map-coeffs", 2),
+    ('{"config": "other.json"}', "scatter", 2),
     ('{"p": ', "map-coeffs", 2),
     (None, "map-coeffs", 2)])
 def test_config_entries_are_refused_as_flags(text, cmd, rc, tmp_path):
@@ -325,6 +327,27 @@ def test_config_entries_are_refused_as_flags(text, cmd, rc, tmp_path):
                            "--config", str(cfg)], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (rc, "")
     assert "Traceback" not in proc.stderr
+
+
+def test_config_supplies_required_flags(tmp_path):
+    # the config's flags join the command line's before the one parse
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda_min": 1, "lambda_max": 1, "points": 1}))
+    argv = ["scatter", "--p", "0,0,1", "--truncation", "500"]
+    got, want = (run_cli(argv + extra) for extra in (["--config", str(cfg)], SCATTER_ONE))
+    assert got == want and want[0] == 0
+
+
+@pytest.mark.parametrize("cmd", [["statphase"], ["evolve"], ["verify", "--suite", "core"]])
+@pytest.mark.parametrize("text", ['{"T": 10}', None])
+def test_config_is_a_usage_error_where_no_flag_takes_it(cmd, text, tmp_path):
+    # statphase, evolve and verify take no --config, readable or not
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(cmd + ["--config", str(cfg)])
+    assert exc.value.code == 1
 
 
 def test_config_entry_is_the_flag(tmp_path):
@@ -401,3 +424,23 @@ def test_hankel_theta_reuses_the_scattering_field(p, grid, solvers, tmp_path,
     assert rc == 0
     assert len(built) == solvers
     assert len(out_file.read_text().strip().splitlines()) == 3
+
+
+def _carleman_commands(lines):
+    """The `carleman` commands among lines, continuation lines joined, as
+    token lists."""
+    text = "\n".join(lines).replace("\\\n", " ")
+    return [line.split() for line in text.splitlines() if line.split()[:1] == ["carleman"]]
+
+
+def test_readme_and_ci_list_the_same_examples():
+    # CI runs README's command-line examples in the same order, all but
+    # `verify --suite core` (it runs `verify --suite all` in a step of its own)
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text().split("## Command line\n\n```\n", 1)[1]
+    readme = _carleman_commands(readme.split("```", 1)[0].splitlines())
+    ci = (root / ".github" / "workflows" / "tier1.yml").read_text().splitlines()
+    start = ci.index("      - name: README command-line examples")
+    end = next(i for i in range(start + 1, len(ci)) if ci[i].startswith("      - "))
+    assert readme[-1] == ["carleman", "verify", "--suite", "core"]
+    assert _carleman_commands(ci[start:end]) == readme[:-1]

@@ -270,9 +270,10 @@ def _theta_reference(ev, N, dphase=np.pi / 8, p=16):
         cuts = equidistribute_edges(s, abs(N) * cov.xi_of_x(s) + k * s, dphase)
         return np.union1d(table_edges, cuts)
 
-    core = edges(ev._psi.edges, np.linspace(-ev.x_split, ev.x_split, 4097))
+    core, tail = ev._psi.edges, ev._tails[+1].edges
+    core = edges(core, np.linspace(core[0], core[-1], 4097))
     total = integrate_panels(lambda x: phase_zeta(x) * ev._psi(x), core, p)
-    tail = edges(ev._tails[+1].edges, np.geomspace(ev.x_split, ev.x_tail, 400))
+    tail = edges(tail, np.geomspace(tail[0], tail[-1], 400))
     for side in (+1, -1):
         total += integrate_panels(
             lambda v: phase_zeta(side * v) * ev._tails[side](v), tail, p)
@@ -313,19 +314,77 @@ def test_theta_nodes_cut_table_panels_at_2pi_of_phase(n, k, theta_evaluator):
     assert 3 * ev._x.size < _EQUIDISTRIBUTED_NODES[n, k]
 
 
+@pytest.fixture(scope="module")
+def solved(pot2m1, q_x2m1, cov2, pot3, q_x3, cov3):
+    """(field, Q, cov) for P = X^2 - 1 (n = 2) or X^3 at k, X = 1e4, solved once."""
+    built = {}
+
+    def get(n, k):
+        if (n, k) not in built:
+            pot, Q, cov = (pot2m1, q_x2m1, cov2) if n == 2 else (pot3, q_x3, cov3)
+            built[n, k] = solve_lippmann_schwinger(pot, k, X=1.0e4), Q, cov
+        return built[n, k]
+    return get
+
+
+def _theta_and_every_node_theta(ev, field, Ns=np.arange(-30.0, 31.0, 5.0)):
+    """theta at Ns, and theta over the evaluator's own nodes and closures with
+    psi read from the field at every node instead of from its tables."""
+    xi = ev.cov.xi_of_x(ev._x)
+    amp = ev._w * field.psi_at(ev._x) * zeta_amplitude(ev._x, ev.Q, ev.cov)
+    ref = np.array([np.exp(-1j * N * xi) @ amp + ev._closure(N) for N in Ns])
+    return ev.theta_scaled(Ns), ref / np.sqrt(2.0 * np.pi)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("k", [1.0, -1.0])
-def test_theta_matches_direct_psi(n, k, pot2m1, q_x2m1, cov2, pot3, q_x3, cov3):
-    """theta over the evaluator's own nodes and closures, with psi read from
-    the field at every node instead of from the evaluator's tables."""
-    pot, Q, cov = (pot2m1, q_x2m1, cov2) if n == 2 else (pot3, q_x3, cov3)
-    field = solve_lippmann_schwinger(pot, k, X=1.0e4)
-    ev = ThetaEvaluator(field, Q, cov)
-    xi = cov.xi_of_x(ev._x)
-    amp = ev._w * field.psi_at(ev._x) * zeta_amplitude(ev._x, Q, cov)
-    Ns = np.arange(-30.0, 31.0, 5.0)
-    ref = np.array([np.exp(-1j * N * xi) @ amp + ev._closure(N) for N in Ns])
-    assert np.max(np.abs(ev.theta_scaled(Ns) - ref / np.sqrt(2.0 * np.pi))) <= 1e-9
+def test_theta_matches_direct_psi(n, k, solved):
+    field, Q, cov = solved(n, k)
+    theta, ref = _theta_and_every_node_theta(ThetaEvaluator(field, Q, cov), field)
+    assert np.max(np.abs(theta - ref)) <= 1e-9
+
+
+@pytest.mark.parametrize("n, k", [(2, 1.0), (2, -1.0), (2, 2.0), (3, 1.0), (3, -1.0)])
+def test_theta_tables_match_every_node_psi_to_rounding(n, k, solved):
+    # the tables sit on the field's panels, where psi is smooth, so reading
+    # psi from them moves theta by rounding only (X^4 reads 2.6e-11, from the
+    # first outer panels, where the complex-root terms die)
+    field, Q, cov = solved(n, k)
+    theta, ref = _theta_and_every_node_theta(ThetaEvaluator(field, Q, cov), field)
+    assert np.max(np.abs(theta - ref)) <= 1e-13 * np.max(np.abs(theta))
+
+
+def test_theta_on_a_field_without_outer_sides(q_x2m1, cov2):
+    # a compactly supported potential has no outer sides: the tail tables hold
+    # no panel, and the closures start at +-X0
+    pot = PotentialSpec(2, [lambda x: np.where(np.abs(np.asarray(x)) <= 1.3, -0.6, 0.0)],
+                        support=1.3, breakpoints=(1.3,))
+    field = solve_lippmann_schwinger(pot, 1.0, X=100.0)
+    ev = ThetaEvaluator(field, q_x2m1, cov2)
+    assert ev.x_tail == field.X0 and ev._tails[+1].edges.tolist() == [field.X0]
+    theta, ref = _theta_and_every_node_theta(ev, field, np.array([-2.0, 1.0, 2.0]))
+    assert np.max(np.abs(theta - ref)) <= 1e-13 * np.max(np.abs(theta))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("k", [1.0, -1.0])
+@pytest.mark.parametrize("split", [1.0, 1.5])
+def test_psi_tables_sit_on_the_field_panels(n, k, split, solved):
+    # every table edge is a field edge, a cut point of a field panel on
+    # |x| <= 6, +-6 or +-x_tail, and every field edge out to +-x_tail is a
+    # table edge, whatever x_split is
+    field, Q, cov = solved(n, k)
+    ev = ThetaEvaluator(field, Q, cov, x_split=field.X0 / split)
+    edges = field.edges
+    tables = np.concatenate((ev._psi.edges, ev._tails[+1].edges, -ev._tails[-1].edges))
+    assert np.all(np.isin(edges[np.abs(edges) <= ev.x_tail], tables))
+    extra = np.unique(tables[~np.isin(tables, edges)])
+    assert np.all(np.isin(np.abs(extra[np.abs(extra) >= 6.0]), [6.0, ev.x_tail]))
+    # pieces = 2 halves each field panel on |x| <= 6
+    inner = np.union1d(edges[np.abs(edges) < 6.0], [-6.0, 6.0])
+    halves = 0.5 * (inner[1:] + inner[:-1])
+    cuts = extra[np.abs(extra) < 6.0]
+    assert cuts.size == halves.size and np.allclose(cuts, halves, rtol=0, atol=1e-12)
 
 
 def test_theta_grid_resolution_guard_matches_scalar(ev2):
@@ -339,12 +398,11 @@ def test_theta_grid_resolution_guard_matches_scalar(ev2):
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("k", [1.0, -1.0])
-def test_core_table_matches_psi(n, k, pot2m1, q_x2m1, cov2, pot3, q_x3, cov3):
-    # the core table's panels follow the field's core mesh, where the
-    # derivatives of psi jump, on |x| <= 6
-    pot, Q, cov = (pot2m1, q_x2m1, cov2) if n == 2 else (pot3, q_x3, cov3)
-    field = solve_lippmann_schwinger(pot, k, X=1.0e4)
+def test_core_table_matches_psi(n, k, solved):
+    # the core table's panels are the field's, where the derivatives of psi
+    # jump
+    field, Q, cov = solved(n, k)
     ev = ThetaEvaluator(field, Q, cov)
     x = np.linspace(-6.0, 6.0, 6001)
     assert np.max(np.abs(ev._psi(x) - field.psi_at(x))) <= 1e-11
-    assert not field.core_edges.flags.writeable
+    assert not field.edges.flags.writeable

@@ -29,10 +29,11 @@ def well_potential(V0=0.6, a=1.3):
 # -- roots -------------------------------------------------------------------
 
 def test_square_roots_of_minus_one():
-    rs = zeta_roots(-1.0, 2)
-    vals = sorted(rs.roots, key=lambda z: z.imag)
+    branches = zeta_roots(-1.0, 2)
+    vals = sorted((zeta for zeta, _, _ in branches), key=lambda z: z.imag)
     assert abs(vals[0] + 1j) < 1e-14 and abs(vals[1] - 1j) < 1e-14
-    assert len(rs.upper) == 1 and len(rs.lower) == 1
+    assert [(upper, zeta.imag > 0) for zeta, _, upper in branches] == [(True, True),
+                                                                      (False, False)]
 
 
 def test_root_residuals_random(rng):
@@ -41,17 +42,16 @@ def test_root_residuals_random(rng):
         if abs(z) < 0.1:
             continue
         n = int(rng.integers(1, 7))
-        rs = zeta_roots(z, n)
-        assert np.max(np.abs(rs.roots ** n - z)) < 1e-12 * abs(z) * 10
+        roots = np.array([zeta for zeta, _, _ in zeta_roots(z, n)])
+        assert roots.size == n
+        assert np.max(np.abs(roots ** n - z)) < 1e-12 * abs(z) * 10
 
 
 def test_real_root_side_resolution():
-    rs = zeta_roots(1.0, 2, side="+")
-    sides = {round(rs.roots[j].real): rs.real_side[int(j)] for j in rs.real}
-    assert sides[1] == "upper" and sides[-1] == "lower"
-    rs = zeta_roots(1.0, 2, side="-")
-    sides = {round(rs.roots[j].real): rs.real_side[int(j)] for j in rs.real}
-    assert sides[1] == "lower" and sides[-1] == "upper"
+    for side, up in (("+", 1), ("-", -1)):
+        sides = {round(zeta.real): upper for zeta, _, upper in zeta_roots(1.0, 2, side=side)
+                 if not zeta.imag}
+        assert sides == {up: True, -up: False}
 
 
 def test_multiplicity_bounds():
@@ -786,8 +786,8 @@ def test_psi_is_continuous_at_the_core_edges(which, k, request):
     # edges on each side; points a hair off an edge take partial moments
     # out to t = +-1
     f = solve_lippmann_schwinger(request.getfixturevalue(which), k, X=1.0e4)
-    outer = [f._dens[side].mesh.edges[::side][1:13] for side in (+1, -1)]
-    edges = np.concatenate([f.core_edges, *outer])
+    lo, hi = np.searchsorted(f.edges, [-f.X0, f.X0])
+    edges = f.edges[lo - 12:hi + 13]
     d = 1e-12
     psi, dpsi = (np.stack([f.psi_at(edges + h, deriv=deriv) for h in (-d, d)])
                  for deriv in (0, 1))

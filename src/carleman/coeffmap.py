@@ -47,15 +47,9 @@ class RealPolynomial:
         g = [c ** k for k in range(self.coeffs.size)]
         return RealPolynomial(_binomial_map(self.coeffs, g))
 
-    def derivative(self):
-        if self.degree == 0:
-            return RealPolynomial(np.array([0.0]))
-        m = np.arange(1, self.coeffs.size)
-        return RealPolynomial(self.coeffs[1:] * m)
-
 
 def _gamma_derivs(order):
-    return recip_gamma_taylor(order).derivatives_at_zero()
+    return recip_gamma_taylor(order).derivative_values()
 
 
 def _binomial_map(p, g):

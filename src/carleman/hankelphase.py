@@ -215,7 +215,7 @@ class ThetaEvaluator:
                 xi_j, zeta_j = self._end_jets[side]
                 x_j = Jet.variable(side * self.x_tail, 3)
                 phase_j = xi_j * (-N) + x_j * (w * self.k)
-                S, _ = ibp_boundary(zeta_j * lim, phase_j, order=2)
+                S = ibp_boundary(zeta_j * lim, phase_j, order=2)
                 total -= side * S
         return total
 

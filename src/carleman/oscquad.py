@@ -11,8 +11,8 @@ the Hankel eigenfunction integrals:
   any frequency);
 * phase-equidistributed Gauss panels for integrands written as
   amplitude * exp(i phase) with an explicitly known phase;
-* a two-term integration-by-parts boundary series for truncated tails
-  int_X^inf exp(i phi) A dx, with jets supplying the derivatives;
+* an integration-by-parts boundary series, `order` terms summed from jets
+  at one point, for the ends of int exp(i phi) A dx cut off at X;
 * a piecewise-Chebyshev table whose basis carries known oscillations
   e^{i nu x} (the solver's b~ coefficients, psi for the Hankel integrals).
 """
@@ -129,21 +129,17 @@ def ibp_boundary(amp_jet: Jet, phase_jet: Jet, order: int = 2):
 
     int_c^d exp(i phi) A dx = S(d) - S(c) + remainder, where S collects
     `order` integration-by-parts terms evaluated from the jets at one point.
-    Returns (S, magnitude of the first neglected amplitude ratio).
     """
     phip = phase_jet.shift()
     e = np.exp(1j * phase_jet.value)
     term = amp_jet
     total = 0.0 + 0.0j
-    last = 0.0
     for _ in range(order):
         ratio = term / (phip * 1j)
         total = total + ratio.value * e
         # next round integrates -(A/(i phi'))' by parts again
         term = -ratio.shift()
-        if term.order >= 0:
-            last = float(np.max(np.abs(term.value / phip.truncated(term.order).value)))
-    return total, last
+    return total
 
 
 def _clenshaw(coef, t):

@@ -7,13 +7,13 @@ formula below the critical line), and eta(xi) = -Im log Gamma(1/2 - i xi) is
 its imaginary part on the critical line, derivatives included when xi is a
 Jet.  eta is odd with eta(0) = 0 and grows like xi ln xi - xi; it is never
 read off Gamma, which underflows there past |xi| ~ 450.
-The reciprocal-gamma series needs only zeta(2), ..., zeta(30), kept as a table
-of correctly rounded values, so this module runs on numpy alone.
+The Taylor series of 1/Gamma(1-z) at 0 is the Jet exponential of its log
+series -gamma_E z - sum zeta(k) z^k / k, which needs only zeta(2), ...,
+zeta(30), kept as a table of correctly rounded values, so this module runs on
+numpy alone.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,39 +103,12 @@ def recip_gamma_log_series(order):
     return c
 
 
-@dataclass(frozen=True)
-class RecipGammaSeries:
-    """Taylor coefficients c_j of gamma(z) = 1/Gamma(1-z) about z = 0."""
-
-    order: int
-    coeffs: np.ndarray
-
-    def __call__(self, z):
-        z = np.asarray(z)
-        out = np.zeros_like(z, dtype=np.result_type(z.dtype, float))
-        for cj in self.coeffs[::-1]:
-            out = out * z + cj
-        return out
-
-    def derivatives_at_zero(self):
-        """gamma^(j)(0) = j! c_j."""
-        fact = np.cumprod(np.concatenate(([1.0], np.arange(1, self.order + 1))))
-        return self.coeffs * fact
-
-
 def recip_gamma_taylor(order):
-    """Series of 1/Gamma(1-z); c_0 = 1 exactly, c_1 = -gamma_E."""
+    """Jet of 1/Gamma(1-z) at z = 0, the exponential of its log series;
+    c_0 = 1 exactly, c_1 = -gamma_E."""
     if order < 0:
         raise DomainError("order must be >= 0")
-    logc = recip_gamma_log_series(order)
-    c = np.zeros(order + 1)
-    c[0] = 1.0
-    for k in range(1, order + 1):
-        acc = 0.0
-        for j in range(1, k + 1):
-            acc += j * logc[j] * c[k - j]
-        c[k] = acc / k
-    return RecipGammaSeries(order=order, coeffs=c)
+    return Jet(recip_gamma_log_series(order)).exp()
 
 
 def eta_phase(xi):

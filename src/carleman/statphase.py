@@ -27,9 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
-from ._jets import Jet
+from ._jets import _FACTORIALS, Jet
 from .errors import ConfigurationError, DomainError
 from .oscquad import equidistribute_edges, ibp_boundary, integrate_panels
+from .profile import _fit_slope
 
 _PHASE_CAP = 3.0          # max radians per Gauss panel
 _PANEL_BUDGET = 6000      # switch to the IBP closure past this many panels
@@ -55,13 +56,7 @@ def _jet_from_cheb(ch, x, order):
     cs = [ch]
     for _ in range(order):
         cs.append(cs[-1].deriv())
-    fact = 1.0
-    coeffs = []
-    for j, c in enumerate(cs):
-        if j > 0:
-            fact *= j
-        coeffs.append(c(x) / fact)
-    return Jet(np.array(coeffs))
+    return Jet(np.array([c(x) / _FACTORIALS[j] for j, c in enumerate(cs)]))
 
 
 def _check_no_inflection(omega, a):
@@ -103,10 +98,10 @@ def evaluate_J(omega, g, N, a):
     val = integrate_panels(f, edges, p=12) if edges.size > 1 else 0.0 + 0.0j
     if y_cut < a:
         # two-point IBP closure of int_{y_cut}^{a}
-        S_hi, _ = ibp_boundary(_jet_from_cheb(ch_g, a, 3),
-                               _jet_from_cheb(ch_w, a, 4) * N, order=3)
-        S_lo, _ = ibp_boundary(_jet_from_cheb(ch_g, y_cut, 3),
-                               _jet_from_cheb(ch_w, y_cut, 4) * N, order=3)
+        S_hi = ibp_boundary(_jet_from_cheb(ch_g, a, 3),
+                            _jet_from_cheb(ch_w, a, 4) * N, order=3)
+        S_lo = ibp_boundary(_jet_from_cheb(ch_g, y_cut, 3),
+                            _jet_from_cheb(ch_w, y_cut, 4) * N, order=3)
         val = val + (S_hi - S_lo)
     return complex(val)
 
@@ -187,10 +182,8 @@ def verify_remainder(omega, g, N_list, a):
         rows.append({"N": float(N), "J": J, "leading": lead,
                      "remainder": R, "bound_shape": B,
                      "ratio": R / B if B > 0 else np.inf})
-    finite = [r["remainder"] for r in rows]
-    logN = np.log([abs(r["N"]) for r in rows])
-    A = np.vstack([logN, np.ones_like(logN)]).T
-    slope = float(np.linalg.lstsq(A, np.log(finite), rcond=None)[0][0])
+    slope = float(_fit_slope(np.log([abs(r["N"]) for r in rows]),
+                             np.log([r["remainder"] for r in rows])))
     return {
         "constants": consts,
         "rows": rows,

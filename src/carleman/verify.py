@@ -14,25 +14,29 @@ def _check(name, ok, detail=""):
 def _suite_core():
     from .coeffmap import RealPolynomial, p_to_q, q_to_p
     from .liouville import OperatorCoefficients
+    from .oscquad import integrate_panels
     from .profile import ChangeOfVariables, WeightProfile, a1_constant
     from .specfun import complex_gamma, eta_phase, recip_gamma_taylor
 
     fails = 0
     rng = np.random.default_rng(7)
-    # gamma reflection identity on random non-real points
-    z = rng.uniform(-8, 8, 100) + 1j * rng.uniform(0.1, 60, 100)
-    resid = np.abs(complex_gamma(z) * complex_gamma(1 - z)
-                   * np.sin(np.pi * z) / np.pi - 1.0)
-    fails += _check("gamma reflection identity", np.max(resid) < 1e-10,
+    # Lanczos Gamma against identities it does not build in (complex_gamma
+    # itself reflects below Re z = 1/2): |Gamma(1/2 + iy)|^2 = pi / cosh(pi y)
+    # and the recurrence Gamma(z + 1) = z Gamma(z) for Re z >= 1/2
+    y = rng.uniform(0, 60, 100)
+    resid = np.abs(np.abs(complex_gamma(0.5 + 1j * y)) ** 2 * np.cosh(np.pi * y) / np.pi - 1)
+    fails += _check("gamma modulus on the critical line", np.max(resid) < 1e-10,
                     f"max {np.max(resid):.2e}")
+    z = rng.uniform(0.5, 8, 100) + 1j * rng.uniform(-60, 60, 100)
+    resid = np.abs(complex_gamma(z + 1) / (z * complex_gamma(z)) - 1.0)
+    fails += _check("gamma recurrence", np.max(resid) < 1e-10, f"max {np.max(resid):.2e}")
     # eta continuity out to the xi that evolve's stationary points reach
     xi = np.arange(0.0, 1e4, 0.05)
     d = np.abs(np.diff(eta_phase(xi)))
     fails += _check("eta branch continuity", np.max(d) < np.pi / 2,
                     f"max step {np.max(d):.3f}")
-    c = recip_gamma_taylor(12).coeffs
-    fails += _check("recip gamma c0/c1", c[0] == 1.0
-                    and abs(c[1] + 0.5772156649015329) < 1e-12)
+    err = abs(recip_gamma_taylor(12).c[2] - (0.5772156649015329 ** 2 - np.pi ** 2 / 6) / 2)
+    fails += _check("recip gamma c2", err < 1e-12, f"off by {err:.1e}")
     # round trip
     ok = True
     for _ in range(50):
@@ -58,12 +62,15 @@ def _suite_core():
     # a1 rules
     fails += _check("a1 quadrature pair", abs(a1_constant(2, "gauss")
                                               - a1_constant(2, "simpson")) < 1e-8)
-    # change of variables oddness / monotonicity / round trip
-    cov = ChangeOfVariables(prof, 2)
-    xs = np.linspace(-20, 20, 81)
-    ok = (np.max(np.abs(cov.x_of_xi(xs) + cov.x_of_xi(-xs))) < 1e-10
-          and np.all(cov.x_prime(xs) > 0)
-          and np.max(np.abs(cov.xi_of_x(cov.x_of_xi(xs)) - xs)) < 1e-10)
+    # change of variables: x(xi) off the cache's cell edges against Gauss
+    # panels of x', and the round trip
+    ok, xs = True, np.linspace(-20, 20, 81)
+    for n in (2, 3):
+        cov = ChangeOfVariables(prof, n)
+        for xi in (0.3, 1.7, 5.55, 11.9):
+            ref = integrate_panels(cov.x_prime, np.linspace(0.0, xi, 65), 16)
+            ok &= bool(abs(cov.x_of_xi(xi) - ref) < 1e-10 * ref)
+        ok &= bool(np.max(np.abs(cov.xi_of_x(cov.x_of_xi(xs)) - xs)) < 1e-10)
     fails += _check("change of variables", ok)
     return fails
 

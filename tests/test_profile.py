@@ -193,3 +193,47 @@ def test_map_and_inverse_against_mpmath(family, n, top):
     small = np.isin(xs, tiny)
     assert np.max(back[~small]) <= 1e-15
     assert np.max(back[small]) <= 4e-15
+
+
+def _mean_matrix_exact(nodes, mp):
+    """M[k][j] of `profile._mean_matrix` in mpmath polynomial arithmetic:
+    the Chebyshev coefficients of (t + 1)^-1 int_{-1}^t l_j, l_j the Lagrange
+    polynomial of nodes[j]."""
+    g = [mp.mpf(float(x)) for x in nodes]
+    m, columns = len(g), []
+    for j in range(m):
+        lag = [mp.mpf(1)]                                 # monomials, lowest first
+        for i in range(m):
+            if i != j:
+                lag = [(b - g[i] * a) / (g[j] - g[i]) for a, b in zip(lag + [0], [0] + lag)]
+        prim = [mp.mpf(0)] + [a / (k + 1) for k, a in enumerate(lag)]
+        prim[0] = -sum(a * (-1) ** k for k, a in enumerate(prim))   # vanishes at -1
+        quot, rem = [], mp.mpf(0)                         # divided by t + 1
+        for a in prim[:0:-1]:
+            rem = a - rem
+            quot.append(rem)
+        cheb = [mp.mpf(0)] * (m + 1)                      # Horner in the T_k basis
+        for a in quot:
+            t_cheb = [mp.mpf(0)] * (m + 1)                # t * sum_k cheb_k T_k
+            t_cheb[1] = cheb[0]
+            for k in range(1, m):
+                t_cheb[k + 1] += cheb[k] / 2
+                t_cheb[k - 1] += cheb[k] / 2
+            cheb = t_cheb
+            cheb[0] += a
+        columns.append(cheb[:m])
+    return [list(row) for row in zip(*columns)]
+
+
+def test_mean_matrix_is_correctly_rounded_to_an_ulp():
+    # the long double construction must land within one double ulp of the
+    # largest entry; where long double is binary64 it does not
+    mp = pytest.importorskip("mpmath")
+    from carleman.profile import _GL_NODES, _MEAN
+
+    with mp.workdps(50):
+        exact = _mean_matrix_exact(_GL_NODES, mp)
+        err = max(abs(mp.mpf(float(_MEAN[k, j])) - exact[k][j])
+                  for k in range(_MEAN.shape[0]) for j in range(_MEAN.shape[1]))
+        top = max(abs(e) for row in exact for e in row)
+    assert float(err) <= np.spacing(float(top)), (float(err), float(top))

@@ -7,6 +7,11 @@ orders where finite differences would lose most digits.
 
 Coefficients may carry trailing array axes, so a single jet can hold the
 expansions at a whole grid of points at once.
+
+exp, log and pow share one recurrence (`_ode`), and cosh is the mean of
+exp(u) and exp(-u).  Jets are one of the library's two ways to take
+derivatives; the other is the Chebyshev interpolant of the independent oracle
+`liouville.operator_apply_check`.  Finite differences appear only in the tests.
 """
 
 from __future__ import annotations
@@ -123,58 +128,32 @@ class Jet:
 
     # -- elementary functions --------------------------------------------------
 
-    def exp(self):
-        K = self.order
+    def _ode(self, y0, s, a, b):
+        """The jet y with y[0] = y0 that solves u^s y' = (a y + b) u' along
+        u = self (s = 0 or 1): matching the coefficients of t^(k-1) gives
+        k u[0]^s y[k] = sum_{j=1..k} (a j - s (k - j)) u[j] y[k-j] + b k u[k]."""
         u = self.c
-        out = np.zeros_like(u, dtype=np.result_type(u.dtype, float))
-        out[0] = np.exp(u[0])
-        for k in range(1, K + 1):
-            acc = np.zeros(out.shape[1:], dtype=out.dtype)
+        y = np.zeros_like(u, dtype=np.result_type(u.dtype, float))
+        y[0] = y0
+        for k in range(1, self.order + 1):
+            acc = b * k * u[k]
             for j in range(1, k + 1):
-                acc = acc + j * u[j] * out[k - j]
-            out[k] = acc / k
-        return Jet(out)
+                acc = acc + (a * j - s * (k - j)) * u[j] * y[k - j]
+            y[k] = acc / (k * u[0] ** s)
+        return Jet(y)
+
+    def exp(self):
+        return self._ode(np.exp(self.c[0]), 0, 1.0, 0.0)
 
     def log(self):
-        K = self.order
-        u = self.c
-        out = np.zeros_like(u, dtype=np.result_type(u.dtype, float))
-        out[0] = np.log(u[0])
-        for k in range(1, K + 1):
-            acc = k * u[k].astype(out.dtype)
-            for j in range(1, k):
-                acc = acc - j * out[j] * u[k - j]
-            out[k] = acc / (k * u[0])
-        return Jet(out)
+        return self._ode(np.log(self.c[0]), 1, 0.0, 1.0)
 
     def pow(self, a):
         """self**a for a real (possibly non-integer) exponent; u[0] > 0 assumed."""
-        K = self.order
-        u = self.c
-        out = np.zeros_like(u, dtype=np.result_type(u.dtype, float))
-        out[0] = u[0] ** a
-        for k in range(1, K + 1):
-            acc = np.zeros(out.shape[1:], dtype=out.dtype)
-            for j in range(1, k + 1):
-                acc = acc + (a * j - (k - j)) * u[j] * out[k - j]
-            out[k] = acc / (k * u[0])
-        return Jet(out)
+        return self._ode(self.c[0] ** a, 1, a, 0.0)
 
     def cosh(self):
-        # joint recurrence sinh' = cosh u', cosh' = sinh u'
-        u = self.c
-        s = np.zeros_like(u, dtype=np.result_type(u.dtype, float))
-        c = np.zeros_like(s)
-        s[0], c[0] = np.sinh(u[0]), np.cosh(u[0])
-        for k in range(1, self.order + 1):
-            sa = np.zeros(s.shape[1:], dtype=s.dtype)
-            ca = np.zeros(s.shape[1:], dtype=s.dtype)
-            for j in range(1, k + 1):
-                sa = sa + j * u[j] * c[k - j]
-                ca = ca + j * u[j] * s[k - j]
-            s[k] = sa / k
-            c[k] = ca / k
-        return Jet(c)
+        return (self.exp() + (-self).exp()) * 0.5
 
     def compose(self, outer_coeffs):
         """Evaluate sum_j outer_coeffs[j] * (self - self[0])**j as a jet.

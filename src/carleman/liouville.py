@@ -160,58 +160,27 @@ class OperatorCoefficients:
 # -- checks ---------------------------------------------------------------
 
 
-def _fornberg_weights(z, x, m):
-    """Finite-difference weights for derivatives 0..m at z from nodes x."""
-    n = len(x)
-    c = np.zeros((n, m + 1))
-    c1 = 1.0
-    c4 = x[0] - z
-    c[0, 0] = 1.0
-    for i in range(1, n):
-        mn = min(i, m)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i] - z
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c
-
-
-def operator_apply_check(Q: RealPolynomial, cov: ChangeOfVariables, f, fderiv,
-                         xgrid, h: float = 0.02):
+def operator_apply_check(Q: RealPolynomial, cov: ChangeOfVariables, f, fderiv, xgrid):
     """Residual of the defining identity of the transform on a grid.
 
-    Left side: v(xi) sum_m q_m D_xi^m (psi(xi) f(x(xi))) with the xi-derivatives
-    taken by a 13-point Fornberg stencil of step h (the independent oracle).
-    Right side: v^(-1/n) sum_m i^-m b_m(x) f^(m)(x) with b_m from the jet
-    expansion of the operator product v^(1+1/n) Q(phi D) o psi and f^(m)
-    supplied in closed form by `fderiv(x, m)`.
+    Left side: v(xi) sum_m q_m D_xi^m (psi(xi) f(x(xi))) with the
+    xi-derivatives taken from the degree-40 Chebyshev interpolant of
+    psi f(x(xi)) on [xi0 - 1/2, xi0 + 1/2], uncut, since chopping its
+    coefficients costs high-order digits: the independent oracle, with
+    neither jets nor finite differences.  Right side: v^(-1/n) sum_m i^-m
+    b_m(x) f^(m)(x) with b_m from the jets of the operator product
+    v^(1+1/n) Q(phi D) o psi and f^(m) in closed form from `fderiv(x, m)`.
     """
     n = Q.degree
-    xgrid = np.asarray(xgrid, dtype=float)
     co = OperatorCoefficients(Q, cov)
     worst = 0.0
-    offsets = h * np.arange(-6, 7)
-    for x0 in xgrid:
+    for x0 in np.asarray(xgrid, dtype=float):
         xi0 = float(cov.xi_of_x(x0))
-        xs = xi0 + offsets
-        g = cov.psi_jet(xs, 0).value * f(cov.x_of_xi(xs))
-        wts = _fornberg_weights(xi0, xs, n)
-        lhs = 0.0 + 0.0j
+        g = np.polynomial.Chebyshev.interpolate(
+            lambda xi: co.profile.v(xi) ** (1.0 - 1.0 / n) * f(cov.x_of_xi(xi)),
+            40, [xi0 - 0.5, xi0 + 0.5])
         v0 = co.profile.v(xi0)
-        for m in range(n + 1):
-            dm = complex(np.dot(wts[:, m], g + 0.0j))
-            lhs += Q.coeffs[m] * (-1j) ** m * dm
-        lhs *= v0
+        lhs = v0 * sum(Q.coeffs[m] * (-1j) ** m * g.deriv(m)(xi0) for m in range(n + 1))
         b = co.b_values(np.array([x0]))[:, 0]
         rhs = v0 ** (-1.0 / n) * sum(
             (-1j) ** m * b[m] * fderiv(x0, m) for m in range(n + 1))

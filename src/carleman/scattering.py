@@ -22,10 +22,13 @@ with own_b,P the partial-panel moments anchored at the nodes.  On the core
 f = w is one component, g_b = a_b sigma_b with sigma_b = sum_m b~_m zeta_b^m,
 and rhs = sigma(k) e^{ikx}.  Beyond X0 = CORE_RADIUS (sum|b~_m| is 6.3e-5
 there for P = X^2 on the cosh weight, 1.3e-3 for X^4) w = sum_w e^{iwky} f_w
-has one component per wave; the complex-root terms, which die within a few
-units of +-X0, enter psi but are not sources there.  f_w = sigma(wk) ([w = 1]
-- a e^{-iwky} K_wk), so rhs_w = sigma(wk) [w = 1], g = a sigma e^{-iwky} on
-the wave's own real root, and no other root has a coefficient there.  Every
+has one component per wave.  For odd n that one wave carries all of V psi,
+f = sigma(k) - sum_b a_b sigma_b e^{-iky} K_b, so rhs = sigma(k) and every
+root is a source there, g_b = a_b sigma_b e^{-iky}.  For even n the
+complex-root terms, which die within a few units of +-X0, enter psi but are
+not sources there: f_w = sigma(wk) ([w = 1] - a e^{-iwky} K_wk), so
+rhs_w = sigma(wk) [w = 1], g = a sigma e^{-iwky} on the wave's own real root,
+and no other root has a coefficient there.  Every
 state steps to the next panel as
 s_b(P +- 1) = e^{+-i zeta_b h_P} s_b(P) + F_b,P . f_P (full-panel moments),
 by factors of modulus <= 1, and crosses +-X0 as it crosses any panel edge.
@@ -482,7 +485,8 @@ class _Blocks:
     """Panel-block elimination of f_c + sum_b g_cb e^{-i mu_c y} K_b = rhs_c on
     one region's mesh, K_b being branch b's integral of the whole line's
     density over the branch side of y: the core is one component (mu = 0)
-    under every branch, an outer side one component per real root under its
+    under every branch, an outer side of odd n one component (mu = k) under
+    every branch, and one of even n one component per real root under its
     own root only.  A panel's unknowns are its f_c at the nodes,
     component-major.  Every branch steps its state across every panel; D
     holds the couplings D_P = F_P H_P - diag(step_P) (module docstring).  It
@@ -659,8 +663,8 @@ class _CoreSolver:
         """The outer sides out to each truncation, {X: {side: blocks}}: one
         `_Blocks` eliminates the distinct (lo, hi) panels of all their meshes,
         and each side, on its own mesh, joins its panels and gathers its nodes'
-        b~ values from it.  Root zeta's a sigma sits on the outer component
-        mu = zeta only."""
+        b~ values from it.  For odd n every root's a sigma sits on the one
+        outer component; for even n root zeta's sits on mu = zeta only."""
         meshes = {(X, side): mesh for X in map(float, truncations) for side in (-1, +1)
                   if (mesh := _outer_mesh(side, self.x0, X, self.k)) is not None}
         out = {X: {} for X in map(float, truncations)}
@@ -669,7 +673,7 @@ class _CoreSolver:
             ends, which = np.unique(ends, axis=0, return_inverse=True)
             p, = {m.p for m in meshes.values()}  # the side meshes' one order
             union = _panels(*ends.T, p)
-            coef = [[g * (zeta == mu) for g, (zeta, _, _) in
+            coef = [[g * (zeta == mu or self.n % 2) for g, (zeta, _, _) in
                      zip(self._coef(union), self._branches)] for mu in self._mus]
             blocks = _Blocks(self.lam, union, self._mus, self._branches, coef)
             which = np.split(which.ravel(), np.cumsum([m.n_panels for m in meshes.values()]))

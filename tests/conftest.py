@@ -7,6 +7,33 @@ from carleman.profile import ChangeOfVariables, WeightProfile
 from carleman.scattering import PotentialSpec, scattering_matrix, solve_lippmann_schwinger
 
 
+def fornberg_weights(z, x, m):
+    """Finite-difference weights for derivatives 0..m at z from nodes x
+    (Fornberg's recurrence): the tests' own stencils, kept out of the library."""
+    n = len(x)
+    c = np.zeros((n, m + 1))
+    c1 = 1.0
+    c4 = x[0] - z
+    c[0, 0] = 1.0
+    for i in range(1, n):
+        mn = min(i, m)
+        c2 = 1.0
+        c5 = c4
+        c4 = x[i] - z
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
+                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
+            c[j, 0] = c4 * c[j, 0] / c3
+        c1 = c2
+    return c
+
+
 @pytest.fixture(scope="session")
 def cosh_profile():
     return WeightProfile("cosh")

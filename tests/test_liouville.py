@@ -4,9 +4,9 @@ from numpy.polynomial.hermite_e import hermeval
 
 from carleman.coeffmap import RealPolynomial, p_to_q
 from carleman.errors import ConfigurationError, DomainError
-from carleman.liouville import (OperatorCoefficients, _fornberg_weights,
-                                decay_report, operator_apply_check)
+from carleman.liouville import OperatorCoefficients, decay_report, operator_apply_check
 from carleman.profile import ChangeOfVariables, WeightProfile
+from conftest import fornberg_weights
 
 
 def gaussian(x):
@@ -48,7 +48,7 @@ def test_gauge_beta_and_derivative(op2):
     # error is ~2e-9 at x = 0 and ~1e-14 at |x| >= 1)
     b = op2.b_values(xs)
     offsets = 0.02 * np.arange(-6, 7)
-    bp = [op2.beta(x0 + offsets) @ _fornberg_weights(x0, x0 + offsets, 1)[:, 1]
+    bp = [op2.beta(x0 + offsets) @ fornberg_weights(x0, x0 + offsets, 1)[:, 1]
           for x0 in xs]
     assert np.max(np.abs(bp + b[1] / 2.0)) < 1e-8
     # n = 1: beta = -q0 xi(x)
@@ -131,7 +131,7 @@ def test_gauge_operator_identity(p, tol, cosh_profile):
         lhs = sum((-1j) ** m * b[m] * gaussian_deriv(x0, m) for m in range(n + 1))
         grid = x0 + offsets
         inner = np.exp(-1j * op.beta(grid)) * f(grid)
-        wts = _fornberg_weights(x0, grid, n)
+        wts = fornberg_weights(x0, grid, n)
         bt = op.gauged_values(np.array([x0]))[:, 0]
         conj_side = sum((-1j) ** m * bt[m] * complex(np.dot(wts[:, m], inner))
                         for m in range(n + 1))
@@ -147,7 +147,7 @@ def test_coefficient_jets_match_finite_differences(n, request):
     op = request.getfixturevalue(f"op{n}")
     offsets = 0.02 * np.arange(-6, 7)
     for x0 in (-7.0, -0.4, 0.9, 15.0):
-        wts = _fornberg_weights(x0, x0 + offsets, 2)[:, 1:]
+        wts = fornberg_weights(x0, x0 + offsets, 2)[:, 1:]
         for jets, values in ((op.b_jets, op.b_values),
                              (op.gauged_jets, op.gauged_values)):
             d = np.stack([j.derivative_values()[1:, 0]

@@ -417,10 +417,13 @@ def test_each_moment_computed_once_per_solver(potential, k, request, monkeypatch
         return widths.size * len({complex((1 if upper else -1) * (mu - zeta))
                                   for zeta, _, upper in branches for mu in mus})
 
-    branches, real = solver._branches, solver._real
+    # on the outer panels every root of odd n is a source, only the real
+    # roots of even n
+    branches = solver._branches
+    sources = branches if pot.n % 2 else solver._real
     assert len(counted) == 4
     assert sum(counted) == 2 * distinct(solver.mesh.widths, [0.0], branches) \
-        + distinct(outer, solver._mus, branches) + distinct(outer, solver._mus, real)
+        + distinct(outer, solver._mus, branches) + distinct(outer, solver._mus, sources)
 
 
 @pytest.mark.parametrize("potential", ["pot2", "pot3"])
@@ -428,7 +431,8 @@ def test_each_lagrange_row_formed_once_per_solver(potential, request, monkeypatc
     # over a whole S(lambda) (core, both outer sides, +-k, X and 2X), each
     # elimination, the core's and the outer union's, forms its Lagrange
     # moments once per branch, whole-panel and own-node (on the outer panels
-    # only the real roots have own-node moments); the side meshes form nothing
+    # only the sources have own-node moments: every root of odd n, the real
+    # roots of even n); the side meshes form nothing
     solvers, formed = [], []
     init, lagrange = _CoreSolver.__init__, sc._Mesh.lagrange
     monkeypatch.setattr(_CoreSolver, "__init__",
@@ -443,7 +447,7 @@ def test_each_lagrange_row_formed_once_per_solver(potential, request, monkeypatc
     assert union not in sides
     nb, nr = len(solver._branches), len(solver._real)
     assert [formed.count((mesh, own)) for mesh in (solver.mesh, union)
-            for own in (False, True)] == [nb, nb, nb, nr]
+            for own in (False, True)] == [nb, nb, nb, nb if solver.n % 2 else nr]
 
 
 @pytest.mark.parametrize("potential", ["pot2", "pot3", "pot4"])
@@ -767,15 +771,25 @@ def test_magnus_square_well_to_rounding(V0, a, k):
 
 # -- one kernel integral on the whole line -------------------------------------
 
-@pytest.fixture(scope="module")
-def pot4(cosh_profile):
+def monomial_potential(n, cosh_profile):
+    """The spec of P = X^n on the cosh weight."""
     from carleman.coeffmap import RealPolynomial, p_to_q
     from carleman.liouville import OperatorCoefficients
     from carleman.profile import ChangeOfVariables
 
-    op = OperatorCoefficients(p_to_q(RealPolynomial([0.0, 0.0, 0.0, 0.0, 1.0])),
-                              ChangeOfVariables(cosh_profile, 4))
+    op = OperatorCoefficients(p_to_q(RealPolynomial([0.0] * n + [1.0])),
+                              ChangeOfVariables(cosh_profile, n))
     return PotentialSpec.from_operator(op)
+
+
+@pytest.fixture(scope="module")
+def pot4(cosh_profile):
+    return monomial_potential(4, cosh_profile)
+
+
+@pytest.fixture(scope="module")
+def pot5(cosh_profile):
+    return monomial_potential(5, cosh_profile)
 
 
 @pytest.mark.parametrize("which", ["pot2", "pot3", "pot4"])
@@ -815,18 +829,23 @@ def field4(pot4):
 
 @pytest.mark.parametrize("which", ["field2", "field3", "field4"])
 def test_outer_density_solves_the_outer_equation(which, request):
-    # each outer side holds V applied to sum_w e^{iwky} r_w(y), with the
-    # field's own envelopes, at its nodes; n = 4 has two waves per side and
-    # complex-root end states
+    # each outer side holds, at its nodes, V psi = sum_m b~_m D^m psi for odd
+    # n, complex-root terms included; for even n, V applied to
+    # sum_w e^{iwky} r_w(y) with the field's own envelopes (n = 4 has two
+    # waves per side and complex-root end states)
     f = request.getfixturevalue(which)
     pot = request.getfixturevalue(f"pot{f.n}")
     for side in (+1, -1):
         y = f._dens[side].mesh.nodes
         b = pot.values(y)
-        ref = sum(sum(b[m] * (w * f.k) ** m for m in range(f.n - 1))
-                  * np.exp(1j * w * f.k * y) * f._envelope(y, w) for w in f.waves)
+        if f.n % 2:
+            ref, bound = sum(b[m] * f.psi_at(y, m) for m in range(f.n - 1)), 1e-14
+        else:
+            ref, bound = sum(sum(b[m] * (w * f.k) ** m for m in range(f.n - 1))
+                             * np.exp(1j * w * f.k * y) * f._envelope(y, w)
+                             for w in f.waves), 1e-12
         assert np.max(np.abs(f._dens[side].values(y) - ref)) \
-            <= 1e-12 * np.max(np.abs(f.w))
+            <= bound * np.max(np.abs(f.w))
     if f.n == 4:
         assert f.diagnostics["residual"] <= 1e-12 * np.max(np.abs(f.w))
 
@@ -839,3 +858,15 @@ def test_relative_residual(which, request):
     d = f.diagnostics
     assert d["residual_rel"] == d["residual"] / np.max(np.abs(f.w))
     assert d["residual_rel"] <= 1e-12
+
+
+@pytest.mark.parametrize("which, lam, bound", [
+    ("pot3", 5.0, 1e-12), ("pot3", 1.0, 1e-12), ("pot3", -1.0, 1e-12),
+    ("pot3", 1e-2, 1e-12), ("pot3", 1e-4, 1e-12), ("pot3", 1e-6, 1e-11),
+    ("pot5", 1.0, 1e-11), ("pot5", -0.2, 1e-11), ("pot5", 1e-3, 1e-11)])
+def test_odd_n_s_is_independent_of_the_core_radius(which, lam, bound, request):
+    # every root is a source on odd n's outer sides, so where the core ends
+    # does not matter: S_X with X0 = 30 and with X0 = 1920, at X = 1e5
+    pot = request.getfixturevalue(which)
+    a, b = (scattering_matrix(pot, lam, X=1e5, x_core=x0).S_X for x0 in (30.0, 1920.0))
+    assert np.max(np.abs(a - b)) <= bound

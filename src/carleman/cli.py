@@ -156,6 +156,7 @@ def _cmd_scatter(args):
             "entries": [[[v.real, v.imag] for v in row] for row in e.S],
             "unitarity_defect": e.unitarity_defect,
             "unitarity_defect_2X": e.unitarity_defect_2X,
+            "extrapolated_defect": e.extrapolated_defect,
             "truncation_X": e.truncation_X,
             "core_radius": e.core_radius,
             "rcond": e.rcond,

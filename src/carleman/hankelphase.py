@@ -156,7 +156,7 @@ class ThetaEvaluator:
     """Shared machinery to evaluate I(N, k) for many N at one field.
 
     psi is read from the field once into tables on its panels (`field.edges`):
-    the core's, each cut into `pieces` equal parts on |x| <= 6, and the outer
+    the core's on [-X0, X0], whose mesh is graded toward x = 0, and the outer
     sides' out to +-x_tail.  The Gauss nodes are built once on the tables'
     panels, each cut into parts spanning <= 2 pi of the phase at the largest
     |N| that x_split (X0 by default) admits, so no Gauss panel straddles a
@@ -165,22 +165,16 @@ class ThetaEvaluator:
     """
 
     def __init__(self, field, Q: RealPolynomial, cov: ChangeOfVariables,
-                 x_split=None, x_tail=2000.0, pieces=2):
+                 x_split=None, x_tail=2000.0):
         self.Q = Q
         self.cov = cov
         self.n = Q.degree
         self.k = k = field.k
         self.x_split = float(x_split if x_split is not None else field.X0)
         self.x_tail = float(min(x_tail, field.X))
-        # psi's derivatives jump at the field's panel edges, so every table
-        # panel is one of the field's, or a part of one
-        edges, a = field.edges, min(6.0, field.X0)
-        right = np.union1d(edges[(edges >= 0.0) & (edges <= field.X0)], a)
-        inner = right[right <= a]
-        fine = inner[:-1, None] + np.diff(inner)[:, None] * np.arange(pieces) / pieces
-        right = np.union1d(fine, right)
-        self._psi = _ChebTable(field.psi_at, np.unique(np.concatenate((-right, right))),
-                               points=12)
+        # every table panel is a field panel, on which psi is smooth
+        edges = field.edges
+        self._psi = _ChebTable(field.psi_at, edges[np.abs(edges) <= field.X0], points=12)
         # the tails in u = |x|, where the basis carries the waves
         u = np.abs(edges)
         tail = np.append(np.unique(u[(u >= field.X0) & (u < self.x_tail)]), self.x_tail)

@@ -45,9 +45,10 @@ def gauss_panels(edges, p):
 
 
 def lagrange_coeff_matrix(nodes):
-    """C with l_r(u) = sum_l C[l, r] u^l for the Lagrange basis on `nodes`."""
-    V = np.vander(nodes, increasing=True)
-    return np.linalg.inv(V)
+    """C with l_r(u) = sum_l C[l, r] u^l for the Lagrange basis on the mirrored
+    `nodes` u_r = -u_{p-1-r}; (-1)^l C[l, r] = C[l, p-1-r] holds exactly."""
+    C = np.linalg.inv(np.vander(nodes, increasing=True))
+    return 0.5 * (C + (-1.0) ** np.arange(C.shape[0])[:, None] * C[:, ::-1])
 
 
 def exp_monomial_moments(mu, t, count):

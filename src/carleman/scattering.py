@@ -5,9 +5,10 @@ The eigenfunctions of B~ = D^n + sum b~_m D^m (psi_minus convention) solve
     psi = e^{ikx} - R0(k^n + i0) V psi,      V = sum_{m<=n-2} b~_m D^m.
 
 We solve the second-kind equation (I + V R0) w = V psi0 for w = V psi on
-[-X, X]: a core [-X0, X0] and two outer sides, each a mesh of Gauss panels
-(on the core at most ~4 radians of the fastest frequency each).  The free
-kernel is a sum of exponentials a_b e^{i zeta_b (x-y)}, each on one side of
+[-X, X]: a core [-X0, X0] and two outer sides, each a mesh of Gauss panels.
+The core's widen x1.3 from 0.06 at x = 0, as b~ is singular at x = +-i d_n
+(d_n ~ 0.2-0.35), up to min(2 / max(|k|, 1/4), 3).  The free kernel is a sum
+of exponentials a_b e^{i zeta_b (x-y)}, each on one side of
 the diagonal: x >= y for the "upper" roots, x <= y for the "lower" ones.  So
 the system is never formed.  The edge state s_b(P) is the integral of
 e^{i zeta_b (e_P - y)} w(y) over the panels of the whole line on branch b's
@@ -290,14 +291,14 @@ def _panels(lo, hi, p, edges=None):
                  cmat=lagrange_coeff_matrix(x), widths=widths, width_of=width_of)
 
 
-def _core_mesh(x0, k, p=10, h_first=0.35, grow=1.3, breaks=()):
+def _core_mesh(x0, k, breaks=()):
+    """Gauss-10 panels on [-x0, x0] graded toward b~'s singularities at x = +-i d_n:
+    0.06 wide at x = 0, each 1.3 times the last, up to min(2 / max(|k|, 1/4), 3)."""
     h_max = min(2.0 / max(abs(k), 0.25), 3.0)
-    edges = [0.0]
-    h = min(h_first, h_max)
+    edges, h = [0.0], min(0.06, h_max)
     while edges[-1] < x0:
         edges.append(min(edges[-1] + h, x0))
-        if edges[-1] > 4.0:
-            h = min(h * grow, h_max)
+        h = min(1.3 * h, h_max)
     right = np.array(edges)
     # coefficient discontinuities must be panel edges (product integration
     # interpolates the solution panelwise)
@@ -305,10 +306,10 @@ def _core_mesh(x0, k, p=10, h_first=0.35, grow=1.3, breaks=()):
     if ins:
         right = np.unique(np.concatenate((right, np.asarray(ins))))
         right = right[np.concatenate(([True], np.diff(right) > 1e-9))]
-    return _panelize(np.concatenate((-right[:0:-1], right)), p)
+    return _panelize(np.concatenate((-right[:0:-1], right)), 10)
 
 
-def _outer_mesh(side, x0, x_out, k, p=8, grow=1.35):
+def _outer_mesh(side, x0, x_out, k, p=8):
     """Signed increasing panels covering [x0, x_out] (side=+1) or the mirror."""
     if x_out <= x0 * (1.0 + 1e-12):
         return None
@@ -316,7 +317,7 @@ def _outer_mesh(side, x0, x_out, k, p=8, grow=1.35):
     h = max(0.5, 0.5 / max(abs(k), 0.25))
     while edges[-1] < x_out:
         edges.append(min(edges[-1] + h, x_out))
-        h *= grow
+        h *= 1.35
     edges = np.asarray(edges)
     if side < 0:
         edges = -edges[::-1]
@@ -769,6 +770,7 @@ class SMatrixEntry:
 
     @property
     def extrapolated_defect(self):
+        """The unitarity defect of S = 2 S_2X - S_X, the S that `scatter` prints."""
         return _unitarity_defect(self.S)
 
 

@@ -79,7 +79,7 @@ def _suite_scatter():
     from .coeffmap import RealPolynomial, p_to_q
     from .liouville import OperatorCoefficients
     from .profile import ChangeOfVariables, WeightProfile
-    from .scattering import PotentialSpec, scattering_matrix
+    from .scattering import PotentialSpec, scattering_matrix, solve_lippmann_schwinger
 
     fails = 0
     prof = WeightProfile("cosh")
@@ -104,6 +104,14 @@ def _suite_scatter():
         a, b = (scattering_matrix(pot3, lam, X=1e4, x_core=x0).S_X for x0 in (30.0, 120.0))
         d = float(np.max(np.abs(a - b)))
         fails += _check(f"n=3 S_X independent of X0 lam={lam}", d < 1e-12, f"off by {d:.1e}")
+    # the core equation w = b~_0 psi between the nodes, at the core panels'
+    # midpoints: it holds only where the mesh resolves b~
+    pot = PotentialSpec.from_operator(OperatorCoefficients(
+        p_to_q(RealPolynomial([-1.0, 0.0, 1.0])), ChangeOfVariables(prof, 2)))
+    f = solve_lippmann_schwinger(pot, 1.0)
+    y = 0.5 * (f._core.mesh.lo + f._core.mesh.hi)
+    r = np.max(np.abs(f.w_at(y) - pot.values(y)[0] * f.psi_at(y))) / np.max(np.abs(f.w))
+    fails += _check("n=2 core equation between the nodes", r < 1e-8, f"{r:.1e} of max|w|")
     return fails
 
 

@@ -235,7 +235,7 @@ def test_criterion_09_eigenfunction_bounds(pot2m1, q_x2m1, cov2, field2m1):
     sup = max(np.max(np.abs(vals[k])) for k in ks)
     assert np.isfinite(sup)
     # mesh stability of the sup within 5%
-    ev_ref = ThetaEvaluator(fields[1.0], q_x2m1, cov2, pieces=4, x_tail=3000.0)
+    ev_ref = ThetaEvaluator(fields[1.0], q_x2m1, cov2, x_tail=3000.0)
     sup_ref = np.max(np.abs([ev_ref.theta_scaled(N) for N in Ns]))
     sup_base = np.max(np.abs(vals[1.0]))
     assert abs(sup_ref - sup_base) / sup_base < 0.05

@@ -401,6 +401,19 @@ def test_scatter_json_small(tmp_path):
     assert np.linalg.norm(S.conj().T @ S - np.eye(2), 2) < 1e-3
 
 
+def test_scatter_record_carries_the_defect_of_its_entries(tmp_path):
+    # entries hold S = 2 S_2X - S_X; unitarity_defect stays that of S_X
+    out_file = tmp_path / "smatrix.json"
+    rc, _ = run_cli(["scatter", "--p", "0,0,0,1", "--lambda-min", "-1", "--lambda-max", "1",
+                     "--points", "2", "--truncation", "500", "--emit", str(out_file)])
+    assert rc == 0
+    for rec in json.loads(out_file.read_text())["records"]:
+        S = np.array([[complex(*v) for v in row] for row in rec["entries"]])
+        defect = np.linalg.norm(S.conj().T @ S - np.eye(len(S)), 2)
+        assert rec["extrapolated_defect"] == defect
+        assert rec["extrapolated_defect"] != rec["unitarity_defect"]
+
+
 def test_degree_flag_rejected_where_the_polynomial_sets_it():
     # scatter and hankel-theta take the degree from --p/--q; --n is a usage
     # error there (exit 1), not a silently ignored flag

@@ -370,21 +370,16 @@ def test_theta_on_a_field_without_outer_sides(q_x2m1, cov2):
 @pytest.mark.parametrize("k", [1.0, -1.0])
 @pytest.mark.parametrize("split", [1.0, 1.5])
 def test_psi_tables_sit_on_the_field_panels(n, k, split, solved):
-    # every table edge is a field edge, a cut point of a field panel on
-    # |x| <= 6, +-6 or +-x_tail, and every field edge out to +-x_tail is a
-    # table edge, whatever x_split is
+    # the core table's edges are the field's on [-X0, X0], and each tail's
+    # are the field's out to x_tail, then x_tail, whatever x_split is
     field, Q, cov = solved(n, k)
     ev = ThetaEvaluator(field, Q, cov, x_split=field.X0 / split)
     edges = field.edges
-    tables = np.concatenate((ev._psi.edges, ev._tails[+1].edges, -ev._tails[-1].edges))
-    assert np.all(np.isin(edges[np.abs(edges) <= ev.x_tail], tables))
-    extra = np.unique(tables[~np.isin(tables, edges)])
-    assert np.all(np.isin(np.abs(extra[np.abs(extra) >= 6.0]), [6.0, ev.x_tail]))
-    # pieces = 2 halves each field panel on |x| <= 6
-    inner = np.union1d(edges[np.abs(edges) < 6.0], [-6.0, 6.0])
-    halves = 0.5 * (inner[1:] + inner[:-1])
-    cuts = extra[np.abs(extra) < 6.0]
-    assert cuts.size == halves.size and np.allclose(cuts, halves, rtol=0, atol=1e-12)
+    assert np.array_equal(ev._psi.edges, edges[np.abs(edges) <= field.X0])
+    for side in (+1, -1):
+        u = np.sort(side * edges)  # a tail table's edges are in u = |x|
+        assert np.array_equal(ev._tails[side].edges,
+                              np.append(u[(u >= field.X0) & (u < ev.x_tail)], ev.x_tail))
 
 
 def test_theta_grid_resolution_guard_matches_scalar(ev2):

@@ -1,12 +1,14 @@
 """The array-valued moment primitive against mpmath quadrature, and the
-piecewise-Chebyshev table against closed forms."""
+piecewise-Chebyshev table against closed forms, and the Lagrange matrix's
+mirror symmetry."""
 
 import mpmath
 import numpy as np
 import pytest
 
 from carleman.errors import DomainError
-from carleman.oscquad import _ChebTable, exp_monomial_moments
+from carleman.oscquad import (_ChebTable, exp_monomial_moments, gauss_rule,
+                              lagrange_coeff_matrix)
 
 COUNT = 10
 # Re(mu) >= 0, on both sides of the series / recurrence switch at |z| = 4
@@ -127,3 +129,11 @@ def test_table_refuses_points_outside_its_edges():
     for bad in (-1.001, 3.5, np.nan):
         with pytest.raises(DomainError, match="table covers"):
             table(np.array([0.0, bad]))
+
+
+@pytest.mark.parametrize("p", [8, 10, 14])
+def test_lagrange_coeff_matrix_is_mirror_exact(p):
+    # on the symmetric Gauss nodes l_r(-u) = l_{p-1-r}(u), so
+    # (-1)^l C[l, r] = C[l, p-1-r], bit for bit
+    C = lagrange_coeff_matrix(gauss_rule(p)[0])
+    assert np.array_equal((-1.0) ** np.arange(p)[:, None] * C, C[:, ::-1])

@@ -297,11 +297,16 @@ def test_kernel_matches_direct_panel_sums(which, request):
                                       ("pot3", -1.0), ("pot4", 1.0)])
 def test_state_residual(which, k, request, monkeypatch):
     # the whole-line state system's row defect, relative to max|s|, is at
-    # rounding; states off by a relative 1e-8 show in it
+    # rounding; states off by a random relative 1e-8 show in it (a uniform
+    # scaling lies too close to the solution's own direction)
     pot = request.getfixturevalue(which)
     assert solve_lippmann_schwinger(pot, k).diagnostics["state_residual"] <= 1e-14
-    lu = sc.lu_solve
-    monkeypatch.setattr(sc, "lu_solve", lambda *a: lu(*a) * (1.0 + 1e-8))
+    lu, rng = sc.lu_solve, np.random.default_rng(5)
+
+    def perturbed(*a):
+        s = lu(*a)
+        return s * (1.0 + 1e-8 * rng.uniform(-1.0, 1.0, s.shape))
+    monkeypatch.setattr(sc, "lu_solve", perturbed)
     assert solve_lippmann_schwinger(pot, k).diagnostics["state_residual"] >= 1e-9
 
 
@@ -870,3 +875,59 @@ def test_odd_n_s_is_independent_of_the_core_radius(which, lam, bound, request):
     pot = request.getfixturevalue(which)
     a, b = (scattering_matrix(pot, lam, X=1e5, x_core=x0).S_X for x0 in (30.0, 1920.0))
     assert np.max(np.abs(a - b)) <= bound
+
+
+# -- the core mesh resolves b~'s complex singularities --------------------------
+
+def refined_core_mesh(x0, k, breaks=()):
+    """The reference core: Gauss-14 panels from 0.02 at x = 0, each 1.3 times
+    the last, up to a quarter of the core mesh's largest width."""
+    h_max = min(2.0 / max(abs(k), 0.25), 3.0) / 4.0
+    edges, h = [0.0], 0.02
+    while edges[-1] < x0:
+        edges.append(min(edges[-1] + h, x0))
+        h = min(1.3 * h, h_max)
+    right = np.array(edges)
+    return sc._panelize(np.concatenate((-right[:0:-1], right)), 14)
+
+
+def on_both_core_meshes(monkeypatch, solve):
+    """solve() on the core mesh, then on the refined reference core."""
+    default = solve()
+    monkeypatch.setattr(sc, "_core_mesh", refined_core_mesh)
+    return default, solve()
+
+
+@pytest.mark.parametrize("which, lam, bound", [
+    ("pot2m1", 0.2, 1e-12), ("pot2m1", 1.0, 1e-12), ("pot2m1", 5.0, 1e-12),
+    ("pot3", 1.0, 1e-12), ("pot3", -1.0, 1e-12), ("pot3", 5.0, 1e-12), ("pot3", -5.0, 1e-12),
+    ("pot4", 1.0, 5e-12), ("pot4", 5.0, 5e-12), ("pot5", 1.0, 5e-12)])
+def test_s_x_is_independent_of_the_core_mesh(which, lam, bound, request, monkeypatch):
+    # b~ is singular at x = +-i d_n, d_n ~ 0.2-0.35, and the core's panels
+    # shrink toward x = 0, so S_X holds against panels a quarter as wide at
+    # Gauss order 14
+    pot = request.getfixturevalue(which)
+    a, b = on_both_core_meshes(monkeypatch, lambda: scattering_matrix(pot, lam).S_X)
+    assert np.max(np.abs(a - b)) <= bound
+
+
+@pytest.mark.parametrize("which, k", [("pot2m1", 1.0), ("pot2m1", -1.0), ("pot2m1", 2.0),
+                                      ("pot3", 1.0), ("pot3", -1.0), ("pot4", 1.0)])
+def test_psi_near_the_origin_is_independent_of_the_core_mesh(which, k, request, monkeypatch):
+    pot, x = request.getfixturevalue(which), np.linspace(-6.0, 6.0, 1201)
+    a, b = on_both_core_meshes(monkeypatch, lambda: solve_lippmann_schwinger(pot, k).psi_at(x))
+    assert np.max(np.abs(a - b)) <= 1e-12
+
+
+@pytest.mark.parametrize("which, k", [("pot2m1", 1.0), ("pot2m1", 5.0 ** 0.5),
+                                      ("pot3", 1.0), ("pot3", -1.0), ("pot4", 1.0)])
+def test_core_equation_holds_between_the_nodes(which, k, request):
+    # w = V psi = sum_m b~_m D^m psi at each core panel's midpoint, where no
+    # node sits: the node residual cannot see an unresolved b~ there
+    pot = request.getfixturevalue(which)
+    f = solve_lippmann_schwinger(pot, k)
+    mesh = f._dens[0].mesh
+    y = 0.5 * (mesh.lo + mesh.hi)
+    b = pot.values(y)
+    Vpsi = sum(b[m] * f.psi_at(y, m) for m in range(f.n - 1))
+    assert np.max(np.abs(f.w_at(y) - Vpsi)) <= 1e-8 * np.max(np.abs(f.w))

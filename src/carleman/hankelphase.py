@@ -35,7 +35,7 @@ import numpy as np
 from ._jets import Jet
 from .coeffmap import RealPolynomial, p_to_q
 from .errors import DomainError, ResolutionError
-from .oscquad import _ChebTable, gauss_panels, ibp_boundary
+from .oscquad import _ChebTable, ibp_boundary, phase_panels
 from .profile import ChangeOfVariables
 from .specfun import eta_phase
 
@@ -78,8 +78,8 @@ def zeta_amplitude(x, Q: RealPolynomial, cov: ChangeOfVariables):
 
 
 def _xi_zeta_jets(x0, Q, cov, order=3):
-    """Jets at x0 of xi(x) and of the tail amplitude zeta(x)."""
-    xi_jet = Jet(cov.xi_jet_of_x(np.asarray([x0]), order).c[:, 0])
+    """Jets at x0 of xi(x) and of the tail amplitude zeta(x), trailing axis (1,)."""
+    xi_jet = cov.xi_jet_of_x(np.asarray([x0]), order)
     zeta_j = ((_rho_of_xi(xi_jet, Q) * 1j).exp()
               * xi_jet.shift().truncated(order - 1).pow(0.5))
     return xi_jet, zeta_j
@@ -140,18 +140,6 @@ class PhaseModel:
 # ---------------------------------------------------------------------------
 
 
-def _panel_nodes(edges, rate, p=12):
-    """Gauss-p nodes and weights on the panels between `edges`, each cut into
-    m equal parts, m = ceil(max(rate at its ends) * width / (2 pi)): with the
-    rate monotone on each panel, every part spans <= 2 pi of phase."""
-    r, width = rate(edges), np.diff(edges)
-    m = np.ceil(np.maximum(r[:-1], r[1:]) * width / (2.0 * np.pi)).astype(int)
-    i = np.repeat(np.arange(m.size), m)
-    j = np.arange(i.size) - np.repeat(np.cumsum(m) - m, m)
-    nodes, weights = gauss_panels(np.append(edges[i] + width[i] * j / m[i], edges[-1]), p)
-    return nodes.ravel(), weights.ravel()
-
-
 class ThetaEvaluator:
     """Shared machinery to evaluate I(N, k) for many N at one field.
 
@@ -188,8 +176,8 @@ class ThetaEvaluator:
         n_lim = max(self.x_split / _STATIONARY_MARGIN - self._shift, 0.0) \
             * np.pi * abs(k) / self.n
         rate = lambda x: n_lim / cov.x_prime(cov.xi_of_x(x)) + abs(k)
-        xc, wc = _panel_nodes(self._psi.edges, rate)
-        xt, wt = _panel_nodes(self._tails[+1].edges, rate)
+        xc, wc = phase_panels(self._psi.edges, rate)
+        xt, wt = phase_panels(self._tails[+1].edges, rate)
         xi_t = cov.xi_of_x(xt)
         self._x = np.concatenate((xc, xt, -xt))
         self._xi = np.concatenate((cov.xi_of_x(xc), xi_t, -xi_t))
@@ -201,17 +189,16 @@ class ThetaEvaluator:
     # -- pieces ---------------------------------------------------------------
 
     def _closure(self, N):
-        """IBP closures beyond +-x_tail with the constant limit amplitudes:
-        int_{x_tail}^{+inf} = -S(x_tail), int_{-inf}^{-x_tail} = +S(-x_tail)."""
-        total = 0.0 + 0.0j
+        """IBP closures beyond +-x_tail with the constant limit amplitudes, N a
+        trailing jet axis: int_{x_tail}^{+inf} = -S(x_tail), int_{-inf}^{-x_tail} = +S(-x_tail)."""
+        total = np.zeros(np.size(N), dtype=complex)
         for (side, w), lim in self._lim.items():
             if abs(lim) > 0:
                 xi_j, zeta_j = self._end_jets[side]
-                x_j = Jet.variable(side * self.x_tail, 3)
-                phase_j = xi_j * (-N) + x_j * (w * self.k)
-                S = ibp_boundary(zeta_j * lim, phase_j, order=2)
-                total -= side * S
-        return total
+                x_j = Jet.variable([side * self.x_tail], 3)
+                phase_j = xi_j * -np.ravel(N) + x_j * (w * self.k)
+                total -= side * ibp_boundary(zeta_j * lim, phase_j, order=2)
+        return total.reshape(np.shape(N))
 
     def _check_resolution(self, N):
         """Raise at the largest |N| whose stationary point leaves the core."""
@@ -226,16 +213,16 @@ class ThetaEvaluator:
 
     def I(self, N):
         """The conditionally convergent integral I(N, k) for a scalar or an
-        array of N, one row e^{-i xi N} at a time: a value does not depend
-        on its batch."""
+        array of N: the exponential sums one row e^{-i xi N} at a time (a
+        value does not depend on its batch), the closures in one pass."""
         N = np.asarray(N, dtype=float)
         if not np.all(np.isfinite(N)):
             raise DomainError("N = ln t must be finite")
         self._check_resolution(N)
         out = np.empty(N.shape, dtype=complex)
         for i, Ni in np.ndenumerate(N):
-            out[i] = np.exp(-1j * Ni * self._xi) @ self._amp + self._closure(Ni)
-        return out[()]
+            out[i] = np.exp(-1j * Ni * self._xi) @ self._amp
+        return (out + self._closure(N))[()]
 
     def theta_scaled(self, N):
         """sqrt(t) * theta(t, k) = (2 pi)^{-1/2} I(ln t, k)."""

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .liouville import OperatorCoefficients
-from .oscquad import gauss_panels
+from .oscquad import gauss_panels, graded_edges
 
 
 def sigma_iterate(coeffs: OperatorCoefficients, j: int, x, k: float,
@@ -77,12 +77,7 @@ def theta_phase(coeffs: OperatorCoefficients, j: int, x, k: float,
     for i, xi in enumerate(xs):
         if xi == 0.0:
             continue
-        edges = [0.0]
-        h = 0.5
-        while edges[-1] < abs(xi):
-            edges.append(min(edges[-1] + h, abs(xi)))
-            h *= 1.6
-        nodes, weights = gauss_panels(np.asarray(edges) * np.sign(xi), 16)
+        nodes, weights = gauss_panels(graded_edges(0.0, abs(xi), 0.5, 1.6) * np.sign(xi), 16)
         sigma = sigma_iterate(coeffs, j, nodes.ravel(), k, gauged=gauged)
         out[i] = sigma @ weights.ravel()
     return complex(out[0]) if scalar else out

@@ -1,7 +1,7 @@
 """Oscillatory quadrature building blocks.
 
-Four tools shared by the scattering solver, the stationary-phase engine and
-the Hankel eigenfunction integrals:
+Tools shared by the scattering solver, the stationary-phase engine and the
+Hankel eigenfunction integrals:
 
 * exact moments of exp(mu u) against monomials on the upward partial panel
   [-1, t] (the downward one [t, 1] is its mirror image), from a short Taylor
@@ -9,8 +9,9 @@ the Hankel eigenfunction integrals:
   points and anchored at t so no exponential ever exceeds unit modulus
   (Filon-type product integration with geometric panels stays legitimate for
   any frequency);
-* phase-equidistributed Gauss panels for integrands written as
-  amplitude * exp(i phase) with an explicitly known phase;
+* graded panel edges, each panel a fixed factor wider than the last, and
+  Gauss nodes resolving exp(i phase) at a known phase rate: each panel cut
+  into equal parts spanning <= 2 pi of phase (theta's integrals and J(N));
 * an integration-by-parts boundary series, `order` terms summed from jets
   at one point, for the ends of int exp(i phi) A dx cut off at X;
 * a piecewise-Chebyshev table whose basis carries known oscillations
@@ -104,25 +105,32 @@ def exp_monomial_moments(mu, t, count):
     return np.ascontiguousarray(G.T).reshape(shape + (count,))
 
 
-def equidistribute_edges(x_samples, phase_samples, max_dphase):
-    """Panel edges along x_samples so each panel spans <= max_dphase of phase.
-
-    phase_samples need not be monotone; the arc length of the phase is used.
-    """
-    x_samples = np.asarray(x_samples, dtype=float)
-    arc = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(phase_samples)))))
-    total = arc[-1]
-    n_panels = max(int(np.ceil(total / max_dphase)), 1)
-    targets = np.linspace(0.0, total, n_panels + 1)
-    edges = np.interp(targets, arc, x_samples)
-    edges[0], edges[-1] = x_samples[0], x_samples[-1]
-    return np.unique(edges)
+def graded_edges(start, stop, h, grow, h_max=np.inf):
+    """Edges from start to stop: the first panel min(h, h_max) wide, each next
+    one grow times the last up to h_max, the last clipped at stop."""
+    edges, h = [start], min(h, h_max)
+    while edges[-1] < stop:
+        edges.append(min(edges[-1] + h, stop))
+        h = min(grow * h, h_max)
+    return np.array(edges)
 
 
-def integrate_panels(f, edges, p=12):
-    """sum of Gauss-p integrals of f over consecutive [edges[i], edges[i+1]]."""
-    nodes, weights = gauss_panels(edges, p)
-    return np.sum(f(nodes.ravel()) * weights.ravel())
+def phase_parts(edges, rate):
+    """The parts each panel between `edges` is cut into, at least one:
+    ceil(max(rate at its ends) * width / (2 pi)).  With the rate monotone on
+    each panel, every equal part then spans <= 2 pi of phase."""
+    r = rate(edges)
+    return np.maximum(np.ceil(np.maximum(r[:-1], r[1:]) * np.diff(edges) / (2.0 * np.pi)), 1.0)
+
+
+def phase_panels(edges, rate, p=12):
+    """Gauss-p nodes and weights, flat, on the equal parts (`phase_parts`) of
+    the panels between `edges`."""
+    m, width = phase_parts(edges, rate).astype(int), np.diff(edges)
+    i = np.repeat(np.arange(m.size), m)
+    j = np.arange(i.size) - np.repeat(np.cumsum(m) - m, m)
+    nodes, weights = gauss_panels(np.append(edges[i] + width[i] * j / m[i], edges[-1]), p)
+    return nodes.ravel(), weights.ravel()
 
 
 def ibp_boundary(amp_jet: Jet, phase_jet: Jet, order: int = 2):

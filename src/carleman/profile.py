@@ -221,10 +221,6 @@ class ChangeOfVariables:
 
     # -- derivative machinery -----------------------------------------------
 
-    def psi_jet(self, xi, order):
-        """Jet of psi = v^(1 - 1/n) along xi."""
-        return self.profile.v_jet(xi, order).pow(1.0 - 1.0 / self.n)
-
     def xi_jet_of_x(self, x, order):
         """Jet of xi(x) at the points x; xi' = v(xi)^(2/n)."""
         xi0 = self.xi_of_x(x)

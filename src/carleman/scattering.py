@@ -48,16 +48,16 @@ distinct panels of both sides and truncations are eliminated in one batch, and
 each side takes its blocks from it: one elimination per outer panel.
 
 Panel moments depend only on (half-width, nu): a downward one is the upward
-one at -nu mirrored, so each elimination computes the upward ones of each
-distinct pair once, whole-panel and own-node, and forms each branch's
-Lagrange moments from them; nothing else reads them.  The line solve returns
+one at -nu mirrored, so each elimination forms the upward Lagrange moments of
+each distinct pair in one product, whole-panel and own-node, and a downward
+branch reads them node-reversed; nothing else reads them.  The line solve returns
 its states at every panel edge, with one recursion step past each end of the
 line, and each panel's own integral F_P f_P anchored at its far edge; a field
 reads every kernel integral from them.  The residual is the defect of the
 core's block equation, C_P f_P + G_P s(P) - rhs_P: the core equation at the
-core nodes.  The coefficients b~_m are evaluated once per mesh and solver and
-the incident source once per mesh and k, so a later solve does only the
-solution's work: the line solve and the residual's products.
+core nodes.  The coefficients b~_m are evaluated once per mesh and solver, so
+a later solve does only the solution's work: the incident source, the line
+solve and the residual's products.
 
 A field evaluates one kernel integral per branch on the whole line,
 K_b(x) = int e^{i zeta_b (x-y)} w(y) dy over the branch side of x: the state
@@ -85,7 +85,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, DomainError, NearExceptionalPointError,
                      NumericalError)
-from .oscquad import exp_monomial_moments, gauss_rule, lagrange_coeff_matrix
+from .oscquad import exp_monomial_moments, gauss_rule, graded_edges, lagrange_coeff_matrix
 
 RCOND_FLOOR = 1e-10    # below this the solve is taken as near-exceptional
 CORE_RADIUS = 120.0    # X0 unless the support is compact
@@ -236,16 +236,14 @@ class _Mesh:
 
     def moments(self, nu, q, t, upper):
         """int e^{i nu (y - y(t))} l_j(y) dy on panel q over [-1, t] (upper) or
-        [t, 1] in reference coordinates, shape (..., p); nu decays along the sweep."""
+        [t, 1] in reference coordinates, shape (..., p); nu decays along the sweep
+        (downward: the upward ones at (-nu, -t), basis reversed)."""
         s, d = 0.5 * (self.edges[q + 1] - self.edges[q]), 1 if upper else -1
-        m = exp_monomial_moments(1j * (d * nu) * s, d * t, self.p)
-        return self.lagrange(m, s[..., None], upper)
+        m = self.lagrange(exp_monomial_moments(1j * (d * nu) * s, d * t, self.p), s[..., None])
+        return m if upper else m[..., ::-1]
 
-    def lagrange(self, m, s, upper, own=False):
-        """s times the sweep's Lagrange moments from m, the upward monomial ones at d nu
-        and d t (d = +-1): downward, (-1)^l m, own moments (axis -2) node-reversed."""
-        if not upper:
-            m = (np.flip(m, -2) if own else m) * (-1.0) ** np.arange(self.p)
+    def lagrange(self, m, s):
+        """s times the Lagrange moments from m, the upward monomial ones."""
         return s * (m @ self.cmat)
 
 
@@ -253,29 +251,20 @@ def _panel_moments(mesh, branches, mus, own=False):
     """Each branch's Lagrange moments of e^{i (mu - zeta) y} per distinct
     panel half-width: over the whole panel, shape (mus, widths, p), or (own)
     up to each reference Gauss node, shape (mus, widths, p, p); panel q takes
-    those of width_of[q].  They depend only on (half-width, d nu), the sweep's
-    downward moments being the upward ones at -nu mirrored, so the upward
-    monomial moments of each distinct pair are computed once, in one batch
-    (for even n both sweeps share them).  Each branch's Lagrange product runs
-    on its own (mus, widths) batch, as BLAS rows need not be bitwise the
-    same in another."""
+    those of width_of[q].  They depend only on (half-width, d nu): the upward
+    ones of each distinct pair come from one batch of monomial moments and
+    one Lagrange product (for even n both sweeps share them), and a downward
+    branch reads those at -nu node-reversed, basis and (own) anchor node, as
+    (-1)^l C[l, r] = C[l, p-1-r] holds exactly on the mirrored nodes."""
     t = gauss_rule(mesh.p)[0] if own else np.array(1.0)
     keys = [[[(s, complex((1 if upper else -1) * nu)) for s in mesh.widths.tolist()]
              for nu in np.asarray(mus) - zeta] for zeta, _, upper in branches]
     new = list(dict.fromkeys(key for rows in keys for row in rows for key in row))
     s, nu = (np.array([key[i] for key in new]).reshape((-1,) + (1,) * t.ndim) for i in (0, 1))
-    m = dict(zip(new, exp_monomial_moments(1j * nu * s, t, mesh.p)))
-    widths = mesh.widths.reshape((-1,) + (1,) * (1 + t.ndim))
-    return [mesh.lagrange(np.array([[m[key] for key in row] for row in rows]), widths,
-                          upper, own) for rows, (_, _, upper) in zip(keys, branches)]
-
-
-def _once(memo, key, make):
-    """memo[key], made read-only by make() at the first call."""
-    if key not in memo:
-        memo[key] = make()
-        memo[key].flags.writeable = False
-    return memo[key]
+    m = dict(zip(new, mesh.lagrange(exp_monomial_moments(1j * nu * s, t, mesh.p), s[..., None])))
+    return [np.flip(np.array([[m[key] for key in row] for row in rows]),
+                    () if upper else tuple(range(-1 - t.ndim, 0)))
+            for rows, (_, _, upper) in zip(keys, branches)]
 
 
 def _panelize(edges, p):
@@ -294,12 +283,7 @@ def _panels(lo, hi, p, edges=None):
 def _core_mesh(x0, k, breaks=()):
     """Gauss-10 panels on [-x0, x0] graded toward b~'s singularities at x = +-i d_n:
     0.06 wide at x = 0, each 1.3 times the last, up to min(2 / max(|k|, 1/4), 3)."""
-    h_max = min(2.0 / max(abs(k), 0.25), 3.0)
-    edges, h = [0.0], min(0.06, h_max)
-    while edges[-1] < x0:
-        edges.append(min(edges[-1] + h, x0))
-        h = min(1.3 * h, h_max)
-    right = np.array(edges)
+    right = graded_edges(0.0, x0, 0.06, 1.3, min(2.0 / max(abs(k), 0.25), 3.0))
     # coefficient discontinuities must be panel edges (product integration
     # interpolates the solution panelwise)
     ins = [b for b in breaks if 0.0 < b < x0]
@@ -313,12 +297,7 @@ def _outer_mesh(side, x0, x_out, k, p=8):
     """Signed increasing panels covering [x0, x_out] (side=+1) or the mirror."""
     if x_out <= x0 * (1.0 + 1e-12):
         return None
-    edges = [x0]
-    h = max(0.5, 0.5 / max(abs(k), 0.25))
-    while edges[-1] < x_out:
-        edges.append(min(edges[-1] + h, x_out))
-        h *= 1.35
-    edges = np.asarray(edges)
+    edges = graded_edges(x0, x_out, max(0.5, 0.5 / max(abs(k), 0.25)), 1.35)
     if side < 0:
         edges = -edges[::-1]
     return _panelize(edges, p)
@@ -631,8 +610,8 @@ class _CoreSolver:
         self._mus = [zeta.real for zeta, _, _ in self._real]
         self.x0 = float(x0)
         self.mesh = _core_mesh(self.x0, self.k, breaks=pot.breakpoints)
-        # whole-line systems per X, b~ per mesh, and the read-only sources of a solve
-        self._lines, self._values, self._memo = {}, {}, {}
+        # whole-line systems per X and b~ per mesh
+        self._lines, self._values = {}, {}
         self.blocks = _Blocks(self.lam, self.mesh, [0.0], self._branches,
                               [self._coef(self.mesh)])
         self._abs_sum_x0 = float(pot.abs_sum(np.array([self.x0]))[0])
@@ -695,11 +674,10 @@ class _CoreSolver:
             raise ConfigurationError(f"k = {k!r} is not a root of lambda = {self.lam}")
         X = self.x0 if self.pot.support is not None else float(max(X, self.x0))
         line = self._line(X)
-        # the incident source sigma(k) e^{iky}, once per (mesh, k): all of it on the
-        # core's one component (mu = 0), sigma(k) [w = 1] on an outer wave w (mu = wk)
-        dens, resid, state_residual = line.solve([_once(
-            self._memo, (b.mesh, k), lambda: self._symbol(b.mesh, k) * np.where(
-                b.mus[:, None] == 0.0, np.exp(1j * k * b.mesh.nodes), b.mus[:, None] * k > 0))
+        # the incident source sigma(k) e^{iky}: all of it on the core's one
+        # component (mu = 0), sigma(k) [w = 1] on an outer wave w (mu = wk)
+        dens, resid, state_residual = line.solve([self._symbol(b.mesh, k) * np.where(
+            b.mus[:, None] == 0.0, np.exp(1j * k * b.mesh.nodes), b.mus[:, None] * k > 0)
             for b in line.regions.values()])
         field = EigenfunctionField(self, k, dens, X)
         w_max = float(np.max(np.abs(field.w)))

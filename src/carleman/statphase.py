@@ -13,8 +13,8 @@ and the remainder obeys
 
 with kappa = min|w''|, w_j = max|w^(j)|, g_j = max|g^(j)| on [0, a] and an
 absolute constant C.  `verify_remainder` measures the implied constant; the
-integral itself is evaluated by phase-equidistributed panels plus an
-integration-by-parts closure, which keeps the cost bounded up to |N| ~ 1e6.
+integral itself is evaluated on theta's Gauss parts (`oscquad.phase_panels`)
+up to a budget, plus an integration-by-parts closure, at bounded cost.
 The extrema of |w^(j)| and |g^(j)| are read from Chebyshev interpolants of w
 and g: each sits at an end of [0, a] or at a real root of the next
 derivative, so the module runs on numpy alone.
@@ -29,11 +29,11 @@ from numpy.polynomial.chebyshev import Chebyshev
 
 from ._jets import _FACTORIALS, Jet
 from .errors import ConfigurationError, DomainError
-from .oscquad import equidistribute_edges, ibp_boundary, integrate_panels
+from .oscquad import ibp_boundary, phase_panels, phase_parts
 from .profile import _fit_slope
 
-_PHASE_CAP = 3.0          # max radians per Gauss panel
-_PANEL_BUDGET = 6000      # switch to the IBP closure past this many panels
+_PANELS = 64              # equal panels of [0, a], before the phase cuts them
+_PANEL_BUDGET = 6000      # switch to the IBP closure past this many Gauss parts
 _CHEB_DEG = 220
 
 
@@ -71,33 +71,25 @@ def _check_no_inflection(omega, a):
 def evaluate_J(omega, g, N, a):
     """High-accuracy J(N) = int_0^a exp(i N omega(y)) g(y) dy.
 
-    Panels are sized by the exact phase N*omega; if the total phase exceeds
-    the panel budget, the outer piece (where the phase derivative is large)
-    is closed with a third-order integration-by-parts series instead.
+    The phase rate |N omega'|, from omega's interpolant, is monotone (omega''
+    keeps its sign, omega'(0) = 0).  Past the panels that hold the first
+    _PANEL_BUDGET Gauss parts, at y_cut, a third-order IBP series closes J.
     """
     N = float(N)
     ch_w = _check_no_inflection(omega, a)
     ch_g = _cheb(g, 0.0, a)
-    ys = np.linspace(0.0, a, 4097)
-    phase = N * omega(ys)
-    arc = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(phase)))))
-    total_panels = arc[-1] / _PHASE_CAP
-    if total_panels <= _PANEL_BUDGET:
-        y_cut = a
-        sel = np.ones_like(ys, dtype=bool)
-    else:
-        cut_arc = _PANEL_BUDGET * _PHASE_CAP
-        i_cut = int(np.searchsorted(arc, cut_arc))
-        y_cut = float(ys[min(i_cut, ys.size - 1)])
-        sel = ys <= y_cut
-    edges = equidistribute_edges(ys[sel], phase[sel], _PHASE_CAP)
-
-    def f(x):
-        return np.asarray(g(x)) * np.exp(1j * N * omega(x))
-
-    val = integrate_panels(f, edges, p=12) if edges.size > 1 else 0.0 + 0.0j
+    rate = lambda y: np.abs(N * ch_w.deriv()(y))
+    # equal panels, the first halved 20 times toward the stationary point y = 0
+    # so that the budget stops short of it up to N ~ 5e18 (a = 4, omega = y^2)
+    edges = a / _PANELS * np.concatenate(([0.0], 0.5 ** np.arange(20, 0, -1),
+                                          np.arange(1.0, _PANELS + 1)))
+    i = int(np.searchsorted(np.cumsum(phase_parts(edges, rate)), _PANEL_BUDGET, side="right"))
+    if i == 0:
+        raise DomainError(f"|N| = {abs(N):g} needs over {_PANEL_BUDGET} Gauss parts next to y = 0")
+    nodes, weights = phase_panels(edges[:i + 1], rate)
+    y_cut = edges[i]
+    val = np.sum(np.asarray(g(nodes)) * np.exp(1j * N * omega(nodes)) * weights)
     if y_cut < a:
-        # two-point IBP closure of int_{y_cut}^{a}
         S_hi = ibp_boundary(_jet_from_cheb(ch_g, a, 3),
                             _jet_from_cheb(ch_w, a, 4) * N, order=3)
         S_lo = ibp_boundary(_jet_from_cheb(ch_g, y_cut, 3),

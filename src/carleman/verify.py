@@ -14,7 +14,7 @@ def _check(name, ok, detail=""):
 def _suite_core():
     from .coeffmap import RealPolynomial, p_to_q, q_to_p
     from .liouville import OperatorCoefficients
-    from .oscquad import integrate_panels
+    from .oscquad import gauss_panels
     from .profile import ChangeOfVariables, WeightProfile, a1_constant
     from .specfun import complex_gamma, eta_phase, recip_gamma_taylor
 
@@ -68,7 +68,8 @@ def _suite_core():
     for n in (2, 3):
         cov = ChangeOfVariables(prof, n)
         for xi in (0.3, 1.7, 5.55, 11.9):
-            ref = integrate_panels(cov.x_prime, np.linspace(0.0, xi, 65), 16)
+            nodes, weights = gauss_panels(np.linspace(0.0, xi, 65), 16)
+            ref = np.sum(cov.x_prime(nodes) * weights)
             ok &= bool(abs(cov.x_of_xi(xi) - ref) < 1e-10 * ref)
         ok &= bool(np.max(np.abs(cov.xi_of_x(cov.x_of_xi(xs)) - xs)) < 1e-10)
     fails += _check("change of variables", ok)

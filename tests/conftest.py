@@ -3,6 +3,7 @@ import pytest
 
 from carleman.coeffmap import RealPolynomial, p_to_q
 from carleman.liouville import OperatorCoefficients
+from carleman.oscquad import gauss_panels
 from carleman.profile import ChangeOfVariables, WeightProfile
 from carleman.scattering import PotentialSpec, scattering_matrix, solve_lippmann_schwinger
 
@@ -32,6 +33,25 @@ def fornberg_weights(z, x, m):
             c[j, 0] = c4 * c[j, 0] / c3
         c1 = c2
     return c
+
+
+def equidistribute_edges(x_samples, phase_samples, max_dphase):
+    """Panel edges along x_samples so each panel spans <= max_dphase of phase,
+    by the phase's arc length on the samples (it need not be monotone): the
+    tests' own cut, independent of the library's panel rule."""
+    x_samples = np.asarray(x_samples, dtype=float)
+    arc = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(phase_samples)))))
+    total = arc[-1]
+    n_panels = max(int(np.ceil(total / max_dphase)), 1)
+    edges = np.interp(np.linspace(0.0, total, n_panels + 1), arc, x_samples)
+    edges[0], edges[-1] = x_samples[0], x_samples[-1]
+    return np.unique(edges)
+
+
+def integrate_panels(f, edges, p=12):
+    """sum of Gauss-p integrals of f over consecutive [edges[i], edges[i+1]]."""
+    nodes, weights = gauss_panels(edges, p)
+    return np.sum(f(nodes.ravel()) * weights.ravel())
 
 
 @pytest.fixture(scope="session")

@@ -305,7 +305,7 @@ def test_criterion_11_longrange_slopes(q_x2):
 def test_criterion_12_evolution(q_x2, cov2, q_x3, cov3):
     from carleman.evolution import (evolution_profile, stationary_point_y,
                                     stationary_residual, y_map)
-    from carleman.oscquad import integrate_panels
+    from conftest import integrate_panels
 
     T = 1e3
     y = stationary_point_y(0.7 * np.pi * T, T, cov2)

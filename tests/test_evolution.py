@@ -106,7 +106,7 @@ def test_second_derivative_formula(cov2):
 def test_y_map_unitarity():
     # |Y f|^2 has an integrable |x|^{-(n-2)/(n-1)} singularity at 0 for n > 2,
     # so the x-integral uses geometric Gauss panels toward the origin
-    from carleman.oscquad import integrate_panels
+    from conftest import integrate_panels
 
     f_hat = lambda u: np.exp(-(np.asarray(u) - 0.8) ** 2 / 0.3)
     for n in (2, 3, 4):

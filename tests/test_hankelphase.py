@@ -9,11 +9,11 @@ from carleman.hankelphase import (_STATIONARY_MARGIN, PhaseModel, ThetaEvaluator
                                   _zeta_of_xi, hankel_kernel, hankel_quadratic_form,
                                   mellin_F, quadratic_form_check,
                                   theta_asymptotic, varrho, zeta_amplitude)
-from carleman.oscquad import equidistribute_edges, integrate_panels
 from carleman.liouville import OperatorCoefficients
 from carleman.profile import ChangeOfVariables
 from carleman.scattering import PotentialSpec, solve_lippmann_schwinger
 from carleman.specfun import eta_phase
+from conftest import equidistribute_edges, integrate_panels
 
 
 def test_hankel_kernel_examples():

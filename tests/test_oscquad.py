@@ -1,14 +1,14 @@
-"""The array-valued moment primitive against mpmath quadrature, and the
-piecewise-Chebyshev table against closed forms, and the Lagrange matrix's
-mirror symmetry."""
+"""The array-valued moment primitive against mpmath quadrature, the
+piecewise-Chebyshev table against closed forms, the Lagrange matrix's mirror
+symmetry, and the graded and phase-resolving panels."""
 
 import mpmath
 import numpy as np
 import pytest
 
 from carleman.errors import DomainError
-from carleman.oscquad import (_ChebTable, exp_monomial_moments, gauss_rule,
-                              lagrange_coeff_matrix)
+from carleman.oscquad import (_ChebTable, exp_monomial_moments, gauss_rule, graded_edges,
+                              lagrange_coeff_matrix, phase_panels)
 
 COUNT = 10
 # Re(mu) >= 0, on both sides of the series / recurrence switch at |z| = 4
@@ -137,3 +137,53 @@ def test_lagrange_coeff_matrix_is_mirror_exact(p):
     # (-1)^l C[l, r] = C[l, p-1-r], bit for bit
     C = lagrange_coeff_matrix(gauss_rule(p)[0])
     assert np.array_equal((-1.0) ** np.arange(p)[:, None] * C, C[:, ::-1])
+
+
+def test_graded_edges_grow_to_the_cap_and_clip_at_the_end():
+    edges = graded_edges(1.0, 10.0, 0.5, 2.0, 3.0)
+    assert np.array_equal(edges, [1.0, 1.5, 2.5, 4.5, 7.5, 10.0])
+    assert np.array_equal(graded_edges(0.0, 2.0, 0.5, 3.0), [0.0, 0.5, 2.0])
+
+
+# a rate monotone on each panel and one whose minimum lies inside the second,
+# each with its antiderivative, on the panels [0, 0.7] and [0.7, 3]
+PHASE_EDGES = np.array([0.0, 0.7, 3.0])
+PHASE_RATES = {"monotone": (lambda x: 5.0 + 40.0 * x, lambda x: 5.0 * x + 20.0 * x ** 2),
+               "v_shaped": (lambda x: np.abs(40.0 * (x - 1.0)),
+                            lambda x: 20.0 * (x - 1.0) * np.abs(x - 1.0))}
+
+
+def parts_of(rate):
+    """The Gauss parts phase_panels cuts, as (lo, hi) from each part's nodes
+    (the 12-point rule is symmetric, its weights sum to the width)."""
+    nodes, weights = phase_panels(PHASE_EDGES, rate)
+    assert nodes.shape == weights.shape and nodes.size % 12 == 0
+    mid, width = nodes.reshape(-1, 12).mean(axis=1), weights.reshape(-1, 12).sum(axis=1)
+    return mid - 0.5 * width, mid + 0.5 * width
+
+
+@pytest.mark.parametrize("which", sorted(PHASE_RATES))
+def test_phase_panels_tile_the_edges(which):
+    lo, hi = parts_of(PHASE_RATES[which][0])
+    assert np.all(hi > lo)
+    assert abs(lo[0]) <= 1e-15 and abs(hi[-1] - 3.0) <= 1e-15
+    assert np.max(np.abs(lo[1:] - hi[:-1])) <= 1e-15
+    # a part ends exactly where the first panel does
+    assert np.min(np.abs(hi - 0.7)) <= 1e-15
+
+
+@pytest.mark.parametrize("which", sorted(PHASE_RATES))
+def test_phase_panels_parts_span_at_most_2pi(which):
+    rate, phase = PHASE_RATES[which]
+    lo, hi = parts_of(rate)
+    assert np.max(phase(hi) - phase(lo)) <= 2.0 * np.pi * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("which", sorted(PHASE_RATES))
+def test_phase_panels_cut_each_panel_into_its_part_count(which):
+    rate = PHASE_RATES[which][0]
+    lo, hi = parts_of(rate)
+    mid, r = 0.5 * (lo + hi), rate(PHASE_EDGES)
+    want = np.ceil(np.maximum(r[:-1], r[1:]) * np.diff(PHASE_EDGES) / (2.0 * np.pi))
+    got = np.histogram(mid, PHASE_EDGES)[0]
+    assert np.array_equal(got, want), (got, want)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from carleman.errors import DomainError
-from carleman.statphase import (bound_constants, evaluate_J, leading_term,
-                                verify_remainder)
+from carleman.statphase import (_CHEB_DEG, _PANEL_BUDGET, bound_constants, evaluate_J,
+                                leading_term, verify_remainder)
 
 
 def omega_fresnel(y):
@@ -46,6 +46,18 @@ def test_fresnel_oracle_agreement():
         assert abs(J - rotated_contour_quadrature(N, s)) < 1e-8
 
 
+@pytest.mark.parametrize("N, bound", [(1e6, 1e-10), (1e12, 1e-16)])
+def test_panel_budget_bounds_the_amplitude_samples(N, bound):
+    # g is sampled by its Chebyshev interpolant and at the 12 nodes of each of
+    # at most _PANEL_BUDGET Gauss parts; the IBP closure covers the rest, and J
+    # keeps to the closed form (|J| ~ 9e-7 at N = 1e12)
+    s, calls = 0.5, []
+    g = gauss_amp(s)
+    J = evaluate_J(omega_fresnel, lambda y: calls.append(np.size(y)) or g(y), N, 4.0)
+    assert sum(calls) <= 12 * _PANEL_BUDGET + _CHEB_DEG + 1
+    assert abs(J - fresnel_closed(N, s)) < bound
+
+
 def test_conjugation_symmetry():
     g = gauss_amp(0.5)
     J1 = evaluate_J(omega_fresnel, g, 500.0, 4.0)
@@ -65,6 +77,14 @@ def test_linearity():
 def test_inflection_rejected():
     with pytest.raises(DomainError):
         evaluate_J(lambda y: np.asarray(y) ** 3, gauss_amp(0.5), 100.0, 2.0)
+
+
+def test_n_past_the_budget_next_to_the_stationary_point_rejected():
+    # the first panel is a / 64 halved 20 times; past N ~ 5e18 it alone needs
+    # more than the budget's Gauss parts, and the IBP closure cannot start at
+    # the stationary point itself
+    with pytest.raises(DomainError, match="Gauss parts"):
+        evaluate_J(omega_fresnel, gauss_amp(0.5), 1e19, 4.0)
 
 
 def test_leading_term_values():

@@ -8,10 +8,11 @@ orders where finite differences would lose most digits.
 Coefficients may carry trailing array axes, so a single jet can hold the
 expansions at a whole grid of points at once.
 
-exp, log and pow share one recurrence (`_ode`), and cosh is the mean of
-exp(u) and exp(-u).  Jets are one of the library's two ways to take
-derivatives; the other is the Chebyshev interpolant of the independent oracle
-`liouville.operator_apply_check`.  Finite differences appear only in the tests.
+exp, log, pow and division (u / w = u * w**-1) share one recurrence, `_ode`;
+cosh is the mean of exp(u) and exp(-u).  Jets are one of the library's two
+ways to take derivatives; the other is the Chebyshev interpolant of the
+independent oracle `liouville.operator_apply_check`.  Finite differences
+appear only in the tests.
 """
 
 from __future__ import annotations
@@ -112,19 +113,10 @@ class Jet:
     def __truediv__(self, other):
         if not isinstance(other, Jet):
             return Jet(self.c / np.asarray(other))
-        K = min(self.order, other.order)
-        a, b = self.c[: K + 1], other.c[: K + 1]
-        out = np.zeros((K + 1,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]),
-                       dtype=np.result_type(a.dtype, b.dtype))
-        for k in range(K + 1):
-            acc = a[k] + np.zeros(out.shape[1:], dtype=out.dtype)
-            for j in range(k):
-                acc = acc - out[j] * b[k - j]
-            out[k] = acc / b[0]
-        return Jet(out)
+        return self * other.pow(-1.0)
 
     def __rtruediv__(self, other):
-        return Jet.constant(np.asarray(other), self.order, self.c.shape[1:]) / self
+        return self.pow(-1.0) * other
 
     # -- elementary functions --------------------------------------------------
 
@@ -149,7 +141,8 @@ class Jet:
         return self._ode(np.log(self.c[0]), 1, 0.0, 1.0)
 
     def pow(self, a):
-        """self**a for a real (possibly non-integer) exponent; u[0] > 0 assumed."""
+        """self**a for real a, u[0] > 0 assumed only for non-integer a; at a = -1
+        the reciprocal y[k] = -sum_{j>=1} u[j] y[k-j] / u[0], which divides jets."""
         return self._ode(self.c[0] ** a, 1, a, 0.0)
 
     def cosh(self):

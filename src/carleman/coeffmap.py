@@ -4,8 +4,9 @@ The Hankel kernel P(ln t)/t corresponds to the operator symbol Q through
 
     q_m = sum_{j=m}^{n} C(j, m) gamma^(j-m)(0) p_j,    gamma(z) = 1/Gamma(1-z),
 
-an upper-triangular map with unit diagonal, hence always invertible by back
-substitution.  Coefficients are stored lowest degree first.
+a unit upper-triangular matrix M[m, j] = C(j, m) gamma^(j-m)(0): p_to_q is
+M @ p, and q_to_p solves M p = q by back substitution (partial pivoting swaps
+no rows).  Coefficients are stored lowest degree first.
 """
 
 from __future__ import annotations
@@ -44,36 +45,28 @@ class RealPolynomial:
 
     def shifted(self, c):
         """The polynomial X -> self(X + c)."""
-        g = [c ** k for k in range(self.coeffs.size)]
-        return RealPolynomial(_binomial_map(self.coeffs, g))
+        return RealPolynomial(_binomial_matrix([c ** k for k in range(self.coeffs.size)])
+                              @ self.coeffs)
 
 
 def _gamma_derivs(order):
     return recip_gamma_taylor(order).derivative_values()
 
 
-def _binomial_map(p, g):
-    """q_m = sum_{j>=m} C(j, m) g[j-m] p_j; with g[k] = c^k this is the
-    expansion of sum_j p_j (X + c)^j."""
-    n = len(p) - 1
-    q = np.zeros(n + 1)
-    for m in range(n + 1):
-        q[m] = sum(comb(j, m) * g[j - m] * p[j] for j in range(m, n + 1))
-    return q
+def _binomial_matrix(g):
+    """M[m, j] = C(j, m) g[j-m] for j >= m, unit upper triangular if g[0] = 1;
+    with g[k] = c^k, M @ p expands sum_j p_j (X + c)^j."""
+    n = len(g)
+    return np.array([[comb(j, m) * g[j - m] if j >= m else 0.0 for j in range(n)]
+                     for m in range(n)])
 
 
 def p_to_q(P: RealPolynomial) -> RealPolynomial:
     """Symbol polynomial Q from kernel polynomial P (triangular, q_n = p_n)."""
-    return RealPolynomial(_binomial_map(P.coeffs, _gamma_derivs(P.degree)))
+    return RealPolynomial(_binomial_matrix(_gamma_derivs(P.degree)) @ P.coeffs)
 
 
 def q_to_p(Q: RealPolynomial) -> RealPolynomial:
-    """Inverse of p_to_q by back-substitution (diagonal entries are 1)."""
-    q = Q.coeffs
-    n = Q.degree
-    g = _gamma_derivs(n)
-    p = np.zeros(n + 1)
-    for m in range(n, -1, -1):
-        tail = sum(comb(j, m) * g[j - m] * p[j] for j in range(m + 1, n + 1))
-        p[m] = q[m] - tail
-    return RealPolynomial(p)
+    """Inverse of p_to_q: the solve of M p = q (module docstring)."""
+    return RealPolynomial(np.linalg.solve(_binomial_matrix(_gamma_derivs(Q.degree)),
+                                          Q.coeffs))

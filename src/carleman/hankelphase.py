@@ -169,7 +169,9 @@ class ThetaEvaluator:
         self._tails = {side: _ChebTable(lambda u, s=side: field.psi_at(s * u), tail,
                                         [w * k * side for w in field.waves], points=12)
                        for side in (+1, -1)}
-        self._lim = field.r_limits()
+        # each closure's amplitude is its wave's envelope r_w at the end it closes
+        env, ends = {1: field.r_plus, -1: field.r_minus}, [self.x_tail, -self.x_tail]
+        self._amp_tail = {(s, w): r for w in field.waves for s, r in zip((1, -1), env[w](ends))}
         # one node set for every admissible N: the core on [-X0, X0] and the
         # tails x = +-u, u in [X0, x_tail], where xi is odd
         self._shift = cov.a1 if cov.profile.family == "cosh" else 0.0
@@ -189,15 +191,16 @@ class ThetaEvaluator:
     # -- pieces ---------------------------------------------------------------
 
     def _closure(self, N):
-        """IBP closures beyond +-x_tail with the constant limit amplitudes, N a
-        trailing jet axis: int_{x_tail}^{+inf} = -S(x_tail), int_{-inf}^{-x_tail} = +S(-x_tail)."""
+        """IBP closures beyond +-x_tail with the envelopes r_w(+-x_tail) as
+        constant amplitudes, N a trailing jet axis:
+        int_{x_tail}^{+inf} = -S(x_tail), int_{-inf}^{-x_tail} = +S(-x_tail)."""
         total = np.zeros(np.size(N), dtype=complex)
-        for (side, w), lim in self._lim.items():
-            if abs(lim) > 0:
+        for (side, w), r in self._amp_tail.items():
+            if abs(r) > 0:
                 xi_j, zeta_j = self._end_jets[side]
                 x_j = Jet.variable([side * self.x_tail], 3)
                 phase_j = xi_j * -np.ravel(N) + x_j * (w * self.k)
-                total -= side * ibp_boundary(zeta_j * lim, phase_j, order=2)
+                total -= side * ibp_boundary(zeta_j * r, phase_j, order=2)
         return total.reshape(np.shape(N))
 
     def _check_resolution(self, N):

@@ -32,7 +32,7 @@ from ._jets import Jet
 from .coeffmap import RealPolynomial
 from .errors import ConfigurationError
 from .oscquad import _ChebTable
-from .profile import ChangeOfVariables, WeightProfile, _fit_slope, decay_parameters
+from .profile import ChangeOfVariables, WeightProfile, decay_parameters
 
 
 class _DiffOp:
@@ -207,7 +207,7 @@ def decay_report(Q: RealPolynomial, cov: ChangeOfVariables, p_max: int = 1,
         dv = jets[m].derivative_values()
         for p in range(p_max + 1):
             y = np.abs(dv[p])
-            slope = None if np.max(y) < 1e-13 else float(_fit_slope(logx, np.log(y)))
+            slope = None if np.max(y) < 1e-13 else float(np.polyfit(logx, np.log(y), 1)[0])
             rows.append({
                 "m": m, "p": p, "slope": slope,
                 "predicted": -(n - m) * gamma - p * gamma * (1.0 + delta * n / 2.0)

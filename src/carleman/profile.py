@@ -131,10 +131,6 @@ class ChangeOfVariables:
 
     # -- cache ------------------------------------------------------------
 
-    def _integrand(self, xi):
-        # v^(-2/n), evaluated through log v for overflow headroom
-        return np.exp(-2.0 / self.n * self.profile.log_v(xi))
-
     def _extend(self, xi_max):
         if xi_max <= self._grid[-1]:
             return
@@ -151,7 +147,7 @@ class ChangeOfVariables:
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * self.CELL
         cells = half * np.concatenate([
-            self._integrand(m[:, None] + half * _GL_NODES) @ _GL_WEIGHTS
+            self.x_prime(m[:, None] + half * _GL_NODES) @ _GL_WEIGHTS
             for m in np.split(mid, np.arange(self.CHUNK, mid.size, self.CHUNK))])
         self._grid = np.concatenate((self._grid, edges[1:]))
         self._cum = np.concatenate((self._cum, self._cum[-1] + np.cumsum(cells)))
@@ -160,7 +156,7 @@ class ChangeOfVariables:
         """Series (16, points) of each point's cell: Gauss values once per cell."""
         cells, inv = np.unique(idx, return_inverse=True)
         half = 0.5 * self.CELL
-        vals = self._integrand(self._grid[cells, None] + half + half * _GL_NODES)
+        vals = self.x_prime(self._grid[cells, None] + half + half * _GL_NODES)
         return np.take(_MEAN @ vals.T, inv, axis=1)   # C-contiguous rows for Clenshaw
 
     def _x_in_cell(self, a, idx, coef):
@@ -187,7 +183,8 @@ class ChangeOfVariables:
         return out[0] if scalar else out
 
     def x_prime(self, xi):
-        return self._integrand(np.asarray(xi, dtype=float))
+        """x'(xi) = v^(-2/n), evaluated through log v for overflow headroom."""
+        return np.exp(-2.0 / self.n * self.profile.log_v(xi))
 
     def xi_of_x(self, x):
         x = np.asarray(x, dtype=float)
@@ -211,7 +208,7 @@ class ChangeOfVariables:
         coef = self._series(idx)   # Newton runs on the root cell's series
         for _ in range(60):
             f = self._x_in_cell(xi, idx, coef) - ax
-            step = f / self._integrand(xi)
+            step = f / self.x_prime(xi)
             xi = np.clip(xi - step, 0.0, self.guard)
             if np.max(np.abs(step), initial=0.0) \
                     < 1e-13 * max(1.0, np.max(xi, initial=0.0)):
@@ -257,11 +254,15 @@ class ChangeOfVariables:
         xi = float(xi)
         if xi < 0:
             raise DomainError("xi must be >= 0")
-        xs, wts = gauss_panels(
-            np.linspace(0.0, xi, max(2, int(np.ceil(xi / 0.25)) + 1)), 16)
-        pref = (2.0 * np.pi) ** (-1.0 / self.n)
-        integral = float(np.sum(wts * _a1_integrand(xs, self.n)))
-        return pref * integral - 1.0 / self.a0
+        return _shift(self.n, xi)
+
+
+def _shift(n, xi):
+    """(2 pi)^(-1/n) int_0^xi ((2 cosh pi s)^(1/n) - e^(pi s/n)) ds - 1/a0,
+    Gauss-16 on panels at most 1/4 wide."""
+    xs, wts = gauss_panels(np.linspace(0.0, xi, max(2, int(np.ceil(xi / 0.25)) + 1)), 16)
+    pref = (2.0 * np.pi) ** (-1.0 / n)
+    return pref * float(np.sum(wts * _a1_integrand(xs, n))) - pref * n / np.pi
 
 
 def _a1_integrand(xi, n):
@@ -295,27 +296,18 @@ def a1_constant(n: int, rule: str = "gauss") -> float:
          - n (2 pi)^(-1/n) / pi.
 
     The integrand decays like e^(-pi xi (2 - 1/n)); truncation at xi = 16
-    is below 1e-14 for every n >= 1.
+    is below 1e-14 for every n >= 1.  The "gauss" rule is asymptotic_shift's
+    sum at xi = 16; adaptive "simpson" is the independent reference.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    L = 16.0
     if rule == "gauss":
-        # composite 20-point Gauss-Legendre on [0, L] in 32 cells
-        xs, wts = gauss_panels(np.linspace(0.0, L, 33), 20)
-        integral = float(np.sum(wts * _a1_integrand(xs, n)))
-    elif rule == "simpson":
-        integral = _adaptive_simpson(lambda x: _a1_integrand(x, n), 0.0, L, 1e-13)
-    else:
+        return _shift(n, 16.0)
+    if rule != "simpson":
         raise ConfigurationError(f"unknown quadrature rule {rule!r}")
     pref = (2.0 * np.pi) ** (-1.0 / n)
-    return pref * integral - pref * n / np.pi
-
-
-def _fit_slope(logx, logy):
-    A = np.vstack([logx, np.ones_like(logx)]).T
-    slope, _ = np.linalg.lstsq(A, logy, rcond=None)[0]
-    return slope
+    return pref * _adaptive_simpson(lambda x: _a1_integrand(x, n), 0.0, 16.0, 1e-13) \
+        - pref * n / np.pi
 
 
 def decay_parameters(profile: WeightProfile, n: int = 2):
@@ -328,7 +320,7 @@ def decay_parameters(profile: WeightProfile, n: int = 2):
     xi = np.linspace(5.0, xi_hi, 60)
     logv = profile.log_v(xi)
     x = cov.x_of_xi(xi)
-    gamma = -_fit_slope(np.log(np.abs(x)), 2.0 * logv) / n
+    gamma = -np.polyfit(np.log(np.abs(x)), 2.0 * logv, 1)[0] / n
     d1 = v_derivatives(profile, xi, 1)[1]
-    delta = max(_fit_slope(logv, np.log(np.abs(d1))) - 1.0, 0.0)
+    delta = max(np.polyfit(logv, np.log(np.abs(d1)), 1)[0] - 1.0, 0.0)
     return float(gamma), float(delta)

@@ -407,7 +407,9 @@ class EigenfunctionField:
     def r_limits(self):
         """The x -> +/-inf limits of each envelope r_w, keyed (side, w), wave
         by wave: [w = 1] - a int e^{-iwky} w dy on the side the wave leaves
-        by and [w = 1] on the other (module docstring)."""
+        by and [w = 1] on the other (module docstring).  They sum the panels'
+        own integrals: the states leaving the line, recursed past +-X, move S
+        by up to 8.5e-13 and its unitarity defect from 4e-15 to 8.5e-13."""
         lims = {}
         for w in self.waves:
             b = self._wave_branch[w]

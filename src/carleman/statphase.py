@@ -30,7 +30,6 @@ from numpy.polynomial.chebyshev import Chebyshev
 from ._jets import _FACTORIALS, Jet
 from .errors import ConfigurationError, DomainError
 from .oscquad import ibp_boundary, phase_panels, phase_parts
-from .profile import _fit_slope
 
 _PANELS = 64              # equal panels of [0, a], before the phase cuts them
 _PANEL_BUDGET = 6000      # switch to the IBP closure past this many Gauss parts
@@ -174,8 +173,8 @@ def verify_remainder(omega, g, N_list, a):
         rows.append({"N": float(N), "J": J, "leading": lead,
                      "remainder": R, "bound_shape": B,
                      "ratio": R / B if B > 0 else np.inf})
-    slope = float(_fit_slope(np.log([abs(r["N"]) for r in rows]),
-                             np.log([r["remainder"] for r in rows])))
+    slope = float(np.polyfit(np.log([abs(r["N"]) for r in rows]),
+                             np.log([r["remainder"] for r in rows]), 1)[0])
     return {
         "constants": consts,
         "rows": rows,

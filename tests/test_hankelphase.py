@@ -210,8 +210,8 @@ def test_xi_of_x_evaluates_each_root_cell_once(ev2, monkeypatch):
     # v^(-2/n) at the 16 Gauss nodes of each distinct cell holding a root,
     # then once per point for each Newton derivative: no per-point quadrature
     cov, x = ev2.cov, ev2._x
-    sizes, integrand = [], cov._integrand
-    monkeypatch.setattr(cov, "_integrand",
+    sizes, integrand = [], cov.x_prime
+    monkeypatch.setattr(cov, "x_prime",
                         lambda xi: sizes.append(np.size(xi)) or integrand(xi))
     xi = cov.xi_of_x(x)
     assert np.max(np.abs(xi - ev2._xi)) <= 1e-12
@@ -286,6 +286,22 @@ def test_theta_matches_refined_per_N_panels(n, theta_evaluator):
     Ns = np.array([-30.0, -7.5, 12.5, 25.0, -0.99 * _n_lim(ev), 0.99 * _n_lim(ev)])
     ref = np.array([_theta_reference(ev, N) for N in Ns])
     assert np.max(np.abs(ev.theta_scaled(Ns) - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("p, k", [([-1.0, 0.0, 1.0], 1.0), ([0.0, 0.0, 0.0, 1.0], -1.0),
+                                  ([0.0, 0.0, 0.0, 0.0, 1.0], 1.0)], ids=["x2m1", "x3", "x4"])
+def test_theta_is_independent_of_x_tail(p, k, cosh_profile):
+    # the closures start from the envelopes r_w(+-x_tail), not their limits at
+    # +-inf, so moving x_tail from 2000 to 8000 moves theta by the closures'
+    # remainder only: 7e-9 to 2e-8 of max|theta| (3.4e-6 to 2.4e-5 with the limits)
+    Q = p_to_q(RealPolynomial(p))
+    cov = ChangeOfVariables(cosh_profile, Q.degree)
+    pot = PotentialSpec.from_operator(OperatorCoefficients(Q, cov))
+    field = solve_lippmann_schwinger(pot, k, X=1.0e6)
+    Ns = np.array([N for N in np.arange(-30.0, 31.0, 5.0) if N != 0.0])
+    near, far = (ThetaEvaluator(field, Q, cov, x_tail=x).theta_scaled(Ns)
+                 for x in (2000.0, 8000.0))
+    assert np.max(np.abs(near - far)) <= 1e-7 * np.max(np.abs(far))
 
 
 # node counts of 12-point Gauss panels equidistributed at pi/2 of the same

@@ -18,7 +18,8 @@ from carleman import (coeffmap, errors, evolution, hankelphase, liouville,
                       profile, scattering)
 no_scipy("import carleman")
 Q = carleman.p_to_q(carleman.RealPolynomial([0.0, 0.0, 1.0]))
-no_scipy("p_to_q")
+carleman.q_to_p(Q)
+no_scipy("p_to_q and q_to_p")
 cov = carleman.ChangeOfVariables(carleman.WeightProfile("cosh"), 2)
 no_scipy("ChangeOfVariables")
 carleman.evolution_profile(lambda u: u * 0 + 1.0, [-3.0, -1.0, 0.0, 1.0, 3.0],

@@ -72,8 +72,8 @@ def test_cosh_across_its_range(u0):
         check(got[1::2], want[1::2])
 
 
-@pytest.mark.parametrize("u0, w0", [(0.8, 1.5), (0.8 + 0.5j, 1.5 - 0.2j)],
-                         ids=["real", "complex"])
+@pytest.mark.parametrize("u0, w0", [(0.8, 1.5), (-0.8, -1.5), (0.8 + 0.5j, 1.5 - 0.2j)],
+                         ids=["real", "negative", "complex"])
 def test_division(u0, w0):
     u, w = jet(u0), jet(w0, TAIL[::-1])
     check((u / w).c, taylor(lambda a, b: a / b, u.c, w.c))

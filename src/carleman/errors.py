@@ -32,6 +32,6 @@ class NearExceptionalPointError(NumericalError):
 class ResolutionError(NumericalError):
     """A stationary point fell outside the resolved region."""
 
-    def __init__(self, msg, suggested_x_core=None):
-        self.suggested_x_core = suggested_x_core
+    def __init__(self, msg, suggested_x_split=None):
+        self.suggested_x_split = suggested_x_split
         super().__init__(msg)

@@ -12,7 +12,8 @@ with psi the gauged short-range eigenfunction.  The integral converges only
 conditionally: a core plus oscillating tails, with psi read from the Nystrom
 field into oscquad tables on the field's own panels (the outer sides' basis
 carries the waves e^{+-ikx}), closed by integration by parts.  Stationary
-points sit at |x| ~ n|N|/(pi |k|), so x_split bounds the reachable |N|.  Only
+points sit at |x| ~ n|N|/(pi |k|), so x_split (120 whatever the core radius,
+or x_tail if smaller: a closure admits none) bounds the reachable |N|.  Only
 e^{-i xi(x) N} depends on N, so the Gauss nodes resolve the phase at that
 largest |N| once: each psi table panel is cut into equal parts spanning
 <= 2 pi of it, 12 nodes each, and I(N) is one fixed exponential sum over them
@@ -77,9 +78,9 @@ def zeta_amplitude(x, Q: RealPolynomial, cov: ChangeOfVariables):
     return _zeta_of_xi(cov.xi_of_x(np.asarray(x, dtype=float)), Q, cov)
 
 
-def _xi_zeta_jets(x0, Q, cov, order=3):
-    """Jets at x0 of xi(x) and of the tail amplitude zeta(x), trailing axis (1,)."""
-    xi_jet = cov.xi_jet_of_x(np.asarray([x0]), order)
+def _xi_zeta_jets(x, Q, cov, order=3):
+    """Jets at the points x of xi(x) and of the tail amplitude zeta(x)."""
+    xi_jet = cov.xi_jet_of_x(np.asarray(x, dtype=float), order)
     zeta_j = ((_rho_of_xi(xi_jet, Q) * 1j).exp()
               * xi_jet.shift().truncated(order - 1).pow(0.5))
     return xi_jet, zeta_j
@@ -147,19 +148,17 @@ class ThetaEvaluator:
     the core's on [-X0, X0], whose mesh is graded toward x = 0, and the outer
     sides' out to +-x_tail.  The Gauss nodes are built once on the tables'
     panels, each cut into parts spanning <= 2 pi of the phase at the largest
-    |N| that x_split (X0 by default) admits, so no Gauss panel straddles a
-    table edge; each theta is then one fixed sum of e^{-i xi_j N} amp_j over
-    core and tail nodes plus the closures beyond +-x_tail.
+    |N| that x_split admits, so no Gauss panel straddles a table edge; each
+    theta is then one fixed sum of e^{-i xi_j N} amp_j over core and tail
+    nodes plus the closures beyond +-x_tail.
     """
 
     def __init__(self, field, Q: RealPolynomial, cov: ChangeOfVariables,
                  x_split=None, x_tail=2000.0):
-        self.Q = Q
-        self.cov = cov
-        self.n = Q.degree
+        self.Q, self.cov, self.n = Q, cov, Q.degree
         self.k = k = field.k
-        self.x_split = float(x_split if x_split is not None else field.X0)
         self.x_tail = float(min(x_tail, field.X))
+        self.x_split = float(min(120.0, self.x_tail) if x_split is None else x_split)
         # every table panel is a field panel, on which psi is smooth
         edges = field.edges
         self._psi = _ChebTable(field.psi_at, edges[np.abs(edges) <= field.X0], points=12)
@@ -186,7 +185,7 @@ class ThetaEvaluator:
         self._w = np.concatenate((wc, wt, wt))
         psi = np.concatenate((self._psi(xc), self._tails[+1](xt), self._tails[-1](xt)))
         self._amp = self._w * psi * _zeta_of_xi(self._xi, Q, cov)
-        self._end_jets = {s: _xi_zeta_jets(s * self.x_tail, Q, cov) for s in (+1, -1)}
+        self._end_jets = _xi_zeta_jets(ends, Q, cov)  # at [x_tail, -x_tail]
 
     # -- pieces ---------------------------------------------------------------
 
@@ -197,22 +196,22 @@ class ThetaEvaluator:
         total = np.zeros(np.size(N), dtype=complex)
         for (side, w), r in self._amp_tail.items():
             if abs(r) > 0:
-                xi_j, zeta_j = self._end_jets[side]
+                xi_j, zeta_j = (Jet(j.c[:, [(1 - side) // 2]]) for j in self._end_jets)
                 x_j = Jet.variable([side * self.x_tail], 3)
                 phase_j = xi_j * -np.ravel(N) + x_j * (w * self.k)
                 total -= side * ibp_boundary(zeta_j * r, phase_j, order=2)
         return total.reshape(np.shape(N))
 
     def _check_resolution(self, N):
-        """Raise at the largest |N| whose stationary point leaves the core."""
+        """Raise at the largest |N| whose stationary point leaves |x| <= x_split."""
         # in Python floats, |N| near the largest double gives inf, not a warning
         N_max = float(np.max(np.abs(N), initial=0.0))
         x_stat = self.n * N_max / (np.pi * abs(float(self.k))) + self._shift
         if _STATIONARY_MARGIN * x_stat > self.x_split:
             raise ResolutionError(
-                f"stationary point at |x| ~ {x_stat:.1f} too close to the "
-                f"resolved core |x| <= {self.x_split:.1f}",
-                suggested_x_core=1.6 * x_stat)
+                f"stationary point at |x| ~ {x_stat:.1f} too close to the edge of "
+                f"the resolved region |x| <= x_split = {self.x_split:.1f}",
+                suggested_x_split=1.6 * x_stat)
 
     def I(self, N):
         """The conditionally convergent integral I(N, k) for a scalar or an

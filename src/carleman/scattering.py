@@ -21,16 +21,16 @@ against each panel's Lagrange basis) panel P obeys
 
 with own_b,P the partial-panel moments anchored at the nodes.  On the core
 f = w is one component, g_b = a_b sigma_b with sigma_b = sum_m b~_m zeta_b^m,
-and rhs = sigma(k) e^{ikx}.  Beyond X0 = CORE_RADIUS (sum|b~_m| is 6.3e-5
-there for P = X^2 on the cosh weight, 1.3e-3 for X^4) w = sum_w e^{iwky} f_w
-has one component per wave.  For odd n that one wave carries all of V psi,
-f = sigma(k) - sum_b a_b sigma_b e^{-iky} K_b, so rhs = sigma(k) and every
-root is a source there, g_b = a_b sigma_b e^{-iky}.  For even n the
-complex-root terms, which die within a few units of +-X0, enter psi but are
-not sources there: f_w = sigma(wk) ([w = 1] - a e^{-iwky} K_wk), so
-rhs_w = sigma(wk) [w = 1], g = a sigma e^{-iwky} on the wave's own real root,
-and no other root has a coefficient there.  Every
-state steps to the next panel as
+and rhs = sigma(k) e^{ikx}.  Beyond X0 (CORE_RADIUS: 30 for odd n, whose outer
+model is exact; 120 for even n, where sum|b~_m| is 6.3e-5 for P = X^2 on the
+cosh weight, 1.3e-3 for X^4) w = sum_w e^{iwky} f_w has one component per
+wave.  For odd n that one wave carries all of V psi, f = sigma(k) - sum_b
+a_b sigma_b e^{-iky} K_b, so rhs = sigma(k) and every root is a source
+there, g_b = a_b sigma_b e^{-iky}.  For even n the complex-root terms, which
+die within a few units of +-X0, enter psi but are not sources there:
+f_w = sigma(wk) ([w = 1] - a e^{-iwky} K_wk), so rhs_w = sigma(wk) [w = 1],
+g = a sigma e^{-iwky} on the wave's own real root, and no other root has a
+coefficient there.  Every state steps to the next panel as
 s_b(P +- 1) = e^{+-i zeta_b h_P} s_b(P) + F_b,P . f_P (full-panel moments),
 by factors of modulus <= 1, and crosses +-X0 as it crosses any panel edge.
 The blocks C_P are inverted in one batched call per region; substituting
@@ -88,7 +88,7 @@ from .errors import (ConfigurationError, DomainError, NearExceptionalPointError,
 from .oscquad import exp_monomial_moments, gauss_rule, graded_edges, lagrange_coeff_matrix
 
 RCOND_FLOOR = 1e-10    # below this the solve is taken as near-exceptional
-CORE_RADIUS = 120.0    # X0 unless the support is compact
+CORE_RADIUS = {0: 120.0, 1: 30.0}  # X0 by n % 2 (docstring): odd n's outer model is exact
 SHORT_RANGE_SLOPE = -1.5  # sum |b~_m| must fall faster than x^SHORT_RANGE_SLOPE
 
 
@@ -693,16 +693,16 @@ class _CoreSolver:
 def _prepare(pot: PotentialSpec, k, X, x_core, reach):
     """X0 of a solve at k out to X, before any factorization: b~ is read out
     to |x| <= reach and sum |b~_m| must fall faster than x^SHORT_RANGE_SLOPE
-    on [X0, X] in a log-log fit (cosh, stretched_exp: -2; power_law: -1 to
-    -0.7).  k must be finite and nonzero, and X finite and past X0, or past a
-    compact support."""
+    on [max(X0, 120), X] (on [X0, X] if X <= 120) in a log-log fit (cosh,
+    stretched_exp: -2; power_law: -1 to -0.7).  k must be finite and nonzero,
+    and X finite and past X0, or past a compact support."""
     if not np.isfinite(k) or k == 0:
         raise DomainError(f"k = {float(k)!r} must be finite and nonzero "
                           "(k = 0 is the degenerate spectral point)")
     if not 0.0 < X < np.inf:
         raise DomainError(f"the truncation X = {X!r} must be finite and positive")
     if x_core is None:
-        x_core = CORE_RADIUS if pot.support is None else pot.support + 2.0
+        x_core = CORE_RADIUS[pot.n % 2] if pot.support is None else pot.support + 2.0
     x0 = min(x_core, X)
     if (X <= x0) if pot.support is None else (X < pot.support):
         raise DomainError(f"the truncation X = {X:g} " + (
@@ -710,13 +710,13 @@ def _prepare(pot: PotentialSpec, k, X, x_core, reach):
             else f"cuts the support {pot.support:g}"))
     pot.cover(reach)
     if pot.support is None:
-        x = np.geomspace(x0, X, 32)
+        x = np.geomspace(max(x0, CORE_RADIUS[0]) if X > CORE_RADIUS[0] else x0, X, 32)
         total = pot.abs_sum(x) + pot.abs_sum(-x)
         slope = np.polyfit(np.log(x), np.log(total), 1)[0] if np.all(total > 0) \
             else -np.inf  # vanishing coefficients are short-range
         if slope > SHORT_RANGE_SLOPE:
             raise NumericalError(
-                f"sum|b~_m| falls like x^{slope:.2f} on [{x0:g}, {X:g}]: the "
+                f"sum|b~_m| falls like x^{slope:.2f} on [{x[0]:g}, {X:g}]: the "
                 "coefficients are long-range, and the long-range modifier "
                 "(longrange.py) is not wired into the solver")
     return x0

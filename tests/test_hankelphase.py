@@ -1,3 +1,5 @@
+import copy
+
 import mpmath
 import numpy as np
 import pytest
@@ -6,8 +8,8 @@ from carleman.coeffmap import RealPolynomial, p_to_q
 from carleman.errors import DomainError, ResolutionError
 from carleman._jets import Jet
 from carleman.hankelphase import (_STATIONARY_MARGIN, PhaseModel, ThetaEvaluator,
-                                  _zeta_of_xi, hankel_kernel, hankel_quadratic_form,
-                                  mellin_F, quadratic_form_check,
+                                  _xi_zeta_jets, _zeta_of_xi, hankel_kernel,
+                                  hankel_quadratic_form, mellin_F, quadratic_form_check,
                                   theta_asymptotic, varrho, zeta_amplitude)
 from carleman.liouville import OperatorCoefficients
 from carleman.profile import ChangeOfVariables
@@ -398,12 +400,36 @@ def test_psi_tables_sit_on_the_field_panels(n, k, split, solved):
                               np.append(u[(u >= field.X0) & (u < ev.x_tail)], ev.x_tail))
 
 
+@pytest.mark.parametrize("n, k", [(2, 1.0), (2, 2.0), (3, 1.0), (3, -1.0), (4, 1.0)])
+def test_batched_end_jets_match_per_side_jets(n, k, theta_evaluator):
+    ev = copy.copy(theta_evaluator(n, k))
+    Ns = np.array([N for N in np.arange(-30.0, 31.0, 5.0) if N != 0.0])
+    batched = ev.theta_scaled(Ns)
+    per_side = [_xi_zeta_jets([s * ev.x_tail], ev.Q, ev.cov) for s in (1, -1)]
+    ev._end_jets = [Jet(np.concatenate([a.c, b.c], axis=1)) for a, b in zip(*per_side)]
+    assert np.array_equal(ev.theta_scaled(Ns), batched)
+
+
+@pytest.mark.parametrize("p, k, bound", [(3, 1.0, 1e-12), (3, -1.0, 1e-12), (5, 1.0, 1e-11)])
+def test_odd_n_theta_on_the_default_core_matches_x0_120(p, k, bound, cosh_profile):
+    # x_split stays 120 while odd n's core ends at 30; the README grid reads
+    # 2.9e-13, 2.6e-13 and 2.5e-12 of max|theta|
+    Q = p_to_q(RealPolynomial([0.0] * p + [1.0]))
+    cov = ChangeOfVariables(cosh_profile, p)
+    pot = PotentialSpec.from_operator(OperatorCoefficients(Q, cov))
+    Ns = np.array([N for N in np.arange(-25.0, 26.0, 5.0) if N != 0.0])
+    fields = [solve_lippmann_schwinger(pot, k, X=1.0e4, x_core=x0) for x0 in (None, 120.0)]
+    assert fields[0].X0 == 30.0
+    a, b = (ThetaEvaluator(f, Q, cov).theta_scaled(Ns) for f in fields)
+    assert np.max(np.abs(a - b)) <= bound * np.max(np.abs(b))
+
+
 def test_theta_grid_resolution_guard_matches_scalar(ev2):
     with pytest.raises(ResolutionError) as scalar:
         ev2.theta_scaled(200.0)
     with pytest.raises(ResolutionError) as batch:
         ev2.theta_scaled(np.array([-30.0, 200.0, 10.0]))
-    assert batch.value.suggested_x_core == scalar.value.suggested_x_core
+    assert batch.value.suggested_x_split == scalar.value.suggested_x_split
     assert str(batch.value) == str(scalar.value)
 
 

@@ -537,10 +537,10 @@ def test_each_outer_panel_eliminated_once_per_lambda(pot2, lam, monkeypatch):
                         eliminated.append(mesh.n_panels) or init(self, lam, mesh, *a))
     k, X = lam ** 0.5, 1.0e4
     scattering_matrix(pot2, lam, X=X)
-    sides = [sc._outer_mesh(side, CORE_RADIUS, x, k).n_panels
+    sides = [sc._outer_mesh(side, CORE_RADIUS[0], x, k).n_panels
              for side in (-1, 1) for x in (X, 2 * X)]
     assert sides[0] < sides[1]
-    assert eliminated == [_core_mesh(CORE_RADIUS, k).n_panels, sum(
+    assert eliminated == [_core_mesh(CORE_RADIUS[0], k).n_panels, sum(
         m_X + (m_2X - m_X + 1) for m_X, m_2X in zip(sides[::2], sides[1::2]))]
 
 
@@ -869,6 +869,34 @@ def test_odd_n_s_is_independent_of_the_core_radius(which, lam, bound, request):
     pot = request.getfixturevalue(which)
     a, b = (scattering_matrix(pot, lam, X=1e5, x_core=x0).S_X for x0 in (30.0, 1920.0))
     assert np.max(np.abs(a - b)) <= bound
+
+
+def test_default_core_radius_depends_on_parity(pot2, pot3, pot4, pot5):
+    # odd n's outer model is exact, so its core only holds the graded mesh;
+    # even n's complex roots are no sources beyond X0, so it keeps 120
+    for pot, x0 in ((pot3, 30.0), (pot5, 30.0), (pot2, 120.0), (pot4, 120.0),
+                    (zero_potential(support=6.0), 8.0)):
+        assert sc._prepare(pot, 1.0, 1e4, None, 1e4) == x0
+
+
+@pytest.mark.parametrize("which, lam, bound", [
+    *(("pot3", lam, 1e-12) for lam in (*np.linspace(-5.0, 5.0, 4), 1e-2)),
+    ("pot5", 1.0, 1e-11), ("pot5", 1e-2, 1e-11)])
+def test_odd_n_default_core_matches_x0_120(which, lam, bound, request):
+    # S_X on the default core (X0 = 30) against X0 = 120, at the README's
+    # lambda and at lambda = 1e-2
+    pot = request.getfixturevalue(which)
+    a, b = (scattering_matrix(pot, lam, x_core=x0).S_X for x0 in (None, 120.0))
+    assert np.max(np.abs(a - b)) <= bound
+
+
+@pytest.mark.parametrize("which, lam", [("pot3", 1e-4), ("pot5", -0.2), ("pot5", 1e-3)])
+def test_odd_n_default_core_near_the_x0_1920_reference(which, lam, request):
+    # here X0 = 120 itself reads 3.5e-11, 2.9e-12 and 5.5e-12 off X0 = 1920,
+    # and the default 4.4e-11, 9.4e-12 and 5.6e-12
+    pot = request.getfixturevalue(which)
+    a, b = (scattering_matrix(pot, lam, x_core=x0).S_X for x0 in (None, 1920.0))
+    assert np.max(np.abs(a - b)) <= 1e-10
 
 
 # -- the core mesh resolves b~'s complex singularities --------------------------

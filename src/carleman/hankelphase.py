@@ -16,8 +16,8 @@ points sit at |x| ~ n|N|/(pi |k|), so x_split (120 whatever the core radius,
 or x_tail if smaller: a closure admits none) bounds the reachable |N|.  Only
 e^{-i xi(x) N} depends on N, so the Gauss nodes resolve the phase at that
 largest |N| once: each psi table panel is cut into equal parts spanning
-<= 2 pi of it, 12 nodes each, and I(N) is one fixed exponential sum over them
-plus the closures.
+<= 8 pi of it, 20 nodes each (`oscquad.phase_panels`), and I(N) is one fixed
+exponential sum over them plus the closures.
 
 The large-|N| model uses the explicit phase
 
@@ -147,7 +147,7 @@ class ThetaEvaluator:
     psi is read from the field once into tables on its panels (`field.edges`):
     the core's on [-X0, X0], whose mesh is graded toward x = 0, and the outer
     sides' out to +-x_tail.  The Gauss nodes are built once on the tables'
-    panels, each cut into parts spanning <= 2 pi of the phase at the largest
+    panels, each cut into parts spanning <= 8 pi of the phase at the largest
     |N| that x_split admits, so no Gauss panel straddles a table edge; each
     theta is then one fixed sum of e^{-i xi_j N} amp_j over core and tail
     nodes plus the closures beyond +-x_tail.
@@ -177,8 +177,7 @@ class ThetaEvaluator:
         n_lim = max(self.x_split / _STATIONARY_MARGIN - self._shift, 0.0) \
             * np.pi * abs(k) / self.n
         rate = lambda x: n_lim / cov.x_prime(cov.xi_of_x(x)) + abs(k)
-        xc, wc = phase_panels(self._psi.edges, rate)
-        xt, wt = phase_panels(self._tails[+1].edges, rate)
+        (xc, wc), (xt, wt) = (phase_panels(t.edges, rate) for t in (self._psi, self._tails[+1]))
         xi_t = cov.xi_of_x(xt)
         self._x = np.concatenate((xc, xt, -xt))
         self._xi = np.concatenate((cov.xi_of_x(xc), xi_t, -xi_t))

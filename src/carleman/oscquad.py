@@ -11,7 +11,7 @@ Hankel eigenfunction integrals:
   any frequency);
 * graded panel edges, each panel a fixed factor wider than the last, and
   Gauss nodes resolving exp(i phase) at a known phase rate: each panel cut
-  into equal parts spanning <= 2 pi of phase (theta's integrals and J(N));
+  into equal parts spanning <= 8 pi of phase (theta's integrals and J(N));
 * an integration-by-parts boundary series, `order` terms summed from jets
   at one point, for the ends of int exp(i phi) A dx cut off at X;
 * a piecewise-Chebyshev table whose basis carries known oscillations
@@ -29,6 +29,9 @@ _GL_CACHE: dict = {}
 # exp_monomial_moments' series steps 1 / (2j (2j + 1)): 17 terms keep the first
 # one left out, z^34 / 34!, below 1e-18 while |z| < 4
 _STEP = 1.0 / (np.arange(2.0, 33.0, 2.0) * np.arange(3.0, 34.0, 2.0))
+# phase_panels' rule, Gauss-20 on parts spanning <= 8 pi: on e^{iax} over [-1, 1] Gauss-p errs by
+# 2^(2p+1) (p!)^4 a^(2p) / ((2p+1) ((2p)!)^3) (Davis & Rabinowitz 4.3), 3.2e-16 at a = 4 pi
+PHASE_NODES, PHASE_SPAN = 20, 8.0 * np.pi
 
 
 def gauss_rule(p):
@@ -117,19 +120,19 @@ def graded_edges(start, stop, h, grow, h_max=np.inf):
 
 def phase_parts(edges, rate):
     """The parts each panel between `edges` is cut into, at least one:
-    ceil(max(rate at its ends) * width / (2 pi)).  With the rate monotone on
-    each panel, every equal part then spans <= 2 pi of phase."""
+    ceil(max(rate at its ends) * width / PHASE_SPAN).  With the rate monotone
+    on each panel, every equal part then spans <= PHASE_SPAN of phase."""
     r = rate(edges)
-    return np.maximum(np.ceil(np.maximum(r[:-1], r[1:]) * np.diff(edges) / (2.0 * np.pi)), 1.0)
+    return np.maximum(np.ceil(np.maximum(r[:-1], r[1:]) * np.diff(edges) / PHASE_SPAN), 1.0)
 
 
-def phase_panels(edges, rate, p=12):
-    """Gauss-p nodes and weights, flat, on the equal parts (`phase_parts`) of
-    the panels between `edges`."""
+def phase_panels(edges, rate):
+    """Gauss-PHASE_NODES nodes and weights, flat, on the equal parts
+    (`phase_parts`) of the panels between `edges`."""
     m, width = phase_parts(edges, rate).astype(int), np.diff(edges)
     i = np.repeat(np.arange(m.size), m)
     j = np.arange(i.size) - np.repeat(np.cumsum(m) - m, m)
-    nodes, weights = gauss_panels(np.append(edges[i] + width[i] * j / m[i], edges[-1]), p)
+    nodes, weights = gauss_panels(np.append(edges[i] + width[i] * j / m[i], edges[-1]), PHASE_NODES)
     return nodes.ravel(), weights.ravel()
 
 

@@ -616,7 +616,6 @@ class _CoreSolver:
         self._lines, self._values = {}, {}
         self.blocks = _Blocks(self.lam, self.mesh, [0.0], self._branches,
                               [self._coef(self.mesh)])
-        self._abs_sum_x0 = float(pot.abs_sum(np.array([self.x0]))[0])
         self._sides = self._outer(truncations if pot.support is None else ())
 
     def _symbol(self, mesh, zeta):
@@ -684,9 +683,8 @@ class _CoreSolver:
         field = EigenfunctionField(self, k, dens, X)
         w_max = float(np.max(np.abs(field.w)))
         field.diagnostics = {"residual": resid, "residual_rel": resid / w_max if w_max else resid,
-                             "state_residual": state_residual,
-                             "rcond": line.rcond, "X0": self.x0, "X": X,
-                             "mesh_size": self.mesh.nodes.size, "abs_sum_at_X0": self._abs_sum_x0}
+                             "state_residual": state_residual, "rcond": line.rcond,
+                             "X0": self.x0, "X": X, "mesh_size": self.mesh.nodes.size}
         return field
 
 

@@ -32,7 +32,7 @@ from .errors import ConfigurationError, DomainError
 from .oscquad import ibp_boundary, phase_panels, phase_parts
 
 _PANELS = 64              # equal panels of [0, a], before the phase cuts them
-_PANEL_BUDGET = 6000      # switch to the IBP closure past this many Gauss parts
+_PANEL_BUDGET = 2000      # switch to the IBP closure past this many Gauss parts
 _CHEB_DEG = 220
 
 
@@ -79,7 +79,7 @@ def evaluate_J(omega, g, N, a):
     ch_g = _cheb(g, 0.0, a)
     rate = lambda y: np.abs(N * ch_w.deriv()(y))
     # equal panels, the first halved 20 times toward the stationary point y = 0
-    # so that the budget stops short of it up to N ~ 5e18 (a = 4, omega = y^2)
+    # so that the budget stops short of it up to N ~ 7e18 (a = 4, omega = y^2)
     edges = a / _PANELS * np.concatenate(([0.0], 0.5 ** np.arange(20, 0, -1),
                                           np.arange(1.0, _PANELS + 1)))
     i = int(np.searchsorted(np.cumsum(phase_parts(edges, rate)), _PANEL_BUDGET, side="right"))

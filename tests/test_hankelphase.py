@@ -238,8 +238,9 @@ def test_theta_scalar_returns_complex_scalar(ev2):
 
 @pytest.fixture(scope="module")
 def theta_evaluator(cosh_profile):
-    """ThetaEvaluator(n, k) for P = X^2 - 1, X^3 or X^4, X = 1e4, built once."""
-    polys = {2: [-1.0, 0.0, 1.0], 3: [0.0, 0.0, 0.0, 1.0], 4: [0.0, 0.0, 0.0, 0.0, 1.0]}
+    """ThetaEvaluator(n, k) for P = X^2 - 1, X^3, X^4 or X^5, X = 1e4, built once."""
+    polys = {2: [-1.0, 0.0, 1.0], 3: [0.0, 0.0, 0.0, 1.0], 4: [0.0, 0.0, 0.0, 0.0, 1.0],
+             5: [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]}
     built = {}
 
     def get(n, k):
@@ -282,7 +283,7 @@ def _theta_reference(ev, N, dphase=np.pi / 8, p=16):
     return (total + ev._closure(N)) / np.sqrt(2.0 * np.pi)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_theta_matches_refined_per_N_panels(n, theta_evaluator):
     ev = theta_evaluator(n, 1.0)
     Ns = np.array([-30.0, -7.5, 12.5, 25.0, -0.99 * _n_lim(ev), 0.99 * _n_lim(ev)])
@@ -314,12 +315,12 @@ _EQUIDISTRIBUTED_NODES = {(2, 1.0): 42792, (2, 2.0): 85560, (3, 1.0): 41856,
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("k", [1.0, 2.0])
-def test_theta_nodes_cut_table_panels_at_2pi_of_phase(n, k, theta_evaluator):
-    # the nodes are 12-point Gauss parts that tile [-x_tail, x_tail]; every
-    # psi table edge is a part edge, and no part spans more than 2 pi of the
+def test_theta_nodes_cut_table_panels_at_8pi_of_phase(n, k, theta_evaluator):
+    # the nodes are 20-point Gauss parts that tile [-x_tail, x_tail]; every
+    # psi table edge is a part edge, and no part spans more than 8 pi of the
     # phase bound n_lim xi + |k| x at the largest admissible |N|
     ev = theta_evaluator(n, k)
-    x, w = ev._x.reshape(-1, 12), ev._w.reshape(-1, 12)
+    x, w = ev._x.reshape(-1, 20), ev._w.reshape(-1, 20)
     c, h = 0.5 * (x[:, 0] + x[:, -1]), 0.5 * w.sum(axis=1)
     lo, hi = np.sort(c - h), np.sort(c + h)
     assert np.allclose([lo[0], hi[-1]], [-ev.x_tail, ev.x_tail], rtol=0, atol=1e-9)
@@ -328,7 +329,7 @@ def test_theta_nodes_cut_table_panels_at_2pi_of_phase(n, k, theta_evaluator):
     for e in (ev._psi.edges, tail, -tail):
         assert np.all(np.min(np.abs(ends[:, None] - e), axis=0) <= 1e-9)
     phase = lambda x: _n_lim(ev) * ev.cov.xi_of_x(x) + abs(k) * x
-    assert np.max(phase(hi) - phase(lo)) <= 2.0 * np.pi + 1e-9
+    assert np.max(phase(hi) - phase(lo)) <= 8.0 * np.pi + 1e-9
     assert 3 * ev._x.size < _EQUIDISTRIBUTED_NODES[n, k]
 
 

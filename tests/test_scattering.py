@@ -545,11 +545,11 @@ def test_each_outer_panel_eliminated_once_per_lambda(pot2, lam, monkeypatch):
 
 
 @pytest.mark.parametrize("potential", ["pot2", "pot3"])
-def test_one_outer_elimination_and_five_btilde_reads_per_s(potential, request,
+def test_one_outer_elimination_and_four_btilde_reads_per_s(potential, request,
                                                            monkeypatch):
     # one S(lambda) builds _Blocks twice (the core, then every outer panel of
-    # X and 2X) and reads b~ five times: the short-range fit's two, the core's
-    # nodes, the outer panels' nodes and sum |b~_m| at X0
+    # X and 2X) and reads b~ four times: the short-range fit's two, the core's
+    # nodes and the outer panels' nodes
     built, read = [], []
     init, values = sc._Blocks.__init__, PotentialSpec.values
     monkeypatch.setattr(sc._Blocks, "__init__",
@@ -557,7 +557,7 @@ def test_one_outer_elimination_and_five_btilde_reads_per_s(potential, request,
     monkeypatch.setattr(PotentialSpec, "values",
                         lambda self, x: read.append(1) or values(self, x))
     scattering_matrix(request.getfixturevalue(potential), 1.0)
-    assert (len(built), len(read)) == (2, 5)
+    assert (len(built), len(read)) == (2, 4)
 
 
 def test_outer_union_takes_the_side_meshes_order(pot2m1, monkeypatch):

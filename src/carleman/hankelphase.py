@@ -9,15 +9,15 @@ in log coordinates N = ln t,
     rho(x)      = eta(xi(x)) - q_{n-1} xi(x) / n,
 
 with psi the gauged short-range eigenfunction.  The integral converges only
-conditionally: a core plus oscillating tails, with psi read from the Nystrom
-field into oscquad tables on the field's own panels (the outer sides' basis
-carries the waves e^{+-ikx}), closed by integration by parts.  Stationary
-points sit at |x| ~ n|N|/(pi |k|), so x_split (120 whatever the core radius,
-or x_tail if smaller: a closure admits none) bounds the reachable |N|.  Only
-e^{-i xi(x) N} depends on N, so the Gauss nodes resolve the phase at that
-largest |N| once: each psi table panel is cut into equal parts spanning
-<= 8 pi of it, 20 nodes each (`oscquad.phase_panels`), and I(N) is one fixed
-exponential sum over them plus the closures.
+conditionally: a core plus oscillating tails, with psi read panel-aligned from
+the Nystrom field (scattering docstring; test_panel_read_matches_psi_at) into
+oscquad tables on its panels, the outer sides' basis carrying e^{+-ikx},
+closed by integration by parts.  Stationary points sit at |x| ~ n|N|/(pi |k|),
+so x_split (120 whatever the core radius, or x_tail if smaller: a closure
+admits none) bounds the reachable |N|.  Only e^{-i xi(x) N} depends on N, so
+the Gauss nodes resolve the phase at that largest |N| once: each psi table
+panel is cut into equal parts spanning <= 8 pi of it, 20 nodes each
+(`oscquad.phase_panels`), and I(N) is one fixed sum over them plus closures.
 
 The large-|N| model uses the explicit phase
 
@@ -144,7 +144,7 @@ class PhaseModel:
 class ThetaEvaluator:
     """Shared machinery to evaluate I(N, k) for many N at one field.
 
-    psi is read from the field once into tables on its panels (`field.edges`):
+    psi is read from the field once (`field.sample`) into tables on its panels:
     the core's on [-X0, X0], whose mesh is graded toward x = 0, and the outer
     sides' out to +-x_tail.  The Gauss nodes are built once on the tables'
     panels, each cut into parts spanning <= 8 pi of the phase at the largest
@@ -159,30 +159,30 @@ class ThetaEvaluator:
         self.k = k = field.k
         self.x_tail = float(min(x_tail, field.X))
         self.x_split = float(min(120.0, self.x_tail) if x_split is None else x_split)
-        # every table panel is a field panel, on which psi is smooth
-        edges = field.edges
-        self._psi = _ChebTable(field.psi_at, edges[np.abs(edges) <= field.X0], points=12)
-        # the tails in u = |x|, where the basis carries the waves
-        u = np.abs(edges)
+        # every table panel is, or (the last tail one) lies in, a field panel; the
+        # tails in u = |x| (x = side u) carry the waves, even n's sides in one fit
+        edges, u = field.edges, np.abs(field.edges)
+        read = lambda side: lambda c, h, t: field.sample(side * c, side * h, t)[0]
+        self._psi = _ChebTable(read(1), edges[u <= field.X0], points=12)
         tail = np.append(np.unique(u[(u >= field.X0) & (u < self.x_tail)]), self.x_tail)
-        self._tails = {side: _ChebTable(lambda u, s=side: field.psi_at(s * u), tail,
-                                        [w * k * side for w in field.waves], points=12)
-                       for side in (+1, -1)}
-        # each closure's amplitude is its wave's envelope r_w at the end it closes
-        env, ends = {1: field.r_plus, -1: field.r_minus}, [self.x_tail, -self.x_tail]
-        self._amp_tail = {(s, w): r for w in field.waves for s, r in zip((1, -1), env[w](ends))}
+        groups = [[1, -1]] if len(field.waves) == 2 else [[1], [-1]]
+        self._tails = [_ChebTable(read(np.reshape(g, (-1, 1, 1))), tail,
+                                  np.multiply(field.waves, k * g[0]), points=12) for g in groups]
+        ends = np.array([self.x_tail, -self.x_tail])  # each closure's amplitude: r_w there
+        env = field.sample(ends, 0.0 * ends, 0.0)[1]
+        self._amp_tail = {(s, w): r_s for w, r in env.items() for s, r_s in zip((1, -1), r)}
         # one node set for every admissible N: the core on [-X0, X0] and the
         # tails x = +-u, u in [X0, x_tail], where xi is odd
         self._shift = cov.a1 if cov.profile.family == "cosh" else 0.0
         n_lim = max(self.x_split / _STATIONARY_MARGIN - self._shift, 0.0) \
             * np.pi * abs(k) / self.n
         rate = lambda x: n_lim / cov.x_prime(cov.xi_of_x(x)) + abs(k)
-        (xc, wc), (xt, wt) = (phase_panels(t.edges, rate) for t in (self._psi, self._tails[+1]))
+        (xc, wc), (xt, wt) = (phase_panels(t.edges, rate) for t in (self._psi, self._tails[0]))
         xi_t = cov.xi_of_x(xt)
         self._x = np.concatenate((xc, xt, -xt))
         self._xi = np.concatenate((cov.xi_of_x(xc), xi_t, -xi_t))
         self._w = np.concatenate((wc, wt, wt))
-        psi = np.concatenate((self._psi(xc), self._tails[+1](xt), self._tails[-1](xt)))
+        psi = np.concatenate([self._psi(xc)] + [fit(xt).ravel() for fit in self._tails])
         self._amp = self._w * psi * _zeta_of_xi(self._xi, Q, cov)
         self._end_jets = _xi_zeta_jets(ends, Q, cov)  # at [x_tail, -x_tail]
 

@@ -154,7 +154,7 @@ class OperatorCoefficients:
         u_max = np.arcsinh(x_max)
         edges = np.sinh(np.linspace(-u_max, u_max, 2 * int(np.ceil(u_max / 0.145)) + 1))
         edges[0], edges[-1] = -x_max, x_max
-        return _ChebTable(lambda x: self.gauged_values(x)[:self.n - 1], edges)
+        return _ChebTable(lambda c, h, t: self.gauged_values(c + h * t)[:self.n - 1], edges)
 
 
 # -- checks ---------------------------------------------------------------

@@ -163,14 +163,15 @@ def _clenshaw(coef, t):
 
 
 class _ChebTable:
-    """Piecewise-Chebyshev table of `sample` (1-D x -> (components..., x.size))
-    between `edges`: on the panel with centre c and half-width h the basis is
-    e^{i nu (x - c)} T_j((x - c) / h), j < points, nu in `nus` (m functions).
-    One nu is fitted at m first-kind Chebyshev points; several by one batched
-    QR at those and the m + 1 points, as one grid aliases the waves once nu h
-    nears a multiple of its size (Lebesgue constants up to 5e5 for m = 24) and
-    the two only near nu h = m (m + 1).  A call locates points by one
-    searchsorted, sums by Clenshaw and refuses points outside the edges.
+    """Piecewise-Chebyshev table of `sample` ((c, h, t) -> (components...,
+    panels, t.size) at c + h t) between `edges`: on the panel with centre c and
+    half-width h the basis is e^{i nu (x - c)} T_j((x - c) / h), j < points, nu
+    in `nus` (m functions).  One nu is fitted at m first-kind Chebyshev points;
+    several by one batched QR at those and the m + 1 points, as one grid
+    aliases the waves once nu h nears a multiple of its size (Lebesgue
+    constants up to 5e5 for m = 24) and the two only near nu h = m (m + 1).  A
+    call locates points by one searchsorted, sums by Clenshaw and refuses
+    points outside the edges.
     """
 
     def __init__(self, sample, edges, nus=(0.0,), points=20):
@@ -180,8 +181,8 @@ class _ChebTable:
         sizes = (m,) if self.nus.size == 1 else (m, m + 1)
         t = np.concatenate([np.cos(np.pi * (np.arange(n) + 0.5) / n) for n in sizes])
         self._c, self._h = 0.5 * (e[1:] + e[:-1]), 0.5 * np.diff(e)
-        vals = np.asarray(sample((self._c[:, None] + self._h[:, None] * t).ravel()))
-        self.shape, comps = vals.shape[:-1], int(np.prod(vals.shape[:-1]))
+        vals = np.asarray(sample(self._c[:, None], self._h[:, None], t))
+        self.shape, comps = vals.shape[:-2], int(np.prod(vals.shape[:-2]))
         vals = vals.reshape(comps, e.size - 1, t.size).transpose(1, 2, 0)  # (panel, node, comp)
         cheb = np.cos(np.outer(np.arccos(t), np.arange(points)))
         phase = np.exp(1j * self.nus * (self._h[:, None, None] * t[:, None]))  # (panel, node, nu)

@@ -47,22 +47,23 @@ last panel at X, so the 2X mesh repeats every edge of the X mesh but X.  The
 distinct panels of both sides and truncations are eliminated in one batch, and
 each side takes its blocks from it: one elimination per outer panel.
 
-Panel moments depend only on (half-width, nu): a downward one is the upward
-one at -nu mirrored, so each elimination forms the upward Lagrange moments of
-each distinct pair in one product, whole-panel and own-node, and a downward
-branch reads them node-reversed; nothing else reads them.  The line solve returns
-its states at every panel edge, with one recursion step past each end of the
-line, and each panel's own integral F_P f_P anchored at its far edge; a field
-reads every kernel integral from them.  The residual is the defect of the
+Panel moments depend only on the key (p, half-width, d nu, reference points
+along the sweep); a downward one is the upward one at -nu, basis-reversed.
+An elimination forms each distinct key's in one product, whole-panel and
+own-node, as does a panel-aligned read (`EigenfunctionField.sample`): its
+points are +-t exactly on whole panels, one key per half-width.  The line solve
+returns its states at every panel edge, with one recursion step past each end
+of the line, and each panel's own integral F_P f_P anchored at its far edge; a
+field reads every kernel integral from them.  The residual is the defect of the
 core's block equation, C_P f_P + G_P s(P) - rhs_P: the core equation at the
-core nodes.  The coefficients b~_m are evaluated once per mesh and solver, so
-a later solve does only the solution's work: the incident source, the line
-solve and the residual's products.
+core nodes.  The coefficients b~_m are evaluated once per mesh and solver, so a
+later solve does only the solution's work: the incident source, the line solve
+and the residual's products.
 
 A field evaluates one kernel integral per branch on the whole line,
 K_b(x) = int e^{i zeta_b (x-y)} w(y) dy over the branch side of x: the state
 at the near edge of x's panel carried to x, plus x's partial-panel moments
-(past +-X, the state leaving the line carried out).  Then
+(past +-X, every panel's own integral carried out).  Then
 psi = e^{ikx} - sum_b a_b K_b, and far out psi = sum_w e^{iwkx} r_w over the
 waves w = +1 (odd n) or +-1 (even n), with r_w = [w = 1] - a e^{-iwkx} K for
 the real root zeta = wk.  The incident wave
@@ -247,23 +248,25 @@ class _Mesh:
         return s * (m @ self.cmat)
 
 
-def _panel_moments(mesh, branches, mus, own=False):
-    """Each branch's Lagrange moments of e^{i (mu - zeta) y} per distinct
-    panel half-width: over the whole panel, shape (mus, widths, p), or (own)
-    up to each reference Gauss node, shape (mus, widths, p, p); panel q takes
-    those of width_of[q].  They depend only on (half-width, d nu): the upward
-    ones of each distinct pair come from one batch of monomial moments and
-    one Lagrange product (for even n both sweeps share them), and a downward
-    branch reads those at -nu node-reversed, basis and (own) anchor node, as
-    (-1)^l C[l, r] = C[l, p-1-r] holds exactly on the mirrored nodes."""
-    t = gauss_rule(mesh.p)[0] if own else np.array(1.0)
-    keys = [[[(s, complex((1 if upper else -1) * nu)) for s in mesh.widths.tolist()]
-             for nu in np.asarray(mus) - zeta] for zeta, _, upper in branches]
-    new = list(dict.fromkeys(key for rows in keys for row in rows for key in row))
-    s, nu = (np.array([key[i] for key in new]).reshape((-1,) + (1,) * t.ndim) for i in (0, 1))
-    m = dict(zip(new, mesh.lagrange(exp_monomial_moments(1j * nu * s, t, mesh.p), s[..., None])))
-    return [np.flip(np.array([[m[key] for key in row] for row in rows]),
-                    () if upper else tuple(range(-1 - t.ndim, 0)))
+def _panel_moments(mesh, branches, mus, t, cache=None, q=None):
+    """Each branch's Lagrange moments of e^{i (mu - zeta) y} to points t along
+    its sweep (module docstring): shared, per half-width, (mus, widths, *t.shape,
+    p); or t[b, i] on panel q[i], (mus, q.size, m, p).  New keys form one batch."""
+    t, cache = np.asarray(t, dtype=float), {} if cache is None else cache
+    s = (mesh.widths if q is None else mesh.widths[mesh.width_of[q]]).tolist()
+    keys, new = [], {}  # new: the keys not in the cache, with their branch and panel
+    for j, (zeta, _, upper) in enumerate(branches):
+        pts = [t.tobytes()] * len(s) if q is None else [row.tobytes() for row in t[j]]
+        keys.append([[(mesh.p, w, dnu, pt) for w, pt in zip(s, pts)]
+                     for dnu in ((1 if upper else -1) * (np.asarray(mus) - zeta)).tolist()])
+        new.update((k, (j, i)) for row in keys[-1] for i, k in enumerate(row) if k not in cache)
+    if new:
+        tn = t if q is None else t[tuple(np.array(list(new.values())).T)]
+        shape = (-1,) + (1,) * (tn.ndim - (q is not None))
+        w, nu = (np.array([key[i] for key in new]).reshape(shape) for i in (1, 2))
+        cache.update(zip(new, mesh.lagrange(exp_monomial_moments(1j * nu * w, tn, mesh.p),
+                                            w[..., None])))
+    return [np.array([[cache[key] for key in row] for row in rows])[..., ::1 if upper else -1]
             for rows, (_, _, upper) in zip(keys, branches)]
 
 
@@ -321,14 +324,13 @@ class _Density:
             self.mus.size, mesh.n_panels, mesh.p)
         self.states, self.totals = states, totals
 
-    def kernel(self, b, zeta, x, upper):
-        """K_b at points x of the mesh: the state at the near edge of x's panel
-        carried to x, plus x's partial-panel moments."""
-        mesh = self.mesh
-        q, t = mesh.locate(x)
+    def kernel(self, b, branch, x, q, m):
+        """K_b at points x of the mesh, one per panel q or a row each: the state
+        at the near edge of x's panel carried to x, plus x's partial-panel moments m."""
+        mesh, (zeta, _, upper) = self.mesh, branch
+        q, x, m = np.repeat(q, x.size // q.size), x.ravel(), m.reshape(self.mus.size, -1, mesh.p)
         e = q if upper else q + 1
-        part = np.einsum("cij,cij->ci", mesh.moments((self.mus - zeta)[:, None], q, t, upper),
-                         self.fs[:, q])
+        part = np.einsum("cij,cij->ci", m, self.fs[:, q])
         return np.exp(1j * zeta * (x - mesh.edges[e])) * self.states[e, b] \
             + np.sum(np.exp(1j * self.mus[:, None] * x) * part, axis=0)
 
@@ -387,49 +389,52 @@ class EigenfunctionField:
     def _kernel(self, x, b):
         """K_b(x) = int e^{i zeta_b (x - y)} w(y) dy over y < x (upper) or
         y > x, at any x: from the states of x's region, or past the end of
-        the line the sweep leaves by, from the state leaving it."""
+        the line the sweep leaves by, every panel's own integral carried to x."""
         zeta, _, upper = self._branches[b]
         x = np.atleast_1d(np.asarray(x, dtype=float))
         region, out = self._region_of(x), np.zeros(x.size, dtype=complex)
         for r, dens in self._dens.items():
             sel = region == r
             if np.any(sel):
-                out[sel] = dens.kernel(b, zeta, x[sel], upper)
+                q, t = dens.mesh.locate(x[sel])
+                m = dens.mesh.moments((dens.mus - zeta)[:, None], q, t, upper)
+                out[sel] = dens.kernel(b, self._branches[b], x[sel], q, m)
         sel = region == (2 if upper else -2)
         if np.any(sel):
-            end = self._dens[max(self._dens) if upper else min(self._dens)]
-            e = -1 if upper else 0
-            out[sel] = np.exp(1j * zeta * (x[sel] - end.mesh.edges[e])) * end.states[e, b]
+            x0 = (self.X if upper else -self.X) if zeta.imag else 0.0  # as r_limits, if real
+            out[sel] = np.exp(1j * zeta * (x[sel] - x0)) * self._carried(x0, b, zeta, upper)
         return out
+
+    def _carried(self, x0, b, zeta, upper):  # every panel's own integral of b, carried to x0
+        return sum(np.exp(1j * zeta * (x0 - (d.mesh.hi if upper else d.mesh.lo))) @ d.totals[:, b]
+                   for d in self._dens.values())
 
     # -- r functions and limits ----------------------------------------------
 
     def r_limits(self):
         """The x -> +/-inf limits of each envelope r_w, keyed (side, w), wave
         by wave: [w = 1] - a int e^{-iwky} w dy on the side the wave leaves
-        by and [w = 1] on the other (module docstring).  They sum the panels'
-        own integrals: the states leaving the line, recursed past +-X, move S
-        by up to 8.5e-13 and its unitarity defect from 4e-15 to 8.5e-13."""
+        by and [w = 1] on the other (module docstring)."""
         lims = {}
         for w in self.waves:
             b = self._wave_branch[w]
             zeta, a, upper = self._branches[b]
-            I = sum(np.exp(-1j * zeta * (d.mesh.hi if upper else d.mesh.lo))
-                    @ d.totals[:, b] for d in self._dens.values())
+            I = self._carried(0.0, b, zeta, upper)
             for side in (+1, -1):
                 lims[side, w] = complex(w == 1) - (a * I if (side > 0) == upper else 0.0)
         return lims
 
-    def _envelope(self, x, w):
+    def _envelope(self, x, w, K=None):
         """r_w(x) = [w = 1] - a e^{-iwkx} K(x) with the real root zeta = wk:
         the wave's integral over the y it has passed; zero for a wave not in
-        the set."""
+        the set; K, if given, holds every branch's K_b at x."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if w not in self.waves:
-            return np.zeros(x.size, dtype=complex)
+            return np.zeros(x.shape, dtype=complex)
         b = self._wave_branch[w]
         _, a, _ = self._branches[b]
-        return float(w == 1) - a * np.exp(-1j * w * self.k * x) * self._kernel(x, b)
+        K = self._kernel(x, b) if K is None else K[b]
+        return float(w == 1) - a * np.exp(-1j * w * self.k * x) * K
 
     def r_plus(self, x):
         """r(x) for odd n; r_+(x) for even n (the e^{+ikx} envelope)."""
@@ -446,11 +451,29 @@ class EigenfunctionField:
         for deriv < n only (D^n R0 w = w + lambda R0 w)."""
         if deriv not in range(self.n):
             raise DomainError(f"deriv = {deriv!r}: psi_at gives D^0..D^{self.n - 1} psi")
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = self.k ** deriv * np.exp(1j * self.k * x)
-        for b, (zeta, a, _) in enumerate(self._branches):
-            out = out - a * zeta ** deriv * self._kernel(x, b)
+        return self._psi(x, (self._kernel(x, b) for b in range(len(self._branches))), deriv)
+
+    def _psi(self, x, K, deriv=0):  # D^deriv psi from every branch's K_b at x
+        out = self.k ** deriv * np.exp(1j * self.k * np.atleast_1d(np.asarray(x, dtype=float)))
+        for (zeta, a, _), Kb in zip(self._branches, K):
+            out = out - a * zeta ** deriv * Kb
         return out
+
+    def sample(self, c, h, t):
+        """psi and each wave's envelope r_w (keyed w) at the points c + h t, t
+        along the last axis, each [c - |h|, c + |h|] inside a panel of |x| <= X."""
+        shape, c, h, t = np.shape(c + h * t), *(np.ravel(v).astype(float) for v in (c, h, t))
+        x, region, cache = c[:, None] + h[:, None] * t, self._region_of(c), {}
+        K = np.zeros((len(self._branches),) + x.shape, dtype=complex)
+        sweep = np.array([[[1.0 if upper else -1.0]] for _, _, upper in self._branches])
+        for r in np.unique(region):
+            i, dens = np.flatnonzero(region == r), self._dens[r]
+            mesh, (q, alpha) = dens.mesh, dens.mesh.locate(c[i])
+            T = sweep * (alpha[:, None] + (2.0 * h[i] / (mesh.hi[q] - mesh.lo[q]))[:, None] * t)
+            for b, m in enumerate(_panel_moments(mesh, self._branches, dens.mus, T, cache, q)):
+                K[b, i] = dens.kernel(b, self._branches[b], x[i], q, m).reshape(-1, t.size)
+        x, K = x.reshape(shape), K.reshape(K.shape[:1] + shape)
+        return self._psi(x, K), {w: self._envelope(x, w, K) for w in self.waves}
 
     def w_at(self, x):
         """V psi at arbitrary points (Lagrange interpolation in each region)."""
@@ -491,11 +514,12 @@ class _Blocks:
         step = np.empty((n_p, nb), dtype=complex)
         # a branch without coefficient needs no own-node moments
         active = [b for b in range(nb) if coef[:, b].any()]
-        own = dict(zip(active, _panel_moments(mesh, [branches[b] for b in active], mus, True)))
+        own = dict(zip(active, _panel_moments(mesh, [branches[b] for b in active], mus,
+                                              gauss_rule(p)[0])))
         # each panel gathers its width's moments at use: one branch's copy at a
         # time, the peak of a solve
         for b, ((zeta, _, upper), full) in enumerate(
-                zip(branches, _panel_moments(mesh, branches, mus))):
+                zip(branches, _panel_moments(mesh, branches, mus, 1.0))):
             near, far = (mesh.lo, mesh.hi)[::1 if upper else -1]
             F[:, b] = (np.exp(1j * mus[:, None] * far)[..., None]
                        * full[:, mesh.width_of]).transpose(1, 0, 2)
@@ -503,7 +527,7 @@ class _Blocks:
             g = coef[:, b].reshape(nc, *x.shape) * ph.conj()
             for c in np.flatnonzero(g.any(axis=(1, 2))):
                 C[:, c] += np.moveaxis(g[c][..., None] * ph[..., None]
-                                       * own[b][:, mesh.width_of], 0, 2)
+                                       * own[b][:, mesh.width_of, ::1 if upper else -1], 0, 2)
                 G[:, c, :, b] = g[c] * np.exp(1j * zeta * (x - near[:, None]))
         self.C, self.G = C.reshape(n_p, nc * p, nc * p), G.reshape(n_p, nc * p, nb)
         try:

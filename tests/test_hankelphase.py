@@ -13,6 +13,7 @@ from carleman.hankelphase import (_STATIONARY_MARGIN, PhaseModel, ThetaEvaluator
                                   theta_asymptotic, varrho, zeta_amplitude)
 from carleman.liouville import OperatorCoefficients
 from carleman.profile import ChangeOfVariables
+import carleman.scattering as sc
 from carleman.scattering import PotentialSpec, solve_lippmann_schwinger
 from carleman.specfun import eta_phase
 from conftest import equidistribute_edges, integrate_panels
@@ -258,6 +259,14 @@ def _n_lim(ev):
     return (ev.x_split / _STATIONARY_MARGIN - ev._shift) * np.pi * abs(ev.k) / ev.n
 
 
+def _tail_psi(ev, side, u):
+    """psi at x = side u from the tail fits, whose components are the sides
+    that share one: both for even n, one each for odd n."""
+    i = (1 - side) // 2
+    fit = ev._tails[i % len(ev._tails)](u)
+    return fit[i % len(fit)]
+
+
 def _theta_reference(ev, N, dphase=np.pi / 8, p=16):
     """sqrt(t) theta on the evaluator's tables and closures, by Gauss-p on its
     table panels cut where the phase |N| xi + |k| x passes a multiple of
@@ -273,13 +282,13 @@ def _theta_reference(ev, N, dphase=np.pi / 8, p=16):
         cuts = equidistribute_edges(s, abs(N) * cov.xi_of_x(s) + k * s, dphase)
         return np.union1d(table_edges, cuts)
 
-    core, tail = ev._psi.edges, ev._tails[+1].edges
+    core, tail = ev._psi.edges, ev._tails[0].edges
     core = edges(core, np.linspace(core[0], core[-1], 4097))
     total = integrate_panels(lambda x: phase_zeta(x) * ev._psi(x), core, p)
     tail = edges(tail, np.geomspace(tail[0], tail[-1], 400))
     for side in (+1, -1):
         total += integrate_panels(
-            lambda v: phase_zeta(side * v) * ev._tails[side](v), tail, p)
+            lambda v: phase_zeta(side * v) * _tail_psi(ev, side, v), tail, p)
     return (total + ev._closure(N)) / np.sqrt(2.0 * np.pi)
 
 
@@ -325,7 +334,7 @@ def test_theta_nodes_cut_table_panels_at_8pi_of_phase(n, k, theta_evaluator):
     lo, hi = np.sort(c - h), np.sort(c + h)
     assert np.allclose([lo[0], hi[-1]], [-ev.x_tail, ev.x_tail], rtol=0, atol=1e-9)
     assert np.max(np.abs(lo[1:] - hi[:-1])) <= 1e-9
-    ends, tail = np.append(lo, hi[-1]), ev._tails[+1].edges
+    ends, tail = np.append(lo, hi[-1]), ev._tails[0].edges
     for e in (ev._psi.edges, tail, -tail):
         assert np.all(np.min(np.abs(ends[:, None] - e), axis=0) <= 1e-9)
     phase = lambda x: _n_lim(ev) * ev.cov.xi_of_x(x) + abs(k) * x
@@ -380,7 +389,7 @@ def test_theta_on_a_field_without_outer_sides(q_x2m1, cov2):
                         support=1.3, breakpoints=(1.3,))
     field = solve_lippmann_schwinger(pot, 1.0, X=100.0)
     ev = ThetaEvaluator(field, q_x2m1, cov2)
-    assert ev.x_tail == field.X0 and ev._tails[+1].edges.tolist() == [field.X0]
+    assert ev.x_tail == field.X0 and ev._tails[0].edges.tolist() == [field.X0]
     theta, ref = _theta_and_every_node_theta(ev, field, np.array([-2.0, 1.0, 2.0]))
     assert np.max(np.abs(theta - ref)) <= 1e-13 * np.max(np.abs(theta))
 
@@ -395,9 +404,9 @@ def test_psi_tables_sit_on_the_field_panels(n, k, split, solved):
     ev = ThetaEvaluator(field, Q, cov, x_split=field.X0 / split)
     edges = field.edges
     assert np.array_equal(ev._psi.edges, edges[np.abs(edges) <= field.X0])
-    for side in (+1, -1):
+    for side, fit in zip((+1, -1), ev._tails * 2):  # one fit per side, or one for both
         u = np.sort(side * edges)  # a tail table's edges are in u = |x|
-        assert np.array_equal(ev._tails[side].edges,
+        assert np.array_equal(fit.edges,
                               np.append(u[(u >= field.X0) & (u < ev.x_tail)], ev.x_tail))
 
 
@@ -444,3 +453,64 @@ def test_core_table_matches_psi(n, k, solved):
     x = np.linspace(-6.0, 6.0, 6001)
     assert np.max(np.abs(ev._psi(x) - field.psi_at(x))) <= 1e-11
     assert not field.edges.flags.writeable
+
+
+_COMPACT = PotentialSpec(2, [lambda x: np.where(np.abs(np.asarray(x)) <= 1.3, -0.6, 0.0)],
+                         support=1.3, breakpoints=(1.3,))
+
+
+@pytest.mark.parametrize("p, k, X", [
+    ([-1.0, 0.0, 1.0], 1.0, 1.0e4), ([-1.0, 0.0, 1.0], 2.0, 1.0e4),
+    ([0.0, 0.0, 0.0, 1.0], 1.0, 1.0e4), ([0.0, 0.0, 0.0, 1.0], -1.0, 1.0e4),
+    ([0.0] * 4 + [1.0], 1.0, 1.0e4), ([0.0] * 5 + [1.0], 1.0, 1.0e4),
+    ([-1.0, 0.0, 1.0], 1.0, 1500.0), ([0.0, 0.0, 0.0, 1.0], 1.0, 1500.0), (None, 1.0, 100.0)],
+    ids=["x2m1", "x2m1-k2", "x3", "x3-k-1", "x4", "x5", "x2m1-X1500", "x3-X1500", "compact"])
+def test_panel_read_matches_psi_at(p, k, X, cosh_profile, monkeypatch):
+    # the three panel-aligned reads of a ThetaEvaluator build: the core, both
+    # tails (their last panel [e, x_tail] partial, or whole when x_tail = X =
+    # 1500; none on a compactly supported field) and the closures' ends.
+    # They equal psi_at, r_plus and r_minus at the same points to 1e-14 of
+    # |psi| + sum_b |a_b K_b|, the terms psi sums: X^5's core has |a_b K_b|
+    # up to 10 where |psi| = 0.05, and both evaluations round there (read at
+    # 3.4e-14 of max|psi|, 1.6e-15 of the terms).  The build forms each
+    # distinct (p, half-width, d nu, points) key's moments once and calls
+    # psi_at zero times.
+    Q = p_to_q(RealPolynomial([-1.0, 0.0, 1.0] if p is None else p))
+    cov = ChangeOfVariables(cosh_profile, Q.degree)
+    pot = _COMPACT if p is None else PotentialSpec.from_operator(OperatorCoefficients(Q, cov))
+    field = solve_lippmann_schwinger(pot, k, X=X)
+    reads, formed, psi_calls = [], [], []
+    sample, moments = sc.EigenfunctionField.sample, sc._panel_moments
+
+    def recorded_moments(mesh, branches, mus, t, cache=None, q=None):
+        before = set(cache)
+        out = moments(mesh, branches, mus, t, cache, q)
+        formed.extend(set(cache) - before)
+        return out
+    monkeypatch.setattr(sc, "_panel_moments", recorded_moments)
+    monkeypatch.setattr(sc.EigenfunctionField, "sample", lambda f, c, h, t: reads.append(
+        (np.asarray(c), np.asarray(h), np.asarray(t), sample(f, c, h, t))) or reads[-1][3])
+    monkeypatch.setattr(sc.EigenfunctionField, "psi_at", lambda *a: psi_calls.append(a))
+    ev = ThetaEvaluator(field, Q, cov)
+    monkeypatch.undo()
+    assert not psi_calls and formed and len(set(formed)) == len(formed)
+    # the core, the tails (one read for both sides of even n, one per side of
+    # odd n), the ends
+    (core_c, core_h, _, _), *tails, (end_c, end_h, _, _) = reads
+    assert core_c.ravel()[-1] + core_h.ravel()[-1] == field.X0
+    assert end_c.tolist() == [ev.x_tail, -ev.x_tail]
+    assert len(tails) == 3 - len(field.waves) and not end_h.any()
+    far = np.concatenate([np.ravel((c + h)[..., -1:, :]) for c, h, _, _ in tails])
+    if p is None:
+        assert far.size == 0
+    else:  # right side, then left, each ending at its end of the tails
+        assert np.allclose(far.ravel(), [ev.x_tail, -ev.x_tail], rtol=1e-15, atol=0)
+        assert (ev.x_tail in field.edges) == (X == ev.x_tail)
+    for c, h, t, (psi, env) in reads:
+        x = (c + h * t).ravel()
+        scale = np.abs(field.psi_at(x)) + sum(abs(a_b) * np.abs(field._kernel(x, i))
+                                              for i, (_, a_b, _) in enumerate(field._branches))
+        assert np.all(np.abs(psi.ravel() - field.psi_at(x)) <= 1e-14 * scale)
+        for w, r in env.items():
+            want = field.r_plus(x) if w == 1 else field.r_minus(x)
+            assert np.all(np.abs(r.ravel() - want) <= 1e-14 * scale)

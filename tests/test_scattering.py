@@ -311,22 +311,25 @@ def test_state_residual(which, k, request, monkeypatch):
 
 
 def test_panel_moments_match_direct_moments():
-    # each branch's whole-panel and node-anchored moments, read per panel
-    # from its half-width, are the direct _Mesh.moments values at the
-    # reference Gauss nodes, for real and complex nu in both sweeps (nu = +-1
-    # in both)
+    # each branch's moments at points shared by every panel, read per panel
+    # from its half-width, are the direct _Mesh.moments values at those
+    # points along its sweep (x upward, -x downward), bitwise: the whole
+    # panel (t = 1), the reference Gauss nodes, and the 12, 24 and 25
+    # first-kind Chebyshev points of theta's psi tables; for real and complex
+    # nu in both sweeps (nu = +-1 in both)
     mesh = _core_mesh(12.0, 1.0)
-    t, q = np.tile(gauss_rule(mesh.p)[0], mesh.n_panels), np.arange(mesh.n_panels)
+    q = np.arange(mesh.n_panels)
     zeta, mus = 0.5 + 0.866j, np.array([0.0, 2.0])
     branches = [(1.0, None, True), (zeta, None, True), (1.0, None, False),
                 (-1.0, None, False), (np.conj(zeta), None, False)]
-    for own in (False, True):
-        for (z, _, upper), got in zip(branches, _panel_moments(mesh, branches, mus, own)):
+    cheb = [np.cos(np.pi * (np.arange(m) + 0.5) / m) for m in (12, 24, 25)]
+    for t in (np.array(1.0), gauss_rule(mesh.p)[0], *cheb):
+        for (z, _, upper), got in zip(branches, _panel_moments(mesh, branches, mus, t)):
             for nu, m in zip(mus - z, got):
-                want = mesh.moments(nu, np.repeat(q, mesh.p), t, upper) if own else \
-                    mesh.moments(nu, q, 1.0 if upper else -1.0, upper)
+                sweep = np.tile((1 if upper else -1) * t, q.size)
+                want = mesh.moments(nu, np.repeat(q, t.size), sweep, upper)
                 assert np.array_equal(m[mesh.width_of].reshape(want.shape), want), \
-                    (z, upper, own)
+                    (z, upper, t.size)
 
 
 # real frequencies on both sides of the series / recurrence switch, and
@@ -369,7 +372,8 @@ def test_downward_moments_match_mpmath(p, rng):
     edges = np.array([0.0, 0.4, 3.4])
     mesh = sc._panelize(edges, p)
     nodes = gauss_rule(p)[0]
-    own = _panel_moments(mesh, [(0.0, None, False)], NUS_DOWN, own=True)[0]
+    # the eliminations' downward own-node moments, along -x, in x order
+    own = _panel_moments(mesh, [(0.0, None, False)], NUS_DOWN, nodes)[0][..., ::-1, :]
     for i, nu in enumerate(NUS_DOWN):
         for q in range(mesh.n_panels):
             s = 0.5 * (edges[q + 1] - edges[q])
@@ -819,6 +823,22 @@ def test_psi_beyond_X_is_its_limit_waves(which, request):
         for x in np.array([1.5, -1.5, 100.0, -100.0]) * f.X:
             ref = sum(np.exp(1j * w * k * x) * lims[np.sign(x), w] for w in f.waves)
             assert abs(f.psi_at(x)[0] - ref) <= 1e-12, (k, x)
+
+
+@pytest.mark.parametrize("which", ["pot2", "pot2m1"])
+@pytest.mark.parametrize("lam", [0.2, 5.0])
+def test_envelopes_past_X_are_their_limits(which, lam, request):
+    # past +-X an envelope reads every panel's own integral, summed as
+    # r_limits sums them and carried out (the states recursed past the ends
+    # put it 3.3e-13 to 8.5e-13 off), and the S read at +-2X is unitary
+    e = scattering_matrix(request.getfixturevalue(which), lam, X=1.0e4)
+    S = np.zeros((2, 2), dtype=complex)
+    for j, f in enumerate(e.fields):
+        lims, r = f.r_limits(), {1: f.r_plus, -1: f.r_minus}
+        for side, w in lims:
+            assert abs(r[w](np.array([2 * side * f.X]))[0] - lims[side, w]) <= 1e-14
+        S[:, j] = [r[s * f.direction](np.array([2 * s * f.X]))[0] for s in (+1, -1)]
+    assert sc._unitarity_defect(S) <= 1e-14
 
 
 @pytest.fixture(scope="module")

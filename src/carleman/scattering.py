@@ -42,15 +42,17 @@ kl = nb + up - 1 sub- and ku = 2 nb - up - 1 superdiagonals; the states
 entering at -X and X are zero.  It is written straight into LAPACK band
 storage and factored by a banded LU (zgbtrf) once per lambda and truncation,
 shared by +-k.  Its zgbcon rcond (or the worst block's, if smaller) must stay
-above RCOND_FLOOR.  The outer meshes grow geometrically from X0 and clip their
-last panel at X, so the 2X mesh repeats every edge of the X mesh but X.  The
-distinct panels of both sides and truncations are eliminated in one batch, and
-each side takes its blocks from it: one elimination per outer panel.
+above RCOND_FLOOR.  The outer sides of every truncation come from one run of
+edges grown x1.35 from X0 to the largest X: the right side of X takes the run's
+edges below X, then X, and the left side mirrors it.  One batch eliminates the
+run's panels and each shorter X's clipped last panel, both mirrored, and each
+side is a view of its panels there: one elimination per outer panel.
 
 Panel moments depend only on the key (p, half-width, d nu, reference points
 along the sweep); a downward one is the upward one at -nu, basis-reversed.
-An elimination forms each distinct key's in one product, whole-panel and
-own-node, as does a panel-aligned read (`EigenfunctionField.sample`): its
+An elimination forms its keys in one batch and one product, at the Gauss
+nodes and t = 1 (own-node, a downward branch reading them reversed, and
+whole-panel), as does a panel-aligned read (`EigenfunctionField.sample`): its
 points are +-t exactly on whole panels, one key per half-width.  The line solve
 returns its states at every panel edge, with one recursion step past each end
 of the line, and each panel's own integral F_P f_P anchored at its far edge; a
@@ -80,7 +82,7 @@ factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,6 +93,7 @@ from .oscquad import exp_monomial_moments, gauss_rule, graded_edges, lagrange_co
 RCOND_FLOOR = 1e-10    # below this the solve is taken as near-exceptional
 CORE_RADIUS = {0: 120.0, 1: 30.0}  # X0 by n % 2 (docstring): odd n's outer model is exact
 SHORT_RANGE_SLOPE = -1.5  # sum |b~_m| must fall faster than x^SHORT_RANGE_SLOPE
+OUTER_ORDER = 8        # the Gauss order of the outer sides' panels
 
 
 # scipy.linalg loads at the first factorization, not with the package
@@ -294,16 +297,6 @@ def _core_mesh(x0, k, breaks=()):
         right = np.unique(np.concatenate((right, np.asarray(ins))))
         right = right[np.concatenate(([True], np.diff(right) > 1e-9))]
     return _panelize(np.concatenate((-right[:0:-1], right)), 10)
-
-
-def _outer_mesh(side, x0, x_out, k, p=8):
-    """Signed increasing panels covering [x0, x_out] (side=+1) or the mirror."""
-    if x_out <= x0 * (1.0 + 1e-12):
-        return None
-    edges = graded_edges(x0, x_out, max(0.5, 0.5 / max(abs(k), 0.25)), 1.35)
-    if side < 0:
-        edges = -edges[::-1]
-    return _panelize(edges, p)
 
 
 class _Density:
@@ -512,22 +505,19 @@ class _Blocks:
         G = np.zeros((n_p, nc, p, nb), dtype=complex)
         F = np.empty((n_p, nb, nc, p), dtype=complex)
         step = np.empty((n_p, nb), dtype=complex)
-        # a branch without coefficient needs no own-node moments
-        active = [b for b in range(nb) if coef[:, b].any()]
-        own = dict(zip(active, _panel_moments(mesh, [branches[b] for b in active], mus,
-                                              gauss_rule(p)[0])))
-        # each panel gathers its width's moments at use: one branch's copy at a
-        # time, the peak of a solve
-        for b, ((zeta, _, upper), full) in enumerate(
-                zip(branches, _panel_moments(mesh, branches, mus, 1.0))):
+        # one batch, own-node and whole-panel (module docstring); each panel gathers
+        # its width's at use, one branch's copy at a time, the peak of a solve
+        moments = _panel_moments(mesh, branches, mus, np.append(gauss_rule(p)[0], 1.0))
+        for b, ((zeta, _, upper), m) in enumerate(zip(branches, moments)):
             near, far = (mesh.lo, mesh.hi)[::1 if upper else -1]
+            own = slice(p) if upper else slice(p - 1, None, -1)
             F[:, b] = (np.exp(1j * mus[:, None] * far)[..., None]
-                       * full[:, mesh.width_of]).transpose(1, 0, 2)
+                       * m[:, mesh.width_of, p]).transpose(1, 0, 2)
             step[:, b] = np.exp((1j if upper else -1j) * zeta * (mesh.hi - mesh.lo))
             g = coef[:, b].reshape(nc, *x.shape) * ph.conj()
             for c in np.flatnonzero(g.any(axis=(1, 2))):
                 C[:, c] += np.moveaxis(g[c][..., None] * ph[..., None]
-                                       * own[b][:, mesh.width_of, ::1 if upper else -1], 0, 2)
+                                       * m[:, mesh.width_of, own], 0, 2)
                 G[:, c, :, b] = g[c] * np.exp(1j * zeta * (x - near[:, None]))
         self.C, self.G = C.reshape(n_p, nc * p, nc * p), G.reshape(n_p, nc * p, nb)
         try:
@@ -632,8 +622,7 @@ class _CoreSolver:
         self.lam = float(k) ** pot.n
         self._branches = zeta_roots(self.lam, self.n, side="+")
         # the real roots: one outer component each, at its frequency
-        self._real = [b for b in self._branches if not b[0].imag]
-        self._mus = [zeta.real for zeta, _, _ in self._real]
+        self._mus = [zeta.real for zeta, _, _ in self._branches if not zeta.imag]
         self.x0 = float(x0)
         self.mesh = _core_mesh(self.x0, self.k, breaks=pot.breakpoints)
         # whole-line systems per X and b~ per mesh
@@ -665,25 +654,33 @@ class _CoreSolver:
         return self._lines[X]
 
     def _outer(self, truncations):
-        """The outer sides out to each truncation, {X: {side: blocks}}: one
-        `_Blocks` eliminates the distinct (lo, hi) panels of all their meshes,
-        and each side, on its own mesh, joins its panels and gathers its nodes'
-        b~ values from it.  For odd n every root's a sigma sits on the one
-        outer component; for even n root zeta's sits on mu = zeta only."""
-        meshes = {(X, side): mesh for X in map(float, truncations) for side in (-1, +1)
-                  if (mesh := _outer_mesh(side, self.x0, X, self.k)) is not None}
+        """The outer sides out to each truncation, {X: {side: blocks}}, from one
+        edge run (module docstring): each side joins its panels of the union's
+        elimination, a view of their nodes and b~ values.  For odd n every root's
+        a sigma sits on the one outer component; for even n root zeta's sits on
+        mu = zeta only."""
         out = {X: {} for X in map(float, truncations)}
-        if meshes:
-            ends = np.concatenate([np.stack((m.lo, m.hi), 1) for m in meshes.values()])
-            ends, which = np.unique(ends, axis=0, return_inverse=True)
-            p, = {m.p for m in meshes.values()}  # the side meshes' one order
-            union = _panels(*ends.T, p)
-            coef = [[g * (zeta == mu or self.n % 2) for g, (zeta, _, _) in
-                     zip(self._coef(union), self._branches)] for mu in self._mus]
-            blocks = _Blocks(self.lam, union, self._mus, self._branches, coef)
-            which = np.split(which.ravel(), np.cumsum([m.n_panels for m in meshes.values()]))
-            for ((X, side), mesh), q in zip(meshes.items(), which):
+        Xs = sorted(X for X in out if X > self.x0 * (1.0 + 1e-12))
+        if not Xs:
+            return out
+        run = graded_edges(self.x0, Xs[-1], max(0.5, 0.5 / max(abs(self.k), 0.25)), 1.35)
+        lo, hi, right = list(run[:-1]), list(run[1:]), {}  # each X's right side
+        for X in Xs:
+            i = int(np.searchsorted(run, X))  # the run's edges below X
+            q = np.arange(i)
+            if run[i] != X:  # the last panel, clipped at X
+                q[-1], lo, hi = len(lo), lo + [run[i - 1]], hi + [X]
+            right[X] = q, np.append(run[:i], X)
+        lo, hi = np.array(lo), np.array(hi)
+        union = _panels(np.concatenate((-hi, lo)), np.concatenate((-lo, hi)), OUTER_ORDER)
+        coef = [[g * (zeta == mu or self.n % 2) for g, (zeta, _, _) in
+                 zip(self._coef(union), self._branches)] for mu in self._mus]
+        blocks = _Blocks(self.lam, union, self._mus, self._branches, coef)
+        for X, (r, e) in right.items():
+            for side, q, edges in ((-1, r[::-1], -e[::-1]), (+1, lo.size + r, e)):
                 nodes = (q[:, None] * union.p + np.arange(union.p)).ravel()
+                mesh = replace(union, edges=edges, lo=union.lo[q], hi=union.hi[q],
+                               nodes=union.nodes[nodes], width_of=union.width_of[q])
                 self._values[mesh] = self._values[union][:, nodes]
                 out[X][side] = blocks.join(mesh, q)
         return out

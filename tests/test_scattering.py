@@ -6,7 +6,7 @@ import pytest
 from mpmath.calculus.quadrature import GaussLegendre
 
 from carleman.errors import ConfigurationError, DomainError, NearExceptionalPointError
-from carleman.oscquad import gauss_rule
+from carleman.oscquad import gauss_rule, graded_edges
 import carleman.scattering as sc
 from carleman.scattering import (CORE_RADIUS, PotentialSpec, _core_mesh, _CoreSolver,
                                  _panel_moments, eigenvalue_multiplicity_bound,
@@ -396,23 +396,25 @@ def count_moments(monkeypatch):
 def test_even_n_blocks_compute_each_moment_once(pot2, monkeypatch):
     # the roots +-1 of X^2 at k = 1 are the upper and the lower branch, and
     # the downward sweep at nu = 1 reads the upward moments at -1: the core's
-    # _Blocks computes the whole-panel and the own-node moments of each
-    # half-width once, in one exp_monomial_moments call each
+    # _Blocks computes the own-node and the whole-panel moments of each
+    # half-width once, in one exp_monomial_moments call at the Gauss nodes
+    # followed by t = 1
     solver = _CoreSolver(pot2, 1.0, 120.0)
     mesh, calls, moments = solver.mesh, [], sc.exp_monomial_moments
     monkeypatch.setattr(sc, "exp_monomial_moments", lambda mu, t, p: calls.append(
-        (np.ndim(t), np.ravel(mu))) or moments(mu, t, p))
+        (t, np.ravel(mu))) or moments(mu, t, p))
     sc._Blocks(solver.lam, mesh, [0.0], solver._branches, [solver._coef(mesh)])
-    assert sorted(ndim for ndim, _ in calls) == [0, 1]
-    for _, mu in calls:
-        assert np.array_equal(mu, -1j * mesh.widths)
+    ((t, mu),) = calls
+    assert np.array_equal(t, np.append(gauss_rule(mesh.p)[0], 1.0))
+    assert np.array_equal(mu, -1j * mesh.widths)
 
 
 @pytest.mark.parametrize("potential, k", [("pot2", 1.0), ("pot3", 0.8)])
 def test_each_moment_computed_once_per_solver(potential, k, request, monkeypatch):
     # the core, both outer sides, +-k and both truncations: every (width,
-    # d nu, own) a solver reads is computed once, by two calls per
-    # elimination (the core's and the declared truncations' outer panels)
+    # d nu) a solver reads is computed once, own-node and whole-panel, by one
+    # call per elimination (the core's and the declared truncations' outer
+    # panels)
     pot = request.getfixturevalue(potential)
     counted = count_moments(monkeypatch)
     solver = _CoreSolver(pot, k, 120.0, (1e4, 2e4))
@@ -426,20 +428,19 @@ def test_each_moment_computed_once_per_solver(potential, k, request, monkeypatch
         return widths.size * len({complex((1 if upper else -1) * (mu - zeta))
                                   for zeta, _, upper in branches for mu in mus})
 
-    # on the outer panels every root of odd n is a source, only the real
-    # roots of even n
+    # every branch rides in the outer batch, also even n's complex roots,
+    # which are no source there
     branches = solver._branches
-    sources = branches if pot.n % 2 else solver._real
-    assert len(counted) == 4
-    assert sum(counted) == 2 * distinct(solver.mesh.widths, [0.0], branches) \
-        + distinct(outer, solver._mus, branches) + distinct(outer, solver._mus, sources)
+    assert len(counted) == 2
+    assert sum(counted) == distinct(solver.mesh.widths, [0.0], branches) \
+        + distinct(outer, solver._mus, branches)
 
 
 @pytest.mark.parametrize("potential", ["pot2", "pot3"])
 def test_each_lagrange_row_formed_once_per_solver(potential, request, monkeypatch):
     # over a whole S(lambda) (core, both outer sides, +-k, X and 2X), each
-    # elimination, the core's and the outer union's, forms one whole-panel
-    # and one own-node Lagrange product, for every branch and both sweeps at
+    # elimination, the core's and the outer union's, forms one Lagrange
+    # product, own-node and whole-panel, for every branch and both sweeps at
     # once; the side meshes form nothing
     solvers, formed = [], []
     init, lagrange = _CoreSolver.__init__, sc._Mesh.lagrange
@@ -453,8 +454,7 @@ def test_each_lagrange_row_formed_once_per_solver(potential, request, monkeypatc
     assert len(sides) == 4
     (union,) = {mesh for mesh, _ in formed} - {solver.mesh}
     assert union not in sides
-    assert sorted(formed, key=lambda f: (f[0] is union, f[1])) == \
-        [(solver.mesh, False), (solver.mesh, True), (union, False), (union, True)]
+    assert sorted(formed, key=lambda f: f[0] is union) == [(solver.mesh, True), (union, True)]
 
 
 @pytest.mark.parametrize("potential", ["pot2", "pot3", "pot4"])
@@ -541,11 +541,50 @@ def test_each_outer_panel_eliminated_once_per_lambda(pot2, lam, monkeypatch):
                         eliminated.append(mesh.n_panels) or init(self, lam, mesh, *a))
     k, X = lam ** 0.5, 1.0e4
     scattering_matrix(pot2, lam, X=X)
-    sides = [sc._outer_mesh(side, CORE_RADIUS[0], x, k).n_panels
-             for side in (-1, 1) for x in (X, 2 * X)]
-    assert sides[0] < sides[1]
-    assert eliminated == [_core_mesh(CORE_RADIUS[0], k).n_panels, sum(
-        m_X + (m_2X - m_X + 1) for m_X, m_2X in zip(sides[::2], sides[1::2]))]
+    h0 = max(0.5, 0.5 / max(k, 0.25))
+    m_X, m_2X = (graded_edges(CORE_RADIUS[0], x, h0, 1.35).size - 1 for x in (X, 2 * X))
+    assert m_X < m_2X
+    assert eliminated == [_core_mesh(CORE_RADIUS[0], k).n_panels, 2 * (m_X + (m_2X - m_X + 1))]
+
+
+@pytest.mark.parametrize("potential, k", [("pot2", 1.0), ("pot2", 0.45), ("pot3", -1.0),
+                                          ("pot1", 2.0)])
+def test_one_edge_run_reproduces_each_side_mesh(potential, k, request, monkeypatch):
+    # every truncation's sides, read off one run of edges out to the largest
+    # X, are bitwise the Gauss-8 meshes graded_edges builds out to that X
+    # alone (mirrored on the left), their b~ values those of their nodes; the
+    # eliminated union holds each of their panels once.  Truncations: X at
+    # the run's first edge (no clipped panel), inside its first panel, and
+    # at or below X0 (no side at all)
+    pot = PotentialSpec(1, []) if potential == "pot1" else request.getfixturevalue(potential)
+    x0 = CORE_RADIUS[pot.n % 2]
+    h0 = max(0.5, 0.5 / max(abs(k), 0.25))
+    unions, init = [], sc._Blocks.__init__
+    monkeypatch.setattr(sc._Blocks, "__init__", lambda self, lam, mesh, *a:
+                        unions.append(mesh) or init(self, lam, mesh, *a))
+    for truncations in [(1e4,), (1e4, 2e4), (500.0, 1e3, 2e3), (x0 + h0, 2 * (x0 + h0)),
+                        (x0 + 0.5 * h0, 1e3), (x0,), (0.5 * x0, 1e3)]:
+        del unions[:]
+        solver = _CoreSolver(pot, k, x0, truncations)
+        for X in truncations:
+            sides = solver._sides[X]
+            if X <= x0:
+                assert sides == {}
+                continue
+            right = sc._panelize(graded_edges(x0, X, h0, 1.35), 8)
+            left = sc._panelize(-right.edges[::-1], right.p)
+            for side, want in ((-1, left), (1, right)):
+                got = sides[side].mesh
+                for name in ("edges", "lo", "hi", "nodes"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                        (truncations, X, side, name)
+                assert np.array_equal(solver._values[got], pot.values(got.nodes))
+        core, *union = unions
+        assert core is solver.mesh and len(union) == any(X > x0 for X in truncations)
+        for u in union:
+            ends = {(lo, hi) for b in solver._sides.values() for side in b.values()
+                    for lo, hi in zip(side.mesh.lo, side.mesh.hi)}
+            assert sorted(zip(u.lo, u.hi)) == sorted(ends)
 
 
 @pytest.mark.parametrize("potential", ["pot2", "pot3"])
@@ -565,18 +604,18 @@ def test_one_outer_elimination_and_four_btilde_reads_per_s(potential, request,
 
 
 def test_outer_union_takes_the_side_meshes_order(pot2m1, monkeypatch):
-    # the union of the outer panels is eliminated at the side meshes' Gauss
-    # order: sides of p = 10 give every side density p = 10 and move S_X by
-    # the discretization error only
+    # the union of the outer panels is eliminated at the sides' Gauss order,
+    # OUTER_ORDER: sides of p = 10 give every side density p = 10 and move
+    # S_X by the discretization error only
     default = scattering_matrix(pot2m1, 1.0, X=2000.0)
-    fields, outer = [], sc._outer_mesh
+    fields = []
 
     class Recording(sc.EigenfunctionField):
         def __init__(self, *args):
             super().__init__(*args)
             fields.append(self)
 
-    monkeypatch.setattr(sc, "_outer_mesh", lambda *a: outer(*a, p=10))
+    monkeypatch.setattr(sc, "OUTER_ORDER", 10)
     monkeypatch.setattr(sc, "EigenfunctionField", Recording)
     e = scattering_matrix(pot2m1, 1.0, X=2000.0)
     assert len(fields) == 4  # +-k, each at X and 2X

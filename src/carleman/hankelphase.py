@@ -9,10 +9,10 @@ in log coordinates N = ln t,
     rho(x)      = eta(xi(x)) - q_{n-1} xi(x) / n,
 
 with psi the gauged short-range eigenfunction.  The integral converges only
-conditionally: a core plus oscillating tails, with psi read panel-aligned from
-the Nystrom field (scattering docstring; test_panel_read_matches_psi_at) into
-oscquad tables on its panels, the outer sides' basis carrying e^{+-ikx},
-closed by integration by parts.  Stationary points sit at |x| ~ n|N|/(pi |k|),
+conditionally: a core plus oscillating tails, with psi read from the Nystrom
+field once per Chebyshev grid (test_panel_read_matches_psi_at) into oscquad
+tables on its panels, the outer sides' basis carrying e^{+-ikx}, closed by
+integration by parts.  Stationary points sit at |x| ~ n|N|/(pi |k|),
 so x_split (120 whatever the core radius, or x_tail if smaller: a closure
 admits none) bounds the reachable |N|.  Only e^{-i xi(x) N} depends on N, so
 the Gauss nodes resolve the phase at that largest |N| once: each psi table
@@ -35,7 +35,7 @@ import numpy as np
 
 from ._jets import Jet
 from .coeffmap import RealPolynomial, p_to_q
-from .errors import DomainError, ResolutionError
+from .errors import ConfigurationError, DomainError, ResolutionError
 from .oscquad import _ChebTable, ibp_boundary, phase_panels
 from .profile import ChangeOfVariables
 from .specfun import eta_phase
@@ -78,9 +78,9 @@ def zeta_amplitude(x, Q: RealPolynomial, cov: ChangeOfVariables):
     return _zeta_of_xi(cov.xi_of_x(np.asarray(x, dtype=float)), Q, cov)
 
 
-def _xi_zeta_jets(x, Q, cov, order=3):
-    """Jets at the points x of xi(x) and of the tail amplitude zeta(x)."""
-    xi_jet = cov.xi_jet_of_x(np.asarray(x, dtype=float), order)
+def _xi_zeta_jets(x, Q, cov, order=3, xi=None):
+    """Jets at the points x of xi(x), seeded with xi if given, and of zeta(x)."""
+    xi_jet = cov.xi_jet_of_x(np.asarray(x, dtype=float), order, xi)
     zeta_j = ((_rho_of_xi(xi_jet, Q) * 1j).exp()
               * xi_jet.shift().truncated(order - 1).pow(0.5))
     return xi_jet, zeta_j
@@ -144,13 +144,13 @@ class PhaseModel:
 class ThetaEvaluator:
     """Shared machinery to evaluate I(N, k) for many N at one field.
 
-    psi is read from the field once (`field.sample`) into tables on its panels:
-    the core's on [-X0, X0], whose mesh is graded toward x = 0, and the outer
-    sides' out to +-x_tail.  The Gauss nodes are built once on the tables'
-    panels, each cut into parts spanning <= 8 pi of the phase at the largest
-    |N| that x_split admits, so no Gauss panel straddles a table edge; each
-    theta is then one fixed sum of e^{-i xi_j N} amp_j over core and tail
-    nodes plus the closures beyond +-x_tail.
+    psi is read from the field (`field.sample`) into tables on its panels: the
+    core's on [-X0, X0], graded toward x = 0, and the outer sides' out to
+    +-x_tail >= X0, with 0 < x_split <= x_tail.  The Gauss nodes are built
+    once on the tables' panels, each cut into parts spanning <= 8 pi of the
+    phase at the largest |N| that x_split admits, so no Gauss panel straddles
+    a table edge; each theta is then one fixed sum of e^{-i xi_j N} amp_j over
+    core and tail nodes plus the closures beyond +-x_tail.
     """
 
     def __init__(self, field, Q: RealPolynomial, cov: ChangeOfVariables,
@@ -159,47 +159,54 @@ class ThetaEvaluator:
         self.k = k = field.k
         self.x_tail = float(min(x_tail, field.X))
         self.x_split = float(min(120.0, self.x_tail) if x_split is None else x_split)
+        if not (field.X0 <= self.x_tail and 0.0 < self.x_split <= self.x_tail):
+            raise ConfigurationError(f"need X0 = {field.X0:g} <= x_tail = {self.x_tail:g} "
+                                     f"and 0 < x_split = {self.x_split:g} <= x_tail")
         # every table panel is, or (the last tail one) lies in, a field panel; the
         # tails in u = |x| (x = side u) carry the waves, even n's sides in one fit
-        edges, u = field.edges, np.abs(field.edges)
-        read = lambda side: lambda c, h, t: field.sample(side * c, side * h, t)[0]
-        self._psi = _ChebTable(read(1), edges[u <= field.X0], points=12)
+        edges, u, waves = field.edges, np.abs(field.edges), len(field.waves)
+        core = edges[u <= field.X0]
         tail = np.append(np.unique(u[(u >= field.X0) & (u < self.x_tail)]), self.x_tail)
-        groups = [[1, -1]] if len(field.waves) == 2 else [[1], [-1]]
-        self._tails = [_ChebTable(read(np.reshape(g, (-1, 1, 1))), tail,
-                                  np.multiply(field.waves, k * g[0]), points=12) for g in groups]
         ends = np.array([self.x_tail, -self.x_tail])  # each closure's amplitude: r_w there
-        env = field.sample(ends, 0.0 * ends, 0.0)[1]
-        self._amp_tail = {(s, w): r_s for w, r in env.items() for s, r_s in zip((1, -1), r)}
+        # one field read per Chebyshev grid: the core's 12 points, which also read the
+        # ends as panels of zero width, and the tails' +-u, 12 (odd n: one read) or 49
+        (cc, hc), (ct, ht) = ((0.5 * (e[1:] + e[:-1]), 0.5 * np.diff(e)) for e in (core, tail))
+        rows, psi, env = [(cc, hc), (ends, 0.0 * ends), (ct, ht), (-ct, -ht)], [], []
+        for read in [rows] if waves == 1 else [rows[:2], rows[2:]]:
+            c, h = (np.concatenate(v)[:, None] for v in zip(*read))
+            p, r = field.sample(c, h, _ChebTable.grid(waves if env else 1, 12))
+            psi, env = psi + np.split(p, np.cumsum([v.size for v, _ in read])[:-1]), env + [r]
+        self._psi = _ChebTable(psi[0], core, points=12)
+        self._tails = [_ChebTable(np.stack([psi[2 + (1 - s) // 2] for s in g]), tail, np.multiply(
+            field.waves, k * g[0]), points=12) for g in np.reshape([1, -1], (-1, waves))]
+        self._side, self._wave = np.tile([1, -1], waves), np.repeat(field.waves, 2)
+        self._r = np.concatenate([r[cc.size:cc.size + 2, 0] for r in env[0].values()])
         # one node set for every admissible N: the core on [-X0, X0] and the
         # tails x = +-u, u in [X0, x_tail], where xi is odd
         self._shift = cov.a1 if cov.profile.family == "cosh" else 0.0
         n_lim = max(self.x_split / _STATIONARY_MARGIN - self._shift, 0.0) \
             * np.pi * abs(k) / self.n
-        rate = lambda x: n_lim / cov.x_prime(cov.xi_of_x(x)) + abs(k)
-        (xc, wc), (xt, wt) = (phase_panels(t.edges, rate) for t in (self._psi, self._tails[0]))
-        xi_t = cov.xi_of_x(xt)
+        rate = n_lim / cov.x_prime(cov.xi_of_x(np.concatenate((core, tail)))) + abs(k)
+        (xc, wc), (xt, wt) = map(phase_panels, (core, tail), np.split(rate, [core.size]))
+        xi = cov.xi_of_x(np.concatenate((xc, xt, ends)))
         self._x = np.concatenate((xc, xt, -xt))
-        self._xi = np.concatenate((cov.xi_of_x(xc), xi_t, -xi_t))
+        self._xi = np.concatenate((xi[:-2], -xi[xc.size:-2]))
         self._w = np.concatenate((wc, wt, wt))
         psi = np.concatenate([self._psi(xc)] + [fit(xt).ravel() for fit in self._tails])
         self._amp = self._w * psi * _zeta_of_xi(self._xi, Q, cov)
-        self._end_jets = _xi_zeta_jets(ends, Q, cov)  # at [x_tail, -x_tail]
+        self._end_jets = _xi_zeta_jets(ends, Q, cov, xi=xi[-2:])  # at [x_tail, -x_tail]
 
     # -- pieces ---------------------------------------------------------------
 
     def _closure(self, N):
         """IBP closures beyond +-x_tail with the envelopes r_w(+-x_tail) as
-        constant amplitudes, N a trailing jet axis:
-        int_{x_tail}^{+inf} = -S(x_tail), int_{-inf}^{-x_tail} = +S(-x_tail)."""
-        total = np.zeros(np.size(N), dtype=complex)
-        for (side, w), r in self._amp_tail.items():
-            if abs(r) > 0:
-                xi_j, zeta_j = (Jet(j.c[:, [(1 - side) // 2]]) for j in self._end_jets)
-                x_j = Jet.variable([side * self.x_tail], 3)
-                phase_j = xi_j * -np.ravel(N) + x_j * (w * self.k)
-                total -= side * ibp_boundary(zeta_j * r, phase_j, order=2)
-        return total.reshape(np.shape(N))
+        constant amplitudes, N a trailing jet axis, the (side, wave) pairs a jet
+        axis: int_{x_tail}^{+inf} = -S(x_tail), int_{-inf}^{-x_tail} = +S(-x_tail)."""
+        xi_j, zeta_j = (Jet(j.c[:, (1 - self._side) // 2, None]) for j in self._end_jets)
+        x_j = Jet.variable(self._side[:, None] * self.x_tail, 3)
+        phase_j = xi_j * -np.ravel(N) + x_j * (self._wave[:, None] * self.k)
+        S = ibp_boundary(zeta_j * self._r[:, None], phase_j, order=2)
+        return -np.sum(self._side[:, None] * S, axis=0).reshape(np.shape(N))
 
     def _check_resolution(self, N):
         """Raise at the largest |N| whose stationary point leaves |x| <= x_split."""

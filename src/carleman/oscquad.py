@@ -120,10 +120,9 @@ def graded_edges(start, stop, h, grow, h_max=np.inf):
 
 def phase_parts(edges, rate):
     """The parts each panel between `edges` is cut into, at least one:
-    ceil(max(rate at its ends) * width / PHASE_SPAN).  With the rate monotone
-    on each panel, every equal part then spans <= PHASE_SPAN of phase."""
-    r = rate(edges)
-    return np.maximum(np.ceil(np.maximum(r[:-1], r[1:]) * np.diff(edges) / PHASE_SPAN), 1.0)
+    ceil(max(rate at its ends) * width / PHASE_SPAN), `rate` the phase rate at
+    the edges.  With it monotone on each panel, every part spans <= PHASE_SPAN."""
+    return np.maximum(np.ceil(np.maximum(rate[:-1], rate[1:]) * np.diff(edges) / PHASE_SPAN), 1.0)
 
 
 def phase_panels(edges, rate):
@@ -164,24 +163,23 @@ def _clenshaw(coef, t):
 
 class _ChebTable:
     """Piecewise-Chebyshev table of `sample` ((c, h, t) -> (components...,
-    panels, t.size) at c + h t) between `edges`: on the panel with centre c and
-    half-width h the basis is e^{i nu (x - c)} T_j((x - c) / h), j < points, nu
-    in `nus` (m functions).  One nu is fitted at m first-kind Chebyshev points;
-    several by one batched QR at those and the m + 1 points, as one grid
-    aliases the waves once nu h nears a multiple of its size (Lebesgue
-    constants up to 5e5 for m = 24) and the two only near nu h = m (m + 1).  A
-    call locates points by one searchsorted, sums by Clenshaw and refuses
-    points outside the edges.
+    panels, t.size) at c + h t, or those values at `grid`) between `edges`: on
+    the panel with centre c and half-width h the basis is e^{i nu (x - c)}
+    T_j((x - c) / h), j < points, nu in `nus` (m functions).  One nu is fitted
+    at m first-kind Chebyshev points; several by one batched QR at those and
+    the m + 1 points, as one grid aliases the waves once nu h nears a multiple
+    of its size (Lebesgue constants up to 5e5 for m = 24) and the two only
+    near nu h = m (m + 1).  A call locates points by one searchsorted, sums by
+    Clenshaw and refuses points outside the edges.
     """
 
     def __init__(self, sample, edges, nus=(0.0,), points=20):
         e = self.edges = np.asarray(edges, dtype=float)
         self.nus = np.asarray(nus, dtype=float)
-        m = points * self.nus.size
-        sizes = (m,) if self.nus.size == 1 else (m, m + 1)
-        t = np.concatenate([np.cos(np.pi * (np.arange(n) + 0.5) / n) for n in sizes])
+        m, t = points * self.nus.size, self.grid(self.nus.size, points)
         self._c, self._h = 0.5 * (e[1:] + e[:-1]), 0.5 * np.diff(e)
-        vals = np.asarray(sample(self._c[:, None], self._h[:, None], t))
+        vals = np.asarray(sample(self._c[:, None], self._h[:, None], t)
+                          if callable(sample) else sample)
         self.shape, comps = vals.shape[:-2], int(np.prod(vals.shape[:-2]))
         vals = vals.reshape(comps, e.size - 1, t.size).transpose(1, 2, 0)  # (panel, node, comp)
         cheb = np.cos(np.outer(np.arccos(t), np.arange(points)))
@@ -192,6 +190,11 @@ class _ChebTable:
             q, r = np.linalg.qr((phase[..., None] * cheb[:, None]).reshape(-1, t.size, m))
             coef = np.linalg.solve(r, q.conj().swapaxes(1, 2) @ vals)
         self.coef = coef.reshape(e.size - 1, self.nus.size, points, comps).transpose(2, 1, 3, 0)
+
+    @staticmethod
+    def grid(waves, points):  # the reference points t of a table of `waves` nus
+        return np.concatenate([np.cos(np.pi * (np.arange(n) + 0.5) / n) for n in
+                               range(points * waves, points * waves + 1 + (waves > 1))])
 
     def __call__(self, x):
         """The components at the points x, shape (components...,) + x.shape."""

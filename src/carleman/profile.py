@@ -218,9 +218,9 @@ class ChangeOfVariables:
 
     # -- derivative machinery -----------------------------------------------
 
-    def xi_jet_of_x(self, x, order):
-        """Jet of xi(x) at the points x; xi' = v(xi)^(2/n)."""
-        xi0 = self.xi_of_x(x)
+    def xi_jet_of_x(self, x, order, xi0=None):
+        """Jet of xi(x) at the points x (xi0 = xi(x), if given); xi' = v(xi)^(2/n)."""
+        xi0 = self.xi_of_x(x) if xi0 is None else xi0
 
         def rate(yjet):
             outer = self.profile.v_jet(yjet.value, yjet.order).pow(2.0 / self.n)

@@ -49,8 +49,9 @@ run's panels and each shorter X's clipped last panel, both mirrored, and each
 side is a view of its panels there: one elimination per outer panel.
 
 Panel moments depend only on the key (p, half-width, d nu, reference points
-along the sweep); a downward one is the upward one at -nu, basis-reversed.
-An elimination forms its keys in one batch and one product, at the Gauss
+along the sweep); a downward one is the upward one at -nu, basis-reversed, and
+one at d nu = 0 its half-width times the unit-width one, formed once per point
+set.  An elimination forms its keys in one batch and one product, at the Gauss
 nodes and t = 1 (own-node, a downward branch reading them reversed, and
 whole-panel), as does a panel-aligned read (`EigenfunctionField.sample`): its
 points are +-t exactly on whole panels, one key per half-width.  The line solve
@@ -257,19 +258,22 @@ def _panel_moments(mesh, branches, mus, t, cache=None, q=None):
     p); or t[b, i] on panel q[i], (mus, q.size, m, p).  New keys form one batch."""
     t, cache = np.asarray(t, dtype=float), {} if cache is None else cache
     s = (mesh.widths if q is None else mesh.widths[mesh.width_of[q]]).tolist()
+    unit = lambda k: (k[0], 1.0, 0.0, k[3]) if k[2] == 0 else k  # d nu = 0: w times width 1
     keys, new = [], {}  # new: the keys not in the cache, with their branch and panel
     for j, (zeta, _, upper) in enumerate(branches):
         pts = [t.tobytes()] * len(s) if q is None else [row.tobytes() for row in t[j]]
         keys.append([[(mesh.p, w, dnu, pt) for w, pt in zip(s, pts)]
                      for dnu in ((1 if upper else -1) * (np.asarray(mus) - zeta)).tolist()])
-        new.update((k, (j, i)) for row in keys[-1] for i, k in enumerate(row) if k not in cache)
+        new.update((unit(k), (j, i)) for row in keys[-1] for i, k in enumerate(row)
+                   if unit(k) not in cache)
     if new:
         tn = t if q is None else t[tuple(np.array(list(new.values())).T)]
         shape = (-1,) + (1,) * (tn.ndim - (q is not None))
         w, nu = (np.array([key[i] for key in new]).reshape(shape) for i in (1, 2))
         cache.update(zip(new, mesh.lagrange(exp_monomial_moments(1j * nu * w, tn, mesh.p),
                                             w[..., None])))
-    return [np.array([[cache[key] for key in row] for row in rows])[..., ::1 if upper else -1]
+    return [np.array([[cache[k] if k in cache else k[1] * cache[unit(k)] for k in row]
+                      for row in rows])[..., ::1 if upper else -1]
             for rows, (_, _, upper) in zip(keys, branches)]
 
 

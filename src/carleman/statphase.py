@@ -77,15 +77,15 @@ def evaluate_J(omega, g, N, a):
     N = float(N)
     ch_w = _check_no_inflection(omega, a)
     ch_g = _cheb(g, 0.0, a)
-    rate = lambda y: np.abs(N * ch_w.deriv()(y))
     # equal panels, the first halved 20 times toward the stationary point y = 0
     # so that the budget stops short of it up to N ~ 7e18 (a = 4, omega = y^2)
     edges = a / _PANELS * np.concatenate(([0.0], 0.5 ** np.arange(20, 0, -1),
                                           np.arange(1.0, _PANELS + 1)))
+    rate = np.abs(N * ch_w.deriv()(edges))
     i = int(np.searchsorted(np.cumsum(phase_parts(edges, rate)), _PANEL_BUDGET, side="right"))
     if i == 0:
         raise DomainError(f"|N| = {abs(N):g} needs over {_PANEL_BUDGET} Gauss parts next to y = 0")
-    nodes, weights = phase_panels(edges[:i + 1], rate)
+    nodes, weights = phase_panels(edges[:i + 1], rate[:i + 1])
     y_cut = edges[i]
     val = np.sum(np.asarray(g(nodes)) * np.exp(1j * N * omega(nodes)) * weights)
     if y_cut < a:

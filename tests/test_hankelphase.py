@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from carleman.coeffmap import RealPolynomial, p_to_q
-from carleman.errors import DomainError, ResolutionError
+from carleman.errors import ConfigurationError, DomainError, ResolutionError
 from carleman._jets import Jet
 from carleman.hankelphase import (_STATIONARY_MARGIN, PhaseModel, ThetaEvaluator,
                                   _xi_zeta_jets, _zeta_of_xi, hankel_kernel,
@@ -196,6 +196,33 @@ def test_theta_asymptotic_agreement_quick(field2m1, q_x2m1, cov2, entries2m1):
         v = ev.theta_scaled(N)
         a = theta_asymptotic(N, 1.0, model, entries2m1)
         assert abs(v - a) / max(1.0, abs(a)) < 0.05
+
+
+def test_theta_refuses_x_tail_inside_the_core(field2m1, q_x2m1, cov2):
+    # the core table and the closures would both count [x_tail, X0]: at
+    # x_tail = 50, theta read 102%, 251%, 0.24% and 8.6% off at N = -20, -5,
+    # 5, 20; x_tail = X0 leaves the tails without a panel
+    with pytest.raises(ConfigurationError):
+        ThetaEvaluator(field2m1, q_x2m1, cov2, x_tail=50.0)
+    ev = ThetaEvaluator(field2m1, q_x2m1, cov2, x_tail=field2m1.X0)
+    assert ev._tails[0].edges.tolist() == [field2m1.X0]
+    assert np.all(np.isfinite(ev.theta_scaled(np.array([-20.0, 20.0]))))
+
+
+def test_theta_refuses_x_split_past_x_tail(solved):
+    # stationary points past x_tail land in the closures: with x_split = 400
+    # and x_tail = 200, X^3's theta read 59% off at N = 200 and 99.8% at 250
+    field, Q, cov = solved(3, 1.0)
+    with pytest.raises(ConfigurationError):
+        ThetaEvaluator(field, Q, cov, x_split=400.0, x_tail=200.0)
+    assert ThetaEvaluator(field, Q, cov, x_split=200.0, x_tail=200.0).x_split == 200.0
+
+
+@pytest.mark.parametrize("x_split", [0.0, -1.0, np.nan, np.inf])
+def test_theta_refuses_a_non_finite_or_non_positive_x_split(x_split, solved):
+    field, Q, cov = solved(3, 1.0)
+    with pytest.raises(ConfigurationError):
+        ThetaEvaluator(field, Q, cov, x_split=x_split)
 
 
 @pytest.fixture(scope="module")
@@ -466,21 +493,24 @@ _COMPACT = PotentialSpec(2, [lambda x: np.where(np.abs(np.asarray(x)) <= 1.3, -0
     ([-1.0, 0.0, 1.0], 1.0, 1500.0), ([0.0, 0.0, 0.0, 1.0], 1.0, 1500.0), (None, 1.0, 100.0)],
     ids=["x2m1", "x2m1-k2", "x3", "x3-k-1", "x4", "x5", "x2m1-X1500", "x3-X1500", "compact"])
 def test_panel_read_matches_psi_at(p, k, X, cosh_profile, monkeypatch):
-    # the three panel-aligned reads of a ThetaEvaluator build: the core, both
-    # tails (their last panel [e, x_tail] partial, or whole when x_tail = X =
-    # 1500; none on a compactly supported field) and the closures' ends.
-    # They equal psi_at, r_plus and r_minus at the same points to 1e-14 of
+    # a ThetaEvaluator build reads the field once per Chebyshev grid: odd n
+    # once, at 12 points, for the core, the closures' ends (panels of zero
+    # width) and both tails (their last panel [e, x_tail] partial, or whole
+    # when x_tail = X = 1500; none on a compactly supported field); even n
+    # the core and the ends at 12 points, then both tails at 49.  The reads
+    # equal psi_at, r_plus and r_minus at the same points to 1e-14 of
     # |psi| + sum_b |a_b K_b|, the terms psi sums: X^5's core has |a_b K_b|
     # up to 10 where |psi| = 0.05, and both evaluations round there (read at
     # 3.4e-14 of max|psi|, 1.6e-15 of the terms).  The build forms each
-    # distinct (p, half-width, d nu, points) key's moments once and calls
-    # psi_at zero times.
+    # distinct (p, half-width, d nu, points) key's moments once, solves for
+    # xi in two passes (table edges; nodes and ends) and calls psi_at zero
+    # times.
     Q = p_to_q(RealPolynomial([-1.0, 0.0, 1.0] if p is None else p))
     cov = ChangeOfVariables(cosh_profile, Q.degree)
     pot = _COMPACT if p is None else PotentialSpec.from_operator(OperatorCoefficients(Q, cov))
     field = solve_lippmann_schwinger(pot, k, X=X)
-    reads, formed, psi_calls = [], [], []
-    sample, moments = sc.EigenfunctionField.sample, sc._panel_moments
+    reads, formed, psi_calls, xi_calls = [], [], [], []
+    sample, moments, xi_of_x = sc.EigenfunctionField.sample, sc._panel_moments, cov.xi_of_x
 
     def recorded_moments(mesh, branches, mus, t, cache=None, q=None):
         before = set(cache)
@@ -491,20 +521,21 @@ def test_panel_read_matches_psi_at(p, k, X, cosh_profile, monkeypatch):
     monkeypatch.setattr(sc.EigenfunctionField, "sample", lambda f, c, h, t: reads.append(
         (np.asarray(c), np.asarray(h), np.asarray(t), sample(f, c, h, t))) or reads[-1][3])
     monkeypatch.setattr(sc.EigenfunctionField, "psi_at", lambda *a: psi_calls.append(a))
+    monkeypatch.setattr(cov, "xi_of_x", lambda x: xi_calls.append(x) or xi_of_x(x))
     ev = ThetaEvaluator(field, Q, cov)
     monkeypatch.undo()
     assert not psi_calls and formed and len(set(formed)) == len(formed)
-    # the core, the tails (one read for both sides of even n, one per side of
-    # odd n), the ends
-    (core_c, core_h, _, _), *tails, (end_c, end_h, _, _) = reads
-    assert core_c.ravel()[-1] + core_h.ravel()[-1] == field.X0
-    assert end_c.tolist() == [ev.x_tail, -ev.x_tail]
-    assert len(tails) == 3 - len(field.waves) and not end_h.any()
-    far = np.concatenate([np.ravel((c + h)[..., -1:, :]) for c, h, _, _ in tails])
+    assert len(xi_calls) == 2
+    assert [t.size for _, _, t, _ in reads] == ([12] if len(field.waves) == 1 else [12, 49])
+    c, h = (np.concatenate([np.ravel(r[i]) for r in reads]) for i in (0, 1))
+    core, tail = ev._psi.edges.size - 1, ev._tails[0].edges.size - 1
+    assert c.size == core + 2 + 2 * tail and c[core - 1] + h[core - 1] == field.X0
+    assert c[core:core + 2].tolist() == [ev.x_tail, -ev.x_tail] and not h[core:core + 2].any()
     if p is None:
-        assert far.size == 0
+        assert tail == 0
     else:  # right side, then left, each ending at its end of the tails
-        assert np.allclose(far.ravel(), [ev.x_tail, -ev.x_tail], rtol=1e-15, atol=0)
+        far = (c + h)[core + 1 + tail * np.array([1, 2])]
+        assert np.allclose(far, [ev.x_tail, -ev.x_tail], rtol=1e-15, atol=0)
         assert (ev.x_tail in field.edges) == (X == ev.x_tail)
     for c, h, t, (psi, env) in reads:
         x = (c + h * t).ravel()

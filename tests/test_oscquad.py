@@ -162,7 +162,7 @@ PHASE_RATES = {"monotone": (lambda x: 5.0 + 40.0 * x, lambda x: 5.0 * x + 20.0 *
 def parts_of(rate):
     """The Gauss parts phase_panels cuts, as (lo, hi) from each part's nodes
     (the 20-point rule is symmetric, its weights sum to the width)."""
-    nodes, weights = phase_panels(PHASE_EDGES, rate)
+    nodes, weights = phase_panels(PHASE_EDGES, rate(PHASE_EDGES))
     assert nodes.shape == weights.shape and nodes.size % 20 == 0
     mid, width = nodes.reshape(-1, 20).mean(axis=1), weights.reshape(-1, 20).sum(axis=1)
     return mid - 0.5 * width, mid + 0.5 * width
@@ -204,6 +204,6 @@ def test_one_phase_part_integrates_the_exponential_to_rounding():
         return np.abs((w * np.exp(1j * a * x)) @ np.vander(x, 3, increasing=True) - want)
 
     for a in (np.pi, 2.0 * np.pi, 4.0 * np.pi):
-        nodes, weights = phase_panels(np.array([-1.0, 1.0]), lambda x: np.full_like(x, a))
+        nodes, weights = phase_panels(np.array([-1.0, 1.0]), np.full(2, a))
         assert nodes.size == 20 and np.max(error(nodes, weights, a)) <= 1e-14, a
     assert np.min(error(*gauss_rule(12), 4.0 * np.pi)) > 1e-6

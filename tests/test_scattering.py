@@ -6,7 +6,8 @@ import pytest
 from mpmath.calculus.quadrature import GaussLegendre
 
 from carleman.errors import ConfigurationError, DomainError, NearExceptionalPointError
-from carleman.oscquad import gauss_rule, graded_edges
+from carleman.oscquad import (_ChebTable, exp_monomial_moments, gauss_rule, graded_edges,
+                              lagrange_coeff_matrix)
 import carleman.scattering as sc
 from carleman.scattering import (CORE_RADIUS, PotentialSpec, _core_mesh, _CoreSolver,
                                  _panel_moments, eigenvalue_multiplicity_bound,
@@ -332,6 +333,36 @@ def test_panel_moments_match_direct_moments():
                     (z, upper, t.size)
 
 
+@pytest.mark.parametrize("potential, k", [("pot2", 1.0), ("pot3", 0.8)])
+def test_zero_dnu_moments_are_the_half_width_times_the_unit_width_ones(
+        potential, k, request, monkeypatch):
+    # at d nu = 0 (an outer wave on its own root) a panel moment is its
+    # half-width w times the unit-width one at the same points: in the outer
+    # union's elimination and in a panel read of the right side (a theta tail
+    # table's), each such moment is w times the unit-width moments, and the
+    # moments formed at w, bitwise
+    calls, moments = [], sc._panel_moments
+    monkeypatch.setattr(sc, "_panel_moments",
+                        lambda *a: calls.append((a, moments(*a))) or calls[-1][1])
+    field = _CoreSolver(request.getfixturevalue(potential), k, 120.0, (1e4,)).solve(1e4)
+    e = field.edges[field.edges >= field.X0][:13]
+    c, h = 0.5 * (e[1:] + e[:-1]), 0.5 * np.diff(e)
+    field.sample(c[:, None], h[:, None], _ChebTable.grid(len(field.waves), 12))
+    for (mesh, branches, mus, t, *rest), out in (calls[1], calls[-1]):  # the union's, the read
+        q, checked = rest[1] if rest else None, 0
+        s = (mesh.widths if q is None else mesh.widths[mesh.width_of[q]]).tolist()
+        for j, ((zeta, _, upper), m) in enumerate(zip(branches, out)):
+            for mu, m_mu in zip(mus, m):
+                for i, w in enumerate(s if mu == zeta else []):
+                    tw = t if q is None else t[j, i]
+                    unit = mesh.lagrange(exp_monomial_moments(0j, tw, mesh.p), 1.0)
+                    formed = mesh.lagrange(exp_monomial_moments(0j * w, tw, mesh.p), w)
+                    for want in (w * unit, formed):
+                        assert np.array_equal(m_mu[i], want[..., ::1 if upper else -1])
+                    checked += 1
+        assert checked >= 12 * len(field.waves)
+
+
 # real frequencies on both sides of the series / recurrence switch, and
 # complex ones decaying downward
 NUS_DOWN = [0.0, 0.7, -3.0, 12.0, -0.5 + 0.866j, 2.0 + 5.0j]
@@ -414,7 +445,7 @@ def test_each_moment_computed_once_per_solver(potential, k, request, monkeypatch
     # the core, both outer sides, +-k and both truncations: every (width,
     # d nu) a solver reads is computed once, own-node and whole-panel, by one
     # call per elimination (the core's and the declared truncations' outer
-    # panels)
+    # panels); d nu = 0, which only the outer sides have, once at unit width
     pot = request.getfixturevalue(potential)
     counted = count_moments(monkeypatch)
     solver = _CoreSolver(pot, k, 120.0, (1e4, 2e4))
@@ -425,8 +456,9 @@ def test_each_moment_computed_once_per_solver(potential, k, request, monkeypatch
                                       for b in sides.values()]))
 
     def distinct(widths, mus, branches):
-        return widths.size * len({complex((1 if upper else -1) * (mu - zeta))
-                                  for zeta, _, upper in branches for mu in mus})
+        dnus = {complex((1 if upper else -1) * (mu - zeta))
+                for zeta, _, upper in branches for mu in mus}
+        return widths.size * len(dnus - {0}) + (0 in dnus)
 
     # every branch rides in the outer batch, also even n's complex roots,
     # which are no source there
@@ -441,20 +473,25 @@ def test_each_lagrange_row_formed_once_per_solver(potential, request, monkeypatc
     # over a whole S(lambda) (core, both outer sides, +-k, X and 2X), each
     # elimination, the core's and the outer union's, forms one Lagrange
     # product, own-node and whole-panel, for every branch and both sweeps at
-    # once; the side meshes form nothing
+    # once: a row per distinct (half-width, d nu), but d nu = 0 (the outer
+    # waves on their own roots) in one row at unit width; the side meshes form
+    # nothing
     solvers, formed = [], []
     init, lagrange = _CoreSolver.__init__, sc._Mesh.lagrange
     monkeypatch.setattr(_CoreSolver, "__init__",
                         lambda self, *a: solvers.append(self) or init(self, *a))
-    monkeypatch.setattr(sc._Mesh, "lagrange", lambda mesh, m, s:
-                        formed.append((mesh, m.ndim == 3)) or lagrange(mesh, m, s))
+    monkeypatch.setattr(sc._Mesh, "lagrange", lambda mesh, m, s: formed.append(
+        (mesh, m.ndim, np.ravel(s).tolist())) or lagrange(mesh, m, s))
     scattering_matrix(request.getfixturevalue(potential), 1.0)
     (solver,) = solvers
     sides = {b.mesh for blocks in solver._sides.values() for b in blocks.values()}
     assert len(sides) == 4
-    (union,) = {mesh for mesh, _ in formed} - {solver.mesh}
+    (union,) = {mesh for mesh, _, _ in formed} - {solver.mesh}
     assert union not in sides
-    assert sorted(formed, key=lambda f: f[0] is union) == [(solver.mesh, True), (union, True)]
+    assert [f[:2] for f in sorted(formed, key=lambda f: f[0] is union)] \
+        == [(solver.mesh, 3), (union, 3)]
+    rows = next(widths for mesh, _, widths in formed if mesh is union)
+    assert rows.count(1.0) == 1 and 1.0 not in union.widths
 
 
 @pytest.mark.parametrize("potential", ["pot2", "pot3", "pot4"])

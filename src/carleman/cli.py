@@ -228,6 +228,8 @@ def _cmd_statphase(args):
 def _cmd_evolve(args):
     if args.profile != "gaussian":
         raise ConfigurationError("only the gaussian spectral profile is built in")
+    if not 0 < abs(args.T) < math.inf:   # before N = grid * |T| forms 0 * inf
+        raise DomainError(f"--T {args.T} must be finite and nonzero")
     prof = _profile_from_args(args)
     P = RealPolynomial([0.0] * args.n + [1.0])
     Q = p_to_q(P)

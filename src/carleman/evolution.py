@@ -3,7 +3,8 @@
 For T -> +/-inf the evolved state localizes near t ~ e^{+/- pi |T|}.  With
 N = ln t and xi' even, both branches of stationary points solve one equation,
 xi'(n |T| u) |N| = u^{1/(n-1)}, u ~ |N / (pi T)|^{(n-1)/n}.  It is solved once
-over the whole N grid in s = log xi, xi = xi(n |T| u), where it is closed-form:
+over the whole N grid in s = log xi, xi = xi(n |T| u), where it is closed-form,
+its Newton slope too through the closed-form (log v)' of WeightProfile.dlog_v:
 
     (2/n) log v(xi) + log|N| - log(x(xi) / (n |T|)) / (n-1) = 0;
 
@@ -53,11 +54,12 @@ def _stationary_grid(N, T, cov: ChangeOfVariables):
     for k in range(100):
         xi = np.exp(s)
         x = cov.x_of_xi(xi)
+        if np.any(xi < np.finfo(float).tiny):   # past it, x'(xi) / x overflows
+            raise DomainError(f"xi underflows at |ln t| = {a[xi == xi.min()][0]:g}, T = {T:g}")
         if not live.any():
             break
         g = 2.0 / n * cov.profile.log_v(xi) + np.log(a) - p * np.log(x / c)
-        v = cov.profile.v_jet(xi, 1).c
-        dg = xi * (2.0 / n * v[1] / v[0] - p * cov.x_prime(xi) / x)
+        dg = xi * (2.0 / n * cov.profile.dlog_v(xi) - p * cov.x_prime(xi) / x)
         lo, hi = np.where(g > 0, s, lo), np.where(g > 0, hi, s)
         new = np.minimum(s - g / dg, s + np.log(2.0))
         new = np.where((new >= lo) & (new <= hi), new, np.where(

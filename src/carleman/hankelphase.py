@@ -221,15 +221,16 @@ class ThetaEvaluator:
 
     def I(self, N):
         """The conditionally convergent integral I(N, k) for a scalar or an
-        array of N: the exponential sums one row e^{-i xi N} at a time (a
-        value does not depend on its batch), the closures in one pass."""
+        array of N: the exponential sums one row e^{-i xi N} at a time by
+        numpy's pairwise sum, not a BLAS dot (a value depends neither on its
+        batch nor on the thread count), the closures in one pass."""
         N = np.asarray(N, dtype=float)
         if not np.all(np.isfinite(N)):
             raise DomainError("N = ln t must be finite")
         self._check_resolution(N)
         out = np.empty(N.shape, dtype=complex)
         for i, Ni in np.ndenumerate(N):
-            out[i] = np.exp(-1j * Ni * self._xi) @ self._amp
+            out[i] = np.sum(np.exp(-1j * Ni * self._xi) * self._amp)
         return (out + self._closure(N))[()]
 
     def theta_scaled(self, N):

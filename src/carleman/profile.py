@@ -8,15 +8,17 @@ Built-in families (all even, positive, decaying):
 
 The map x(xi) = int_0^xi v^(-2/n) is strictly increasing and odd.  It is cached
 at the edges of cells of width 1/8; inside a cell it adds (xi - lo) times a
-Chebyshev series of the running mean of v^(-2/n), built per call from the
-cell's 16 Gauss values, and the Newton inversion xi(x) iterates on the series
-of the root's cell.  Derivatives of everything come from Taylor-mode jets on
-the closed forms, never from finite differences.
+Chebyshev series of the running mean of v^(-2/n), formed from the cell's 16
+Gauss values when a call first touches the cell and memoised, and the Newton
+inversion xi(x) iterates on the series of the root's cell.  Derivatives of
+everything come from Taylor-mode jets on the closed forms, never from finite
+differences.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,13 +97,23 @@ class WeightProfile:
             return -self.alpha / 2.0 * np.log1p(xi ** 2)
         return -self.beta * (1.0 + xi ** 2) ** (self.alpha / 2.0)
 
+    def dlog_v(self, xi):
+        """(log v)'(xi) in closed form."""
+        xi = np.asarray(xi, dtype=float)
+        if self.family == "cosh":
+            return -np.pi / 2.0 * np.tanh(np.pi * xi)
+        if self.family == "power_law":
+            return -self.alpha * xi / (1.0 + xi ** 2)
+        return -self.beta * self.alpha * xi * (1.0 + xi ** 2) ** (self.alpha / 2.0 - 1.0)
+
     def xi_guard(self, n):
-        """Largest |xi| for which v^(-2/n) stays far from overflow."""
+        """Largest |xi| for which v^(-2/n) stays far from overflow: base ** power,
+        or inf when its log10 leaves the double range."""
         if self.family == "cosh":
             return 200.0 / np.pi
-        if self.family == "power_law":
-            return 1e8 ** (n / (2.0 * self.alpha)) if self.alpha else np.inf
-        return (600.0 * n / (2.0 * self.beta)) ** (1.0 / self.alpha)
+        base, power = (1e8, n / (2.0 * self.alpha)) if self.family == "power_law" \
+            else (600.0 * n / (2.0 * self.beta), 1.0 / self.alpha)
+        return base ** power if math.log10(base) * power < 308.0 else np.inf
 
 
 def v_derivatives(profile: WeightProfile, xi, order: int):
@@ -113,7 +125,8 @@ def v_derivatives(profile: WeightProfile, xi, order: int):
 
 class ChangeOfVariables:
     """Monotone map x(xi) = int_0^xi v^(-2/n), its inverse and jets: cached at
-    cell edges, summed inside a cell from its Chebyshev series."""
+    cell edges, summed inside a cell from its Chebyshev series, memoised per
+    cell on first use (column _slot[cell] of _coef, -1 until then)."""
 
     CELL = 0.125
     MAX_CELLS = 2 ** 20   # cosh needs ~510 cells, stretched_exp ~4800 (n = 2)
@@ -127,6 +140,7 @@ class ChangeOfVariables:
         self.guard = profile.xi_guard(n)
         self._grid = np.array([0.0])
         self._cum = np.array([0.0])
+        self._slot, self._coef = np.empty(0, dtype=np.intp), np.empty((_GL_NODES.size, 0))
         self._extend(min(xi_max, self.guard))
 
     # -- cache ------------------------------------------------------------
@@ -151,13 +165,18 @@ class ChangeOfVariables:
             for m in np.split(mid, np.arange(self.CHUNK, mid.size, self.CHUNK))])
         self._grid = np.concatenate((self._grid, edges[1:]))
         self._cum = np.concatenate((self._cum, self._cum[-1] + np.cumsum(cells)))
+        self._slot = np.concatenate((self._slot, np.full(n_new, -1)))
 
     def _series(self, idx):
-        """Series (16, points) of each point's cell: Gauss values once per cell."""
-        cells, inv = np.unique(idx, return_inverse=True)
-        half = 0.5 * self.CELL
-        vals = self.x_prime(self._grid[cells, None] + half + half * _GL_NODES)
-        return np.take(_MEAN @ vals.T, inv, axis=1)   # C-contiguous rows for Clenshaw
+        """Series (16, points) of each point's cell, formed on a cell's first use."""
+        new = np.sort(idx[self._slot[idx] < 0])   # not np.unique: it imports numpy.ma
+        if new.size:
+            cells = new[np.diff(new, prepend=-1) > 0]
+            half = 0.5 * self.CELL
+            vals = self.x_prime(self._grid[cells, None] + half + half * _GL_NODES)
+            self._slot[cells] = self._coef.shape[1] + np.arange(cells.size)
+            self._coef = np.hstack((self._coef, _MEAN @ vals.T))
+        return np.take(self._coef, self._slot[idx], axis=1)   # C-contiguous rows for Clenshaw
 
     def _x_in_cell(self, a, idx, coef):
         """Edge value of cell idx + (a - lo) * running mean (Clenshaw on coef)."""

@@ -128,6 +128,23 @@ def test_step_grids_are_exact():
         assert np.array_equal(_parse_grid(text), np.arange(a, b + 0.5 * step, step))
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["evolve", "--T", "inf"], 2), (["evolve", "--T=-inf"], 2),
+    (["evolve", "--T", "1e-300"], 2), (["evolve", "--n", "3", "--T", "1e-300"], 2),
+    (["evolve", "--family", "power_law", "--alpha", "0.01"], 2),
+    (["evolve", "--family", "stretched_exp", "--alpha", "1e-3"], 2),
+    (["profile", "--n", "2", "--family", "power_law", "--alpha", "1e-9"], 0)])
+def test_evolve_and_profile_at_extreme_parameters(argv, want, capsys):
+    # an infinite or underflowing T and a guard past the double range are
+    # refused (or, for profile, served) without a warning or a traceback
+    rc, out = run_cli(argv)
+    assert rc == want
+    if want == 0:
+        assert np.all(np.isfinite(np.loadtxt(out.splitlines()[1:], delimiter=",")))
+    else:
+        assert "validation error" in capsys.readouterr().err
+
+
 def test_evolve_rejects_first_order():
     # the stationary-point equation has the exponent 1/(n-1)
     rc, _ = run_cli(["evolve", "--n", "1", "--T", "50", "--N-grid", "0.5:1:0.5"])

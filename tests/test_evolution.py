@@ -277,3 +277,13 @@ def test_stationary_residual_on_other_families(family, n, T):
         if sel.any():
             res = stationary_residual(N[sel], T, cov, y[sel], branch=b)
             assert np.max(res) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_underflowing_xi_is_refused(n):
+    # xi scales like |T|^(n-1) as T -> 0; past the smallest normal double
+    # x'(xi) / x(xi) overflows, so the solve refuses instead of warning
+    cov = ChangeOfVariables(WeightProfile("cosh"), n)
+    for T in (1e-300, -1e-200):
+        with pytest.raises(DomainError, match="underflows"):
+            _stationary_grid(np.array([-4.0, 0.1, 4.0]) * abs(T), T, cov)

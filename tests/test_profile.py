@@ -160,6 +160,64 @@ def test_refused_cache_growth_stays_small():
     assert peak <= 32e6
 
 
+def test_xi_guard_past_the_double_range():
+    # a small alpha puts the guard past the largest double: inf, not an
+    # OverflowError from the float power
+    for prof, n in ((WeightProfile("power_law", alpha=0.01), 2),
+                    (WeightProfile("power_law", alpha=1e-9), 2),
+                    (WeightProfile("stretched_exp", alpha=1e-3), 3)):
+        assert prof.xi_guard(n) == np.inf
+        assert ChangeOfVariables(prof, n).guard == np.inf
+    assert WeightProfile("power_law").xi_guard(2) == 1e8
+    assert WeightProfile("power_law", alpha=0.1).xi_guard(2) == 1e8 ** 10
+    assert WeightProfile("stretched_exp").xi_guard(4) == 1200.0
+
+
+@pytest.mark.parametrize("family", ["cosh", "power_law", "stretched_exp"])
+def test_memoised_series_match_the_per_call_series(family, monkeypatch):
+    # each touched cell's column is formed once, by the per-call expression
+    # over the cells a call touches; a repeated call evaluates x' nowhere
+    from carleman.profile import _GL_NODES, _MEAN
+
+    half = 0.5 * ChangeOfVariables.CELL
+    for n in range(2, 6):
+        cov = ChangeOfVariables(WeightProfile(family), n)
+        xi = np.linspace(-9.0, 9.0, 301)
+        x = cov.x_of_xi(xi)
+        cov.xi_of_x(np.linspace(0.0, 2.0 * x[-1], 77))
+        cov.x_of_xi(np.linspace(-20.0, 20.0, 1001))
+        cells = np.flatnonzero(cov._slot >= 0)
+        assert cov._coef.shape[1] == cells.size
+        per_call = _MEAN @ cov.x_prime(cov._grid[cells, None] + half + half * _GL_NODES).T
+        assert np.array_equal(cov._coef[:, cov._slot[cells]], per_call), n
+        calls = []
+        monkeypatch.setattr(cov, "x_prime", lambda t: calls.append(np.size(t)))
+        assert np.array_equal(cov.x_of_xi(xi), x) and calls == [], n
+
+
+@pytest.mark.parametrize("prof, xi", [
+    (WeightProfile("cosh"), np.linspace(-40.0, 40.0, 161)),
+    (WeightProfile("power_law"), np.concatenate((np.linspace(-30.0, 30.0, 121),
+                                                 np.geomspace(30.0, 3e3, 40)))),
+    (WeightProfile("power_law", alpha=0.6), np.geomspace(1e-3, 3e3, 60)),
+    (WeightProfile("stretched_exp"), np.linspace(-500.0, 500.0, 201)),
+    (WeightProfile("stretched_exp", alpha=0.5, beta=2.0), np.linspace(-500.0, 500.0, 201))])
+def test_closed_form_log_derivative(prof, xi):
+    mp = pytest.importorskip("mpmath")
+    d = prof.dlog_v(xi)
+    c = prof.v_jet(xi, 1).c
+    with mp.workdps(40):
+        a, b = mp.mpf(prof.alpha), mp.mpf(prof.beta)
+        log_v = {"cosh": lambda s: -mp.log(mp.cosh(mp.pi * s)) / 2,
+                 "power_law": lambda s: -a / 2 * mp.log(1 + s * s),
+                 "stretched_exp": lambda s: -b * (1 + s * s) ** (a / 2)}[prof.family]
+        ref = np.array([float(mp.diff(log_v, mp.mpf(float(s)))) for s in xi])
+    assert np.array_equal(d == 0, ref == 0)
+    live = ref != 0
+    assert np.max(np.abs(d[live] / ref[live] - 1.0)) <= 1e-15
+    assert np.max(np.abs(d[live] / (c[1] / c[0])[live] - 1.0)) <= 1e-15
+
+
 _MP_CASES = [("cosh", 2, 12.0), ("cosh", 3, 12.0), ("cosh", 5, 12.0),
              ("power_law", 2, 12.0), ("power_law", 3, 12.0),
              ("stretched_exp", 2, 6.0)]

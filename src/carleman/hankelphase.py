@@ -10,9 +10,9 @@ in log coordinates N = ln t,
 
 with psi the gauged short-range eigenfunction.  The integral converges only
 conditionally: a core plus oscillating tails, with psi read from the Nystrom
-field once per Chebyshev grid (test_panel_read_matches_psi_at) into oscquad
-tables on its panels, the outer sides' basis carrying e^{+-ikx}, closed by
-integration by parts.  Stationary points sit at |x| ~ n|N|/(pi |k|),
+field once per Chebyshev grid (test_panel_read_matches_direct_panel_sums)
+into oscquad tables on its panels, the outer sides' basis carrying e^{+-ikx},
+closed by integration by parts.  Stationary points sit at |x| ~ n|N|/(pi |k|),
 so x_split (120 whatever the core radius, or x_tail if smaller: a closure
 admits none) bounds the reachable |N|.  Only e^{-i xi(x) N} depends on N, so
 the Gauss nodes resolve the phase at that largest |N| once: each psi table

@@ -173,9 +173,12 @@ class ChangeOfVariables:
         if new.size:
             cells = new[np.diff(new, prepend=-1) > 0]
             half = 0.5 * self.CELL
-            vals = self.x_prime(self._grid[cells, None] + half + half * _GL_NODES)
+            # whole tiles of 16 columns, so a cell's bits do not depend on its batch:
+            # gemv (one column) and gemm's edge kernel round unlike gemm's tiles
+            tiles = np.resize(cells, 16 * -(-cells.size // 16))
+            vals = self.x_prime(self._grid[tiles, None] + half + half * _GL_NODES)
             self._slot[cells] = self._coef.shape[1] + np.arange(cells.size)
-            self._coef = np.hstack((self._coef, _MEAN @ vals.T))
+            self._coef = np.hstack((self._coef, (_MEAN @ vals.T)[:, :cells.size]))
         return np.take(self._coef, self._slot[idx], axis=1)   # C-contiguous rows for Clenshaw
 
     def _x_in_cell(self, a, idx, coef):

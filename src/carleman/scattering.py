@@ -239,14 +239,6 @@ class _Mesh:
         lo, hi = self.edges[q], self.edges[q + 1]
         return q, (2.0 * x - (lo + hi)) / (hi - lo)
 
-    def moments(self, nu, q, t, upper):
-        """int e^{i nu (y - y(t))} l_j(y) dy on panel q over [-1, t] (upper) or
-        [t, 1] in reference coordinates, shape (..., p); nu decays along the sweep
-        (downward: the upward ones at (-nu, -t), basis reversed)."""
-        s, d = 0.5 * (self.edges[q + 1] - self.edges[q]), 1 if upper else -1
-        m = self.lagrange(exp_monomial_moments(1j * (d * nu) * s, d * t, self.p), s[..., None])
-        return m if upper else m[..., ::-1]
-
     def lagrange(self, m, s):
         """s times the Lagrange moments from m, the upward monomial ones."""
         return s * (m @ self.cmat)
@@ -264,8 +256,8 @@ def _panel_moments(mesh, branches, mus, t, cache=None, q=None):
         pts = [t.tobytes()] * len(s) if q is None else [row.tobytes() for row in t[j]]
         keys.append([[(mesh.p, w, dnu, pt) for w, pt in zip(s, pts)]
                      for dnu in ((1 if upper else -1) * (np.asarray(mus) - zeta)).tolist()])
-        new.update((unit(k), (j, i)) for row in keys[-1] for i, k in enumerate(row)
-                   if unit(k) not in cache)
+        new.update((u, (j, i)) for row in keys[-1] for i, u in enumerate(map(unit, row))
+                   if u not in cache)
     if new:
         tn = t if q is None else t[tuple(np.array(list(new.values())).T)]
         shape = (-1,) + (1,) * (tn.ndim - (q is not None))
@@ -349,9 +341,9 @@ class EigenfunctionField:
 
     The field owns its core and outer densities and the line solve's states
     on them, so later solves on the same solver leave it unchanged.  The
-    public surface is evaluation (psi_at / w_at), the r-functions and their
-    limits, the travel direction and wave set, the line's panel edges and
-    solve diagnostics.
+    public surface is evaluation (psi_at, sample, w_at; one reader, `_read`),
+    the envelopes' limits, the travel direction and wave set, the line's
+    panel edges and solve diagnostics.
     """
 
     def __init__(self, solver, k, dens, X):
@@ -383,30 +375,37 @@ class EigenfunctionField:
         return np.where(x < -X0, np.where(x < -X, -2, -1),
                         np.where(x > X0, np.where(x > X, 2, 1), 0))
 
-    def _kernel(self, x, b):
-        """K_b(x) = int e^{i zeta_b (x - y)} w(y) dy over y < x (upper) or
-        y > x, at any x: from the states of x's region, or past the end of
-        the line the sweep leaves by, every panel's own integral carried to x."""
-        zeta, _, upper = self._branches[b]
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        region, out = self._region_of(x), np.zeros(x.size, dtype=complex)
-        for r, dens in self._dens.items():
-            sel = region == r
-            if np.any(sel):
-                q, t = dens.mesh.locate(x[sel])
-                m = dens.mesh.moments((dens.mus - zeta)[:, None], q, t, upper)
-                out[sel] = dens.kernel(b, self._branches[b], x[sel], q, m)
-        sel = region == (2 if upper else -2)
-        if np.any(sel):
-            x0 = (self.X if upper else -self.X) if zeta.imag else 0.0  # as r_limits, if real
-            out[sel] = np.exp(1j * zeta * (x[sel] - x0)) * self._carried(x0, b, zeta, upper)
-        return out
+    def _read(self, c, h, t):
+        """The points x = c + h t, t along the last axis, and every branch's K_b
+        there, (branches, *x.shape).  A row [c - |h|, c + |h|] inside a panel
+        of |x| <= X reads its panel's state and its points' moments, one batch
+        per region; a row wholly past +-X, every panel's own integral carried
+        out on the branches whose sweep leaves there, and zero on the others."""
+        shape, c, h, t = np.shape(c + h * t), *(np.ravel(v).astype(float) for v in (c, h, t))
+        x, region, cache = c[:, None] + h[:, None] * t, self._region_of(c), {}
+        K = np.zeros((len(self._branches),) + x.shape, dtype=complex)
+        sweep = np.array([[[1.0 if upper else -1.0]] for _, _, upper in self._branches])
+        for r in np.unique(region):
+            i = np.flatnonzero(region == r)
+            if abs(r) == 2:
+                for b, (zeta, _, upper) in enumerate(self._branches):
+                    if upper == (r > 0):
+                        x0 = (self.X if upper else -self.X) if zeta.imag else 0.0  # as r_limits
+                        K[b, i] = np.exp(1j * zeta * (x[i] - x0)) \
+                            * self._carried(x0, b, zeta, upper)
+                continue
+            dens = self._dens[r]
+            mesh, (q, alpha) = dens.mesh, dens.mesh.locate(c[i])
+            T = sweep * (alpha[:, None] + (2.0 * h[i] / (mesh.hi[q] - mesh.lo[q]))[:, None] * t)
+            for b, m in enumerate(_panel_moments(mesh, self._branches, dens.mus, T, cache, q)):
+                K[b, i] = dens.kernel(b, self._branches[b], x[i], q, m).reshape(-1, t.size)
+        return x.reshape(shape), K.reshape(K.shape[:1] + shape)
 
     def _carried(self, x0, b, zeta, upper):  # every panel's own integral of b, carried to x0
         return sum(np.exp(1j * zeta * (x0 - (d.mesh.hi if upper else d.mesh.lo))) @ d.totals[:, b]
                    for d in self._dens.values())
 
-    # -- r functions and limits ----------------------------------------------
+    # -- envelopes and limits ------------------------------------------------
 
     def r_limits(self):
         """The x -> +/-inf limits of each envelope r_w, keyed (side, w), wave
@@ -421,55 +420,33 @@ class EigenfunctionField:
                 lims[side, w] = complex(w == 1) - (a * I if (side > 0) == upper else 0.0)
         return lims
 
-    def _envelope(self, x, w, K=None):
-        """r_w(x) = [w = 1] - a e^{-iwkx} K(x) with the real root zeta = wk:
-        the wave's integral over the y it has passed; zero for a wave not in
-        the set; K, if given, holds every branch's K_b at x."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if w not in self.waves:
-            return np.zeros(x.shape, dtype=complex)
+    def _envelope(self, x, w, K):
+        """r_w(x) = [w = 1] - a e^{-iwkx} K_b(x), b the wave's real root zeta = wk:
+        the wave's integral over the y it has passed, from every branch's K."""
         b = self._wave_branch[w]
-        _, a, _ = self._branches[b]
-        K = self._kernel(x, b) if K is None else K[b]
-        return float(w == 1) - a * np.exp(-1j * w * self.k * x) * K
-
-    def r_plus(self, x):
-        """r(x) for odd n; r_+(x) for even n (the e^{+ikx} envelope)."""
-        return self._envelope(x, +1)
-
-    def r_minus(self, x):
-        """r_-(x) for even n (the e^{-ikx} envelope); zero for odd n."""
-        return self._envelope(x, -1)
+        return float(w == 1) - self._branches[b][1] * np.exp(-1j * w * self.k * x) * K[b]
 
     # -- field evaluation ------------------------------------------------------
 
-    def psi_at(self, x, deriv=0):
-        """D^deriv psi at any x: k^deriv e^{ikx} - sum_b a_b zeta_b^deriv K_b(x),
-        for deriv < n only (D^n R0 w = w + lambda R0 w)."""
-        if deriv not in range(self.n):
-            raise DomainError(f"deriv = {deriv!r}: psi_at gives D^0..D^{self.n - 1} psi")
-        return self._psi(x, (self._kernel(x, b) for b in range(len(self._branches))), deriv)
-
     def _psi(self, x, K, deriv=0):  # D^deriv psi from every branch's K_b at x
-        out = self.k ** deriv * np.exp(1j * self.k * np.atleast_1d(np.asarray(x, dtype=float)))
+        out = self.k ** deriv * np.exp(1j * self.k * x)
         for (zeta, a, _), Kb in zip(self._branches, K):
             out = out - a * zeta ** deriv * Kb
         return out
 
+    def psi_at(self, x, deriv=0):
+        """D^deriv psi at any x: k^deriv e^{ikx} - sum_b a_b zeta_b^deriv K_b(x),
+        for deriv < n only (D^n R0 w = w + lambda R0 w); rows of zero width."""
+        if deriv not in range(self.n):
+            raise DomainError(f"deriv = {deriv!r}: psi_at gives D^0..D^{self.n - 1} psi")
+        x = np.atleast_1d(np.asarray(x, dtype=float))[..., None]
+        return self._psi(*self._read(x, 0.0 * x, [0.0]), deriv)[..., 0]
+
     def sample(self, c, h, t):
         """psi and each wave's envelope r_w (keyed w) at the points c + h t, t
-        along the last axis, each [c - |h|, c + |h|] inside a panel of |x| <= X."""
-        shape, c, h, t = np.shape(c + h * t), *(np.ravel(v).astype(float) for v in (c, h, t))
-        x, region, cache = c[:, None] + h[:, None] * t, self._region_of(c), {}
-        K = np.zeros((len(self._branches),) + x.shape, dtype=complex)
-        sweep = np.array([[[1.0 if upper else -1.0]] for _, _, upper in self._branches])
-        for r in np.unique(region):
-            i, dens = np.flatnonzero(region == r), self._dens[r]
-            mesh, (q, alpha) = dens.mesh, dens.mesh.locate(c[i])
-            T = sweep * (alpha[:, None] + (2.0 * h[i] / (mesh.hi[q] - mesh.lo[q]))[:, None] * t)
-            for b, m in enumerate(_panel_moments(mesh, self._branches, dens.mus, T, cache, q)):
-                K[b, i] = dens.kernel(b, self._branches[b], x[i], q, m).reshape(-1, t.size)
-        x, K = x.reshape(shape), K.reshape(K.shape[:1] + shape)
+        along the last axis, each [c - |h|, c + |h|] inside a panel of |x| <= X
+        or wholly past +-X."""
+        x, K = self._read(c, h, t)
         return self._psi(x, K), {w: self._envelope(x, w, K) for w in self.waves}
 
     def w_at(self, x):

@@ -3,7 +3,7 @@ import pytest
 
 from carleman.coeffmap import RealPolynomial, p_to_q
 from carleman.liouville import OperatorCoefficients
-from carleman.oscquad import gauss_panels
+from carleman.oscquad import exp_monomial_moments, gauss_panels
 from carleman.profile import ChangeOfVariables, WeightProfile
 from carleman.scattering import PotentialSpec, scattering_matrix, solve_lippmann_schwinger
 
@@ -52,6 +52,60 @@ def integrate_panels(f, edges, p=12):
     """sum of Gauss-p integrals of f over consecutive [edges[i], edges[i+1]]."""
     nodes, weights = gauss_panels(edges, p)
     return np.sum(f(nodes.ravel()) * weights.ravel())
+
+
+def direct_moments(mesh, nu, q, t, upper):
+    """int e^{i nu (y - y(t))} l_j(y) dy on panel q of mesh over [-1, t]
+    (upper) or [t, 1] in reference coordinates, shape (..., p), one point at a
+    time: downward, the upward moments at (-nu, -t), basis reversed.  The
+    tests' reference for the library's panel moment batches."""
+    s, d = 0.5 * (mesh.edges[q + 1] - mesh.edges[q]), 1 if upper else -1
+    m = mesh.lagrange(exp_monomial_moments(1j * (d * nu) * s, d * t, mesh.p), s[..., None])
+    return m if upper else m[..., ::-1]
+
+
+def point_read(f, x):
+    """Every branch's K_b, shape (branches, x.size), and each wave's envelope
+    r_w (keyed w) at the points x, read by the field as rows of zero width:
+    each point located on its own panel, with its own moment keys."""
+    x = np.ravel(np.asarray(x, dtype=float))[:, None]
+    x, K = f._read(x, 0.0 * x, [0.0])
+    return K[..., 0], {w: f._envelope(x, w, K)[:, 0] for w in f.waves}
+
+
+def direct_kernel(f, b, x):
+    """K_b at the points x, |x| <= X, as a direct sum over the panels of the
+    whole line: each panel's own integral anchored at its far edge, carried to
+    the near edge of x's panel and on to x, plus x's partial panel, all from
+    direct_moments."""
+    zeta, _, upper = f._branches[b]
+    regions = [f._dens[r] for r in sorted(f._dens)]
+    lo, hi = (np.concatenate([getattr(d.mesh, end) for d in regions]) for end in ("lo", "hi"))
+    far = hi if upper else lo
+
+    def moments(d, q, t, y):
+        """sum_c e^{i mu_c y} int e^{i (mu_c - zeta) (u - y)} f_c(u) du over
+        panels q from their near edge to t."""
+        return sum(np.exp(1j * mu * y) * np.einsum(
+            "qj,qj->q", direct_moments(d.mesh, mu - zeta, q, t, upper), fc[q])
+            for mu, fc in zip(d.mus, d.fs))
+
+    totals = np.concatenate([moments(
+        d, np.arange(d.mesh.n_panels), 1.0 if upper else -1.0,
+        d.mesh.hi if upper else d.mesh.lo) for d in regions])
+    x = np.ravel(np.asarray(x, dtype=float))
+    region = np.where(np.abs(x) > f.X0, np.sign(x), 0.0).astype(int)
+    out = np.empty(x.size, dtype=complex)
+    for r in np.unique(region):
+        i, d = np.flatnonzero(region == r), f._dens[r]
+        q, t = d.mesh.locate(x[i])
+        panels, of = np.unique(q, return_inverse=True)
+        e = (d.mesh.lo if upper else d.mesh.hi)[panels]  # each panel's near edge
+        side = hi <= e[:, None] if upper else lo >= e[:, None]
+        carried = np.exp(1j * zeta * np.where(side, e[:, None] - far, 0.0)) * totals
+        state = np.sum(np.where(side, carried, 0.0), axis=1)
+        out[i] = np.exp(1j * zeta * (x[i] - e[of])) * state[of] + moments(d, q, t, x[i])
+    return out
 
 
 @pytest.fixture(scope="session")

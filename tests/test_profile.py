@@ -195,6 +195,25 @@ def test_memoised_series_match_the_per_call_series(family, monkeypatch):
         assert np.array_equal(cov.x_of_xi(xi), x) and calls == [], n
 
 
+@pytest.mark.parametrize("family", ["cosh", "power_law", "stretched_exp"])
+def test_memoised_series_do_not_depend_on_the_cells_a_call_touches(family):
+    # a cell's column is the same bits whether its first call touches it
+    # alone or together with every other cell: neither a one-column product
+    # (BLAS gemv) nor the last columns of a wide one (gemm's edge kernel, past
+    # ~190 columns) may round on a path of its own.  Every 8th cell and the
+    # last 7 are touched alone, all of them (513 for two families) at once
+    for n in range(2, 6):
+        alone, batch = (ChangeOfVariables(WeightProfile(family), n) for _ in range(2))
+        mids = 0.5 * (alone._grid[:-1] + alone._grid[1:])
+        for m in np.concatenate((mids[::8], mids[-7:])):
+            alone.x_of_xi(m)
+        batch.x_of_xi(mids)
+        cells = np.flatnonzero(alone._slot >= 0)
+        assert cells.size >= 70 and np.all(batch._slot[cells] >= 0)
+        assert np.array_equal(alone._coef[:, alone._slot[cells]],
+                              batch._coef[:, batch._slot[cells]]), n
+
+
 @pytest.mark.parametrize("prof, xi", [
     (WeightProfile("cosh"), np.linspace(-40.0, 40.0, 161)),
     (WeightProfile("power_law"), np.concatenate((np.linspace(-30.0, 30.0, 121),

@@ -14,6 +14,7 @@ from carleman.scattering import (CORE_RADIUS, PotentialSpec, _core_mesh, _CoreSo
                                  free_resolvent_kernel, ode_cross_check,
                                  scattering_matrix, solve_lippmann_schwinger,
                                  square_well_reflection, zeta_roots)
+from conftest import direct_kernel, direct_moments, point_read
 
 
 def zero_potential(support=6.0):
@@ -181,7 +182,7 @@ def test_decomposition_identity(field3):
     # psi = e^{ikx} r(x) + psi_dec with psi_dec built from the complex roots
     xs = np.linspace(-30.0, 30.0, 13)
     psi = field3.psi_at(xs)
-    osc = np.exp(1j * field3.k * xs) * field3.r_plus(xs)
+    osc = np.exp(1j * field3.k * xs) * point_read(field3, xs)[1][1]
     dec = psi - osc
     # the decaying part dies toward the grid ends
     assert np.abs(dec[0]) < 2e-2 and np.abs(dec[-1]) < 2e-2
@@ -197,7 +198,7 @@ def test_field_survives_a_later_solve(pot2):
     solver.solve(4000.0)
     xs = np.array([-3000.0, -1500.0, -75.0, 30.0, 75.0, 1500.0, 3000.0])
     assert fX.r_limits() == fresh.r_limits()
-    assert np.array_equal(fX.r_plus(xs), fresh.r_plus(xs))
+    assert np.array_equal(point_read(fX, xs)[1][1], point_read(fresh, xs)[1][1])
     assert np.array_equal(fX.psi_at(xs), fresh.psi_at(xs))
 
 
@@ -259,39 +260,20 @@ def test_singular_panel_block_is_near_exceptional(monkeypatch):
 @pytest.mark.parametrize("which", ["field2", "field3"])
 def test_kernel_matches_direct_panel_sums(which, request):
     # K_b read from the line solve's states against a direct sum over the
-    # panels of the whole line: each panel's own integral anchored at its far
-    # edge, carried to x by one phase, plus x's partial panel.  Every branch
+    # panels of the whole line (conftest's direct_kernel).  Every branch
     # (n = 2: two real roots; n = 3: one real and two complex), both sweeps,
     # at points in the core and on the outer sides drawn from rng seeds 0-19
     f = request.getfixturevalue(which)
-    regions = [f._dens[r] for r in sorted(f._dens)]
-    lo, hi = (np.concatenate([getattr(d.mesh, end) for d in regions]) for end in ("lo", "hi"))
     w_max = np.max(np.abs(f.w))
-
-    def moments(d, zeta, q, t, x, upper):
-        """sum_c e^{i mu_c x} int e^{i (mu_c - zeta) (y - x)} f_c over panels q
-        from their near edge to t."""
-        return sum(np.exp(1j * mu * x) * np.einsum(
-            "qj,qj->q", d.mesh.moments(mu - zeta, q, t, upper), fc[q])
-            for mu, fc in zip(d.mus, d.fs))
-
-    for b, (zeta, _, upper) in enumerate(f._branches):
-        far = hi if upper else lo
-        totals = np.concatenate([moments(
-            d, zeta, np.arange(d.mesh.n_panels), 1.0 if upper else -1.0,
-            d.mesh.hi if upper else d.mesh.lo, upper) for d in regions])
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            x_core = rng.uniform(-f.X0, f.X0, 4)
-            x_out = rng.choice([-1.0, 1.0], 4) * f.X0 * (f.X / f.X0) ** rng.uniform(0.0, 1.0, 4)
-            for xs, bound in ((x_core, 1e-13), (x_out, 3e-12)):
-                for x, got in zip(xs, f._kernel(xs, b)):
-                    d = f._dens[int(np.sign(x)) if abs(x) > f.X0 else 0]
-                    q, t = d.mesh.locate(np.array([x]))
-                    side = hi <= d.mesh.lo[q] if upper else lo >= d.mesh.hi[q]
-                    ref = np.sum(np.exp(1j * zeta * (x - far[side])) * totals[side]) \
-                        + moments(d, zeta, q, t, x, upper)[0]
-                    assert abs(got - ref) <= bound * w_max, (zeta, upper, seed, x)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        x_core = rng.uniform(-f.X0, f.X0, 4)
+        x_out = rng.choice([-1.0, 1.0], 4) * f.X0 * (f.X / f.X0) ** rng.uniform(0.0, 1.0, 4)
+        for xs, bound in ((x_core, 1e-13), (x_out, 3e-12)):
+            K = point_read(f, xs)[0]
+            for b, (zeta, _, upper) in enumerate(f._branches):
+                err = np.abs(K[b] - direct_kernel(f, b, xs))
+                assert np.all(err <= bound * w_max), (zeta, upper, seed, xs)
 
 
 @pytest.mark.parametrize("which, k", [("pot2m1", 1.0), ("pot2m1", 5.0 ** 0.5),
@@ -313,7 +295,7 @@ def test_state_residual(which, k, request, monkeypatch):
 
 def test_panel_moments_match_direct_moments():
     # each branch's moments at points shared by every panel, read per panel
-    # from its half-width, are the direct _Mesh.moments values at those
+    # from its half-width, are the direct_moments values at those
     # points along its sweep (x upward, -x downward), bitwise: the whole
     # panel (t = 1), the reference Gauss nodes, and the 12, 24 and 25
     # first-kind Chebyshev points of theta's psi tables; for real and complex
@@ -328,7 +310,7 @@ def test_panel_moments_match_direct_moments():
         for (z, _, upper), got in zip(branches, _panel_moments(mesh, branches, mus, t)):
             for nu, m in zip(mus - z, got):
                 sweep = np.tile((1 if upper else -1) * t, q.size)
-                want = mesh.moments(nu, np.repeat(q, t.size), sweep, upper)
+                want = direct_moments(mesh, nu, np.repeat(q, t.size), sweep, upper)
                 assert np.array_equal(m[mesh.width_of].reshape(want.shape), want), \
                     (z, upper, t.size)
 
@@ -409,7 +391,7 @@ def test_downward_moments_match_mpmath(p, rng):
         for q in range(mesh.n_panels):
             s = 0.5 * (edges[q + 1] - edges[q])
             ts = np.concatenate(([-1.0], nodes, rng.uniform(-1.0, 1.0, 2)))
-            got = mesh.moments(nu, np.full(ts.size, q), ts, False)
+            got = direct_moments(mesh, nu, np.full(ts.size, q), ts, False)
             want = np.array([lagrange_moments_down(nodes, nu, s, t) for t in ts])
             bound = 1e-12 * np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= bound, (nu, q)
@@ -499,15 +481,15 @@ def test_each_lagrange_row_formed_once_per_solver(potential, request, monkeypatc
 def test_residual_matches_the_general_path(potential, k, request):
     # the residual, read from the core's block equation, against the core
     # equation w - sigma(k) e^{ikx} + sum_b a_b sigma_b K_b at the core nodes
-    # with K_b from the general path, which locates each point and takes its
+    # with K_b from a point read, which locates each point and takes its
     # partial moments; both sweeps
     pot = request.getfixturevalue(potential)
     solver = _CoreSolver(pot, k, 120.0, (1.0e4,))
     field, mesh = solver.solve(1.0e4), solver.mesh
     assert {upper for _, _, upper in solver._branches} == {True, False}
     resid = field.w - solver._symbol(mesh, k) * np.exp(1j * k * mesh.nodes)
-    for b, g in enumerate(solver._coef(mesh)):
-        resid = resid + g * field._kernel(mesh.nodes + 0.0, b)
+    for g, K in zip(solver._coef(mesh), point_read(field, mesh.nodes)[0]):
+        resid = resid + g * K
     w_max = np.max(np.abs(field.w))
     assert np.max(np.abs(resid)) <= 1e-12 * w_max
     assert field.diagnostics["residual"] <= 1e-12 * w_max
@@ -910,10 +892,10 @@ def test_envelopes_past_X_are_their_limits(which, lam, request):
     e = scattering_matrix(request.getfixturevalue(which), lam, X=1.0e4)
     S = np.zeros((2, 2), dtype=complex)
     for j, f in enumerate(e.fields):
-        lims, r = f.r_limits(), {1: f.r_plus, -1: f.r_minus}
+        lims, r = f.r_limits(), {s: point_read(f, [2 * s * f.X])[1] for s in (+1, -1)}
         for side, w in lims:
-            assert abs(r[w](np.array([2 * side * f.X]))[0] - lims[side, w]) <= 1e-14
-        S[:, j] = [r[s * f.direction](np.array([2 * s * f.X]))[0] for s in (+1, -1)]
+            assert abs(r[side][w][0] - lims[side, w]) <= 1e-14
+        S[:, j] = [r[s][s * f.direction][0] for s in (+1, -1)]
     assert sc._unitarity_defect(S) <= 1e-14
 
 
@@ -937,8 +919,8 @@ def test_outer_density_solves_the_outer_equation(which, request):
             ref, bound = sum(b[m] * f.psi_at(y, m) for m in range(f.n - 1)), 1e-14
         else:
             ref, bound = sum(sum(b[m] * (w * f.k) ** m for m in range(f.n - 1))
-                             * np.exp(1j * w * f.k * y) * f._envelope(y, w)
-                             for w in f.waves), 1e-12
+                             * np.exp(1j * w * f.k * y) * r
+                             for w, r in point_read(f, y)[1].items()), 1e-12
         assert np.max(np.abs(f._dens[side].values(y) - ref)) \
             <= bound * np.max(np.abs(f.w))
     if f.n == 4:

@@ -48,20 +48,20 @@ edges below X, then X, and the left side mirrors it.  One batch eliminates the
 run's panels and each shorter X's clipped last panel, both mirrored, and each
 side is a view of its panels there: one elimination per outer panel.
 
-Panel moments depend only on the key (p, half-width, d nu, reference points
-along the sweep); a downward one is the upward one at -nu, basis-reversed, and
-one at d nu = 0 its half-width times the unit-width one, formed once per point
-set.  An elimination forms its keys in one batch and one product, at the Gauss
-nodes and t = 1 (own-node, a downward branch reading them reversed, and
-whole-panel), as does a panel-aligned read (`EigenfunctionField.sample`): its
-points are +-t exactly on whole panels, one key per half-width.  The line solve
+A panel moment depends only on its key: p, the half-width s (1 at d nu = 0,
+whose moment is s times the unit-width one), mu = i d nu s with d = -1 on a
+downward sweep (the upward moment at -nu, basis-reversed), and the reference
+points along the sweep.  One `_panel_moments` call per elimination, and per
+read one for the core's rows and one for both sides', finds the distinct keys
+and forms them in one batch and one product: own-node and whole-panel at the
+Gauss nodes and t = 1 (a downward branch reads them reversed); a panel-aligned
+read (`EigenfunctionField.sample`) at +-t on whole panels.  The line solve
 returns its states at every panel edge, with one recursion step past each end
-of the line, and each panel's own integral F_P f_P anchored at its far edge; a
-field reads every kernel integral from them.  The residual is the defect of the
-core's block equation, C_P f_P + G_P s(P) - rhs_P: the core equation at the
-core nodes.  The coefficients b~_m are evaluated once per mesh and solver, so a
-later solve does only the solution's work: the incident source, the line solve
-and the residual's products.
+of the line, and each panel's own integral F_P f_P anchored at its far edge,
+from which a field reads every kernel integral.  The residual is the defect of
+the core's block equation, C_P f_P + G_P s(P) - rhs_P, at the core nodes.  The
+b~_m are evaluated once per mesh and solver: a later solve does only the
+incident source, the line solve and the residual's products.
 
 A field evaluates one kernel integral per branch on the whole line,
 K_b(x) = int e^{i zeta_b (x-y)} w(y) dy over the branch side of x: the state
@@ -224,8 +224,6 @@ class _Mesh:
     nodes: np.ndarray
     p: int
     cmat: np.ndarray      # Lagrange coefficient matrix on the reference nodes
-    widths: np.ndarray    # the distinct panel half-widths
-    width_of: np.ndarray  # each panel's index into widths
 
     @property
     def n_panels(self):
@@ -239,34 +237,29 @@ class _Mesh:
         lo, hi = self.edges[q], self.edges[q + 1]
         return q, (2.0 * x - (lo + hi)) / (hi - lo)
 
-    def lagrange(self, m, s):
-        """s times the Lagrange moments from m, the upward monomial ones."""
-        return s * (m @ self.cmat)
 
-
-def _panel_moments(mesh, branches, mus, t, cache=None, q=None):
-    """Each branch's Lagrange moments of e^{i (mu - zeta) y} to points t along
-    its sweep (module docstring): shared, per half-width, (mus, widths, *t.shape,
-    p); or t[b, i] on panel q[i], (mus, q.size, m, p).  New keys form one batch."""
-    t, cache = np.asarray(t, dtype=float), {} if cache is None else cache
-    s = (mesh.widths if q is None else mesh.widths[mesh.width_of[q]]).tolist()
-    unit = lambda k: (k[0], 1.0, 0.0, k[3]) if k[2] == 0 else k  # d nu = 0: w times width 1
-    keys, new = [], {}  # new: the keys not in the cache, with their branch and panel
-    for j, (zeta, _, upper) in enumerate(branches):
-        pts = [t.tobytes()] * len(s) if q is None else [row.tobytes() for row in t[j]]
-        keys.append([[(mesh.p, w, dnu, pt) for w, pt in zip(s, pts)]
-                     for dnu in ((1 if upper else -1) * (np.asarray(mus) - zeta)).tolist()])
-        new.update((u, (j, i)) for row in keys[-1] for i, u in enumerate(map(unit, row))
-                   if u not in cache)
-    if new:
-        tn = t if q is None else t[tuple(np.array(list(new.values())).T)]
-        shape = (-1,) + (1,) * (tn.ndim - (q is not None))
-        w, nu = (np.array([key[i] for key in new]).reshape(shape) for i in (1, 2))
-        cache.update(zip(new, mesh.lagrange(exp_monomial_moments(1j * nu * w, tn, mesh.p),
-                                            w[..., None])))
-    return [np.array([[cache[k] if k in cache else k[1] * cache[unit(k)] for k in row]
-                      for row in rows])[..., ::1 if upper else -1]
-            for rows, (_, _, upper) in zip(keys, branches)]
+def _panel_moments(mesh, branches, mus, w, t):
+    """Each branch's Lagrange moments of e^{i (mu - zeta) y}, (mus, rows, points,
+    p), on rows of half-width w[i] to the points t[b, i] along its sweep, or to
+    one t that every row shares; yielded a branch at a time.  The distinct keys
+    (module docstring) form one batch."""
+    w, mus = np.asarray(w, dtype=float), np.asarray(mus)
+    dnu = np.array([(1 if upper else -1) * (mus - zeta) for zeta, _, upper in branches])
+    s = np.where(dnu[..., None] == 0, 1.0, w)  # d nu = 0: w times width 1
+    mu = 1j * dnu[..., None] * s
+    t = np.broadcast_to(t, (len(branches), w.size, np.shape(t)[-1]))[:, None]
+    keys = np.concatenate([np.stack([s, mu.real + 0.0, mu.imag + 0.0], axis=-1),
+                           np.broadcast_to(t, s.shape + t.shape[-1:])], -1).reshape(s.size, -1)
+    order = np.lexsort(keys.T)
+    new = np.append(True, np.any(np.diff(keys[order], axis=0) != 0, axis=1))
+    of = (np.cumsum(new) - 1)[np.argsort(order)]  # each key's place among the distinct ones
+    u = keys[order[new]]
+    m = u[:, :1, None] * (exp_monomial_moments(u[:, 1:3].view(complex), u[:, 3:], mesh.p)
+                          @ mesh.cmat)
+    for b, (_, _, upper) in enumerate(branches):
+        out = m[of.reshape(s.shape)[b]]
+        out[dnu[b] == 0] *= w[:, None, None]
+        yield out[..., ::1 if upper else -1]
 
 
 def _panelize(edges, p):
@@ -276,10 +269,8 @@ def _panelize(edges, p):
 def _panels(lo, hi, p, edges=None):
     """The Gauss-p mesh of the panels [lo, hi], with their `edges` if they abut."""
     x, s = gauss_rule(p)[0], 0.5 * (hi - lo)
-    widths, width_of = np.unique(s, return_inverse=True)
-    return _Mesh(edges=edges, lo=lo, hi=hi,
-                 nodes=(0.5 * (lo + hi)[:, None] + s[:, None] * x).ravel(), p=p,
-                 cmat=lagrange_coeff_matrix(x), widths=widths, width_of=width_of)
+    return _Mesh(edges=edges, lo=lo, hi=hi, p=p, cmat=lagrange_coeff_matrix(x),
+                 nodes=(0.5 * (lo + hi)[:, None] + s[:, None] * x).ravel())
 
 
 def _core_mesh(x0, k, breaks=()):
@@ -378,27 +369,41 @@ class EigenfunctionField:
     def _read(self, c, h, t):
         """The points x = c + h t, t along the last axis, and every branch's K_b
         there, (branches, *x.shape).  A row [c - |h|, c + |h|] inside a panel
-        of |x| <= X reads its panel's state and its points' moments, one batch
-        per region; a row wholly past +-X, every panel's own integral carried
-        out on the branches whose sweep leaves there, and zero on the others."""
+        of |x| <= X reads its panel's state and its points' moments (module
+        docstring); a row wholly past +-X, every panel's own integral carried
+        out on the branches whose sweep leaves there, zero on the others.  Any
+        other row (by over 1e-12 of a reference coordinate) is refused."""
         shape, c, h, t = np.shape(c + h * t), *(np.ravel(v).astype(float) for v in (c, h, t))
-        x, region, cache = c[:, None] + h[:, None] * t, self._region_of(c), {}
+        x, region = c[:, None] + h[:, None] * t, self._region_of(c)
         K = np.zeros((len(self._branches),) + x.shape, dtype=complex)
         sweep = np.array([[[1.0 if upper else -1.0]] for _, _, upper in self._branches])
-        for r in np.unique(region):
-            i = np.flatnonzero(region == r)
-            if abs(r) == 2:
-                for b, (zeta, _, upper) in enumerate(self._branches):
-                    if upper == (r > 0):
-                        x0 = (self.X if upper else -self.X) if zeta.imag else 0.0  # as r_limits
-                        K[b, i] = np.exp(1j * zeta * (x[i] - x0)) \
-                            * self._carried(x0, b, zeta, upper)
+        groups = {}  # the core's rows, both sides': (density, rows, panels, half-widths, points)
+        for r in np.unique(region).tolist():
+            i, dens = np.flatnonzero(region == r), self._dens.get(max(-1, min(r, 1)), self._core)
+            q, alpha = dens.mesh.locate(c[i])
+            s = 0.5 * (dens.mesh.hi - dens.mesh.lo)[q]
+            a = h[i] / s
+            lo, hi = {-2: (-np.inf, -1.0), 2: (1.0, np.inf)}.get(r, (-1.0, 1.0))
+            out = (alpha - abs(a) < lo - 1e-12) | (alpha + abs(a) > hi + 1e-12)
+            if out.any():
+                j = i[np.argmax(out)]
+                raise DomainError(f"the row [{c[j] - abs(h[j]):g}, {c[j] + abs(h[j]):g}] is "
+                                  f"neither inside one panel of |x| <= {self.X:g} nor past it")
+            if abs(r) < 2:
+                groups.setdefault(r != 0, []).append(
+                    (dens, i, q, s, sweep * (alpha[:, None] + a[:, None] * t)))
                 continue
-            dens = self._dens[r]
-            mesh, (q, alpha) = dens.mesh, dens.mesh.locate(c[i])
-            T = sweep * (alpha[:, None] + (2.0 * h[i] / (mesh.hi[q] - mesh.lo[q]))[:, None] * t)
-            for b, m in enumerate(_panel_moments(mesh, self._branches, dens.mus, T, cache, q)):
-                K[b, i] = dens.kernel(b, self._branches[b], x[i], q, m).reshape(-1, t.size)
+            for b, (zeta, _, upper) in enumerate(self._branches):
+                if upper == (r > 0):
+                    x0 = (self.X if upper else -self.X) if zeta.imag else 0.0  # as r_limits
+                    K[b, i] = np.exp(1j * zeta * (x[i] - x0)) * self._carried(x0, b, zeta, upper)
+        for dens, i, q, s, T in (zip(*group) for group in groups.values()):
+            moments = _panel_moments(dens[0].mesh, self._branches, dens[0].mus,
+                                     np.concatenate(s), np.concatenate(T, axis=1))
+            for b, m in enumerate(moments):
+                parts = np.split(m, np.cumsum([j.size for j in i])[:-1], axis=1)
+                for d, j, qd, md in zip(dens, i, q, parts):
+                    K[b, j] = d.kernel(b, self._branches[b], x[j], qd, md).reshape(-1, t.size)
         return x.reshape(shape), K.reshape(K.shape[:1] + shape)
 
     def _carried(self, x0, b, zeta, upper):  # every panel's own integral of b, carried to x0
@@ -486,19 +491,19 @@ class _Blocks:
         G = np.zeros((n_p, nc, p, nb), dtype=complex)
         F = np.empty((n_p, nb, nc, p), dtype=complex)
         step = np.empty((n_p, nb), dtype=complex)
-        # one batch, own-node and whole-panel (module docstring); each panel gathers
-        # its width's at use, one branch's copy at a time, the peak of a solve
-        moments = _panel_moments(mesh, branches, mus, np.append(gauss_rule(p)[0], 1.0))
+        # one batch, own-node and whole-panel (module docstring), a branch at a time
+        moments = _panel_moments(mesh, branches, mus, 0.5 * (mesh.hi - mesh.lo),
+                                 np.append(gauss_rule(p)[0], 1.0))
         for b, ((zeta, _, upper), m) in enumerate(zip(branches, moments)):
             near, far = (mesh.lo, mesh.hi)[::1 if upper else -1]
             own = slice(p) if upper else slice(p - 1, None, -1)
             F[:, b] = (np.exp(1j * mus[:, None] * far)[..., None]
-                       * m[:, mesh.width_of, p]).transpose(1, 0, 2)
+                       * m[:, :, p]).transpose(1, 0, 2)
             step[:, b] = np.exp((1j if upper else -1j) * zeta * (mesh.hi - mesh.lo))
             g = coef[:, b].reshape(nc, *x.shape) * ph.conj()
             for c in np.flatnonzero(g.any(axis=(1, 2))):
                 C[:, c] += np.moveaxis(g[c][..., None] * ph[..., None]
-                                       * m[:, mesh.width_of, own], 0, 2)
+                                       * m[:, :, own], 0, 2)
                 G[:, c, :, b] = g[c] * np.exp(1j * zeta * (x - near[:, None]))
         self.C, self.G = C.reshape(n_p, nc * p, nc * p), G.reshape(n_p, nc * p, nb)
         try:
@@ -661,7 +666,7 @@ class _CoreSolver:
             for side, q, edges in ((-1, r[::-1], -e[::-1]), (+1, lo.size + r, e)):
                 nodes = (q[:, None] * union.p + np.arange(union.p)).ravel()
                 mesh = replace(union, edges=edges, lo=union.lo[q], hi=union.hi[q],
-                               nodes=union.nodes[nodes], width_of=union.width_of[q])
+                               nodes=union.nodes[nodes])
                 self._values[mesh] = self._values[union][:, nodes]
                 out[X][side] = blocks.join(mesh, q)
         return out

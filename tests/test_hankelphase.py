@@ -508,21 +508,20 @@ def test_panel_read_matches_direct_panel_sums(p, k, X, cosh_profile, monkeypatch
     # test_kernel_matches_direct_panel_sums (read at <= 6.4% of them).  The
     # pointwise bound does not hold against the direct sums (7.6e-13 of the
     # terms for X^5).  The build forms each distinct
-    # (p, half-width, d nu, points) key's moments once, solves for xi in two
-    # passes (table edges; nodes and ends) and calls psi_at zero times.
+    # (p, half-width, mu, points) key's moments once (no two rows of
+    # exp_monomial_moments' (mu, t) inputs agree), in one call per read for
+    # the core's rows and one for both sides', solves for xi in two passes
+    # (table edges; nodes and ends) and calls psi_at zero times.
     Q = p_to_q(RealPolynomial([-1.0, 0.0, 1.0] if p is None else p))
     cov = ChangeOfVariables(cosh_profile, Q.degree)
     pot = _COMPACT if p is None else PotentialSpec.from_operator(OperatorCoefficients(Q, cov))
     field = solve_lippmann_schwinger(pot, k, X=X)
-    reads, formed, psi_calls, xi_calls = [], [], [], []
-    sample, moments, xi_of_x = sc.EigenfunctionField.sample, sc._panel_moments, cov.xi_of_x
-
-    def recorded_moments(mesh, branches, mus, t, cache=None, q=None):
-        before = set(cache)
-        out = moments(mesh, branches, mus, t, cache, q)
-        formed.extend(set(cache) - before)
-        return out
-    monkeypatch.setattr(sc, "_panel_moments", recorded_moments)
+    reads, formed, calls, psi_calls, xi_calls = [], [], [], [], []
+    sample, moments, xi_of_x = sc.EigenfunctionField.sample, sc.exp_monomial_moments, cov.xi_of_x
+    monkeypatch.setattr(sc, "exp_monomial_moments", lambda mu, t, p: calls.append(p)
+                        or formed.extend((p, m, row.tobytes())
+                                         for m, row in zip(np.ravel(mu).tolist(), t))
+                        or moments(mu, t, p))
     monkeypatch.setattr(sc.EigenfunctionField, "sample", lambda f, c, h, t: reads.append(
         (np.asarray(c), np.asarray(h), np.asarray(t), sample(f, c, h, t))) or reads[-1][3])
     monkeypatch.setattr(sc.EigenfunctionField, "psi_at", lambda *a: psi_calls.append(a))
@@ -530,6 +529,9 @@ def test_panel_read_matches_direct_panel_sums(p, k, X, cosh_profile, monkeypatch
     ev = ThetaEvaluator(field, Q, cov)
     monkeypatch.undo()
     assert not psi_calls and formed and len(set(formed)) == len(formed)
+    groups = [{r != 0 for r in field._region_of(np.ravel(c)).tolist() if abs(r) < 2}
+              for c, _, _, _ in reads]
+    assert len(calls) == sum(map(len, groups))
     assert len(xi_calls) == 2
     assert [t.size for _, _, t, _ in reads] == ([12] if len(field.waves) == 1 else [12, 49])
     c, h = (np.concatenate([np.ravel(r[i]) for r in reads]) for i in (0, 1))

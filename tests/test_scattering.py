@@ -293,10 +293,14 @@ def test_state_residual(which, k, request, monkeypatch):
     assert solve_lippmann_schwinger(pot, k).diagnostics["state_residual"] >= 1e-9
 
 
+def half_widths(mesh):
+    return 0.5 * (mesh.hi - mesh.lo)
+
+
 def test_panel_moments_match_direct_moments():
-    # each branch's moments at points shared by every panel, read per panel
-    # from its half-width, are the direct_moments values at those
-    # points along its sweep (x upward, -x downward), bitwise: the whole
+    # each branch's moments on every panel, at points that every row shares
+    # and at the same points given row by row, are the direct_moments values at
+    # those points along its sweep (x upward, -x downward), bitwise: the whole
     # panel (t = 1), the reference Gauss nodes, and the 12, 24 and 25
     # first-kind Chebyshev points of theta's psi tables; for real and complex
     # nu in both sweeps (nu = +-1 in both)
@@ -306,13 +310,15 @@ def test_panel_moments_match_direct_moments():
     branches = [(1.0, None, True), (zeta, None, True), (1.0, None, False),
                 (-1.0, None, False), (np.conj(zeta), None, False)]
     cheb = [np.cos(np.pi * (np.arange(m) + 0.5) / m) for m in (12, 24, 25)]
-    for t in (np.array(1.0), gauss_rule(mesh.p)[0], *cheb):
-        for (z, _, upper), got in zip(branches, _panel_moments(mesh, branches, mus, t)):
-            for nu, m in zip(mus - z, got):
-                sweep = np.tile((1 if upper else -1) * t, q.size)
-                want = direct_moments(mesh, nu, np.repeat(q, t.size), sweep, upper)
-                assert np.array_equal(m[mesh.width_of].reshape(want.shape), want), \
-                    (z, upper, t.size)
+    for t in (np.array([1.0]), gauss_rule(mesh.p)[0], *cheb):
+        rows = np.broadcast_to(t, (len(branches), q.size, t.size))
+        for ts in (t, rows):
+            moments = _panel_moments(mesh, branches, mus, half_widths(mesh), ts)
+            for (z, _, upper), got in zip(branches, moments):
+                for nu, m in zip(mus - z, got):
+                    sweep = np.tile((1 if upper else -1) * t, (q.size, 1))
+                    want = direct_moments(mesh, nu, np.repeat(q[:, None], t.size, 1), sweep, upper)
+                    assert np.array_equal(m, want), (z, upper, t.size)
 
 
 @pytest.mark.parametrize("potential, k", [("pot2", 1.0), ("pot3", 0.8)])
@@ -325,20 +331,19 @@ def test_zero_dnu_moments_are_the_half_width_times_the_unit_width_ones(
     # moments formed at w, bitwise
     calls, moments = [], sc._panel_moments
     monkeypatch.setattr(sc, "_panel_moments",
-                        lambda *a: calls.append((a, moments(*a))) or calls[-1][1])
+                        lambda *a: calls.append((a, list(moments(*a)))) or iter(calls[-1][1]))
     field = _CoreSolver(request.getfixturevalue(potential), k, 120.0, (1e4,)).solve(1e4)
     e = field.edges[field.edges >= field.X0][:13]
     c, h = 0.5 * (e[1:] + e[:-1]), 0.5 * np.diff(e)
     field.sample(c[:, None], h[:, None], _ChebTable.grid(len(field.waves), 12))
-    for (mesh, branches, mus, t, *rest), out in (calls[1], calls[-1]):  # the union's, the read
-        q, checked = rest[1] if rest else None, 0
-        s = (mesh.widths if q is None else mesh.widths[mesh.width_of[q]]).tolist()
+    for (mesh, branches, mus, widths, t), out in (calls[1], calls[-1]):  # the union's, the read
+        checked = 0
         for j, ((zeta, _, upper), m) in enumerate(zip(branches, out)):
             for mu, m_mu in zip(mus, m):
-                for i, w in enumerate(s if mu == zeta else []):
-                    tw = t if q is None else t[j, i]
-                    unit = mesh.lagrange(exp_monomial_moments(0j, tw, mesh.p), 1.0)
-                    formed = mesh.lagrange(exp_monomial_moments(0j * w, tw, mesh.p), w)
+                for i, w in enumerate(widths if mu == zeta else []):
+                    tw = t if t.ndim == 1 else t[j, i]
+                    unit = exp_monomial_moments(0j, tw, mesh.p) @ mesh.cmat
+                    formed = w * (exp_monomial_moments(0j * w, tw, mesh.p) @ mesh.cmat)
                     for want in (w * unit, formed):
                         assert np.array_equal(m_mu[i], want[..., ::1 if upper else -1])
                     checked += 1
@@ -386,7 +391,8 @@ def test_downward_moments_match_mpmath(p, rng):
     mesh = sc._panelize(edges, p)
     nodes = gauss_rule(p)[0]
     # the eliminations' downward own-node moments, along -x, in x order
-    own = _panel_moments(mesh, [(0.0, None, False)], NUS_DOWN, nodes)[0][..., ::-1, :]
+    own = next(_panel_moments(mesh, [(0.0, None, False)], NUS_DOWN, half_widths(mesh),
+                              nodes))[..., ::-1, :]
     for i, nu in enumerate(NUS_DOWN):
         for q in range(mesh.n_panels):
             s = 0.5 * (edges[q + 1] - edges[q])
@@ -395,7 +401,7 @@ def test_downward_moments_match_mpmath(p, rng):
             want = np.array([lagrange_moments_down(nodes, nu, s, t) for t in ts])
             bound = 1e-12 * np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= bound, (nu, q)
-            assert np.max(np.abs(own[i, mesh.width_of[q]] - want[1:p + 1])) <= bound, (nu, q)
+            assert np.max(np.abs(own[i, q] - want[1:p + 1])) <= bound, (nu, q)
 
 
 def count_moments(monkeypatch):
@@ -418,62 +424,64 @@ def test_even_n_blocks_compute_each_moment_once(pot2, monkeypatch):
         (t, np.ravel(mu))) or moments(mu, t, p))
     sc._Blocks(solver.lam, mesh, [0.0], solver._branches, [solver._coef(mesh)])
     ((t, mu),) = calls
-    assert np.array_equal(t, np.append(gauss_rule(mesh.p)[0], 1.0))
-    assert np.array_equal(mu, -1j * mesh.widths)
+    assert np.all(t == np.append(gauss_rule(mesh.p)[0], 1.0))
+    assert not mu.real.any() and np.array_equal(np.sort(-mu.imag), np.unique(half_widths(mesh)))
 
 
-@pytest.mark.parametrize("potential, k", [("pot2", 1.0), ("pot3", 0.8)])
+@pytest.mark.parametrize("potential, k", [("pot2", 1.0), ("pot3", 0.8), ("pot4", 1.0)])
 def test_each_moment_computed_once_per_solver(potential, k, request, monkeypatch):
     # the core, both outer sides, +-k and both truncations: every (width,
-    # d nu) a solver reads is computed once, own-node and whole-panel, by one
-    # call per elimination (the core's and the declared truncations' outer
-    # panels); d nu = 0, which only the outer sides have, once at unit width
+    # mu = i d nu width) a solver reads is computed once, own-node and
+    # whole-panel, by one call per elimination (the core's and the declared
+    # truncations' outer panels); d nu = 0, which only the outer sides have,
+    # once at unit width.  X^4's d nu = 1 - i and its mirror differ by the
+    # rounding of the complex roots' real parts, but not their mu
     pot = request.getfixturevalue(potential)
     counted = count_moments(monkeypatch)
     solver = _CoreSolver(pot, k, 120.0, (1e4, 2e4))
     for X in (1e4, 2e4):
         for kk in (k, -k)[:2 - pot.n % 2]:
             solver.solve(X, kk).r_limits()
-    outer = np.unique(np.concatenate([b.mesh.widths for sides in solver._sides.values()
+    outer = np.unique(np.concatenate([half_widths(b.mesh) for sides in solver._sides.values()
                                       for b in sides.values()]))
 
     def distinct(widths, mus, branches):
         dnus = {complex((1 if upper else -1) * (mu - zeta))
                 for zeta, _, upper in branches for mu in mus}
-        return widths.size * len(dnus - {0}) + (0 in dnus)
+        return len({(w, 1j * d * w) for w in widths for d in dnus - {0}}) + (0 in dnus)
 
     # every branch rides in the outer batch, also even n's complex roots,
     # which are no source there
     branches = solver._branches
     assert len(counted) == 2
-    assert sum(counted) == distinct(solver.mesh.widths, [0.0], branches) \
+    assert sum(counted) == distinct(np.unique(half_widths(solver.mesh)), [0.0], branches) \
         + distinct(outer, solver._mus, branches)
 
 
 @pytest.mark.parametrize("potential", ["pot2", "pot3"])
 def test_each_lagrange_row_formed_once_per_solver(potential, request, monkeypatch):
     # over a whole S(lambda) (core, both outer sides, +-k, X and 2X), each
-    # elimination, the core's and the outer union's, forms one Lagrange
-    # product, own-node and whole-panel, for every branch and both sweeps at
-    # once: a row per distinct (half-width, d nu), but d nu = 0 (the outer
-    # waves on their own roots) in one row at unit width; the side meshes form
-    # nothing
-    solvers, formed = [], []
-    init, lagrange = _CoreSolver.__init__, sc._Mesh.lagrange
+    # elimination, the core's and the outer union's, forms one batch of
+    # Lagrange moments, own-node and whole-panel, for every branch and both
+    # sweeps at once: a row per distinct (half-width, d nu), but d nu = 0 (the
+    # outer waves on their own roots) in one row at unit width; the side
+    # meshes form nothing
+    solvers, batches, rows = [], [], []
+    init, moments, monomial = _CoreSolver.__init__, sc._panel_moments, sc.exp_monomial_moments
     monkeypatch.setattr(_CoreSolver, "__init__",
                         lambda self, *a: solvers.append(self) or init(self, *a))
-    monkeypatch.setattr(sc._Mesh, "lagrange", lambda mesh, m, s: formed.append(
-        (mesh, m.ndim, np.ravel(s).tolist())) or lagrange(mesh, m, s))
+    monkeypatch.setattr(sc, "_panel_moments",
+                        lambda mesh, *a: batches.append(mesh) or moments(mesh, *a))
+    monkeypatch.setattr(sc, "exp_monomial_moments",
+                        lambda mu, *a: rows.append(np.ravel(mu)) or monomial(mu, *a))
     scattering_matrix(request.getfixturevalue(potential), 1.0)
     (solver,) = solvers
     sides = {b.mesh for blocks in solver._sides.values() for b in blocks.values()}
     assert len(sides) == 4
-    (union,) = {mesh for mesh, _, _ in formed} - {solver.mesh}
-    assert union not in sides
-    assert [f[:2] for f in sorted(formed, key=lambda f: f[0] is union)] \
-        == [(solver.mesh, 3), (union, 3)]
-    rows = next(widths for mesh, _, widths in formed if mesh is union)
-    assert rows.count(1.0) == 1 and 1.0 not in union.widths
+    (union,) = set(batches) - {solver.mesh}
+    assert union not in sides and batches == [solver.mesh, union] and len(rows) == 2
+    # a unit-width row, for mu = i d nu s is 0 at d nu = 0 whatever the width s
+    assert np.count_nonzero(rows[1] == 0) == 1 and np.all(rows[0] != 0)
 
 
 @pytest.mark.parametrize("potential", ["pot2", "pot3", "pot4"])
@@ -897,6 +905,45 @@ def test_envelopes_past_X_are_their_limits(which, lam, request):
             assert abs(r[side][w][0] - lims[side, w]) <= 1e-14
         S[:, j] = [r[s][s * f.direction][0] for s in (+1, -1)]
     assert sc._unitarity_defect(S) <= 1e-14
+
+
+def test_sample_refuses_rows_that_leave_their_panel(field2m1):
+    # a row [c - |h|, c + |h|] must lie inside one panel of |x| <= X or wholly
+    # past +-X, as one panel's state and moments read it: rows across core
+    # panels (0 +- 5), across X0 (119 +- 3) or X (9990 +- 20), or over the
+    # whole line (0 +- (X + 5)) would read up to 2.7e43 off psi_at, and are
+    # refused, mirrored too; a whole panel, the last one up to X and a row
+    # just past X read psi_at's values
+    f, t = field2m1, _ChebTable.grid(1, 12)
+    for c, h in ((0.0, 5.0), (119.0, 3.0), (9990.0, 20.0), (0.0, f.X + 5.0)):
+        for s in (1.0, -1.0):
+            with pytest.raises(DomainError, match="neither inside one panel"):
+                f.sample(np.array([[s * c]]), np.array([[h]]), t)
+    e = f.edges
+    for lo, hi in ((e[e.size // 2], e[e.size // 2 + 1]), (e[-2], e[-1]), (e[0], e[1]),
+                   (f.X, f.X + 8.0), (-f.X - 8.0, -f.X)):
+        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        psi = f.sample(np.array([[c]]), np.array([[h]]), t)[0].ravel()
+        assert np.max(np.abs(psi - f.psi_at(c + h * t))) <= 1e-13, (lo, hi)
+
+
+@pytest.mark.parametrize("which", ["pot2m1", "pot3", "pot5"])
+def test_point_values_do_not_depend_on_the_other_points_read(which, request):
+    # psi (every derivative) and each r_w at a point are the same bits read
+    # alone, among 400 points (core, outer sides and past +-X) or with those
+    # 400 split in two: a point's moment keys are formed, multiplied into
+    # the Lagrange basis and gathered the same in a batch of any size
+    f, rng = solve_lippmann_schwinger(request.getfixturevalue(which), 1.0, X=1.0e4), \
+        np.random.default_rng(0)
+    x = rng.permutation(np.concatenate([rng.uniform(-1.5, 1.5, 200) * f.X0,
+                                        rng.uniform(-1.2, 1.2, 200) * f.X]))
+
+    def read(x):
+        return np.array([f.psi_at(x, d) for d in range(f.n)] + list(point_read(f, x)[1].values()))
+    whole = read(x)
+    halves = np.concatenate([read(x[:200]), read(x[200:])], axis=1)
+    alone = np.concatenate([read(x[i:i + 1]) for i in range(x.size)], axis=1)
+    assert halves.tobytes() == whole.tobytes() and alone.tobytes() == whole.tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -174,7 +174,7 @@ def _cmd_longrange(args):
         if args.n is not None and args.n != Q.degree:
             raise ConfigurationError(f"--n {args.n} disagrees with the degree "
                                      f"{Q.degree} of the given polynomial")
-    cov = ChangeOfVariables(prof, Q.degree, xi_max=2000.0)
+    cov = ChangeOfVariables(prof, Q.degree)
     op = OperatorCoefficients(Q, cov)
     xs = np.asarray(_parse_grid(args.x_grid))
     rows = []

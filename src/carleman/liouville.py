@@ -149,12 +149,15 @@ class OperatorCoefficients:
     # -- b~ table (for the scattering solver) -------------------------------
 
     def btilde_splines(self, x_max: float):
-        """The table of b~_m (m = 0..n-2) on |x| <= x_max: 20 points on panels
-        uniform in asinh x, at most 0.145 wide there (150 for x_max = 2.6e4)."""
-        u_max = np.arcsinh(x_max)
-        edges = np.sinh(np.linspace(-u_max, u_max, 2 * int(np.ceil(u_max / 0.145)) + 1))
-        edges[0], edges[-1] = -x_max, x_max
-        return _ChebTable(lambda c, h, t: self.gauged_values(c + h * t)[:self.n - 1], edges)
+        """The table of b~_m (m = 0..n-2) past |x| = x_max: 20 points on whole panels
+        of one grid in u = asinh x, u_i = i step - U with U = asinh(2.6e4), step =
+        2U/150 (linspace's, i = 0..150), so a wider table repeats this one's bits."""
+        U, step = np.arcsinh(2.6e4), 2.0 * np.arcsinh(2.6e4) / 150
+        m = np.ceil(np.arcsinh(x_max) / step) + 1
+        edges = np.sinh((75.0 + np.arange(-m, m + 1)) * step - U)
+        lo, hi = np.searchsorted(edges, -x_max) - 1, np.searchsorted(edges, x_max, "right")
+        return _ChebTable(lambda c, h, t: self.gauged_values(c + h * t)[:self.n - 1],
+                          edges[lo:hi + 1])
 
 
 # -- checks ---------------------------------------------------------------

@@ -7,12 +7,12 @@ Built-in families (all even, positive, decaying):
     stretched_exp(a,b):  v(xi) = exp(-b (1 + xi^2)^(a/2))
 
 The map x(xi) = int_0^xi v^(-2/n) is strictly increasing and odd.  It is cached
-at the edges of cells of width 1/8; inside a cell it adds (xi - lo) times a
-Chebyshev series of the running mean of v^(-2/n), formed from the cell's 16
-Gauss values when a call first touches the cell and memoised, and the Newton
-inversion xi(x) iterates on the series of the root's cell.  Derivatives of
-everything come from Taylor-mode jets on the closed forms, never from finite
-differences.
+at the edges of cells of width 1/8, appended in blocks on fixed bounds; inside a
+cell it adds (xi - lo) times a Chebyshev series of the running mean of
+v^(-2/n), formed from the cell's 16 Gauss values when a call first touches the
+cell and memoised, and the Newton inversion xi(x) iterates on the series of the
+root's cell, each point until its own step is small.  Derivatives of everything
+come from Taylor-mode jets on the closed forms, never from finite differences.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ def _mean_matrix(g):
 
 
 _MEAN = _mean_matrix(_GL_NODES)
+_NEWTON_STEPS = 4   # xi(x)'s steps on every point before each stops on its own step
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,7 @@ class ChangeOfVariables:
     MAX_CELLS = 2 ** 20   # cosh needs ~510 cells, stretched_exp ~4800 (n = 2)
     CHUNK = 4096          # cells per batch of Gauss nodes in _extend (~0.5 MB)
 
-    def __init__(self, profile: WeightProfile, n: int, xi_max: float = 64.0):
+    def __init__(self, profile: WeightProfile, n: int):
         if n < 1:
             raise ConfigurationError("operator order n must be >= 1")
         self.profile = profile
@@ -141,31 +142,33 @@ class ChangeOfVariables:
         self._grid = np.array([0.0])
         self._cum = np.array([0.0])
         self._slot, self._coef = np.empty(0, dtype=np.intp), np.empty((_GL_NODES.size, 0))
-        self._extend(min(xi_max, self.guard))
+        self._extend(min(64.0, self.guard))
 
     # -- cache ------------------------------------------------------------
 
-    def _extend(self, xi_max):
-        if xi_max <= self._grid[-1]:
-            return
-        if xi_max > self.guard + 1e-12:
-            raise DomainError(
-                f"xi = {xi_max:g} beyond overflow guard {self.guard:g} "
-                f"for family {self.profile.family!r}")
-        n_new = int(np.ceil((xi_max - self._grid[-1]) / self.CELL)) + 1
-        if self._grid.size - 1 + n_new > self.MAX_CELLS:
-            raise DomainError(
-                f"xi = {xi_max:g} needs more than {self.MAX_CELLS} cache cells "
-                f"of x(xi) for family {self.profile.family!r}")
-        edges = self._grid[-1] + self.CELL * np.arange(n_new + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
+    def _extend(self, xi):
+        """Append blocks of cells until the cache reaches xi: cells 0..512, then
+        block k >= 1 up to cell 2^(9+k), clipped at the guard; one running sum."""
         half = 0.5 * self.CELL
-        cells = half * np.concatenate([
-            self.x_prime(m[:, None] + half * _GL_NODES) @ _GL_WEIGHTS
-            for m in np.split(mid, np.arange(self.CHUNK, mid.size, self.CHUNK))])
-        self._grid = np.concatenate((self._grid, edges[1:]))
-        self._cum = np.concatenate((self._cum, self._cum[-1] + np.cumsum(cells)))
-        self._slot = np.concatenate((self._slot, np.full(n_new, -1)))
+        while self._grid[-1] < xi:
+            if xi > self.guard + 1e-12:
+                raise DomainError(
+                    f"xi = {xi:g} beyond overflow guard {self.guard:g} "
+                    f"for family {self.profile.family!r}")
+            if np.ceil(xi / self.CELL) + 1 > self.MAX_CELLS:   # so no block passes it
+                raise DomainError(
+                    f"xi = {xi:g} needs more than {self.MAX_CELLS} cache cells "
+                    f"of x(xi) for family {self.profile.family!r}")
+            start = self._grid.size - 1
+            stop = int(min(max(513, 1 << start.bit_length()),   # fixed block ends
+                           np.ceil(self.guard / self.CELL) + 1))
+            mid = self.CELL * np.arange(start, stop) + half
+            cells = half * np.concatenate([   # CHUNK-cell batches from the block's start
+                self.x_prime(m[:, None] + half * _GL_NODES) @ _GL_WEIGHTS
+                for m in np.split(mid, np.arange(self.CHUNK, mid.size, self.CHUNK))])
+            self._grid = np.concatenate((self._grid, mid + half))
+            self._cum = np.concatenate((self._cum, np.cumsum(np.append(self._cum[-1], cells))[1:]))
+            self._slot = np.concatenate((self._slot, np.full(cells.size, -1)))
 
     def _series(self, idx):
         """Series (16, points) of each point's cell, formed on a cell's first use."""
@@ -214,26 +217,22 @@ class ChangeOfVariables:
             raise DomainError("x must be finite")
         scalar = x.ndim == 0
         ax = np.abs(np.atleast_1d(x))
-        self._extend(min(12.0, self.guard))
-        # seed: bracketing cell of the cached cumulative, linear interpolation
-        hi = self._cum[-1]
-        while np.any(ax > hi) and self._grid[-1] < self.guard:
+        while np.any(ax > self._cum[-1]) and self._grid[-1] < self.guard:
             self._extend(min(self._grid[-1] * 2.0, self.guard))
-            hi = self._cum[-1]
-        if np.any(ax > hi):
+        if np.any(ax > self._cum[-1]):
             raise DomainError("x outside the invertible cached range")
-        idx = np.minimum(np.searchsorted(self._cum, ax) - 1, self._cum.size - 2)
-        idx = np.maximum(idx, 0)
+        # seed: bracketing cell of the cached cumulative, linear interpolation
+        idx = np.clip(np.searchsorted(self._cum, ax) - 1, 0, self._cum.size - 2)
         c0, c1 = self._cum[idx], self._cum[idx + 1]
         g0, g1 = self._grid[idx], self._grid[idx + 1]
         xi = g0 + (ax - c0) * (g1 - g0) / np.maximum(c1 - c0, 1e-300)
-        coef = self._series(idx)   # Newton runs on the root cell's series
-        for _ in range(60):
-            f = self._x_in_cell(xi, idx, coef) - ax
-            step = f / self.x_prime(xi)
-            xi = np.clip(xi - step, 0.0, self.guard)
-            if np.max(np.abs(step), initial=0.0) \
-                    < 1e-13 * max(1.0, np.max(xi, initial=0.0)):
+        coef = self._series(idx)   # Newton runs on the root cell's series, in the cell
+        live = np.ones(ax.shape, dtype=bool)   # no point stops on another's step
+        for k in range(1, 61):
+            step = np.where(live, (self._x_in_cell(xi, idx, coef) - ax) / self.x_prime(xi), 0.0)
+            xi = np.clip(xi - step, g0, g1)
+            live &= (k < _NEWTON_STEPS) | (np.abs(step) >= 1e-13 * np.maximum(1.0, xi))
+            if not live.any():
                 break
         out = np.sign(np.atleast_1d(x)) * xi
         return out[0] if scalar else out

@@ -174,7 +174,7 @@ class PotentialSpec:
 
     funcs[m] must accept numpy arrays.  `support` marks compactly supported
     potentials (the solver then uses no outer region).  `from_operator`
-    specs read the operator's b~ table instead, which `cover` extends.
+    specs read the operator's b~ table instead, grown to twice a call's reach.
     """
 
     def __init__(self, n, funcs, support=None, breakpoints=()):
@@ -189,19 +189,17 @@ class PotentialSpec:
         self._op = self._table = None
 
     @staticmethod
-    def from_operator(op, x_max=2.6e4):
+    def from_operator(op):
         pot = PotentialSpec(op.n, [lambda x, m=m: pot.values(x)[m] for m in range(op.n - 1)])
-        pot._op, pot._table = op, op.btilde_splines(x_max)
+        pot._op, pot._table = op, op.btilde_splines(2.6e4)
         return pot
-
-    def cover(self, x_max):
-        """Extend an operator's b~ table to |x| <= x_max (user funcs stay)."""
-        if self._op is not None and x_max > self._table.edges[-1]:
-            self._table = self._op.btilde_splines(x_max)
 
     def values(self, x):
         x = np.asarray(x, dtype=float)
         if self._table is not None:
+            e, reach = self._table.edges, float(np.max(np.abs(x), initial=0.0))
+            if np.isfinite(reach) and reach > min(-e[0], e[-1]):
+                self._table = self._op.btilde_splines(2.0 * reach)
             return self._table(x)
         if not self.funcs:
             return np.zeros((0,) + x.shape, dtype=complex)
@@ -327,6 +325,13 @@ class _Density:
 # ---------------------------------------------------------------------------
 
 
+def _finite(x):
+    """x, if every point of it is finite."""
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"the field is read at finite points, not at x = {x[~np.isfinite(x)][0]}")
+    return x
+
+
 class EigenfunctionField:
     """Solved continuum eigenfunction at one (lambda, k); see module docstring.
 
@@ -372,9 +377,12 @@ class EigenfunctionField:
         of |x| <= X reads its panel's state and its points' moments (module
         docstring); a row wholly past +-X, every panel's own integral carried
         out on the branches whose sweep leaves there, zero on the others.  Any
-        other row (by over 1e-12 of a reference coordinate) is refused."""
-        shape, c, h, t = np.shape(c + h * t), *(np.ravel(v).astype(float) for v in (c, h, t))
-        x, region = c[:, None] + h[:, None] * t, self._region_of(c)
+        other row (by over 1e-12 of a reference coordinate), and any point that
+        is not finite, is refused."""
+        shape = np.broadcast_shapes(np.shape(c), np.shape(h), np.shape(t))
+        c, h, t = (np.ravel(v).astype(float) for v in (c, h, t))
+        with np.errstate(all="ignore"):  # a point that is not finite is refused
+            x, region = _finite(c[:, None] + h[:, None] * t), self._region_of(c)
         K = np.zeros((len(self._branches),) + x.shape, dtype=complex)
         sweep = np.array([[[1.0 if upper else -1.0]] for _, _, upper in self._branches])
         groups = {}  # the core's rows, both sides': (density, rows, panels, half-widths, points)
@@ -445,7 +453,7 @@ class EigenfunctionField:
         if deriv not in range(self.n):
             raise DomainError(f"deriv = {deriv!r}: psi_at gives D^0..D^{self.n - 1} psi")
         x = np.atleast_1d(np.asarray(x, dtype=float))[..., None]
-        return self._psi(*self._read(x, 0.0 * x, [0.0]), deriv)[..., 0]
+        return self._psi(*self._read(x, np.zeros_like(x), [0.0]), deriv)[..., 0]
 
     def sample(self, c, h, t):
         """psi and each wave's envelope r_w (keyed w) at the points c + h t, t
@@ -456,7 +464,7 @@ class EigenfunctionField:
 
     def w_at(self, x):
         """V psi at arbitrary points (Lagrange interpolation in each region)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = _finite(np.atleast_1d(np.asarray(x, dtype=float)))
         region, out = self._region_of(x), np.zeros(x.size, dtype=complex)
         for r in (-1, 0, 1):
             sel, dens = region == r, self._dens.get(r)
@@ -695,12 +703,12 @@ class _CoreSolver:
         return field
 
 
-def _prepare(pot: PotentialSpec, k, X, x_core, reach):
-    """X0 of a solve at k out to X, before any factorization: b~ is read out
-    to |x| <= reach and sum |b~_m| must fall faster than x^SHORT_RANGE_SLOPE
-    on [max(X0, 120), X] (on [X0, X] if X <= 120) in a log-log fit (cosh,
-    stretched_exp: -2; power_law: -1 to -0.7).  k must be finite and nonzero,
-    and X finite and past X0, or past a compact support."""
+def _prepare(pot: PotentialSpec, k, X, x_core):
+    """X0 of a solve at k out to X, before any factorization: sum |b~_m| must
+    fall faster than x^SHORT_RANGE_SLOPE on [max(X0, 120), X] (on [X0, X] if
+    X <= 120) in a log-log fit (cosh, stretched_exp: -2; power_law: -1 to
+    -0.7).  k must be finite and nonzero, and X finite and past X0, or past a
+    compact support."""
     if not np.isfinite(k) or k == 0:
         raise DomainError(f"k = {float(k)!r} must be finite and nonzero "
                           "(k = 0 is the degenerate spectral point)")
@@ -713,7 +721,6 @@ def _prepare(pot: PotentialSpec, k, X, x_core, reach):
         raise DomainError(f"the truncation X = {X:g} " + (
             f"leaves no outer side past X0 = {x_core:g}" if pot.support is None
             else f"cuts the support {pot.support:g}"))
-    pot.cover(reach)
     if pot.support is None:
         x = np.geomspace(max(x0, CORE_RADIUS[0]) if X > CORE_RADIUS[0] else x0, X, 32)
         total = pot.abs_sum(x) + pot.abs_sum(-x)
@@ -730,7 +737,7 @@ def _prepare(pot: PotentialSpec, k, X, x_core, reach):
 def solve_lippmann_schwinger(pot: PotentialSpec, k, X=1.0e4,
                              x_core=None) -> EigenfunctionField:
     """Solve for the continuum eigenfunction at wavenumber k (lambda = k^n)."""
-    return _CoreSolver(pot, k, _prepare(pot, k, X, x_core, X), (X,)).solve(X)
+    return _CoreSolver(pot, k, _prepare(pot, k, X, x_core), (X,)).solve(X)
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +785,7 @@ def scattering_matrix(pot: PotentialSpec, lam, X=1.0e4,
         raise DomainError("even n: lambda must be positive")
     k = np.sign(lam) * abs(lam) ** (1.0 / n)
     ks = [k] if n % 2 == 1 else [k, -k]
-    x0 = _prepare(pot, k, X, x_core, 2 * X)
+    x0 = _prepare(pot, k, X, x_core)
     S_X, S_2X = (np.zeros((len(ks), len(ks)), dtype=complex) for _ in range(2))
     fields = []
     solver = _CoreSolver(pot, ks[0], x0, (X, 2 * X))  # one factorization for every k
@@ -815,7 +822,6 @@ def ode_cross_check(pot: PotentialSpec, k, X=1.0e4):
     if k <= 0:
         raise ConfigurationError("use k > 0")
     x_hi = X if pot.support is None else min(X, pot.support)
-    pot.cover(x_hi)
     x_in = min(x_hi, 120.0)
     right = np.concatenate((
         np.linspace(0.0, x_in, int(np.ceil(x_in / 0.005)) + 1),

@@ -89,10 +89,10 @@ def _suite_scatter():
         OperatorCoefficients(Q, ChangeOfVariables(prof, 2)))
     for lam in (0.5, 2.0):
         e = scattering_matrix(pot, lam, X=2000.0)
-        ok = (e.unitarity_defect < 5e-4
-              and abs(e.S[0, 1] - e.S[1, 0]) < 5e-4)
-        fails += _check(f"n=2 unitarity/reciprocity lam={lam}", ok,
-                        f"defect {e.unitarity_defect:.2e}")
+        recip = abs(e.S[0, 1] - e.S[1, 0])
+        fails += _check(f"n=2 unitarity/reciprocity lam={lam}",
+                        e.unitarity_defect < 1e-10 and recip < 1e-10,
+                        f"defect {e.unitarity_defect:.2e}, reciprocity {recip:.2e}")
     Q3 = p_to_q(RealPolynomial([0.0, 0.0, 0.0, 1.0]))
     pot3 = PotentialSpec.from_operator(
         OperatorCoefficients(Q3, ChangeOfVariables(prof, 3)))

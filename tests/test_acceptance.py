@@ -87,8 +87,7 @@ def test_criterion_03_decay_exponents(cosh_profile, q_x2, cov2):
     s1 = _slope(x, np.abs(b[1]))
     assert abs(s0 + 2.0) < 0.1, s0
     assert abs(s1 + 1.0) < 0.1, s1
-    covp = ChangeOfVariables(WeightProfile("power_law", alpha=1.0), 2,
-                             xi_max=1500.0)
+    covp = ChangeOfVariables(WeightProfile("power_law", alpha=1.0), 2)
     opp = OperatorCoefficients(q_x2, covp)
     bp = opp.b_values(x)
     sp1 = _slope(x, np.abs(bp[1]))
@@ -283,8 +282,7 @@ def test_criterion_10_stationary_phase():
 # -- 11: long-range iteration ---------------------------------------------------------
 
 def test_criterion_11_longrange_slopes(q_x2):
-    cov = ChangeOfVariables(WeightProfile("power_law", alpha=1.0), 2,
-                            xi_max=1500.0)
+    cov = ChangeOfVariables(WeightProfile("power_law", alpha=1.0), 2)
     op = OperatorCoefficients(q_x2, cov)
     x = np.geomspace(1e2, 1e5, 25)
     sig = {j: sigma_iterate(op, j, x, 1.0) for j in range(0, 5)}

@@ -11,8 +11,7 @@ from carleman.profile import ChangeOfVariables, WeightProfile
 @pytest.fixture(scope="module")
 def op_power():
     Q = p_to_q(RealPolynomial([0.0, 0.0, 1.0]))
-    cov = ChangeOfVariables(WeightProfile("power_law", alpha=1.0), 2,
-                            xi_max=1500.0)
+    cov = ChangeOfVariables(WeightProfile("power_law", alpha=1.0), 2)
     return OperatorCoefficients(Q, cov)
 
 

@@ -214,6 +214,50 @@ def test_memoised_series_do_not_depend_on_the_cells_a_call_touches(family):
                               batch._coef[:, batch._slot[cells]]), n
 
 
+@pytest.mark.parametrize("prof", [WeightProfile("power_law"), WeightProfile("stretched_exp")])
+def test_map_does_not_depend_on_the_calls_before_it(prof):
+    # the cache grows by blocks of fixed cells, each edge value one running
+    # sum from 0: x(xi) past the first block is the same bits whether or not
+    # a nearer xi was asked first
+    xi = np.array([70.0, 90.0, 150.0, 300.0])
+    fresh, primed = ChangeOfVariables(prof, 2), ChangeOfVariables(prof, 2)
+    primed.x_of_xi(100.0)
+    assert fresh.x_of_xi(xi).tobytes() == primed.x_of_xi(xi).tobytes()
+
+
+@pytest.mark.parametrize("family", ["cosh", "stretched_exp"])
+def test_inverse_does_not_depend_on_the_other_points_read(family):
+    # Newton stops each point on its own step, so xi(x) at 400 points is the
+    # same bits read in one call and one point at a time
+    rng = np.random.default_rng(4)
+    for n in (2, 3, 5):
+        batch, alone = (ChangeOfVariables(WeightProfile(family), n) for _ in range(2))
+        x = rng.choice((-1.0, 1.0), 400) * 10.0 ** rng.uniform(-3.0, 4.0, 400)
+        whole = batch.xi_of_x(x)
+        assert whole.tobytes() == np.array([alone.xi_of_x(v) for v in x]).tobytes(), n
+
+
+def test_newton_steps_past_four_change_xi_by_an_ulp_at_most(monkeypatch):
+    # the minimum of 4 Newton steps leaves xi(x) within 4.5e-16 of 12 steps,
+    # |x| <= 1e4, for every family at n = 1..6
+    import carleman.profile as profile
+
+    profs = [WeightProfile("cosh")] \
+        + [WeightProfile("stretched_exp", alpha=a, beta=b) for a in (0.3, 1.0, 2.0)
+           for b in (0.5, 1.0, 3.0)] \
+        + [WeightProfile("power_law", alpha=a) for a in (0.2, 1.0, 4.0)]
+    x = np.concatenate(([0.0], np.geomspace(1e-6, 1e4, 400)))
+    for prof in profs:
+        for n in range(1, 7):
+            xi = {}
+            for steps in (4, 12):
+                monkeypatch.setattr(profile, "_NEWTON_STEPS", steps)
+                xi[steps] = ChangeOfVariables(prof, n).xi_of_x(x)
+            assert xi[4][0] == xi[12][0] == 0.0
+            err = np.max(np.abs(xi[4][1:] / xi[12][1:] - 1.0))
+            assert err <= 4.5e-16, (prof, n, err)
+
+
 @pytest.mark.parametrize("prof, xi", [
     (WeightProfile("cosh"), np.linspace(-40.0, 40.0, 161)),
     (WeightProfile("power_law"), np.concatenate((np.linspace(-30.0, 30.0, 121),

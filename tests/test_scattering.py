@@ -809,13 +809,47 @@ def test_ode_requires_n2():
 # -- the b~ table behind operator potentials ----------------------------------
 
 def test_operator_table_is_extended_before_the_solve(op2):
-    pot = PotentialSpec.from_operator(op2, x_max=300.0)
-    with pytest.raises(DomainError):
-        pot.values(np.array([600.0]))
-    e = scattering_matrix(pot, 1.0, X=400.0)  # reads b~ out to 2X = 800
-    ref = scattering_matrix(PotentialSpec.from_operator(op2, x_max=800.0), 1.0, X=400.0)
+    # a read past the table grows it to twice its reach on the same grid, so
+    # the grown table's panels repeat the fresh one's bit for bit
+    pot = PotentialSpec.from_operator(op2)
+    assert pot.values(np.array([3e4])).shape == (1, 1)
+    assert pot._table.edges[-1] >= 6e4
+    e = scattering_matrix(pot, 1.0, X=400.0)
+    ref = scattering_matrix(PotentialSpec.from_operator(op2), 1.0, X=400.0)
     assert np.array_equal(e.S, ref.S)
-    assert pot.values(np.array([800.0])).shape == (1, 1)
+
+
+@pytest.mark.parametrize("opname", ["op2", "op3"])
+def test_a_wider_solve_leaves_the_earlier_ones_unchanged(opname, request):
+    # S and psi on the core at X = 1e4 are the same bits before and after an
+    # X = 2e4 solve grows the spec's table, and S at 2e4 from the grown spec
+    # is the same bits as from a fresh one
+    op = request.getfixturevalue(opname)
+    pot = PotentialSpec.from_operator(op)
+    x = np.linspace(-30.0, 30.0, 241)
+
+    def read(X):
+        e = scattering_matrix(pot, 1.0, X=X)
+        return e.S, e.fields[0].psi_at(x)
+    before = read(1e4)
+    wide = read(2e4)[0]
+    after = read(1e4)
+    assert pot._table.edges[-1] >= 4e4
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+    fresh = scattering_matrix(PotentialSpec.from_operator(op), 1.0, X=2e4).S
+    assert wide.tobytes() == fresh.tobytes()
+
+
+def test_default_solve_reads_the_table_it_was_built_with(op2, monkeypatch):
+    # X = 1e4 reads b~ out to 2X = 2e4, inside the table's 2.6e4: no rebuild
+    from carleman.liouville import OperatorCoefficients
+
+    calls = []
+    build = OperatorCoefficients.btilde_splines
+    monkeypatch.setattr(OperatorCoefficients, "btilde_splines",
+                        lambda self, x_max: calls.append(x_max) or build(self, x_max))
+    scattering_matrix(PotentialSpec.from_operator(op2), 1.0, X=1e4)
+    assert calls == [2.6e4]
 
 
 @pytest.mark.parametrize("opname,lam", [("op2", 0.2), ("op2", 1.0), ("op2", 5.0),
@@ -927,6 +961,19 @@ def test_sample_refuses_rows_that_leave_their_panel(field2m1):
         assert np.max(np.abs(psi - f.psi_at(c + h * t))) <= 1e-13, (lo, hi)
 
 
+@pytest.mark.parametrize("fieldname", ["field2m1", "field3"])
+def test_readers_refuse_points_that_are_not_finite(fieldname, request):
+    # NaN and +-inf are refused by name, not read as NaN (nor warned about)
+    f = request.getfixturevalue(fieldname)
+    t = _ChebTable.grid(1, 12)
+    for read in (lambda: f.psi_at([np.nan, np.inf, -np.inf]), lambda: f.psi_at(np.inf),
+                 lambda: f.sample(np.array([[np.inf]]), np.array([[1.0]]), t),
+                 lambda: f.sample(np.array([[0.0]]), np.array([[np.nan]]), t),
+                 lambda: f.w_at(np.nan), lambda: f.w_at([1.0, -np.inf])):
+        with pytest.raises(DomainError, match="finite points"):
+            read()
+
+
 @pytest.mark.parametrize("which", ["pot2m1", "pot3", "pot5"])
 def test_point_values_do_not_depend_on_the_other_points_read(which, request):
     # psi (every derivative) and each r_w at a point are the same bits read
@@ -1001,7 +1048,7 @@ def test_default_core_radius_depends_on_parity(pot2, pot3, pot4, pot5):
     # even n's complex roots are no sources beyond X0, so it keeps 120
     for pot, x0 in ((pot3, 30.0), (pot5, 30.0), (pot2, 120.0), (pot4, 120.0),
                     (zero_potential(support=6.0), 8.0)):
-        assert sc._prepare(pot, 1.0, 1e4, None, 1e4) == x0
+        assert sc._prepare(pot, 1.0, 1e4, None) == x0
 
 
 @pytest.mark.parametrize("which, lam, bound", [

@@ -9,10 +9,13 @@ Coefficients may carry trailing array axes, so a single jet can hold the
 expansions at a whole grid of points at once.
 
 exp, log, pow and division (u / w = u * w**-1) share one recurrence, `_ode`;
-cosh is the mean of exp(u) and exp(-u).  Jets are one of the library's two
-ways to take derivatives; the other is the Chebyshev interpolant of the
-independent oracle `liouville.operator_apply_check`.  Finite differences
-appear only in the tests.
+cosh is the mean of exp(u) and exp(-u).  Jets give the derivatives of the
+weight, the change of variables, every coefficient and the Mellin phase eta
+(the Lanczos log Gamma that gives eta, evaluated on a jet).  They are one of
+the library's two ways to take derivatives; the other is the degree-40
+Chebyshev interpolant of the independent oracle
+`liouville.operator_apply_check`, which shares no code with the jets it
+checks.  Finite differences appear only in the tests.
 """
 
 from __future__ import annotations

@@ -177,11 +177,8 @@ def _cmd_longrange(args):
     cov = ChangeOfVariables(prof, Q.degree)
     op = OperatorCoefficients(Q, cov)
     xs = np.asarray(_parse_grid(args.x_grid))
-    rows = []
-    for x in xs:
-        s = sigma_iterate(op, args.j, np.array([x]), args.k)[0]
-        v = residual_symbol(op, args.j, np.array([x]), args.k)[0]
-        rows.append((x, s.real, s.imag, v.real, v.imag))
+    s, v = sigma_iterate(op, args.j, xs, args.k), residual_symbol(op, args.j, xs, args.k)
+    rows = zip(xs, s.real, s.imag, v.real, v.imag)
     _emit_csv(args.emit, ["x", "re_sigma", "im_sigma", "re_resid", "im_resid"], rows)
     return 0
 
@@ -336,7 +333,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_evolve)
 
     p = sub.add_parser("verify", help="run invariant suites")
-    p.add_argument("--suite", default="core", choices=["core", "scatter", "all"])
+    p.add_argument("--suite", default="core", choices=["core", "all"])
     p.set_defaults(fn=_cmd_verify)
     return ap
 

@@ -64,7 +64,8 @@ def _stationary_grid(N, T, cov: ChangeOfVariables):
         new = np.minimum(s - g / dg, s + np.log(2.0))
         new = np.where((new >= lo) & (new <= hi), new, np.where(
             np.isinf(lo), hi - 2.0 ** k, np.minimum(0.5 * (lo + hi), lo + np.log(2.0))))
-        live, s = np.abs(new - s) > 1e-14 * np.maximum(1.0, np.abs(s)), new
+        moved = np.abs(new - s) > 1e-14 * np.maximum(1.0, np.abs(s))
+        s, live = np.where(live, new, s), live & moved   # each point stops on its own step
     else:
         raise NumericalError(f"no stationary point at |ln t| = {a[live][0]:g}")
     branch = np.where(N == 0, 0, np.where((n % 2 == 1) & (N < 0), 1, 2))

@@ -12,7 +12,8 @@ with psi the gauged short-range eigenfunction.  The integral converges only
 conditionally: a core plus oscillating tails, with psi read from the Nystrom
 field once per Chebyshev grid (test_panel_read_matches_direct_panel_sums)
 into oscquad tables on its panels, the outer sides' basis carrying e^{+-ikx},
-closed by integration by parts.  Stationary points sit at |x| ~ n|N|/(pi |k|),
+closed by integration by parts at +-x_tail with each wave's envelope r_w
+there as its amplitude.  Stationary points sit at |x| ~ n|N|/(pi |k|),
 so x_split (120 whatever the core radius, or x_tail if smaller: a closure
 admits none) bounds the reachable |N|.  Only e^{-i xi(x) N} depends on N, so
 the Gauss nodes resolve the phase at that largest |N| once: each psi table
@@ -314,7 +315,11 @@ def mellin_F(tau, g, xi):
     g = np.asarray(g)
     d = tau[1] - tau[0]
     xi = np.asarray(xi, dtype=float)
-    ghat_neg = d / np.sqrt(2 * np.pi) * (g @ np.exp(1j * np.outer(tau, xi)))
+    # one pairwise sum per xi along its contiguous row, never a BLAS product, so a
+    # value does not depend on the other xi of the call; 16 rows at a time stay in cache
+    rows = np.split(xi, range(16, xi.size, 16))
+    ghat_neg = d / np.sqrt(2 * np.pi) * np.concatenate(
+        [(np.exp(1j * np.outer(x, tau)) * g).sum(axis=1) for x in rows])
     return np.exp(-1j * eta_phase(xi)) * ghat_neg
 
 

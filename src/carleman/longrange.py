@@ -28,6 +28,27 @@ from .liouville import OperatorCoefficients
 from .oscquad import gauss_panels, graded_edges
 
 
+def _sigmas(coeffs: OperatorCoefficients, j: int, x, k: float, gauged: bool, more: int = 0):
+    """sigma_j .. sigma_{j+more} at the points x, from one evaluation of the b_m."""
+    if k == 0:
+        raise DomainError("k = 0: the dispersion factor n k^(n-1) vanishes")
+    if j < 0 or j + more > 8:
+        raise DomainError("iteration index j must be in 0..8")
+    n = coeffs.n
+    x = np.asarray(x, dtype=float)
+    # b_0 .. b_{n-1}
+    b = (coeffs.gauged_values(x) if gauged else coeffs.b_values(x))[:n]
+    sigs = [np.zeros(x.shape, dtype=complex)]
+    for _ in range(j + more):
+        sig, acc = sigs[-1], np.zeros_like(sigs[-1])
+        for p in range(2, n + 1):
+            acc += comb(n, p) * sig ** p * k ** (n - p)
+        for m in range(n):
+            acc += b[m] * (k + sig) ** m
+        sigs.append(-acc / (n * k ** (n - 1)))
+    return sigs[j:]
+
+
 def sigma_iterate(coeffs: OperatorCoefficients, j: int, x, k: float,
                   gauged: bool = False):
     """sigma_j(x, k) by the exact recursion (vectorized over x).
@@ -35,32 +56,17 @@ def sigma_iterate(coeffs: OperatorCoefficients, j: int, x, k: float,
     gauged=True runs the iteration on the gauged coefficients b~_m (short
     range for the cosh family); default uses the raw b_m of B.
     """
-    if k == 0:
-        raise DomainError("k = 0: the dispersion factor n k^(n-1) vanishes")
-    if j < 0 or j > 8:
-        raise DomainError("iteration index j must be in 0..8")
-    n = coeffs.n
-    x = np.asarray(x, dtype=float)
-    # b_0 .. b_{n-1}
-    b = (coeffs.gauged_values(x) if gauged else coeffs.b_values(x))[:n]
-    den = n * k ** (n - 1)
-    sig = np.zeros(x.shape, dtype=complex)
-    for _ in range(j):
-        acc = np.zeros_like(sig)
-        for p in range(2, n + 1):
-            acc += comb(n, p) * sig ** p * k ** (n - p)
-        for m in range(n):
-            acc += b[m] * (k + sig) ** m
-        sig = -acc / den
-    return sig
+    return _sigmas(coeffs, j, x, k, gauged)[0]
 
 
 def residual_symbol(coeffs: OperatorCoefficients, j: int, x, k: float,
                     gauged: bool = False):
-    """v(x,k) = n k^{n-1} (sigma_j - sigma_{j+1}); the defect of the eikonal solve."""
-    n = coeffs.n
-    return n * k ** (n - 1) * (sigma_iterate(coeffs, j, x, k, gauged=gauged)
-                               - sigma_iterate(coeffs, j + 1, x, k, gauged=gauged))
+    """v(x,k) = n k^{n-1} (sigma_j - sigma_{j+1}); the defect of the eikonal solve.
+
+    sigma_{j+1} is one more step from sigma_j, on the same b_m.
+    """
+    sig, nxt = _sigmas(coeffs, j, x, k, gauged, more=1)
+    return coeffs.n * k ** (coeffs.n - 1) * (sig - nxt)
 
 
 def theta_phase(coeffs: OperatorCoefficients, j: int, x, k: float,

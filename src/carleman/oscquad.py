@@ -50,7 +50,9 @@ def gauss_panels(edges, p):
 
 def lagrange_coeff_matrix(nodes):
     """C with l_r(u) = sum_l C[l, r] u^l for the Lagrange basis on the mirrored
-    `nodes` u_r = -u_{p-1-r}; (-1)^l C[l, r] = C[l, p-1-r] holds exactly."""
+    `nodes` u_r = -u_{p-1-r}; (-1)^l C[l, r] = C[l, p-1-r] holds exactly (the
+    inverse Vandermonde alone keeps it only to rounding), so a downward sweep's
+    (-1)^l-signed product is the upward one reversed, bit for bit."""
     C = np.linalg.inv(np.vander(nodes, increasing=True))
     return 0.5 * (C + (-1.0) ** np.arange(C.shape[0])[:, None] * C[:, ::-1])
 
@@ -66,7 +68,10 @@ def exp_monomial_moments(mu, t, count):
     z G_i = 1 - (-1)^i E - i G_(i-1) upward, E = e^{-mu (1 + t)}; errors grow
     by at most prod(i / |z|), 1.4 for count 10.  Raising the degree by c + s x
     one step at a time turns G into m.  An element's value does not depend on
-    the batch it comes in.
+    the batch it comes in: no sum goes through BLAS.
+    test_series_and_recurrence_regimes holds m within 1e-14 of 30-digit
+    quadrature on both sides of the switch, a panel as short as t = -1 + 1e-9
+    included.
     """
     mu, t = np.broadcast_arrays(np.asarray(mu, dtype=complex), np.asarray(t, dtype=float))
     shape = mu.shape

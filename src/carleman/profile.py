@@ -7,12 +7,17 @@ Built-in families (all even, positive, decaying):
     stretched_exp(a,b):  v(xi) = exp(-b (1 + xi^2)^(a/2))
 
 The map x(xi) = int_0^xi v^(-2/n) is strictly increasing and odd.  It is cached
-at the edges of cells of width 1/8, appended in blocks on fixed bounds; inside a
-cell it adds (xi - lo) times a Chebyshev series of the running mean of
-v^(-2/n), formed from the cell's 16 Gauss values when a call first touches the
-cell and memoised, and the Newton inversion xi(x) iterates on the series of the
-root's cell, each point until its own step is small.  Derivatives of everything
-come from Taylor-mode jets on the closed forms, never from finite differences.
+at the edges of cells of width 1/8, appended in blocks on fixed bounds with one
+running sum through them, so x(xi) has the same bits whatever was asked before;
+inside a cell it adds (xi - lo) times a Chebyshev series of the running mean of
+v^(-2/n), which keeps x relatively accurate as xi nears the cell's start.  The
+series is formed from the cell's 16 Gauss values by a fixed matrix (built in
+long double, rounded once) when a call first touches the cell, and memoised.
+The Newton inversion xi(x) iterates on the series of the root's cell, found by
+bisecting the cached edge values: _NEWTON_STEPS steps on every point from the
+linear seed, then each point until its own step falls below 1e-13 relative.
+Derivatives of everything come from Taylor-mode jets on the closed forms, never
+from finite differences.
 """
 
 from __future__ import annotations

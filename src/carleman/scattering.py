@@ -7,14 +7,16 @@ The eigenfunctions of B~ = D^n + sum b~_m D^m (psi_minus convention) solve
 We solve the second-kind equation (I + V R0) w = V psi0 for w = V psi on
 [-X, X]: a core [-X0, X0] and two outer sides, each a mesh of Gauss panels.
 The core's widen x1.3 from 0.06 at x = 0, as b~ is singular at x = +-i d_n
-(d_n ~ 0.2-0.35), up to min(2 / max(|k|, 1/4), 3).  The free kernel is a sum
-of exponentials a_b e^{i zeta_b (x-y)}, each on one side of
-the diagonal: x >= y for the "upper" roots, x <= y for the "lower" ones.  So
-the system is never formed.  The edge state s_b(P) is the integral of
-e^{i zeta_b (e_P - y)} w(y) over the panels of the whole line on branch b's
-far side of panel P, anchored at P's left edge e_P (upper) or its right edge
-(lower).  With Filon-type product integration (moments of exponentials
-against each panel's Lagrange basis) panel P obeys
+(d_n ~ 0.2-0.35) and panels must shrink toward such a singularity to resolve
+it (Trefethen, Approximation Theory and Approximation Practice, ch. 8), up to
+min(2 / max(|k|, 1/4), 3).  The free kernel is a sum of exponentials
+a_b e^{i zeta_b (x-y)}, each on one side of the diagonal: x >= y for the
+"upper" roots, x <= y for the "lower" ones.  So the system is never formed.
+The edge state s_b(P) is the integral of e^{i zeta_b (e_P - y)} w(y) over the
+panels of the whole line on branch b's far side of panel P, anchored at P's
+left edge e_P (upper) or its right edge (lower): Greengard & Rokhlin's
+construction for separable kernels.  With Filon-type product integration
+(moments of exponentials against each panel's Lagrange basis) panel P obeys
 
     C_P f_P = rhs_P - sum_b g_b e^{i zeta_b (x - e_P)} s_b(P),
     C_P     = I + sum_b diag(g_b) own_b,P,
@@ -32,7 +34,8 @@ f_w = sigma(wk) ([w = 1] - a e^{-iwky} K_wk), so rhs_w = sigma(wk) [w = 1],
 g = a sigma e^{-iwky} on the wave's own real root, and no other root has a
 coefficient there.  Every state steps to the next panel as
 s_b(P +- 1) = e^{+-i zeta_b h_P} s_b(P) + F_b,P . f_P (full-panel moments),
-by factors of modulus <= 1, and crosses +-X0 as it crosses any panel edge.
+by factors of modulus <= 1, so the decaying complex roots share the real
+roots' states, and it crosses +-X0 as it crosses any panel edge.
 The blocks C_P are inverted in one batched call per region; substituting
 f_P = C_P^-1 (rhs_P - G_P s(P)), G_P the state terms above, leaves the
 couplings D_P = F_P C_P^-1 G_P - diag(step_P) between the states of

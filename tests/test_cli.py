@@ -184,6 +184,13 @@ def test_verify_all():
     assert "all invariants pass" in out
 
 
+def test_verify_has_no_scatter_suite():
+    # "all" runs the scattering checks; a third value for the same suites is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "scatter"])
+    assert exc.value.code == 1
+
+
 def test_verify_core_sees_a_corrupted_gamma(monkeypatch, capsys):
     # one Lanczos coefficient off by 1e-6 must fail an invariant
     from carleman import specfun, verify

@@ -287,3 +287,17 @@ def test_underflowing_xi_is_refused(n):
     for T in (1e-300, -1e-200):
         with pytest.raises(DomainError, match="underflows"):
             _stationary_grid(np.array([-4.0, 0.1, 4.0]) * abs(T), T, cov)
+
+
+@pytest.mark.parametrize("family,n,T", [("cosh", 3, 10.0), ("cosh", 4, 10.0),
+                                        ("power_law", 3, 1e3), ("stretched_exp", 2, 1e3)])
+def test_profile_values_do_not_depend_on_the_other_points(family, n, T):
+    # each N stops its Newton on its own step, so the whole grid reads the
+    # same bits as each of its points alone
+    cov = ChangeOfVariables(WeightProfile(family), n)
+    Q = p_to_q(RealPolynomial([0.0] * n + [1.0]))
+    f_hat = lambda u: np.exp(-np.asarray(u) ** 2)
+    N = np.arange(-40, 41) * 0.1 * abs(T)
+    whole = evolution_profile(f_hat, N, T, Q, cov)["prediction"]
+    alone = [evolution_profile(f_hat, [Ni], T, Q, cov)["prediction"][0] for Ni in N]
+    assert np.array_equal(whole, alone)

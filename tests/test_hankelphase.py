@@ -119,6 +119,16 @@ def test_mellin_parseval():
     assert abs(norm_u - norm_F) / norm_u < 1e-8
 
 
+def test_mellin_values_do_not_depend_on_the_other_xi():
+    # each xi is one pairwise sum of its own row, not a BLAS product over the
+    # batch: quadratic_form_check's grid reads the same bits as each xi alone
+    tau = np.linspace(-16.0, 16.0, 2049)
+    g = np.exp(1j * 0.4 * tau - tau ** 2 / (2 * 1.2 ** 2))
+    xi = np.linspace(-40.0, 40.0, 4096, endpoint=False)
+    whole = mellin_F(tau, g, xi)[::37]
+    assert np.array_equal(whole, [mellin_F(tau, g, [x])[0] for x in xi[::37]])
+
+
 def test_quadratic_form_identity_n0_and_n1(cosh_profile):
     r0 = quadratic_form_check(RealPolynomial([1.0]), cosh_profile)
     assert r0["relative_residual"] < 1e-6
